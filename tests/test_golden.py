@@ -1,0 +1,156 @@
+"""Golden SHA-256 checksums of deterministic command outputs.
+
+Reruns with the same seed are byte identical, and these checksums make that
+checkable across code changes: a refactor may move output bits only on
+purpose, and then the digests below are re-recorded with it.  The failure
+message prints the digest the code produced.
+
+numpy picks SIMD kernels by CPU and its ufuncs are not bit-equal across
+kernels, so the digests pin the host class they were recorded on.  A
+mismatch therefore names the numpy version and the CPU features numpy
+dispatches on, to tell a code change from a different machine.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from coopsim.cli import main
+
+# Spans both rho0 extremes (the T5 variants), three memory windows (the
+# forgiveness horizons differ per row), and the eta levels whose powers
+# numpy may special-case.
+GOLDEN_GRID = (
+    "rho0 = 0.2,1.0\n"
+    "eta = 0.5,1.0,1.25\n"
+    "kappa = 0.5,3.0\n"
+    "memory_k = 1,4,16\n"
+    "lambda_r = 0.875,2.0\n"
+    "t0 = 0.3,0.95\n"
+    "d = 0.2,1.0\n"
+)
+
+_HEADER = """\
+actors = Apple,Major,Small
+a_max = 1.0,1.0,1.0
+a_init = 0.5,0.4,0.6
+baseline_init = 0.5,0.5,0.5
+d = Apple,Major,0.6575
+d = Apple,Small,0.7075
+d = Major,Apple,0.8775
+d = Small,Apple,0.9195
+d = Small,Major,0.25
+rho0 = 0.9
+eta = 1.3
+kappa = 1.2
+memory_k = 4
+lambda_r = 1.0
+omega_amp = 0.6
+t0 = 0.7
+endowments = 100.0,100.0,100.0
+alpha = 0.5,0.25,0.25
+theta_v = 20.0
+gamma = 0.5
+"""
+
+# Best-response mode: the solver picks every action after period 1.
+BEST_RESPONSE_SCENARIO = _HEADER + """\
+baseline_mode = moving_average
+horizon = 10
+mode = best_response
+noise_sigma = 0.0
+"""
+
+# Adjustment mode with noise, fixed reference levels and stacked shocks
+# (two on the same actor and period).
+ADJUSTMENT_SCENARIO = _HEADER + """\
+baseline_mode = fixed
+horizon = 30
+mode = adjustment
+noise_sigma = 0.03
+seed = 17
+shock = 5,Major,-0.3
+shock = 12,Apple,0.25
+shock = 12,Apple,-0.125
+shock = 20,Small,-0.9
+"""
+
+GOLDEN = {
+    "adjustment": {
+        "trajectory.csv":
+            "39eca966138ed3603cea3b35163cd80644d8d803ee0e8b28847b27aa528dd88f",
+        "dyads.csv":
+            "1a3916e9d3e138e2f541fa532d68019f0da9a5e0d159391e5ae933be615ecfeb",
+    },
+    "best-response": {
+        "trajectory.csv":
+            "f4b1ac55bd3a98be0029da51bcffef750ea93f60f18efc70cc45d007ffb49a15",
+        "dyads.csv":
+            "37fb50ef6ac13a4391fa0543b5b9c77e68589ba1101d0edc7a00dbc42a259a94",
+    },
+    "case-study": {
+        "trajectory.csv":
+            "8c821b049d43950615277af3d33673e338b2af66b0729092890715718c8280b1",
+        "dyads.csv":
+            "1af53a411461f26df0c2c3da927f28eb7501224e5970d90fab476847ced3bd18",
+        "long.csv":
+            "a4e163aafaa20ef0d746766ec5890dca1a8ee3e5eaa453ee2a1d9f5328830ca7",
+        "phase_stats.csv":
+            "e4998f514436baba586a829df088766b04699948ae8b90880acabf1fb91918d1",
+        "rubric.md":
+            "0365f7055398592e05d89acd5f9da70eaa25d3c86296877406d6479357dcd591",
+    },
+    "montecarlo": {
+        "montecarlo.csv":
+            "1668d8277babadb157e9b90f6ba67558b21c3e7cc1d6d596dacd32c819ab48ed",
+        "montecarlo.md":
+            "bc83d4d44efed6369a3ff080a96382234ef608436b5254683096f329993f49b4",
+    },
+    "sweep": {
+        "targets.csv":
+            "bfe1f87766363c36ecdd136ea9192529a5adc4bf0157a2565b6c5996f169a225",
+        "report.md":
+            "2f29594ebc1dc1740ba1ce6344416058a0fe09e5d44a1db0f949fea2b5d78411",
+    },
+}
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return str(path)
+
+
+def _argv(job, tmp_path, out):
+    if job == "sweep":
+        grid = _write(tmp_path / "grid.txt", GOLDEN_GRID)
+        return ["sweep", "--grid", grid, "--seed", "3", "--out", out]
+    if job == "montecarlo":
+        return ["montecarlo", "--trials", "36", "--seed", "5", "--out", out]
+    if job == "case-study":
+        return ["case-study", "ios", "--counterfactual", "--seed", "11", "--out", out]
+    text = BEST_RESPONSE_SCENARIO if job == "best-response" else ADJUSTMENT_SCENARIO
+    scenario = _write(tmp_path / "scenario.conf", text)
+    return ["simulate", "--scenario", scenario, "--out", out]
+
+
+def _machine() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+        features = " ".join(sorted(k for k, on in __cpu_features__.items() if on))
+    except ImportError:
+        features = "unknown"
+    return f"numpy {np.__version__}; CPU features: {features}"
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN))
+def test_golden_checksums(job, tmp_path):
+    out = str(tmp_path / "out")
+    assert main(_argv(job, tmp_path, out)) in (0, 2)
+    got = {}
+    for name in GOLDEN[job]:
+        with open(os.path.join(out, name), "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == GOLDEN[job], f"{job} outputs moved ({_machine()})"
