@@ -3,7 +3,10 @@
 
 Examples:
     python scripts/run_validation.py --grid smoke --out results/smoke
-    python scripts/run_validation.py --grid full --out results/full --parallel 8
+    python scripts/run_validation.py --grid full --out results/full
+
+``--parallel`` is accepted and ignored: the engine batches every cell and
+trial in one process.
 """
 
 import argparse
@@ -26,14 +29,15 @@ def main() -> int:
     parser.add_argument("--grid", default="smoke",
                         help=f"builtin name ({', '.join(BUILTIN_GRIDS)}) or grid file")
     parser.add_argument("--out", default="results/validation")
-    parser.add_argument("--parallel", type=int, default=None)
+    parser.add_argument("--parallel", type=int, default=None,
+                        help="accepted and ignored: runs are batched in one process")
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
     grid = BUILTIN_GRIDS.get(args.grid) or files.read_grid(args.grid)
     t0 = time.monotonic()
-    results = run_sweep(grid, SweepProtocol(), processes=args.parallel)
+    results = run_sweep(grid, SweepProtocol())
     sweep_seconds = time.monotonic() - t0
     report = measure_targets(results)
     stats = differentiation_stats(results, seed=args.seed)
@@ -51,8 +55,7 @@ def main() -> int:
     print(f"  differentiation: mean ratio {stats.mean:.2f}, d = {stats.cohens_d:.2f}, "
           f"Wilcoxon p = {stats.wilcoxon_p:.2e}")
 
-    mc = monte_carlo(trials=args.trials, perturb=0.15, seed=args.seed,
-                     processes=args.parallel)
+    mc = monte_carlo(trials=args.trials, perturb=0.15, seed=args.seed)
     files.write_file(f"{args.out}/montecarlo.md", reports.render_monte_carlo(mc))
     print(f"monte carlo: all-targets {100 * mc.all_targets_rate:.1f}%, "
           f"ratio >= 1.5 in {100 * mc.ratio_threshold_rate:.1f}% "

@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_THRESHOLD = 2
 
+# Sweeps and Monte Carlo trials run as batches in one process; the option
+# stays so existing command lines keep working.
+PARALLEL_HELP = "accepted and ignored: runs are batched in one process"
+
 
 def _default_seed(value) -> int:
     if value is not None:
@@ -74,7 +78,7 @@ def _load_grid(name_or_path: str):
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
     protocol = SweepProtocol()
-    results = run_sweep(grid, protocol, processes=args.parallel)
+    results = run_sweep(grid, protocol)
     report = measure_targets(results)
     stats = differentiation_stats(results, seed=_default_seed(args.seed))
     files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(results))
@@ -97,7 +101,6 @@ def cmd_montecarlo(args) -> int:
         trials=args.trials,
         perturb=args.perturb,
         seed=_default_seed(args.seed),
-        processes=args.parallel,
     )
     files.write_file(_out_path(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
     lines = ["trial,all_targets,ratio,clamped"]
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help=f"grid file or builtin name: {', '.join(BUILTIN_GRIDS)}")
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=int, default=None, help="worker processes")
+    p.add_argument("--parallel", type=int, default=None, help=PARALLEL_HELP)
     p.add_argument("--seed", type=int, default=None, help="bootstrap seed")
     p.set_defaults(func=cmd_sweep)
 
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=int, default=None)
+    p.add_argument("--parallel", type=int, default=None, help=PARALLEL_HELP)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("case-study", help="run a built-in case study")

@@ -25,12 +25,23 @@ elasticity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DependencyTableError
+
+
+def check_finite(obj, names: Sequence[str]) -> None:
+    """Reject NaN and infinite values among ``obj``'s named numeric fields
+    (tuple fields entrywise) with a ConfigurationError naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in entries):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ class InterdependenceMatrix:
         arr = np.asarray(d, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigurationError(f"interdependence matrix must be square, got {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
             raise ConfigurationError("interdependence coefficients must lie in [0, 1]")
         if np.any(np.diag(arr) != 0.0):
             raise ConfigurationError("self-dependency D[i][i] must be zero")
@@ -187,6 +198,7 @@ class ReciprocityParams:
     omega_amp: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self, _RECIP_NAMES)
         if self.rho0 < 0:
             raise ConfigurationError(f"rho0 must be >= 0, got {self.rho0}")
         if self.eta < 0:
@@ -202,6 +214,9 @@ class ReciprocityParams:
 
     def sensitivity(self, d_ij: float) -> float:
         return reciprocity_sensitivity(self.rho0, d_ij, self.eta)
+
+
+_RECIP_NAMES = tuple(f.name for f in fields(ReciprocityParams))
 
 
 @dataclass(frozen=True)
@@ -233,6 +248,7 @@ class TrustParams:
     deadband: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(self, _TRUST_NAMES)
         if not 0.0 <= self.t0 <= 1.0:
             raise ConfigurationError(f"t0 must lie in [0, 1], got {self.t0}")
         for name in ("lambda_plus", "lambda_minus", "mu_r", "delta_r"):
@@ -250,6 +266,8 @@ class TrustParams:
         if self.deadband < 0:
             raise ConfigurationError(f"deadband must be >= 0, got {self.deadband}")
 
+
+_TRUST_NAMES = tuple(f.name for f in fields(TrustParams))
 
 VALUE_FORMS = ("logarithmic", "power")
 
@@ -275,6 +293,7 @@ class EconomyParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "endowments", tuple(float(e) for e in self.endowments))
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        check_finite(self, ("endowments", "alpha", "theta_v", "power_beta", "gamma"))
         if len(self.endowments) != len(self.alpha):
             raise ConfigurationError("endowments and alpha must have the same length")
         if any(e < 0 for e in self.endowments):

@@ -19,6 +19,7 @@ Built-ins:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ from .params import (
     ReciprocityParams,
     TeamParams,
     TrustParams,
+    check_finite,
 )
 
 BASELINE_MODES = ("moving_average", "adaptive", "fixed")
@@ -46,6 +48,7 @@ class Shock:
     delta: float
 
     def __post_init__(self) -> None:
+        check_finite(self, ("delta",))
         if self.period < 1:
             raise ConfigurationError(f"shock period must be >= 1, got {self.period}")
 
@@ -82,6 +85,10 @@ class ScenarioConfig:
         a_max = tuple(float(x) for x in (self.a_max or (1.0,) * n))
         a_init = tuple(float(x) for x in (self.a_init or (0.0,) * n))
         baseline_init = tuple(float(x) for x in (self.baseline_init or a_init))
+        object.__setattr__(self, "a_max", a_max)
+        object.__setattr__(self, "a_init", a_init)
+        object.__setattr__(self, "baseline_init", baseline_init)
+        check_finite(self, ("a_max", "a_init", "baseline_init"))
         for name, vec in (("a_max", a_max), ("a_init", a_init), ("baseline_init", baseline_init)):
             if len(vec) != n:
                 raise ConfigurationError(f"{name} must have one entry per actor")
@@ -89,9 +96,6 @@ class ScenarioConfig:
             raise ConfigurationError("a_max entries must be > 0")
         if any(not 0 <= x <= m for x, m in zip(a_init, a_max)):
             raise ConfigurationError("initial actions must lie within [0, a_max]")
-        object.__setattr__(self, "a_max", a_max)
-        object.__setattr__(self, "a_init", a_init)
-        object.__setattr__(self, "baseline_init", baseline_init)
         if self.baseline_mode not in BASELINE_MODES:
             raise ConfigurationError(
                 f"baseline_mode must be one of {BASELINE_MODES}, got {self.baseline_mode!r}"
@@ -99,6 +103,8 @@ class ScenarioConfig:
         pre = tuple(tuple(float(x) for x in row) for row in self.pre_history)
         if any(len(row) != n for row in pre):
             raise ConfigurationError("pre_history rows must have one action per actor")
+        if not all(math.isfinite(x) for row in pre for x in row):
+            raise ConfigurationError("pre_history actions must be finite")
         object.__setattr__(self, "pre_history", pre)
 
     @property
@@ -126,6 +132,7 @@ class SimConfig:
     shocks: tuple[Shock, ...] = ()
 
     def __post_init__(self) -> None:
+        check_finite(self, ("horizon", "adjust_rate", "decay", "baseline_rate", "noise_sigma"))
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in SIM_MODES:

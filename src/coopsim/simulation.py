@@ -26,19 +26,32 @@ norm -- also the anchor of the mean-reversion term -- moves toward the
 latest actions at ``baseline_rate`` each period (rate 0 pins it).  Noise
 comes from the counter-based generator, one stream per actor, counter =
 period, so runs are bit-reproducible and order-independent.
+
+Batching.  One kernel, :func:`run_batch`, advances B independent runs at
+once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
+every parameter given per row; :func:`run` is its B = 1 call.  Rows never
+interact, and every row computes exactly the arithmetic of a run on its
+own, so a row's bits do not depend on the batch it is in: the window
+means add left to right as Python's ``sum`` does, and powers take one
+Python float exponent at a time as ``array ** eta`` does for one run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UndefinedBaselineError
-from .reciprocity import History, moving_average
+from .errors import ConfigurationError
+from .params import ReciprocityParams, TrustParams
+from .reciprocity import History
 from .rng import normal
-from .scenario import ScenarioConfig, SimConfig
+from .scenario import BASELINE_MODES, ScenarioConfig, Shock, SimConfig
+
+RECIP_FIELDS = tuple(f.name for f in fields(ReciprocityParams))
+TRUST_FIELDS = tuple(f.name for f in fields(TrustParams))
+SIM_FIELDS = ("adjust_rate", "decay", "baseline_rate", "noise_sigma", "seed")
 
 
 @dataclass
@@ -71,74 +84,287 @@ class Trajectory:
         return self.actions.shape[1]
 
 
-class _EngineState:
-    """Mutable state threaded through one run; single-writer by design."""
+_RECORDED = ("actions", "baselines", "norms", "trust", "reputation", "signal",
+             "recip_term", "converged")
 
-    def __init__(self, scenario: ScenarioConfig):
+
+@dataclass(frozen=True)
+class RunBatch:
+    """Inputs of B independent runs over n actors; row b is one run.
+
+    Scalar parameters are ``(B,)`` columns keyed by their field names in
+    :class:`ReciprocityParams`, :class:`TrustParams` and :class:`SimConfig`
+    (``SIM_FIELDS``).  The batch runs to the longest horizon; a row's
+    record is meaningful up to its own horizon.
+    """
+
+    d: np.ndarray  # (B, n, n) interdependence
+    recip: Mapping[str, np.ndarray]
+    trust: Mapping[str, np.ndarray]
+    sim: Mapping[str, np.ndarray]
+    a_max: np.ndarray  # (B, n)
+    a_init: np.ndarray  # (B, n)
+    baseline_init: np.ndarray  # (B, n)
+    baseline_mode: np.ndarray  # (B,) index into BASELINE_MODES
+    horizon: np.ndarray  # (B,)
+    script: Optional[np.ndarray] = None  # (H, B, n) pinned actions, NaN where free
+    shocks: tuple[tuple[int, Shock], ...] = ()  # (row, shock), applied in order
+    pre_history: Optional[np.ndarray] = None  # (P, B, n) rows before period 1
+
+    @classmethod
+    def single(cls, scenario: ScenarioConfig, sim: SimConfig,
+               script: Optional[Mapping[int, Mapping[int, float]]] = None) -> "RunBatch":
+        """The one-row batch of a scenario and run configuration."""
         n = scenario.n
-        self.actions = np.array(scenario.a_init, dtype=float)
-        self.adaptive_baseline = np.array(scenario.baseline_init, dtype=float)
-        self.history = History(n, pre=scenario.pre_history)
-        self.trust = np.full((n, n), scenario.trust.t0, dtype=float)
-        np.fill_diagonal(self.trust, 1.0)
-        self.reputation = np.zeros((n, n), dtype=float)
+        pinned = None
+        if script:
+            pinned = np.full((sim.horizon, 1, n), np.nan)
+            for i, per in script.items():
+                for period, value in per.items():
+                    if 1 <= period <= sim.horizon:
+                        pinned[period - 1, 0, i] = value
+        pre = np.array(scenario.pre_history, dtype=float).reshape(-1, 1, n)
+        return cls(
+            d=scenario.d.values[None],
+            recip={f: np.array([getattr(scenario.recip, f)]) for f in RECIP_FIELDS},
+            trust={f: np.array([getattr(scenario.trust, f)]) for f in TRUST_FIELDS},
+            sim={f: np.array([getattr(sim, f)]) for f in SIM_FIELDS},
+            a_max=np.array([scenario.a_max]),
+            a_init=np.array([scenario.a_init]),
+            baseline_init=np.array([scenario.baseline_init]),
+            baseline_mode=np.array([BASELINE_MODES.index(scenario.baseline_mode)]),
+            horizon=np.array([sim.horizon]),
+            script=pinned,
+            shocks=tuple((0, s) for s in sim.shocks),
+            pre_history=pre,
+        )
 
 
-def _windowed_baselines(state: _EngineState, scenario: ScenarioConfig, t: int) -> np.ndarray:
-    """Moving-average baseline per observed actor (pre-history included);
-    the configured initial level before any history exists."""
-    n = scenario.n
-    k = scenario.recip.memory_k
-    out = np.empty(n)
-    for j in range(n):
-        try:
-            out[j] = moving_average(state.history, j, t, k)
-        except UndefinedBaselineError:
-            out[j] = scenario.baseline_init[j]
-    return out
+@dataclass
+class BatchTrajectory:
+    """Per-period state of a batch, time-major: each array is (H, B, ...)."""
+
+    horizon: np.ndarray
+    actions: np.ndarray
+    baselines: np.ndarray
+    norms: np.ndarray
+    trust: np.ndarray
+    reputation: np.ndarray
+    signal: np.ndarray
+    recip_term: np.ndarray
+    converged: np.ndarray
+
+    def row(self, b: int, labels: tuple[str, ...]) -> Trajectory:
+        """Row b's own trajectory, cut at its horizon."""
+        h = int(self.horizon[b])
+        return Trajectory(labels=labels,
+                          **{f: getattr(self, f)[:h, b].copy() for f in _RECORDED})
 
 
-def _rule_baselines(state: _EngineState, scenario: ScenarioConfig,
-                    windowed: np.ndarray) -> np.ndarray:
-    """Baseline for the action rule's driving signal, per baseline_mode."""
-    if scenario.baseline_mode == "fixed":
-        return np.array(scenario.baseline_init, dtype=float)
-    if scenario.baseline_mode == "adaptive":
-        return state.adaptive_baseline.copy()
-    return windowed
+# Best-response rule: (history, trust, actions, next period) -> solve result.
+BestResponse = Callable[[History, np.ndarray, np.ndarray, int], object]
 
 
-def _update_trust_matrices(
-    state: _EngineState, s: np.ndarray, scenario: ScenarioConfig
-) -> None:
-    """Vectorized two-layer update: reputation, then ceiling, then trust."""
-    p = scenario.trust
-    d = scenario.d.values
-    rep = state.reputation
-    tr = state.trust
+def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Per-row sensitivity rho = rho0 * D ** eta on (B, n, n) coefficients.
 
-    if p.deadband > 0.0:
-        s = np.where(np.abs(s) <= p.deadband, 0.0, s)
-    violating = s < 0.0
+    Zero-dependency pairs get 0 (rho0 when eta = 0).  Powers are taken one
+    eta value at a time with a Python float exponent, as ``D ** eta`` is for
+    a single run: numpy special-cases some scalar exponents (0.5 takes a
+    square root), whose bits differ from an elementwise power.
+    """
+    power = np.empty_like(d)
+    for e in np.unique(eta):
+        rows = eta == e
+        power[rows] = d[rows] ** float(e)
+    rho0 = rho0[:, None, None]
+    return np.where(d > 0.0, rho0 * power,
+                    np.where(eta[:, None, None] == 0.0, rho0, 0.0))
+
+
+def gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
+    """lambda_r * (1 + omega * D) * rho per row: the gated term without T * phi."""
+    return (recip["lambda_r"][:, None, None]
+            * (1.0 + recip["omega_amp"][:, None, None] * d)
+            * sensitivity(d, recip["rho0"], recip["eta"]))
+
+
+def _signals(actions: np.ndarray, baselines: np.ndarray, off_diag: np.ndarray) -> np.ndarray:
+    """s[b, i, j] = a_j - baseline_j off the diagonal, 0 on it."""
+    return np.where(off_diag, (actions - baselines)[:, None, :], 0.0)
+
+
+def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, k_lo: int, k_hi: int,
+                  initial: np.ndarray) -> np.ndarray:
+    """Mean of each actor's last k recorded actions (k per row), the
+    configured initial level before any history exists.
+
+    ``hist[:avail]`` holds the recorded periods in order.  Terms are added
+    oldest first onto 0.0, with 0.0 standing in for periods outside a
+    shorter row's window, so every mean has the bits of ``sum(w) / len(w)``.
+    """
+    if avail == 0:
+        return initial.copy()
+    acc = np.zeros_like(initial)
+    for o in range(min(k_hi, avail), 0, -1):
+        acc += hist[avail - o] if o <= k_lo else np.where(k >= o, hist[avail - o], 0.0)
+    return acc / np.minimum(k, avail)
+
+
+def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-row trust parameters shaped (B, 1, 1) for the trust update, plus
+    ``keep_r`` = 1 - delta_r and ``erosion_amp`` = 1 + xi * D; no
+    ``deadband`` entry when every row's deadband is off."""
+    p = {f: np.asarray(trust[f], dtype=float)[:, None, None] for f in TRUST_FIELDS}
+    p["keep_r"] = 1.0 - p["delta_r"]
+    p["erosion_amp"] = 1.0 + p["xi"] * d
+    if not (p["deadband"] > 0.0).any():
+        del p["deadband"]
+    return p
+
+
+def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndarray,
+                           p: Mapping[str, np.ndarray], off_diag: np.ndarray) -> None:
+    """Vectorized two-layer update in place: reputation, then ceiling, then
+    trust, off the diagonal of every row; ``p`` comes from ``_trust_rows``."""
+    if "deadband" in p:
+        s = np.where(np.abs(s) <= p["deadband"], 0.0, s)
     rep_next = np.where(
-        violating,
-        rep + p.mu_r * (-s) * (1.0 - rep),
-        rep * (1.0 - p.delta_r),
+        s < 0.0,
+        reputation + p["mu_r"] * (-s) * (1.0 - reputation),
+        reputation * p["keep_r"],
     )
     np.clip(rep_next, 0.0, 1.0, out=rep_next)
 
-    ceiling = np.minimum(p.t_max, 1.0 - p.theta_r * rep_next)
-    building = s > 0.0
+    ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * rep_next)
     dt = np.where(
-        building,
-        p.lambda_plus * s * np.maximum(0.0, ceiling - tr),
-        p.lambda_minus * s * tr * (1.0 + p.xi * d),
+        s > 0.0,
+        p["lambda_plus"] * s * np.maximum(0.0, ceiling - trust),
+        p["lambda_minus"] * s * trust * p["erosion_amp"],
     )
-    tr_next = np.clip(tr + dt, 0.0, ceiling)
+    tr_next = np.clip(trust + dt, 0.0, ceiling)
 
-    mask = ~np.eye(scenario.n, dtype=bool)
-    rep[mask] = rep_next[mask]
-    tr[mask] = tr_next[mask]
+    np.copyto(reputation, rep_next, where=off_diag)
+    np.copyto(trust, tr_next, where=off_diag)
+
+
+def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> BatchTrajectory:
+    """Advance every row of the batch to the longest horizon.
+
+    Without ``best_response`` every row follows the adjustment rule; with
+    it the batch must have one row, whose actions after period 1 come from
+    ``best_response(history, trust, actions, period)``.
+    """
+    B, n = batch.a_init.shape
+    H = int(batch.horizon.max())
+    if best_response is not None and B != 1:
+        raise ValueError("best-response mode runs one row at a time")
+    off_diag = ~np.eye(n, dtype=bool)
+    d = batch.d
+
+    def col(name, source):  # (B, 1): broadcasts over actors
+        return np.asarray(source[name], dtype=float)[:, None]
+
+    gate = gate_weights(d, batch.recip)
+    kappa = col("kappa", batch.recip)[:, :, None]
+    k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
+    k_lo, k_hi = int(k.min()), int(k.max())
+    tp = _trust_rows(batch.trust, d)
+    rate, decay, norm_rate = (col(f, batch.sim) for f in ("adjust_rate", "decay",
+                                                          "baseline_rate"))
+    noisy = [(b, float(batch.sim["noise_sigma"][b]), int(batch.sim["seed"][b]))
+             for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0)]
+    shocks_at: dict[int, list[tuple[int, int, float]]] = {}
+    for b, shock in batch.shocks:
+        shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
+
+    mode = np.asarray(batch.baseline_mode)[:, None]
+    windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
+    adaptive = mode == BASELINE_MODES.index("adaptive")
+    fixed = mode == BASELINE_MODES.index("fixed")
+    initial = np.asarray(batch.baseline_init, dtype=float)
+    a_max = np.asarray(batch.a_max, dtype=float)
+    script = batch.script
+    free = None if script is None else np.isnan(script)
+
+    pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
+    P = pre.shape[0]
+    hist = np.empty((P + H, B, n))
+    hist[:P] = pre
+    history = History(n, pre=pre[:, 0]) if best_response is not None else None
+
+    actions = np.array(batch.a_init, dtype=float)
+    norms = initial.copy()
+    trust = np.empty((B, n, n))
+    trust[:] = tp["t0"]
+    trust[:, ~off_diag] = 1.0
+    reputation = np.zeros((B, n, n))
+
+    # Period-1 actions may themselves be scripted or shocked.
+    if script is not None:
+        actions = np.where(free[0], actions, script[0])
+    for b, i, delta in shocks_at.get(1, ()):
+        actions[b, i] += delta
+    np.clip(actions, 0.0, a_max, out=actions)
+
+    rec = BatchTrajectory(
+        horizon=np.asarray(batch.horizon),
+        actions=np.zeros((H, B, n)),
+        baselines=np.zeros((H, B, n)),
+        norms=np.zeros((H, B, n)),
+        trust=np.zeros((H, B, n, n)),
+        reputation=np.zeros((H, B, n, n)),
+        signal=np.zeros((H, B, n, n)),
+        recip_term=np.zeros((H, B, n, n)),
+        converged=np.ones((H, B), dtype=bool),
+    )
+
+    for t in range(1, H + 1):
+        idx = t - 1
+        b_win = _window_means(hist, P + idx, k, k_lo, k_hi, initial)
+        s_win = _signals(actions, b_win, off_diag)
+        if windowed_rule:
+            s_rule = s_win
+        else:
+            b_rule = np.where(adaptive, norms, np.where(fixed, initial, b_win))
+            s_rule = _signals(actions, b_rule, off_diag)
+        term = gate * trust * np.tanh(kappa * s_rule)
+
+        rec.actions[idx] = actions
+        rec.baselines[idx] = b_win
+        rec.norms[idx] = norms
+        rec.trust[idx] = trust
+        rec.reputation[idx] = reputation
+        rec.signal[idx] = s_win
+        rec.recip_term[idx] = term
+
+        _update_trust_matrices(trust, reputation, s_win, tp, off_diag)
+
+        if t == H:
+            break
+
+        if best_response is None:
+            nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
+            for b, sigma, seed in noisy:
+                nxt[b] = nxt[b] + sigma * np.array([normal(seed, i, t + 1) for i in range(n)])
+        else:
+            # History through period t is available when choosing t+1 actions.
+            history.append(actions[0])
+            result = best_response(history, trust[0], actions[0], t + 1)
+            rec.converged[idx + 1, 0] = result.converged
+            nxt = np.array([result.actions], dtype=float)
+
+        for b, i, delta in shocks_at.get(t + 1, ()):
+            nxt[b, i] += delta
+        if script is not None:
+            nxt = np.where(free[t], nxt, script[t])
+        np.clip(nxt, 0.0, a_max, out=nxt)
+
+        hist[P + idx] = actions
+        norms += norm_rate * (actions - norms)
+        actions = nxt
+
+    return rec
 
 
 def run(
@@ -147,7 +373,7 @@ def run(
     solver=None,
     script: Optional[Mapping[int, Mapping[int, float]]] = None,
 ) -> Trajectory:
-    """Simulate one full trajectory.
+    """Simulate one full trajectory: the one-row call of :func:`run_batch`.
 
     ``script`` optionally pins actors to fixed actions: ``{actor: {period:
     value}}`` overrides the dynamics (and suppresses that actor's noise for
@@ -157,10 +383,6 @@ def run(
     n = scenario.n
     if scenario.econ.n != n:
         raise ConfigurationError("economy parameters do not match the actor count")
-    if sim.mode == "best_response" and solver is None:
-        from .solver import SolverConfig
-
-        solver = SolverConfig()
     for shock in sim.shocks:
         if not 0 <= shock.actor < n:
             raise ConfigurationError(f"shock targets unknown actor {shock.actor}")
@@ -169,102 +391,17 @@ def run(
                 f"shock at period {shock.period} is beyond the horizon {sim.horizon}"
             )
 
-    horizon = sim.horizon
-    state = _EngineState(scenario)
-    a_max = np.array(scenario.a_max, dtype=float)
-    d = scenario.d.values
-    recip = scenario.recip
-    with np.errstate(divide="ignore"):
-        rho = np.where(d > 0.0, recip.rho0 * d**recip.eta,
-                       recip.rho0 if recip.eta == 0.0 else 0.0)
-    gate = recip.lambda_r * (1.0 + recip.omega_amp * d) * rho
-    off_diag = ~np.eye(n, dtype=bool)
+    respond = None
+    if sim.mode == "best_response":
+        from .solver import SolverConfig, solve_equilibrium
 
-    shocks_by_period: dict[int, list] = {}
-    for shock in sim.shocks:
-        shocks_by_period.setdefault(shock.period, []).append(shock)
+        config = SolverConfig() if solver is None else solver
 
-    # Period-1 actions may themselves be scripted or shocked.
-    if script:
-        for i, per in script.items():
-            if 1 in per:
-                state.actions[i] = per[1]
-    for shock in shocks_by_period.get(1, ()):
-        state.actions[shock.actor] += shock.delta
-    np.clip(state.actions, 0.0, a_max, out=state.actions)
+        def respond(history, trust, actions, period):
+            return solve_equilibrium(scenario, history, trust, config,
+                                     warm_start=actions, period=period)
 
-    traj = Trajectory(
-        labels=scenario.labels,
-        actions=np.zeros((horizon, n)),
-        baselines=np.zeros((horizon, n)),
-        norms=np.zeros((horizon, n)),
-        trust=np.zeros((horizon, n, n)),
-        reputation=np.zeros((horizon, n, n)),
-        signal=np.zeros((horizon, n, n)),
-        recip_term=np.zeros((horizon, n, n)),
-        converged=np.ones(horizon, dtype=bool),
-    )
-
-    for t in range(1, horizon + 1):
-        b_win = _windowed_baselines(state, scenario, t)
-        s_win = np.tile(state.actions - b_win, (n, 1))  # s[i, j] = a_j - baseline_j
-        np.fill_diagonal(s_win, 0.0)
-        b_rule = _rule_baselines(state, scenario, b_win)
-        s_rule = np.tile(state.actions - b_rule, (n, 1))
-        np.fill_diagonal(s_rule, 0.0)
-        term = gate * state.trust * np.tanh(recip.kappa * s_rule)
-        np.fill_diagonal(term, 0.0)
-
-        idx = t - 1
-        traj.actions[idx] = state.actions
-        traj.baselines[idx] = b_win
-        traj.norms[idx] = state.adaptive_baseline
-        traj.trust[idx] = state.trust
-        traj.reputation[idx] = state.reputation
-        traj.signal[idx] = s_win
-        traj.recip_term[idx] = term
-
-        _update_trust_matrices(state, s_win, scenario)
-
-        if t == horizon:
-            break
-
-        if sim.mode == "adjustment":
-            push = sim.adjust_rate * term.sum(axis=1)
-            pull = sim.decay * (state.actions - state.adaptive_baseline)
-            nxt = state.actions + push - pull
-            if sim.noise_sigma > 0.0:
-                nxt = nxt + sim.noise_sigma * np.array(
-                    [normal(sim.seed, i, t + 1) for i in range(n)]
-                )
-        else:
-            from .solver import solve_equilibrium
-
-            # History through period t is available when choosing t+1 actions.
-            state.history.append(state.actions)
-            result = solve_equilibrium(
-                scenario, state.history, state.trust, solver,
-                warm_start=state.actions, period=t + 1,
-            )
-            traj.converged[idx + 1] = result.converged
-            nxt = np.array(result.actions, dtype=float)
-
-        for shock in shocks_by_period.get(t + 1, ()):
-            nxt[shock.actor] += shock.delta
-        if script:
-            for i, per in script.items():
-                if t + 1 in per:
-                    nxt[i] = per[t + 1]
-        np.clip(nxt, 0.0, a_max, out=nxt)
-
-        if sim.mode == "adjustment":
-            state.history.append(state.actions)
-        state.adaptive_baseline += sim.baseline_rate * (
-            state.actions - state.adaptive_baseline
-        )
-        state.actions = nxt
-
-    return traj
+    return run_batch(RunBatch.single(scenario, sim, script), respond).row(0, scenario.labels)
 
 
 def step_best_response(
@@ -294,22 +431,15 @@ def step_adjustment(
 
     ``baselines`` are the signal baselines; ``norms`` are the
     mean-reversion anchors (defaulting to the baselines).  Exposed for
-    direct verification of the update formula; the engine loop applies
-    exactly this arithmetic.
+    direct verification of the update formula; it shares the engine's
+    gate and signal helpers and applies the engine loop's arithmetic.
     """
-    n = scenario.n
-    a = np.asarray(actions, dtype=float)
-    b = np.asarray(baselines, dtype=float)
-    anchors = b if norms is None else np.asarray(norms, dtype=float)
-    tr = np.asarray(trust, dtype=float)
-    d = scenario.d.values
-    recip = scenario.recip
-    rho = np.where(d > 0.0, recip.rho0 * d**recip.eta,
-                   recip.rho0 if recip.eta == 0.0 else 0.0)
-    gate = recip.lambda_r * (1.0 + recip.omega_amp * d) * rho
-    s = np.tile(a - b, (n, 1))
-    np.fill_diagonal(s, 0.0)
-    term = gate * tr * np.tanh(recip.kappa * s)
-    np.fill_diagonal(term, 0.0)
-    nxt = a + sim.adjust_rate * term.sum(axis=1) - sim.decay * (a - anchors)
-    return np.clip(nxt, 0.0, np.array(scenario.a_max))
+    batch = RunBatch.single(scenario, sim)
+    a = np.asarray(actions, dtype=float)[None]
+    b = np.asarray(baselines, dtype=float)[None]
+    anchors = b if norms is None else np.asarray(norms, dtype=float)[None]
+    tr = np.asarray(trust, dtype=float)[None]
+    s = _signals(a, b, ~np.eye(scenario.n, dtype=bool))
+    term = gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
+    nxt = a + sim.adjust_rate * term.sum(axis=2) - sim.decay * (a - anchors)
+    return np.clip(nxt, 0.0, batch.a_max)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,14 +149,35 @@ def effect_size_label(d: float) -> str:
     return "large"
 
 
+#: Resample indices drawn per chunk: bounds the index matrix's memory.
+_BOOTSTRAP_CHUNK = 20_000
+
+
+def _resample_means(sample: np.ndarray, replicates: int, seed: int) -> np.ndarray:
+    """Means of the seeded bootstrap resamples, in replicate order.
+
+    Replicate r is row r of one ``integers(0, n, size=(m, n))`` stream,
+    drawn in chunks of about ``_BOOTSTRAP_CHUNK`` indices; the generator
+    yields the same indices whatever the chunking, and each row mean has
+    the bits of ``np.mean`` on that resample.
+    """
+    rng = np.random.default_rng(derive_seed(seed, 0x626F6F74))
+    n = sample.size
+    rows = max(1, _BOOTSTRAP_CHUNK // n)
+    means = np.empty(replicates)
+    for lo in range(0, replicates, rows):
+        hi = min(lo + rows, replicates)
+        means[lo:hi] = sample[rng.integers(0, n, size=(hi - lo, n))].mean(axis=1)
+    return means
+
+
 def bootstrap_ci(
     sample: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = lambda a: float(np.mean(a)),
     replicates: int = 10000,
     seed: int = 0,
     level: float = 0.95,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for an arbitrary statistic.
+    """Seeded percentile bootstrap interval for the mean.
 
     Resampling indices come from a generator seeded deterministically from
     ``seed``, so intervals are reproducible.
@@ -164,13 +185,8 @@ def bootstrap_ci(
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise ValueError("sample must be nonempty")
-    rng = np.random.default_rng(derive_seed(seed, 0x626F6F74))
-    n = arr.size
-    stats = np.empty(replicates)
-    for r in range(replicates):
-        stats[r] = statistic(arr[rng.integers(0, n, size=n)])
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(_resample_means(arr, replicates, seed), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 

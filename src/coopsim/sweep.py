@@ -25,15 +25,15 @@ deterministic; every number below is a protocol constant documented in
    0.2; target 4 passes when the high-dependency response magnitude exceeds
    the low-dependency one by more than 1.5x.
 
-Cells are pure functions of (configuration, protocol): aggregates are
-independent of execution order and worker count.
+Cells are pure functions of (configuration, protocol).  The engine runs
+the protocol runs of many cells as one batch, and a cell's result does not
+depend on the batch size or on the order of the cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,17 +41,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .params import ReciprocityParams, TrustParams, reciprocity_sensitivity
 from .rng import derive_seed, uniform
-from .scenario import ScenarioConfig, SimConfig, symmetric_matrix
-from .simulation import Trajectory, run
-from .stats import (
-    StatsSummary,
-    bootstrap_ci,
-    cohens_d,
-    effect_size_label,
-    paired_ttest,
-    summarize_sample,
-    wilcoxon_signed_rank,
-)
+from .scenario import BASELINE_MODES
+from .simulation import TRUST_FIELDS, BatchTrajectory, RunBatch, run_batch
+from .stats import StatsSummary, bootstrap_ci, cohens_d, paired_ttest, wilcoxon_signed_rank
 
 GRID_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "t0", "d")
 
@@ -88,6 +80,15 @@ class SweepCell:
     lambda_r: float = 1.0
     t0: float = 0.7
     d: float = 0.8
+
+    def __post_init__(self) -> None:
+        # The shared parameter validators: a bad grid level or trial value
+        # fails as the same field of a scenario would.
+        ReciprocityParams(rho0=self.rho0, eta=self.eta, kappa=self.kappa,
+                          memory_k=self.memory_k, lambda_r=self.lambda_r)
+        TrustParams(t0=self.t0)
+        if not 0.0 <= self.d <= 1.0:
+            raise ConfigurationError(f"d must lie in [0, 1], got {self.d}")
 
 
 REFERENCE_CELL = SweepCell()
@@ -235,67 +236,99 @@ class CellResult:
         return self.t1 and self.t2 and self.t3 and self.t4 and self.t5 and self.t6
 
 
-def _trust_params(cell: SweepCell, trust: TrustParams) -> TrustParams:
-    return replace(trust, t0=cell.t0)
+#: The protocol's runs per cell, in engine row order.
+PROTOCOL_RUNS = ("emergence", "t5_high", "t5_low_trust", "t5_low_rho",
+                 "forgiveness", "diff_high", "diff_low")
+_EMERGENCE_RUNS = PROTOCOL_RUNS[:4]
+_FORGIVENESS_RUNS = PROTOCOL_RUNS[4:]
+
+#: Cells per engine batch.  A batch records every period of its runs, so
+#: this bounds the memory of large grids (about 85 kB per cell).
+CELLS_PER_BATCH = 256
 
 
-def _emergence_scenario(cell: SweepCell, protocol: SweepProtocol,
-                        trust: TrustParams) -> ScenarioConfig:
-    return ScenarioConfig(
-        labels=("A", "B"),
-        d=symmetric_matrix(2, cell.d),
-        recip=ReciprocityParams(rho0=cell.rho0, eta=cell.eta, kappa=cell.kappa,
-                                memory_k=cell.memory_k, lambda_r=cell.lambda_r,
-                                omega_amp=1.0),
-        trust=_trust_params(cell, trust),
-        a_max=(1.0, 1.0),
-        a_init=(protocol.start_action, protocol.start_action),
-        baseline_init=(protocol.start_norm, protocol.start_norm),
-        baseline_mode="adaptive",
-    )
+def _protocol_batch(
+    cells: Sequence[SweepCell],
+    trusts: Sequence[TrustParams],
+    protocol: SweepProtocol,
+    rho0_extremes: tuple[float, float] = (0.2, 1.0),
+    runs: Sequence[str] = PROTOCOL_RUNS,
+) -> RunBatch:
+    """Engine rows of the given protocol runs, cell-major: row
+    ``c * len(runs) + r`` is run ``runs[r]`` of ``cells[c]`` under
+    ``trusts[c]`` (with the run's t0).
 
+    Emergence-type runs open at the start action against the lower start
+    norm, with adaptive baselines, for the warm-up.  Forgiveness-type runs
+    start flat with moving-average baselines; the partner (actor 1) is
+    scripted at the start action with one defection period at t* = warm-up
+    + 1, and the run lasts t* + 2k + pad periods.
+    """
+    n_cells, n_runs = len(cells), len(runs)
+    rows = n_cells * n_runs
 
-def _forgiveness_scenario(cell: SweepCell, protocol: SweepProtocol,
-                          trust: TrustParams) -> ScenarioConfig:
-    return ScenarioConfig(
-        labels=("A", "B"),
-        d=symmetric_matrix(2, cell.d),
-        recip=ReciprocityParams(rho0=cell.rho0, eta=cell.eta, kappa=cell.kappa,
-                                memory_k=cell.memory_k, lambda_r=cell.lambda_r,
-                                omega_amp=1.0),
-        trust=_trust_params(cell, trust),
-        a_max=(1.0, 1.0),
-        a_init=(protocol.start_action, protocol.start_action),
-        baseline_init=(protocol.start_action, protocol.start_action),
-        baseline_mode="moving_average",
-    )
+    def cell_col(name: str) -> np.ndarray:
+        return np.array([getattr(c, name) for c in cells], dtype=float)
 
+    def per_cell(values) -> np.ndarray:
+        return np.repeat(np.asarray(values), n_runs)
 
-def _protocol_sim(protocol: SweepProtocol, horizon: int) -> SimConfig:
-    return SimConfig(
-        horizon=horizon, mode="adjustment",
-        adjust_rate=protocol.adjust_rate, decay=protocol.decay,
-        baseline_rate=protocol.baseline_rate, noise_sigma=0.0, seed=0,
-    )
+    rho0, t0, d = cell_col("rho0"), cell_col("t0"), cell_col("d")
+    lo, hi = rho0_extremes
+    high, low = protocol.t5_high_trust, protocol.t5_low_trust
+    varied = {  # run -> its (rho0, t0, d)
+        "emergence": (rho0, t0, d),
+        "t5_high": (hi, high, d),
+        "t5_low_trust": (hi, low, d),
+        "t5_low_rho": (lo, high, d),
+        "forgiveness": (rho0, t0, d),
+        "diff_high": (rho0, t0, protocol.diff_high),
+        "diff_low": (rho0, t0, protocol.diff_low),
+    }
 
+    def per_run(pos: int) -> np.ndarray:
+        out = np.empty((n_cells, n_runs))
+        for r, name in enumerate(runs):
+            out[:, r] = varied[name][pos]
+        return out.ravel()
 
-def _run_emergence(cell: SweepCell, protocol: SweepProtocol,
-                   trust: TrustParams) -> Trajectory:
-    scenario = _emergence_scenario(cell, protocol, trust)
-    return run(scenario, _protocol_sim(protocol, protocol.warmup))
-
-
-def _run_forgiveness(cell: SweepCell, protocol: SweepProtocol,
-                     trust: TrustParams) -> tuple[Trajectory, int]:
-    """Forgiveness stimulus run; returns (trajectory, defection period)."""
-    scenario = _forgiveness_scenario(cell, protocol, trust)
+    k = per_cell([c.memory_k for c in cells])
+    forgive = np.tile([name in _FORGIVENESS_RUNS for name in runs], n_cells)
     t_star = protocol.warmup + 1
-    horizon = t_star + 2 * cell.memory_k + protocol.recovery_window_pad
+    horizon = np.where(forgive, t_star + 2 * k + protocol.recovery_window_pad,
+                       protocol.warmup)
     level = protocol.start_action
-    script = {1: {p: (level + protocol.defection if p == t_star else level)
-                  for p in range(1, horizon + 1)}}
-    traj = run(scenario, _protocol_sim(protocol, horizon), script=script)
-    return traj, t_star
+    script = np.full((int(horizon.max()), rows, 2), np.nan)
+    script[:, forgive, 1] = level
+    script[t_star - 1, forgive, 1] = level + protocol.defection
+
+    trust = {f: per_cell([getattr(tp, f) for tp in trusts]) for f in TRUST_FIELDS}
+    trust["t0"] = per_run(1)
+    recip = {
+        "rho0": per_run(0), "eta": per_cell(cell_col("eta")),
+        "kappa": per_cell(cell_col("kappa")), "memory_k": k,
+        "lambda_r": per_cell(cell_col("lambda_r")), "omega_amp": np.ones(rows),
+    }
+    sim = {
+        "adjust_rate": np.full(rows, protocol.adjust_rate),
+        "decay": np.full(rows, protocol.decay),
+        "baseline_rate": np.full(rows, protocol.baseline_rate),
+        "noise_sigma": np.zeros(rows),
+        "seed": np.zeros(rows, dtype=np.int64),
+    }
+    baseline = np.where(forgive, level, protocol.start_norm)
+    mode = np.where(forgive, BASELINE_MODES.index("moving_average"),
+                    BASELINE_MODES.index("adaptive"))
+    return RunBatch(
+        d=np.where(np.eye(2, dtype=bool), 0.0, per_run(2)[:, None, None]),
+        recip=recip, trust=trust, sim=sim,
+        a_max=np.ones((rows, 2)),
+        a_init=np.full((rows, 2), level),
+        baseline_init=np.repeat(baseline[:, None], 2, axis=1),
+        baseline_mode=mode,
+        horizon=horizon,
+        script=script,
+    )
 
 
 def signal_recovery_time(
@@ -319,6 +352,13 @@ def signal_recovery_time(
     return NO_RECOVERY
 
 
+def _recovery_time(rec: BatchTrajectory, row: int, protocol: SweepProtocol) -> int:
+    """Forgiveness time of one forgiveness-type row (unit action range)."""
+    signals = rec.signal[: rec.horizon[row], row, 0, 1].tolist()
+    return signal_recovery_time(signals, protocol.warmup + 1,
+                                protocol.recovery_tol_frac, protocol.recovery_sustain)
+
+
 def measure_forgiveness_time(
     cell: SweepCell,
     protocol: SweepProtocol = SweepProtocol(),
@@ -330,11 +370,98 @@ def measure_forgiveness_time(
         protocol = replace(protocol, defection=defection)
     if protocol.defection == 0.0:
         return 0
-    traj, t_star = _run_forgiveness(cell, protocol, trust)
-    tol = protocol.recovery_tol_frac * 1.0
-    return signal_recovery_time(
-        traj.signal[:, 0, 1].tolist(), t_star, tol, protocol.recovery_sustain
-    )
+    batch = _protocol_batch([cell], [trust], protocol, runs=("forgiveness",))
+    return _recovery_time(run_batch(batch), 0, protocol)
+
+
+def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
+                   protocol: SweepProtocol, trusts: Sequence[TrustParams],
+                   rho0_extremes: tuple[float, float]) -> list[CellResult]:
+    batch = _protocol_batch(cells, trusts, protocol, rho0_extremes)
+    rec = run_batch(batch)
+    n_cells, n_runs = len(cells), len(PROTOCOL_RUNS)
+    row = {name: np.arange(n_cells) * n_runs + r for r, name in enumerate(PROTOCOL_RUNS)}
+    warm = protocol.warmup
+    t_star = warm + 1
+
+    def mean_actions(rows: np.ndarray, first: int) -> np.ndarray:
+        # Each row's mean over periods first+1..warm-up and both actors, in
+        # the order (and so with the bits) of np.mean on its own record.
+        block = rec.actions[first:warm, rows].transpose(1, 0, 2)
+        return np.ascontiguousarray(block).reshape(len(rows), -1).mean(axis=1)
+
+    steady = mean_actions(row["emergence"], warm - protocol.steady_window)
+    coop = {name: mean_actions(row[name], 0) for name in _EMERGENCE_RUNS}
+    response = rec.recip_term[t_star - 1, :, 0, 1]
+
+    # Target 6: every recorded bounded response of every run of the cell.
+    live = np.arange(rec.signal.shape[0])[:, None] < batch.horizon
+    phi = np.abs(np.tanh(batch.recip["kappa"][:, None, None] * rec.signal))
+    max_abs = (np.where(live[:, :, None, None], phi, 0.0).max(axis=(0, 2, 3))
+               .reshape(n_cells, n_runs).max(axis=1))
+
+    results = []
+    for c, (index, cell) in enumerate(zip(indices, cells)):
+        # Target 1 + coop level: emergence run.
+        steady_c = float(steady[c])
+        t1 = steady_c >= protocol.start_action + protocol.emergence_margin
+
+        # Target 5: trust/reciprocity variants of the emergence run.
+        coop_hh = float(coop["t5_high"][c])
+        coop_lh = float(coop["t5_low_trust"][c])
+        coop_hl = float(coop["t5_low_rho"][c])
+        t5 = coop_hh > coop_lh and coop_hh > coop_hl
+
+        # Targets 2, 3: forgiveness stimulus run.
+        t2 = float(response[row["forgiveness"][c]]) < 0.0
+        tau_f = _recovery_time(rec, row["forgiveness"][c], protocol)
+        t3 = tau_f != NO_RECOVERY and tau_f <= 2 * cell.memory_k
+
+        # Target 4: dependency differentiation pair.
+        response_high = abs(float(response[row["diff_high"][c]]))
+        response_low = abs(float(response[row["diff_low"][c]]))
+        ratio = response_high / response_low if response_low > 0 else math.inf
+        t4 = ratio > protocol.t4_ratio
+
+        # Sensitivity-ratio identity: the rho component of the ratio is
+        # exactly (diff_high / diff_low) ** eta.
+        rho_hi_s = reciprocity_sensitivity(cell.rho0, protocol.diff_high, cell.eta)
+        rho_lo_s = reciprocity_sensitivity(cell.rho0, protocol.diff_low, cell.eta)
+        expected = (protocol.diff_high / protocol.diff_low) ** cell.eta
+        rho_ratio_error = abs(rho_hi_s / rho_lo_s - expected) if rho_lo_s > 0 else math.inf
+
+        max_abs_c = float(max_abs[c])
+        results.append(CellResult(
+            index=index, cell=cell,
+            t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=max_abs_c <= 1.0,
+            steady_level=steady_c, coop_mean=float(coop["emergence"][c]),
+            coop_t5_high=coop_hh, coop_t5_low_trust=coop_lh, coop_t5_low_rho=coop_hl,
+            tau_f=tau_f,
+            response_high=response_high, response_low=response_low, ratio=ratio,
+            rho_ratio_error=rho_ratio_error, max_abs_response=max_abs_c,
+        ))
+    return results
+
+
+def measure_cells(
+    indices: Sequence[int],
+    cells: Sequence[SweepCell],
+    protocol: SweepProtocol,
+    trusts: Sequence[TrustParams],
+    rho0_extremes: tuple[float, float] = (0.2, 1.0),
+) -> list[CellResult]:
+    """Run the full protocol for every configuration and score all six targets.
+
+    ``cells[c]`` runs under ``trusts[c]`` and is reported as ``indices[c]``.
+    The engine advances ``CELLS_PER_BATCH`` cells' protocol runs at once;
+    a cell's result does not depend on the batch it lands in.
+    """
+    results: list[CellResult] = []
+    for lo in range(0, len(cells), CELLS_PER_BATCH):
+        part = slice(lo, lo + CELLS_PER_BATCH)
+        results += _measure_batch(indices[part], cells[part], protocol, trusts[part],
+                                  rho0_extremes)
+    return results
 
 
 def measure_cell(
@@ -345,95 +472,18 @@ def measure_cell(
     rho0_extremes: tuple[float, float] = (0.2, 1.0),
 ) -> CellResult:
     """Run the full protocol for one configuration and score all six targets."""
-    max_abs = 0.0
-
-    def track(traj: Trajectory) -> Trajectory:
-        nonlocal max_abs
-        phi = np.abs(np.tanh(cell.kappa * traj.signal))
-        max_abs = max(max_abs, float(phi.max()))
-        return traj
-
-    # Target 1 + coop level: emergence run.
-    emergence = track(_run_emergence(cell, protocol, trust))
-    steady = float(emergence.actions[-protocol.steady_window :].mean())
-    t1 = steady >= protocol.start_action + protocol.emergence_margin
-    coop_mean = float(emergence.actions.mean())
-
-    # Target 5: trust/reciprocity variants of the emergence run.
-    rho_lo, rho_hi = rho0_extremes
-
-    def variant(t0: float, rho0: float) -> float:
-        v = replace(cell, t0=t0, rho0=rho0)
-        return float(track(_run_emergence(v, protocol, trust)).actions.mean())
-
-    coop_hh = variant(protocol.t5_high_trust, rho_hi)
-    coop_lh = variant(protocol.t5_low_trust, rho_hi)
-    coop_hl = variant(protocol.t5_high_trust, rho_lo)
-    t5 = coop_hh > coop_lh and coop_hh > coop_hl
-
-    # Targets 2, 3: forgiveness stimulus run.
-    forgiveness, t_star = _run_forgiveness(cell, protocol, trust)
-    track(forgiveness)
-    response_at_defection = float(forgiveness.recip_term[t_star - 1, 0, 1])
-    t2 = response_at_defection < 0.0
-    tol = protocol.recovery_tol_frac * 1.0
-    tau_f = signal_recovery_time(
-        forgiveness.signal[:, 0, 1].tolist(), t_star, tol, protocol.recovery_sustain
-    )
-    t3 = tau_f != NO_RECOVERY and tau_f <= 2 * cell.memory_k
-
-    # Target 4: dependency differentiation pair.
-    resp = {}
-    for d_level in (protocol.diff_high, protocol.diff_low):
-        traj, ts = _run_forgiveness(replace(cell, d=d_level), protocol, trust)
-        track(traj)
-        resp[d_level] = abs(float(traj.recip_term[ts - 1, 0, 1]))
-    response_high = resp[protocol.diff_high]
-    response_low = resp[protocol.diff_low]
-    ratio = response_high / response_low if response_low > 0 else math.inf
-    t4 = ratio > protocol.t4_ratio
-
-    # Sensitivity-ratio identity: the rho component of the ratio is exactly
-    # (diff_high / diff_low) ** eta.
-    rho_hi_s = reciprocity_sensitivity(cell.rho0, protocol.diff_high, cell.eta)
-    rho_lo_s = reciprocity_sensitivity(cell.rho0, protocol.diff_low, cell.eta)
-    expected = (protocol.diff_high / protocol.diff_low) ** cell.eta
-    rho_ratio_error = abs(rho_hi_s / rho_lo_s - expected) if rho_lo_s > 0 else math.inf
-
-    t6 = max_abs <= 1.0
-
-    return CellResult(
-        index=index, cell=cell,
-        t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6,
-        steady_level=steady, coop_mean=coop_mean,
-        coop_t5_high=coop_hh, coop_t5_low_trust=coop_lh, coop_t5_low_rho=coop_hl,
-        tau_f=tau_f,
-        response_high=response_high, response_low=response_low, ratio=ratio,
-        rho_ratio_error=rho_ratio_error, max_abs_response=max_abs,
-    )
-
-
-def _measure_indexed(args) -> CellResult:
-    index, cell, protocol, trust, extremes = args
-    return measure_cell(index, cell, protocol, trust, extremes)
+    return measure_cells([index], [cell], protocol, [trust], rho0_extremes)[0]
 
 
 def run_sweep(
     grid: ParameterGrid,
     protocol: SweepProtocol = SweepProtocol(),
     trust: TrustParams = TrustParams(),
-    processes: Optional[int] = None,
 ) -> list[CellResult]:
     """Measure every configuration of the grid; results ordered by index."""
-    extremes = grid.rho0_extremes()
-    jobs = [(i, grid.cell(i), protocol, trust, extremes) for i in range(grid.size)]
-    if processes is not None and processes <= 1:
-        results = [_measure_indexed(j) for j in jobs]
-    else:
-        with Pool(processes=processes) as pool:
-            results = pool.map(_measure_indexed, jobs, chunksize=64)
-    results.sort(key=lambda r: r.index)
-    return results
+    cells = [grid.cell(i) for i in range(grid.size)]
+    return measure_cells(range(grid.size), cells, protocol, [trust] * grid.size,
+                         grid.rho0_extremes())
 
 
 @dataclass(frozen=True)
@@ -572,19 +622,19 @@ def _perturb_value(value, lo, hi, eps):
     return clamped, clamped != raw
 
 
-def monte_carlo_trial(
+def perturb_trial(
     trial: int,
     base_cell: SweepCell,
     base_trust: TrustParams,
-    protocol: SweepProtocol,
     perturb: float,
     seed: int,
-    rho0_extremes: tuple[float, float],
-) -> MonteCarloTrial:
-    """One robustness trial: every real-valued parameter scaled by U(1-p, 1+p).
+) -> tuple[SweepCell, TrustParams, tuple[str, ...]]:
+    """One robustness trial's configuration: every real-valued parameter
+    scaled by U(1-p, 1+p).
 
     The memory window is an integer and is left untouched.  Perturbed
-    values that leave their legal range are clamped and flagged.
+    values that leave their legal range are clamped and flagged; returns
+    (cell, trust, clamped field names).
     """
     trial_seed = derive_seed(seed, trial)
     clamped: list[str] = []
@@ -603,7 +653,6 @@ def monte_carlo_trial(
         cell_kwargs[name] = val
         if was_clamped:
             clamped.append(name)
-    cell = replace(base_cell, **cell_kwargs)
 
     trust_kwargs = {}
     for name in _TRUST_PERTURB_FIELDS:
@@ -614,17 +663,8 @@ def monte_carlo_trial(
         trust_kwargs[name] = val
         if was_clamped:
             clamped.append(f"trust.{name}")
-    trust = replace(base_trust, **trust_kwargs)
-
-    result = measure_cell(trial, cell, protocol, trust, rho0_extremes)
-    return MonteCarloTrial(
-        trial=trial, all_targets=result.all_targets, ratio=result.ratio,
-        clamped=tuple(clamped),
-    )
-
-
-def _mc_indexed(args) -> MonteCarloTrial:
-    return monte_carlo_trial(*args)
+    return (replace(base_cell, **cell_kwargs), replace(base_trust, **trust_kwargs),
+            tuple(clamped))
 
 
 def monte_carlo(
@@ -634,18 +674,15 @@ def monte_carlo(
     seed: int = 42,
     protocol: SweepProtocol = SweepProtocol(),
     base_trust: TrustParams = TrustParams(),
-    processes: Optional[int] = None,
     rho0_extremes: tuple[float, float] = (0.2, 1.0),
 ) -> MonteCarloReport:
     """Robustness analysis around the reference configuration."""
-    jobs = [
-        (t, base_cell, base_trust, protocol, perturb, seed, rho0_extremes)
-        for t in range(trials)
-    ]
-    if processes is not None and processes <= 1:
-        out = [_mc_indexed(j) for j in jobs]
-    else:
-        with Pool(processes=processes) as pool:
-            out = pool.map(_mc_indexed, jobs, chunksize=32)
-    out.sort(key=lambda t: t.trial)
-    return MonteCarloReport(trials=tuple(out), perturb=perturb, seed=seed)
+    drawn = [perturb_trial(t, base_cell, base_trust, perturb, seed) for t in range(trials)]
+    results = measure_cells(range(trials), [cell for cell, _, _ in drawn], protocol,
+                            [trust for _, trust, _ in drawn], rho0_extremes)
+    out = tuple(
+        MonteCarloTrial(trial=r.index, all_targets=r.all_targets, ratio=r.ratio,
+                        clamped=clamped)
+        for r, (_, _, clamped) in zip(results, drawn)
+    )
+    return MonteCarloReport(trials=out, perturb=perturb, seed=seed)

@@ -1,9 +1,9 @@
 """Acceptance gate: one test (or test group) per release criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Criterion 3's full 5^6 grid takes minutes; by default the
-3^6 smoke grid runs (same thresholds, under two minutes) and the full
-grid is enabled with ``COOPSIM_FULL_ACCEPTANCE=1``.
+criterion.  By default criterion 3 checks the 3^6 smoke grid (same
+thresholds, the session's shared smoke sweep); the full 5^6 grid, which
+takes seconds, is enabled with ``COOPSIM_FULL_ACCEPTANCE=1``.
 
 Criterion 1 carries two expected failures, marked xfail: the stated
 acceptance bands for the two worked-example sensitivities (0.90 and 0.29,
@@ -99,13 +99,12 @@ def test_criterion_2_shipped_dependency_table():
 # -- criteria 3 & 4: behavioral targets and differentiation stats --------------
 
 @pytest.fixture(scope="module")
-def sweep_results():
-    grid = FULL_GRID if FULL else SMOKE_GRID
+def sweep_results(smoke_sweep):
+    if not FULL:
+        return (SMOKE_GRID, *smoke_sweep)
     start = time.monotonic()
-    results = run_sweep(grid, SweepProtocol(), TrustParams(),
-                        processes=None if FULL else 1)
-    elapsed = time.monotonic() - start
-    return grid, results, elapsed
+    results = run_sweep(FULL_GRID, SweepProtocol(), TrustParams())
+    return FULL_GRID, results, time.monotonic() - start
 
 
 def test_criterion_3_behavioral_target_thresholds(sweep_results):
@@ -157,7 +156,7 @@ def test_criterion_6_cross_partial():
 # -- criterion 7: robustness under perturbation --------------------------------
 
 def test_criterion_7_monte_carlo():
-    mc = monte_carlo(trials=2000, perturb=0.15, seed=42, processes=None)
+    mc = monte_carlo(trials=2000, perturb=0.15, seed=42)
     assert mc.ratio_threshold_rate >= 0.90
     report("7", f"2000 trials at +/-15%: ratio >= 1.5 in "
                 f"{100 * mc.ratio_threshold_rate:.1f}% (min {mc.min_ratio:.2f}); "

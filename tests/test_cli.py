@@ -63,6 +63,15 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(tmp_path / "nope.conf"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys):
+        scen = tmp_path / "nan.conf"
+        scen.write_text(scenario_to_text(reference_scenario(), SimConfig(horizon=5))
+                        .replace("rho0 = 1.0", "rho0 = nan"))
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--scenario", str(scen), "--out", out]) == 1
+        assert "error: rho0 must be finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
 
 class TestSweepCommand:
     def test_small_grid_writes_targets(self, tmp_path):
@@ -74,6 +83,22 @@ class TestSweepCommand:
         assert targets.count("\n") == 9  # header + 8 cells
         assert os.path.exists(os.path.join(out, "report.md"))
         assert code in (0, 2)  # tiny unbalanced grids may miss thresholds
+
+    def test_non_finite_level_exits_one(self, tmp_path, capsys):
+        grid = tmp_path / "nan.grid"
+        grid.write_text(TINY_GRID + "d = 0.5,nan\n")
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_parallel_is_accepted_and_ignored(self, tmp_path):
+        grid = tmp_path / "tiny.grid"
+        grid.write_text(TINY_GRID)
+        outs = [str(tmp_path / name) for name in ("plain", "p1", "p4")]
+        main(["sweep", "--grid", str(grid), "--out", outs[0]])
+        main(["sweep", "--grid", str(grid), "--out", outs[1], "--parallel", "1"])
+        main(["sweep", "--grid", str(grid), "--out", outs[2], "--parallel", "4"])
+        texts = {read(os.path.join(out, "targets.csv")) for out in outs}
+        assert len(texts) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         grid = tmp_path / "tiny.grid"

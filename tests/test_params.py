@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from coopsim.params import (
     compute_interdependence,
     reciprocity_sensitivity,
 )
+from coopsim.scenario import ScenarioConfig, Shock, SimConfig, symmetric_matrix
 
 
 def entry(i, j, w, crit, dependum="d", exists=True):
@@ -158,3 +161,56 @@ class TestParameterBlocks:
             TeamParams(members=(0, 1), loyalty=(0.5,))
         with pytest.raises(ConfigurationError):
             TeamParams(members=(0,), loyalty=(1.5,))
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", _field_names(ReciprocityParams))
+    def test_reciprocity(self, name, bad):
+        with pytest.raises(ConfigurationError, match=name):
+            ReciprocityParams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", _field_names(TrustParams))
+    def test_trust(self, name, bad):
+        with pytest.raises(ConfigurationError, match=name):
+            TrustParams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name, value", [
+        ("endowments", lambda x: (x, 100.0)), ("alpha", lambda x: (x, 0.5)),
+        ("theta_v", lambda x: x), ("power_beta", lambda x: x), ("gamma", lambda x: x),
+    ])
+    def test_economy(self, name, value, bad):
+        with pytest.raises(ConfigurationError, match=name):
+            EconomyParams(**{name: value(bad)})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "name", ["horizon", "adjust_rate", "decay", "baseline_rate", "noise_sigma"])
+    def test_sim_config(self, name, bad):
+        with pytest.raises(ConfigurationError, match=name):
+            SimConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_shock_delta(self, bad):
+        with pytest.raises(ConfigurationError, match="delta"):
+            Shock(period=2, actor=0, delta=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["a_max", "a_init", "baseline_init", "pre_history"])
+    def test_scenario_vectors(self, name, bad):
+        value = ((bad, 0.5),) if name == "pre_history" else (bad, 0.5)
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(labels=("A", "B"), d=symmetric_matrix(2, 0.5), **{name: value})
+
+    def test_interdependence_nan(self):
+        with pytest.raises(ConfigurationError):
+            InterdependenceMatrix([[0.0, float("nan")], [0.5, 0.0]])

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.errors import ConfigurationError
 from coopsim.params import EconomyParams, ReciprocityParams, TrustParams
 from coopsim.scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, symmetric_matrix
-from coopsim.simulation import run, step_adjustment, step_best_response
+from coopsim.simulation import (
+    TRUST_FIELDS,
+    RunBatch,
+    _trust_rows,
+    _update_trust_matrices,
+    run,
+    run_batch,
+    step_adjustment,
+    step_best_response,
+)
+from coopsim.trust import DyadState, update_trust
 
 
 def two_actor(baseline_mode="moving_average", a_init=(0.5, 0.5),
@@ -172,3 +184,98 @@ class TestValidation:
         sim = SimConfig(horizon=6, noise_sigma=0.02, seed=4)
         traj = run(scen, sim, script={1: {p: 0.25 for p in range(2, 7)}})
         assert np.allclose(traj.actions[1:, 1], 0.25)
+
+
+def _stack(batches):
+    """One batch holding the rows of one-row batches with equal actor counts."""
+    n = batches[0].a_init.shape[1]
+    horizon = max(int(b.horizon[0]) for b in batches)
+    script = np.full((horizon, len(batches), n), np.nan)
+    for r, b in enumerate(batches):
+        if b.script is not None:
+            script[: b.script.shape[0], r] = b.script[:, 0]
+
+    def cat(name):
+        return np.concatenate([getattr(b, name) for b in batches])
+
+    def columns(name):
+        return {f: np.concatenate([getattr(b, name)[f] for b in batches])
+                for f in getattr(batches[0], name)}
+
+    return RunBatch(
+        d=cat("d"), recip=columns("recip"), trust=columns("trust"), sim=columns("sim"),
+        a_max=cat("a_max"), a_init=cat("a_init"), baseline_init=cat("baseline_init"),
+        baseline_mode=cat("baseline_mode"), horizon=cat("horizon"), script=script,
+        shocks=tuple((r, s) for r, b in enumerate(batches) for _, s in b.shocks),
+        pre_history=None,
+    )
+
+
+class TestBatchKernel:
+    def test_rows_equal_separate_runs(self):
+        # mixed baseline modes, windows, horizons, noise, shocks and scripts
+        runs = [
+            (two_actor("adaptive", baseline_init=(0.2, 0.2), memory_k=1),
+             SimConfig(horizon=30, noise_sigma=0.0), None),
+            (two_actor("moving_average", memory_k=16, eta=0.5, d=0.6),
+             SimConfig(horizon=45, noise_sigma=0.02, seed=3), {1: {20: 0.0, 21: 0.5}}),
+            (two_actor("fixed", a_init=(0.9, 0.1), baseline_init=(0.5, 0.5), eta=0.0, d=0.3),
+             SimConfig(horizon=12, noise_sigma=0.05, seed=8,
+                       shocks=(Shock(period=4, actor=1, delta=0.3),
+                               Shock(period=4, actor=1, delta=-0.7))), None),
+            (two_actor("moving_average", memory_k=4, kappa=3.0),
+             SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
+        ]
+        batch = _stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
+        rec = run_batch(batch)
+        for r, (scen, sim, script) in enumerate(runs):
+            got = rec.row(r, scen.labels)
+            want = run(scen, sim, script=script)
+            for name in ("actions", "baselines", "norms", "trust", "reputation",
+                         "signal", "recip_term", "converged"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (r, name)
+
+    def test_best_response_needs_one_row(self):
+        scen = two_actor()
+        batch = _stack([RunBatch.single(scen, SimConfig(horizon=3))] * 2)
+        with pytest.raises(ValueError):
+            run_batch(batch, best_response=lambda *args: None)
+
+
+_unit = st.floats(0.0, 1.0)
+_rate = st.floats(0.001, 0.999)
+
+
+@st.composite
+def _dyad(draw):
+    p = TrustParams(
+        t0=draw(_unit), lambda_plus=draw(_rate), lambda_minus=draw(_rate),
+        xi=draw(st.floats(0.0, 3.0)), mu_r=draw(_rate), delta_r=draw(_rate),
+        t_max=draw(st.floats(0.01, 1.0)), theta_r=draw(_unit),
+        deadband=draw(st.sampled_from((0.0, 0.05))),
+    )
+    return p, draw(_unit), draw(_unit), draw(st.floats(-2.0, 2.0)), draw(_unit)
+
+
+@given(st.lists(_dyad(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_kernel_trust_update_matches_scalar_oracle(cases):
+    # each row carries its own parameters; the dyad (0, 1) sees signal s and
+    # the dyad (1, 0) sees -s from the same starting state
+    rows = len(cases)
+    trust, rep = np.ones((rows, 2, 2)), np.zeros((rows, 2, 2))
+    s, d = np.zeros((rows, 2, 2)), np.zeros((rows, 2, 2))
+    for b, (_, t, r, sig, dij) in enumerate(cases):
+        trust[b, 0, 1] = trust[b, 1, 0] = t
+        rep[b, 0, 1] = rep[b, 1, 0] = r
+        s[b, 0, 1], s[b, 1, 0] = sig, -sig
+        d[b, 0, 1] = d[b, 1, 0] = dij
+    params = {f: np.array([getattr(c[0], f) for c in cases]) for f in TRUST_FIELDS}
+    _update_trust_matrices(trust, rep, s, _trust_rows(params, d), ~np.eye(2, dtype=bool))
+    for b, (p, t, r, sig, dij) in enumerate(cases):
+        for (i, j), signal in (((0, 1), sig), ((1, 0), -sig)):
+            want = update_trust(DyadState(trust=t, reputation=r), signal, dij, p)
+            assert trust[b, i, j] == pytest.approx(want.trust, rel=1e-12, abs=1e-15)
+            assert rep[b, i, j] == pytest.approx(want.reputation, rel=1e-12, abs=1e-15)
+        assert trust[b, 0, 0] == trust[b, 1, 1] == 1.0
+        assert rep[b, 0, 0] == rep[b, 1, 1] == 0.0

@@ -7,6 +7,7 @@ import scipy.stats as sps
 
 from coopsim.rng import derive_seed
 from coopsim.stats import (
+    _resample_means,
     bootstrap_ci,
     cohens_d,
     effect_size_label,
@@ -128,3 +129,25 @@ class TestWilcoxon:
     def test_needs_six_nonzero(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0, 3.0], 0.0)
+
+
+def _reference_bootstrap(sample, replicates, seed, level=0.95):
+    """Per-replicate scalar bootstrap: one resample and one np.mean at a time."""
+    arr = np.asarray(sample, dtype=float)
+    rng = np.random.default_rng(derive_seed(seed, 0x626F6F74))
+    means = np.array([np.mean(arr[rng.integers(0, arr.size, size=arr.size)])
+                      for _ in range(replicates)])
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
+    return means, (float(lo), float(hi))
+
+
+# odd n, even n, a partial last chunk (729 -> 27 rows a chunk), and n above
+# one chunk (one replicate a chunk)
+@pytest.mark.parametrize("n, replicates", [(7, 3001), (8, 3000), (729, 1000),
+                                           (20_001, 30), (45_000, 7)])
+def test_bootstrap_matches_per_replicate_reference(n, replicates):
+    sample = np.random.default_rng(n).normal(size=n)
+    means, interval = _reference_bootstrap(sample, replicates, seed=13)
+    assert np.array_equal(_resample_means(sample, replicates, 13), means)
+    assert bootstrap_ci(sample, replicates=replicates, seed=13) == interval

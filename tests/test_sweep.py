@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 
 import pytest
 
+from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.params import TrustParams
 from coopsim.sweep import (
@@ -15,6 +17,7 @@ from coopsim.sweep import (
     SweepProtocol,
     differentiation_stats,
     measure_cell,
+    measure_cells,
     measure_forgiveness_time,
     measure_targets,
     monte_carlo,
@@ -102,22 +105,33 @@ class TestCellMeasurement:
 
 
 class TestSweepAggregation:
-    def test_serial_parallel_identical(self):
-        grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 3.0), "t0": (0.3, 0.95)})
-        serial = run_sweep(grid, PROTO, TRUST, processes=1)
-        parallel = run_sweep(grid, PROTO, TRUST, processes=2)
-        assert serial == parallel
+    def test_batch_independence(self, monkeypatch):
+        # one batch == cell by cell == shuffled == split across batches
+        grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 3.0),
+                              "memory_k": (1, 4, 16), "t0": (0.3, 0.95)})
+        whole = run_sweep(grid, PROTO, TRUST)
+        assert [r.index for r in whole] == list(range(grid.size))
+        extremes = grid.rho0_extremes()
+        cells = [grid.cell(i) for i in range(grid.size)]
+        single = [measure_cell(i, c, PROTO, TRUST, extremes) for i, c in enumerate(cells)]
+        assert single == whole
+        order = random.Random(5).sample(range(grid.size), grid.size)
+        shuffled = measure_cells(order, [cells[i] for i in order], PROTO,
+                                 [TRUST] * grid.size, extremes)
+        assert sorted(shuffled, key=lambda r: r.index) == whole
+        monkeypatch.setattr(sweep, "CELLS_PER_BATCH", 5)
+        assert run_sweep(grid, PROTO, TRUST) == whole
 
     def test_measure_targets_report(self):
         grid = ParameterGrid({"rho0": (1.0,), "kappa": (1.0,)})
-        results = run_sweep(grid, PROTO, TRUST, processes=1)
+        results = run_sweep(grid, PROTO, TRUST)
         report = measure_targets(results)
         row = report.row("t6")
         assert row["rate"] == 1.0 and row["pass"]
         assert report.row("t2")["achieved"] == 1
 
-    def test_smoke_grid_thresholds(self):
-        results = run_sweep(SMOKE_GRID, PROTO, TRUST, processes=1)
+    def test_smoke_grid_thresholds(self, smoke_sweep):
+        results, _ = smoke_sweep
         report = measure_targets(results)
         assert report.all_pass, {r["target"]: r["rate"] for r in report.rows}
         stats = differentiation_stats(results)
@@ -128,21 +142,21 @@ class TestSweepAggregation:
 
 class TestMonteCarlo:
     def test_zero_perturbation_reproduces_base(self):
-        report = monte_carlo(trials=8, perturb=0.0, seed=3, processes=1)
+        report = monte_carlo(trials=8, perturb=0.0, seed=3)
         assert len({t.ratio for t in report.trials}) == 1
         base = measure_cell(0, REFERENCE_CELL, SweepProtocol(), TrustParams(), (0.2, 1.0))
         assert report.trials[0].ratio == pytest.approx(base.ratio)
 
     def test_reproducible_derived_seeds(self):
-        a = monte_carlo(trials=6, perturb=0.15, seed=11, processes=1)
-        b = monte_carlo(trials=6, perturb=0.15, seed=11, processes=1)
+        a = monte_carlo(trials=6, perturb=0.15, seed=11)
+        b = monte_carlo(trials=6, perturb=0.15, seed=11)
         assert a.trials == b.trials
 
     def test_clamping_flagged(self):
         # cranked perturbation forces range clamps (t0 and d cap at 1)
-        report = monte_carlo(trials=40, perturb=0.5, seed=5, processes=1)
+        report = monte_carlo(trials=40, perturb=0.5, seed=5)
         assert report.clamped_trials > 0
 
     def test_integer_window_untouched(self):
-        report = monte_carlo(trials=5, perturb=0.15, seed=2, processes=1)
+        report = monte_carlo(trials=5, perturb=0.15, seed=2)
         assert all("memory_k" not in t.clamped for t in report.trials)
