@@ -29,7 +29,9 @@ period, so runs are bit-reproducible and order-independent.
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
-every parameter given per row; :func:`run` is its B = 1 call.  Rows never
+every parameter given per row, and shows each period's state to an
+observer; :func:`record_batch` keeps all of it, and :func:`run` is its
+B = 1 call.  Rows never
 interact, and every row computes exactly the arithmetic of a run on its
 own, so a row's bits do not depend on the batch it is in: the window
 means add left to right as Python's ``sum`` does, and powers take one
@@ -84,8 +86,9 @@ class Trajectory:
         return self.actions.shape[1]
 
 
-_RECORDED = ("actions", "baselines", "norms", "trust", "reputation", "signal",
-             "recip_term", "converged")
+#: Per-period states of a run, with their axes per row (actors or dyads).
+RECORDED = {"actions": 1, "baselines": 1, "norms": 1, "trust": 2, "reputation": 2,
+            "signal": 2, "recip_term": 2}
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ class RunBatch:
 
 @dataclass
 class BatchTrajectory:
-    """Per-period state of a batch, time-major: each array is (H, B, ...)."""
+    """Every per-period state of a batch, time-major: each array is (H, B, ...)."""
 
     horizon: np.ndarray
     actions: np.ndarray
@@ -158,11 +161,23 @@ class BatchTrajectory:
         """Row b's own trajectory, cut at its horizon."""
         h = int(self.horizon[b])
         return Trajectory(labels=labels,
-                          **{f: getattr(self, f)[:h, b].copy() for f in _RECORDED})
+                          **{f: getattr(self, f)[:h, b].copy()
+                             for f in (*RECORDED, "converged")})
 
 
 # Best-response rule: (history, trust, actions, next period) -> solve result.
 BestResponse = Callable[[History, np.ndarray, np.ndarray, int], object]
+# Per-period observer: (period index, state arrays keyed like Trajectory fields).
+Observer = Callable[[int, Mapping[str, np.ndarray]], None]
+
+
+def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A (B,) parameter column spread over each row's actors or dyads, so
+    the kernel's arithmetic runs on whole contiguous arrays."""
+    col = np.asarray(values, dtype=float)
+    out = np.empty(col.shape + shape)
+    out[...] = col.reshape(col.shape + (1,) * len(shape))
+    return out
 
 
 def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -189,44 +204,55 @@ def gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
             * sensitivity(d, recip["rho0"], recip["eta"]))
 
 
-def _signals(actions: np.ndarray, baselines: np.ndarray, off_diag: np.ndarray) -> np.ndarray:
+def _signals(actions: np.ndarray, baselines: np.ndarray) -> np.ndarray:
     """s[b, i, j] = a_j - baseline_j off the diagonal, 0 on it."""
-    return np.where(off_diag, (actions - baselines)[:, None, :], 0.0)
+    n = actions.shape[1]
+    s = np.repeat((actions - baselines)[:, None, :], n, axis=1)
+    s.reshape(len(s), n * n)[:, :: n + 1] = 0.0
+    return s
 
 
-def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, k_lo: int, k_hi: int,
+def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, reach: list,
                   initial: np.ndarray) -> np.ndarray:
     """Mean of each actor's last k recorded actions (k per row), the
     configured initial level before any history exists.
 
-    ``hist[:avail]`` holds the recorded periods in order.  Terms are added
-    oldest first onto 0.0, with 0.0 standing in for periods outside a
-    shorter row's window, so every mean has the bits of ``sum(w) / len(w)``.
+    ``hist[:avail]`` holds the recorded periods in order; ``reach[o]`` is
+    1.0 on the rows whose window reaches o periods back and 0.0 elsewhere
+    (None: every row).  Terms are added oldest first onto 0.0, and a
+    period outside a row's window adds a zero, so every mean has the bits
+    of ``sum(w) / len(w)``.
     """
     if avail == 0:
         return initial.copy()
     acc = np.zeros_like(initial)
-    for o in range(min(k_hi, avail), 0, -1):
-        acc += hist[avail - o] if o <= k_lo else np.where(k >= o, hist[avail - o], 0.0)
+    for o in range(min(len(reach) - 1, avail), 0, -1):
+        acc += hist[avail - o] if reach[o] is None else hist[avail - o] * reach[o]
     return acc / np.minimum(k, avail)
 
 
 def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-row trust parameters shaped (B, 1, 1) for the trust update, plus
+    """Per-row trust parameters spread over the (B, n, n) dyads, plus
     ``keep_r`` = 1 - delta_r and ``erosion_amp`` = 1 + xi * D; no
     ``deadband`` entry when every row's deadband is off."""
-    p = {f: np.asarray(trust[f], dtype=float)[:, None, None] for f in TRUST_FIELDS}
-    p["keep_r"] = 1.0 - p["delta_r"]
-    p["erosion_amp"] = 1.0 + p["xi"] * d
+    dyads = d.shape[1:]
+    p = {f: _per_row(trust[f], dyads)
+         for f in ("lambda_plus", "lambda_minus", "mu_r", "t_max", "theta_r", "deadband")}
+    p["keep_r"] = 1.0 - _per_row(trust["delta_r"], dyads)
+    p["erosion_amp"] = 1.0 + _per_row(trust["xi"], dyads) * d
     if not (p["deadband"] > 0.0).any():
         del p["deadband"]
     return p
 
 
 def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndarray,
-                           p: Mapping[str, np.ndarray], off_diag: np.ndarray) -> None:
+                           p: Mapping[str, np.ndarray]) -> None:
     """Vectorized two-layer update in place: reputation, then ceiling, then
-    trust, off the diagonal of every row; ``p`` comes from ``_trust_rows``."""
+    trust; ``p`` comes from ``_trust_rows``.
+
+    Self-trust stays 1 and self-reputation 0: a zero diagonal signal keeps
+    reputation at 0, and the trust diagonal is reset after the update.
+    """
     if "deadband" in p:
         s = np.where(np.abs(s) <= p["deadband"], 0.0, s)
     rep_next = np.where(
@@ -234,23 +260,26 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
         reputation + p["mu_r"] * (-s) * (1.0 - reputation),
         reputation * p["keep_r"],
     )
-    np.clip(rep_next, 0.0, 1.0, out=rep_next)
+    np.clip(rep_next, 0.0, 1.0, out=reputation)
 
-    ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * rep_next)
+    ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * reputation)
     dt = np.where(
         s > 0.0,
         p["lambda_plus"] * s * np.maximum(0.0, ceiling - trust),
         p["lambda_minus"] * s * trust * p["erosion_amp"],
     )
-    tr_next = np.clip(trust + dt, 0.0, ceiling)
+    np.clip(trust + dt, 0.0, ceiling, out=trust)
+    n = trust.shape[-1]
+    trust.reshape(len(trust), n * n)[:, :: n + 1] = 1.0
 
-    np.copyto(reputation, rep_next, where=off_diag)
-    np.copyto(trust, tr_next, where=off_diag)
 
-
-def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> BatchTrajectory:
+def run_batch(batch: RunBatch, observe: Observer,
+              best_response: Optional[BestResponse] = None) -> None:
     """Advance every row of the batch to the longest horizon.
 
+    Each period, before its trust update, ``observe(idx, state)`` sees the
+    period's state: (B, ...) arrays keyed like the :class:`Trajectory`
+    fields, which the kernel reuses, so the observer copies what it keeps.
     Without ``best_response`` every row follows the adjustment rule; with
     it the batch must have one row, whose actions after period 1 come from
     ``best_response(history, trust, actions, period)``.
@@ -259,29 +288,26 @@ def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> 
     H = int(batch.horizon.max())
     if best_response is not None and B != 1:
         raise ValueError("best-response mode runs one row at a time")
-    off_diag = ~np.eye(n, dtype=bool)
     d = batch.d
 
-    def col(name, source):  # (B, 1): broadcasts over actors
-        return np.asarray(source[name], dtype=float)[:, None]
-
     gate = gate_weights(d, batch.recip)
-    kappa = col("kappa", batch.recip)[:, :, None]
+    kappa = _per_row(batch.recip["kappa"], (n, n))
     k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
-    k_lo, k_hi = int(k.min()), int(k.max())
+    reach = [None if o <= k.min() else _per_row(k[:, 0] >= o, (n,))
+             for o in range(int(k.max()) + 1)]
     tp = _trust_rows(batch.trust, d)
-    rate, decay, norm_rate = (col(f, batch.sim) for f in ("adjust_rate", "decay",
-                                                          "baseline_rate"))
+    rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
+                              for f in ("adjust_rate", "decay", "baseline_rate"))
     noisy = [(b, float(batch.sim["noise_sigma"][b]), int(batch.sim["seed"][b]))
              for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0)]
     shocks_at: dict[int, list[tuple[int, int, float]]] = {}
     for b, shock in batch.shocks:
         shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
 
-    mode = np.asarray(batch.baseline_mode)[:, None]
+    mode = np.asarray(batch.baseline_mode)
     windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
-    adaptive = mode == BASELINE_MODES.index("adaptive")
-    fixed = mode == BASELINE_MODES.index("fixed")
+    adaptive = _per_row(mode == BASELINE_MODES.index("adaptive"), (n,)) > 0.0
+    fixed = _per_row(mode == BASELINE_MODES.index("fixed"), (n,)) > 0.0
     initial = np.asarray(batch.baseline_init, dtype=float)
     a_max = np.asarray(batch.a_max, dtype=float)
     script = batch.script
@@ -289,16 +315,16 @@ def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> 
 
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
     P = pre.shape[0]
-    hist = np.empty((P + H, B, n))
+    hist = np.empty((P + H, B, n))  # pre-history, then every period's actions
     hist[:P] = pre
     history = History(n, pre=pre[:, 0]) if best_response is not None else None
 
     actions = np.array(batch.a_init, dtype=float)
     norms = initial.copy()
-    trust = np.empty((B, n, n))
-    trust[:] = tp["t0"]
-    trust[:, ~off_diag] = 1.0
+    trust = _per_row(batch.trust["t0"], (n, n))
+    trust.reshape(B, n * n)[:, :: n + 1] = 1.0
     reputation = np.zeros((B, n, n))
+    converged = np.ones(B, dtype=bool)
 
     # Period-1 actions may themselves be scripted or shocked.
     if script is not None:
@@ -307,38 +333,23 @@ def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> 
         actions[b, i] += delta
     np.clip(actions, 0.0, a_max, out=actions)
 
-    rec = BatchTrajectory(
-        horizon=np.asarray(batch.horizon),
-        actions=np.zeros((H, B, n)),
-        baselines=np.zeros((H, B, n)),
-        norms=np.zeros((H, B, n)),
-        trust=np.zeros((H, B, n, n)),
-        reputation=np.zeros((H, B, n, n)),
-        signal=np.zeros((H, B, n, n)),
-        recip_term=np.zeros((H, B, n, n)),
-        converged=np.ones((H, B), dtype=bool),
-    )
-
     for t in range(1, H + 1):
         idx = t - 1
-        b_win = _window_means(hist, P + idx, k, k_lo, k_hi, initial)
-        s_win = _signals(actions, b_win, off_diag)
+        b_win = _window_means(hist, P + idx, k, reach, initial)
+        s_win = _signals(actions, b_win)
         if windowed_rule:
             s_rule = s_win
         else:
-            b_rule = np.where(adaptive, norms, np.where(fixed, initial, b_win))
-            s_rule = _signals(actions, b_rule, off_diag)
+            s_rule = _signals(actions, np.where(adaptive, norms,
+                                                np.where(fixed, initial, b_win)))
         term = gate * trust * np.tanh(kappa * s_rule)
 
-        rec.actions[idx] = actions
-        rec.baselines[idx] = b_win
-        rec.norms[idx] = norms
-        rec.trust[idx] = trust
-        rec.reputation[idx] = reputation
-        rec.signal[idx] = s_win
-        rec.recip_term[idx] = term
+        hist[P + idx] = actions
+        observe(idx, {"actions": actions, "baselines": b_win, "norms": norms,
+                      "trust": trust, "reputation": reputation, "signal": s_win,
+                      "recip_term": term, "converged": converged})
 
-        _update_trust_matrices(trust, reputation, s_win, tp, off_diag)
+        _update_trust_matrices(trust, reputation, s_win, tp)
 
         if t == H:
             break
@@ -351,7 +362,7 @@ def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> 
             # History through period t is available when choosing t+1 actions.
             history.append(actions[0])
             result = best_response(history, trust[0], actions[0], t + 1)
-            rec.converged[idx + 1, 0] = result.converged
+            converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 
         for b, i, delta in shocks_at.get(t + 1, ()):
@@ -360,11 +371,23 @@ def run_batch(batch: RunBatch, best_response: Optional[BestResponse] = None) -> 
             nxt = np.where(free[t], nxt, script[t])
         np.clip(nxt, 0.0, a_max, out=nxt)
 
-        hist[P + idx] = actions
         norms += norm_rate * (actions - norms)
         actions = nxt
 
-    return rec
+
+def record_batch(batch: RunBatch,
+                 best_response: Optional[BestResponse] = None) -> BatchTrajectory:
+    """Run the batch and keep every per-period state of every row."""
+    H, (B, n) = int(batch.horizon.max()), batch.a_init.shape
+    rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
+    rec["converged"] = np.ones((H, B), dtype=bool)
+
+    def keep(idx, state):
+        for f, sink in rec.items():
+            sink[idx] = state[f]
+
+    run_batch(batch, keep, best_response)
+    return BatchTrajectory(horizon=np.asarray(batch.horizon), **rec)
 
 
 def run(
@@ -401,7 +424,7 @@ def run(
             return solve_equilibrium(scenario, history, trust, config,
                                      warm_start=actions, period=period)
 
-    return run_batch(RunBatch.single(scenario, sim, script), respond).row(0, scenario.labels)
+    return record_batch(RunBatch.single(scenario, sim, script), respond).row(0, scenario.labels)
 
 
 def step_best_response(
@@ -439,7 +462,7 @@ def step_adjustment(
     b = np.asarray(baselines, dtype=float)[None]
     anchors = b if norms is None else np.asarray(norms, dtype=float)[None]
     tr = np.asarray(trust, dtype=float)[None]
-    s = _signals(a, b, ~np.eye(scenario.n, dtype=bool))
+    s = _signals(a, b)
     term = gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
     nxt = a + sim.adjust_rate * term.sum(axis=2) - sim.decay * (a - anchors)
     return np.clip(nxt, 0.0, batch.a_max)[0]

@@ -42,7 +42,7 @@ from .errors import ConfigurationError
 from .params import ReciprocityParams, TrustParams, reciprocity_sensitivity
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
-from .simulation import TRUST_FIELDS, BatchTrajectory, RunBatch, run_batch
+from .simulation import TRUST_FIELDS, RunBatch, record_batch, run_batch
 from .stats import StatsSummary, bootstrap_ci, cohens_d, paired_ttest, wilcoxon_signed_rank
 
 GRID_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "t0", "d")
@@ -352,10 +352,10 @@ def signal_recovery_time(
     return NO_RECOVERY
 
 
-def _recovery_time(rec: BatchTrajectory, row: int, protocol: SweepProtocol) -> int:
-    """Forgiveness time of one forgiveness-type row (unit action range)."""
-    signals = rec.signal[: rec.horizon[row], row, 0, 1].tolist()
-    return signal_recovery_time(signals, protocol.warmup + 1,
+def _recovery_time(signals: np.ndarray, protocol: SweepProtocol) -> int:
+    """Forgiveness time of a forgiveness-type run from its observer's signal
+    about the defector (unit action range)."""
+    return signal_recovery_time(signals.tolist(), protocol.warmup + 1,
                                 protocol.recovery_tol_frac, protocol.recovery_sustain)
 
 
@@ -371,34 +371,43 @@ def measure_forgiveness_time(
     if protocol.defection == 0.0:
         return 0
     batch = _protocol_batch([cell], [trust], protocol, runs=("forgiveness",))
-    return _recovery_time(run_batch(batch), 0, protocol)
+    return _recovery_time(record_batch(batch).signal[:, 0, 0, 1], protocol)
 
 
 def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
                    protocol: SweepProtocol, trusts: Sequence[TrustParams],
                    rho0_extremes: tuple[float, float]) -> list[CellResult]:
     batch = _protocol_batch(cells, trusts, protocol, rho0_extremes)
-    rec = run_batch(batch)
+    horizon, warm = batch.horizon, protocol.warmup
+    kappa = batch.recip["kappa"][:, None, None]
+    # What the targets read, kept period by period rather than whole runs.
+    actions = np.empty((warm, len(horizon), 2))  # warm-up actions
+    partner = np.empty((int(horizon.max()), len(horizon)))  # 0's signal about 1
+    response = np.empty(len(horizon))  # gated response at the defection t*
+    bounded = np.zeros(len(horizon))  # largest |tanh(kappa s)| within the horizon
+
+    def observe(idx: int, state) -> None:
+        if idx < warm:
+            actions[idx] = state["actions"]
+        elif idx == warm:  # period t* = warm-up + 1
+            response[:] = state["recip_term"][:, 0, 1]
+        partner[idx] = state["signal"][:, 0, 1]
+        phi = np.abs(np.tanh(kappa * state["signal"])).max(axis=(1, 2))
+        np.maximum(bounded, phi, out=bounded, where=idx < horizon)
+
+    run_batch(batch, observe)
     n_cells, n_runs = len(cells), len(PROTOCOL_RUNS)
     row = {name: np.arange(n_cells) * n_runs + r for r, name in enumerate(PROTOCOL_RUNS)}
-    warm = protocol.warmup
-    t_star = warm + 1
 
     def mean_actions(rows: np.ndarray, first: int) -> np.ndarray:
         # Each row's mean over periods first+1..warm-up and both actors, in
         # the order (and so with the bits) of np.mean on its own record.
-        block = rec.actions[first:warm, rows].transpose(1, 0, 2)
+        block = actions[first:, rows].transpose(1, 0, 2)
         return np.ascontiguousarray(block).reshape(len(rows), -1).mean(axis=1)
 
     steady = mean_actions(row["emergence"], warm - protocol.steady_window)
     coop = {name: mean_actions(row[name], 0) for name in _EMERGENCE_RUNS}
-    response = rec.recip_term[t_star - 1, :, 0, 1]
-
-    # Target 6: every recorded bounded response of every run of the cell.
-    live = np.arange(rec.signal.shape[0])[:, None] < batch.horizon
-    phi = np.abs(np.tanh(batch.recip["kappa"][:, None, None] * rec.signal))
-    max_abs = (np.where(live[:, :, None, None], phi, 0.0).max(axis=(0, 2, 3))
-               .reshape(n_cells, n_runs).max(axis=1))
+    max_abs = bounded.reshape(n_cells, n_runs).max(axis=1)
 
     results = []
     for c, (index, cell) in enumerate(zip(indices, cells)):
@@ -414,7 +423,8 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
 
         # Targets 2, 3: forgiveness stimulus run.
         t2 = float(response[row["forgiveness"][c]]) < 0.0
-        tau_f = _recovery_time(rec, row["forgiveness"][c], protocol)
+        f = row["forgiveness"][c]
+        tau_f = _recovery_time(partner[: horizon[f], f], protocol)
         t3 = tau_f != NO_RECOVERY and tau_f <= 2 * cell.memory_k
 
         # Target 4: dependency differentiation pair.

@@ -13,6 +13,7 @@ from coopsim.simulation import (
     _trust_rows,
     _update_trust_matrices,
     run,
+    record_batch,
     run_batch,
     step_adjustment,
     step_best_response,
@@ -227,7 +228,7 @@ class TestBatchKernel:
              SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
         ]
         batch = _stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
-        rec = run_batch(batch)
+        rec = record_batch(batch)
         for r, (scen, sim, script) in enumerate(runs):
             got = rec.row(r, scen.labels)
             want = run(scen, sim, script=script)
@@ -239,7 +240,7 @@ class TestBatchKernel:
         scen = two_actor()
         batch = _stack([RunBatch.single(scen, SimConfig(horizon=3))] * 2)
         with pytest.raises(ValueError):
-            run_batch(batch, best_response=lambda *args: None)
+            run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
 
 
 _unit = st.floats(0.0, 1.0)
@@ -271,7 +272,7 @@ def test_kernel_trust_update_matches_scalar_oracle(cases):
         s[b, 0, 1], s[b, 1, 0] = sig, -sig
         d[b, 0, 1] = d[b, 1, 0] = dij
     params = {f: np.array([getattr(c[0], f) for c in cases]) for f in TRUST_FIELDS}
-    _update_trust_matrices(trust, rep, s, _trust_rows(params, d), ~np.eye(2, dtype=bool))
+    _update_trust_matrices(trust, rep, s, _trust_rows(params, d))
     for b, (p, t, r, sig, dij) in enumerate(cases):
         for (i, j), signal in (((0, 1), sig), ((1, 0), -sig)):
             want = update_trust(DyadState(trust=t, reputation=r), signal, dij, p)
