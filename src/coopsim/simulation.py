@@ -97,8 +97,8 @@ class RunBatch:
 
     Scalar parameters are ``(B,)`` columns keyed by their field names in
     :class:`ReciprocityParams`, :class:`TrustParams` and :class:`SimConfig`
-    (``SIM_FIELDS``).  The batch runs to the longest horizon; a row's
-    record is meaningful up to its own horizon.
+    (``SIM_FIELDS``).  The batch runs to its longest horizon; a row's
+    states past its own horizon are not part of its run.
     """
 
     d: np.ndarray  # (B, n, n) interdependence
@@ -143,28 +143,6 @@ class RunBatch:
         )
 
 
-@dataclass
-class BatchTrajectory:
-    """Every per-period state of a batch, time-major: each array is (H, B, ...)."""
-
-    horizon: np.ndarray
-    actions: np.ndarray
-    baselines: np.ndarray
-    norms: np.ndarray
-    trust: np.ndarray
-    reputation: np.ndarray
-    signal: np.ndarray
-    recip_term: np.ndarray
-    converged: np.ndarray
-
-    def row(self, b: int, labels: tuple[str, ...]) -> Trajectory:
-        """Row b's own trajectory, cut at its horizon."""
-        h = int(self.horizon[b])
-        return Trajectory(labels=labels,
-                          **{f: getattr(self, f)[:h, b].copy()
-                             for f in (*RECORDED, "converged")})
-
-
 # Best-response rule: (history, trust, actions, next period) -> solve result.
 BestResponse = Callable[[History, np.ndarray, np.ndarray, int], object]
 # Per-period observer: (period index, state arrays keyed like Trajectory fields).
@@ -189,9 +167,9 @@ def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
     square root), whose bits differ from an elementwise power.
     """
     power = np.empty_like(d)
-    for e in np.unique(eta):
+    for e in set(eta.tolist()):
         rows = eta == e
-        power[rows] = d[rows] ** float(e)
+        power[rows] = d[rows] ** e
     rho0 = rho0[:, None, None]
     return np.where(d > 0.0, rho0 * power,
                     np.where(eta[:, None, None] == 0.0, rho0, 0.0))
@@ -375,9 +353,9 @@ def run_batch(batch: RunBatch, observe: Observer,
         actions = nxt
 
 
-def record_batch(batch: RunBatch,
-                 best_response: Optional[BestResponse] = None) -> BatchTrajectory:
-    """Run the batch and keep every per-period state of every row."""
+def record_batch(batch: RunBatch, labels: tuple[str, ...],
+                 best_response: Optional[BestResponse] = None) -> list[Trajectory]:
+    """Run the batch and return every row's trajectory, cut at its horizon."""
     H, (B, n) = int(batch.horizon.max()), batch.a_init.shape
     rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
     rec["converged"] = np.ones((H, B), dtype=bool)
@@ -387,7 +365,8 @@ def record_batch(batch: RunBatch,
             sink[idx] = state[f]
 
     run_batch(batch, keep, best_response)
-    return BatchTrajectory(horizon=np.asarray(batch.horizon), **rec)
+    return [Trajectory(labels=labels, **{f: a[:h, b].copy() for f, a in rec.items()})
+            for b, h in enumerate(batch.horizon)]
 
 
 def run(
@@ -424,7 +403,7 @@ def run(
             return solve_equilibrium(scenario, history, trust, config,
                                      warm_start=actions, period=period)
 
-    return record_batch(RunBatch.single(scenario, sim, script), respond).row(0, scenario.labels)
+    return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
 
 
 def step_best_response(

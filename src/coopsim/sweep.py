@@ -242,8 +242,8 @@ PROTOCOL_RUNS = ("emergence", "t5_high", "t5_low_trust", "t5_low_rho",
 _EMERGENCE_RUNS = PROTOCOL_RUNS[:4]
 _FORGIVENESS_RUNS = PROTOCOL_RUNS[4:]
 
-#: Cells per engine batch.  A batch records every period of its runs, so
-#: this bounds the memory of large grids (about 85 kB per cell).
+#: Cells per engine batch: bounds the memory of large grids (about 30 kB
+#: of engine state per cell; much larger batches also run slower).
 CELLS_PER_BATCH = 256
 
 
@@ -371,7 +371,7 @@ def measure_forgiveness_time(
     if protocol.defection == 0.0:
         return 0
     batch = _protocol_batch([cell], [trust], protocol, runs=("forgiveness",))
-    return _recovery_time(record_batch(batch).signal[:, 0, 0, 1], protocol)
+    return _recovery_time(record_batch(batch, ("A", "B"))[0].signal[:, 0, 1], protocol)
 
 
 def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],

@@ -228,13 +228,12 @@ class TestBatchKernel:
              SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
         ]
         batch = _stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
-        rec = record_batch(batch)
-        for r, (scen, sim, script) in enumerate(runs):
-            got = rec.row(r, scen.labels)
+        got_runs = record_batch(batch, ("A", "B"))
+        for got, (scen, sim, script) in zip(got_runs, runs):
             want = run(scen, sim, script=script)
             for name in ("actions", "baselines", "norms", "trust", "reputation",
                          "signal", "recip_term", "converged"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (r, name)
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_best_response_needs_one_row(self):
         scen = two_actor()
