@@ -31,11 +31,11 @@ Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
 every parameter given per row, and shows each period's state to an
 observer; :func:`record_batch` keeps all of it, and :func:`run` is its
-B = 1 call.  Rows never
-interact, and every row computes exactly the arithmetic of a run on its
-own, so a row's bits do not depend on the batch it is in: the window
-means add left to right as Python's ``sum`` does, and powers take one
-Python float exponent at a time as ``array ** eta`` does for one run.
+B = 1 call.  Rows never interact, and every row computes exactly the
+arithmetic of a run on its own, so a row's bits do not depend on the
+batch it is in: the window means add left to right as Python's ``sum``
+does, and powers take one Python float exponent at a time as
+``array ** eta`` does for one run.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Per-row sensitivity rho = rho0 * D ** eta on (B, n, n) coefficients.
 
     Zero-dependency pairs get 0 (rho0 when eta = 0).  Powers are taken one
@@ -175,11 +175,11 @@ def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
                     np.where(eta[:, None, None] == 0.0, rho0, 0.0))
 
 
-def gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
+def _gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
     """lambda_r * (1 + omega * D) * rho per row: the gated term without T * phi."""
     return (recip["lambda_r"][:, None, None]
             * (1.0 + recip["omega_amp"][:, None, None] * d)
-            * sensitivity(d, recip["rho0"], recip["eta"]))
+            * _sensitivity(d, recip["rho0"], recip["eta"]))
 
 
 def _signals(actions: np.ndarray, baselines: np.ndarray) -> np.ndarray:
@@ -268,7 +268,7 @@ def run_batch(batch: RunBatch, observe: Observer,
         raise ValueError("best-response mode runs one row at a time")
     d = batch.d
 
-    gate = gate_weights(d, batch.recip)
+    gate = _gate_weights(d, batch.recip)
     kappa = _per_row(batch.recip["kappa"], (n, n))
     k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
     reach = [None if o <= k.min() else _per_row(k[:, 0] >= o, (n,))
@@ -442,6 +442,6 @@ def step_adjustment(
     anchors = b if norms is None else np.asarray(norms, dtype=float)[None]
     tr = np.asarray(trust, dtype=float)[None]
     s = _signals(a, b)
-    term = gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
+    term = _gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
     nxt = a + sim.adjust_rate * term.sum(axis=2) - sim.decay * (a - anchors)
     return np.clip(nxt, 0.0, batch.a_max)[0]

@@ -99,9 +99,9 @@ def test_criterion_2_shipped_dependency_table():
 # -- criteria 3 & 4: behavioral targets and differentiation stats --------------
 
 @pytest.fixture(scope="module")
-def sweep_results(smoke_sweep):
+def sweep_results(request):
     if not FULL:
-        return (SMOKE_GRID, *smoke_sweep)
+        return (SMOKE_GRID, *request.getfixturevalue("smoke_sweep"))
     start = time.monotonic()
     results = run_sweep(FULL_GRID, SweepProtocol(), TrustParams())
     return FULL_GRID, results, time.monotonic() - start
