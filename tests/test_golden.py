@@ -13,11 +13,15 @@ dispatches on, to tell a code change from a different machine.
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coopsim.cli import main
+from coopsim.params import InterdependenceMatrix
+from coopsim.scenario import SimConfig, reference_scenario
+from coopsim.simulation import run
 
 # Spans both rho0 extremes (the T5 variants), three memory windows (the
 # forgiveness horizons differ per row), and the eta levels whose powers
@@ -154,3 +158,28 @@ def test_golden_checksums(job, tmp_path):
         with open(os.path.join(out, name), "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[job], f"{job} outputs moved ({_machine()})"
+
+
+def _pre_history_scenario(eta):
+    """Two actors whose 2-row pre-history is shorter than the 4-period window."""
+    base = reference_scenario(rho0=1.2, eta=eta, kappa=0.5, memory_k=4, gamma=0.5)
+    return replace(base, d=InterdependenceMatrix([[0.0, 0.6], [0.85, 0.0]]),
+                   pre_history=((14.0, 5.0), (12.0, 7.5)))
+
+
+# SHA-256 over every recorded Trajectory array of a 12-period best-response run.
+PRE_HISTORY_GOLDEN = {
+    0.0: "1f48854607ceec83e444b1997845b4225b64716f53fc5a5e06b38ee874f57bfd",
+    0.5: "1eb340727e5608a07965a116d4cfc8c2c1d8b7d987b701746644fa643e970ca6",
+    1.3: "2d1a96c68f0258527ed4efe98bc82ca4fb23b6360c4802290e46e8c37e48a3a2",
+}
+
+
+@pytest.mark.parametrize("eta", sorted(PRE_HISTORY_GOLDEN))
+def test_best_response_pre_history_checksums(eta):
+    traj = run(_pre_history_scenario(eta), SimConfig(horizon=12, mode="best_response"))
+    h = hashlib.sha256()
+    for name in ("actions", "baselines", "norms", "trust", "reputation", "signal",
+                 "recip_term", "converged"):
+        h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+    assert h.hexdigest() == PRE_HISTORY_GOLDEN[eta], f"eta={eta} moved ({_machine()})"
