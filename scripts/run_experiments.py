@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
-from coopsim.reciprocity import History
 from coopsim.scenario import ScenarioConfig, pd_scenario, symmetric_matrix
 from coopsim.solver import SolverConfig, solve_equilibrium
 from coopsim.sweep import REFERENCE_CELL, SweepProtocol, measure_cell, measure_forgiveness_time
@@ -69,9 +68,7 @@ def experiment_5():
     print("experiment 5: reciprocity inside a team")
     team = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
                       unit_cost=1.0, loyalty=(0.2, 0.5, 0.8), phi_b=0.8, phi_c=0.3)
-    hist = History(3)
-    for _ in range(3):
-        hist.append([0.5, 0.5, 0.5])
+    own_avg = (0.5, 0.5, 0.5)  # every member's average over the last 3 periods
     for lambda_r in (0.0, 1.0):
         scen = ScenarioConfig(
             labels=("low", "mid", "high"),
@@ -84,9 +81,8 @@ def experiment_5():
             a_init=(0.5,) * 3,
             team=team,
         )
-        res = solve_equilibrium(scen, hist, trust_matrix(3, 0.7),
-                                SolverConfig(grid_points=201),
-                                warm_start=scen.a_init, period=4)
+        res = solve_equilibrium(scen, own_avg, trust_matrix(3, 0.7),
+                                SolverConfig(grid_points=201), warm_start=scen.a_init)
         total = sum(res.actions)
         output = team.omega_prod * total**team.beta_team
         print(f"  lambda_r = {lambda_r}: efforts "

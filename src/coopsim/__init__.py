@@ -1,7 +1,7 @@
 """Deterministic simulation, equilibrium solving, and validation harness for
 reciprocity-augmented strategic coopetition among interdependent actors."""
 
-from .errors import ConfigurationError, DependencyTableError, UndefinedBaselineError
+from .errors import ConfigurationError, DependencyTableError
 from .params import (
     ActorId,
     DependencyEntry,
@@ -14,12 +14,9 @@ from .params import (
     reciprocity_sensitivity,
 )
 from .reciprocity import (
-    CooperationSignal,
-    History,
     bounded_response,
     cooperation_signal,
     gated_reciprocity_term,
-    moving_average,
     reciprocity_response,
 )
 from .scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, reference_scenario

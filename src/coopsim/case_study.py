@@ -31,6 +31,7 @@ from .params import (
     TrustParams,
     compute_interdependence,
 )
+from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory, run
 
@@ -343,17 +344,12 @@ class RubricScore:
 
 def _gate_matrix(traj: Trajectory, phases: Sequence[PhaseSpec]) -> list[tuple[float, float]]:
     """Per phase: (developer-side, platform-side) mean trust-gated response weights."""
-    recip = IOS_RECIP
-    d = ios_interdependence().values
+    gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
     out = []
     for p in phases:
-        tr = traj.trust[p.start - 1 : p.end]
-        dev = apple = 0.0
-        for i, j in ((1, 0), (2, 0)):
-            dev += float(tr[:, i, j].mean()) * (1 + recip.omega_amp * d[i, j]) * recip.sensitivity(d[i, j])
-        for i, j in ((0, 1), (0, 2)):
-            apple += float(tr[:, i, j].mean()) * (1 + recip.omega_amp * d[i, j]) * recip.sensitivity(d[i, j])
-        out.append((dev, apple))
+        weighted = traj.trust[p.start - 1 : p.end].mean(axis=0) * gate
+        out.append((float(weighted[1, 0] + weighted[2, 0]),
+                    float(weighted[0, 1] + weighted[0, 2])))
     return out
 
 

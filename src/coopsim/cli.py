@@ -43,7 +43,7 @@ def _default_seed(value) -> int:
     if value is not None:
         return int(value)
     env = os.environ.get("COOP_SEED")
-    return int(env) if env else 42
+    return files.parse_number(env, "COOP_SEED", int) if env else 42
 
 
 def _out_path(out_dir: str, name: str) -> str:

@@ -7,11 +7,3 @@ class ConfigurationError(ValueError):
 
 class DependencyTableError(ConfigurationError):
     """Raised for ill-formed dependency tables (e.g. zero weight sum for a pair)."""
-
-
-class UndefinedBaselineError(ValueError):
-    """Raised when a moving-average baseline is requested with no history.
-
-    Callers are expected to catch this at period 1 and substitute the
-    configured initial baseline.
-    """

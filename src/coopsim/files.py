@@ -71,8 +71,19 @@ def _single(kv: dict[str, list[str]], key: str, default: Optional[str] = None) -
     return vals[0]
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def parse_number(raw: str, key: str, kind: type = float):
+    """``kind(raw)`` for one numeric field; a malformed number is a
+    ConfigurationError naming ``key``.  Range and finiteness checks stay
+    with the parameter blocks' validators."""
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {what}, got {raw.strip()!r}") from None
+
+
+def _floats(text: str, key: str) -> tuple[float, ...]:
+    return tuple(parse_number(x, key) for x in text.split(","))
 
 
 # -- scenario files ----------------------------------------------------------
@@ -150,13 +161,13 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
         j = index.get(parts[1])
         if i is None or j is None:
             raise ConfigurationError(f"interdependence entry names unknown actor: {entry!r}")
-        d[i, j] = float(parts[2])
+        d[i, j] = parse_number(parts[2], "d")
 
     def vec(key: str, default: Optional[tuple[float, ...]]) -> Optional[tuple[float, ...]]:
         raw = _single(kv, key)
         if raw is None:
             return default
-        v = _floats(raw)
+        v = _floats(raw, key)
         if len(v) != n:
             raise ConfigurationError(f"{key} must list one value per actor")
         return v
@@ -165,12 +176,12 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
     for key in _RECIP_KEYS:
         raw = _single(kv, key)
         if raw is not None:
-            recip_kwargs[key] = int(raw) if key == "memory_k" else float(raw)
+            recip_kwargs[key] = parse_number(raw, key, int if key == "memory_k" else float)
     trust_kwargs = {}
     for key in _TRUST_KEYS:
         raw = _single(kv, key)
         if raw is not None:
-            trust_kwargs[key] = float(raw)
+            trust_kwargs[key] = parse_number(raw, key)
 
     econ_kwargs = {}
     endow = vec("endowments", None)
@@ -180,7 +191,7 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
     for key in ("theta_v", "power_beta", "gamma"):
         raw = _single(kv, key)
         if raw is not None:
-            econ_kwargs[key] = float(raw)
+            econ_kwargs[key] = parse_number(raw, key)
     form = _single(kv, "value_form")
     if form is not None:
         econ_kwargs["value_form"] = form
@@ -196,7 +207,8 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
                 actor = int(parts[1])
             except ValueError:
                 raise ConfigurationError(f"shock names unknown actor: {entry!r}") from None
-        shocks.append(Shock(period=int(parts[0]), actor=actor, delta=float(parts[2])))
+        shocks.append(Shock(period=parse_number(parts[0], "shock period", int), actor=actor,
+                            delta=parse_number(parts[2], "shock delta")))
 
     scenario = ScenarioConfig(
         labels=labels,
@@ -213,16 +225,16 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
     for key in _SIM_FLOAT_KEYS:
         raw = _single(kv, key)
         if raw is not None:
-            sim_kwargs[key] = float(raw)
+            sim_kwargs[key] = parse_number(raw, key)
     horizon = _single(kv, "horizon")
     if horizon is not None:
-        sim_kwargs["horizon"] = int(horizon)
+        sim_kwargs["horizon"] = parse_number(horizon, "horizon", int)
     mode = _single(kv, "mode")
     if mode is not None:
         sim_kwargs["mode"] = mode
     seed = _single(kv, "seed")
     if seed is not None:
-        sim_kwargs["seed"] = int(seed)
+        sim_kwargs["seed"] = parse_number(seed, "seed", int)
     sim = SimConfig(shocks=tuple(shocks), **sim_kwargs)
     return scenario, sim
 
@@ -276,8 +288,9 @@ def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEnt
         entries.append(
             DependencyEntry(
                 depender=actor(depender), dependee=actor(dependee),
-                dependum=dependum.strip(), weight=float(weight),
-                exists=bool(int(exists)), criticality=float(crit),
+                dependum=dependum.strip(), weight=parse_number(weight, "weight"),
+                exists=bool(parse_number(exists, "exists", int)),
+                criticality=parse_number(crit, "criticality"),
             )
         )
     return tuple(labels), entries
@@ -293,7 +306,7 @@ def parse_grid(text: str) -> ParameterGrid:
             raise ConfigurationError(f"unknown grid parameter {key!r}")
         if len(vals) > 1:
             raise ConfigurationError(f"grid parameter {key!r} given more than once")
-        levels[key] = _floats(vals[0])
+        levels[key] = _floats(vals[0], key)
     return ParameterGrid(levels)
 
 

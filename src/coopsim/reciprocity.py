@@ -1,4 +1,4 @@
-"""History tracking, cooperation signals, and the bounded reciprocity response.
+"""Cooperation signals, the bounded reciprocity response, and the trust gate.
 
 The conditional-cooperation chain is:
 
@@ -7,89 +7,56 @@ The conditional-cooperation chain is:
     weighted R_ij = rho_ij * phi(s)             (sensitivity-scaled response)
     gated    lambda_r * T_ij * (1 + omega * D_ij) * rho_ij * phi(s)
 
-The baseline can be a k-window moving average of the partner's own recent
-actions (self-referential norms), a slowly adapting per-actor baseline, or
-a fixed reference level; the simulation engine selects the strategy per
-scenario.
+The scalar functions are the reference formulas.  :func:`gate_weights` is
+the one array implementation of the gate, ``lambda_r * (1 + omega * D) *
+rho`` without ``T * phi``, shared by the engine, the solver and the case
+study.  The baseline is the engine's: a k-window moving average of the
+partner's own recent actions (self-referential norms), a slowly adapting
+per-actor baseline, or a fixed reference level, selected per scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
-from .errors import UndefinedBaselineError
+import numpy as np
+
+from .params import ReciprocityParams
 
 
-class History:
-    """Append-only per-actor action history with windowed mean queries.
+def _sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Per-row sensitivity rho = rho0 * D ** eta on (B, n, n) coefficients.
 
-    One entry per completed period, in period order.  Window queries for
-    period ``t`` only ever read periods strictly before ``t``; the current
-    period's actions are not part of any baseline.  A scenario may seed
-    pre-period-1 rows (periods 0, -1, ...) so the window is populated from
-    the start; real periods stay 1-indexed.
+    Zero-dependency pairs get 0, and rho0 when eta = 0 (0 ** 0 is 1).
+    Powers are taken one eta value at a time with a Python float exponent,
+    as ``D ** eta`` is for a single run: numpy special-cases some scalar
+    exponents (0.5 takes a square root), whose bits differ from an
+    elementwise power.
     """
-
-    def __init__(self, n_actors: int, pre: Sequence[Sequence[float]] = ()):
-        self._n = n_actors
-        self._rows: list[tuple[float, ...]] = []
-        for row in pre:
-            self.append(row)
-        self._pre = len(self._rows)
-
-    @property
-    def n_actors(self) -> int:
-        return self._n
-
-    def __len__(self) -> int:
-        """Completed real periods (pre-history excluded)."""
-        return len(self._rows) - self._pre
-
-    def append(self, actions) -> None:
-        row = tuple(float(a) for a in actions)
-        if len(row) != self._n:
-            raise ValueError(f"expected {self._n} actions, got {len(row)}")
-        self._rows.append(row)
-
-    def action(self, actor: int, period: int) -> float:
-        """Action of ``actor`` at 1-indexed ``period`` (<= 0 reads pre-history)."""
-        return self._rows[period - 1 + self._pre][actor]
-
-    def window(self, actor: int, t: int, k: int) -> list[float]:
-        """Actions of ``actor`` over periods max(1 - pre, t-k) .. t-1."""
-        if t > len(self) + 1:
-            raise ValueError(f"period {t} not reached yet (history has {len(self)})")
-        lo = max(1 - self._pre, t - k)
-        return [self._rows[p - 1 + self._pre][actor] for p in range(lo, t)]
+    power = np.empty_like(d)
+    for e in set(eta.tolist()):
+        rows = eta == e
+        power[rows] = d[rows] ** e
+    return rho0[:, None, None] * power
 
 
-def moving_average(history: History, actor: int, t: int, k: int) -> float:
-    """Mean of ``actor``'s actions over the most recent ``k`` periods before ``t``.
+def gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
+    """lambda_r * (1 + omega * D) * rho per row: the gated term without T * phi.
 
-    For t <= k the window simply contains all available history.  At t = 1
-    there is no history at all and the baseline is undefined; callers
-    substitute the configured initial baseline.
+    ``d`` is (B, n, n); ``recip`` holds (B,) columns keyed by the
+    :class:`ReciprocityParams` field names.  The diagonal is not zeroed:
+    with eta = 0 it carries rho0.
     """
-    if k < 1:
-        raise ValueError(f"window length must be >= 1, got {k}")
-    win = history.window(actor, t, k) if t >= 1 else []
-    if not win:
-        raise UndefinedBaselineError(
-            f"no history before period {t}; use the configured initial baseline"
-        )
-    return sum(win) / len(win)
+    return (recip["lambda_r"][:, None, None]
+            * (1.0 + recip["omega_amp"][:, None, None] * d)
+            * _sensitivity(d, recip["rho0"], recip["eta"]))
 
 
-@dataclass(frozen=True)
-class CooperationSignal:
-    """Observed deviation of actor ``observed`` from its baseline, in action units."""
-
-    value: float
-    observer: int
-    observed: int
-    period: int
+def gate_matrix(d: np.ndarray, recip: ReciprocityParams) -> np.ndarray:
+    """The (n, n) gate weights of one parameter block."""
+    rows = {f: np.array([getattr(recip, f)]) for f in ("rho0", "eta", "lambda_r", "omega_amp")}
+    return gate_weights(d[None], rows)[0]
 
 
 def cooperation_signal(a_j_t: float, baseline: float) -> float:

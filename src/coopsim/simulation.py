@@ -13,7 +13,8 @@ two-layer trust state, then advance actions by the selected rule:
                   - decay * (a_i - norm_i) + noise + shock)
 
 - ``best_response`` mode replaces the action update with a fresh
-  equilibrium solve given the current history and trust.
+  equilibrium solve given each actor's own windowed average and the
+  current trust.
 
 Reference levels.  The *cooperation signal* recorded per dyad and driving
 the trust/reputation updates is always the canonical bounded-memory
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .params import ReciprocityParams, TrustParams
-from .reciprocity import History
+from .reciprocity import gate_weights
 from .rng import normal
 from .scenario import BASELINE_MODES, ScenarioConfig, Shock, SimConfig
 
@@ -143,8 +144,8 @@ class RunBatch:
         )
 
 
-# Best-response rule: (history, trust, actions, next period) -> solve result.
-BestResponse = Callable[[History, np.ndarray, np.ndarray, int], object]
+# Best-response rule: (own averages for the next period, trust, actions) -> solve result.
+BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
 # Per-period observer: (period index, state arrays keyed like Trajectory fields).
 Observer = Callable[[int, Mapping[str, np.ndarray]], None]
 
@@ -156,30 +157,6 @@ def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
     out = np.empty(col.shape + shape)
     out[...] = col.reshape(col.shape + (1,) * len(shape))
     return out
-
-
-def _sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-row sensitivity rho = rho0 * D ** eta on (B, n, n) coefficients.
-
-    Zero-dependency pairs get 0 (rho0 when eta = 0).  Powers are taken one
-    eta value at a time with a Python float exponent, as ``D ** eta`` is for
-    a single run: numpy special-cases some scalar exponents (0.5 takes a
-    square root), whose bits differ from an elementwise power.
-    """
-    power = np.empty_like(d)
-    for e in set(eta.tolist()):
-        rows = eta == e
-        power[rows] = d[rows] ** e
-    rho0 = rho0[:, None, None]
-    return np.where(d > 0.0, rho0 * power,
-                    np.where(eta[:, None, None] == 0.0, rho0, 0.0))
-
-
-def _gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
-    """lambda_r * (1 + omega * D) * rho per row: the gated term without T * phi."""
-    return (recip["lambda_r"][:, None, None]
-            * (1.0 + recip["omega_amp"][:, None, None] * d)
-            * _sensitivity(d, recip["rho0"], recip["eta"]))
 
 
 def _signals(actions: np.ndarray, baselines: np.ndarray) -> np.ndarray:
@@ -260,7 +237,8 @@ def run_batch(batch: RunBatch, observe: Observer,
     fields, which the kernel reuses, so the observer copies what it keeps.
     Without ``best_response`` every row follows the adjustment rule; with
     it the batch must have one row, whose actions after period 1 come from
-    ``best_response(history, trust, actions, period)``.
+    ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
+    actor's windowed average for the period being chosen.
     """
     B, n = batch.a_init.shape
     H = int(batch.horizon.max())
@@ -268,7 +246,7 @@ def run_batch(batch: RunBatch, observe: Observer,
         raise ValueError("best-response mode runs one row at a time")
     d = batch.d
 
-    gate = _gate_weights(d, batch.recip)
+    gate = gate_weights(d, batch.recip)
     kappa = _per_row(batch.recip["kappa"], (n, n))
     k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
     reach = [None if o <= k.min() else _per_row(k[:, 0] >= o, (n,))
@@ -295,7 +273,6 @@ def run_batch(batch: RunBatch, observe: Observer,
     P = pre.shape[0]
     hist = np.empty((P + H, B, n))  # pre-history, then every period's actions
     hist[:P] = pre
-    history = History(n, pre=pre[:, 0]) if best_response is not None else None
 
     actions = np.array(batch.a_init, dtype=float)
     norms = initial.copy()
@@ -311,9 +288,9 @@ def run_batch(batch: RunBatch, observe: Observer,
         actions[b, i] += delta
     np.clip(actions, 0.0, a_max, out=actions)
 
+    b_win = _window_means(hist, P, k, reach, initial)
     for t in range(1, H + 1):
         idx = t - 1
-        b_win = _window_means(hist, P + idx, k, reach, initial)
         s_win = _signals(actions, b_win)
         if windowed_rule:
             s_rule = s_win
@@ -332,14 +309,14 @@ def run_batch(batch: RunBatch, observe: Observer,
         if t == H:
             break
 
+        # Actions through period t are known when choosing t+1 actions.
+        b_next = _window_means(hist, P + t, k, reach, initial)
         if best_response is None:
             nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
             for b, sigma, seed in noisy:
                 nxt[b] = nxt[b] + sigma * np.array([normal(seed, i, t + 1) for i in range(n)])
         else:
-            # History through period t is available when choosing t+1 actions.
-            history.append(actions[0])
-            result = best_response(history, trust[0], actions[0], t + 1)
+            result = best_response(b_next[0], trust[0], actions[0])
             converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 
@@ -350,7 +327,7 @@ def run_batch(batch: RunBatch, observe: Observer,
         np.clip(nxt, 0.0, a_max, out=nxt)
 
         norms += norm_rate * (actions - norms)
-        actions = nxt
+        actions, b_win = nxt, b_next
 
 
 def record_batch(batch: RunBatch, labels: tuple[str, ...],
@@ -399,30 +376,10 @@ def run(
 
         config = SolverConfig() if solver is None else solver
 
-        def respond(history, trust, actions, period):
-            return solve_equilibrium(scenario, history, trust, config,
-                                     warm_start=actions, period=period)
+        def respond(own_avg, trust, actions):
+            return solve_equilibrium(scenario, own_avg, trust, config, warm_start=actions)
 
     return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
-
-
-def step_best_response(
-    scenario: ScenarioConfig,
-    actions,
-    trust,
-    history: Optional[History] = None,
-    solver=None,
-    period: int = 1,
-):
-    """Single best-response step: the period equilibrium from a warm start."""
-    from .solver import SolverConfig, solve_equilibrium
-
-    if solver is None:
-        solver = SolverConfig()
-    return solve_equilibrium(
-        scenario, history, np.asarray(trust, dtype=float), solver,
-        warm_start=actions, period=period,
-    )
 
 
 def step_adjustment(
@@ -442,6 +399,6 @@ def step_adjustment(
     anchors = b if norms is None else np.asarray(norms, dtype=float)[None]
     tr = np.asarray(trust, dtype=float)[None]
     s = _signals(a, b)
-    term = _gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
+    term = gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
     nxt = a + sim.adjust_rate * term.sum(axis=2) - sim.decay * (a - anchors)
     return np.clip(nxt, 0.0, batch.a_max)[0]

@@ -20,7 +20,10 @@ own signal:
 
 whose marginal at the neutral point is lambda_r * T * (1 + omega D) * rho
 * kappa -- the anticipated-reciprocity margin that the cooperation
-threshold ``critical_rho`` is built from.
+threshold ``critical_rho`` is built from.  ``own_avg`` is each actor's
+windowed average, which the engine computes (``scenario.baseline_init``
+when none is given), and the gate sums come from the shared
+:func:`~coopsim.reciprocity.gate_weights`, once per solve.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UndefinedBaselineError
-from .reciprocity import History, moving_average
+from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig
 from .utility import individual_value, private_payoff, team_utility
 
@@ -82,38 +84,17 @@ def argmax_on_grid(fn, grid: Sequence[float]) -> float:
     return float(best_x)
 
 
-def _own_averages(
-    scenario: ScenarioConfig, history: Optional[History], period: int
-) -> np.ndarray:
+def _own_avg(scenario: ScenarioConfig, own_avg: Optional[Sequence[float]]) -> np.ndarray:
     """Each actor's recent-average action, the reference for its own signal."""
-    n = scenario.n
-    k = scenario.recip.memory_k
-    out = np.array(scenario.baseline_init, dtype=float)
-    if history is not None:
-        t = min(period, len(history) + 1)
-        for j in range(n):
-            try:
-                out[j] = moving_average(history, j, t, k)
-            except UndefinedBaselineError:
-                pass
-    return out
+    return np.array(scenario.baseline_init if own_avg is None else own_avg, dtype=float)
 
 
-def _anticipation_gate(i: int, scenario: ScenarioConfig, trust_row: np.ndarray) -> float:
-    """Total weight on the anticipated own-signal response for actor i."""
-    recip = scenario.recip
-    d = scenario.d.values
-    gate = 0.0
-    for j in range(scenario.n):
-        if j == i:
-            continue
-        gate += (
-            recip.lambda_r
-            * float(trust_row[j])
-            * (1.0 + recip.omega_amp * d[i, j])
-            * recip.sensitivity(d[i, j])
-        )
-    return gate
+def _gate_sums(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
+    """Each actor's total weight on its anticipated own-signal response:
+    row sums of the gated weights times trust over its partners."""
+    weights = gate_matrix(scenario.d.values, scenario.recip) * trust
+    np.fill_diagonal(weights, 0.0)
+    return weights.sum(axis=1)
 
 
 def _objective(
@@ -122,9 +103,11 @@ def _objective(
     actions: np.ndarray,
     own_avg: float,
     trust_row: np.ndarray,
+    gate: float,
     scenario: ScenarioConfig,
 ) -> float:
-    """Scalar best-response objective (reference path, used by the oracle)."""
+    """Scalar best-response objective (reference path, used by the oracle);
+    ``gate`` is actor i's entry of :func:`_gate_sums`."""
     a = actions.copy()
     a[i] = a_i
     tr = scenario.trust
@@ -139,9 +122,7 @@ def _objective(
             total += d[i, j] * (1.0 + tr.lambda_t * float(trust_row[j])) * private_payoff(
                 j, a, scenario.econ
             )
-    total += _anticipation_gate(i, scenario, trust_row) * math.tanh(
-        scenario.recip.kappa * (a_i - own_avg)
-    )
+    total += gate * math.tanh(scenario.recip.kappa * (a_i - own_avg))
     return total
 
 
@@ -151,6 +132,7 @@ def _objective_grid(
     actions: np.ndarray,
     own_avg: float,
     trust_row: np.ndarray,
+    gate: float,
     scenario: ScenarioConfig,
 ) -> np.ndarray:
     """Vectorized objective over a candidate grid for actor i."""
@@ -200,9 +182,7 @@ def _objective_grid(
             )
             total = total + d[i, j] * (1.0 + tr.lambda_t * float(trust_row[j])) * pi_j
 
-    total = total + _anticipation_gate(i, scenario, trust_row) * np.tanh(
-        scenario.recip.kappa * (grid - own_avg)
-    )
+    total = total + gate * np.tanh(scenario.recip.kappa * (grid - own_avg))
     return total
 
 
@@ -230,11 +210,12 @@ def _best_response_value(
     actions: np.ndarray,
     own_avg: float,
     trust_row: np.ndarray,
+    gate: float,
     scenario: ScenarioConfig,
     grid: np.ndarray,
     refine: bool,
 ) -> float:
-    values = _objective_grid(i, grid, actions, own_avg, trust_row, scenario)
+    values = _objective_grid(i, grid, actions, own_avg, trust_row, gate, scenario)
     # Smallest maximizing grid point (tie-break toward less action).
     best = float(values.max())
     idx = int(np.nonzero(values > best - 1e-12)[0][0])
@@ -244,9 +225,9 @@ def _best_response_value(
     lo = float(grid[max(0, idx - 1)])
     hi = float(grid[min(len(grid) - 1, idx + 1)])
     xr = _golden_refine(
-        lambda v: _objective(i, v, actions, own_avg, trust_row, scenario), lo, hi
+        lambda v: _objective(i, v, actions, own_avg, trust_row, gate, scenario), lo, hi
     )
-    return xr if _objective(i, xr, actions, own_avg, trust_row, scenario) >= best else x
+    return xr if _objective(i, xr, actions, own_avg, trust_row, gate, scenario) >= best else x
 
 
 def best_response(
@@ -254,31 +235,32 @@ def best_response(
     actions: Sequence[float],
     scenario: ScenarioConfig,
     trust: np.ndarray,
-    history: Optional[History] = None,
+    own_avg: Optional[Sequence[float]] = None,
     solver: SolverConfig = SolverConfig(),
-    period: int = 1,
 ) -> float:
     """Best response of actor i to the given partner actions."""
     arr = np.asarray(actions, dtype=float)
-    own_avg = float(_own_averages(scenario, history, period)[i])
+    reference = float(_own_avg(scenario, own_avg)[i])
+    gate = float(_gate_sums(scenario, trust)[i])
     grid = np.linspace(0.0, scenario.a_max[i], solver.grid_points)
-    return _best_response_value(i, arr, own_avg, trust[i], scenario, grid, solver.refine)
+    return _best_response_value(i, arr, reference, trust[i], gate, scenario, grid,
+                                solver.refine)
 
 
 def solve_equilibrium(
     scenario: ScenarioConfig,
-    history: Optional[History],
+    own_avg: Optional[Sequence[float]],
     trust: np.ndarray,
     solver: SolverConfig = SolverConfig(),
     warm_start: Optional[Sequence[float]] = None,
-    period: int = 1,
 ) -> EquilibriumResult:
     """Iterate simultaneous best responses until the profile settles."""
     n = scenario.n
     actions = np.array(
         warm_start if warm_start is not None else scenario.a_init, dtype=float
     )
-    own_avg = _own_averages(scenario, history, period)
+    reference = _own_avg(scenario, own_avg)
+    gates = _gate_sums(scenario, trust)
     grids = [np.linspace(0.0, scenario.a_max[i], solver.grid_points) for i in range(n)]
 
     residual = math.inf
@@ -286,7 +268,8 @@ def solve_equilibrium(
         nxt = np.empty(n)
         for i in range(n):
             nxt[i] = _best_response_value(
-                i, actions, float(own_avg[i]), trust[i], scenario, grids[i], solver.refine
+                i, actions, float(reference[i]), trust[i], float(gates[i]), scenario,
+                grids[i], solver.refine,
             )
         residual = float(np.max(np.abs(nxt - actions)))
         actions = nxt
@@ -321,8 +304,7 @@ def exhaustive_nash(
     scenario: ScenarioConfig,
     trust: np.ndarray,
     grid_points: int,
-    history: Optional[History] = None,
-    period: int = 1,
+    own_avg: Optional[Sequence[float]] = None,
     tol: float = 1e-9,
 ) -> list[tuple[float, float]]:
     """All pure Nash profiles of the discretized two-actor game (oracle).
@@ -333,7 +315,8 @@ def exhaustive_nash(
     """
     if scenario.n != 2:
         raise ValueError("exhaustive search oracle is implemented for 2 actors")
-    own_avg = _own_averages(scenario, history, period)
+    reference = _own_avg(scenario, own_avg)
+    gates = _gate_sums(scenario, trust)
     g0 = np.linspace(0.0, scenario.a_max[0], grid_points)
     g1 = np.linspace(0.0, scenario.a_max[1], grid_points)
     pay0 = np.empty((grid_points, grid_points))
@@ -341,8 +324,8 @@ def exhaustive_nash(
     for r, a0 in enumerate(g0):
         for c, a1 in enumerate(g1):
             prof = np.array([a0, a1])
-            pay0[r, c] = _objective(0, a0, prof, own_avg[0], trust[0], scenario)
-            pay1[r, c] = _objective(1, a1, prof, own_avg[1], trust[1], scenario)
+            pay0[r, c] = _objective(0, a0, prof, reference[0], trust[0], gates[0], scenario)
+            pay1[r, c] = _objective(1, a1, prof, reference[1], trust[1], gates[1], scenario)
     best0 = pay0.max(axis=0)
     best1 = pay1.max(axis=1)
     out = []

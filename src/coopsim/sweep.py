@@ -542,15 +542,22 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
     The t test and effect size compare the per-cell response magnitudes;
     the Wilcoxon test checks the ratio distribution against the 1.5
     differentiation threshold (one sided); the bootstrap interval covers
-    the mean ratio.
+    the mean ratio.  A grid too small for these tests is a configuration
+    error.
     """
     high = [r.response_high for r in results]
     low = [r.response_low for r in results]
     ratios = [r.ratio for r in results if math.isfinite(r.ratio)]
-    t, df, p, _ = paired_ttest(high, low)
-    d, _ = cohens_d(high, low)
-    lo, hi = bootstrap_ci(ratios, seed=seed)
-    w_stat, w_p, _ = wilcoxon_signed_rank(ratios, 1.5)
+    try:
+        t, df, p, _ = paired_ttest(high, low)
+        d, _ = cohens_d(high, low)
+        lo, hi = bootstrap_ci(ratios, seed=seed)
+        w_stat, w_p, _ = wilcoxon_signed_rank(ratios, 1.5)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"a {len(results)}-cell grid is too small for the differentiation "
+            f"statistics: {exc}"
+        ) from None
     arr = np.asarray(ratios)
     return StatsSummary(
         mean=float(arr.mean()), sd=float(arr.std(ddof=1)),

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError
-from .files import parse_keyvalues
+from .files import parse_keyvalues, parse_number
 from .params import (
     DependencyEntry,
     EconomyParams,
@@ -236,8 +236,8 @@ def translate(
     lambda_t = elicited("lambda_t", 7, "trust integration", 0.0, 5.0, 1.0)
 
     baseline_mode = (kv.get("baseline_mode") or ["moving_average"])[-1].strip()
-    horizon = int((kv.get("horizon") or ["40"])[-1])
-    seed = int((kv.get("seed") or ["42"])[-1])
+    horizon = parse_number((kv.get("horizon") or ["40"])[-1], "horizon", int)
+    seed = parse_number((kv.get("seed") or ["42"])[-1], "seed", int)
 
     recip = ReciprocityParams(
         rho0=rho0, eta=eta, kappa=kappa, memory_k=memory_k,
@@ -273,7 +273,8 @@ def translate(
     gap = None
     gap_advice: tuple[str, ...] = ()
     if "rho0_target" in kv and "rho0_observed" in kv:
-        gap = float(kv["rho0_target"][-1]) - float(kv["rho0_observed"][-1])
+        gap = (parse_number(kv["rho0_target"][-1], "rho0_target")
+               - parse_number(kv["rho0_observed"][-1], "rho0_observed"))
         if gap > GAP_THRESHOLD:
             gap_advice = (
                 GAP_INTERVENTIONS["low_sensitivity"],

@@ -24,16 +24,10 @@ from .params import TrustParams
 
 @dataclass(frozen=True)
 class DyadState:
-    """Per ordered pair (observer i, observed j): trust, reputation, baseline.
-
-    ``baseline`` is the adaptive cooperation baseline used for signal
-    formation when the scenario runs with adaptive baselines; it is carried
-    here so a dyad snapshot is self-contained.
-    """
+    """Per ordered pair (observer i, observed j): trust and reputation."""
 
     trust: float
     reputation: float = 0.0
-    baseline: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.trust <= 1.0:

@@ -23,8 +23,9 @@ import pytest
 from coopsim import case_study as cs
 from coopsim.params import TrustParams, reciprocity_sensitivity
 from coopsim.propositions import check_prop2, check_prop3
-from coopsim.reciprocity import History, bounded_response, cooperation_signal, moving_average
-from coopsim.scenario import reference_scenario
+from coopsim.reciprocity import bounded_response, cooperation_signal
+from coopsim.scenario import SimConfig, reference_scenario
+from coopsim.simulation import run
 from coopsim.solver import SolverConfig, exhaustive_nash, solve_equilibrium
 from coopsim.sweep import (
     FULL_GRID,
@@ -267,18 +268,22 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
 # -- criterion 11: brute-force invariant suite -----------------------------------
 
 def test_criterion_11_moving_average_oracle():
+    # the engine's windowed baselines for a scripted actor, against the
+    # direct mean of the window before each period
     rng = random.Random(1234)
-    for _ in range(1000):
+    windows = 0
+    for _ in range(100):
         n = rng.randint(1, 40)
         values = [rng.uniform(0, 20) for _ in range(n)]
-        h = History(1)
-        for v in values:
-            h.append([v])
-        t = rng.randint(2, n + 1)
         k = rng.randint(1, 25)
-        expected = statistics.fmean(values[max(0, t - 1 - k) : t - 1])
-        assert moving_average(h, 0, t, k) == pytest.approx(expected, rel=1e-12)
-    report("11/moving-average", "1000 random windows match the direct mean")
+        traj = run(reference_scenario(memory_k=k), SimConfig(horizon=n + 1, noise_sigma=0.0),
+                   script={0: dict(enumerate(values, start=1))})
+        for t in range(2, n + 2):
+            expected = statistics.fmean(values[max(0, t - 1 - k) : t - 1])
+            assert traj.baselines[t - 1, 0] == pytest.approx(expected, rel=1e-12)
+            windows += 1
+    assert windows >= 1000
+    report("11/moving-average", f"{windows} engine windows match the direct mean")
 
 
 def test_criterion_11_bounded_response_fuzz():

@@ -55,6 +55,11 @@ class TestSimulate:
             os.path.join(out2, "trajectory.csv")
         )
 
+    def test_malformed_coop_seed_exits_one(self, scenario_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COOP_SEED", "seven")
+        assert main(["simulate", "--scenario", scenario_file, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: COOP_SEED must be an integer")
+
     def test_unknown_flag_exits_one(self, scenario_file, tmp_path):
         assert main(["simulate", "--scenario", scenario_file,
                      "--out", str(tmp_path), "--bogus"]) == 1
@@ -70,6 +75,29 @@ class TestSimulate:
         out = str(tmp_path / "o")
         assert main(["simulate", "--scenario", str(scen), "--out", out]) == 1
         assert "error: rho0 must be finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("rho0 = 1.0", "rho0 = nan.0", "rho0"),
+        ("memory_k = 5", "memory_k = 4.5", "memory_k"),
+        ("a_max = 40.0,40.0", "a_max = 40.0,4o", "a_max"),
+        ("d = A,B,0.8", "d = A,B,0,8", None),
+        ("d = A,B,0.8", "d = A,B,high", "d"),
+        ("seed = 42", "seed = 42\nshock = soon,A,0.1", "shock period"),
+        ("seed = 42", "seed = 42\nshock = 2,A,-", "shock delta"),
+        ("horizon = 5", "horizon = 5.5", "horizon"),
+    ])
+    def test_malformed_number_exits_one(self, tmp_path, capsys, old, new, key):
+        text = scenario_to_text(reference_scenario(), SimConfig(horizon=5))
+        assert old in text
+        scen = tmp_path / "bad.conf"
+        scen.write_text(text.replace(old, new))
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--scenario", str(scen), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if key is not None:
+            assert err.startswith(f"error: {key} must be ")
         assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
@@ -89,6 +117,21 @@ class TestSweepCommand:
         grid.write_text(TINY_GRID + "d = 0.5,nan\n")
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_level_exits_one(self, tmp_path, capsys):
+        grid = tmp_path / "bad.grid"
+        grid.write_text(TINY_GRID + "d = 0.5,high\n")
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: d must be a number")
+
+    def test_grid_too_small_for_statistics_exits_one(self, tmp_path, capsys):
+        # 4 cells give fewer than the 6 ratios the Wilcoxon test needs
+        grid = tmp_path / "four.grid"
+        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,1.5\n")
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: a 4-cell grid is too small")
+        assert not os.path.exists(os.path.join(out, "targets.csv"))
 
     def test_parallel_is_accepted_and_ignored(self, tmp_path):
         grid = tmp_path / "tiny.grid"
@@ -169,6 +212,27 @@ class TestTranslateCommand:
         assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
                      "--elicit", str(elicit), "--out", out]) == 0
         assert "rho0 = 0.85" in read(out).decode()
+
+    @pytest.mark.parametrize("column", ["weight", "exists", "criticality"])
+    def test_malformed_dependency_number_exits_one(self, tmp_path, capsys, column):
+        with open(cs.ios_dependency_csv_path(), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index(column)] = "n/a"
+        deps = tmp_path / "deps.csv"
+        deps.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        assert main(["translate", "--deps", str(deps), "--out", str(tmp_path / "s.conf")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {column} must be ")
+
+    @pytest.mark.parametrize("line", ["horizon = forty", "seed = 4.2",
+                                      "rho0_target = 1.2\nrho0_observed = low"])
+    def test_malformed_elicited_number_exits_one(self, tmp_path, capsys, line):
+        elicit = tmp_path / "elicit.conf"
+        elicit.write_text(line + "\n")
+        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
+                     "--elicit", str(elicit), "--out", str(tmp_path / "s.conf")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_elicitation_exits_one(self, tmp_path):
         elicit = tmp_path / "elicit.conf"

@@ -6,58 +6,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.errors import UndefinedBaselineError
+from coopsim.params import EconomyParams, ReciprocityParams
 from coopsim.reciprocity import (
-    History,
     bounded_response,
     cooperation_signal,
     gated_reciprocity_term,
-    moving_average,
     reciprocity_response,
 )
+from coopsim.scenario import ScenarioConfig, SimConfig, symmetric_matrix
+from coopsim.simulation import run
 
 
-def history_of(values):
-    h = History(1)
-    for v in values:
-        h.append([v])
-    return h
+def baselines_of(values, k, pre=(), initial=0.0):
+    """Windowed baselines the engine records for an actor scripted to play
+    ``values``: entry t - 1 is the baseline in force at period t, one
+    period past the script."""
+    scen = ScenarioConfig(
+        labels=("A", "B"),
+        d=symmetric_matrix(2, 0.5),
+        recip=ReciprocityParams(memory_k=k),
+        econ=EconomyParams(endowments=(1.0, 1.0), alpha=(0.5, 0.5)),
+        a_max=(100.0, 100.0),
+        baseline_init=(initial, initial),
+        pre_history=tuple((v, 0.0) for v in pre),
+    )
+    script = {0: dict(enumerate(values, start=1))}
+    traj = run(scen, SimConfig(horizon=len(values) + 1, noise_sigma=0.0), script=script)
+    return traj.baselines[:, 0]
 
 
 class TestMovingAverage:
     def test_constant_history(self):
-        h = history_of([18.0] * 6)
         for k in (1, 3, 5):
-            assert moving_average(h, 0, 7, k) == 18.0
+            assert baselines_of([18.0] * 6, k)[6] == 18.0
 
     def test_window_mean(self):
-        h = history_of([18.0, 18.0, 18.0, 8.0])
-        assert moving_average(h, 0, 5, 4) == pytest.approx(15.5)
+        assert baselines_of([18.0, 18.0, 18.0, 8.0], 4)[4] == pytest.approx(15.5)
 
     def test_truncated_window_is_full_history(self):
-        h = history_of([4.0, 6.0])
-        assert moving_average(h, 0, 3, 5) == pytest.approx(5.0)
+        assert baselines_of([4.0, 6.0], 5)[2] == pytest.approx(5.0)
 
-    def test_empty_history_raises(self):
-        h = History(1)
-        with pytest.raises(UndefinedBaselineError):
-            moving_average(h, 0, 1, 4)
+    def test_no_history_gives_baseline_init(self):
+        assert baselines_of([3.0], 4, initial=7.25)[0] == 7.25
 
     def test_window_never_reads_current_period(self):
-        h = history_of([1.0, 2.0, 100.0])
         # baseline for period 3 must ignore the period-3 action
-        assert moving_average(h, 0, 3, 5) == pytest.approx(1.5)
+        assert baselines_of([1.0, 2.0, 100.0], 5)[2] == pytest.approx(1.5)
 
     def test_oracle_equivalence_on_random_windows(self):
         rng = random.Random(1234)
-        for _ in range(1000):
+        for _ in range(100):
             n = rng.randint(1, 40)
             values = [rng.uniform(0, 20) for _ in range(n)]
-            h = history_of(values)
-            t = rng.randint(2, n + 1)
             k = rng.randint(1, 25)
-            expected = statistics.fmean(values[max(0, t - 1 - k) : t - 1])
-            assert moving_average(h, 0, t, k) == pytest.approx(expected, rel=1e-12)
+            got = baselines_of(values, k)
+            for t in range(2, n + 2):
+                expected = statistics.fmean(values[max(0, t - 1 - k) : t - 1])
+                assert got[t - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_isolated_deviation_footprint(self):
         # a deviation of size delta at t* adds exactly delta/k to the window
@@ -65,17 +70,14 @@ class TestMovingAverage:
         base, delta, k, t_star = 10.0, -6.0, 4, 8
         values = [base] * 20
         values[t_star - 1] += delta
-        h = history_of(values)
+        got = baselines_of(values, k)
         for t in range(t_star + 1, t_star + k + 1):
-            assert moving_average(h, 0, t, k) == pytest.approx(base + delta / k)
-        assert moving_average(h, 0, t_star + k + 1, k) == pytest.approx(base)
+            assert got[t - 1] == pytest.approx(base + delta / k)
+        assert got[t_star + k] == pytest.approx(base)
 
     def test_pre_history_fills_window(self):
-        h = History(1, pre=[[2.0], [4.0]])
-        assert len(h) == 0
-        assert moving_average(h, 0, 1, 4) == pytest.approx(3.0)
-        h.append([10.0])
-        assert moving_average(h, 0, 2, 2) == pytest.approx(7.0)
+        assert baselines_of([10.0], 4, pre=[2.0, 4.0])[0] == pytest.approx(3.0)
+        assert baselines_of([10.0], 2, pre=[2.0, 4.0])[1] == pytest.approx(7.0)
 
 
 class TestSignalsAndResponses:

@@ -1,0 +1,24 @@
+"""The reproduction scripts run end to end against the package API."""
+
+import importlib.util
+import os
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_experiments(capsys):
+    assert _load("run_experiments").main() == 0
+    out = capsys.readouterr().out
+    for n in range(1, 6):
+        assert f"experiment {n}:" in out
+    assert "payoffs = (50.0, 50.0)" in out
+    # the team solve with each member's own average at 0.5
+    assert "lambda_r = 0.0: efforts" in out and "team output 60.3" in out
+    assert "lambda_r = 1.0: efforts" in out and "team output 64.6" in out

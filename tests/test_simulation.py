@@ -16,7 +16,6 @@ from coopsim.simulation import (
     record_batch,
     run_batch,
     step_adjustment,
-    step_best_response,
 )
 from coopsim.trust import DyadState, update_trust
 
@@ -160,13 +159,6 @@ class TestBestResponseMode:
         a = run(scen, sim)
         b = run(scen, sim)
         assert np.array_equal(a.actions, b.actions)
-
-    def test_step_best_response_wrapper(self):
-        scen = pd_scenario(rho0=1.0)
-        trust = np.full((2, 2), 0.7)
-        np.fill_diagonal(trust, 1.0)
-        res = step_best_response(scen, (0.0, 0.0), trust)
-        assert res.converged
 
 
 class TestValidation:

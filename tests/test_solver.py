@@ -2,11 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopsim.reciprocity import History
-from coopsim.scenario import pd_scenario, reference_scenario
+from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams
+from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario
 from coopsim.solver import (
     SolverConfig,
+    _gate_sums,
+    _objective,
     argmax_on_grid,
     best_response,
     critical_rho,
@@ -45,12 +49,11 @@ class TestArgmax:
             others = np.array([rng.uniform(0, 20), rng.uniform(0, 20)])
             cfg = SolverConfig(grid_points=41)
             br = best_response(0, others, scen, trust, solver=cfg)
-            from coopsim.solver import _objective
-
+            gate = _gate_sums(scen, trust)[0]
             grid = np.linspace(0, 20.0, 41)
             exhaustive = argmax_on_grid(
                 lambda x: _objective(0, x, others.copy(), scen.baseline_init[0],
-                                     trust[0], scen),
+                                     trust[0], gate, scen),
                 grid,
             )
             assert br == pytest.approx(exhaustive, abs=1e-12)
@@ -180,11 +183,44 @@ class TestHistoryAwareSolve:
     def test_history_moves_the_reference(self):
         scen = reference_scenario(theta_v=10.0, a_max=40.0, kappa=0.5)
         trust = trust_matrix(scen)
-        hist = History(2)
-        for _ in range(6):
-            hist.append([20.0, 20.0])
         cfg = SolverConfig(grid_points=2001)
         anchored_low = solve_equilibrium(scen, None, trust, cfg, warm_start=scen.a_init)
-        anchored_high = solve_equilibrium(scen, hist, trust, cfg,
-                                          warm_start=scen.a_init, period=7)
+        anchored_high = solve_equilibrium(scen, (20.0, 20.0), trust, cfg,
+                                          warm_start=scen.a_init)
         assert anchored_high.actions[0] != anchored_low.actions[0]
+
+
+@st.composite
+def _gate_case(draw):
+    # zero or at least 1e-3, so no product reaches the subnormal range,
+    # where one ulp is the whole value
+    def reals(hi):
+        return st.one_of(st.just(0.0), st.floats(1e-3, hi))
+
+    n = draw(st.sampled_from([2, 3, 4]))
+    unit = reals(1.0)
+    d = np.array([[0.0 if i == j else draw(unit) for j in range(n)] for i in range(n)])
+    trust = np.array([[1.0 if i == j else draw(unit) for j in range(n)] for i in range(n)])
+    recip = ReciprocityParams(
+        rho0=draw(reals(5.0)),
+        eta=draw(st.one_of(st.just(0.5), reals(3.0))),
+        lambda_r=draw(reals(3.0)),
+        omega_amp=draw(reals(3.0)),
+    )
+    scen = ScenarioConfig(labels=tuple("ABCD"[:n]), d=InterdependenceMatrix(d), recip=recip,
+                          econ=EconomyParams(endowments=(1.0,) * n, alpha=(1.0 / n,) * n))
+    return scen, trust
+
+
+@given(_gate_case())
+@settings(max_examples=300, deadline=None)
+def test_gate_sums_match_scalar_formula(case):
+    # the shared gate kernel, as the solver sums it, against the scalar
+    # sum over partners of lambda_r * T * (1 + omega * D) * rho
+    scen, trust = case
+    recip, d = scen.recip, scen.d.values
+    got = _gate_sums(scen, trust)
+    for i in range(scen.n):
+        want = sum(recip.lambda_r * trust[i, j] * (1.0 + recip.omega_amp * d[i, j])
+                   * recip.sensitivity(d[i, j]) for j in range(scen.n) if j != i)
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
