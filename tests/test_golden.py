@@ -183,3 +183,19 @@ def test_best_response_pre_history_checksums(eta):
                  "recip_term", "converged"):
         h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
     assert h.hexdigest() == PRE_HISTORY_GOLDEN[eta], f"eta={eta} moved ({_machine()})"
+
+
+# SHA-256 over the reprs of check_prop3()'s three estimates, one a line: the
+# refined 4001-point solves (the golden-section path) that the CLI prints
+# only to four decimals.
+PROP3_GOLDEN = "e3e8919708588c2df9e653e0c6759bfaa6590ad2e079303ae1b2dd480ecd0ff5"
+
+
+def test_prop3_estimates_checksum():
+    from coopsim.propositions import check_prop3
+
+    res = check_prop3()
+    text = "\n".join(repr(float(x)) for x in (res.estimate, res.halved_estimate,
+                                              res.zero_channel_estimate))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PROP3_GOLDEN, f"prop-3 estimates moved: {text} ({_machine()})"
