@@ -34,8 +34,8 @@ def experiment_1():
         res = solve_equilibrium(scen, None, trust_matrix(2, scen.trust.t0),
                                 SolverConfig(grid_points=401), warm_start=(0.0, 0.0))
         payoffs = [private_payoff(i, res.actions, scen.econ) for i in range(2)]
-        print(f"  rho0 = {rho0}: actions = {tuple(round(a, 2) for a in res.actions)}, "
-              f"payoffs = {tuple(round(p, 2) for p in payoffs)}")
+        print(f"  rho0 = {rho0}: actions = {tuple(round(float(a), 2) for a in res.actions)}, "
+              f"payoffs = {tuple(round(float(p), 2) for p in payoffs)}")
 
 
 def experiment_2():
@@ -86,7 +86,7 @@ def experiment_5():
         total = sum(res.actions)
         output = team.omega_prod * total**team.beta_team
         print(f"  lambda_r = {lambda_r}: efforts "
-              f"{tuple(round(a, 2) for a in res.actions)}, team output {output:.1f}")
+              f"{tuple(round(float(a), 2) for a in res.actions)}, team output {output:.1f}")
 
 
 def main() -> int:

@@ -3,7 +3,6 @@ reciprocity-augmented strategic coopetition among interdependent actors."""
 
 from .errors import ConfigurationError, DependencyTableError
 from .params import (
-    ActorId,
     DependencyEntry,
     EconomyParams,
     InterdependenceMatrix,
@@ -20,14 +19,13 @@ from .reciprocity import (
     reciprocity_response,
 )
 from .scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, reference_scenario
-from .simulation import Trajectory, run, step_adjustment
+from .simulation import Trajectory, run
 from .solver import (
     EquilibriumResult,
     SolverConfig,
     best_response,
     critical_rho,
     cross_partial_check,
-    exhaustive_nash,
     solve_equilibrium,
 )
 from .trust import DyadState, negativity_ratio, trust_ceiling, update_trust

@@ -88,6 +88,13 @@ def _floats(text: str, key: str) -> tuple[float, ...]:
 
 # -- scenario files ----------------------------------------------------------
 
+_RECIP_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "omega_amp")
+_TRUST_KEYS = ("t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
+               "t_max", "theta_r", "lambda_t", "deadband")
+_ECON_KEYS = ("theta_v", "power_beta", "gamma")
+_SIM_FLOAT_KEYS = ("adjust_rate", "decay", "baseline_rate", "noise_sigma")
+
+
 def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
     lines = ["# coopsim scenario"]
     lines.append(f"actors = {','.join(scenario.labels)}")
@@ -105,38 +112,26 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
                 lines.append(
                     f"d = {scenario.labels[i]},{scenario.labels[j]},{fmt(d[i, j])}"
                 )
-    r = scenario.recip
-    for name in ("rho0", "eta", "kappa", "memory_k", "lambda_r", "omega_amp"):
-        lines.append(f"{name} = {fmt(getattr(r, name))}")
-    t = scenario.trust
-    for name in ("t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
-                 "t_max", "theta_r", "lambda_t"):
-        lines.append(f"{name} = {fmt(getattr(t, name))}")
+    for block, keys in ((scenario.recip, _RECIP_KEYS), (scenario.trust, _TRUST_KEYS)):
+        lines.extend(f"{name} = {fmt(getattr(block, name))}" for name in keys)
     e = scenario.econ
     lines.append(f"endowments = {','.join(fmt(v) for v in e.endowments)}")
     lines.append(f"alpha = {','.join(fmt(v) for v in e.alpha)}")
-    for name in ("theta_v", "power_beta", "gamma"):
-        lines.append(f"{name} = {fmt(getattr(e, name))}")
+    lines.extend(f"{name} = {fmt(getattr(e, name))}" for name in _ECON_KEYS)
     lines.append(f"value_form = {e.value_form}")
     lines.append(f"horizon = {sim.horizon}")
     lines.append(f"mode = {sim.mode}")
-    for name in ("adjust_rate", "decay", "baseline_rate", "noise_sigma"):
-        lines.append(f"{name} = {fmt(getattr(sim, name))}")
+    lines.extend(f"{name} = {fmt(getattr(sim, name))}" for name in _SIM_FLOAT_KEYS)
     lines.append(f"seed = {sim.seed}")
     for s in sim.shocks:
         lines.append(f"shock = {s.period},{scenario.labels[s.actor]},{fmt(s.delta)}")
     return "\n".join(lines) + "\n"
 
 
-_RECIP_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "omega_amp")
-_TRUST_KEYS = ("t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
-               "t_max", "theta_r", "lambda_t")
-_SIM_FLOAT_KEYS = ("adjust_rate", "decay", "baseline_rate", "noise_sigma")
 _KNOWN_KEYS = (
     {"actors", "a_max", "a_init", "baseline_init", "baseline_mode", "d",
-     "endowments", "alpha", "theta_v", "power_beta", "gamma", "value_form",
-     "horizon", "mode", "seed", "shock"}
-    | set(_RECIP_KEYS) | set(_TRUST_KEYS) | set(_SIM_FLOAT_KEYS)
+     "endowments", "alpha", "value_form", "horizon", "mode", "seed", "shock"}
+    | set(_RECIP_KEYS) | set(_TRUST_KEYS) | set(_ECON_KEYS) | set(_SIM_FLOAT_KEYS)
 )
 
 
@@ -188,7 +183,7 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
     alpha = vec("alpha", None)
     econ_kwargs["endowments"] = endow if endow is not None else (100.0,) * n
     econ_kwargs["alpha"] = alpha if alpha is not None else (1.0 / n,) * n
-    for key in ("theta_v", "power_beta", "gamma"):
+    for key in _ECON_KEYS:
         raw = _single(kv, key)
         if raw is not None:
             econ_kwargs[key] = parse_number(raw, key)
@@ -313,12 +308,6 @@ def parse_grid(text: str) -> ParameterGrid:
 def read_grid(path: str) -> ParameterGrid:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_grid(fh.read())
-
-
-def grid_to_text(grid: ParameterGrid) -> str:
-    return "".join(
-        f"{key} = {','.join(fmt(v) for v in vals)}\n" for key, vals in grid.levels.items()
-    )
 
 
 # -- output CSVs ---------------------------------------------------------------

@@ -45,18 +45,6 @@ def check_finite(obj, names: Sequence[str]) -> None:
 
 
 @dataclass(frozen=True)
-class ActorId:
-    """Dense actor index plus a short human-readable label."""
-
-    index: int
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ConfigurationError(f"actor index must be >= 0, got {self.index}")
-
-
-@dataclass(frozen=True)
 class DependencyEntry:
     """One row of a dependency table.
 

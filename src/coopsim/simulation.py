@@ -381,24 +381,3 @@ def run(
 
     return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
 
-
-def step_adjustment(
-    scenario: ScenarioConfig, sim: SimConfig, actions, baselines, trust,
-    norms=None,
-) -> np.ndarray:
-    """Single adjustment-rule step from explicit state (no noise, no shocks).
-
-    ``baselines`` are the signal baselines; ``norms`` are the
-    mean-reversion anchors (defaulting to the baselines).  Exposed for
-    direct verification of the update formula; it shares the engine's
-    gate and signal helpers and applies the engine loop's arithmetic.
-    """
-    batch = RunBatch.single(scenario, sim)
-    a = np.asarray(actions, dtype=float)[None]
-    b = np.asarray(baselines, dtype=float)[None]
-    anchors = b if norms is None else np.asarray(norms, dtype=float)[None]
-    tr = np.asarray(trust, dtype=float)[None]
-    s = _signals(a, b)
-    term = gate_weights(batch.d, batch.recip) * tr * np.tanh(scenario.recip.kappa * s)
-    nxt = a + sim.adjust_rate * term.sum(axis=2) - sim.decay * (a - anchors)
-    return np.clip(nxt, 0.0, batch.a_max)[0]

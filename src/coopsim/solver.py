@@ -36,7 +36,7 @@ import numpy as np
 
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig
-from .utility import individual_value, private_payoff, team_utility
+from .utility import individual_value
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,18 +72,6 @@ class EquilibriumResult:
     residual: float
 
 
-def argmax_on_grid(fn, grid: Sequence[float]) -> float:
-    """Grid point maximizing ``fn``; ties break toward the smallest action."""
-    best_x = None
-    best_v = -math.inf
-    for x in grid:
-        v = fn(x)
-        if v > best_v + 1e-12:
-            best_v = v
-            best_x = x
-    return float(best_x)
-
-
 def _own_avg(scenario: ScenarioConfig, own_avg: Optional[Sequence[float]]) -> np.ndarray:
     """Each actor's recent-average action, the reference for its own signal."""
     return np.array(scenario.baseline_init if own_avg is None else own_avg, dtype=float)
@@ -99,43 +87,16 @@ def _gate_sums(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
 
 def _objective(
     i: int,
-    a_i: float,
+    a_i: float | np.ndarray,
     actions: np.ndarray,
     own_avg: float,
     trust_row: np.ndarray,
     gate: float,
     scenario: ScenarioConfig,
-) -> float:
-    """Scalar best-response objective (reference path, used by the oracle);
-    ``gate`` is actor i's entry of :func:`_gate_sums`."""
-    a = actions.copy()
-    a[i] = a_i
-    tr = scenario.trust
-    d = scenario.d.values
-    if scenario.team is not None and i in scenario.team.members:
-        total = team_utility(i, a, scenario.team)
-    else:
-        total = private_payoff(i, a, scenario.econ)
-        for j in range(scenario.n):
-            if j == i:
-                continue
-            total += d[i, j] * (1.0 + tr.lambda_t * float(trust_row[j])) * private_payoff(
-                j, a, scenario.econ
-            )
-    total += gate * math.tanh(scenario.recip.kappa * (a_i - own_avg))
-    return total
-
-
-def _objective_grid(
-    i: int,
-    grid: np.ndarray,
-    actions: np.ndarray,
-    own_avg: float,
-    trust_row: np.ndarray,
-    gate: float,
-    scenario: ScenarioConfig,
-) -> np.ndarray:
-    """Vectorized objective over a candidate grid for actor i."""
+) -> float | np.ndarray:
+    """Best-response objective of actor i at a candidate action ``a_i``: a
+    float, or an array of candidates evaluated elementwise.  ``gate`` is
+    actor i's entry of :func:`_gate_sums`."""
     econ = scenario.econ
     tr = scenario.trust
     d = scenario.d.values
@@ -145,11 +106,11 @@ def _objective_grid(
     if scenario.team is not None and i in scenario.team.members:
         team = scenario.team
         member_sum = sum(actions[m] for m in team.members if m != i)
-        efforts = member_sum + grid
+        efforts = member_sum + a_i
         q = team.omega_prod * efforts**team.beta_team
         pos = team.members.index(i)
         theta_i = team.loyalty[pos]
-        total = q / len(team.members) - team.unit_cost * (1.0 - team.phi_c * theta_i) * grid
+        total = q / len(team.members) - team.unit_cost * (1.0 - team.phi_c * theta_i) * a_i
         mates = [m for m in team.members if m != i]
         if mates:
             mate_sum = q / len(team.members) * len(mates) - team.unit_cost * sum(
@@ -160,18 +121,17 @@ def _objective_grid(
             total = total + team.phi_b * theta_i * mate_sum
     else:
         if econ.value_form == "logarithmic":
-            f_own = econ.theta_v * np.log1p(grid)
+            f_own = econ.theta_v * np.log1p(a_i)
         else:
-            f_own = grid**econ.power_beta
-        f_others = sum(individual_value(actions[j], econ) for j in others)
+            f_own = a_i**econ.power_beta
         if econ.gamma > 0.0 and all(actions[j] > 0.0 for j in others):
             prod_others = 1.0
             for j in others:
                 prod_others *= actions[j]
-            synergy = econ.gamma * (grid * prod_others) ** (1.0 / n)
+            synergy = econ.gamma * (a_i * prod_others) ** (1.0 / n)
         else:
-            synergy = np.zeros_like(grid)
-        pi_own = econ.endowments[i] - grid + f_own + econ.alpha[i] * synergy
+            synergy = 0.0
+        pi_own = econ.endowments[i] - a_i + f_own + econ.alpha[i] * synergy
         total = pi_own
         for j in others:
             pi_j = (
@@ -182,7 +142,7 @@ def _objective_grid(
             )
             total = total + d[i, j] * (1.0 + tr.lambda_t * float(trust_row[j])) * pi_j
 
-    total = total + gate * np.tanh(scenario.recip.kappa * (grid - own_avg))
+    total = total + gate * np.tanh(scenario.recip.kappa * (a_i - own_avg))
     return total
 
 
@@ -215,7 +175,7 @@ def _best_response_value(
     grid: np.ndarray,
     refine: bool,
 ) -> float:
-    values = _objective_grid(i, grid, actions, own_avg, trust_row, gate, scenario)
+    values = _objective(i, grid, actions, own_avg, trust_row, gate, scenario)
     # Smallest maximizing grid point (tie-break toward less action).
     best = float(values.max())
     idx = int(np.nonzero(values > best - 1e-12)[0][0])
@@ -298,42 +258,6 @@ def critical_rho(
     if denom <= 0:
         raise ZeroDivisionError("critical threshold undefined: zero marginal reciprocity")
     return c_prime / denom
-
-
-def exhaustive_nash(
-    scenario: ScenarioConfig,
-    trust: np.ndarray,
-    grid_points: int,
-    own_avg: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
-) -> list[tuple[float, float]]:
-    """All pure Nash profiles of the discretized two-actor game (oracle).
-
-    Brute force over the joint grid using the scalar objective: a profile
-    is Nash when neither actor gains more than ``tol`` from any unilateral
-    grid deviation.
-    """
-    if scenario.n != 2:
-        raise ValueError("exhaustive search oracle is implemented for 2 actors")
-    reference = _own_avg(scenario, own_avg)
-    gates = _gate_sums(scenario, trust)
-    g0 = np.linspace(0.0, scenario.a_max[0], grid_points)
-    g1 = np.linspace(0.0, scenario.a_max[1], grid_points)
-    pay0 = np.empty((grid_points, grid_points))
-    pay1 = np.empty((grid_points, grid_points))
-    for r, a0 in enumerate(g0):
-        for c, a1 in enumerate(g1):
-            prof = np.array([a0, a1])
-            pay0[r, c] = _objective(0, a0, prof, reference[0], trust[0], gates[0], scenario)
-            pay1[r, c] = _objective(1, a1, prof, reference[1], trust[1], gates[1], scenario)
-    best0 = pay0.max(axis=0)
-    best1 = pay1.max(axis=1)
-    out = []
-    for r in range(grid_points):
-        for c in range(grid_points):
-            if pay0[r, c] >= best0[c] - tol and pay1[r, c] >= best1[r] - tol:
-                out.append((float(g0[r]), float(g1[c])))
-    return out
 
 
 @dataclass(frozen=True)

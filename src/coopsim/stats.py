@@ -30,7 +30,6 @@ class StatsSummary:
     ci_hi: float
     wilcoxon_stat: Optional[float]
     wilcoxon_p: Optional[float]
-    degenerate: bool = False
 
 
 def _normal_cdf(z: float) -> float:
@@ -228,29 +227,3 @@ def wilcoxon_signed_rank(sample: Sequence[float], mu0: float = 0.0):
         return w_plus, 1.0 if w_plus <= mean else 0.0, True
     z = (w_plus - mean - 0.5) / math.sqrt(var)
     return w_plus, 1.0 - _normal_cdf(z), False
-
-
-def summarize_sample(
-    sample: Sequence[float],
-    mu0: float,
-    seed: int = 0,
-    replicates: int = 10000,
-    versus: Optional[Sequence[float]] = None,
-) -> StatsSummary:
-    """Bundle the standard analyses of one sample (optionally paired vs another)."""
-    arr = np.asarray(sample, dtype=float)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    lo, hi = bootstrap_ci(arr, replicates=replicates, seed=seed)
-    w_stat, w_p, w_degen = wilcoxon_signed_rank(arr, mu0)
-    t = df = p = d = None
-    degenerate = w_degen
-    if versus is not None:
-        t, df, p, t_degen = paired_ttest(arr, versus)
-        d, d_degen = cohens_d(arr, versus)
-        degenerate = degenerate or t_degen or d_degen
-    return StatsSummary(
-        mean=mean, sd=sd, t_stat=t, df=df, p_value=p, cohens_d=d,
-        ci_lo=lo, ci_hi=hi, wilcoxon_stat=w_stat, wilcoxon_p=w_p,
-        degenerate=degenerate,
-    )

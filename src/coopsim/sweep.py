@@ -566,14 +566,14 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
     )
 
 
-# Real-valued trust-block fields perturbed in robustness trials.
+# Real-valued trust-block fields perturbed in robustness trials (t0 is
+# the cell's, perturbed with it).
 _TRUST_PERTURB_FIELDS = (
-    "t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
+    "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
     "t_max", "theta_r", "lambda_t",
 )
 # Legal ranges used for clamping perturbed values.
 _TRUST_RANGES = {
-    "t0": (0.0, 1.0),
     "lambda_plus": (1e-6, 0.999999),
     "lambda_minus": (1e-6, 0.999999),
     "xi": (0.0, math.inf),
@@ -673,8 +673,6 @@ def perturb_trial(
 
     trust_kwargs = {}
     for name in _TRUST_PERTURB_FIELDS:
-        if name == "t0":
-            continue  # coupled to the cell's t0
         lo, hi = _TRUST_RANGES[name]
         val, was_clamped = _perturb_value(getattr(base_trust, name), lo, hi, eps())
         trust_kwargs[name] = val

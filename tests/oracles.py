@@ -1,0 +1,103 @@
+"""Independent scalar oracle for the equilibrium solver.
+
+The solver evaluates its best-response objective on whole action grids and
+sums the gate weights once per solve.  This module rebuilds the same
+objective one candidate at a time from the scalar reference formulas --
+``utility.private_payoff`` / ``team_utility`` for the payoff part and, per
+partner, ``reciprocity.gated_reciprocity_term`` with
+``ReciprocityParams.sensitivity`` for the anticipated reciprocity -- so a
+differential test against it does not share the solver's code path.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from coopsim.reciprocity import gated_reciprocity_term
+from coopsim.scenario import ScenarioConfig
+from coopsim.utility import private_payoff, team_utility
+
+
+def objective(
+    i: int,
+    a_i: float,
+    actions: Sequence[float],
+    own_avg: float,
+    trust_row: Sequence[float],
+    scenario: ScenarioConfig,
+) -> float:
+    """Actor i's best-response objective at ``a_i`` against ``actions``:
+
+        payoff + sum_j lambda_r T_ij (1 + omega D_ij) rho_ij tanh(kappa (a_i - own_avg))
+
+    where the payoff is the team utility for a team member and otherwise
+    pi_i + sum_j D_ij (1 + lambda_t T_ij) pi_j.
+    """
+    a = [float(x) for x in actions]
+    a[i] = float(a_i)
+    d = scenario.d.values
+    recip = scenario.recip
+    partners = [j for j in range(scenario.n) if j != i]
+    if scenario.team is not None and i in scenario.team.members:
+        total = team_utility(i, a, scenario.team)
+    else:
+        total = private_payoff(i, a, scenario.econ)
+        for j in partners:
+            total += (d[i, j] * (1.0 + scenario.trust.lambda_t * float(trust_row[j]))
+                      * private_payoff(j, a, scenario.econ))
+    for j in partners:
+        total += gated_reciprocity_term(
+            float(trust_row[j]), d[i, j], recip.omega_amp, recip.lambda_r,
+            recip.sensitivity(d[i, j]), a[i] - own_avg, recip.kappa,
+        )
+    return total
+
+
+def argmax_on_grid(fn, grid: Sequence[float]) -> float:
+    """Grid point maximizing ``fn``; ties break toward the smallest action."""
+    best_x = None
+    best_v = -math.inf
+    for x in grid:
+        v = fn(x)
+        if v > best_v + 1e-12:
+            best_v = v
+            best_x = x
+    return float(best_x)
+
+
+def exhaustive_nash(
+    scenario: ScenarioConfig,
+    trust: np.ndarray,
+    grid_points: int,
+    own_avg: Optional[Sequence[float]] = None,
+    tol: float = 1e-9,
+) -> list[tuple[float, float]]:
+    """All pure Nash profiles of the discretized two-actor game.
+
+    Brute force over the joint grid with the scalar :func:`objective`: a
+    profile is Nash when neither actor gains more than ``tol`` from any
+    unilateral grid deviation.
+    """
+    if scenario.n != 2:
+        raise ValueError("exhaustive search oracle is implemented for 2 actors")
+    reference = scenario.baseline_init if own_avg is None else own_avg
+    g0 = np.linspace(0.0, scenario.a_max[0], grid_points)
+    g1 = np.linspace(0.0, scenario.a_max[1], grid_points)
+    pay0 = np.empty((grid_points, grid_points))
+    pay1 = np.empty((grid_points, grid_points))
+    for r, a0 in enumerate(g0):
+        for c, a1 in enumerate(g1):
+            prof = (a0, a1)
+            pay0[r, c] = objective(0, a0, prof, reference[0], trust[0], scenario)
+            pay1[r, c] = objective(1, a1, prof, reference[1], trust[1], scenario)
+    best0 = pay0.max(axis=0)
+    best1 = pay1.max(axis=1)
+    out = []
+    for r in range(grid_points):
+        for c in range(grid_points):
+            if pay0[r, c] >= best0[c] - tol and pay1[r, c] >= best1[r] - tol:
+                out.append((float(g0[r]), float(g1[c])))
+    return out

@@ -26,7 +26,7 @@ from coopsim.propositions import check_prop2, check_prop3
 from coopsim.reciprocity import bounded_response, cooperation_signal
 from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import run
-from coopsim.solver import SolverConfig, exhaustive_nash, solve_equilibrium
+from coopsim.solver import SolverConfig, solve_equilibrium
 from coopsim.sweep import (
     FULL_GRID,
     SMOKE_GRID,
@@ -38,6 +38,7 @@ from coopsim.sweep import (
 )
 from coopsim.trust import DyadState, trust_ceiling, update_trust
 from coopsim.utility import complete_utility
+from oracles import exhaustive_nash
 
 FULL = os.environ.get("COOPSIM_FULL_ACCEPTANCE") == "1"
 

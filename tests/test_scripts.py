@@ -18,7 +18,8 @@ def test_run_experiments(capsys):
     out = capsys.readouterr().out
     for n in range(1, 6):
         assert f"experiment {n}:" in out
-    assert "payoffs = (50.0, 50.0)" in out
+    assert "np.float64(" not in out
+    assert "rho0 = 1.0: actions = (10.0, 10.0), payoffs = (50.0, 50.0)" in out
     # the team solve with each member's own average at 0.5
     assert "lambda_r = 0.0: efforts" in out and "team output 60.3" in out
     assert "lambda_r = 1.0: efforts" in out and "team output 64.6" in out

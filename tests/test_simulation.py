@@ -15,7 +15,6 @@ from coopsim.simulation import (
     run,
     record_batch,
     run_batch,
-    step_adjustment,
 )
 from coopsim.trust import DyadState, update_trust
 
@@ -47,18 +46,18 @@ class TestAdjustmentDynamics:
         assert np.allclose(traj.signal, 0.0)
 
     def test_single_step_matches_hand_evaluation(self):
-        # one period, explicit state: signal +0.15 from the partner,
-        # T = 0.85, D = 0.88; the action moves by exactly the update rule
-        scen = two_actor(d=0.88, rho0=0.85, eta=1.3, kappa=1.2, omega_amp=0.6)
+        # one period from explicit state: the partner sits 0.15 above its
+        # initial baseline, T = 0.85, D = 0.88, and actor 0 at its own norm;
+        # the period-2 action moves by exactly the update rule
+        scen = two_actor(a_init=(0.70, 0.80), baseline_init=(0.70, 0.65), d=0.88,
+                         rho0=0.85, eta=1.3, kappa=1.2, omega_amp=0.6)
+        scen = replace(scen, trust=TrustParams(t0=0.85))
         sim = SimConfig(horizon=2, adjust_rate=0.12, decay=0.05, noise_sigma=0.0)
-        actions = np.array([0.70, 0.80])
-        baselines = np.array([0.70, 0.65])  # partner sits 0.15 above its baseline
-        trust = np.array([[1.0, 0.85], [0.85, 1.0]])
-        nxt = step_adjustment(scen, sim, actions, baselines, trust)
+        traj = run(scen, sim)
         rho = 0.85 * 0.88**1.3
         term = 1.0 * 0.85 * (1 + 0.6 * 0.88) * rho * np.tanh(1.2 * 0.15)
         expected = 0.70 + 0.12 * term - 0.05 * 0.0
-        assert nxt[0] == pytest.approx(expected, rel=1e-12)
+        assert traj.actions[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_shock_applies_at_stated_period_pre_clip(self):
         scen = two_actor()
@@ -88,13 +87,10 @@ class TestAdjustmentDynamics:
             assert np.allclose(gap, 0.95 * gap_prev, rtol=1e-12)
 
     def test_steady_state_satisfies_update_equation(self):
+        # one more engine step from the period-40 state leaves it in place
         scen = two_actor()
-        sim = SimConfig(horizon=40, noise_sigma=0.0)
-        traj = run(scen, sim)
-        final = traj.actions[-1]
-        re_evaluated = step_adjustment(scen, sim, final, traj.baselines[-1],
-                                       traj.trust[-1], norms=traj.norms[-1])
-        assert np.allclose(re_evaluated, final, atol=1e-9)
+        traj = run(scen, SimConfig(horizon=41, noise_sigma=0.0))
+        assert np.allclose(traj.actions[40], traj.actions[39], atol=1e-9)
 
     def test_actions_stay_in_bounds(self):
         scen = two_actor(baseline_mode="adaptive", a_init=(0.9, 0.9),

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams
+from coopsim.params import (
+    EconomyParams,
+    InterdependenceMatrix,
+    ReciprocityParams,
+    TeamParams,
+    TrustParams,
+)
 from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario
 from coopsim.solver import (
     SolverConfig,
     _gate_sums,
-    _objective,
-    argmax_on_grid,
     best_response,
     critical_rho,
     cross_partial_check,
-    exhaustive_nash,
     solve_equilibrium,
 )
 from coopsim.utility import private_payoff
+from oracles import argmax_on_grid, exhaustive_nash, objective
 
 
 def trust_matrix(scenario, level=None):
@@ -49,14 +53,47 @@ class TestArgmax:
             others = np.array([rng.uniform(0, 20), rng.uniform(0, 20)])
             cfg = SolverConfig(grid_points=41)
             br = best_response(0, others, scen, trust, solver=cfg)
-            gate = _gate_sums(scen, trust)[0]
             grid = np.linspace(0, 20.0, 41)
             exhaustive = argmax_on_grid(
-                lambda x: _objective(0, x, others.copy(), scen.baseline_init[0],
-                                     trust[0], gate, scen),
+                lambda x: objective(0, x, others, scen.baseline_init[0], trust[0], scen),
                 grid,
             )
             assert br == pytest.approx(exhaustive, abs=1e-12)
+
+    @pytest.mark.parametrize("teammate_payoff", ["sum", "mean"])
+    def test_brute_force_team_scenario(self, teammate_payoff):
+        # three actors, A and B a team: A and B take the team-utility branch,
+        # C the interdependent-payoff branch with a three-way synergy
+        rng = random.Random(53)
+        grid = np.linspace(0, 20.0, 41)
+        for _ in range(40):
+            d = np.array([[0.0 if i == j else rng.uniform(0, 1) for j in range(3)]
+                          for i in range(3)])
+            scen = ScenarioConfig(
+                labels=("A", "B", "C"),
+                d=InterdependenceMatrix(d),
+                recip=ReciprocityParams(rho0=rng.uniform(0, 2), eta=rng.uniform(0.5, 2),
+                                        kappa=rng.uniform(0.3, 2)),
+                trust=TrustParams(t0=rng.uniform(0.1, 0.9)),
+                econ=EconomyParams(endowments=(100.0,) * 3, alpha=(0.4, 0.35, 0.25),
+                                   theta_v=rng.uniform(5, 20), gamma=rng.uniform(0, 2)),
+                a_max=(20.0,) * 3,
+                a_init=tuple(rng.uniform(0, 20) for _ in range(3)),
+                team=TeamParams(members=(0, 1), omega_prod=rng.uniform(5, 15),
+                                beta_team=rng.uniform(0.3, 0.9),
+                                loyalty=(rng.uniform(0, 1), rng.uniform(0, 1)),
+                                teammate_payoff=teammate_payoff),
+            )
+            trust = trust_matrix(scen)
+            others = np.array([rng.uniform(0, 20) for _ in range(3)])
+            for i in range(3):
+                br = best_response(i, others, scen, trust, solver=SolverConfig(grid_points=41))
+
+                def value(x):
+                    return objective(i, x, others, scen.baseline_init[i], trust[i], scen)
+
+                best = max(value(x) for x in grid)
+                assert value(br) == pytest.approx(best, abs=1e-9)
 
 
 class TestDilemma:

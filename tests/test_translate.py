@@ -90,6 +90,18 @@ class TestTranslate:
         # and the re-emitted file is byte-identical
         assert scenario_to_text(scenario, sim) == text
 
+    def test_case_study_parameter_blocks_roundtrip(self):
+        # every parameter block of the iOS scenario, its nonzero trust
+        # deadband included, survives writing and reading back
+        scenario, sim = cs.build_ios_scenario()
+        text = scenario_to_text(scenario, sim)
+        assert "deadband = 0.05\n" in text
+        back, back_sim = scenario_from_text(text)
+        assert back.trust == scenario.trust == cs.IOS_TRUST
+        assert back.recip == scenario.recip
+        assert back.econ == scenario.econ
+        assert back_sim == sim
+
     def test_reciprocity_gap(self):
         labels, entries = ios_inputs()
         result = translate(labels, entries, "rho0_target = 1.2\nrho0_observed = 0.5")
