@@ -199,3 +199,39 @@ def test_prop3_estimates_checksum():
                                               res.zero_channel_estimate))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PROP3_GOLDEN, f"prop-3 estimates moved: {text} ({_machine()})"
+
+
+# SHA-256 of the whole stdout of `coopsim prop-check`, per command line.
+PROP_CHECK_GOLDEN = {
+    "all": "8b02cc8b13be738b4514e83bd700ae2c3cb02ff1c4160770198cd5805bcc73bb",
+    "k3-kappa1.5": "a1328c39dc5292d38892c09a850ef5db392010f231a5155de899c4d0a3f8175d",
+}
+PROP_CHECK_ARGV = {
+    "all": ["prop-check"],
+    "k3-kappa1.5": ["prop-check", "--prop", "2", "--k", "3", "--kappa", "1.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROP_CHECK_GOLDEN))
+def test_prop_check_stdout_checksum(case, capsys):
+    assert main(PROP_CHECK_ARGV[case]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PROP_CHECK_GOLDEN[case], f"prop-check stdout moved:\n{out}({_machine()})"
+
+
+# SHA-256 of the whole stdout of scripts/run_experiments.py.
+EXPERIMENTS_GOLDEN = "aec8ab782b71621ceff82ce059301c10566b0d5ab94d8a7b7733e1d09ad76ed8"
+
+
+def test_run_experiments_stdout_checksum(capsys):
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_experiments.py")
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == EXPERIMENTS_GOLDEN, f"experiment stdout moved:\n{out}({_machine()})"
