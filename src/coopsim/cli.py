@@ -21,8 +21,8 @@ from .propositions import check_prop1, check_prop2, check_prop3
 from .simulation import run
 from .sweep import (
     BUILTIN_GRIDS,
-    REFERENCE_CELL,
-    SweepProtocol,
+    T4_RATIO,
+    TARGET_THRESHOLDS,
     differentiation_stats,
     measure_targets,
     monte_carlo,
@@ -77,8 +77,7 @@ def _load_grid(name_or_path: str):
 
 def cmd_sweep(args) -> int:
     grid = _load_grid(args.grid)
-    protocol = SweepProtocol()
-    results = run_sweep(grid, protocol)
+    results = run_sweep(grid)
     report = measure_targets(results)
     stats = differentiation_stats(results, seed=_default_seed(args.seed))
     files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(results))
@@ -96,12 +95,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    report = monte_carlo(
-        base_cell=REFERENCE_CELL,
-        trials=args.trials,
-        perturb=args.perturb,
-        seed=_default_seed(args.seed),
-    )
+    report = monte_carlo(trials=args.trials, perturb=args.perturb, seed=_default_seed(args.seed))
     files.write_file(_out_path(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
     lines = ["trial,all_targets,ratio,clamped"]
     for t in report.trials:
@@ -109,10 +103,11 @@ def cmd_montecarlo(args) -> int:
     files.write_file(_out_path(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
     print(
         f"trials={report.n} all-targets={100 * report.all_targets_rate:.1f}% "
-        f"ratio>=1.5 in {100 * report.ratio_threshold_rate:.1f}% "
+        f"ratio>={T4_RATIO} in {100 * report.ratio_threshold_rate:.1f}% "
         f"(min {report.min_ratio:.2f})"
     )
-    return EXIT_OK if report.ratio_threshold_rate >= 0.90 else EXIT_THRESHOLD
+    passed = report.ratio_threshold_rate >= TARGET_THRESHOLDS["t4"]
+    return EXIT_OK if passed else EXIT_THRESHOLD
 
 
 def cmd_case_study(args) -> int:

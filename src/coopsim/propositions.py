@@ -25,7 +25,8 @@ import numpy as np
 
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .sweep import NO_RECOVERY, REFERENCE_CELL, SweepProtocol, measure_forgiveness_time
+from .params import TrustParams
+from .sweep import NO_RECOVERY, REFERENCE_CELL, measure_cells
 
 
 @dataclass(frozen=True)
@@ -89,17 +90,17 @@ class Prop2Result:
 def check_prop2(
     ks: Sequence[int] = (1, 5, 10),
     kappas: Sequence[float] = (0.5, 1.0, 2.0),
-    defection: float = -0.5,
-    protocol: SweepProtocol = SweepProtocol(),
 ) -> Prop2Result:
-    """Forgiveness times across (k, kappa) must land inside [k, 2k]."""
+    """Forgiveness times across (k, kappa) must land inside [k, 2k]: the
+    validation protocol's forgiveness time of the reference cell at each
+    pair, all pairs measured as one batch."""
+    cells = [replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
+             for k in ks for kappa in kappas]
     cases = []
-    for k in ks:
-        for kappa in kappas:
-            cell = replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
-            tau = measure_forgiveness_time(cell, protocol, defection=defection)
-            ok = tau != NO_RECOVERY and k <= tau <= 2 * k
-            cases.append(Prop2Case(memory_k=int(k), kappa=kappa, tau_f=tau, within_bounds=ok))
+    for r in measure_cells(range(len(cells)), cells, [TrustParams()] * len(cells)):
+        k, tau = r.cell.memory_k, r.tau_f
+        ok = tau != NO_RECOVERY and k <= tau <= 2 * k
+        cases.append(Prop2Case(memory_k=k, kappa=r.cell.kappa, tau_f=tau, within_bounds=ok))
     return Prop2Result(cases=tuple(cases), passed=all(c.within_bounds for c in cases))
 
 

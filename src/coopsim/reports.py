@@ -16,7 +16,7 @@ from .case_study import (
     RubricScore,
 )
 from .stats import StatsSummary, effect_size_label
-from .sweep import MonteCarloReport, TargetReport
+from .sweep import T4_RATIO, MonteCarloReport, TargetReport
 
 
 def _pct(x: float) -> str:
@@ -48,8 +48,8 @@ def render_target_report(report: TargetReport, grid_size: int,
             f"- bootstrap 95% CI of the mean ratio: [{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]",
             f"- paired t({stats.df}) = {stats.t_stat:.2f}, p = {stats.p_value:.3g}",
             f"- Cohen's d = {stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})",
-            f"- Wilcoxon signed-rank vs 1.5 (one-sided): W+ = {stats.wilcoxon_stat:.1f}, "
-            f"p = {stats.wilcoxon_p:.3g}",
+            f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): "
+            f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}",
             "",
         ]
     return "\n".join(lines)
@@ -69,7 +69,7 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
         f"| Mean differentiation ratio | {ratios.mean():.3f} |",
         f"| Ratio sd | {ratios.std(ddof=1):.3f} |",
         f"| Minimum ratio | {report.min_ratio:.3f} |",
-        f"| Ratio >= 1.5 | {_pct(report.ratio_threshold_rate)} |",
+        f"| Ratio >= {T4_RATIO} | {_pct(report.ratio_threshold_rate)} |",
         f"| Trials with clamped parameters | {report.clamped_trials} |",
         "",
     ]

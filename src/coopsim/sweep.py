@@ -1,8 +1,9 @@
 """Full factorial sweep, behavioral-target measurement, and robustness trials.
 
 Standard two-actor measurement protocol (noise off, adjustment dynamics,
-deterministic; every number below is a protocol constant documented in
-:class:`SweepProtocol`):
+deterministic).  The protocol is fixed: every number below is one of the
+module constants ``WARMUP`` .. ``T5_LOW_TRUST``, and a cell's only inputs
+are its configuration, its trust block and the grid's rho0 extremes.
 
 1. *Emergence run* -- both actors open at cooperation 0.5 against a lower
    starting norm of 0.2 (a cooperative opening: current behavior sits above
@@ -18,14 +19,15 @@ deterministic; every number below is a protocol constant documented in
    0.0 (-0.5 stimulus) and pinned back at 0.5 afterwards.  Target 2 checks
    the gated response to the defection is negative; target 3 checks the
    observer's cooperation signal about the defector returns within
-   tolerance inside 2k periods; target 6 checks every recorded bounded
+   tolerance inside 2k periods (the forgiveness time ``CellResult.tau_f``,
+   which Proposition 2 reads too); target 6 checks every recorded bounded
    response against the +/-1 envelope.
 
 3. *Differentiation pair* -- the forgiveness run at dependency 0.8 versus
    0.2; target 4 passes when the high-dependency response magnitude exceeds
    the low-dependency one by more than 1.5x.
 
-Cells are pure functions of (configuration, protocol).  The engine runs
+Cells are pure functions of their configuration.  The engine runs
 the protocol runs of many cells as one batch, and a cell's result does not
 depend on the batch size or on the order of the cells.
 """
@@ -34,20 +36,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import ReciprocityParams, TrustParams, reciprocity_sensitivity
+from .params import ReciprocityParams, TrustParams
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
-from .simulation import TRUST_FIELDS, RunBatch, record_batch, run_batch
+from .simulation import TRUST_FIELDS, RunBatch, run_batch
 from .stats import StatsSummary, bootstrap_ci, cohens_d, paired_ttest, wilcoxon_signed_rank
 
 GRID_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "t0", "d")
 
 NO_RECOVERY = -1
+
+# The validation protocol's constants.  The dynamics rates are protocol-level
+# calibrations, not scenario defaults: the emergence run uses a faster
+# adjustment rate, a token reversion cost, and slow norm adaptation so that a
+# cooperative opening either compounds or dies out within the warm-up.
+WARMUP = 30  # emergence-run length; the defection falls on period WARMUP + 1
+START_ACTION = 0.5
+START_NORM = 0.2
+ADJUST_RATE = 0.30
+DECAY = 0.005
+BASELINE_RATE = 0.04
+EMERGENCE_MARGIN = 0.05  # T1: steady level above START_ACTION by this much
+STEADY_WINDOW = 5  # T1 averages the warm-up's last periods
+DEFECTION = -0.5  # the partner's one-period drop below START_ACTION
+RECOVERY_PAD = 5  # forgiveness runs last WARMUP + 1 + 2k + RECOVERY_PAD periods
+RECOVERY_TOL = 0.02
+RECOVERY_SUSTAIN = 3
+DIFF_HIGH = 0.8  # T4's dependency pair
+DIFF_LOW = 0.2
+T4_RATIO = 1.5
+T5_HIGH_TRUST = 0.9
+T5_LOW_TRUST = 0.3
+#: rho0 of the T5 variants when no grid gives its extremes.
+RHO0_EXTREMES = (0.2, 1.0)
 
 #: Acceptance thresholds per behavioral target (rate of configurations).
 TARGET_THRESHOLDS = {
@@ -179,35 +205,6 @@ BUILTIN_GRIDS = {"full": FULL_GRID, "weights": WEIGHT_GRID, "smoke": SMOKE_GRID}
 
 
 @dataclass(frozen=True)
-class SweepProtocol:
-    """Constants of the standard two-actor measurement protocol.
-
-    The dynamics rates are protocol-level calibrations, not scenario
-    defaults: the emergence run uses a faster adjustment rate, a token
-    reversion cost, and slow norm adaptation so that a cooperative opening
-    either compounds or dies out within the 30-period warm-up window.
-    """
-
-    warmup: int = 30
-    start_action: float = 0.5
-    start_norm: float = 0.2
-    adjust_rate: float = 0.30
-    decay: float = 0.005
-    baseline_rate: float = 0.04
-    emergence_margin: float = 0.05
-    steady_window: int = 5
-    defection: float = -0.5
-    recovery_window_pad: int = 5
-    recovery_tol_frac: float = 0.02
-    recovery_sustain: int = 3
-    diff_high: float = 0.8
-    diff_low: float = 0.2
-    t4_ratio: float = 1.5
-    t5_high_trust: float = 0.9
-    t5_low_trust: float = 0.3
-
-
-@dataclass(frozen=True)
 class CellResult:
     """Per-configuration measurements and target verdicts."""
 
@@ -228,7 +225,6 @@ class CellResult:
     response_high: float
     response_low: float
     ratio: float
-    rho_ratio_error: float
     max_abs_response: float
 
     @property
@@ -250,13 +246,11 @@ CELLS_PER_BATCH = 256
 def _protocol_batch(
     cells: Sequence[SweepCell],
     trusts: Sequence[TrustParams],
-    protocol: SweepProtocol,
-    rho0_extremes: tuple[float, float] = (0.2, 1.0),
-    runs: Sequence[str] = PROTOCOL_RUNS,
+    rho0_extremes: tuple[float, float],
 ) -> RunBatch:
-    """Engine rows of the given protocol runs, cell-major: row
-    ``c * len(runs) + r`` is run ``runs[r]`` of ``cells[c]`` under
-    ``trusts[c]`` (with the run's t0).
+    """Engine rows of the protocol runs, cell-major: row ``c * len(PROTOCOL_RUNS) + r``
+    is run ``PROTOCOL_RUNS[r]`` of ``cells[c]`` under ``trusts[c]`` (with the
+    run's t0).
 
     Emergence-type runs open at the start action against the lower start
     norm, with adaptive baselines, for the warm-up.  Forgiveness-type runs
@@ -264,7 +258,7 @@ def _protocol_batch(
     scripted at the start action with one defection period at t* = warm-up
     + 1, and the run lasts t* + 2k + pad periods.
     """
-    n_cells, n_runs = len(cells), len(runs)
+    n_cells, n_runs = len(cells), len(PROTOCOL_RUNS)
     rows = n_cells * n_runs
 
     def cell_col(name: str) -> np.ndarray:
@@ -275,32 +269,29 @@ def _protocol_batch(
 
     rho0, t0, d = cell_col("rho0"), cell_col("t0"), cell_col("d")
     lo, hi = rho0_extremes
-    high, low = protocol.t5_high_trust, protocol.t5_low_trust
     varied = {  # run -> its (rho0, t0, d)
         "emergence": (rho0, t0, d),
-        "t5_high": (hi, high, d),
-        "t5_low_trust": (hi, low, d),
-        "t5_low_rho": (lo, high, d),
+        "t5_high": (hi, T5_HIGH_TRUST, d),
+        "t5_low_trust": (hi, T5_LOW_TRUST, d),
+        "t5_low_rho": (lo, T5_HIGH_TRUST, d),
         "forgiveness": (rho0, t0, d),
-        "diff_high": (rho0, t0, protocol.diff_high),
-        "diff_low": (rho0, t0, protocol.diff_low),
+        "diff_high": (rho0, t0, DIFF_HIGH),
+        "diff_low": (rho0, t0, DIFF_LOW),
     }
 
     def per_run(pos: int) -> np.ndarray:
         out = np.empty((n_cells, n_runs))
-        for r, name in enumerate(runs):
+        for r, name in enumerate(PROTOCOL_RUNS):
             out[:, r] = varied[name][pos]
         return out.ravel()
 
     k = per_cell([c.memory_k for c in cells])
-    forgive = np.tile([name in _FORGIVENESS_RUNS for name in runs], n_cells)
-    t_star = protocol.warmup + 1
-    horizon = np.where(forgive, t_star + 2 * k + protocol.recovery_window_pad,
-                       protocol.warmup)
-    level = protocol.start_action
+    forgive = np.tile([name in _FORGIVENESS_RUNS for name in PROTOCOL_RUNS], n_cells)
+    t_star = WARMUP + 1
+    horizon = np.where(forgive, t_star + 2 * k + RECOVERY_PAD, WARMUP)
     script = np.full((int(horizon.max()), rows, 2), np.nan)
-    script[:, forgive, 1] = level
-    script[t_star - 1, forgive, 1] = level + protocol.defection
+    script[:, forgive, 1] = START_ACTION
+    script[t_star - 1, forgive, 1] = START_ACTION + DEFECTION
 
     trust = {f: per_cell([getattr(tp, f) for tp in trusts]) for f in TRUST_FIELDS}
     trust["t0"] = per_run(1)
@@ -310,20 +301,20 @@ def _protocol_batch(
         "lambda_r": per_cell(cell_col("lambda_r")), "omega_amp": np.ones(rows),
     }
     sim = {
-        "adjust_rate": np.full(rows, protocol.adjust_rate),
-        "decay": np.full(rows, protocol.decay),
-        "baseline_rate": np.full(rows, protocol.baseline_rate),
+        "adjust_rate": np.full(rows, ADJUST_RATE),
+        "decay": np.full(rows, DECAY),
+        "baseline_rate": np.full(rows, BASELINE_RATE),
         "noise_sigma": np.zeros(rows),
         "seed": np.zeros(rows, dtype=np.int64),
     }
-    baseline = np.where(forgive, level, protocol.start_norm)
+    baseline = np.where(forgive, START_ACTION, START_NORM)
     mode = np.where(forgive, BASELINE_MODES.index("moving_average"),
                     BASELINE_MODES.index("adaptive"))
     return RunBatch(
         d=np.where(np.eye(2, dtype=bool), 0.0, per_run(2)[:, None, None]),
         recip=recip, trust=trust, sim=sim,
         a_max=np.ones((rows, 2)),
-        a_init=np.full((rows, 2), level),
+        a_init=np.full((rows, 2), START_ACTION),
         baseline_init=np.repeat(baseline[:, None], 2, axis=1),
         baseline_mode=mode,
         horizon=horizon,
@@ -352,44 +343,22 @@ def signal_recovery_time(
     return NO_RECOVERY
 
 
-def _recovery_time(signals: np.ndarray, protocol: SweepProtocol) -> int:
-    """Forgiveness time of a forgiveness-type run from its observer's signal
-    about the defector (unit action range)."""
-    return signal_recovery_time(signals.tolist(), protocol.warmup + 1,
-                                protocol.recovery_tol_frac, protocol.recovery_sustain)
-
-
-def measure_forgiveness_time(
-    cell: SweepCell,
-    protocol: SweepProtocol = SweepProtocol(),
-    trust: TrustParams = TrustParams(),
-    defection: Optional[float] = None,
-) -> int:
-    """Forgiveness time of the standard protocol at the given configuration."""
-    if defection is not None:
-        protocol = replace(protocol, defection=defection)
-    if protocol.defection == 0.0:
-        return 0
-    batch = _protocol_batch([cell], [trust], protocol, runs=("forgiveness",))
-    return _recovery_time(record_batch(batch, ("A", "B"))[0].signal[:, 0, 1], protocol)
-
-
 def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
-                   protocol: SweepProtocol, trusts: Sequence[TrustParams],
+                   trusts: Sequence[TrustParams],
                    rho0_extremes: tuple[float, float]) -> list[CellResult]:
-    batch = _protocol_batch(cells, trusts, protocol, rho0_extremes)
-    horizon, warm = batch.horizon, protocol.warmup
+    batch = _protocol_batch(cells, trusts, rho0_extremes)
+    horizon = batch.horizon
     kappa = batch.recip["kappa"][:, None, None]
     # What the targets read, kept period by period rather than whole runs.
-    actions = np.empty((warm, len(horizon), 2))  # warm-up actions
+    actions = np.empty((WARMUP, len(horizon), 2))  # warm-up actions
     partner = np.empty((int(horizon.max()), len(horizon)))  # 0's signal about 1
     response = np.empty(len(horizon))  # gated response at the defection t*
     bounded = np.zeros(len(horizon))  # largest |tanh(kappa s)| within the horizon
 
     def observe(idx: int, state) -> None:
-        if idx < warm:
+        if idx < WARMUP:
             actions[idx] = state["actions"]
-        elif idx == warm:  # period t* = warm-up + 1
+        elif idx == WARMUP:  # period t* = warm-up + 1
             response[:] = state["recip_term"][:, 0, 1]
         partner[idx] = state["signal"][:, 0, 1]
         phi = np.abs(np.tanh(kappa * state["signal"])).max(axis=(1, 2))
@@ -405,7 +374,7 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
         block = actions[first:, rows].transpose(1, 0, 2)
         return np.ascontiguousarray(block).reshape(len(rows), -1).mean(axis=1)
 
-    steady = mean_actions(row["emergence"], warm - protocol.steady_window)
+    steady = mean_actions(row["emergence"], WARMUP - STEADY_WINDOW)
     coop = {name: mean_actions(row[name], 0) for name in _EMERGENCE_RUNS}
     max_abs = bounded.reshape(n_cells, n_runs).max(axis=1)
 
@@ -413,7 +382,7 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
     for c, (index, cell) in enumerate(zip(indices, cells)):
         # Target 1 + coop level: emergence run.
         steady_c = float(steady[c])
-        t1 = steady_c >= protocol.start_action + protocol.emergence_margin
+        t1 = steady_c >= START_ACTION + EMERGENCE_MARGIN
 
         # Target 5: trust/reciprocity variants of the emergence run.
         coop_hh = float(coop["t5_high"][c])
@@ -422,23 +391,17 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
         t5 = coop_hh > coop_lh and coop_hh > coop_hl
 
         # Targets 2, 3: forgiveness stimulus run.
-        t2 = float(response[row["forgiveness"][c]]) < 0.0
         f = row["forgiveness"][c]
-        tau_f = _recovery_time(partner[: horizon[f], f], protocol)
+        t2 = float(response[f]) < 0.0
+        tau_f = signal_recovery_time(partner[: horizon[f], f].tolist(), WARMUP + 1,
+                                     RECOVERY_TOL, RECOVERY_SUSTAIN)
         t3 = tau_f != NO_RECOVERY and tau_f <= 2 * cell.memory_k
 
         # Target 4: dependency differentiation pair.
         response_high = abs(float(response[row["diff_high"][c]]))
         response_low = abs(float(response[row["diff_low"][c]]))
         ratio = response_high / response_low if response_low > 0 else math.inf
-        t4 = ratio > protocol.t4_ratio
-
-        # Sensitivity-ratio identity: the rho component of the ratio is
-        # exactly (diff_high / diff_low) ** eta.
-        rho_hi_s = reciprocity_sensitivity(cell.rho0, protocol.diff_high, cell.eta)
-        rho_lo_s = reciprocity_sensitivity(cell.rho0, protocol.diff_low, cell.eta)
-        expected = (protocol.diff_high / protocol.diff_low) ** cell.eta
-        rho_ratio_error = abs(rho_hi_s / rho_lo_s - expected) if rho_lo_s > 0 else math.inf
+        t4 = ratio > T4_RATIO
 
         max_abs_c = float(max_abs[c])
         results.append(CellResult(
@@ -448,7 +411,7 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
             coop_t5_high=coop_hh, coop_t5_low_trust=coop_lh, coop_t5_low_rho=coop_hl,
             tau_f=tau_f,
             response_high=response_high, response_low=response_low, ratio=ratio,
-            rho_ratio_error=rho_ratio_error, max_abs_response=max_abs_c,
+            max_abs_response=max_abs_c,
         ))
     return results
 
@@ -456,9 +419,8 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
 def measure_cells(
     indices: Sequence[int],
     cells: Sequence[SweepCell],
-    protocol: SweepProtocol,
     trusts: Sequence[TrustParams],
-    rho0_extremes: tuple[float, float] = (0.2, 1.0),
+    rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
 ) -> list[CellResult]:
     """Run the full protocol for every configuration and score all six targets.
 
@@ -469,30 +431,23 @@ def measure_cells(
     results: list[CellResult] = []
     for lo in range(0, len(cells), CELLS_PER_BATCH):
         part = slice(lo, lo + CELLS_PER_BATCH)
-        results += _measure_batch(indices[part], cells[part], protocol, trusts[part],
-                                  rho0_extremes)
+        results += _measure_batch(indices[part], cells[part], trusts[part], rho0_extremes)
     return results
 
 
 def measure_cell(
     index: int,
     cell: SweepCell,
-    protocol: SweepProtocol = SweepProtocol(),
-    trust: TrustParams = TrustParams(),
-    rho0_extremes: tuple[float, float] = (0.2, 1.0),
+    rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
 ) -> CellResult:
     """Run the full protocol for one configuration and score all six targets."""
-    return measure_cells([index], [cell], protocol, [trust], rho0_extremes)[0]
+    return measure_cells([index], [cell], [TrustParams()], rho0_extremes)[0]
 
 
-def run_sweep(
-    grid: ParameterGrid,
-    protocol: SweepProtocol = SweepProtocol(),
-    trust: TrustParams = TrustParams(),
-) -> list[CellResult]:
+def run_sweep(grid: ParameterGrid) -> list[CellResult]:
     """Measure every configuration of the grid; results ordered by index."""
     cells = [grid.cell(i) for i in range(grid.size)]
-    return measure_cells(range(grid.size), cells, protocol, [trust] * grid.size,
+    return measure_cells(range(grid.size), cells, [TrustParams()] * grid.size,
                          grid.rho0_extremes())
 
 
@@ -513,10 +468,7 @@ class TargetReport:
         raise KeyError(target)
 
 
-def measure_targets(
-    results: Sequence[CellResult],
-    thresholds: dict[str, float] = TARGET_THRESHOLDS,
-) -> TargetReport:
+def measure_targets(results: Sequence[CellResult]) -> TargetReport:
     total = len(results)
     rows = []
     for key in ("t1", "t2", "t3", "t4", "t5", "t6"):
@@ -529,8 +481,8 @@ def measure_targets(
                 "achieved": achieved,
                 "total": total,
                 "rate": rate,
-                "threshold": thresholds[key],
-                "pass": rate >= thresholds[key],
+                "threshold": TARGET_THRESHOLDS[key],
+                "pass": rate >= TARGET_THRESHOLDS[key],
             }
         )
     return TargetReport(rows=tuple(rows))
@@ -540,8 +492,8 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
     """Paired high-vs-low dependency analysis across the grid.
 
     The t test and effect size compare the per-cell response magnitudes;
-    the Wilcoxon test checks the ratio distribution against the 1.5
-    differentiation threshold (one sided); the bootstrap interval covers
+    the Wilcoxon test checks the ratio distribution against the T4
+    differentiation threshold ``T4_RATIO`` (one sided); the bootstrap interval covers
     the mean ratio.  A grid too small for these tests is a configuration
     error.
     """
@@ -552,7 +504,7 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
         t, df, p, _ = paired_ttest(high, low)
         d, _ = cohens_d(high, low)
         lo, hi = bootstrap_ci(ratios, seed=seed)
-        w_stat, w_p, _ = wilcoxon_signed_rank(ratios, 1.5)
+        w_stat, w_p, _ = wilcoxon_signed_rank(ratios, T4_RATIO)
     except ValueError as exc:
         raise ConfigurationError(
             f"a {len(results)}-cell grid is too small for the differentiation "
@@ -622,7 +574,7 @@ class MonteCarloReport:
 
     @property
     def ratio_threshold_rate(self) -> float:
-        return float((self.ratios >= 1.5).mean())
+        return float((self.ratios >= T4_RATIO).mean())
 
     @property
     def min_ratio(self) -> float:
@@ -641,13 +593,11 @@ def _perturb_value(value, lo, hi, eps):
 
 def perturb_trial(
     trial: int,
-    base_cell: SweepCell,
-    base_trust: TrustParams,
     perturb: float,
     seed: int,
 ) -> tuple[SweepCell, TrustParams, tuple[str, ...]]:
-    """One robustness trial's configuration: every real-valued parameter
-    scaled by U(1-p, 1+p).
+    """One robustness trial's configuration: every real-valued parameter of
+    the reference cell and the default trust block scaled by U(1-p, 1+p).
 
     The memory window is an integer and is left untouched.  Perturbed
     values that leave their legal range are clamped and flagged; returns
@@ -663,6 +613,7 @@ def perturb_trial(
         stream += 1
         return (2.0 * u - 1.0) * perturb
 
+    base_cell, base_trust = REFERENCE_CELL, TrustParams()
     cell_kwargs = {}
     for name in _CELL_PERTURB_FIELDS:
         lo, hi = _CELL_RANGES[name]
@@ -682,19 +633,11 @@ def perturb_trial(
             tuple(clamped))
 
 
-def monte_carlo(
-    base_cell: SweepCell = REFERENCE_CELL,
-    trials: int = 2000,
-    perturb: float = 0.15,
-    seed: int = 42,
-    protocol: SweepProtocol = SweepProtocol(),
-    base_trust: TrustParams = TrustParams(),
-    rho0_extremes: tuple[float, float] = (0.2, 1.0),
-) -> MonteCarloReport:
+def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> MonteCarloReport:
     """Robustness analysis around the reference configuration."""
-    drawn = [perturb_trial(t, base_cell, base_trust, perturb, seed) for t in range(trials)]
-    results = measure_cells(range(trials), [cell for cell, _, _ in drawn], protocol,
-                            [trust for _, trust, _ in drawn], rho0_extremes)
+    drawn = [perturb_trial(t, perturb, seed) for t in range(trials)]
+    results = measure_cells(range(trials), [cell for cell, _, _ in drawn],
+                            [trust for _, trust, _ in drawn])
     out = tuple(
         MonteCarloTrial(trial=r.index, all_targets=r.all_targets, ratio=r.ratio,
                         clamped=clamped)

@@ -2,13 +2,12 @@ import time
 
 import pytest
 
-from coopsim.params import TrustParams
-from coopsim.sweep import SMOKE_GRID, SweepProtocol, run_sweep
+from coopsim.sweep import SMOKE_GRID, run_sweep
 
 
 @pytest.fixture(scope="session")
 def smoke_sweep():
     """The 3^6 smoke grid measured once per test session: (results, seconds)."""
     start = time.monotonic()
-    results = run_sweep(SMOKE_GRID, SweepProtocol(), TrustParams())
+    results = run_sweep(SMOKE_GRID)
     return results, time.monotonic() - start

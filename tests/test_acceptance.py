@@ -30,7 +30,6 @@ from coopsim.solver import SolverConfig, solve_equilibrium
 from coopsim.sweep import (
     FULL_GRID,
     SMOKE_GRID,
-    SweepProtocol,
     differentiation_stats,
     measure_targets,
     monte_carlo,
@@ -105,7 +104,7 @@ def sweep_results(request):
     if not FULL:
         return (SMOKE_GRID, *request.getfixturevalue("smoke_sweep"))
     start = time.monotonic()
-    results = run_sweep(FULL_GRID, SweepProtocol(), TrustParams())
+    results = run_sweep(FULL_GRID)
     return FULL_GRID, results, time.monotonic() - start
 
 
@@ -139,7 +138,7 @@ def test_criterion_4_differentiation_effect_size(sweep_results):
 # -- criterion 5: forgiveness window ------------------------------------------
 
 def test_criterion_5_forgiveness_window():
-    result = check_prop2(ks=(1, 5, 10), kappas=(0.5, 1.0, 2.0), defection=-0.5)
+    result = check_prop2(ks=(1, 5, 10), kappas=(0.5, 1.0, 2.0))
     assert result.passed
     taus = {(c.memory_k, c.kappa): c.tau_f for c in result.cases}
     report("5", f"tau_f in [k, 2k] for all 9 (k, kappa) combinations: {taus}")

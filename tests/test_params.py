@@ -97,6 +97,12 @@ class TestReciprocitySensitivity:
         assert reciprocity_sensitivity(1.0, 0.8, 1.0) == pytest.approx(0.8)
         assert reciprocity_sensitivity(1.0, 0.2, 1.0) == pytest.approx(0.2)
 
+    def test_sensitivity_ratio_identity(self):
+        # the rho component of the T4 response ratio is (0.8 / 0.2) ** eta
+        for eta in (0.5, 1.0, 1.5):
+            ratio = reciprocity_sensitivity(1.0, 0.8, eta) / reciprocity_sensitivity(1.0, 0.2, eta)
+            assert ratio == pytest.approx((0.8 / 0.2) ** eta, rel=0, abs=1e-12)
+
     @given(
         st.floats(0.0, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
         st.floats(0.0, 3.0),
