@@ -2,9 +2,12 @@
 
 Scenario files are one ``key = value`` pair per line with ``#`` comments.
 Repeated keys express collections: one ``d = depender,dependee,value`` line
-per nonzero interdependence coefficient and one ``shock = period,actor,
-delta`` line per scheduled shock.  Vectors are comma separated in actor
-order.  All emitted numbers use ``.`` decimals, files are UTF-8 with LF
+per nonzero interdependence coefficient, one ``pre_history = a,b,...`` line
+per action row before period 1 (oldest first) and one ``shock = period,
+actor,delta`` line per scheduled shock.  Vectors are comma separated in
+actor order.  A team is a ``team = member,...`` line of actor labels plus
+its fields (``loyalty`` lists one value per member, in that order).
+Pre-history and team lines appear only when the scenario has them.  All emitted numbers use ``.`` decimals, files are UTF-8 with LF
 line endings, and writers are deterministic so reruns are byte identical.
 
 Dependency tables are CSV with the header
@@ -27,6 +30,7 @@ from .params import (
     EconomyParams,
     InterdependenceMatrix,
     ReciprocityParams,
+    TeamParams,
     TrustParams,
 )
 from .scenario import ScenarioConfig, Shock, SimConfig
@@ -93,6 +97,8 @@ _TRUST_KEYS = ("t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
                "t_max", "theta_r", "lambda_t", "deadband")
 _ECON_KEYS = ("theta_v", "power_beta", "gamma")
 _SIM_FLOAT_KEYS = ("adjust_rate", "decay", "baseline_rate", "noise_sigma")
+_TEAM_FLOAT_KEYS = ("omega_prod", "beta_team", "unit_cost", "phi_b", "phi_c")
+_TEAM_KEYS = ("loyalty", *_TEAM_FLOAT_KEYS, "teammate_payoff")
 
 
 def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
@@ -105,6 +111,8 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
     ):
         lines.append(f"{name} = {','.join(fmt(v) for v in vec)}")
     lines.append(f"baseline_mode = {scenario.baseline_mode}")
+    for row in scenario.pre_history:
+        lines.append(f"pre_history = {','.join(fmt(v) for v in row)}")
     d = scenario.d.values
     for i in range(scenario.n):
         for j in range(scenario.n):
@@ -119,6 +127,12 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
     lines.append(f"alpha = {','.join(fmt(v) for v in e.alpha)}")
     lines.extend(f"{name} = {fmt(getattr(e, name))}" for name in _ECON_KEYS)
     lines.append(f"value_form = {e.value_form}")
+    team = scenario.team
+    if team is not None:
+        lines.append(f"team = {','.join(scenario.labels[m] for m in team.members)}")
+        lines.append(f"loyalty = {','.join(fmt(v) for v in team.loyalty)}")
+        lines.extend(f"{name} = {fmt(getattr(team, name))}" for name in _TEAM_FLOAT_KEYS)
+        lines.append(f"teammate_payoff = {team.teammate_payoff}")
     lines.append(f"horizon = {sim.horizon}")
     lines.append(f"mode = {sim.mode}")
     lines.extend(f"{name} = {fmt(getattr(sim, name))}" for name in _SIM_FLOAT_KEYS)
@@ -129,10 +143,37 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
 
 
 _KNOWN_KEYS = (
-    {"actors", "a_max", "a_init", "baseline_init", "baseline_mode", "d",
-     "endowments", "alpha", "value_form", "horizon", "mode", "seed", "shock"}
+    {"actors", "a_max", "a_init", "baseline_init", "baseline_mode", "pre_history", "d",
+     "endowments", "alpha", "value_form", "team", "horizon", "mode", "seed", "shock"}
     | set(_RECIP_KEYS) | set(_TRUST_KEYS) | set(_ECON_KEYS) | set(_SIM_FLOAT_KEYS)
+    | set(_TEAM_KEYS)
 )
+
+
+def _team_from(kv: dict[str, list[str]], index: dict[str, int]) -> Optional[TeamParams]:
+    """The ``team`` line's members (by label) and the team fields, or None."""
+    members = _single(kv, "team")
+    if members is None:
+        given = [key for key in _TEAM_KEYS if key in kv]
+        if given:
+            raise ConfigurationError(f"{given[0]} needs a 'team' line naming the members")
+        return None
+    labels = [label.strip() for label in members.split(",")]
+    for label in labels:
+        if label not in index:
+            raise ConfigurationError(f"team names unknown actor {label!r}")
+    kwargs = {"members": tuple(index[label] for label in labels)}
+    loyalty = _single(kv, "loyalty")
+    if loyalty is not None:
+        kwargs["loyalty"] = _floats(loyalty, "loyalty")
+    for key in _TEAM_FLOAT_KEYS:
+        raw = _single(kv, key)
+        if raw is not None:
+            kwargs[key] = parse_number(raw, key)
+    payoff = _single(kv, "teammate_payoff")
+    if payoff is not None:
+        kwargs["teammate_payoff"] = payoff
+    return TeamParams(**kwargs)
 
 
 def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
@@ -215,6 +256,8 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
         a_init=vec("a_init", None) or (0.0,) * n,
         baseline_init=vec("baseline_init", None) or (),
         baseline_mode=_single(kv, "baseline_mode", "moving_average"),
+        pre_history=tuple(_floats(row, "pre_history") for row in kv.get("pre_history", [])),
+        team=_team_from(kv, index),
     )
     sim_kwargs = {}
     for key in _SIM_FLOAT_KEYS:

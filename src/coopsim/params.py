@@ -332,6 +332,7 @@ class TeamParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(int(m) for m in self.members))
         object.__setattr__(self, "loyalty", tuple(float(x) for x in self.loyalty))
+        check_finite(self, ("omega_prod", "beta_team", "unit_cost", "loyalty", "phi_b", "phi_c"))
         if len(self.members) == 0:
             raise ConfigurationError("team must have at least one member")
         if len(self.loyalty) != len(self.members):

@@ -106,6 +106,8 @@ class ScenarioConfig:
         if not all(math.isfinite(x) for row in pre for x in row):
             raise ConfigurationError("pre_history actions must be finite")
         object.__setattr__(self, "pre_history", pre)
+        if self.team is not None and not all(0 <= m < n for m in self.team.members):
+            raise ConfigurationError(f"team members must be actor indices below {n}")
 
     @property
     def n(self) -> int:

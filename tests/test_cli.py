@@ -86,6 +86,11 @@ class TestSimulate:
         ("seed = 42", "seed = 42\nshock = soon,A,0.1", "shock period"),
         ("seed = 42", "seed = 42\nshock = 2,A,-", "shock delta"),
         ("horizon = 5", "horizon = 5.5", "horizon"),
+        ("baseline_mode = moving_average",
+         "baseline_mode = moving_average\npre_history = 9.0,nine", "pre_history"),
+        ("seed = 42", "seed = 42\nteam = A,B\nloyalty = 0.2,0.3\nomega_prod = ten",
+         "omega_prod"),
+        ("seed = 42", "seed = 42\nteam = A,B\nloyalty = 0.2,0.3o", "loyalty"),
     ])
     def test_malformed_number_exits_one(self, tmp_path, capsys, old, new, key):
         text = scenario_to_text(reference_scenario(), SimConfig(horizon=5))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,15 @@ from coopsim.files import (
     scenario_from_text,
     scenario_to_text,
 )
-from coopsim.params import DependencyEntry
+from coopsim.params import (
+    DependencyEntry,
+    EconomyParams,
+    ReciprocityParams,
+    TeamParams,
+    TrustParams,
+)
+from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario, symmetric_matrix
+from coopsim.simulation import run
 from coopsim.translate import (
     ADVICE_TABLE,
     CalibrationObservation,
@@ -101,6 +111,54 @@ class TestTranslate:
         assert back.recip == scenario.recip
         assert back.econ == scenario.econ
         assert back_sim == sim
+
+    def test_case_study_scenario_roundtrip_runs_identically(self):
+        # pre-history rows and all: the file read back is the same scenario
+        scenario, sim = cs.build_ios_scenario()
+        text = scenario_to_text(scenario, sim)
+        assert text.count("pre_history = ") == len(scenario.pre_history) == 4
+        back, back_sim = scenario_from_text(text)
+        assert (back, back_sim) == (scenario, sim)
+        assert scenario_to_text(back, back_sim) == text
+        first, again = run(scenario, sim), run(back, back_sim)
+        for name in ("actions", "trust", "reputation", "signal", "recip_term"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
+
+    def test_team_scenario_roundtrip(self):
+        # the team scenario of scripts/run_experiments.py, experiment 5
+        team = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
+                          unit_cost=1.0, loyalty=(0.2, 0.5, 0.8), phi_b=0.8, phi_c=0.3)
+        scenario = ScenarioConfig(
+            labels=("low", "mid", "high"),
+            d=symmetric_matrix(3, 0.8),
+            recip=ReciprocityParams(rho0=1.0, kappa=1.0, memory_k=3, lambda_r=1.0,
+                                    omega_amp=1.0),
+            trust=TrustParams(t0=0.7),
+            econ=EconomyParams(endowments=(10.0,) * 3, alpha=(1 / 3,) * 3),
+            a_max=(10.0,) * 3,
+            a_init=(0.5,) * 3,
+            team=team,
+        )
+        text = scenario_to_text(scenario, SimConfig())
+        assert "team = low,mid,high\nloyalty = 0.2,0.5,0.8\n" in text
+        back, _ = scenario_from_text(text)
+        assert back == scenario and back.team == team
+        # a partial team in another member order keeps its labels and defaults
+        mates = replace(team, members=(2, 0), loyalty=(0.9, 0.1), teammate_payoff="mean")
+        back, _ = scenario_from_text(scenario_to_text(replace(scenario, team=mates), SimConfig()))
+        assert back.team == mates
+
+    @pytest.mark.parametrize("extra, message", [
+        ("loyalty = 0.5,0.5", "loyalty needs a 'team' line"),
+        ("team = A,C\nloyalty = 0.5,0.5", "team names unknown actor 'C'"),
+        ("team = A,B", "one loyalty value per team member"),
+        ("team = A,B\nloyalty = 0.5,0.5\nunit_cost = inf", "unit_cost must be finite"),
+        ("pre_history = 0.5", "pre_history rows must have one action per actor"),
+    ])
+    def test_bad_team_or_pre_history_rejected(self, extra, message):
+        text = scenario_to_text(reference_scenario(), SimConfig()) + extra + "\n"
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_text(text)
 
     def test_reciprocity_gap(self):
         labels, entries = ios_inputs()
