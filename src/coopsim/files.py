@@ -7,8 +7,9 @@ per action row before period 1 (oldest first) and one ``shock = period,
 actor,delta`` line per scheduled shock.  Vectors are comma separated in
 actor order.  A team is a ``team = member,...`` line of actor labels plus
 its fields (``loyalty`` lists one value per member, in that order).
-Pre-history and team lines appear only when the scenario has them.  All emitted numbers use ``.`` decimals, files are UTF-8 with LF
-line endings, and writers are deterministic so reruns are byte identical.
+Pre-history and team lines appear only when the scenario has them.  All
+emitted numbers use ``.`` decimals, files are UTF-8 with LF line endings,
+and writers are deterministic so reruns are byte identical.
 
 Dependency tables are CSV with the header
 ``depender,dependee,dependum,type,weight,exists,criticality``; actor

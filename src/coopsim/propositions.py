@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import TrustParams
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .params import TrustParams
 from .sweep import NO_RECOVERY, REFERENCE_CELL, measure_cells
 
 

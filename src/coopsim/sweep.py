@@ -27,9 +27,10 @@ are its configuration, its trust block and the grid's rho0 extremes.
    0.2; target 4 passes when the high-dependency response magnitude exceeds
    the low-dependency one by more than 1.5x.
 
-Cells are pure functions of their configuration.  The engine runs
-the protocol runs of many cells as one batch, and a cell's result does not
-depend on the batch size or on the order of the cells.
+A cell's result is a pure function of those inputs.  The engine runs the
+protocol runs of many cells as one batch, and a cell's result does not
+depend on the batch size or on the order of the cells.  Robustness trials
+perturb the reference cell and the default trust block.
 """
 
 from __future__ import annotations
@@ -435,13 +436,9 @@ def measure_cells(
     return results
 
 
-def measure_cell(
-    index: int,
-    cell: SweepCell,
-    rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
-) -> CellResult:
+def measure_cell(index: int, cell: SweepCell) -> CellResult:
     """Run the full protocol for one configuration and score all six targets."""
-    return measure_cells([index], [cell], [TrustParams()], rho0_extremes)[0]
+    return measure_cells([index], [cell], [TrustParams()])[0]
 
 
 def run_sweep(grid: ParameterGrid) -> list[CellResult]:

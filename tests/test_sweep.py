@@ -11,6 +11,7 @@ from coopsim.sweep import (
     WEIGHT_GRID,
     NO_RECOVERY,
     REFERENCE_CELL,
+    RHO0_EXTREMES,
     SMOKE_GRID,
     ParameterGrid,
     SweepCell,
@@ -101,8 +102,9 @@ class TestSweepAggregation:
         whole = run_sweep(grid)
         assert [r.index for r in whole] == list(range(grid.size))
         extremes = grid.rho0_extremes()
+        assert extremes == RHO0_EXTREMES  # measure_cell's
         cells = [grid.cell(i) for i in range(grid.size)]
-        single = [measure_cell(i, c, extremes) for i, c in enumerate(cells)]
+        single = [measure_cell(i, c) for i, c in enumerate(cells)]
         assert single == whole
         order = random.Random(5).sample(range(grid.size), grid.size)
         shuffled = measure_cells(order, [cells[i] for i in order], [TRUST] * grid.size,

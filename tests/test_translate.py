@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim.errors import ConfigurationError
@@ -147,6 +149,37 @@ class TestTranslate:
         mates = replace(team, members=(2, 0), loyalty=(0.9, 0.1), teammate_payoff="mean")
         back, _ = scenario_from_text(scenario_to_text(replace(scenario, team=mates), SimConfig()))
         assert back.team == mates
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_scenario_roundtrip(self, data):
+        # from_text(to_text(s)) == s with pre-history rows and a team
+        n = data.draw(st.integers(1, 4))
+        unit = st.floats(0.0, 1.0)
+        scenario = ScenarioConfig(
+            labels=tuple(f"a{i}" for i in range(n)),
+            d=symmetric_matrix(n, data.draw(unit)),
+            econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
+            a_init=tuple(data.draw(unit) for _ in range(n)),
+            pre_history=tuple(
+                tuple(data.draw(st.floats(-1e6, 1e6)) for _ in range(n))
+                for _ in range(data.draw(st.integers(0, 5)))
+            ),
+            team=data.draw(st.none() | st.builds(
+                lambda members, loyalty, omega, payoff: TeamParams(
+                    members=members, loyalty=loyalty[: len(members)], omega_prod=omega,
+                    teammate_payoff=payoff),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+                .map(tuple),
+                st.lists(unit, min_size=n, max_size=n),
+                st.floats(1e-9, 1e9),
+                st.sampled_from(("sum", "mean")),
+            )),
+        )
+        text = scenario_to_text(scenario, SimConfig())
+        back, _ = scenario_from_text(text)
+        assert back == scenario
+        assert scenario_to_text(back, SimConfig()) == text
 
     @pytest.mark.parametrize("extra, message", [
         ("loyalty = 0.5,0.5", "loyalty needs a 'team' line"),
