@@ -18,7 +18,7 @@ from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustPa
 from coopsim.scenario import ScenarioConfig, pd_scenario, symmetric_matrix
 from coopsim.solver import SolverConfig, solve_equilibrium
 from coopsim.sweep import REFERENCE_CELL, measure_cell, measure_cells
-from coopsim.utility import private_payoff
+from coopsim.utility import private_payoffs
 
 
 def trust_matrix(n, level):
@@ -33,7 +33,7 @@ def experiment_1():
         scen = pd_scenario(rho0=rho0)
         res = solve_equilibrium(scen, None, trust_matrix(2, scen.trust.t0),
                                 SolverConfig(grid_points=401), warm_start=(0.0, 0.0))
-        payoffs = [private_payoff(i, res.actions, scen.econ) for i in range(2)]
+        payoffs = private_payoffs(res.actions, scen.econ)
         print(f"  rho0 = {rho0}: actions = {tuple(round(float(a), 2) for a in res.actions)}, "
               f"payoffs = {tuple(round(float(p), 2) for p in payoffs)}")
 

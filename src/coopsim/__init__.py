@@ -30,13 +30,13 @@ from .solver import (
 )
 from .trust import DyadState, negativity_ratio, trust_ceiling, update_trust
 from .utility import (
-    ActionProfile,
     UtilityBreakdown,
     complete_utility,
     individual_value,
-    private_payoff,
-    team_utility,
-    value_creation,
+    private_payoffs,
+    standalone_payoff,
+    synergy,
+    team_member_utility,
 )
 
 __version__ = "0.1.0"

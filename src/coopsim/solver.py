@@ -18,25 +18,31 @@ own signal:
                      + sum_j lambda_r T_ij (1 + omega D_ij) rho_ij
                            * tanh(kappa * (a_i - own_avg_i))
 
-whose marginal at the neutral point is lambda_r * T * (1 + omega D) * rho
+(a team member's team utility takes the place of the payoff terms), whose
+marginal at the neutral point is lambda_r * T * (1 + omega D) * rho
 * kappa -- the anticipated-reciprocity margin that the cooperation
 threshold ``critical_rho`` is built from.  ``own_avg`` is each actor's
 windowed average, which the engine computes (``scenario.baseline_init``
-when none is given), and the gate sums come from the shared
-:func:`~coopsim.reciprocity.gate_weights`, once per solve.
-"""
+when none is given).
 
+The payoffs come from the elementwise kernel in :mod:`coopsim.utility`,
+which scores a whole grid of candidates or the refinement's single one.
+What does not depend on the candidate is computed outside it: the partner
+weights D_ij (1 + lambda_t T_ij) and the gate sums (from the shared
+:func:`~coopsim.reciprocity.gate_matrix`) once per solve, the partners'
+standalone payoffs and action product once per iteration.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig
-from .utility import individual_value
+from .utility import standalone_payoff, synergy, team_member_utility
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -85,65 +91,44 @@ def _gate_sums(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
     return weights.sum(axis=1)
 
 
+def _partner_weights(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
+    """Weight of partner j's payoff in actor i's objective, D_ij (1 + lambda_t T_ij)."""
+    return scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
+
+
 def _objective(
     i: int,
-    a_i: float | np.ndarray,
     actions: np.ndarray,
+    standalone: np.ndarray,
     own_avg: float,
-    trust_row: np.ndarray,
+    weights: np.ndarray,
     gate: float,
     scenario: ScenarioConfig,
-) -> float | np.ndarray:
-    """Best-response objective of actor i at a candidate action ``a_i``: a
-    float, or an array of candidates evaluated elementwise.  ``gate`` is
+) -> Callable:
+    """Best-response objective of actor i against ``actions``, as a function
+    of i's candidate action: a float, or an array of candidates scored
+    elementwise.  ``standalone`` holds every actor's standalone payoff at
+    ``actions``, ``weights`` row i of :func:`_partner_weights` and ``gate``
     actor i's entry of :func:`_gate_sums`."""
     econ = scenario.econ
-    tr = scenario.trust
-    d = scenario.d.values
+    team = scenario.team
     n = scenario.n
-    others = [j for j in range(n) if j != i]
+    kappa = scenario.recip.kappa
+    partners = [j for j in range(n) if j != i]
+    member = team is not None and i in team.members
+    partners_product = math.prod(actions[j] for j in partners)
 
-    if scenario.team is not None and i in scenario.team.members:
-        team = scenario.team
-        member_sum = sum(actions[m] for m in team.members if m != i)
-        efforts = member_sum + a_i
-        q = team.omega_prod * efforts**team.beta_team
-        pos = team.members.index(i)
-        theta_i = team.loyalty[pos]
-        total = q / len(team.members) - team.unit_cost * (1.0 - team.phi_c * theta_i) * a_i
-        mates = [m for m in team.members if m != i]
-        if mates:
-            mate_sum = q / len(team.members) * len(mates) - team.unit_cost * sum(
-                actions[m] for m in mates
-            )
-            if team.teammate_payoff == "mean":
-                mate_sum = mate_sum / len(mates)
-            total = total + team.phi_b * theta_i * mate_sum
-    else:
-        if econ.value_form == "logarithmic":
-            f_own = econ.theta_v * np.log1p(a_i)
+    def objective(a_i):
+        if member:
+            total = team_member_utility(i, a_i, actions, team)
         else:
-            f_own = a_i**econ.power_beta
-        if econ.gamma > 0.0 and all(actions[j] > 0.0 for j in others):
-            prod_others = 1.0
-            for j in others:
-                prod_others *= actions[j]
-            synergy = econ.gamma * (a_i * prod_others) ** (1.0 / n)
-        else:
-            synergy = 0.0
-        pi_own = econ.endowments[i] - a_i + f_own + econ.alpha[i] * synergy
-        total = pi_own
-        for j in others:
-            pi_j = (
-                econ.endowments[j]
-                - actions[j]
-                + individual_value(actions[j], econ)
-                + econ.alpha[j] * synergy
-            )
-            total = total + d[i, j] * (1.0 + tr.lambda_t * float(trust_row[j])) * pi_j
+            s = synergy(a_i, partners_product, n, econ)
+            total = standalone_payoff(econ.endowments[i], a_i, econ) + econ.alpha[i] * s
+            for j in partners:
+                total = total + weights[j] * (standalone[j] + econ.alpha[j] * s)
+        return total + gate * np.tanh(kappa * (a_i - own_avg))
 
-    total = total + gate * np.tanh(scenario.recip.kappa * (a_i - own_avg))
-    return total
+    return objective
 
 
 def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
@@ -165,17 +150,8 @@ def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
-def _best_response_value(
-    i: int,
-    actions: np.ndarray,
-    own_avg: float,
-    trust_row: np.ndarray,
-    gate: float,
-    scenario: ScenarioConfig,
-    grid: np.ndarray,
-    refine: bool,
-) -> float:
-    values = _objective(i, grid, actions, own_avg, trust_row, gate, scenario)
+def _best_response_value(objective: Callable, grid: np.ndarray, refine: bool) -> float:
+    values = objective(grid)
     # Smallest maximizing grid point (tie-break toward less action).
     best = float(values.max())
     idx = int(np.nonzero(values > best - 1e-12)[0][0])
@@ -184,10 +160,8 @@ def _best_response_value(
         return x
     lo = float(grid[max(0, idx - 1)])
     hi = float(grid[min(len(grid) - 1, idx + 1)])
-    xr = _golden_refine(
-        lambda v: _objective(i, v, actions, own_avg, trust_row, gate, scenario), lo, hi
-    )
-    return xr if _objective(i, xr, actions, own_avg, trust_row, gate, scenario) >= best else x
+    xr = _golden_refine(objective, lo, hi)
+    return xr if objective(xr) >= best else x
 
 
 def best_response(
@@ -200,11 +174,12 @@ def best_response(
 ) -> float:
     """Best response of actor i to the given partner actions."""
     arr = np.asarray(actions, dtype=float)
-    reference = float(_own_avg(scenario, own_avg)[i])
-    gate = float(_gate_sums(scenario, trust)[i])
+    standalone = standalone_payoff(np.asarray(scenario.econ.endowments), arr, scenario.econ)
+    objective = _objective(i, arr, standalone, float(_own_avg(scenario, own_avg)[i]),
+                           _partner_weights(scenario, trust)[i],
+                           float(_gate_sums(scenario, trust)[i]), scenario)
     grid = np.linspace(0.0, scenario.a_max[i], solver.grid_points)
-    return _best_response_value(i, arr, reference, trust[i], gate, scenario, grid,
-                                solver.refine)
+    return _best_response_value(objective, grid, solver.refine)
 
 
 def solve_equilibrium(
@@ -221,16 +196,18 @@ def solve_equilibrium(
     )
     reference = _own_avg(scenario, own_avg)
     gates = _gate_sums(scenario, trust)
+    weights = _partner_weights(scenario, trust)
+    endowments = np.asarray(scenario.econ.endowments)
     grids = [np.linspace(0.0, scenario.a_max[i], solver.grid_points) for i in range(n)]
 
     residual = math.inf
     for it in range(1, solver.max_iters + 1):
+        standalone = standalone_payoff(endowments, actions, scenario.econ)
         nxt = np.empty(n)
         for i in range(n):
-            nxt[i] = _best_response_value(
-                i, actions, float(reference[i]), trust[i], float(gates[i]), scenario,
-                grids[i], solver.refine,
-            )
+            objective = _objective(i, actions, standalone, float(reference[i]), weights[i],
+                                   float(gates[i]), scenario)
+            nxt[i] = _best_response_value(objective, grids[i], solver.refine)
         residual = float(np.max(np.abs(nxt - actions)))
         actions = nxt
         if residual < solver.tol:

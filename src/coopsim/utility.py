@@ -1,10 +1,15 @@
-"""Value creation, private payoffs, and the four-component modular utility.
+"""The payoff kernel: value creation, private payoffs, the team-member
+utility and the four-component modular utility.
 
-The complete per-actor utility decomposes additively:
+Each formula is elementwise in one actor's action ``a_i``: a float scores
+one candidate, an array a whole grid of candidates.  The equilibrium
+solver scores its grids and its golden-section refinement with these
+functions, and :func:`private_payoffs` builds a whole profile's payoffs
+from the same pieces.  The complete per-actor utility decomposes additively:
 
     total = base + interdep + trust_mod + recip_mod
 
-    base      = e_i - a_i + f_i(a_i) + alpha_i * (V(a) - sum_j f_j(a_j))
+    base      = e_i - a_i + f(a_i) + alpha_i * gamma * (prod_j a_j) ** (1/N)
     interdep  = sum_{j != i} D_ij * base_j
     trust_mod = lambda_t * sum_{j != i} T_ij * D_ij * base_j
     recip_mod = sum_{j != i} lambda_r * T_ij * (1 + omega * D_ij) * rho_ij
@@ -15,33 +20,17 @@ model); additionally setting lambda_t = 0 leaves the bare
 interdependence-augmented payoff.  The optional team-production utility is
 a separate mode, not a fifth component.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TeamParams, TrustParams
 from .reciprocity import gated_reciprocity_term
-
-
-@dataclass(frozen=True)
-class ActionProfile:
-    """Joint action vector with per-actor upper bounds."""
-
-    a: tuple[float, ...]
-    a_max: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "a_max", tuple(float(x) for x in self.a_max))
-        if len(self.a) != len(self.a_max):
-            raise ConfigurationError("action profile and bounds must have the same length")
-        for x, m in zip(self.a, self.a_max):
-            if not math.isfinite(x) or x < 0 or x > m:
-                raise ConfigurationError(f"action {x} outside [0, {m}]")
 
 
 @dataclass(frozen=True)
@@ -58,47 +47,76 @@ class UtilityBreakdown:
         return self.base + self.interdep + self.trust_mod + self.recip_mod
 
 
-def individual_value(a_i: float, econ: EconomyParams) -> float:
-    """Individual value f(a): theta_v * ln(1 + a) or a ** power_beta."""
-    if a_i < 0:
-        raise ValueError(f"action must be >= 0, got {a_i}")
+def individual_value(a_i: float | np.ndarray, econ: EconomyParams) -> float | np.ndarray:
+    """Individual value f(a): theta_v * ln(1 + a) or a ** power_beta, for a
+    non-negative action or array of actions."""
     if econ.value_form == "logarithmic":
-        return econ.theta_v * math.log1p(a_i)
+        return econ.theta_v * np.log1p(a_i)
     return a_i**econ.power_beta
 
 
-def value_creation(a: Sequence[float], econ: EconomyParams) -> float:
-    """Total value: sum of individual values plus geometric-mean synergy.
+def standalone_payoff(
+    e_i: float | np.ndarray, a_i: float | np.ndarray, econ: EconomyParams
+) -> float | np.ndarray:
+    """Payoff before the synergy share, e_i - a_i + f(a_i): the endowment
+    net of investment plus the actor's own value creation."""
+    return e_i - a_i + individual_value(a_i, econ)
 
-        V(a) = sum_i f_i(a_i) + gamma * (prod_i a_i) ** (1/N)
 
-    The synergy term vanishes whenever any actor contributes nothing, so
-    joint value above the sum of parts requires everyone's participation.
+def synergy(
+    a_i: float | np.ndarray, partners_product: float, n: int, econ: EconomyParams
+) -> float | np.ndarray:
+    """Geometric-mean synergy gamma * (a_i * prod_{j != i} a_j) ** (1/N).
+
+    ``partners_product`` is the product of the other N - 1 actions.  The
+    term vanishes whenever any actor contributes nothing, so joint value
+    above the sum of parts requires everyone's participation.
     """
-    arr = [float(x) for x in a]
-    total = sum(individual_value(x, econ) for x in arr)
-    if econ.gamma > 0.0 and all(x > 0.0 for x in arr):
-        log_mean = sum(math.log(x) for x in arr) / len(arr)
-        total += econ.gamma * math.exp(log_mean)
-    return total
+    if econ.gamma > 0.0 and partners_product > 0.0:
+        return econ.gamma * (a_i * partners_product) ** (1.0 / n)
+    return 0.0
 
 
-def private_payoff(i: int, a: Sequence[float], econ: EconomyParams) -> float:
-    """Appropriated payoff of actor i.
+def private_payoffs(a: Sequence[float], econ: EconomyParams) -> np.ndarray:
+    """Every actor's appropriated payoff at the action profile ``a``.
 
-        pi_i = e_i - a_i + f_i(a_i) + alpha_i * (V(a) - sum_j f_j(a_j))
+        pi_i = e_i - a_i + f(a_i) + alpha_i * gamma * (prod_j a_j) ** (1/N)
 
     Actors keep their endowment net of investment, appropriate their own
     value creation, and split the synergy surplus by bargaining share.
     """
-    arr = [float(x) for x in a]
-    synergy = value_creation(arr, econ) - sum(individual_value(x, econ) for x in arr)
-    return (
-        econ.endowments[i]
-        - arr[i]
-        + individual_value(arr[i], econ)
-        + econ.alpha[i] * synergy
-    )
+    arr = np.asarray(a, dtype=float)
+    if arr.min() < 0:
+        raise ValueError(f"actions must be >= 0, got {tuple(arr.tolist())}")
+    s = synergy(arr[0], math.prod(arr[1:]), len(arr), econ)
+    return standalone_payoff(np.asarray(econ.endowments), arr, econ) + np.asarray(econ.alpha) * s
+
+
+def team_member_utility(
+    i: int, a_i: float | np.ndarray, actions: Sequence[float], team: TeamParams
+) -> float | np.ndarray:
+    """Loyalty-moderated utility of team member i at its action ``a_i``,
+    the other members acting as in ``actions``.
+
+        U_i = (1/n) * Q - c * (1 - phi_c * theta_i) * a_i
+              + phi_b * theta_i * teammates_payoff
+
+    with team production Q = omega_prod * (sum of member efforts) ** beta_team
+    and teammates_payoff the aggregate (sum by default, optionally mean) of
+    the other members' share-minus-own-cost payoffs.  A non-member is a
+    ``ValueError``.
+    """
+    theta_i = team.loyalty[team.members.index(i)]
+    n = len(team.members)
+    mates_effort = sum(actions[m] for m in team.members if m != i)
+    q = team.omega_prod * (mates_effort + a_i) ** team.beta_team
+    own = q / n - team.unit_cost * (1.0 - team.phi_c * theta_i) * a_i
+    if n == 1:
+        return own
+    mates = q / n * (n - 1) - team.unit_cost * mates_effort
+    if team.teammate_payoff == "mean":
+        mates = mates / (n - 1)
+    return own + team.phi_b * theta_i * mates
 
 
 def complete_utility(
@@ -120,7 +138,7 @@ def complete_utility(
     n = d.n
     if len(trust_to) != n or len(signals) != n:
         raise ConfigurationError("trust and signal vectors must cover every actor")
-    base = private_payoff(i, a, econ)
+    payoffs = private_payoffs(a, econ)
     interdep = 0.0
     trust_mod = 0.0
     recip_mod = 0.0
@@ -130,7 +148,7 @@ def complete_utility(
         t_ij = float(trust_to[j])
         if math.isnan(t_ij):
             raise ConfigurationError(f"missing dyad trust state for pair ({i}, {j})")
-        pi_j = private_payoff(j, a, econ)
+        pi_j = float(payoffs[j])
         d_ij = d[i, j]
         interdep += d_ij * pi_j
         trust_mod += tr.lambda_t * t_ij * d_ij * pi_j
@@ -138,33 +156,5 @@ def complete_utility(
             t_ij, d_ij, recip.omega_amp, recip.lambda_r,
             recip.sensitivity(d_ij), float(signals[j]), recip.kappa,
         )
-    return UtilityBreakdown(base=base, interdep=interdep, trust_mod=trust_mod, recip_mod=recip_mod)
-
-
-def team_utility(i: int, a: Sequence[float], team: TeamParams) -> float:
-    """Loyalty-moderated team-member utility.
-
-        U_i = (1/n) * Q - c * (1 - phi_c * theta_i) * a_i
-              + phi_b * theta_i * teammates_payoff
-
-    with team production Q = omega_prod * (sum of member efforts) ** beta_team
-    and teammates_payoff the aggregate (sum by default, optionally mean) of
-    the other members' share-minus-own-cost payoffs.
-    """
-    if i not in team.members:
-        raise ValueError(f"actor {i} is not a member of the team")
-    arr = [float(x) for x in a]
-    n = len(team.members)
-    effort_total = sum(arr[m] for m in team.members)
-    q = team.omega_prod * effort_total**team.beta_team
-    pos = team.members.index(i)
-    theta_i = team.loyalty[pos]
-    own = q / n - team.unit_cost * (1.0 - team.phi_c * theta_i) * arr[i]
-    teammates = [q / n - team.unit_cost * arr[m] for m in team.members if m != i]
-    if not teammates:
-        aggregate = 0.0
-    elif team.teammate_payoff == "mean":
-        aggregate = sum(teammates) / len(teammates)
-    else:
-        aggregate = sum(teammates)
-    return own + team.phi_b * theta_i * aggregate
+    return UtilityBreakdown(base=float(payoffs[i]), interdep=interdep, trust_mod=trust_mod,
+                            recip_mod=recip_mod)

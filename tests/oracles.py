@@ -1,12 +1,14 @@
-"""Independent scalar oracle for the equilibrium solver.
+"""Independent scalar oracle for the payoff kernel and the equilibrium solver.
 
-The solver evaluates its best-response objective on whole action grids and
-sums the gate weights once per solve.  This module rebuilds the same
-objective one candidate at a time from the scalar reference formulas --
-``utility.private_payoff`` / ``team_utility`` for the payoff part and, per
-partner, ``reciprocity.gated_reciprocity_term`` with
+The solver scores its best-response objective on whole action grids with
+the elementwise kernel in ``coopsim.utility`` and sums the partner and gate
+weights once per solve.  This module rebuilds the same objective one
+candidate at a time from scalar reference formulas of its own --
+:func:`private_payoff` / :func:`team_utility` below for the payoff part
+and, per partner, ``reciprocity.gated_reciprocity_term`` with
 ``ReciprocityParams.sensitivity`` for the anticipated reciprocity -- so a
-differential test against it does not share the solver's code path.
+differential test against it does not share the solver's code path.  It
+imports nothing from ``coopsim.utility`` or ``coopsim.solver``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,60 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from coopsim.params import EconomyParams, TeamParams
 from coopsim.reciprocity import gated_reciprocity_term
 from coopsim.scenario import ScenarioConfig
-from coopsim.utility import private_payoff, team_utility
+
+
+def individual_value(a_i: float, econ: EconomyParams) -> float:
+    """Individual value f(a): theta_v * ln(1 + a) or a ** power_beta."""
+    if a_i < 0:
+        raise ValueError(f"action must be >= 0, got {a_i}")
+    if econ.value_form == "logarithmic":
+        return econ.theta_v * math.log1p(a_i)
+    return a_i**econ.power_beta
+
+
+def value_creation(a: Sequence[float], econ: EconomyParams) -> float:
+    """Total value V(a) = sum_i f(a_i) + gamma * (prod_i a_i) ** (1/N)."""
+    arr = [float(x) for x in a]
+    total = sum(individual_value(x, econ) for x in arr)
+    if econ.gamma > 0.0 and all(x > 0.0 for x in arr):
+        log_mean = sum(math.log(x) for x in arr) / len(arr)
+        total += econ.gamma * math.exp(log_mean)
+    return total
+
+
+def private_payoff(i: int, a: Sequence[float], econ: EconomyParams) -> float:
+    """pi_i = e_i - a_i + f(a_i) + alpha_i * (V(a) - sum_j f(a_j))."""
+    arr = [float(x) for x in a]
+    synergy = value_creation(arr, econ) - sum(individual_value(x, econ) for x in arr)
+    return (
+        econ.endowments[i]
+        - arr[i]
+        + individual_value(arr[i], econ)
+        + econ.alpha[i] * synergy
+    )
+
+
+def team_utility(i: int, a: Sequence[float], team: TeamParams) -> float:
+    """U_i = Q/n - c (1 - phi_c theta_i) a_i + phi_b theta_i * teammates_payoff,
+    the teammates' share-minus-cost payoffs summed or averaged one by one."""
+    if i not in team.members:
+        raise ValueError(f"actor {i} is not a member of the team")
+    arr = [float(x) for x in a]
+    n = len(team.members)
+    q = team.omega_prod * sum(arr[m] for m in team.members) ** team.beta_team
+    theta_i = team.loyalty[team.members.index(i)]
+    own = q / n - team.unit_cost * (1.0 - team.phi_c * theta_i) * arr[i]
+    teammates = [q / n - team.unit_cost * arr[m] for m in team.members if m != i]
+    if not teammates:
+        aggregate = 0.0
+    elif team.teammate_payoff == "mean":
+        aggregate = sum(teammates) / len(teammates)
+    else:
+        aggregate = sum(teammates)
+    return own + team.phi_b * theta_i * aggregate
 
 
 def objective(

@@ -1,4 +1,8 @@
+import ast
 import random
+from dataclasses import replace
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from coopsim.solver import (
     cross_partial_check,
     solve_equilibrium,
 )
-from coopsim.utility import private_payoff
+from coopsim.utility import private_payoffs
+import oracles
 from oracles import argmax_on_grid, exhaustive_nash, objective
 
 
@@ -29,6 +34,35 @@ def trust_matrix(scenario, level=None):
     t = np.full((scenario.n, scenario.n), level if level is not None else scenario.trust.t0)
     np.fill_diagonal(t, 1.0)
     return t
+
+
+def _random_scenario(rng, kind):
+    """A random two-actor reference scenario with either value form, or a
+    three-actor scenario without a team whose synergy is on."""
+    if kind == "three_actor":
+        d = np.array([[0.0 if i == j else rng.uniform(0, 1) for j in range(3)]
+                      for i in range(3)])
+        return ScenarioConfig(
+            labels=("A", "B", "C"),
+            d=InterdependenceMatrix(d),
+            recip=ReciprocityParams(rho0=rng.uniform(0, 2), eta=rng.uniform(0.5, 2),
+                                    kappa=rng.uniform(0.3, 2)),
+            trust=TrustParams(t0=rng.uniform(0.1, 0.9), lambda_t=rng.uniform(0, 2)),
+            econ=EconomyParams(endowments=(100.0, 80.0, 60.0), alpha=(0.4, 0.35, 0.25),
+                               theta_v=rng.uniform(5, 20), gamma=rng.uniform(0.1, 2)),
+            a_max=(20.0,) * 3,
+            a_init=tuple(rng.uniform(0, 20) for _ in range(3)),
+        )
+    scen = reference_scenario(
+        rho0=rng.uniform(0, 2), eta=rng.uniform(0.5, 2),
+        kappa=rng.uniform(0.3, 2), t0=rng.uniform(0.1, 0.9),
+        d=rng.uniform(0, 1), theta_v=rng.uniform(5, 20),
+        a_max=20.0, gamma=rng.uniform(0, 2),
+    )
+    if kind == "power":
+        scen = replace(scen, econ=replace(scen.econ, value_form="power",
+                                          power_beta=rng.uniform(0.3, 0.95)))
+    return scen
 
 
 class TestArgmax:
@@ -41,24 +75,24 @@ class TestArgmax:
         assert argmax_on_grid(lambda x: -((x - 7.0) ** 2), grid) == 7.0
 
     def test_brute_force_equivalence_random_configs(self):
+        # two actors with each value form, and three actors with a
+        # three-way synergy
         rng = random.Random(31)
-        for _ in range(200):
-            scen = reference_scenario(
-                rho0=rng.uniform(0, 2), eta=rng.uniform(0.5, 2),
-                kappa=rng.uniform(0.3, 2), t0=rng.uniform(0.1, 0.9),
-                d=rng.uniform(0, 1), theta_v=rng.uniform(5, 20),
-                a_max=20.0, gamma=rng.uniform(0, 2),
-            )
-            trust = trust_matrix(scen)
-            others = np.array([rng.uniform(0, 20), rng.uniform(0, 20)])
-            cfg = SolverConfig(grid_points=41)
-            br = best_response(0, others, scen, trust, solver=cfg)
-            grid = np.linspace(0, 20.0, 41)
-            exhaustive = argmax_on_grid(
-                lambda x: objective(0, x, others, scen.baseline_init[0], trust[0], scen),
-                grid,
-            )
-            assert br == pytest.approx(exhaustive, abs=1e-12)
+        grid = np.linspace(0, 20.0, 41)
+        cfg = SolverConfig(grid_points=41)
+        for kind, draws in (("logarithmic", 200), ("power", 100), ("three_actor", 100)):
+            for _ in range(draws):
+                scen = _random_scenario(rng, kind)
+                trust = trust_matrix(scen)
+                others = np.array([rng.uniform(0, 20) for _ in range(scen.n)])
+                for i in range(scen.n if kind == "three_actor" else 1):
+                    br = best_response(i, others, scen, trust, solver=cfg)
+                    exhaustive = argmax_on_grid(
+                        lambda x: objective(i, x, others, scen.baseline_init[i], trust[i],
+                                            scen),
+                        grid,
+                    )
+                    assert br == pytest.approx(exhaustive, abs=1e-12), kind
 
     @pytest.mark.parametrize("teammate_payoff", ["sum", "mean"])
     def test_brute_force_team_scenario(self, teammate_payoff):
@@ -103,7 +137,7 @@ class TestDilemma:
                                 SolverConfig(grid_points=401), warm_start=(0.0, 0.0))
         assert res.converged
         assert res.actions == (0.0, 0.0)
-        assert private_payoff(0, res.actions, scen.econ) == pytest.approx(0.0)
+        assert private_payoffs(res.actions, scen.econ)[0] == pytest.approx(0.0)
 
     def test_cooperation_with_reciprocity(self):
         scen = pd_scenario(rho0=1.0)
@@ -111,8 +145,7 @@ class TestDilemma:
                                 SolverConfig(grid_points=401), warm_start=(0.0, 0.0))
         assert res.converged
         assert res.actions == (10.0, 10.0)
-        for i in range(2):
-            assert private_payoff(i, res.actions, scen.econ) == pytest.approx(50.0)
+        assert private_payoffs(res.actions, scen.econ) == pytest.approx([50.0, 50.0])
 
     def test_symmetry_preserved(self):
         scen = pd_scenario(rho0=1.0)
@@ -261,3 +294,23 @@ def test_gate_sums_match_scalar_formula(case):
         want = sum(recip.lambda_r * trust[i, j] * (1.0 + recip.omega_amp * d[i, j])
                    * recip.sensitivity(d[i, j]) for j in range(scen.n) if j != i)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_oracle_shares_no_code_with_the_kernel():
+    # the oracle is the reference for the payoff kernel and the solver, so it
+    # may import neither
+    checked = ("coopsim.utility", "coopsim.solver")
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        assert not [m for m in names if m.startswith(checked)], ast.unparse(node)
+    for name, value in vars(oracles).items():
+        owner = value.__name__ if isinstance(value, ModuleType) else getattr(
+            value, "__module__", None)
+        assert owner not in checked, name

@@ -131,6 +131,32 @@ class TestSweepAggregation:
         assert stats.ci_lo <= stats.mean <= stats.ci_hi
 
 
+class TestStructuralTargets:
+    """Closed forms that decide three targets on the fixed protocol, checked
+    cell by cell on the smoke grid (the protocol's omega_amp is 1)."""
+
+    def test_t4_ratio_closed_form(self, smoke_sweep):
+        results, _ = smoke_sweep
+        for r in results:
+            want = (0.8 / 0.2) ** r.cell.eta * (1 + 0.8) / (1 + 0.2)
+            assert r.ratio == pytest.approx(want, rel=1e-12, abs=0.0), r.cell
+
+    def test_forgiveness_is_one_period_past_the_window(self, smoke_sweep):
+        results, _ = smoke_sweep
+        assert all(r.tau_f == r.cell.memory_k + 1 for r in results)
+
+    def test_t1_follows_the_gate_margin_cut(self, smoke_sweep):
+        # the denominator of critical_rho with rho = rho0 * d**eta, cut at an
+        # effective marginal cost of 0.046
+        results, _ = smoke_sweep
+
+        def margin(c):
+            return c.lambda_r * c.t0 * (1 + c.d) * c.rho0 * c.d**c.eta * c.kappa
+
+        agree = sum(r.t1 == (margin(r.cell) > 0.046) for r in results)
+        assert agree >= 0.99 * len(results), f"{agree} of {len(results)} cells agree"
+
+
 class TestMonteCarlo:
     def test_zero_perturbation_reproduces_base(self):
         report = monte_carlo(trials=8, perturb=0.0, seed=3)

@@ -15,13 +15,14 @@ from coopsim.params import (
     TrustParams,
 )
 from coopsim.utility import (
-    ActionProfile,
     complete_utility,
     individual_value,
-    private_payoff,
-    team_utility,
-    value_creation,
+    private_payoffs,
+    standalone_payoff,
+    synergy,
+    team_member_utility,
 )
+from oracles import private_payoff, value_creation
 
 LOG2 = EconomyParams(endowments=(100.0, 100.0), alpha=(0.5, 0.5),
                      theta_v=20.0, gamma=0.65, value_form="logarithmic")
@@ -43,58 +44,90 @@ class TestIndividualValue:
 
 class TestValueCreation:
     def test_synergy_vanishes_with_idle_actor(self):
-        v = value_creation([5.0, 0.0], LOG2)
-        assert v == pytest.approx(individual_value(5.0, LOG2))
+        assert synergy(5.0, 0.0, 2, LOG2) == 0.0
+        assert synergy(0.0, 5.0, 2, LOG2) == 0.0
 
     def test_worked_example(self):
-        assert value_creation([4.0, 4.0], LOG2) == pytest.approx(66.97751649736401, abs=1e-9)
+        v = individual_value(4.0, LOG2) * 2 + synergy(4.0, 4.0, 2, LOG2)
+        assert v == pytest.approx(66.97751649736401, abs=1e-9)
 
     def test_gamma_zero(self):
         econ = EconomyParams(endowments=(1.0, 1.0), alpha=(0.5, 0.5), gamma=0.0)
-        assert value_creation([3.0, 7.0], econ) == pytest.approx(
-            individual_value(3.0, econ) + individual_value(7.0, econ)
-        )
+        assert synergy(3.0, 7.0, 2, econ) == 0.0
 
     @given(st.floats(0.1, 20), st.floats(0.1, 20), st.floats(0.01, 3.0))
     @settings(max_examples=200, deadline=None)
     def test_superadditivity(self, a1, a2, gamma):
+        # against the scalar oracle's exp-mean-log geometric mean
         econ = EconomyParams(endowments=(1.0, 1.0), alpha=(0.5, 0.5), gamma=gamma)
         parts = individual_value(a1, econ) + individual_value(a2, econ)
-        assert value_creation([a1, a2], econ) > parts
+        joint = parts + synergy(a1, a2, 2, econ)
+        assert joint > parts
+        assert joint == pytest.approx(value_creation([a1, a2], econ), rel=1e-12)
 
 
 class TestPrivatePayoff:
     def test_idle_profile_keeps_endowment(self):
-        assert private_payoff(0, [0.0, 0.0], LOG2) == pytest.approx(100.0)
+        assert private_payoffs([0.0, 0.0], LOG2)[0] == pytest.approx(100.0)
 
     def test_gamma_zero_bracket_cancels(self):
         econ = EconomyParams(endowments=(50.0, 60.0), alpha=(0.3, 0.7), gamma=0.0)
-        a = [4.0, 9.0]
-        assert private_payoff(0, a, econ) == pytest.approx(
+        assert private_payoffs([4.0, 9.0], econ)[0] == pytest.approx(
             50.0 - 4.0 + individual_value(4.0, econ)
         )
 
     def test_worked_example(self):
-        assert private_payoff(0, [4.0, 4.0], LOG2) == pytest.approx(
+        assert private_payoffs([4.0, 4.0], LOG2)[0] == pytest.approx(
             129.48875824868202, abs=1e-9
         )
 
     def test_budget_identity(self):
-        # bargaining shares exhaust the synergy surplus exactly
+        # bargaining shares exhaust the synergy surplus exactly, and every
+        # payoff matches the scalar oracle
         rng = random.Random(5)
         for _ in range(200):
             a = [rng.uniform(0, 10) for _ in range(3)]
             alpha = np.array([rng.random() for _ in range(3)])
             alpha = tuple(alpha / alpha.sum())
             econ = EconomyParams(endowments=(10.0, 10.0, 10.0), alpha=alpha,
-                                 gamma=rng.uniform(0, 2))
-            synergy = value_creation(a, econ) - sum(individual_value(x, econ) for x in a)
-            shares = sum(
-                private_payoff(i, a, econ)
-                - (econ.endowments[i] - a[i] + individual_value(a[i], econ))
-                for i in range(3)
-            )
-            assert shares == pytest.approx(synergy, rel=1e-9, abs=1e-9)
+                                 gamma=rng.uniform(0, 2),
+                                 value_form=rng.choice(("logarithmic", "power")))
+            payoffs = private_payoffs(a, econ)
+            shares = sum(payoffs[i] - standalone_payoff(10.0, a[i], econ) for i in range(3))
+            assert shares == pytest.approx(synergy(a[0], a[1] * a[2], 3, econ),
+                                           rel=1e-9, abs=1e-9)
+            for i in range(3):
+                assert payoffs[i] == pytest.approx(private_payoff(i, a, econ), rel=1e-12)
+
+    def test_negative_action_rejected(self):
+        with pytest.raises(ValueError):
+            private_payoffs([-1.0, 1.0], LOG2)
+
+
+TEAM = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
+                  unit_cost=1.0, loyalty=(0.9, 0.5, 0.0), phi_b=0.8, phi_c=0.3)
+
+
+class TestCandidateAxis:
+    @pytest.mark.parametrize("value_form", ["logarithmic", "power"])
+    def test_float_candidate_matches_array_candidate(self, value_form):
+        # the solver's refinement scores one float, its grid an array: the
+        # same candidate gets the same value either way
+        econ = EconomyParams(endowments=(100.0, 80.0, 60.0), alpha=(0.5, 0.3, 0.2),
+                             theta_v=12.0, gamma=0.8, value_form=value_form,
+                             power_beta=0.7)
+        grid = np.linspace(0.0, 20.0, 41)
+        actions = [3.0, 7.5, 11.0]
+        kernels = [
+            lambda x: individual_value(x, econ),
+            lambda x: standalone_payoff(100.0, x, econ),
+            lambda x: synergy(x, 7.5 * 11.0, 3, econ),
+            lambda x: team_member_utility(0, x, actions, TEAM),
+        ]
+        for kernel in kernels:
+            values = kernel(grid)
+            for k, x in enumerate(grid):
+                assert kernel(float(x)) == pytest.approx(values[k], rel=1e-12, abs=0.0)
 
 
 def two_actor_setup(d=0.5, trust=1.0, lambda_r=1.0, lambda_t=1.0):
@@ -112,7 +145,7 @@ class TestCompleteUtility:
         recip = ReciprocityParams(lambda_r=0.0)
         tr = TrustParams(lambda_t=0.0)
         u = complete_utility(0, [4.0, 4.0], m, [1.0, 1.0], [0.0, 0.3], LOG2, recip, tr)
-        assert u.total == pytest.approx(private_payoff(0, [4.0, 4.0], LOG2))
+        assert u.total == pytest.approx(private_payoffs([4.0, 4.0], LOG2)[0])
 
     def test_reciprocity_switch_off(self):
         m, recip, tr, trust_to = two_actor_setup(lambda_r=0.0)
@@ -123,7 +156,8 @@ class TestCompleteUtility:
         a = [3.0, 5.0]
         m, recip, tr, trust_to = two_actor_setup(lambda_r=0.0, lambda_t=0.0)
         u = complete_utility(0, a, m, trust_to, [0.0, 1.0], LOG2, recip, tr)
-        expected = private_payoff(0, a, LOG2) + 0.5 * private_payoff(1, a, LOG2)
+        pi = private_payoffs(a, LOG2)
+        expected = pi[0] + 0.5 * pi[1]
         assert u.total == pytest.approx(expected, rel=1e-12)
 
     def test_breakdown_matches_monolithic_expression(self):
@@ -132,8 +166,7 @@ class TestCompleteUtility:
         s = [0.0, 0.3]
         m, recip, tr, trust_to = two_actor_setup(d=0.5, trust=1.0)
         u = complete_utility(0, a, m, trust_to, s, LOG2, recip, tr)
-        pi0 = private_payoff(0, a, LOG2)
-        pi1 = private_payoff(1, a, LOG2)
+        pi0, pi1 = private_payoffs(a, LOG2)
         monolithic = (
             pi0
             + 0.5 * pi1
@@ -196,22 +229,11 @@ class TestCompleteUtility:
                              LOG2, recip, tr)
 
 
-class TestActionProfile:
-    def test_bounds_enforced(self):
-        with pytest.raises(ConfigurationError):
-            ActionProfile(a=(1.5,), a_max=(1.0,))
-        ActionProfile(a=(0.5,), a_max=(1.0,))
-
-
-TEAM = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
-                  unit_cost=1.0, loyalty=(0.9, 0.5, 0.0), phi_b=0.8, phi_c=0.3)
-
-
 class TestTeamUtility:
     def test_effective_cost_coefficient(self):
         # theta = 0.9, phi_c = 0.3: perceived cost per unit effort = 0.73c
-        base = team_utility(0, [0.0, 2.0, 2.0], TEAM)
-        bumped = team_utility(0, [1.0, 2.0, 2.0], TEAM)
+        base = team_member_utility(0, 0.0, [0.0, 2.0, 2.0], TEAM)
+        bumped = team_member_utility(0, 1.0, [0.0, 2.0, 2.0], TEAM)
         q0 = TEAM.omega_prod * 4.0**TEAM.beta_team
         q1 = TEAM.omega_prod * 5.0**TEAM.beta_team
         dq = (q1 - q0) / 3
@@ -225,7 +247,7 @@ class TestTeamUtility:
     def test_zero_loyalty_is_selfish(self):
         a = [1.0, 2.0, 3.0]
         q = TEAM.omega_prod * sum(a) ** TEAM.beta_team
-        assert team_utility(2, a, TEAM) == pytest.approx(q / 3 - 1.0 * 3.0)
+        assert team_member_utility(2, 3.0, a, TEAM) == pytest.approx(q / 3 - 1.0 * 3.0)
 
     def test_mean_aggregation_option(self):
         team = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
@@ -235,9 +257,9 @@ class TestTeamUtility:
         q = team.omega_prod * 6.0**team.beta_team
         mates = [(q / 3 - 2.0), (q / 3 - 3.0)]
         expected = q / 3 - (1 - 0.3 * 0.9) * 1.0 + 0.72 * (sum(mates) / 2)
-        assert team_utility(0, a, team) == pytest.approx(expected, rel=1e-12)
+        assert team_member_utility(0, 1.0, a, team) == pytest.approx(expected, rel=1e-12)
 
     def test_non_member_rejected(self):
         team = TeamParams(members=(0, 1), loyalty=(0.5, 0.5))
         with pytest.raises(ValueError):
-            team_utility(2, [1.0, 1.0, 1.0], team)
+            team_member_utility(2, 1.0, [1.0, 1.0, 1.0], team)
