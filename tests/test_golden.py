@@ -18,10 +18,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopsim import case_study
 from coopsim.cli import main
+from coopsim.files import scenario_to_text
 from coopsim.params import InterdependenceMatrix
 from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import run
+from test_translate import team_scenario
 
 # Spans both rho0 extremes (the T5 variants), three memory windows (the
 # forgiveness horizons differ per row), and the eta levels whose powers
@@ -235,3 +238,36 @@ def test_run_experiments_stdout_checksum(capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == EXPERIMENTS_GOLDEN, f"experiment stdout moved:\n{out}({_machine()})"
+
+
+# SHA-256 of scenario files as the writer emits them: a translated table with
+# elicited values, the iOS counterfactual (pre-history rows, the trust
+# deadband, shocks) and a 3-actor team.
+ELICITATION = "rho0 = 0.85\neta = 1.3\nkappa = 1.2\nt0 = 0.65\nhorizon = 40\nseed = 7\n"
+SCENARIO_TEXT_GOLDEN = {
+    "translate":
+        "7392beb754656d8eb86a5521296956ec5d19af3e230754086c2a71d6118f1746",
+    "ios-counterfactual":
+        "626c5355d434cf365925b6a164cd68e471656907396b232392e8868539d07caa",
+    "team":
+        "34f9cd6bec048a8f8adda4acb475d0d348fdd0b519f1ecd5fc5c4221334e1af1",
+}
+
+
+def _scenario_text(case, tmp_path):
+    if case == "ios-counterfactual":
+        return scenario_to_text(*case_study.build_ios_scenario(counterfactual=True))
+    if case == "team":
+        return scenario_to_text(team_scenario(), SimConfig())
+    out = tmp_path / "scenario.conf"
+    assert main(["translate", "--deps", case_study.ios_dependency_csv_path(),
+                 "--elicit", _write(tmp_path / "elicit.conf", ELICITATION),
+                 "--out", str(out)]) == 0
+    return out.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_TEXT_GOLDEN))
+def test_scenario_text_checksum(case, tmp_path):
+    text = _scenario_text(case, tmp_path)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == SCENARIO_TEXT_GOLDEN[case], f"{case} scenario text moved:\n{text}"

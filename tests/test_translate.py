@@ -35,6 +35,23 @@ def ios_inputs():
     return read_dependency_csv(cs.ios_dependency_csv_path())
 
 
+def team_scenario() -> ScenarioConfig:
+    """The 3-actor team scenario of scripts/run_experiments.py, experiment 5."""
+    team = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
+                      unit_cost=1.0, loyalty=(0.2, 0.5, 0.8), phi_b=0.8, phi_c=0.3)
+    return ScenarioConfig(
+        labels=("low", "mid", "high"),
+        d=symmetric_matrix(3, 0.8),
+        recip=ReciprocityParams(rho0=1.0, kappa=1.0, memory_k=3, lambda_r=1.0,
+                                omega_amp=1.0),
+        trust=TrustParams(t0=0.7),
+        econ=EconomyParams(endowments=(10.0,) * 3, alpha=(1 / 3,) * 3),
+        a_max=(10.0,) * 3,
+        a_init=(0.5,) * 3,
+        team=team,
+    )
+
+
 class TestTranslate:
     def test_ios_dependency_table_reproduces_coefficients(self):
         labels, entries = ios_inputs()
@@ -127,20 +144,8 @@ class TestTranslate:
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
     def test_team_scenario_roundtrip(self):
-        # the team scenario of scripts/run_experiments.py, experiment 5
-        team = TeamParams(members=(0, 1, 2), omega_prod=10.0, beta_team=0.6,
-                          unit_cost=1.0, loyalty=(0.2, 0.5, 0.8), phi_b=0.8, phi_c=0.3)
-        scenario = ScenarioConfig(
-            labels=("low", "mid", "high"),
-            d=symmetric_matrix(3, 0.8),
-            recip=ReciprocityParams(rho0=1.0, kappa=1.0, memory_k=3, lambda_r=1.0,
-                                    omega_amp=1.0),
-            trust=TrustParams(t0=0.7),
-            econ=EconomyParams(endowments=(10.0,) * 3, alpha=(1 / 3,) * 3),
-            a_max=(10.0,) * 3,
-            a_init=(0.5,) * 3,
-            team=team,
-        )
+        scenario = team_scenario()
+        team = scenario.team
         text = scenario_to_text(scenario, SimConfig())
         assert "team = low,mid,high\nloyalty = 0.2,0.5,0.8\n" in text
         back, _ = scenario_from_text(text)
