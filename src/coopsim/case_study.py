@@ -3,10 +3,11 @@
 Three aggregated actors -- the platform provider (Apple), major developers,
 and small developers -- interact over 66 quarters spanning five documented
 phases: symbiosis, maturation, tension, crisis, and adjustment.  The
-scenario constants (dependency criticalities, elicited parameters, shock
-schedule) are fixed here; phase analytics, the auto-scorable subset of the
-12-indicator validation rubric, and the early-concession counterfactual
-build on the shared simulation engine.
+dependency criticalities come from the shipped table
+``data/ios_dependencies.csv``; the other scenario constants (elicited
+parameters, shock schedule) are fixed here.  Phase analytics, the
+auto-scorable subset of the 12-indicator validation rubric, and the
+early-concession counterfactual build on the shared simulation engine.
 
 Phase boundaries and shocks: the triggering event of each transition lands
 on the closing quarter of the preceding phase (commission criticism at
@@ -16,6 +17,7 @@ maturation transition at Q16 is endogenous, with no shock.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .files import read_dependency_csv
 from .params import (
-    DependencyEntry,
     EconomyParams,
     InterdependenceMatrix,
     ReciprocityParams,
@@ -36,23 +38,6 @@ from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory, run
 
 ACTORS = ("Apple", "Major", "Small")
-
-#: Dependency criticalities, weighted 0.40 / 0.35 / 0.25 per depender.
-DEPENDENCY_ROWS = (
-    # depender, dependee, dependum, type, weight, exists, criticality
-    ("Major", "Apple", "Distribution Channel", "resource", 0.40, 1, 0.95),
-    ("Major", "Apple", "Payment Processing", "resource", 0.35, 1, 0.85),
-    ("Major", "Apple", "API Stability", "resource", 0.25, 1, 0.80),
-    ("Small", "Apple", "Distribution Channel", "resource", 0.40, 1, 0.98),
-    ("Small", "Apple", "Payment Processing", "resource", 0.35, 1, 0.90),
-    ("Small", "Apple", "API Stability", "resource", 0.25, 1, 0.85),
-    ("Apple", "Major", "Premium App Supply", "resource", 0.40, 1, 0.70),
-    ("Apple", "Major", "Platform Prestige", "softgoal", 0.35, 1, 0.65),
-    ("Apple", "Major", "Innovation Leadership", "softgoal", 0.25, 1, 0.60),
-    ("Apple", "Small", "App Variety", "resource", 0.40, 1, 0.75),
-    ("Apple", "Small", "Long-Tail Value", "softgoal", 0.35, 1, 0.70),
-    ("Apple", "Small", "Ecosystem Vitality", "softgoal", 0.25, 1, 0.65),
-)
 
 #: Elicited parameter constants.  The trust deadband is 2.5x the action
 #: noise scale so quarter-to-quarter jitter does not register as trust
@@ -146,19 +131,11 @@ def ios_dependency_csv_path() -> str:
     return str(resource_files("coopsim").joinpath("data/ios_dependencies.csv"))
 
 
-def ios_dependency_entries() -> list[DependencyEntry]:
-    index = {a: i for i, a in enumerate(ACTORS)}
-    return [
-        DependencyEntry(
-            depender=index[dr], dependee=index[de], dependum=dep,
-            weight=w, exists=bool(ex), criticality=crit,
-        )
-        for dr, de, dep, _type, w, ex, crit in DEPENDENCY_ROWS
-    ]
-
-
+@functools.cache
 def ios_interdependence() -> InterdependenceMatrix:
-    return compute_interdependence(ios_dependency_entries(), len(ACTORS))
+    """D of the shipped dependency table, whose actors appear in ``ACTORS`` order."""
+    labels, entries = read_dependency_csv(ios_dependency_csv_path())
+    return compute_interdependence(entries, len(labels))
 
 
 def build_ios_scenario(counterfactual: bool = False,
@@ -236,30 +213,34 @@ def phase_mean_changes(stats: Sequence[PhaseStats]) -> list[tuple[str, tuple[flo
     return out
 
 
+#: Transition detection: a disruption moves aggregate cooperation by more
+#: than JUMP_THRESHOLD in one quarter; the norm is institutionalized once
+#: the remaining gap to cooperation is below NORM_GAP.
+JUMP_THRESHOLD = 0.05
+NORM_GAP = 0.03
+
+
 def detect_transitions(traj: Trajectory,
-                       phases: Sequence[PhaseSpec] = IOS_PHASES,
-                       jump_threshold: float = 0.05,
-                       norm_gap: float = 0.03,
-                       norm_rate: float = 0.22) -> dict[str, Optional[int]]:
+                       phases: Sequence[PhaseSpec] = IOS_PHASES) -> dict[str, Optional[int]]:
     """Detected transition quarter opening each phase (None if not found).
 
     Disruption-driven transitions are quarters where the aggregate
-    cooperation level moves by more than ``jump_threshold`` in one quarter.
+    cooperation level moves by more than ``JUMP_THRESHOLD`` in one quarter.
     The endogenous maturation transition is when the cooperative norm has
-    been institutionalized: norms grow at ``norm_rate * gap`` while the
+    been institutionalized: norms grow at ``NORM_RATE * gap`` while the
     climb lasts, so the transition is the first quarter at which the
-    three-quarter norm growth implies a remaining gap below ``norm_gap``.
+    three-quarter norm growth implies a remaining gap below ``NORM_GAP``.
     The first phase has no transition and maps to quarter 1.
     """
     m = traj.actions.mean(axis=1)
     norms = traj.norms.mean(axis=1)
     horizon = len(m)
     detected_shocks = sorted(
-        q + 1 for q in range(1, horizon) if abs(m[q] - m[q - 1]) > jump_threshold
+        q + 1 for q in range(1, horizon) if abs(m[q] - m[q - 1]) > JUMP_THRESHOLD
     )
 
     plateau = None
-    slope_threshold = norm_rate * norm_gap
+    slope_threshold = NORM_RATE * NORM_GAP
     for q in range(6, horizon + 1):
         if (norms[q - 1] - norms[q - 4]) / 3.0 < slope_threshold:
             plateau = q - 1
@@ -361,7 +342,7 @@ def _band_score(value: float, good: float, partial: float) -> float:
     return 0.0
 
 
-def _trend_score(delta: float, expected: int, band: float = 0.03) -> float:
+def _trend_score(delta: float, expected: int, band: float) -> float:
     if expected == 0:
         return _band_score(abs(delta), band, 2 * band)
     signed = delta * expected

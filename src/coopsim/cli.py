@@ -170,8 +170,8 @@ def cmd_prop_check(args) -> int:
         print(f"  above: actions = {tuple(round(a, 3) for a in r.above_actions)}")
         print(f"  -> {'pass' if r.passed else 'FAIL'}")
     if 2 in props:
-        ks = [args.k] if args.k else [1, 5, 10]
-        kappas = [args.kappa] if args.kappa else [0.5, 1.0, 2.0]
+        ks = [args.k] if args.k is not None else [1, 5, 10]
+        kappas = [args.kappa] if args.kappa is not None else [0.5, 1.0, 2.0]
         r2 = check_prop2(ks=ks, kappas=kappas)
         all_pass &= r2.passed
         print("prop 2 forgiveness window:")

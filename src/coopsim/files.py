@@ -1,15 +1,21 @@
 """Plain-text file formats: scenario configs, dependency tables, grids, CSV.
 
 Scenario files are one ``key = value`` pair per line with ``#`` comments.
-Repeated keys express collections: one ``d = depender,dependee,value`` line
-per nonzero interdependence coefficient, one ``pre_history = a,b,...`` line
-per action row before period 1 (oldest first) and one ``shock = period,
-actor,delta`` line per scheduled shock.  Vectors are comma separated in
-actor order.  A team is a ``team = member,...`` line of actor labels plus
-its fields (``loyalty`` lists one value per member, in that order).
-Pre-history and team lines appear only when the scenario has them.  All
-emitted numbers use ``.`` decimals, files are UTF-8 with LF line endings,
-and writers are deterministic so reruns are byte identical.
+Every field of the parameter blocks (``ScenarioConfig``,
+``ReciprocityParams``, ``TrustParams``, ``EconomyParams``, ``TeamParams``
+and ``SimConfig``) is a key of the same name, written in field order:
+numbers as numbers, strings as written, tuples comma separated in actor
+order.  Five fields have their own spellings: ``actors = a,b,...`` for the
+labels; one ``d = depender,dependee,value`` line per nonzero
+interdependence coefficient; one ``pre_history = a,b,...`` line per action
+row before period 1 (oldest first); a ``team = member,...`` line of actor
+labels for the team members, after which the team's fields follow
+(``loyalty`` lists one value per member, in that order); and one ``shock =
+period,actor,delta`` line per scheduled shock.  ``endowments`` and
+``alpha`` default to 100 and 1/n per actor.  Pre-history and team lines
+appear only when the scenario has them.  All emitted numbers use ``.``
+decimals, files are UTF-8 with LF line endings, and writers are
+deterministic so reruns are byte identical.
 
 Dependency tables are CSV with the header
 ``depender,dependee,dependum,type,weight,exists,criticality``; actor
@@ -21,7 +27,8 @@ from __future__ import annotations
 import csv
 import io
 import os
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .params import (
 )
 from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory
-from .sweep import GRID_KEYS, CellResult, ParameterGrid
+from .sweep import GRID_KEYS, CellResult, ParameterGrid, SweepCell
 
 
 def fmt(x) -> str:
@@ -93,69 +100,77 @@ def _floats(text: str, key: str) -> tuple[float, ...]:
 
 # -- scenario files ----------------------------------------------------------
 
-_RECIP_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "omega_amp")
-_TRUST_KEYS = ("t0", "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
-               "t_max", "theta_r", "lambda_t", "deadband")
-_ECON_KEYS = ("theta_v", "power_beta", "gamma")
-_SIM_FLOAT_KEYS = ("adjust_rate", "decay", "baseline_rate", "noise_sigma")
-_TEAM_FLOAT_KEYS = ("omega_prod", "beta_team", "unit_cost", "phi_b", "phi_c")
-_TEAM_KEYS = ("loyalty", *_TEAM_FLOAT_KEYS, "teammate_payoff")
+#: How a field of each type is read from its ``key = value`` line.  Fields of
+#: any other type have their own spellings: ``actors``, ``d``,
+#: ``pre_history``, ``team`` and ``shock``.
+_READERS = {
+    int: lambda raw, key: parse_number(raw, key, int),
+    float: parse_number,
+    str: lambda raw, key: raw,
+    tuple[float, ...]: _floats,
+}
+
+
+def _keyed_fields(cls) -> tuple:
+    """``(name, reader)`` for each field of ``cls`` that is a key of its own
+    name, in field order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _READERS[hints[f.name]]) for f in fields(cls)
+                 if hints[f.name] in _READERS)
+
+
+_KEYED = {cls: _keyed_fields(cls) for cls in (ScenarioConfig, ReciprocityParams, TrustParams,
+                                               EconomyParams, TeamParams, SimConfig)}
+_KNOWN_KEYS = {"actors", "d", "pre_history", "team", "shock",
+               *(name for keyed in _KEYED.values() for name, _ in keyed)}
+
+
+def _field_lines(block) -> list[str]:
+    """``name = value`` for every keyed field of ``block``, in field order."""
+    lines = []
+    for name, _ in _KEYED[type(block)]:
+        value = getattr(block, name)
+        if isinstance(value, tuple):
+            value = ",".join(fmt(v) for v in value)
+        elif not isinstance(value, str):
+            value = fmt(value)
+        lines.append(f"{name} = {value}")
+    return lines
+
+
+def _read_block(cls, kv: dict[str, list[str]], **given):
+    """``cls`` from ``given`` plus every keyed field the file sets."""
+    for name, read in _KEYED[cls]:
+        raw = _single(kv, name)
+        if raw is not None:
+            given[name] = read(raw, name)
+    return cls(**given)
 
 
 def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
-    lines = ["# coopsim scenario"]
-    lines.append(f"actors = {','.join(scenario.labels)}")
-    for name, vec in (
-        ("a_max", scenario.a_max),
-        ("a_init", scenario.a_init),
-        ("baseline_init", scenario.baseline_init),
-    ):
-        lines.append(f"{name} = {','.join(fmt(v) for v in vec)}")
-    lines.append(f"baseline_mode = {scenario.baseline_mode}")
-    for row in scenario.pre_history:
-        lines.append(f"pre_history = {','.join(fmt(v) for v in row)}")
+    labels = scenario.labels
+    lines = ["# coopsim scenario", f"actors = {','.join(labels)}", *_field_lines(scenario)]
+    lines.extend(f"pre_history = {','.join(fmt(v) for v in row)}"
+                 for row in scenario.pre_history)
     d = scenario.d.values
-    for i in range(scenario.n):
-        for j in range(scenario.n):
-            if i != j and d[i, j] != 0.0:
-                lines.append(
-                    f"d = {scenario.labels[i]},{scenario.labels[j]},{fmt(d[i, j])}"
-                )
-    for block, keys in ((scenario.recip, _RECIP_KEYS), (scenario.trust, _TRUST_KEYS)):
-        lines.extend(f"{name} = {fmt(getattr(block, name))}" for name in keys)
-    e = scenario.econ
-    lines.append(f"endowments = {','.join(fmt(v) for v in e.endowments)}")
-    lines.append(f"alpha = {','.join(fmt(v) for v in e.alpha)}")
-    lines.extend(f"{name} = {fmt(getattr(e, name))}" for name in _ECON_KEYS)
-    lines.append(f"value_form = {e.value_form}")
-    team = scenario.team
-    if team is not None:
-        lines.append(f"team = {','.join(scenario.labels[m] for m in team.members)}")
-        lines.append(f"loyalty = {','.join(fmt(v) for v in team.loyalty)}")
-        lines.extend(f"{name} = {fmt(getattr(team, name))}" for name in _TEAM_FLOAT_KEYS)
-        lines.append(f"teammate_payoff = {team.teammate_payoff}")
-    lines.append(f"horizon = {sim.horizon}")
-    lines.append(f"mode = {sim.mode}")
-    lines.extend(f"{name} = {fmt(getattr(sim, name))}" for name in _SIM_FLOAT_KEYS)
-    lines.append(f"seed = {sim.seed}")
-    for s in sim.shocks:
-        lines.append(f"shock = {s.period},{scenario.labels[s.actor]},{fmt(s.delta)}")
+    lines.extend(f"d = {labels[i]},{labels[j]},{fmt(d[i, j])}"
+                 for i in range(scenario.n) for j in range(scenario.n)
+                 if i != j and d[i, j] != 0.0)
+    for block in (scenario.recip, scenario.trust, scenario.econ):
+        lines.extend(_field_lines(block))
+    if scenario.team is not None:
+        lines.append(f"team = {','.join(labels[m] for m in scenario.team.members)}")
+        lines.extend(_field_lines(scenario.team))
+    lines.extend(_field_lines(sim))
+    lines.extend(f"shock = {s.period},{labels[s.actor]},{fmt(s.delta)}" for s in sim.shocks)
     return "\n".join(lines) + "\n"
-
-
-_KNOWN_KEYS = (
-    {"actors", "a_max", "a_init", "baseline_init", "baseline_mode", "pre_history", "d",
-     "endowments", "alpha", "value_form", "team", "horizon", "mode", "seed", "shock"}
-    | set(_RECIP_KEYS) | set(_TRUST_KEYS) | set(_ECON_KEYS) | set(_SIM_FLOAT_KEYS)
-    | set(_TEAM_KEYS)
-)
 
 
 def _team_from(kv: dict[str, list[str]], index: dict[str, int]) -> Optional[TeamParams]:
     """The ``team`` line's members (by label) and the team fields, or None."""
     members = _single(kv, "team")
     if members is None:
-        given = [key for key in _TEAM_KEYS if key in kv]
+        given = [name for name, _ in _KEYED[TeamParams] if name in kv]
         if given:
             raise ConfigurationError(f"{given[0]} needs a 'team' line naming the members")
         return None
@@ -163,18 +178,7 @@ def _team_from(kv: dict[str, list[str]], index: dict[str, int]) -> Optional[Team
     for label in labels:
         if label not in index:
             raise ConfigurationError(f"team names unknown actor {label!r}")
-    kwargs = {"members": tuple(index[label] for label in labels)}
-    loyalty = _single(kv, "loyalty")
-    if loyalty is not None:
-        kwargs["loyalty"] = _floats(loyalty, "loyalty")
-    for key in _TEAM_FLOAT_KEYS:
-        raw = _single(kv, key)
-        if raw is not None:
-            kwargs[key] = parse_number(raw, key)
-    payoff = _single(kv, "teammate_payoff")
-    if payoff is not None:
-        kwargs["teammate_payoff"] = payoff
-    return TeamParams(**kwargs)
+    return _read_block(TeamParams, kv, members=tuple(index[label] for label in labels))
 
 
 def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
@@ -200,39 +204,6 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
             raise ConfigurationError(f"interdependence entry names unknown actor: {entry!r}")
         d[i, j] = parse_number(parts[2], "d")
 
-    def vec(key: str, default: Optional[tuple[float, ...]]) -> Optional[tuple[float, ...]]:
-        raw = _single(kv, key)
-        if raw is None:
-            return default
-        v = _floats(raw, key)
-        if len(v) != n:
-            raise ConfigurationError(f"{key} must list one value per actor")
-        return v
-
-    recip_kwargs = {}
-    for key in _RECIP_KEYS:
-        raw = _single(kv, key)
-        if raw is not None:
-            recip_kwargs[key] = parse_number(raw, key, int if key == "memory_k" else float)
-    trust_kwargs = {}
-    for key in _TRUST_KEYS:
-        raw = _single(kv, key)
-        if raw is not None:
-            trust_kwargs[key] = parse_number(raw, key)
-
-    econ_kwargs = {}
-    endow = vec("endowments", None)
-    alpha = vec("alpha", None)
-    econ_kwargs["endowments"] = endow if endow is not None else (100.0,) * n
-    econ_kwargs["alpha"] = alpha if alpha is not None else (1.0 / n,) * n
-    for key in _ECON_KEYS:
-        raw = _single(kv, key)
-        if raw is not None:
-            econ_kwargs[key] = parse_number(raw, key)
-    form = _single(kv, "value_form")
-    if form is not None:
-        econ_kwargs["value_form"] = form
-
     shocks = []
     for entry in kv.get("shock", []):
         parts = [p.strip() for p in entry.split(",")]
@@ -247,35 +218,17 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
         shocks.append(Shock(period=parse_number(parts[0], "shock period", int), actor=actor,
                             delta=parse_number(parts[2], "shock delta")))
 
-    scenario = ScenarioConfig(
+    scenario = _read_block(
+        ScenarioConfig, kv,
         labels=labels,
         d=InterdependenceMatrix(d),
-        recip=ReciprocityParams(**recip_kwargs),
-        trust=TrustParams(**trust_kwargs),
-        econ=EconomyParams(**econ_kwargs),
-        a_max=vec("a_max", None) or (1.0,) * n,
-        a_init=vec("a_init", None) or (0.0,) * n,
-        baseline_init=vec("baseline_init", None) or (),
-        baseline_mode=_single(kv, "baseline_mode", "moving_average"),
+        recip=_read_block(ReciprocityParams, kv),
+        trust=_read_block(TrustParams, kv),
+        econ=_read_block(EconomyParams, kv, endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
         pre_history=tuple(_floats(row, "pre_history") for row in kv.get("pre_history", [])),
         team=_team_from(kv, index),
     )
-    sim_kwargs = {}
-    for key in _SIM_FLOAT_KEYS:
-        raw = _single(kv, key)
-        if raw is not None:
-            sim_kwargs[key] = parse_number(raw, key)
-    horizon = _single(kv, "horizon")
-    if horizon is not None:
-        sim_kwargs["horizon"] = parse_number(horizon, "horizon", int)
-    mode = _single(kv, "mode")
-    if mode is not None:
-        sim_kwargs["mode"] = mode
-    seed = _single(kv, "seed")
-    if seed is not None:
-        sim_kwargs["seed"] = parse_number(seed, "seed", int)
-    sim = SimConfig(shocks=tuple(shocks), **sim_kwargs)
-    return scenario, sim
+    return scenario, _read_block(SimConfig, kv, shocks=tuple(shocks))
 
 
 def read_scenario(path: str) -> tuple[ScenarioConfig, SimConfig]:
@@ -339,13 +292,14 @@ def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEnt
 
 def parse_grid(text: str) -> ParameterGrid:
     kv = parse_keyvalues(text)
+    kinds = get_type_hints(SweepCell)
     levels = {}
     for key, vals in kv.items():
         if key not in GRID_KEYS:
             raise ConfigurationError(f"unknown grid parameter {key!r}")
         if len(vals) > 1:
             raise ConfigurationError(f"grid parameter {key!r} given more than once")
-        levels[key] = _floats(vals[0], key)
+        levels[key] = tuple(parse_number(x, key, kinds[key]) for x in vals[0].split(","))
     return ParameterGrid(levels)
 
 
@@ -402,7 +356,7 @@ def long_format_csv(traj: Trajectory) -> str:
 
 def targets_csv(results: Sequence[CellResult]) -> str:
     cols = [
-        "index", "rho0", "eta", "kappa", "memory_k", "lambda_r", "t0", "d",
+        "index", *GRID_KEYS,
         "t1", "t2", "t3", "t4", "t5", "t6",
         "steady_level", "coop_mean", "tau_f", "response_high", "response_low",
         "ratio", "max_abs_response",
@@ -414,8 +368,7 @@ def targets_csv(results: Sequence[CellResult]) -> str:
             ",".join(
                 [
                     str(r.index),
-                    fmt(c.rho0), fmt(c.eta), fmt(c.kappa), str(c.memory_k),
-                    fmt(c.lambda_r), fmt(c.t0), fmt(c.d),
+                    *(fmt(getattr(c, key)) for key in GRID_KEYS),
                     fmt(r.t1), fmt(r.t2), fmt(r.t3), fmt(r.t4), fmt(r.t5), fmt(r.t6),
                     fmt(r.steady_level), fmt(r.coop_mean), str(r.tau_f),
                     fmt(r.response_high), fmt(r.response_low),

@@ -321,10 +321,10 @@ class TeamParams:
     """
 
     members: tuple[int, ...]
+    loyalty: tuple[float, ...] = ()
     omega_prod: float = 10.0
     beta_team: float = 0.75
     unit_cost: float = 1.0
-    loyalty: tuple[float, ...] = ()
     phi_b: float = 0.8
     phi_c: float = 0.3
     teammate_payoff: str = "sum"

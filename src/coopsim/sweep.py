@@ -160,8 +160,6 @@ class ParameterGrid:
             vals = self.levels[key]
             rem, pos = divmod(rem, len(vals))
             chosen[key] = vals[pos]
-        if "memory_k" in chosen:
-            chosen["memory_k"] = int(chosen["memory_k"])
         return replace(REFERENCE_CELL, **chosen)
 
     def rho0_extremes(self) -> tuple[float, float]:
@@ -632,6 +630,10 @@ def perturb_trial(
 
 def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> MonteCarloReport:
     """Robustness analysis around the reference configuration."""
+    if trials < 2:
+        raise ConfigurationError(f"trials must be >= 2, got {trials}")
+    if not 0.0 <= perturb < math.inf:
+        raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
     drawn = [perturb_trial(t, perturb, seed) for t in range(trials)]
     results = measure_cells(range(trials), [cell for cell, _, _ in drawn],
                             [trust for _, trust, _ in drawn])

@@ -129,6 +129,15 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: d must be a number")
 
+    def test_fractional_memory_k_exits_one(self, tmp_path, capsys):
+        # the window is an integer: 2.5 is refused, not truncated to 2
+        grid = tmp_path / "k.grid"
+        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 2.5,4\n")
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: memory_k must be an integer")
+        assert not os.path.exists(os.path.join(out, "targets.csv"))
+
     def test_grid_too_small_for_statistics_exits_one(self, tmp_path, capsys):
         # 4 cells give fewer than the 6 ratios the Wilcoxon test needs
         grid = tmp_path / "four.grid"
@@ -176,6 +185,22 @@ class TestMonteCarloCommand:
                   "--parallel", "1"])
             outs.append(read(os.path.join(out, "montecarlo.csv")))
         assert outs[0] == outs[1]
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be >= 2"),
+        ("--trials", "-2", "trials must be >= 2"),
+        ("--trials", "1", "trials must be >= 2"),
+        ("--perturb", "nan", "perturb must be finite and >= 0"),
+        ("--perturb", "-0.1", "perturb must be finite and >= 0"),
+    ])
+    def test_bad_trials_or_perturb_exits_one(self, tmp_path, capsys, flag, value, message):
+        args = {"--trials": "4", flag: value}
+        out = str(tmp_path / "mc")
+        argv = ["montecarlo", *(x for item in args.items() for x in item), "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not os.path.exists(os.path.join(out, "montecarlo.csv"))
 
 
 class TestCaseStudyCommand:
@@ -252,6 +277,13 @@ class TestPropCheckCommand:
         assert main(["prop-check", "--prop", "2", "--k", "5", "--kappa", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "tau_f=6" in out and "pass" in out
+
+    @pytest.mark.parametrize("flag, message", [("--k", "memory_k must be an integer >= 1"),
+                                               ("--kappa", "kappa must be > 0")])
+    def test_zero_prop2_cell_exits_one(self, capsys, flag, message):
+        # a zero is validated, not replaced by the default levels
+        assert main(["prop-check", "--prop", "2", flag, "0"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_prop1(self, capsys):
         assert main(["prop-check", "--prop", "1"]) == 0

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,18 @@ from coopsim.files import (
 from coopsim.params import (
     DependencyEntry,
     EconomyParams,
+    InterdependenceMatrix,
     ReciprocityParams,
     TeamParams,
     TrustParams,
 )
-from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario, symmetric_matrix
+from coopsim.scenario import (
+    ScenarioConfig,
+    Shock,
+    SimConfig,
+    reference_scenario,
+    symmetric_matrix,
+)
 from coopsim.simulation import run
 from coopsim.translate import (
     ADVICE_TABLE,
@@ -50,6 +57,47 @@ def team_scenario() -> ScenarioConfig:
         a_init=(0.5,) * 3,
         team=team,
     )
+
+
+#: A valid non-default value for every field of the scenario and its
+#: parameter blocks, keyed by field name.  The scenario's ``recip``,
+#: ``trust``, ``econ`` and ``team`` are the blocks built from these.
+NON_DEFAULT = {
+    # ScenarioConfig
+    "labels": ("x", "y", "z"),
+    "d": InterdependenceMatrix([[0.0, 0.25, 0.5], [0.75, 0.0, 0.125], [1.0, 0.375, 0.0]]),
+    "a_max": (2.0, 3.5, 4.0),
+    "a_init": (1.5, 0.25, 3.0),
+    "baseline_init": (0.75, 0.5, 2.5),
+    "baseline_mode": "adaptive",
+    "pre_history": ((0.5, 1.0, 1.5), (0.25, 3.25, 0.75)),
+    # ReciprocityParams
+    "rho0": 0.35, "eta": 1.7, "kappa": 2.5, "memory_k": 7, "lambda_r": 0.4, "omega_amp": 0.3,
+    # TrustParams
+    "t0": 0.55, "lambda_plus": 0.2, "lambda_minus": 0.45, "xi": 0.25, "mu_r": 0.4,
+    "delta_r": 0.07, "t_max": 0.8, "theta_r": 0.3, "lambda_t": 1.5, "deadband": 0.01,
+    # EconomyParams
+    "endowments": (50.0, 75.5, 20.0), "alpha": (0.25, 0.25, 0.5), "theta_v": 12.0,
+    "power_beta": 0.6, "gamma": 0.8, "value_form": "power",
+    # TeamParams
+    "members": (2, 0), "loyalty": (0.9, 0.1), "omega_prod": 4.0, "beta_team": 0.5,
+    "unit_cost": 2.0, "phi_b": 0.4, "phi_c": 0.6, "teammate_payoff": "mean",
+    # SimConfig
+    "horizon": 17, "mode": "best_response", "adjust_rate": 0.3, "decay": 0.1,
+    "baseline_rate": 0.2, "noise_sigma": 0.05, "seed": 123,
+    "shocks": (Shock(period=3, actor=1, delta=-0.25), Shock(period=9, actor=2, delta=0.5)),
+}
+BLOCKS = {"recip": ReciprocityParams, "trust": TrustParams, "econ": EconomyParams,
+          "team": TeamParams}
+
+
+def non_default(cls, **given):
+    """``cls`` with every field from ``NON_DEFAULT`` (a missing entry is a KeyError)."""
+    obj = cls(**{f.name: given[f.name] if f.name in given else NON_DEFAULT[f.name]
+                 for f in fields(cls)})
+    for f in fields(cls):
+        assert f.default is MISSING or getattr(obj, f.name) != f.default, f.name
+    return obj
 
 
 class TestTranslate:
@@ -186,12 +234,24 @@ class TestTranslate:
         assert back == scenario
         assert scenario_to_text(back, SimConfig()) == text
 
+    def test_every_field_roundtrips(self):
+        # lossless by construction: each field of every block is written
+        # and read back, so a new field cannot be dropped silently
+        scenario = non_default(ScenarioConfig,
+                               **{name: non_default(cls) for name, cls in BLOCKS.items()})
+        sim = non_default(SimConfig)
+        text = scenario_to_text(scenario, sim)
+        assert scenario_from_text(text) == (scenario, sim)
+        assert scenario_to_text(*scenario_from_text(text)) == text
+
     @pytest.mark.parametrize("extra, message", [
         ("loyalty = 0.5,0.5", "loyalty needs a 'team' line"),
         ("team = A,C\nloyalty = 0.5,0.5", "team names unknown actor 'C'"),
         ("team = A,B", "one loyalty value per team member"),
         ("team = A,B\nloyalty = 0.5,0.5\nunit_cost = inf", "unit_cost must be finite"),
         ("pre_history = 0.5", "pre_history rows must have one action per actor"),
+        *((f"{name} = 0", f"unknown scenario key '{name}'")
+          for name in ("members", "shocks", "labels", "recip", "econ")),
     ])
     def test_bad_team_or_pre_history_rejected(self, extra, message):
         text = scenario_to_text(reference_scenario(), SimConfig()) + extra + "\n"
