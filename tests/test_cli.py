@@ -186,19 +186,16 @@ class TestMonteCarloCommand:
             outs.append(read(os.path.join(out, "montecarlo.csv")))
         assert outs[0] == outs[1]
 
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--trials", "0", "trials must be >= 2"),
-        ("--trials", "-2", "trials must be >= 2"),
-        ("--trials", "1", "trials must be >= 2"),
-        ("--perturb", "nan", "perturb must be finite and >= 0"),
-        ("--perturb", "-0.1", "perturb must be finite and >= 0"),
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "trials must be >= 2"),
+        (["--trials", "-2"], "trials must be >= 2"),
+        (["--trials", "1"], "trials must be >= 2"),
+        (["--trials", "4", "--perturb", "nan"], "perturb must be finite and >= 0"),
+        (["--trials", "4", "--perturb", "-0.1"], "perturb must be finite and >= 0"),
     ])
-    def test_bad_trials_or_perturb_exits_one(self, tmp_path, capsys, flag, value, message):
-        args = {"--trials": "4", flag: value}
+    def test_bad_trials_or_perturb_exits_one(self, tmp_path, capsys, args, message):
         out = str(tmp_path / "mc")
-        argv = ["montecarlo", *(x for item in args.items() for x in item), "--out", out]
-        assert main(argv) == 1
+        assert main(["montecarlo", *args, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not os.path.exists(os.path.join(out, "montecarlo.csv"))
 
