@@ -10,13 +10,6 @@ from .params import (
     TeamParams,
     TrustParams,
     compute_interdependence,
-    reciprocity_sensitivity,
-)
-from .reciprocity import (
-    bounded_response,
-    cooperation_signal,
-    gated_reciprocity_term,
-    reciprocity_response,
 )
 from .scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, reference_scenario
 from .simulation import Trajectory, run
@@ -28,7 +21,6 @@ from .solver import (
     cross_partial_check,
     solve_equilibrium,
 )
-from .trust import DyadState, negativity_ratio, trust_ceiling, update_trust
 from .utility import (
     UtilityBreakdown,
     complete_utility,

@@ -26,6 +26,7 @@ elasticity).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -42,6 +43,20 @@ def check_finite(obj, names: Sequence[str]) -> None:
         entries = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in entries):
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(obj, names: Sequence[str]) -> None:
+    """Reject non-integral values among ``obj``'s named fields (tuple fields
+    entrywise) with a ConfigurationError naming the field, and store
+    integral floats as int."""
+    for name in names:
+        value = getattr(obj, name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+                   for v in entries):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        ints = tuple(int(v) for v in entries)
+        object.__setattr__(obj, name, ints if isinstance(value, tuple) else ints[0])
 
 
 @dataclass(frozen=True)
@@ -61,6 +76,7 @@ class DependencyEntry:
     criticality: float
 
     def __post_init__(self) -> None:
+        check_integer(self, ("depender", "dependee"))
         if self.depender == self.dependee:
             raise ConfigurationError(
                 f"self-dependency not allowed (actor {self.depender}, {self.dependum!r})"
@@ -154,19 +170,6 @@ def compute_interdependence(
     return InterdependenceMatrix(d)
 
 
-def reciprocity_sensitivity(rho0: float, d_ij: float, eta: float) -> float:
-    """Structural reciprocity sensitivity ``rho_ij = rho0 * D_ij ** eta``.
-
-    Zero dependency yields zero sensitivity (for eta > 0): actors do not
-    condition behavior on partners they do not depend on.
-    """
-    if not 0.0 <= d_ij <= 1.0:
-        raise ConfigurationError(f"D_ij must lie in [0, 1], got {d_ij}")
-    if d_ij == 0.0 and eta > 0.0:
-        return 0.0
-    return rho0 * d_ij**eta
-
-
 @dataclass(frozen=True)
 class ReciprocityParams:
     """Conditional-cooperation parameters.
@@ -187,21 +190,19 @@ class ReciprocityParams:
 
     def __post_init__(self) -> None:
         check_finite(self, _RECIP_NAMES)
+        check_integer(self, ("memory_k",))
         if self.rho0 < 0:
             raise ConfigurationError(f"rho0 must be >= 0, got {self.rho0}")
         if self.eta < 0:
             raise ConfigurationError(f"eta must be >= 0, got {self.eta}")
         if self.kappa <= 0:
             raise ConfigurationError(f"kappa must be > 0, got {self.kappa}")
-        if self.memory_k < 1 or int(self.memory_k) != self.memory_k:
+        if self.memory_k < 1:
             raise ConfigurationError(f"memory_k must be an integer >= 1, got {self.memory_k}")
         if self.lambda_r < 0:
             raise ConfigurationError(f"lambda_r must be >= 0, got {self.lambda_r}")
         if self.omega_amp < 0:
             raise ConfigurationError(f"omega_amp must be >= 0, got {self.omega_amp}")
-
-    def sensitivity(self, d_ij: float) -> float:
-        return reciprocity_sensitivity(self.rho0, d_ij, self.eta)
 
 
 _RECIP_NAMES = tuple(f.name for f in fields(ReciprocityParams))
@@ -330,7 +331,8 @@ class TeamParams:
     teammate_payoff: str = "sum"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        object.__setattr__(self, "members", tuple(self.members))
+        check_integer(self, ("members",))
         object.__setattr__(self, "loyalty", tuple(float(x) for x in self.loyalty))
         check_finite(self, ("omega_prod", "beta_team", "unit_cost", "loyalty", "phi_b", "phi_c"))
         if len(self.members) == 0:

@@ -33,6 +33,7 @@ from .params import (
     TeamParams,
     TrustParams,
     check_finite,
+    check_integer,
 )
 
 BASELINE_MODES = ("moving_average", "adaptive", "fixed")
@@ -49,6 +50,7 @@ class Shock:
 
     def __post_init__(self) -> None:
         check_finite(self, ("delta",))
+        check_integer(self, ("period", "actor"))
         if self.period < 1:
             raise ConfigurationError(f"shock period must be >= 1, got {self.period}")
 
@@ -135,6 +137,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_finite(self, ("horizon", "adjust_rate", "decay", "baseline_rate", "noise_sigma"))
+        check_integer(self, ("horizon", "seed"))
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in SIM_MODES:

@@ -202,11 +202,26 @@ def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.
 
 def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndarray,
                            p: Mapping[str, np.ndarray]) -> None:
-    """Vectorized two-layer update in place: reputation, then ceiling, then
-    trust; ``p`` comes from ``_trust_rows``.
+    """Advance every dyad's trust T and reputation damage R by one observed
+    signal s, in place; ``p`` comes from ``_trust_rows``.
 
-    Self-trust stays 1 and self-reputation 0: a zero diagonal signal keeps
-    reputation at 0, and the trust diagonal is reset after the update.
+    Reputation moves first:
+
+        s >= 0:  dR = -delta_r * R          (slow forgetting)
+        s <  0:  dR = mu_r * |s| * (1 - R)  (damage, capacity-limited)
+
+    then the ceiling min(t_max, 1 - theta_r * R) is taken from the updated
+    R, so accumulated damage binds in the same period (recovery is path
+    dependent), and trust moves and is clipped to [0, ceiling]:
+
+        s >  0:  dT = lambda_plus * s * max(0, ceiling - T)
+        s <= 0:  dT = lambda_minus * s * T * (1 + xi * D)
+
+    Erosion is faster than building (3:1 by default) and amplified by
+    dependency.  A zero signal erodes nothing but lets reputation decay;
+    signals with |s| <= deadband count as zero.  Self-trust stays 1 and
+    self-reputation 0: a zero diagonal signal keeps reputation at 0, and
+    the trust diagonal is reset after the update.
     """
     if "deadband" in p:
         s = np.where(np.abs(s) <= p["deadband"], 0.0, s)
@@ -360,8 +375,6 @@ def run(
     controlled defection stimuli.
     """
     n = scenario.n
-    if scenario.econ.n != n:
-        raise ConfigurationError("economy parameters do not match the actor count")
     for shock in sim.shocks:
         if not 0 <= shock.actor < n:
             raise ConfigurationError(f"shock targets unknown actor {shock.actor}")

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .params import check_integer
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig
 from .utility import standalone_payoff, synergy, team_member_utility
@@ -62,6 +63,7 @@ class SolverConfig:
     refine: bool = False
 
     def __post_init__(self) -> None:
+        check_integer(self, ("max_iters", "grid_points"))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import ReciprocityParams, TrustParams
+from .params import ReciprocityParams, TrustParams, check_integer
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
 from .simulation import TRUST_FIELDS, RunBatch, run_batch
@@ -113,6 +113,7 @@ class SweepCell:
         # fails as the same field of a scenario would.
         ReciprocityParams(rho0=self.rho0, eta=self.eta, kappa=self.kappa,
                           memory_k=self.memory_k, lambda_r=self.lambda_r)
+        check_integer(self, ("memory_k",))
         TrustParams(t0=self.t0)
         if not 0.0 <= self.d <= 1.0:
             raise ConfigurationError(f"d must lie in [0, 1], got {self.d}")

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .files import parse_keyvalues, parse_number
 from .params import (
@@ -36,8 +38,8 @@ from .params import (
     ReciprocityParams,
     TrustParams,
     compute_interdependence,
-    reciprocity_sensitivity,
 )
+from .reciprocity import sensitivity
 from .scenario import ScenarioConfig, SimConfig
 
 #: Memory-window heuristic per interaction granularity.
@@ -171,10 +173,6 @@ class TranslationResult:
     gap_advice: tuple[str, ...]
 
 
-def _parse_elicitation(text: str) -> dict[str, list[str]]:
-    return parse_keyvalues(text)
-
-
 def translate(
     labels: Sequence[str],
     entries: Sequence[DependencyEntry],
@@ -194,7 +192,7 @@ def translate(
     labels = tuple(labels)
     n = len(labels)
     d = compute_interdependence(entries, n)  # step 5
-    kv = _parse_elicitation(elicitation_text)
+    kv = parse_keyvalues(elicitation_text)
 
     def elicited(key: str, step: int, what: str, lo: float, hi: float,
                  default: float) -> float:
@@ -257,18 +255,9 @@ def translate(
     )
     sim = SimConfig(horizon=horizon, seed=seed)
 
-    rho_matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(0.0)
-            elif symmetric_rho:
-                coupled = (d[i, j] * d[j, i]) ** 0.5
-                row.append(reciprocity_sensitivity(rho0, coupled, eta))
-            else:
-                row.append(reciprocity_sensitivity(rho0, d[i, j], eta))
-        rho_matrix.append(tuple(row))
+    coupled = np.sqrt(d.values * d.values.T) if symmetric_rho else d.values
+    rho = sensitivity(coupled[None], np.array([rho0]), np.array([eta]))[0]
+    np.fill_diagonal(rho, 0.0)
 
     gap = None
     gap_advice: tuple[str, ...] = ()
@@ -284,6 +273,6 @@ def translate(
             )
 
     return TranslationResult(
-        scenario=scenario, sim=sim, rho=tuple(rho_matrix),
+        scenario=scenario, sim=sim, rho=tuple(map(tuple, rho.tolist())),
         reciprocity_gap=gap, gap_advice=gap_advice,
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TeamParams, TrustParams
-from .reciprocity import gated_reciprocity_term
+from .reciprocity import gate_matrix
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,15 @@ def complete_utility(
 
     ``trust_to[j]`` is i's immediate trust in j and ``signals[j]`` is i's
     observed cooperation signal about j (both ignored at j = i).  A missing
-    dyad state (NaN trust) is a configuration error.
+    dyad state (NaN trust) or trust outside [0, 1] is a configuration error.
     """
     n = d.n
     if len(trust_to) != n or len(signals) != n:
         raise ConfigurationError("trust and signal vectors must cover every actor")
     payoffs = private_payoffs(a, econ)
+    trust_to = np.asarray(trust_to, dtype=float)
+    gated = gate_matrix(d.values, recip)[i] * trust_to * np.tanh(
+        recip.kappa * np.asarray(signals, dtype=float))
     interdep = 0.0
     trust_mod = 0.0
     recip_mod = 0.0
@@ -146,15 +149,12 @@ def complete_utility(
         if j == i:
             continue
         t_ij = float(trust_to[j])
-        if math.isnan(t_ij):
-            raise ConfigurationError(f"missing dyad trust state for pair ({i}, {j})")
+        if not 0.0 <= t_ij <= 1.0:  # NaN marks a missing dyad state
+            raise ConfigurationError(f"trust for pair ({i}, {j}) must lie in [0, 1], got {t_ij}")
         pi_j = float(payoffs[j])
         d_ij = d[i, j]
         interdep += d_ij * pi_j
         trust_mod += tr.lambda_t * t_ij * d_ij * pi_j
-        recip_mod += gated_reciprocity_term(
-            t_ij, d_ij, recip.omega_amp, recip.lambda_r,
-            recip.sensitivity(d_ij), float(signals[j]), recip.kappa,
-        )
+        recip_mod += float(gated[j])
     return UtilityBreakdown(base=float(payoffs[i]), interdep=interdep, trust_mod=trust_mod,
                             recip_mod=recip_mod)

@@ -1,14 +1,18 @@
-"""Independent scalar oracle for the payoff kernel and the equilibrium solver.
+"""Independent scalar oracles for the engine's array kernels and the
+equilibrium solver.
 
-The solver scores its best-response objective on whole action grids with
-the elementwise kernel in ``coopsim.utility`` and sums the partner and gate
-weights once per solve.  This module rebuilds the same objective one
-candidate at a time from scalar reference formulas of its own --
-:func:`private_payoff` / :func:`team_utility` below for the payoff part
-and, per partner, ``reciprocity.gated_reciprocity_term`` with
-``ReciprocityParams.sensitivity`` for the anticipated reciprocity -- so a
-differential test against it does not share the solver's code path.  It
-imports nothing from ``coopsim.utility`` or ``coopsim.solver``.
+The engine, the solver and the utility breakdown compute the gated
+reciprocity term and the two-layer trust update on whole arrays
+(``coopsim.reciprocity.gate_weights``, ``coopsim.simulation
+._update_trust_matrices``), and the solver scores its best-response
+objective on action grids with the elementwise payoff kernel in
+``coopsim.utility``.  This module rebuilds each formula one number at a
+time: :func:`update_trust` (with :func:`trust_ceiling`),
+:func:`gated_term` (with a scalar ``rho0 * D ** eta`` and ``math.tanh``),
+:func:`private_payoff` / :func:`team_utility`, and the whole objective, so
+a differential test against it does not share the kernels' code path.  It
+imports nothing from ``coopsim.reciprocity``, ``coopsim.simulation``,
+``coopsim.utility`` or ``coopsim.solver``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,45 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from coopsim.params import EconomyParams, TeamParams
-from coopsim.reciprocity import gated_reciprocity_term
+from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
 from coopsim.scenario import ScenarioConfig
+
+
+def trust_ceiling(reputation: float, p: TrustParams) -> float:
+    """Maximum achievable trust min(t_max, 1 - theta_r * R)."""
+    return min(p.t_max, 1.0 - p.theta_r * reputation)
+
+
+def update_trust(trust: float, reputation: float, s: float, d_ij: float,
+                 p: TrustParams) -> tuple[float, float]:
+    """One dyad's (trust, reputation) after observing signal ``s``.
+
+    Reputation first (decay at delta_r for s >= 0, damage mu_r |s| (1 - R)
+    for s < 0), then trust against the ceiling of the new reputation
+    (building lambda_plus s (ceiling - T) for s > 0, erosion lambda_minus s
+    T (1 + xi D) otherwise), clipped to [0, ceiling]; |s| <= deadband
+    counts as zero.
+    """
+    if abs(s) <= p.deadband:
+        s = 0.0
+    if s >= 0.0:
+        rep = reputation - p.delta_r * reputation
+    else:
+        rep = reputation + p.mu_r * (-s) * (1.0 - reputation)
+    rep = min(1.0, max(0.0, rep))
+    ceiling = trust_ceiling(rep, p)
+    if s > 0.0:
+        dt = p.lambda_plus * s * max(0.0, ceiling - trust)
+    else:
+        dt = p.lambda_minus * s * trust * (1.0 + p.xi * d_ij)
+    return min(ceiling, max(0.0, trust + dt)), rep
+
+
+def gated_term(t_ij: float, d_ij: float, s: float, recip: ReciprocityParams) -> float:
+    """lambda_r * T_ij * (1 + omega * D_ij) * rho0 * D_ij ** eta * tanh(kappa * s)."""
+    rho = recip.rho0 * d_ij**recip.eta
+    return (recip.lambda_r * t_ij * (1.0 + recip.omega_amp * d_ij)
+            * (rho * math.tanh(recip.kappa * s)))
 
 
 def individual_value(a_i: float, econ: EconomyParams) -> float:
@@ -92,7 +132,6 @@ def objective(
     a = [float(x) for x in actions]
     a[i] = float(a_i)
     d = scenario.d.values
-    recip = scenario.recip
     partners = [j for j in range(scenario.n) if j != i]
     if scenario.team is not None and i in scenario.team.members:
         total = team_utility(i, a, scenario.team)
@@ -102,10 +141,7 @@ def objective(
             total += (d[i, j] * (1.0 + scenario.trust.lambda_t * float(trust_row[j]))
                       * private_payoff(j, a, scenario.econ))
     for j in partners:
-        total += gated_reciprocity_term(
-            float(trust_row[j]), d[i, j], recip.omega_amp, recip.lambda_r,
-            recip.sensitivity(d[i, j]), a[i] - own_avg, recip.kappa,
-        )
+        total += gated_term(float(trust_row[j]), d[i, j], a[i] - own_avg, scenario.recip)
     return total
 
 

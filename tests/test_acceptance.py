@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from coopsim import case_study as cs
-from coopsim.params import TrustParams, reciprocity_sensitivity
+from coopsim.params import TrustParams
 from coopsim.propositions import check_prop2, check_prop3
-from coopsim.reciprocity import bounded_response, cooperation_signal
+from coopsim.reciprocity import sensitivity
 from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import run
 from coopsim.solver import SolverConfig, solve_equilibrium
@@ -35,9 +35,10 @@ from coopsim.sweep import (
     monte_carlo,
     run_sweep,
 )
-from coopsim.trust import DyadState, trust_ceiling, update_trust
 from coopsim.utility import complete_utility
 from oracles import exhaustive_nash
+from test_reciprocity import deviation_terms, period_one, response
+from test_trust import kernel_step, random_columns
 
 FULL = os.environ.get("COOPSIM_FULL_ACCEPTANCE") == "1"
 
@@ -48,37 +49,38 @@ def report(criterion: str, detail: str) -> None:
 
 # -- criterion 1: worked-example arithmetic -----------------------------------
 
+#: The kernel's sensitivities at the worked example, rho0 = eta = 1.2 and
+#: D = 0.8, 0.3.
+WORKED_RHO = sensitivity(np.array([[[0.8, 0.3]]]), np.array([1.2]), np.array([1.2]))[0, 0]
+
+
 class TestCriterion1WorkedExample:
     def test_1_signal_exact(self):
-        assert cooperation_signal(8.0, 18.0) == -10.0
+        assert period_one((0.0, 8.0), (0.0, 18.0)).signal[0, 0, 1] == -10.0
         report("1/signal", "8 - 18 = -10 exact")
 
     def test_1_saturation(self):
-        assert bounded_response(-10.0, 1.0) == pytest.approx(-1.0, abs=1e-4)
+        assert response(-10.0, 1.0) == pytest.approx(-1.0, abs=1e-4)
         report("1/saturation", "tanh(-10) within 1e-4 of -1")
 
     def test_1_sensitivities_formula_exact(self):
         # the defining formula, asserted tight; regression guard for the
         # xfailed stated bands below
-        assert reciprocity_sensitivity(1.2, 0.8, 1.2) == pytest.approx(
-            0.9180983997984355, abs=1e-12
-        )
-        assert reciprocity_sensitivity(1.2, 0.3, 1.2) == pytest.approx(
-            0.2829611108147842, abs=1e-12
-        )
+        assert WORKED_RHO[0] == pytest.approx(0.9180983997984355, abs=1e-12)
+        assert WORKED_RHO[1] == pytest.approx(0.2829611108147842, abs=1e-12)
         report("1/sensitivities", "formula values 0.9181 and 0.2830 exact")
 
     @pytest.mark.xfail(strict=True,
                        reason="stated band 0.90 +/- 0.005 conflicts with the "
                               "defining formula (1.2 * 0.8**1.2 = 0.9181)")
     def test_1_stated_band_high_dependency(self):
-        assert reciprocity_sensitivity(1.2, 0.8, 1.2) == pytest.approx(0.90, abs=0.005)
+        assert WORKED_RHO[0] == pytest.approx(0.90, abs=0.005)
 
     @pytest.mark.xfail(strict=True,
                        reason="stated band 0.29 +/- 0.005 conflicts with the "
                               "defining formula (1.2 * 0.3**1.2 = 0.2830)")
     def test_1_stated_band_low_dependency(self):
-        assert reciprocity_sensitivity(1.2, 0.3, 1.2) == pytest.approx(0.29, abs=0.005)
+        assert WORKED_RHO[1] == pytest.approx(0.29, abs=0.005)
 
 
 # -- criterion 2: interdependence coefficients from the shipped table ---------
@@ -287,33 +289,26 @@ def test_criterion_11_moving_average_oracle():
 
 
 def test_criterion_11_bounded_response_fuzz():
-    rng = random.Random(99)
-    for _ in range(10000):
-        s = rng.uniform(-100, 100)
-        kappa = rng.uniform(0.01, 10)
-        phi = bounded_response(s, kappa)
-        assert -1.0 <= phi <= 1.0
-        assert bounded_response(-s, kappa) == -phi
+    # the engine's recorded terms at a unit gate, one batch row per point
+    rng = np.random.default_rng(99)
+    term = deviation_terms(rng.uniform(-100, 100, 10000), rng.uniform(0.01, 10, 10000))
+    assert ((-1.0 <= term) & (term <= 1.0)).all()
+    assert (term[:, 1, 0] == -term[:, 0, 1]).all()
     report("11/bounded-response", "10000-point oddness and boundedness fuzz")
 
 
 def test_criterion_11_trust_range_fuzz():
-    rng = random.Random(7)
-    for _ in range(10000):
-        p = TrustParams(
-            t0=rng.uniform(0, 1), lambda_plus=rng.uniform(0.01, 0.5),
-            lambda_minus=rng.uniform(0.01, 0.9), xi=rng.uniform(0, 2),
-            mu_r=rng.uniform(0.01, 0.99), delta_r=rng.uniform(0.001, 0.2),
-            t_max=rng.uniform(0.2, 1.0), theta_r=rng.uniform(0, 1),
-        )
-        state = DyadState(trust=min(p.t0, p.t_max), reputation=0.0)
-        d = rng.uniform(0, 1)
-        for _ in range(10):
-            state = update_trust(state, rng.uniform(-2, 2), d, p)
-            assert 0.0 <= state.reputation <= 1.0
-            assert 0.0 <= state.trust <= trust_ceiling(
-                state.reputation, p.t_max, p.theta_r
-            ) + 1e-12
+    # the engine's trust update on 10000 random parameter rows at once
+    rng = np.random.default_rng(7)
+    rows = 10000
+    p = random_columns(rng, rows)
+    trust, rep = np.minimum(p["t0"], p["t_max"]), np.zeros(rows)
+    d = rng.uniform(0, 1, rows)
+    for _ in range(10):
+        trust, rep = kernel_step(trust, rep, rng.uniform(-2, 2, rows), d, p)
+        assert ((0.0 <= rep) & (rep <= 1.0)).all()
+        assert ((0.0 <= trust)
+                & (trust <= np.minimum(p["t_max"], 1.0 - p["theta_r"] * rep) + 1e-12)).all()
     report("11/trust-ranges", "10000 random signal sequences stay in range")
 
 

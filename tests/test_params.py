@@ -1,5 +1,6 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,13 @@ from coopsim.params import (
     TeamParams,
     TrustParams,
     compute_interdependence,
-    reciprocity_sensitivity,
 )
-from coopsim.scenario import ScenarioConfig, Shock, SimConfig, symmetric_matrix
+from coopsim.reciprocity import sensitivity
+from coopsim.files import scenario_from_text, scenario_to_text
+from coopsim.scenario import ScenarioConfig, Shock, SimConfig, reference_scenario, symmetric_matrix
+from coopsim.simulation import run
+from coopsim.solver import SolverConfig
+from coopsim.sweep import SweepCell
 
 
 def entry(i, j, w, crit, dependum="d", exists=True):
@@ -80,27 +85,28 @@ class TestComputeInterdependence:
         assert d[0, 0] == 0.0 and d[1, 1] == 0.0
 
 
+def rho(rho0, d, eta):
+    """The kernel's rho0 * D ** eta for one coefficient."""
+    return float(sensitivity(np.array([[[d]]]), np.array([rho0]), np.array([eta]))[0, 0, 0])
+
+
 class TestReciprocitySensitivity:
     def test_formula_values(self):
         # rho0 * D**eta, exact
-        assert reciprocity_sensitivity(1.2, 0.8, 1.2) == pytest.approx(
-            0.9180983997984355, abs=1e-12
-        )
-        assert reciprocity_sensitivity(1.2, 0.3, 1.2) == pytest.approx(
-            0.2829611108147842, abs=1e-12
-        )
+        assert rho(1.2, 0.8, 1.2) == pytest.approx(0.9180983997984355, abs=1e-12)
+        assert rho(1.2, 0.3, 1.2) == pytest.approx(0.2829611108147842, abs=1e-12)
 
     def test_zero_dependency(self):
-        assert reciprocity_sensitivity(1.5, 0.0, 1.2) == 0.0
+        assert rho(1.5, 0.0, 1.2) == 0.0
 
     def test_linear_case(self):
-        assert reciprocity_sensitivity(1.0, 0.8, 1.0) == pytest.approx(0.8)
-        assert reciprocity_sensitivity(1.0, 0.2, 1.0) == pytest.approx(0.2)
+        assert rho(1.0, 0.8, 1.0) == pytest.approx(0.8)
+        assert rho(1.0, 0.2, 1.0) == pytest.approx(0.2)
 
     def test_sensitivity_ratio_identity(self):
         # the rho component of the T4 response ratio is (0.8 / 0.2) ** eta
         for eta in (0.5, 1.0, 1.5):
-            ratio = reciprocity_sensitivity(1.0, 0.8, eta) / reciprocity_sensitivity(1.0, 0.2, eta)
+            ratio = rho(1.0, 0.8, eta) / rho(1.0, 0.2, eta)
             assert ratio == pytest.approx((0.8 / 0.2) ** eta, rel=0, abs=1e-12)
 
     @given(
@@ -110,16 +116,8 @@ class TestReciprocitySensitivity:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_dependency_and_base(self, rho0, d1, d2, eta):
         lo, hi = sorted((d1, d2))
-        assert reciprocity_sensitivity(rho0, lo, eta) <= reciprocity_sensitivity(
-            rho0, hi, eta
-        ) + 1e-12
-        assert reciprocity_sensitivity(rho0, d1, eta) <= reciprocity_sensitivity(
-            rho0 + 0.5, d1, eta
-        ) + 1e-12
-
-    def test_domain_validation(self):
-        with pytest.raises(ConfigurationError):
-            reciprocity_sensitivity(1.0, 1.5, 1.0)
+        assert rho(rho0, lo, eta) <= rho(rho0, hi, eta) + 1e-12
+        assert rho(rho0, d1, eta) <= rho(rho0 + 0.5, d1, eta) + 1e-12
 
 
 class TestParameterBlocks:
@@ -138,7 +136,7 @@ class TestParameterBlocks:
         with pytest.raises(ConfigurationError):
             ReciprocityParams(memory_k=0)
         p = ReciprocityParams(rho0=0.85, eta=1.3)
-        assert p.sensitivity(0.88) == pytest.approx(0.85 * 0.88**1.3)
+        assert rho(p.rho0, 0.88, p.eta) == pytest.approx(0.85 * 0.88**1.3)
 
     def test_trust_ranges(self):
         with pytest.raises(ConfigurationError):
@@ -220,3 +218,43 @@ class TestNonFiniteRejected:
     def test_interdependence_nan(self):
         with pytest.raises(ConfigurationError):
             InterdependenceMatrix([[0.0, float("nan")], [0.5, 0.0]])
+
+
+#: Builders of a (scenario, run) pair around one integer field; the
+#: argument turns the integer into the type under test.
+INTEGRAL = {
+    "horizon": lambda num: (reference_scenario(), SimConfig(horizon=num(12))),
+    "seed": lambda num: (reference_scenario(), SimConfig(horizon=8, seed=num(3))),
+    "shock": lambda num: (reference_scenario(), SimConfig(
+        horizon=8, shocks=(Shock(period=num(2), actor=num(0), delta=-3.0),))),
+    "memory_k": lambda num: (replace(reference_scenario(), recip=ReciprocityParams(
+        memory_k=num(4))), SimConfig(horizon=8)),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("make, name", [
+        (lambda: SimConfig(horizon=12.5), "horizon"),
+        (lambda: SimConfig(seed=1.5, noise_sigma=0.02), "seed"),
+        (lambda: Shock(period=2.5, actor=0, delta=0.1), "period"),
+        (lambda: Shock(period=2, actor=0.5, delta=0.1), "actor"),
+        (lambda: ReciprocityParams(memory_k=4.5), "memory_k"),
+        (lambda: SweepCell(memory_k=2.5), "memory_k"),
+        (lambda: TeamParams(members=(0, 1.5), loyalty=(0.5, 0.5)), "members"),
+        (lambda: entry(0, 1.5, 1.0, 0.5), "dependee"),
+        (lambda: SolverConfig(grid_points=50.5), "grid_points"),
+    ], ids=["horizon", "seed", "shock-period", "shock-actor", "memory_k", "cell-memory_k",
+            "team-members", "dependee", "grid_points"])
+    def test_non_integer_rejected(self, make, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got"):
+            make()
+
+    @pytest.mark.parametrize("build", INTEGRAL.values(), ids=INTEGRAL.keys())
+    def test_integral_float_acts_as_int(self, build):
+        # stored as int: the same file bytes, a byte-identical round trip
+        # and the same run as the integer itself
+        scenario, sim = build(float)
+        text = scenario_to_text(scenario, sim)
+        assert text == scenario_to_text(*build(int))
+        assert scenario_to_text(*scenario_from_text(text)) == text
+        assert np.array_equal(run(scenario, sim).actions, run(*build(int)).actions)

@@ -1,20 +1,76 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.params import EconomyParams, ReciprocityParams
-from coopsim.reciprocity import (
-    bounded_response,
-    cooperation_signal,
-    gated_reciprocity_term,
-    reciprocity_response,
-)
-from coopsim.scenario import ScenarioConfig, SimConfig, symmetric_matrix
-from coopsim.simulation import run
+from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TrustParams
+from coopsim.scenario import BASELINE_MODES, ScenarioConfig, SimConfig, symmetric_matrix
+from coopsim.simulation import RunBatch, run, run_batch
+from oracles import gated_term
+
+ONE_PERIOD = SimConfig(horizon=1, noise_sigma=0.0)
+
+
+def observed(actions, baselines, t0=1.0, d=0.0, **recip):
+    """Two-actor scenario whose period 1 shows ``actions`` against
+    ``baselines``.  The gate defaults to 1 (rho0 = 1, eta = 0, omega = 0,
+    lambda_r = 1, full trust), so the recorded term is tanh(kappa * s)."""
+    return ScenarioConfig(
+        labels=("A", "B"),
+        d=symmetric_matrix(2, d),
+        recip=ReciprocityParams(**({"rho0": 1.0, "eta": 0.0, "omega_amp": 0.0} | recip)),
+        trust=TrustParams(t0=t0),
+        a_max=tuple(max(1.0, a) for a in actions),
+        a_init=actions,
+        baseline_init=baselines,
+    )
+
+
+def period_one(actions, baselines, **kwargs):
+    """The trajectory of ``observed``'s one-period run."""
+    return run(observed(actions, baselines, **kwargs), ONE_PERIOD)
+
+
+def deviating(s, **kwargs):
+    """Period 1 with B exactly s off its baseline and A exactly -s off its
+    own, so ``signal[0, 0, 1]`` is s and ``signal[0, 1, 0]`` is -s."""
+    pos, neg = max(s, 0.0), max(-s, 0.0)
+    return period_one((neg, pos), (pos, neg), **kwargs)
+
+
+def response(s, kappa, **kwargs):
+    """The engine's recorded term of A about B when B deviates by s."""
+    return float(deviating(s, kappa=kappa, **kwargs).recip_term[0, 0, 1])
+
+
+def deviation_terms(s, kappa):
+    """Period-1 recip_term of ``deviating(s, kappa=kappa)`` for every entry
+    of the (B,) arrays, run as one batch."""
+    one = RunBatch.single(observed((0.0, 0.0), (0.0, 0.0)), ONE_PERIOD)
+    rows = len(s)
+
+    def wide(col):
+        return np.repeat(col, rows, axis=0)
+
+    pos, neg = np.maximum(s, 0.0), np.maximum(-s, 0.0)
+    batch = replace(
+        one, d=wide(one.d),
+        recip={f: wide(c) for f, c in one.recip.items()} | {"kappa": kappa},
+        trust={f: wide(c) for f, c in one.trust.items()},
+        sim={f: wide(c) for f, c in one.sim.items()},
+        a_max=np.repeat(np.maximum(np.abs(s), 1.0)[:, None], 2, axis=1),
+        a_init=np.stack([neg, pos], axis=1), baseline_init=np.stack([pos, neg], axis=1),
+        baseline_mode=wide(one.baseline_mode), horizon=wide(one.horizon),
+        pre_history=None,
+    )
+    terms = []
+    run_batch(batch, lambda idx, state: terms.append(state["recip_term"].copy()))
+    return terms[0]
 
 
 def baselines_of(values, k, pre=(), initial=0.0):
@@ -82,77 +138,122 @@ class TestMovingAverage:
 
 class TestSignalsAndResponses:
     def test_worked_deviation(self):
-        assert cooperation_signal(8.0, 18.0) == -10.0
+        assert period_one((0.0, 8.0), (0.0, 18.0)).signal[0, 0, 1] == -10.0
 
     def test_no_deviation(self):
-        assert cooperation_signal(5.0, 5.0) == 0.0
+        assert period_one((0.0, 5.0), (0.0, 5.0)).signal[0, 0, 1] == 0.0
 
     def test_positive_deviation(self):
-        assert cooperation_signal(0.95, 0.80) == pytest.approx(0.15)
+        assert period_one((0.0, 0.95), (0.0, 0.80)).signal[0, 0, 1] == pytest.approx(0.15)
 
     def test_saturated_response(self):
-        assert bounded_response(-10.0, 1.0) == pytest.approx(-1.0, abs=1e-4)
+        assert response(-10.0, 1.0) == pytest.approx(-1.0, abs=1e-4)
 
     def test_moderate_sensitivity_response(self):
-        assert bounded_response(1.0, 1.2) == pytest.approx(0.8336546070121552, abs=1e-12)
+        assert response(1.0, 1.2) == pytest.approx(0.8336546070121552, abs=1e-12)
 
     def test_origin(self):
-        assert bounded_response(0.0, 2.0) == 0.0
+        assert response(0.0, 2.0) == 0.0
 
     @given(st.floats(-50, 50, allow_nan=False), st.floats(0.01, 5.0))
     @settings(max_examples=300, deadline=None)
     def test_odd_and_bounded(self, s, kappa):
-        phi = bounded_response(s, kappa)
-        assert abs(phi) <= 1.0
-        assert bounded_response(-s, kappa) == pytest.approx(-phi, abs=0.0)
+        term = deviating(s, kappa=kappa).recip_term[0]
+        assert abs(term[0, 1]) <= 1.0
+        assert term[1, 0] == -term[0, 1]
 
     @given(st.floats(-0.05, 0.05), st.floats(0.1, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_near_linear_regime(self, s, kappa):
         x = kappa * s
         if abs(x) <= 0.05:
-            assert abs(bounded_response(s, kappa) - x) <= abs(x) ** 3 / 3 + 1e-15
+            assert abs(response(s, kappa) - x) <= abs(x) ** 3 / 3 + 1e-15
 
     def test_fuzz_bounded_10k(self):
-        rng = random.Random(99)
-        for _ in range(10000):
-            s = rng.uniform(-100, 100)
-            kappa = rng.uniform(0.01, 10)
-            phi = bounded_response(s, kappa)
-            assert -1.0 <= phi <= 1.0
-            assert bounded_response(-s, kappa) == -phi
+        rng = np.random.default_rng(99)
+        term = deviation_terms(rng.uniform(-100, 100, 10000), rng.uniform(0.01, 10, 10000))
+        assert ((-1.0 <= term) & (term <= 1.0)).all()
+        assert (term[:, 1, 0] == -term[:, 0, 1]).all()
 
     def test_weighted_response(self):
-        assert reciprocity_response(0.8, -10.0, 1.0) == pytest.approx(-0.8, abs=1e-3)
-        assert reciprocity_response(0.0, 3.0, 1.0) == 0.0
-        assert reciprocity_response(1.0, -0.5, 1.0) < 0.0
+        assert response(-10.0, 1.0, rho0=0.8) == pytest.approx(-0.8, abs=1e-3)
+        assert response(3.0, 1.0, rho0=0.0) == 0.0
+        assert response(-0.5, 1.0) < 0.0
 
 
 class TestGatedTerm:
     def test_trust_gate_closed(self):
-        assert gated_reciprocity_term(0.0, 0.9, 1.0, 1.0, 1.0, -5.0, 2.0) == 0.0
+        assert response(-5.0, 2.0, t0=0.0, d=0.9, omega_amp=1.0) == 0.0
 
     def test_moderate_gating(self):
         # T * rho * response with the amplification factor at 1 (D = 0)
-        s = math.atanh(0.5)
-        term = gated_reciprocity_term(0.3, 0.0, 1.0, 1.0, 1.0, s, 1.0)
+        term = response(math.atanh(0.5), 1.0, t0=0.3, omega_amp=1.0)
         assert term == pytest.approx(0.15, abs=1e-12)
 
     def test_high_trust_gating(self):
-        s = math.atanh(0.8)
-        term = gated_reciprocity_term(0.9, 0.0, 1.0, 1.0, 1.0, s, 1.0)
+        term = response(math.atanh(0.8), 1.0, t0=0.9, omega_amp=1.0)
         assert term == pytest.approx(0.72, abs=1e-12)
 
     @given(
-        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
         st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.1, 3.0),
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_trust(self, t1, t2, d, rho, s, kappa):
         lo, hi = sorted((t1, t2))
-        a = gated_reciprocity_term(lo, d, 1.0, 1.0, rho, s, kappa)
-        b = gated_reciprocity_term(hi, d, 1.0, 1.0, rho, s, kappa)
+        a = response(s, kappa, t0=lo, d=d, rho0=rho, omega_amp=1.0)
+        b = response(s, kappa, t0=hi, d=d, rho0=rho, omega_amp=1.0)
         if s > 0:
             assert a <= b + 1e-12
         elif s < 0:
             assert a >= b - 1e-12
+
+
+def _level(hi):
+    # 0 or at least 1e-3, so that no product in the term is subnormal
+    return st.one_of(st.just(0.0), st.floats(1e-3, hi))
+
+
+@st.composite
+def _noisy_runs(draw):
+    n = draw(st.integers(2, 4))
+    d = [[0.0 if i == j else draw(_level(1.0)) for j in range(n)] for i in range(n)]
+    actions = st.tuples(*[_level(1.0)] * n)
+    scen = ScenarioConfig(
+        labels=tuple("ABCD"[:n]),
+        d=InterdependenceMatrix(d),
+        recip=ReciprocityParams(
+            rho0=draw(_level(3.0)), eta=draw(_level(3.0)), kappa=draw(st.floats(1e-3, 5.0)),
+            memory_k=draw(st.integers(1, 6)), lambda_r=draw(_level(2.0)),
+            omega_amp=draw(_level(2.0)),
+        ),
+        trust=TrustParams(t0=draw(_level(1.0)), deadband=draw(st.sampled_from((0.0, 0.05)))),
+        econ=EconomyParams(endowments=(1.0,) * n, alpha=(1.0 / n,) * n),
+        a_init=draw(actions),
+        baseline_init=draw(actions),
+        baseline_mode=draw(st.sampled_from(BASELINE_MODES)),
+        pre_history=tuple(draw(st.lists(actions, max_size=3))),
+    )
+    sim = SimConfig(horizon=draw(st.integers(1, 12)), baseline_rate=draw(_level(1.0)),
+                    noise_sigma=draw(st.floats(1e-3, 0.1)), seed=draw(st.integers(0, 2**32)))
+    return scen, sim
+
+
+@given(_noisy_runs())
+@settings(max_examples=200, deadline=None)
+def test_engine_term_matches_scalar_oracle(case):
+    # every recorded off-diagonal term against the scalar formula on the
+    # recorded trust, actions and the reference level of the baseline mode
+    scen, sim = case
+    traj = run(scen, sim)
+    ref = {"moving_average": traj.baselines, "adaptive": traj.norms,
+           "fixed": np.broadcast_to(scen.baseline_init, traj.baselines.shape)}[scen.baseline_mode]
+    d = scen.d.values
+    for t in range(traj.horizon):
+        for i in range(scen.n):
+            for j in range(scen.n):
+                if i == j:
+                    continue
+                s = float(traj.actions[t, j]) - float(ref[t, j])
+                want = gated_term(float(traj.trust[t, i, j]), float(d[i, j]), s, scen.recip)
+                assert traj.recip_term[t, i, j] == pytest.approx(want, rel=1e-12, abs=0.0)

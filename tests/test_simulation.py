@@ -16,7 +16,7 @@ from coopsim.simulation import (
     record_batch,
     run_batch,
 )
-from coopsim.trust import DyadState, update_trust
+from oracles import update_trust
 
 
 def two_actor(baseline_mode="moving_average", a_init=(0.5, 0.5),
@@ -262,8 +262,8 @@ def test_kernel_trust_update_matches_scalar_oracle(cases):
     _update_trust_matrices(trust, rep, s, _trust_rows(params, d))
     for b, (p, t, r, sig, dij) in enumerate(cases):
         for (i, j), signal in (((0, 1), sig), ((1, 0), -sig)):
-            want = update_trust(DyadState(trust=t, reputation=r), signal, dij, p)
-            assert trust[b, i, j] == pytest.approx(want.trust, rel=1e-12, abs=1e-15)
-            assert rep[b, i, j] == pytest.approx(want.reputation, rel=1e-12, abs=1e-15)
+            want_t, want_r = update_trust(t, r, signal, dij, p)
+            assert trust[b, i, j] == pytest.approx(want_t, rel=1e-12, abs=1e-15)
+            assert rep[b, i, j] == pytest.approx(want_r, rel=1e-12, abs=1e-15)
         assert trust[b, 0, 0] == trust[b, 1, 1] == 1.0
         assert rep[b, 0, 0] == rep[b, 1, 1] == 0.0

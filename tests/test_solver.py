@@ -292,14 +292,14 @@ def test_gate_sums_match_scalar_formula(case):
     got = _gate_sums(scen, trust)
     for i in range(scen.n):
         want = sum(recip.lambda_r * trust[i, j] * (1.0 + recip.omega_amp * d[i, j])
-                   * recip.sensitivity(d[i, j]) for j in range(scen.n) if j != i)
+                   * recip.rho0 * d[i, j]**recip.eta for j in range(scen.n) if j != i)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_oracle_shares_no_code_with_the_kernel():
-    # the oracle is the reference for the payoff kernel and the solver, so it
-    # may import neither
-    checked = ("coopsim.utility", "coopsim.solver")
+    # the oracle is the reference for the payoff, gate and trust kernels and
+    # the solver, so it may import none of their modules
+    checked = ("coopsim.reciprocity", "coopsim.simulation", "coopsim.utility", "coopsim.solver")
     tree = ast.parse(Path(oracles.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

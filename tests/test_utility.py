@@ -224,9 +224,9 @@ class TestCompleteUtility:
 
     def test_missing_dyad_state_is_error(self):
         m, recip, tr, _ = two_actor_setup()
-        with pytest.raises(ConfigurationError):
-            complete_utility(0, [1.0, 1.0], m, [1.0, float("nan")], [0.0, 0.0],
-                             LOG2, recip, tr)
+        for bad in (float("nan"), -0.1, 1.5):
+            with pytest.raises(ConfigurationError, match=r"trust for pair \(0, 1\)"):
+                complete_utility(0, [1.0, 1.0], m, [1.0, bad], [0.0, 0.0], LOG2, recip, tr)
 
 
 class TestTeamUtility:
