@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from . import case_study, files, reports
 from .errors import ConfigurationError
+from .params import check_seed
 from .propositions import check_prop1, check_prop2, check_prop3
 from .simulation import run
 from .sweep import (
@@ -40,10 +41,10 @@ PARALLEL_HELP = "accepted and ignored: runs are batched in one process"
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("COOP_SEED")
-    return files.parse_number(env, "COOP_SEED", int) if env else 42
+    if value is None:
+        env = os.environ.get("COOP_SEED")
+        value = files.parse_number(env, "COOP_SEED", int) if env else 42
+    return check_seed(value)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -76,10 +77,11 @@ def _load_grid(name_or_path: str):
 
 
 def cmd_sweep(args) -> int:
+    seed = _default_seed(args.seed)
     grid = _load_grid(args.grid)
     results = run_sweep(grid)
     report = measure_targets(results)
-    stats = differentiation_stats(results, seed=_default_seed(args.seed))
+    stats = differentiation_stats(results, seed=seed)
     files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(results))
     files.write_file(
         _out_path(args.out, "report.md"),

@@ -316,41 +316,41 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+# The trajectory writers take whole arrays through ``.tolist()``: each value
+# becomes a Python float, whose ``repr`` is exactly what ``fmt`` writes.
+
+def _dyads(traj: Trajectory, *states: str) -> tuple[list, list]:
+    """Each off-diagonal (i, j) label pair in row-major order, and per named
+    (H, n, n) state the period rows of its off-diagonal values as lists."""
+    labels = traj.labels
+    off = ~np.eye(traj.n, dtype=bool)
+    pairs = [(li, lj) for i, li in enumerate(labels) for j, lj in enumerate(labels) if i != j]
+    return pairs, [getattr(traj, state)[:, off].tolist() for state in states]
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["period,actor,action"]
-    for t in range(traj.horizon):
-        for i, label in enumerate(traj.labels):
-            lines.append(f"{t + 1},{label},{fmt(traj.actions[t, i])}")
+    for t, row in enumerate(traj.actions.tolist(), start=1):
+        lines.extend(f"{t},{label},{a!r}" for label, a in zip(traj.labels, row))
     return "\n".join(lines) + "\n"
 
 
 def dyads_csv(traj: Trajectory) -> str:
+    pairs, cols = _dyads(traj, "trust", "reputation", "signal", "recip_term")
     lines = ["period,i,j,trust,reputation,signal,recip_term"]
-    for t in range(traj.horizon):
-        for i, li in enumerate(traj.labels):
-            for j, lj in enumerate(traj.labels):
-                if i == j:
-                    continue
-                lines.append(
-                    f"{t + 1},{li},{lj},{fmt(traj.trust[t, i, j])},"
-                    f"{fmt(traj.reputation[t, i, j])},{fmt(traj.signal[t, i, j])},"
-                    f"{fmt(traj.recip_term[t, i, j])}"
-                )
+    for t, rows in enumerate(zip(*cols), start=1):
+        lines.extend(f"{t},{li},{lj},{tr!r},{rep!r},{s!r},{term!r}"
+                     for (li, lj), tr, rep, s, term in zip(pairs, *rows))
     return "\n".join(lines) + "\n"
 
 
 def long_format_csv(traj: Trajectory) -> str:
     """Plot-ready long format: one measurement per row."""
+    pairs, (trust,) = _dyads(traj, "trust")
     lines = ["period,series,actor,value"]
-    for t in range(traj.horizon):
-        for i, label in enumerate(traj.labels):
-            lines.append(f"{t + 1},action,{label},{fmt(traj.actions[t, i])}")
-        for i, li in enumerate(traj.labels):
-            for j, lj in enumerate(traj.labels):
-                if i != j:
-                    lines.append(
-                        f"{t + 1},trust,{li}->{lj},{fmt(traj.trust[t, i, j])}"
-                    )
+    for t, (actions, row) in enumerate(zip(traj.actions.tolist(), trust), start=1):
+        lines.extend(f"{t},action,{label},{a!r}" for label, a in zip(traj.labels, actions))
+        lines.extend(f"{t},trust,{li}->{lj},{v!r}" for (li, lj), v in zip(pairs, row))
     return "\n".join(lines) + "\n"
 
 

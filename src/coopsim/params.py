@@ -59,6 +59,14 @@ def check_integer(obj, names: Sequence[str]) -> None:
         object.__setattr__(obj, name, ints if isinstance(value, tuple) else ints[0])
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; a ConfigurationError unless it is an integer in
+    [0, 2**64), which the generator would otherwise alias modulo 2**64."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class DependencyEntry:
     """One row of a dependency table.

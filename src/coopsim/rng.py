@@ -10,11 +10,20 @@ Draw order convention used by the simulation engine: the noise for actor
 ``i`` at period ``t`` is ``normal(seed, stream=i, counter=t)``.  Any
 reimplementation that follows this convention reproduces the streams
 bit for bit.
+
+Array form: ``stream``, ``counter`` and ``index`` may be broadcasting
+``np.uint64`` arrays (the engine draws a run's noise as one block, actors
+``(1, n)`` by periods ``(H, 1)``); each element has the bits of the scalar
+call, as uint64 arithmetic wraps like the masked Python ints.  Box-Muller's
+``log`` and ``cos`` go through ``math`` per element: ``np.log`` rounds
+differently on a few draws in a thousand.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -39,17 +48,23 @@ def _word(seed: int, stream: int, counter: int, index: int) -> int:
     return splitmix64(key ^ ((index * _GOLDEN) & _MASK))
 
 
-def uniform(seed: int, stream: int, counter: int, index: int = 0) -> float:
+def uniform(seed: int, stream, counter, index=0):
     """Uniform draw in the open interval (0, 1)."""
     # 53-bit mantissa, offset so 0.0 is never returned (log needs > 0).
     return ((_word(seed, stream, counter, index) >> 11) + 0.5) * 2.0**-53
 
 
-def normal(seed: int, stream: int, counter: int, index: int = 0) -> float:
+# Elementwise over arrays; a Python float for float inputs.
+_box_muller = np.frompyfunc(
+    lambda u1, u2: math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2), 2, 1)
+
+
+def normal(seed: int, stream, counter, index=0):
     """Standard normal draw via Box-Muller on two uniform words."""
     u1 = uniform(seed, stream, counter, 2 * index)
     u2 = uniform(seed, stream, counter, 2 * index + 1)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    z = _box_muller(u1, u2)
+    return z if isinstance(z, float) else z.astype(float)
 
 
 def derive_seed(master_seed: int, config_index: int) -> int:

@@ -34,6 +34,7 @@ from .params import (
     TrustParams,
     check_finite,
     check_integer,
+    check_seed,
 )
 
 BASELINE_MODES = ("moving_average", "adaptive", "fixed")
@@ -138,6 +139,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_finite(self, ("horizon", "adjust_rate", "decay", "baseline_rate", "noise_sigma"))
         check_integer(self, ("horizon", "seed"))
+        check_seed(self.seed)
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in SIM_MODES:

@@ -26,7 +26,9 @@ adapting per-actor norm, or the deviation from a fixed reference.  The
 norm -- also the anchor of the mean-reversion term -- moves toward the
 latest actions at ``baseline_rate`` each period (rate 0 pins it).  Noise
 comes from the counter-based generator, one stream per actor, counter =
-period, so runs are bit-reproducible and order-independent.
+period, so runs are bit-reproducible and order-independent; the
+adjustment rule draws each noisy seed's ``(H, n)`` block in one array call
+before the first period (best-response mode ignores noise and draws none).
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
@@ -230,7 +232,8 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
         reputation + p["mu_r"] * (-s) * (1.0 - reputation),
         reputation * p["keep_r"],
     )
-    np.clip(rep_next, 0.0, 1.0, out=reputation)
+    # np.clip's bits on -0.0: lower bound first for scalar bounds, last for arrays.
+    np.minimum(np.maximum(0.0, rep_next), 1.0, out=reputation)
 
     ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * reputation)
     dt = np.where(
@@ -238,7 +241,7 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
         p["lambda_plus"] * s * np.maximum(0.0, ceiling - trust),
         p["lambda_minus"] * s * trust * p["erosion_amp"],
     )
-    np.clip(trust + dt, 0.0, ceiling, out=trust)
+    np.minimum(np.maximum(trust + dt, 0.0), ceiling, out=trust)
     n = trust.shape[-1]
     trust.reshape(len(trust), n * n)[:, :: n + 1] = 1.0
 
@@ -269,8 +272,14 @@ def run_batch(batch: RunBatch, observe: Observer,
     tp = _trust_rows(batch.trust, d)
     rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
                               for f in ("adjust_rate", "decay", "baseline_rate"))
-    noisy = [(b, float(batch.sim["noise_sigma"][b]), int(batch.sim["seed"][b]))
-             for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0)]
+    noisy = []  # (row, sigma, noise block whose row t - 1 is period t's noise)
+    blocks = {}
+    for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0) if best_response is None else ():
+        seed = int(batch.sim["seed"][b])
+        if seed not in blocks:
+            blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
+                                  np.arange(1, H + 1, dtype=np.uint64)[:, None])
+        noisy.append((b, float(batch.sim["noise_sigma"][b]), blocks[seed]))
     shocks_at: dict[int, list[tuple[int, int, float]]] = {}
     for b, shock in batch.shocks:
         shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
@@ -301,7 +310,7 @@ def run_batch(batch: RunBatch, observe: Observer,
         actions = np.where(free[0], actions, script[0])
     for b, i, delta in shocks_at.get(1, ()):
         actions[b, i] += delta
-    np.clip(actions, 0.0, a_max, out=actions)
+    np.minimum(np.maximum(actions, 0.0), a_max, out=actions)
 
     b_win = _window_means(hist, P, k, reach, initial)
     for t in range(1, H + 1):
@@ -328,8 +337,8 @@ def run_batch(batch: RunBatch, observe: Observer,
         b_next = _window_means(hist, P + t, k, reach, initial)
         if best_response is None:
             nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
-            for b, sigma, seed in noisy:
-                nxt[b] = nxt[b] + sigma * np.array([normal(seed, i, t + 1) for i in range(n)])
+            for b, sigma, block in noisy:
+                nxt[b] = nxt[b] + sigma * block[t]
         else:
             result = best_response(b_next[0], trust[0], actions[0])
             converged = np.array([result.converged])
@@ -339,7 +348,7 @@ def run_batch(batch: RunBatch, observe: Observer,
             nxt[b, i] += delta
         if script is not None:
             nxt = np.where(free[t], nxt, script[t])
-        np.clip(nxt, 0.0, a_max, out=nxt)
+        np.minimum(np.maximum(nxt, 0.0), a_max, out=nxt)
 
         norms += norm_rate * (actions - norms)
         actions, b_win = nxt, b_next

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import ReciprocityParams, TrustParams, check_integer
+from .params import ReciprocityParams, TrustParams, check_integer, check_seed
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
 from .simulation import TRUST_FIELDS, RunBatch, run_batch
@@ -635,6 +635,7 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
+    check_seed(seed)
     drawn = [perturb_trial(t, perturb, seed) for t in range(trials)]
     results = measure_cells(range(trials), [cell for cell, _, _ in drawn],
                             [trust for _, trust, _ in drawn])

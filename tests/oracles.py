@@ -10,9 +10,16 @@ objective on action grids with the elementwise payoff kernel in
 time: :func:`update_trust` (with :func:`trust_ceiling`),
 :func:`gated_term` (with a scalar ``rho0 * D ** eta`` and ``math.tanh``),
 :func:`private_payoff` / :func:`team_utility`, and the whole objective, so
-a differential test against it does not share the kernels' code path.  It
-imports nothing from ``coopsim.reciprocity``, ``coopsim.simulation``,
-``coopsim.utility`` or ``coopsim.solver``.
+a differential test against it does not share the kernels' code path.
+
+Two more references stand beside them: the counter-based generator on
+Python integers (:func:`splitmix64`, :func:`uniform`, :func:`normal`), for
+the array draws of ``coopsim.rng``, and the trajectory writers one number
+at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
+:func:`long_format_csv`), for the whole-array writers of
+``coopsim.files``.  The module imports nothing from
+``coopsim.reciprocity``, ``coopsim.simulation``, ``coopsim.utility``,
+``coopsim.solver``, ``coopsim.rng`` or ``coopsim.files``.
 """
 
 from __future__ import annotations
@@ -190,3 +197,78 @@ def exhaustive_nash(
             if pay0[r, c] >= best0[c] - tol and pay1[r, c] >= best1[r] - tol:
                 out.append((float(g0[r]), float(g1[c])))
     return out
+
+
+# -- counter-based generator -------------------------------------------------
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x: int) -> int:
+    """One SplitMix64 output for the given 64-bit input."""
+    x = (x + _GOLDEN) & _MASK
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return (z ^ (z >> 31)) & _MASK
+
+
+def uniform(seed: int, stream: int, counter: int, index: int = 0) -> float:
+    """Uniform draw in (0, 1) from the word keyed by (seed, stream, counter,
+    index): three SplitMix64 rounds, each on the key xor the golden multiple
+    of the next coordinate, then the top 53 bits offset by half a step."""
+    key = seed & _MASK
+    for part in (stream, counter, index):
+        key = splitmix64(key ^ ((part * _GOLDEN) & _MASK))
+    return ((key >> 11) + 0.5) * 2.0**-53
+
+
+def normal(seed: int, stream: int, counter: int, index: int = 0) -> float:
+    """Standard normal draw via Box-Muller on uniforms 2 index and 2 index + 1."""
+    u1 = uniform(seed, stream, counter, 2 * index)
+    u2 = uniform(seed, stream, counter, 2 * index + 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+# -- trajectory writers ------------------------------------------------------
+
+def fmt(x) -> str:
+    """One recorded number as the writers emit it: the shortest repr that
+    reads back to the same float."""
+    return repr(float(x))
+
+
+def trajectory_csv(traj) -> str:
+    lines = ["period,actor,action"]
+    for t in range(traj.horizon):
+        for i, label in enumerate(traj.labels):
+            lines.append(f"{t + 1},{label},{fmt(traj.actions[t, i])}")
+    return "\n".join(lines) + "\n"
+
+
+def dyads_csv(traj) -> str:
+    lines = ["period,i,j,trust,reputation,signal,recip_term"]
+    for t in range(traj.horizon):
+        for i, li in enumerate(traj.labels):
+            for j, lj in enumerate(traj.labels):
+                if i == j:
+                    continue
+                lines.append(
+                    f"{t + 1},{li},{lj},{fmt(traj.trust[t, i, j])},"
+                    f"{fmt(traj.reputation[t, i, j])},{fmt(traj.signal[t, i, j])},"
+                    f"{fmt(traj.recip_term[t, i, j])}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def long_format_csv(traj) -> str:
+    lines = ["period,series,actor,value"]
+    for t in range(traj.horizon):
+        for i, label in enumerate(traj.labels):
+            lines.append(f"{t + 1},action,{label},{fmt(traj.actions[t, i])}")
+        for i, li in enumerate(traj.labels):
+            for j, lj in enumerate(traj.labels):
+                if i != j:
+                    lines.append(f"{t + 1},trust,{li}->{lj},{fmt(traj.trust[t, i, j])}")
+    return "\n".join(lines) + "\n"

@@ -223,6 +223,48 @@ class TestCaseStudyCommand:
             assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+SEEDED_COMMANDS = {
+    "simulate": lambda scenario, grid: ["simulate", "--scenario", scenario],
+    "sweep": lambda scenario, grid: ["sweep", "--grid", grid],
+    "montecarlo": lambda scenario, grid: ["montecarlo", "--trials", "4"],
+    "case-study": lambda scenario, grid: ["case-study", "ios", "--counterfactual"],
+}
+
+
+class TestSeedRange:
+    # the generator keys on 64-bit words: 2**64 would alias seed 0 and -1
+    # would alias 2**64 - 1, so both are refused before anything is written
+    @pytest.mark.parametrize("source", ["flag", "COOP_SEED"])
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    def test_out_of_range_seed_exits_one(self, scenario_file, tmp_path, monkeypatch, capsys,
+                                         command, seed, source):
+        grid = tmp_path / "tiny.grid"
+        grid.write_text(TINY_GRID)
+        out = tmp_path / "o"
+        argv = SEEDED_COMMANDS[command](scenario_file, str(grid)) + ["--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("COOP_SEED", seed)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_out_of_range_scenario_seed_exits_one(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.conf"
+        scen.write_text(scenario_to_text(reference_scenario(), SimConfig(horizon=4))
+                        .replace("seed = 42", f"seed = {2**64}"))
+        assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be in [0, 2**64)")
+
+    def test_largest_seed_runs(self, tmp_path):
+        outs = [tmp_path / "max", tmp_path / "zero"]
+        for out, seed in zip(outs, (2**64 - 1, 0)):
+            assert main(["case-study", "ios", "--seed", str(seed), "--out", str(out)]) == 0
+        assert read(outs[0] / "trajectory.csv") != read(outs[1] / "trajectory.csv")
+
+
 class TestTranslateCommand:
     def test_translate_ios_dependencies(self, tmp_path):
         out = str(tmp_path / "scenario.conf")

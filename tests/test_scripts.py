@@ -1,6 +1,7 @@
 """The reproduction scripts run end to end against the package API."""
 
 import importlib.util
+import json
 import os
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -40,3 +41,22 @@ def test_run_validation_matches_the_cli(tmp_path):
     for name in ("targets.csv", "report.md", "montecarlo.csv", "montecarlo.md"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     assert len((out / "targets.csv").read_text().splitlines()) == 1 + 12
+
+
+def test_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    bench = _load("bench")
+    assert bench.main(["--repeats", "3", "--out", str(out), "--label", "a"]) == 0
+    assert bench.main(["--repeats", "3", "--out", str(out), "--label", "b"]) == 0
+    stored = json.loads(out.read_text())
+    assert sorted(stored) == ["a", "b"]
+    block = stored["b"]
+    assert block["repeats"] == 3
+    assert {"cores", "cpu_model", "simd_found", "python", "numpy"} <= set(block["machine"])
+    assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
+            "simulation.run", "simulation.period", "files.trajectory_csv", "files.dyads_csv",
+            "files.long_format_csv", "solver.solve_equilibrium", "job.case_study"} == set(
+        block["rows"])
+    for name, row in block["rows"].items():
+        assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name
+    assert "job.case_study" in capsys.readouterr().out
