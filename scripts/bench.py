@@ -53,15 +53,9 @@ SAMPLE_S = 0.02
 
 
 def _noise_block(seed: int, n: int, horizon: int):
-    """The noise of one run: one array call of ``rng.normal``, or one call
-    per draw where the generator takes no arrays, as it did before."""
+    """The noise of one run: one array call of ``rng.normal``."""
     streams = np.arange(n, dtype=np.uint64)[None]
     counters = np.arange(1, horizon + 1, dtype=np.uint64)[:, None]
-    try:
-        rng.normal(seed, streams[:, :1], counters[:1])
-    except TypeError:
-        return lambda: [[rng.normal(seed, i, t) for i in range(n)]
-                        for t in range(1, horizon + 1)]
     return lambda: rng.normal(seed, streams, counters)
 
 

@@ -47,11 +47,13 @@ from .sweep import GRID_KEYS, CellResult, ParameterGrid, SweepCell
 
 
 def fmt(x) -> str:
-    """Canonical number formatting shared by all writers.
+    """Canonical number formatting of every written file.
 
     Floats use the shortest exact representation, so parsing an emitted
     file reproduces the values bit for bit and re-emission is a fixed
-    point.
+    point.  The trajectory writers do not call it per number: they take
+    whole arrays through ``.tolist()`` and ``repr``, which must give
+    exactly this text (``tests/test_files.py`` holds them to it).
     """
     if isinstance(x, bool):
         return "1" if x else "0"
@@ -315,9 +317,6 @@ def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
-
-# The trajectory writers take whole arrays through ``.tolist()``: each value
-# becomes a Python float, whose ``repr`` is exactly what ``fmt`` writes.
 
 def _dyads(traj: Trajectory, *states: str) -> tuple[list, list]:
     """Each off-diagonal (i, j) label pair in row-major order, and per named

@@ -27,7 +27,7 @@ norm -- also the anchor of the mean-reversion term -- moves toward the
 latest actions at ``baseline_rate`` each period (rate 0 pins it).  Noise
 comes from the counter-based generator, one stream per actor, counter =
 period, so runs are bit-reproducible and order-independent; the
-adjustment rule draws each noisy seed's ``(H, n)`` block in one array call
+adjustment rule draws each noisy row's ``(H, n)`` block in one array call
 before the first period (best-response mode ignores noise and draws none).
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
@@ -232,7 +232,8 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
         reputation + p["mu_r"] * (-s) * (1.0 - reputation),
         reputation * p["keep_r"],
     )
-    # np.clip's bits on -0.0: lower bound first for scalar bounds, last for arrays.
+    # np.clip's bits on -0.0 (pinned by tests/test_simulation.py): the lower
+    # bound goes first against a scalar upper bound, last against an array.
     np.minimum(np.maximum(0.0, rep_next), 1.0, out=reputation)
 
     ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * reputation)
@@ -272,14 +273,12 @@ def run_batch(batch: RunBatch, observe: Observer,
     tp = _trust_rows(batch.trust, d)
     rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
                               for f in ("adjust_rate", "decay", "baseline_rate"))
-    noisy = []  # (row, sigma, noise block whose row t - 1 is period t's noise)
-    blocks = {}
-    for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0) if best_response is None else ():
-        seed = int(batch.sim["seed"][b])
-        if seed not in blocks:
-            blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
-                                  np.arange(1, H + 1, dtype=np.uint64)[:, None])
-        noisy.append((b, float(batch.sim["noise_sigma"][b]), blocks[seed]))
+    # (row, sigma, noise block whose row t - 1 is period t's noise)
+    noisy = [(b, float(batch.sim["noise_sigma"][b]),
+              normal(int(batch.sim["seed"][b]), np.arange(n, dtype=np.uint64)[None],
+                     np.arange(1, H + 1, dtype=np.uint64)[:, None]))
+             for b in np.flatnonzero(batch.sim["noise_sigma"] > 0.0)
+             if best_response is None]
     shocks_at: dict[int, list[tuple[int, int, float]]] = {}
     for b, shock in batch.shocks:
         shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))

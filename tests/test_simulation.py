@@ -230,6 +230,60 @@ class TestBatchKernel:
             run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
 
 
+# The kernel bounds actions, reputation and trust with np.maximum/np.minimum
+# pairs, which cost about half of np.clip's Python wrapper.  Which of two
+# equal zeros a max returns depends on the loop numpy takes (SIMD max
+# instructions return their second operand, the scalar loop its first), so
+# these pin the kernel to np.clip's bits on +-0, NaN, +-inf and subnormals,
+# at sizes that are not multiples of a SIMD width.
+_EDGES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.5, 1.0, 2.0, -1.0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("rows", [1, 3, 7, 300])
+def test_trust_update_bounds_keep_np_clip_bits(rows, n):
+    gen = np.random.default_rng(10 * rows + n)
+    trust, rep = gen.choice(_EDGES, (2, rows, n, n))
+    s = np.zeros((rows, n, n))  # reputation only decays, trust takes a zero step
+    params = {f: np.full(rows, getattr(TrustParams(), f)) for f in TRUST_FIELDS}
+    p = _trust_rows(params, np.full((rows, n, n), 0.4))
+    want_rep = np.clip(rep * p["keep_r"], 0.0, 1.0)
+    ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * want_rep)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want_trust = np.clip(trust + p["lambda_minus"] * s * trust * p["erosion_amp"],
+                             0.0, ceiling)
+        _update_trust_matrices(trust, rep, s, p)
+    want_trust.reshape(rows, n * n)[:, :: n + 1] = 1.0
+    assert np.array_equal(_bits(rep), _bits(want_rep))
+    assert np.array_equal(_bits(trust), _bits(want_trust))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("rows", [1, 3, 7, 300])
+def test_action_bounds_keep_np_clip_bits(rows, n):
+    # period 1 starts at a_init and period 2 is scripted; both pass the bounds
+    gen = np.random.default_rng(10 * rows + n)
+    levels = np.array([-0.0, 0.0, 5e-324, 0.5, 1.0])
+    starts, pinned = gen.choice(levels, (2, rows, n))
+    batches = []
+    for a_init, second in zip(starts.tolist(), pinned.tolist()):
+        scen = ScenarioConfig(
+            labels=tuple("ABCDE"[:n]), d=symmetric_matrix(n, 0.5),
+            econ=EconomyParams(endowments=(1.0,) * n, alpha=(1.0 / n,) * n),
+            a_init=tuple(a_init),
+        )
+        script = {i: {2: v} for i, v in enumerate(second)}
+        batches.append(RunBatch.single(scen, SimConfig(horizon=2), script))
+    batch = _stack(batches)
+    got = np.stack([traj.actions for traj in record_batch(batch, scen.labels)], axis=1)
+    want = np.clip(np.stack([starts, pinned]), 0.0, batch.a_max)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 _unit = st.floats(0.0, 1.0)
 _rate = st.floats(0.001, 0.999)
 
