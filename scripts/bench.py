@@ -13,8 +13,13 @@ Rows, each the cost of one call:
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
+- ``simulation.run_best_response``: one best-response ``run()`` of the
+  3-actor scenario that the in-process ``coopsim translate --deps
+  src/coopsim/data/ios_dependencies.csv`` writes;
 - ``job.case_study``: the in-process ``coopsim case-study ios
-  --counterfactual`` job, output files included.
+  --counterfactual`` job, output files included;
+- ``job.simulate_best_response``: the in-process ``coopsim simulate
+  --mode best_response`` job on that scenario, output files included.
 
 Each repeat times every row once, in turn, so drift on the host spreads
 over all rows alike; a row reports the median and the quartiles of its
@@ -30,6 +35,7 @@ side by side:
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -39,8 +45,9 @@ import sys
 import tempfile
 import time
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-sys.path.insert(0, os.path.abspath(SRC))
+SRC = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+sys.path.insert(0, SRC)
+DEPS = os.path.join(SRC, "coopsim", "data", "ios_dependencies.csv")
 
 import numpy as np  # noqa: E402
 
@@ -57,6 +64,13 @@ def _noise_block(seed: int, n: int, horizon: int):
     streams = np.arange(n, dtype=np.uint64)[None]
     counters = np.arange(1, horizon + 1, dtype=np.uint64)[:, None]
     return lambda: rng.normal(seed, streams, counters)
+
+
+def _cli(argv: list) -> None:
+    """One in-process ``coopsim`` command, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"{argv[0]} job failed")
 
 
 def rows(work: str) -> dict:
@@ -77,12 +91,13 @@ def rows(work: str) -> dict:
     own_avg = np.array(ref.baseline_init)
     ref_trust = np.full((ref.n, ref.n), ref.trust.t0)
     np.fill_diagonal(ref_trust, 1.0)
-    job = ["case-study", "ios", "--counterfactual", "--out", work]
-
-    def run_job():
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(job) != 0:
-                raise RuntimeError("case-study job failed")
+    equilibrium = os.path.join(work, "equilibrium.conf")
+    _cli(["translate", "--deps", DEPS, "--out", equilibrium])
+    eq_scenario, eq_sim = files.read_scenario(equilibrium)
+    eq_sim = dataclasses.replace(eq_sim, mode="best_response")
+    case_job = ["case-study", "ios", "--counterfactual", "--out", work]
+    simulate_job = ["simulate", "--scenario", equilibrium, "--mode", "best_response",
+                    "--out", work]
 
     return {
         "rng.noise_block": (_noise_block(sim.seed, scenario.n, sim.horizon), 1),
@@ -97,7 +112,9 @@ def rows(work: str) -> dict:
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),
         "solver.solve_equilibrium": (
             lambda: solve_equilibrium(ref, own_avg, ref_trust, SolverConfig()), 1),
-        "job.case_study": (run_job, 1),
+        "simulation.run_best_response": (lambda: simulation.run(eq_scenario, eq_sim), 1),
+        "job.case_study": (lambda: _cli(case_job), 1),
+        "job.simulate_best_response": (lambda: _cli(simulate_job), 1),
     }
 
 

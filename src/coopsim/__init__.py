@@ -15,6 +15,7 @@ from .scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, reference_s
 from .simulation import Trajectory, run
 from .solver import (
     EquilibriumResult,
+    EquilibriumSolver,
     SolverConfig,
     best_response,
     critical_rho,

@@ -393,12 +393,9 @@ def run(
 
     respond = None
     if sim.mode == "best_response":
-        from .solver import SolverConfig, solve_equilibrium
+        from .solver import EquilibriumSolver, SolverConfig
 
-        config = SolverConfig() if solver is None else solver
-
-        def respond(own_avg, trust, actions):
-            return solve_equilibrium(scenario, own_avg, trust, config, warm_start=actions)
+        respond = EquilibriumSolver(scenario, SolverConfig() if solver is None else solver)
 
     return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
 

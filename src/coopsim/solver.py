@@ -27,10 +27,14 @@ when none is given).
 
 The payoffs come from the elementwise kernel in :mod:`coopsim.utility`,
 which scores a whole grid of candidates or the refinement's single one.
-What does not depend on the candidate is computed outside it: the partner
-weights D_ij (1 + lambda_t T_ij) and the gate sums (from the shared
-:func:`~coopsim.reciprocity.gate_matrix`) once per solve, the partners'
-standalone payoffs and action product once per iteration.
+Each part of the objective is computed as seldom as what it depends on
+allows.  Per run (scenario and :class:`SolverConfig`): each actor's grid,
+the gate matrix (the shared :func:`~coopsim.reciprocity.gate_matrix`), each
+actor's standalone payoff over its grid, and the partner lists and team
+flags.  Per solve (``own_avg`` and trust): the gate sums, the partner
+weights D_ij (1 + lambda_t T_ij) and each actor's reciprocity term over
+its grid.  Per iteration: the standalone payoffs at the profile, the
+partners' action product, the synergy and partner terms and the argmax.
 """
 from __future__ import annotations
 
@@ -66,8 +70,8 @@ class SolverConfig:
         check_integer(self, ("max_iters", "grid_points"))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.grid_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.grid_points}")
 
@@ -85,52 +89,42 @@ def _own_avg(scenario: ScenarioConfig, own_avg: Optional[Sequence[float]]) -> np
     return np.array(scenario.baseline_init if own_avg is None else own_avg, dtype=float)
 
 
-def _gate_sums(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
-    """Each actor's total weight on its anticipated own-signal response:
-    row sums of the gated weights times trust over its partners."""
-    weights = gate_matrix(scenario.d.values, scenario.recip) * trust
-    np.fill_diagonal(weights, 0.0)
-    return weights.sum(axis=1)
-
-
-def _partner_weights(scenario: ScenarioConfig, trust: np.ndarray) -> np.ndarray:
-    """Weight of partner j's payoff in actor i's objective, D_ij (1 + lambda_t T_ij)."""
-    return scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
-
-
 def _objective(
     i: int,
     actions: np.ndarray,
     standalone: np.ndarray,
-    own_avg: float,
     weights: np.ndarray,
-    gate: float,
+    partners: list[int],
+    member: bool,
     scenario: ScenarioConfig,
 ) -> Callable:
     """Best-response objective of actor i against ``actions``, as a function
-    of i's candidate action: a float, or an array of candidates scored
-    elementwise.  ``standalone`` holds every actor's standalone payoff at
-    ``actions``, ``weights`` row i of :func:`_partner_weights` and ``gate``
-    actor i's entry of :func:`_gate_sums`."""
+    ``score(a_i, own, recip)`` of i's candidate action ``a_i``: a float, or
+    an array of candidates scored elementwise.  ``own`` is i's standalone
+    payoff and ``recip`` its reciprocity term at ``a_i``; ``standalone``
+    holds every actor's standalone payoff at ``actions`` and ``weights`` is
+    row i of the partner weights."""
     econ = scenario.econ
     team = scenario.team
     n = scenario.n
-    kappa = scenario.recip.kappa
-    partners = [j for j in range(n) if j != i]
-    member = team is not None and i in team.members
     partners_product = math.prod(actions[j] for j in partners)
 
-    def objective(a_i):
+    def score(a_i, own, recip):
         if member:
             total = team_member_utility(i, a_i, actions, team)
         else:
             s = synergy(a_i, partners_product, n, econ)
-            total = standalone_payoff(econ.endowments[i], a_i, econ) + econ.alpha[i] * s
+            total = own + econ.alpha[i] * s
             for j in partners:
                 total = total + weights[j] * (standalone[j] + econ.alpha[j] * s)
-        return total + gate * np.tanh(kappa * (a_i - own_avg))
+        return total + recip
 
-    return objective
+    return score
+
+
+def _reciprocity(a_i, gate: float, kappa: float, own_avg: float):
+    """The anticipated-reciprocity term at the candidate's own signal."""
+    return gate * np.tanh(kappa * (a_i - own_avg))
 
 
 def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
@@ -152,18 +146,97 @@ def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
-def _best_response_value(objective: Callable, grid: np.ndarray, refine: bool) -> float:
-    values = objective(grid)
-    # Smallest maximizing grid point (tie-break toward less action).
-    best = float(values.max())
-    idx = int(np.nonzero(values > best - 1e-12)[0][0])
-    x = float(grid[idx])
-    if not refine:
-        return x
-    lo = float(grid[max(0, idx - 1)])
-    hi = float(grid[min(len(grid) - 1, idx + 1)])
-    xr = _golden_refine(objective, lo, hi)
-    return xr if objective(xr) >= best else x
+class EquilibriumSolver:
+    """Best-response solves of one scenario under one :class:`SolverConfig`.
+
+    Building one computes what every solve of a run shares; calling it,
+    ``solver(own_avg, trust, warm_start)``, solves one period.  The cached
+    arrays are never written after the build.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, config: SolverConfig = SolverConfig()) -> None:
+        econ, team, n = scenario.econ, scenario.team, scenario.n
+        self.scenario = scenario
+        self.config = config
+        self.endowments = np.asarray(econ.endowments)
+        self.grids = [np.linspace(0.0, scenario.a_max[i], config.grid_points) for i in range(n)]
+        self.gate = gate_matrix(scenario.d.values, scenario.recip)
+        self.grid_payoffs = [standalone_payoff(econ.endowments[i], grid, econ)
+                             for i, grid in enumerate(self.grids)]
+        self.partners = [[j for j in range(n) if j != i] for i in range(n)]
+        self.members = [team is not None and i in team.members for i in range(n)]
+
+    def _gate_sums(self, trust: np.ndarray) -> np.ndarray:
+        """Each actor's total weight on its anticipated own-signal response:
+        row sums of the gated weights times trust over its partners."""
+        weights = self.gate * trust
+        np.fill_diagonal(weights, 0.0)
+        return weights.sum(axis=1)
+
+    def _solve_terms(self, own_avg: Optional[Sequence[float]], trust: np.ndarray) -> tuple:
+        """What every iteration of one solve shares: each actor's reference
+        and gate sum, the partner weights D_ij (1 + lambda_t T_ij), and each
+        actor's reciprocity term over its grid."""
+        scenario = self.scenario
+        reference = _own_avg(scenario, own_avg).tolist()
+        gates = self._gate_sums(trust).tolist()
+        weights = scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
+        kappa = scenario.recip.kappa
+        recips = [_reciprocity(grid, gate, kappa, own_avg)
+                  for grid, gate, own_avg in zip(self.grids, gates, reference)]
+        return reference, gates, weights, recips
+
+    def _respond(self, i: int, actions: np.ndarray, standalone: np.ndarray, terms: tuple) -> float:
+        """Actor i's best response to ``actions``: the smallest maximizing
+        grid point, or the refined action when it scores at least as well."""
+        reference, gates, weights, recips = terms
+        scenario = self.scenario
+        score = _objective(i, actions, standalone, weights[i], self.partners[i], self.members[i],
+                           scenario)
+        grid = self.grids[i]
+        values = score(grid, self.grid_payoffs[i], recips[i])
+        # Smallest maximizing grid point (tie-break toward less action).
+        best = float(values.max())
+        idx = int(np.nonzero(values > best - 1e-12)[0][0])
+        x = float(grid[idx])
+        if not self.config.refine:
+            return x
+        econ = scenario.econ
+        e_i, gate, kappa, own_avg = econ.endowments[i], gates[i], scenario.recip.kappa, reference[i]
+
+        def objective(a_i: float):
+            return score(a_i, standalone_payoff(e_i, a_i, econ),
+                         _reciprocity(a_i, gate, kappa, own_avg))
+
+        lo = float(grid[max(0, idx - 1)])
+        hi = float(grid[min(len(grid) - 1, idx + 1)])
+        xr = _golden_refine(objective, lo, hi)
+        return xr if objective(xr) >= best else x
+
+    def __call__(
+        self,
+        own_avg: Optional[Sequence[float]],
+        trust: np.ndarray,
+        warm_start: Optional[Sequence[float]] = None,
+    ) -> EquilibriumResult:
+        """Iterate simultaneous best responses from ``warm_start`` (the
+        scenario's ``a_init`` when None) until the profile settles."""
+        scenario, config = self.scenario, self.config
+        n = scenario.n
+        actions = np.array(warm_start if warm_start is not None else scenario.a_init, dtype=float)
+        terms = self._solve_terms(own_avg, trust)
+
+        residual = math.inf
+        for it in range(1, config.max_iters + 1):
+            standalone = standalone_payoff(self.endowments, actions, scenario.econ)
+            nxt = np.empty(n)
+            for i in range(n):
+                nxt[i] = self._respond(i, actions, standalone, terms)
+            residual = float(np.max(np.abs(nxt - actions)))
+            actions = nxt
+            if residual < config.tol:
+                return EquilibriumResult(tuple(actions), True, it, residual)
+        return EquilibriumResult(tuple(actions), False, config.max_iters, residual)
 
 
 def best_response(
@@ -175,13 +248,10 @@ def best_response(
     solver: SolverConfig = SolverConfig(),
 ) -> float:
     """Best response of actor i to the given partner actions."""
+    eq = EquilibriumSolver(scenario, solver)
     arr = np.asarray(actions, dtype=float)
-    standalone = standalone_payoff(np.asarray(scenario.econ.endowments), arr, scenario.econ)
-    objective = _objective(i, arr, standalone, float(_own_avg(scenario, own_avg)[i]),
-                           _partner_weights(scenario, trust)[i],
-                           float(_gate_sums(scenario, trust)[i]), scenario)
-    grid = np.linspace(0.0, scenario.a_max[i], solver.grid_points)
-    return _best_response_value(objective, grid, solver.refine)
+    standalone = standalone_payoff(eq.endowments, arr, scenario.econ)
+    return eq._respond(i, arr, standalone, eq._solve_terms(own_avg, trust))
 
 
 def solve_equilibrium(
@@ -191,30 +261,9 @@ def solve_equilibrium(
     solver: SolverConfig = SolverConfig(),
     warm_start: Optional[Sequence[float]] = None,
 ) -> EquilibriumResult:
-    """Iterate simultaneous best responses until the profile settles."""
-    n = scenario.n
-    actions = np.array(
-        warm_start if warm_start is not None else scenario.a_init, dtype=float
-    )
-    reference = _own_avg(scenario, own_avg)
-    gates = _gate_sums(scenario, trust)
-    weights = _partner_weights(scenario, trust)
-    endowments = np.asarray(scenario.econ.endowments)
-    grids = [np.linspace(0.0, scenario.a_max[i], solver.grid_points) for i in range(n)]
-
-    residual = math.inf
-    for it in range(1, solver.max_iters + 1):
-        standalone = standalone_payoff(endowments, actions, scenario.econ)
-        nxt = np.empty(n)
-        for i in range(n):
-            objective = _objective(i, actions, standalone, float(reference[i]), weights[i],
-                                   float(gates[i]), scenario)
-            nxt[i] = _best_response_value(objective, grids[i], solver.refine)
-        residual = float(np.max(np.abs(nxt - actions)))
-        actions = nxt
-        if residual < solver.tol:
-            return EquilibriumResult(tuple(actions), True, it, residual)
-    return EquilibriumResult(tuple(actions), False, solver.max_iters, residual)
+    """Iterate simultaneous best responses until the profile settles: one
+    solve of a freshly built :class:`EquilibriumSolver`."""
+    return EquilibriumSolver(scenario, solver)(own_avg, trust, warm_start)
 
 
 def critical_rho(

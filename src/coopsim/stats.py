@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .params import check_seed
 from .rng import derive_seed
 
 
@@ -181,6 +182,7 @@ def bootstrap_ci(
     Resampling indices come from a generator seeded deterministically from
     ``seed``, so intervals are reproducible.
     """
+    check_seed(seed)
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise ValueError("sample must be nonempty")

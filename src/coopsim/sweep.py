@@ -493,6 +493,9 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
     the mean ratio.  A grid too small for these tests is a configuration
     error.
     """
+    # Checked here: the except below would report a bad seed (a
+    # ConfigurationError, so a ValueError) as a grid too small.
+    check_seed(seed)
     high = [r.response_high for r in results]
     low = [r.response_low for r in results]
     ratios = [r.ratio for r in results if math.isfinite(r.ratio)]
@@ -599,6 +602,7 @@ def perturb_trial(
     values that leave their legal range are clamped and flagged; returns
     (cell, trust, clamped field names).
     """
+    check_seed(seed)
     trial_seed = derive_seed(seed, trial)
     clamped: list[str] = []
     stream = 0
@@ -635,7 +639,6 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
-    check_seed(seed)
     drawn = [perturb_trial(t, perturb, seed) for t in range(trials)]
     results = measure_cells(range(trials), [cell for cell, _, _ in drawn],
                             [trust for _, trust, _ in drawn])

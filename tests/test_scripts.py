@@ -55,7 +55,8 @@ def test_bench_smoke(tmp_path, capsys):
     assert {"cores", "cpu_model", "simd_found", "python", "numpy"} <= set(block["machine"])
     assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
             "simulation.run", "simulation.period", "files.trajectory_csv", "files.dyads_csv",
-            "files.long_format_csv", "solver.solve_equilibrium", "job.case_study"} == set(
+            "files.long_format_csv", "solver.solve_equilibrium", "simulation.run_best_response",
+            "job.case_study", "job.simulate_best_response"} == set(
         block["rows"])
     for name, row in block["rows"].items():
         assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name

@@ -18,8 +18,8 @@ from coopsim.params import (
 )
 from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario
 from coopsim.solver import (
+    EquilibriumSolver,
     SolverConfig,
-    _gate_sums,
     best_response,
     critical_rho,
     cross_partial_check,
@@ -260,6 +260,81 @@ class TestHistoryAwareSolve:
         assert anchored_high.actions[0] != anchored_low.actions[0]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iters", 0, "max_iters must be >= 1"),
+    ("max_iters", 1.5, "max_iters must be an integer"),
+    ("tol", 0.0, "tol must be finite and > 0"),
+    ("tol", -1.0, "tol must be finite and > 0"),
+    ("tol", float("nan"), "tol must be finite and > 0"),
+    ("tol", float("inf"), "tol must be finite and > 0"),
+    ("grid_points", 1, "grid needs at least 2 points"),
+])
+def test_solver_config_rejects(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}, got"):
+        SolverConfig(**{field: value})
+
+
+@st.composite
+def _solver_calls(draw):
+    """A 2- or 3-actor scenario (either value form, synergy off or on, with
+    or without a team), a solver configuration with refinement off or on,
+    and 3-5 (own_avg, trust, warm_start) calls."""
+    n = draw(st.sampled_from([2, 3]))
+    unit = st.floats(0.0, 1.0)
+    actions = st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)
+    d = np.array([[0.0 if i == j else draw(unit) for j in range(n)] for i in range(n)])
+    team = None
+    if draw(st.booleans()):
+        team = TeamParams(members=(0, 1), omega_prod=draw(st.floats(5.0, 15.0)),
+                          beta_team=draw(st.floats(0.3, 0.9)), loyalty=(draw(unit), draw(unit)))
+    scen = ScenarioConfig(
+        labels=tuple("ABC"[:n]),
+        d=InterdependenceMatrix(d),
+        recip=ReciprocityParams(rho0=draw(st.floats(0.0, 2.0)), eta=draw(st.floats(0.5, 2.0)),
+                                kappa=draw(st.floats(0.3, 2.0))),
+        trust=TrustParams(t0=draw(unit), lambda_t=draw(st.floats(0.0, 2.0))),
+        econ=EconomyParams(endowments=(100.0, 80.0, 60.0)[:n],
+                           alpha=(0.5, 0.5) if n == 2 else (0.4, 0.35, 0.25),
+                           theta_v=draw(st.floats(5.0, 20.0)),
+                           power_beta=draw(st.floats(0.3, 0.95)),
+                           gamma=draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0))),
+                           value_form=draw(st.sampled_from(["logarithmic", "power"]))),
+        a_max=(20.0,) * n,
+        a_init=tuple(draw(actions)),
+        team=team,
+    )
+    config = SolverConfig(grid_points=draw(st.sampled_from([21, 41])), max_iters=8,
+                          refine=draw(st.booleans()))
+    calls = []
+    for _ in range(draw(st.integers(3, 5))):
+        trust = np.array([[1.0 if i == j else draw(unit) for j in range(n)] for i in range(n)])
+        calls.append((draw(st.none() | actions), trust, draw(st.none() | actions)))
+    return scen, config, calls
+
+
+def _bits(result):
+    return (np.array(result.actions).tobytes(), result.converged, result.iterations,
+            float(result.residual).hex())
+
+
+@given(_solver_calls())
+@settings(max_examples=60, deadline=None)
+def test_reused_solver_matches_fresh_solves(case):
+    # one solver answers a sequence of solves exactly as a fresh build does
+    # for each, and leaves the arrays it built once per run as they were
+    scen, config, calls = case
+    solver = EquilibriumSolver(scen, config)
+    cached = [solver.gate] + solver.grids + solver.grid_payoffs
+    before = [a.copy() for a in cached]
+    for own_avg, trust, warm_start in calls:
+        got = solver(own_avg, trust, warm_start)
+        want = solve_equilibrium(scen, own_avg, trust, config, warm_start)
+        assert _bits(got) == _bits(want)
+        assert all(isinstance(a, np.float64) for a in got.actions)
+    for now, then in zip(cached, before):
+        assert now.tobytes() == then.tobytes()
+
+
 @st.composite
 def _gate_case(draw):
     # zero or at least 1e-3, so no product reaches the subnormal range,
@@ -289,7 +364,7 @@ def test_gate_sums_match_scalar_formula(case):
     # sum over partners of lambda_r * T * (1 + omega * D) * rho
     scen, trust = case
     recip, d = scen.recip, scen.d.values
-    got = _gate_sums(scen, trust)
+    got = EquilibriumSolver(scen)._gate_sums(trust)
     for i in range(scen.n):
         want = sum(recip.lambda_r * trust[i, j] * (1.0 + recip.omega_amp * d[i, j])
                    * recip.rho0 * d[i, j]**recip.eta for j in range(scen.n) if j != i)

@@ -6,6 +6,7 @@ import pytest
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.params import TrustParams
+from coopsim.stats import bootstrap_ci
 from coopsim.sweep import (
     FULL_GRID,
     WEIGHT_GRID,
@@ -177,3 +178,16 @@ class TestMonteCarlo:
     def test_integer_window_untouched(self):
         report = monte_carlo(trials=5, perturb=0.15, seed=2)
         assert all("memory_k" not in t.clamped for t in report.trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5], ids=["negative", "2**64", "non-integer"])
+@pytest.mark.parametrize("call", ["bootstrap_ci", "perturb_trial", "differentiation_stats"])
+def test_seed_outside_the_generator_range_rejected(call, seed, smoke_sweep):
+    # the generator would alias -1 with 2**64 - 1 and 2**64 with 0
+    calls = {
+        "bootstrap_ci": lambda: bootstrap_ci([1.0, 2.0, 3.0], seed=seed),
+        "perturb_trial": lambda: sweep.perturb_trial(3, 0.15, seed),
+        "differentiation_stats": lambda: differentiation_stats(smoke_sweep[0], seed=seed),
+    }
+    with pytest.raises(ConfigurationError, match=r"^seed must be in \[0, 2\*\*64\), got "):
+        calls[call]()
