@@ -10,6 +10,9 @@ Rows, each the cost of one call:
 - ``simulation.window_means``: one ``_window_means`` with k = 4;
 - ``simulation.run`` and ``simulation.period``: one iOS ``run()``, and the
   same divided by its 66 periods;
+- ``case_study.run_pair``: the iOS baseline and counterfactual as one
+  two-row ``record_batch`` (``case_study.run_ios_pair``); on a checkout
+  without that function, the two ``run_ios`` calls it replaces;
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
@@ -66,6 +69,14 @@ def _noise_block(seed: int, n: int, horizon: int):
     return lambda: rng.normal(seed, streams, counters)
 
 
+def _run_pair(seed: int):
+    """The iOS baseline and counterfactual runs, as the checkout makes them
+    for ``coopsim case-study ios --counterfactual``."""
+    if hasattr(case_study, "run_ios_pair"):
+        return case_study.run_ios_pair(seed)
+    return case_study.run_ios(False, seed), case_study.run_ios(True, seed)
+
+
 def _cli(argv: list) -> None:
     """One in-process ``coopsim`` command, its stdout discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -107,6 +118,7 @@ def rows(work: str) -> dict:
             lambda: simulation._window_means(hist, 20, k, reach, initial), 1),
         "simulation.run": (lambda: simulation.run(scenario, sim), 1),
         "simulation.period": (lambda: simulation.run(scenario, sim), sim.horizon),
+        "case_study.run_pair": (lambda: _run_pair(sim.seed), 1),
         "files.trajectory_csv": (lambda: files.trajectory_csv(traj), 1),
         "files.dyads_csv": (lambda: files.dyads_csv(traj), 1),
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),

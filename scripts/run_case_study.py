@@ -16,8 +16,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=cs.DEFAULT_SEED)
     args = parser.parse_args()
 
-    base = cs.run_ios(False, args.seed)
-    cf = cs.run_ios(True, args.seed)
+    base, cf = cs.run_ios_pair(args.seed)
 
     files.write_file(f"{args.out}/trajectory.csv", files.trajectory_csv(base))
     files.write_file(f"{args.out}/dyads.csv", files.dyads_csv(base))

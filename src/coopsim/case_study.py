@@ -35,7 +35,7 @@ from .params import (
 )
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig, Shock, SimConfig
-from .simulation import Trajectory, run
+from .simulation import RunBatch, Trajectory, record_batch, run
 
 ACTORS = ("Apple", "Major", "Small")
 
@@ -144,7 +144,8 @@ def build_ios_scenario(counterfactual: bool = False,
 
     The counterfactual variant attenuates the tension and crisis shocks and
     adds a proactive platform concession at Q44; it reuses the baseline
-    noise seed so the two trajectories are noise-paired.
+    noise seed, so the two runs share one noise block (see
+    :func:`run_ios_pair`).
     """
     scenario = ScenarioConfig(
         labels=ACTORS,
@@ -176,6 +177,15 @@ def build_ios_scenario(counterfactual: bool = False,
 def run_ios(counterfactual: bool = False, seed: int = DEFAULT_SEED) -> Trajectory:
     scenario, sim = build_ios_scenario(counterfactual, seed)
     return run(scenario, sim)
+
+
+def run_ios_pair(seed: int = DEFAULT_SEED) -> tuple[Trajectory, Trajectory]:
+    """``(baseline, counterfactual)``: the two runs of :func:`run_ios`,
+    advanced together as one two-row batch that draws one noise block."""
+    runs = [build_ios_scenario(counterfactual, seed) for counterfactual in (False, True)]
+    batch = RunBatch.stack([RunBatch.single(scenario, sim) for scenario, sim in runs])
+    base, cf = record_batch(batch, ACTORS)
+    return base, cf
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,10 @@ def cmd_case_study(args) -> int:
     if args.name != "ios":
         raise ConfigurationError(f"unknown case study {args.name!r}")
     seed = _default_seed(args.seed)
-    base = case_study.run_ios(counterfactual=False, seed=seed)
-    traj = case_study.run_ios(counterfactual=True, seed=seed) if args.counterfactual else base
+    if args.counterfactual:
+        base, traj = case_study.run_ios_pair(seed)
+    else:
+        base = traj = case_study.run_ios(seed=seed)
 
     files.write_file(_out_path(args.out, "trajectory.csv"), files.trajectory_csv(traj))
     files.write_file(_out_path(args.out, "dyads.csv"), files.dyads_csv(traj))

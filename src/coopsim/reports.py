@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .case_study import (
     IOS_PHASES,
     RUBRIC_INDICATORS,
@@ -57,6 +59,13 @@ def render_target_report(report: TargetReport, grid_size: int,
 
 def render_monte_carlo(report: MonteCarloReport) -> str:
     ratios = report.ratios
+    # A trial whose low-dependency response is zero has an infinite ratio;
+    # the sd is taken over the finite ones and the others are counted.
+    finite = ratios[np.isfinite(ratios)]
+    sd = f"{finite.std(ddof=1):.3f}" if len(finite) > 1 else "n/a"
+    infinite = int(np.isinf(ratios).sum())
+    if infinite:
+        sd += f" ({infinite} of {len(ratios)} ratios infinite, left out)"
     lines = [
         "# Robustness under parameter perturbation",
         "",
@@ -67,7 +76,7 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
         f"| All targets met | {sum(1 for t in report.trials if t.all_targets)} / "
         f"{report.n} ({_pct(report.all_targets_rate)}) |",
         f"| Mean differentiation ratio | {ratios.mean():.3f} |",
-        f"| Ratio sd | {ratios.std(ddof=1):.3f} |",
+        f"| Ratio sd | {sd} |",
         f"| Minimum ratio | {report.min_ratio:.3f} |",
         f"| Ratio >= {T4_RATIO} | {_pct(report.ratio_threshold_rate)} |",
         f"| Trials with clamped parameters | {report.clamped_trials} |",

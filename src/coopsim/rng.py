@@ -12,7 +12,7 @@ reimplementation that follows this convention reproduces the streams
 bit for bit.
 
 Array form: ``stream``, ``counter`` and ``index`` may be broadcasting
-``np.uint64`` arrays (the engine draws a run's noise as one block, actors
+``np.uint64`` arrays (the engine draws each seed's noise as one block, actors
 ``(1, n)`` by periods ``(H, 1)``); each element has the bits of the scalar
 call, as uint64 arithmetic wraps like the masked Python ints.  Box-Muller's
 ``log`` and ``cos`` go through ``math`` per element: ``np.log`` rounds
@@ -38,20 +38,24 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def _word(seed: int, stream: int, counter: int, index: int) -> int:
+def _key(seed: int, stream, counter):
     # Small consecutive integers are spread across the word by the golden
-    # multiplier before each mixing round, then fully avalanched; three
-    # rounds decorrelate the (seed, stream, counter, index) key.
+    # multiplier before each mixing round, then fully avalanched; with the
+    # index round of ``_uniform``, three rounds decorrelate the (seed,
+    # stream, counter, index) key.
     key = seed & _MASK
     key = splitmix64(key ^ ((stream * _GOLDEN) & _MASK))
-    key = splitmix64(key ^ ((counter * _GOLDEN) & _MASK))
-    return splitmix64(key ^ ((index * _GOLDEN) & _MASK))
+    return splitmix64(key ^ ((counter * _GOLDEN) & _MASK))
+
+
+def _uniform(key, index):
+    # 53-bit mantissa, offset so 0.0 is never returned (log needs > 0).
+    return ((splitmix64(key ^ ((index * _GOLDEN) & _MASK)) >> 11) + 0.5) * 2.0**-53
 
 
 def uniform(seed: int, stream, counter, index=0):
     """Uniform draw in the open interval (0, 1)."""
-    # 53-bit mantissa, offset so 0.0 is never returned (log needs > 0).
-    return ((_word(seed, stream, counter, index) >> 11) + 0.5) * 2.0**-53
+    return _uniform(_key(seed, stream, counter), index)
 
 
 # Elementwise over arrays; a Python float for float inputs.
@@ -61,9 +65,8 @@ _box_muller = np.frompyfunc(
 
 def normal(seed: int, stream, counter, index=0):
     """Standard normal draw via Box-Muller on two uniform words."""
-    u1 = uniform(seed, stream, counter, 2 * index)
-    u2 = uniform(seed, stream, counter, 2 * index + 1)
-    z = _box_muller(u1, u2)
+    key = _key(seed, stream, counter)  # shared by both uniforms
+    z = _box_muller(_uniform(key, 2 * index), _uniform(key, 2 * index + 1))
     return z if isinstance(z, float) else z.astype(float)
 
 

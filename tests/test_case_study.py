@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim.errors import ConfigurationError
@@ -175,3 +179,18 @@ class TestCounterfactual:
         base = cs.run_ios(False, seed=7)
         cf = cs.run_ios(True, seed=7)
         assert np.allclose(base.actions[:30], cf.actions[:30])
+
+    @given(seed=st.sampled_from([0, cs.DEFAULT_SEED, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_pair_equals_two_separate_runs(self, seed):
+        # one two-row batch on one noise block gives each run's own bits
+        pair = cs.run_ios_pair(seed)
+        for got, counterfactual in zip(pair, (False, True)):
+            want = cs.run_ios(counterfactual, seed)
+            for f in fields(Trajectory):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "labels":
+                    assert a == b
+                else:
+                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                    assert a.tobytes() == b.tobytes(), f.name

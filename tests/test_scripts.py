@@ -54,7 +54,8 @@ def test_bench_smoke(tmp_path, capsys):
     assert block["repeats"] == 3
     assert {"cores", "cpu_model", "simd_found", "python", "numpy"} <= set(block["machine"])
     assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
-            "simulation.run", "simulation.period", "files.trajectory_csv", "files.dyads_csv",
+            "simulation.run", "simulation.period", "case_study.run_pair",
+            "files.trajectory_csv", "files.dyads_csv",
             "files.long_format_csv", "solver.solve_equilibrium", "simulation.run_best_response",
             "job.case_study", "job.simulate_best_response"} == set(
         block["rows"])

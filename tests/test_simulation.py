@@ -16,6 +16,7 @@ from coopsim.simulation import (
     record_batch,
     run_batch,
 )
+from coopsim.rng import normal
 from oracles import update_trust
 
 
@@ -168,36 +169,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run(scen, SimConfig(horizon=5, shocks=(Shock(period=2, actor=7, delta=0.1),)))
 
+    @pytest.mark.parametrize("shock", [Shock(period=9, actor=0, delta=0.1),
+                                       Shock(period=2, actor=7, delta=0.1)])
+    def test_bad_shock_rejected_when_building_a_batch_row(self, shock):
+        # the batched path (RunBatch.single, then record_batch) checks
+        # shocks too, not only run()
+        with pytest.raises(ConfigurationError):
+            RunBatch.single(two_actor(), SimConfig(horizon=5, shocks=(shock,)))
+
     def test_script_pins_actions(self):
         scen = two_actor()
         sim = SimConfig(horizon=6, noise_sigma=0.02, seed=4)
         traj = run(scen, sim, script={1: {p: 0.25 for p in range(2, 7)}})
         assert np.allclose(traj.actions[1:, 1], 0.25)
-
-
-def _stack(batches):
-    """One batch holding the rows of one-row batches with equal actor counts."""
-    n = batches[0].a_init.shape[1]
-    horizon = max(int(b.horizon[0]) for b in batches)
-    script = np.full((horizon, len(batches), n), np.nan)
-    for r, b in enumerate(batches):
-        if b.script is not None:
-            script[: b.script.shape[0], r] = b.script[:, 0]
-
-    def cat(name):
-        return np.concatenate([getattr(b, name) for b in batches])
-
-    def columns(name):
-        return {f: np.concatenate([getattr(b, name)[f] for b in batches])
-                for f in getattr(batches[0], name)}
-
-    return RunBatch(
-        d=cat("d"), recip=columns("recip"), trust=columns("trust"), sim=columns("sim"),
-        a_max=cat("a_max"), a_init=cat("a_init"), baseline_init=cat("baseline_init"),
-        baseline_mode=cat("baseline_mode"), horizon=cat("horizon"), script=script,
-        shocks=tuple((r, s) for r, b in enumerate(batches) for _, s in b.shocks),
-        pre_history=None,
-    )
 
 
 class TestBatchKernel:
@@ -215,7 +199,7 @@ class TestBatchKernel:
             (two_actor("moving_average", memory_k=4, kappa=3.0),
              SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
         ]
-        batch = _stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
+        batch = RunBatch.stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
         got_runs = record_batch(batch, ("A", "B"))
         for got, (scen, sim, script) in zip(got_runs, runs):
             want = run(scen, sim, script=script)
@@ -223,9 +207,60 @@ class TestBatchKernel:
                          "signal", "recip_term", "converged"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_rows_on_one_seed_share_one_noise_block(self, monkeypatch):
+        from coopsim import simulation
+
+        draws = []
+
+        def counting_normal(*args):
+            draws.append(args[0])
+            return normal(*args)
+
+        monkeypatch.setattr(simulation, "normal", counting_normal)
+        runs = [(two_actor("adaptive", baseline_init=(0.3, 0.3)),
+                 SimConfig(horizon=25, noise_sigma=0.02, seed=5)),
+                (two_actor("moving_average", memory_k=2, d=0.4),
+                 SimConfig(horizon=25, noise_sigma=0.05, seed=5,
+                           shocks=(Shock(period=7, actor=0, delta=-0.3),))),
+                (two_actor("fixed", a_init=(0.8, 0.3), baseline_init=(0.5, 0.5)),
+                 SimConfig(horizon=18, noise_sigma=0.02, seed=9))]
+        got_runs = record_batch(RunBatch.stack([RunBatch.single(*r) for r in runs]), ("A", "B"))
+        assert sorted(draws) == [5, 9]
+        for got, (scen, sim) in zip(got_runs, runs):
+            want = run(scen, sim)
+            for name in ("actions", "baselines", "norms", "trust", "reputation",
+                         "signal", "recip_term", "converged"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_rows_keep_seeds_above_the_int64_range(self):
+        # seeds span [0, 2**64): stacking a small seed with a large one must
+        # not turn the seed column into floats
+        scen = two_actor("adaptive", baseline_init=(0.3, 0.3))
+        sims = [SimConfig(horizon=12, noise_sigma=0.02, seed=s) for s in (3, 2**64 - 1)]
+        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        for got, sim in zip(record_batch(batch, scen.labels), sims):
+            assert np.array_equal(got.actions, run(scen, sim).actions)
+
+    def test_stack_keeps_pre_history_and_offsets_shocks(self):
+        scen = replace(two_actor(memory_k=3), pre_history=((0.2, 0.9), (0.4, 0.7)))
+        sims = [SimConfig(horizon=10, noise_sigma=0.0,
+                          shocks=(Shock(period=p, actor=1, delta=-0.2),)) for p in (3, 6)]
+        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        assert batch.pre_history.shape == (2, 2, 2) and batch.script is None
+        assert [(r, s.period) for r, s in batch.shocks] == [(0, 3), (1, 6)]
+        for got, sim in zip(record_batch(batch, scen.labels), sims):
+            assert np.array_equal(got.actions, run(scen, sim).actions)
+
+    def test_stack_rejects_unequal_pre_history(self):
+        plain = RunBatch.single(two_actor(), SimConfig(horizon=3))
+        seeded = RunBatch.single(replace(two_actor(), pre_history=((0.5, 0.5),)),
+                                 SimConfig(horizon=3))
+        with pytest.raises(ValueError):
+            RunBatch.stack([plain, seeded])
+
     def test_best_response_needs_one_row(self):
         scen = two_actor()
-        batch = _stack([RunBatch.single(scen, SimConfig(horizon=3))] * 2)
+        batch = RunBatch.stack([RunBatch.single(scen, SimConfig(horizon=3))] * 2)
         with pytest.raises(ValueError):
             run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
 
@@ -278,7 +313,7 @@ def test_action_bounds_keep_np_clip_bits(rows, n):
         )
         script = {i: {2: v} for i, v in enumerate(second)}
         batches.append(RunBatch.single(scen, SimConfig(horizon=2), script))
-    batch = _stack(batches)
+    batch = RunBatch.stack(batches)
     got = np.stack([traj.actions for traj in record_batch(batch, scen.labels)], axis=1)
     want = np.clip(np.stack([starts, pinned]), 0.0, batch.a_max)
     assert np.array_equal(_bits(got), _bits(want))

@@ -1,15 +1,21 @@
+import math
 import random
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.params import TrustParams
+from coopsim.reports import render_monte_carlo
 from coopsim.stats import bootstrap_ci
 from coopsim.sweep import (
     FULL_GRID,
     WEIGHT_GRID,
+    MonteCarloReport,
+    MonteCarloTrial,
     NO_RECOVERY,
     REFERENCE_CELL,
     RHO0_EXTREMES,
@@ -178,6 +184,30 @@ class TestMonteCarlo:
     def test_integer_window_untouched(self):
         report = monte_carlo(trials=5, perturb=0.15, seed=2)
         assert all("memory_k" not in t.clamped for t in report.trials)
+
+
+def _mc_report(ratios):
+    trials = tuple(MonteCarloTrial(trial=i, all_targets=False, ratio=r, clamped=())
+                   for i, r in enumerate(ratios))
+    return MonteCarloReport(trials=trials, perturb=0.15, seed=1)
+
+
+def test_monte_carlo_report_with_an_infinite_ratio_renders_without_warnings():
+    # a zero low-dependency response gives an infinite ratio; the sd skips it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = render_monte_carlo(_mc_report([1.5, math.inf, 5.4]))
+        lone = render_monte_carlo(_mc_report([math.inf, 2.0]))
+    sd = np.std([1.5, 5.4], ddof=1)
+    assert f"| Ratio sd | {sd:.3f} (1 of 3 ratios infinite, left out) |" in text
+    assert "| Ratio sd | n/a (1 of 2 ratios infinite, left out) |" in lone
+    assert "nan" not in text + lone
+
+
+def test_monte_carlo_report_with_finite_ratios_keeps_its_sd_line():
+    ratios = [1.7, 2.25, 3.0, 1.9]
+    text = render_monte_carlo(_mc_report(ratios))
+    assert f"| Ratio sd | {np.std(ratios, ddof=1):.3f} |\n" in text
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5], ids=["negative", "2**64", "non-integer"])
