@@ -19,10 +19,15 @@ Rows, each the cost of one call:
 - ``simulation.run_best_response``: one best-response ``run()`` of the
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;
+- ``sweep.measure_batch``: one ``measure_cells`` call on the first 256
+  cells of the full grid (one engine batch); on a checkout whose
+  ``measure_cells`` takes per-cell objects, the same cells as those;
 - ``job.case_study``: the in-process ``coopsim case-study ios
   --counterfactual`` job, output files included;
 - ``job.simulate_best_response``: the in-process ``coopsim simulate
-  --mode best_response`` job on that scenario, output files included.
+  --mode best_response`` job on that scenario, output files included;
+- ``job.sweep``: the in-process ``coopsim sweep`` job on the 36-cell grid
+  ``SWEEP_GRID``, output files included.
 
 Each repeat times every row once, in turn, so drift on the host spreads
 over all rows alike; a row reports the median and the quartiles of its
@@ -40,6 +45,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import platform
@@ -54,12 +60,14 @@ DEPS = os.path.join(SRC, "coopsim", "data", "ios_dependencies.csv")
 
 import numpy as np  # noqa: E402
 
-from coopsim import case_study, cli, files, rng, simulation  # noqa: E402
+from coopsim import case_study, cli, files, rng, simulation, sweep  # noqa: E402
 from coopsim.scenario import reference_scenario  # noqa: E402
 from coopsim.solver import SolverConfig, solve_equilibrium  # noqa: E402
 
 # Calls per sample are chosen so one sample takes about this long.
 SAMPLE_S = 0.02
+# The grid of the job.sweep row: 36 cells, every target passes.
+SWEEP_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,1.5,3.0\nmemory_k = 1,4,16\nd = 0.2,1.0\n"
 
 
 def _noise_block(seed: int, n: int, horizon: int):
@@ -75,6 +83,20 @@ def _run_pair(seed: int):
     if hasattr(case_study, "run_ios_pair"):
         return case_study.run_ios_pair(seed)
     return case_study.run_ios(False, seed), case_study.run_ios(True, seed)
+
+
+def _measure_batch(cells: int):
+    """One ``measure_cells`` call on the full grid's first ``cells`` cells,
+    as the checkout takes them."""
+    grid = sweep.FULL_GRID
+    if hasattr(grid, "columns"):
+        first = {key: col[:cells] for key, col in grid.columns().items()}
+        return lambda: sweep.measure_cells(first)
+    levels = [grid.levels.get(key, (getattr(sweep.REFERENCE_CELL, key),))
+              for key in sweep.GRID_KEYS]
+    first = [sweep.SweepCell(*row) for row in itertools.islice(itertools.product(*levels), cells)]
+    trust = [sweep.TrustParams()] * cells
+    return lambda: sweep.measure_cells(range(cells), first, trust)
 
 
 def _cli(argv: list) -> None:
@@ -107,6 +129,10 @@ def rows(work: str) -> dict:
     eq_scenario, eq_sim = files.read_scenario(equilibrium)
     eq_sim = dataclasses.replace(eq_sim, mode="best_response")
     case_job = ["case-study", "ios", "--counterfactual", "--out", work]
+    sweep_grid = os.path.join(work, "bench.grid")
+    with open(sweep_grid, "w", encoding="utf-8") as fh:
+        fh.write(SWEEP_GRID)
+    sweep_job = ["sweep", "--grid", sweep_grid, "--out", work]
     simulate_job = ["simulate", "--scenario", equilibrium, "--mode", "best_response",
                     "--out", work]
 
@@ -125,8 +151,10 @@ def rows(work: str) -> dict:
         "solver.solve_equilibrium": (
             lambda: solve_equilibrium(ref, own_avg, ref_trust, SolverConfig()), 1),
         "simulation.run_best_response": (lambda: simulation.run(eq_scenario, eq_sim), 1),
+        "sweep.measure_batch": (_measure_batch(256), 1),
         "job.case_study": (lambda: _cli(case_job), 1),
         "job.simulate_best_response": (lambda: _cli(simulate_job), 1),
+        "job.sweep": (lambda: _cli(sweep_job), 1),
     }
 
 

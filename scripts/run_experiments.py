@@ -17,7 +17,7 @@ import numpy as np
 from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
 from coopsim.scenario import ScenarioConfig, pd_scenario, symmetric_matrix
 from coopsim.solver import SolverConfig, solve_equilibrium
-from coopsim.sweep import REFERENCE_CELL, measure_cell, measure_cells
+from coopsim.sweep import REFERENCE_CELL, ParameterGrid, measure_cell, measure_cells
 from coopsim.utility import private_payoffs
 
 
@@ -40,26 +40,26 @@ def experiment_1():
 
 def experiment_2():
     print("experiment 2: dependency differentiation")
-    result = measure_cell(0, REFERENCE_CELL)
-    print(f"  response at D = 0.8: {result.response_high:.3f}; "
-          f"at D = 0.2: {result.response_low:.3f}; ratio {result.ratio:.2f}")
+    result = measure_cell(REFERENCE_CELL)
+    print(f"  response at D = 0.8: {result['response_high']:.3f}; "
+          f"at D = 0.2: {result['response_low']:.3f}; ratio {result['ratio']:.2f}")
 
 
 def experiment_3():
     print("experiment 3: memory window and forgiveness")
     ks = (1, 3, 5, 10)
-    cells = [replace(REFERENCE_CELL, memory_k=k) for k in ks]
-    for k, result in zip(ks, measure_cells(range(len(ks)), cells, [TrustParams()] * len(ks))):
-        print(f"  k = {k}: signal recovery after {result.tau_f} periods "
+    cells = ParameterGrid({"memory_k": ks}).columns()
+    for k, tau_f in zip(ks, measure_cells(cells)["tau_f"].tolist()):
+        print(f"  k = {k}: signal recovery after {tau_f} periods "
               f"(bound [{k}, {2 * k}])")
 
 
 def experiment_4():
     print("experiment 4: trust gates cooperation")
     for t0 in (0.3, 0.6, 0.9):
-        result = measure_cell(0, replace(REFERENCE_CELL, t0=t0))
-        print(f"  T0 = {t0}: steady cooperation {result.steady_level:.3f}, "
-              f"whole-run mean {result.coop_mean:.3f}")
+        result = measure_cell(replace(REFERENCE_CELL, t0=t0))
+        print(f"  T0 = {t0}: steady cooperation {result['steady_level']:.3f}, "
+              f"whole-run mean {result['coop_mean']:.3f}")
 
 
 def experiment_5():

@@ -215,14 +215,6 @@ def phase_statistics(traj: Trajectory,
     return out
 
 
-def phase_mean_changes(stats: Sequence[PhaseStats]) -> list[tuple[str, tuple[float, ...]]]:
-    """Per-actor change in phase-mean cooperation versus the previous phase."""
-    out = []
-    for prev, cur in zip(stats, stats[1:]):
-        out.append((cur.phase, tuple(c - p for c, p in zip(cur.means, prev.means))))
-    return out
-
-
 #: Transition detection: a disruption moves aggregate cooperation by more
 #: than JUMP_THRESHOLD in one quarter; the norm is institutionalized once
 #: the remaining gap to cooperation is below NORM_GAP.

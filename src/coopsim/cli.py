@@ -79,10 +79,10 @@ def _load_grid(name_or_path: str):
 def cmd_sweep(args) -> int:
     seed = _default_seed(args.seed)
     grid = _load_grid(args.grid)
-    results = run_sweep(grid)
-    report = measure_targets(results)
-    stats = differentiation_stats(results, seed=seed)
-    files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(results))
+    table = run_sweep(grid)
+    report = measure_targets(table)
+    stats = differentiation_stats(table, seed=seed)
+    files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(table))
     files.write_file(
         _out_path(args.out, "report.md"),
         reports.render_target_report(report, grid.size, stats),
@@ -100,8 +100,9 @@ def cmd_montecarlo(args) -> int:
     report = monte_carlo(trials=args.trials, perturb=args.perturb, seed=_default_seed(args.seed))
     files.write_file(_out_path(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
     lines = ["trial,all_targets,ratio,clamped"]
-    for t in report.trials:
-        lines.append(f"{t.trial},{int(t.all_targets)},{t.ratio:.12g},{';'.join(t.clamped)}")
+    for t, (ok, ratio, clamped) in enumerate(
+            zip(report.all_targets.tolist(), report.ratios.tolist(), report.clamped)):
+        lines.append(f"{t},{int(ok)},{ratio:.12g},{';'.join(clamped)}")
     files.write_file(_out_path(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
     print(
         f"trials={report.n} all-targets={100 * report.all_targets_rate:.1f}% "

@@ -28,7 +28,7 @@ import csv
 import io
 import os
 from dataclasses import fields
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .params import (
 )
 from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory
-from .sweep import GRID_KEYS, CellResult, ParameterGrid, SweepCell
+from .sweep import GRID_KEYS, ParameterGrid, SweepCell
 
 
 def fmt(x) -> str:
@@ -353,29 +353,18 @@ def long_format_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def targets_csv(results: Sequence[CellResult]) -> str:
+def targets_csv(table: dict[str, np.ndarray]) -> str:
+    """One line per row of a sweep's result table, verdicts as 0 and 1."""
     cols = [
-        "index", *GRID_KEYS,
+        *GRID_KEYS,
         "t1", "t2", "t3", "t4", "t5", "t6",
         "steady_level", "coop_mean", "tau_f", "response_high", "response_low",
         "ratio", "max_abs_response",
     ]
-    lines = [",".join(cols)]
-    for r in results:
-        c = r.cell
-        lines.append(
-            ",".join(
-                [
-                    str(r.index),
-                    *(fmt(getattr(c, key)) for key in GRID_KEYS),
-                    fmt(r.t1), fmt(r.t2), fmt(r.t3), fmt(r.t4), fmt(r.t5), fmt(r.t6),
-                    fmt(r.steady_level), fmt(r.coop_mean), str(r.tau_f),
-                    fmt(r.response_high), fmt(r.response_low),
-                    (fmt(r.ratio) if np.isfinite(r.ratio) else "inf"),
-                    fmt(r.max_abs_response),
-                ]
-            )
-        )
+    values = [table[c].astype(int) if table[c].dtype == bool else table[c] for c in cols]
+    lines = [",".join(["index", *cols])]
+    lines.extend(",".join(map(repr, row))
+                 for row in zip(range(len(values[0])), *(v.tolist() for v in values)))
     return "\n".join(lines) + "\n"
 
 

@@ -23,10 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import TrustParams
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .sweep import NO_RECOVERY, REFERENCE_CELL, measure_cells
+from .sweep import GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, columns, measure_cells
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,11 @@ def check_prop2(
     pair, all pairs measured as one batch."""
     cells = [replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
              for k in ks for kappa in kappas]
+    table = measure_cells(columns(cells, GRID_KEYS))
     cases = []
-    for r in measure_cells(range(len(cells)), cells, [TrustParams()] * len(cells)):
-        k, tau = r.cell.memory_k, r.tau_f
+    for k, kappa, tau in zip(*(table[key].tolist() for key in ("memory_k", "kappa", "tau_f"))):
         ok = tau != NO_RECOVERY and k <= tau <= 2 * k
-        cases.append(Prop2Case(memory_k=k, kappa=r.cell.kappa, tau_f=tau, within_bounds=ok))
+        cases.append(Prop2Case(memory_k=k, kappa=kappa, tau_f=tau, within_bounds=ok))
     return Prop2Result(cases=tuple(cases), passed=all(c.within_bounds for c in cases))
 
 

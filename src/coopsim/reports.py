@@ -59,13 +59,14 @@ def render_target_report(report: TargetReport, grid_size: int,
 
 def render_monte_carlo(report: MonteCarloReport) -> str:
     ratios = report.ratios
-    # A trial whose low-dependency response is zero has an infinite ratio;
-    # the sd is taken over the finite ones and the others are counted.
+    # A trial whose low-dependency response is zero has an infinite ratio,
+    # or an undefined (NaN) one when both responses are zero; the mean and
+    # sd are taken over the finite ratios and the others are counted.
     finite = ratios[np.isfinite(ratios)]
+    mean = f"{finite.mean():.3f}" if len(finite) else "n/a"
     sd = f"{finite.std(ddof=1):.3f}" if len(finite) > 1 else "n/a"
-    infinite = int(np.isinf(ratios).sum())
-    if infinite:
-        sd += f" ({infinite} of {len(ratios)} ratios infinite, left out)"
+    if len(finite) < len(ratios):
+        sd += f" ({len(ratios) - len(finite)} of {len(ratios)} ratios not finite, left out)"
     lines = [
         "# Robustness under parameter perturbation",
         "",
@@ -73,30 +74,15 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
         "|--------|-------|",
         f"| Trials | {report.n} |",
         f"| Perturbation | +/-{_pct(report.perturb)} |",
-        f"| All targets met | {sum(1 for t in report.trials if t.all_targets)} / "
+        f"| All targets met | {int(report.all_targets.sum())} / "
         f"{report.n} ({_pct(report.all_targets_rate)}) |",
-        f"| Mean differentiation ratio | {ratios.mean():.3f} |",
+        f"| Mean differentiation ratio | {mean} |",
         f"| Ratio sd | {sd} |",
         f"| Minimum ratio | {report.min_ratio:.3f} |",
         f"| Ratio >= {T4_RATIO} | {_pct(report.ratio_threshold_rate)} |",
         f"| Trials with clamped parameters | {report.clamped_trials} |",
         "",
     ]
-    return "\n".join(lines)
-
-
-def render_phase_stats(stats: Sequence[PhaseStats], labels: Sequence[str]) -> str:
-    header = "| Phase | Quarters | " + " | ".join(
-        f"{lab} mean (sd)" for lab in labels
-    ) + " |"
-    sep = "|" + "---|" * (2 + len(labels))
-    lines = ["# Phase statistics", "", header, sep]
-    for p in stats:
-        cells = " | ".join(
-            f"{m:.3f} ({s:.3f})" for m, s in zip(p.means, p.sds)
-        )
-        lines.append(f"| {p.phase} | {p.start}-{p.end} | {cells} |")
-    lines.append("")
     return "\n".join(lines)
 
 

@@ -19,25 +19,28 @@ are its configuration, its trust block and the grid's rho0 extremes.
    0.0 (-0.5 stimulus) and pinned back at 0.5 afterwards.  Target 2 checks
    the gated response to the defection is negative; target 3 checks the
    observer's cooperation signal about the defector returns within
-   tolerance inside 2k periods (the forgiveness time ``CellResult.tau_f``,
-   which Proposition 2 reads too); target 6 checks every recorded bounded
+   tolerance inside 2k periods (the forgiveness time ``tau_f``, which
+   Proposition 2 reads too); target 6 checks every recorded bounded
    response against the +/-1 envelope.
 
 3. *Differentiation pair* -- the forgiveness run at dependency 0.8 versus
    0.2; target 4 passes when the high-dependency response magnitude exceeds
-   the low-dependency one by more than 1.5x.
+   the low-dependency one by more than 1.5x.  With both responses zero the
+   ratio is undefined (NaN) and target 4 fails.
 
-A cell's result is a pure function of those inputs.  The engine runs the
-protocol runs of many cells as one batch, and a cell's result does not
-depend on the batch size or on the order of the cells.  Robustness trials
-perturb the reference cell and the default trust block.
+Cells and results are held as columns: a dict of equal-length arrays in
+which row c is cell c.  A cell's result is a pure function of its
+configuration, its trust block and the grid's rho0 extremes.  The engine
+runs the protocol runs of many cells as one batch, and a cell's result
+does not depend on the batch size or on the order of the cells.
+Robustness trials perturb the reference cell and the default trust block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,7 +127,11 @@ REFERENCE_CELL = SweepCell()
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """Cartesian product of per-parameter levels, row-major in GRID_KEYS order."""
+    """Cartesian product of per-parameter levels, row-major in GRID_KEYS order.
+
+    Each level passes ``SweepCell``'s validators when the grid is built, and
+    is stored as the cell stores it (``memory_k`` as an int).
+    """
 
     levels: dict[str, tuple[float, ...]]
 
@@ -137,7 +144,8 @@ class ParameterGrid:
                 )
         for key in GRID_KEYS:
             if key in self.levels:
-                vals = tuple(self.levels[key])
+                vals = tuple(getattr(replace(REFERENCE_CELL, **{key: v}), key)
+                             for v in self.levels[key])
                 if not vals:
                     raise ConfigurationError(f"grid parameter {key!r} has no levels")
                 clean[key] = vals
@@ -152,16 +160,14 @@ class ParameterGrid:
             size *= len(vals)
         return size
 
-    def cell(self, index: int) -> SweepCell:
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        chosen = {}
-        rem = index
-        for key in reversed(list(self.levels)):
-            vals = self.levels[key]
-            rem, pos = divmod(rem, len(vals))
-            chosen[key] = vals[pos]
-        return replace(REFERENCE_CELL, **chosen)
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every cell's ``GRID_KEYS`` columns, row-major (the last parameter
+        varies fastest); a parameter without levels keeps the reference
+        cell's value."""
+        levels = [np.array(self.levels.get(key, (getattr(REFERENCE_CELL, key),)))
+                  for key in GRID_KEYS]
+        mesh = np.meshgrid(*levels, indexing="ij")
+        return {key: m.ravel() for key, m in zip(GRID_KEYS, mesh)}
 
     def rho0_extremes(self) -> tuple[float, float]:
         vals = self.levels.get("rho0", (REFERENCE_CELL.rho0,))
@@ -204,32 +210,13 @@ SMOKE_GRID = ParameterGrid(
 BUILTIN_GRIDS = {"full": FULL_GRID, "weights": WEIGHT_GRID, "smoke": SMOKE_GRID}
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Per-configuration measurements and target verdicts."""
+#: The targets' verdict columns of a result table.
+TARGETS = tuple(TARGET_NAMES)
 
-    index: int
-    cell: SweepCell
-    t1: bool
-    t2: bool
-    t3: bool
-    t4: bool
-    t5: bool
-    t6: bool
-    steady_level: float
-    coop_mean: float
-    coop_t5_high: float
-    coop_t5_low_trust: float
-    coop_t5_low_rho: float
-    tau_f: int
-    response_high: float
-    response_low: float
-    ratio: float
-    max_abs_response: float
 
-    @property
-    def all_targets(self) -> bool:
-        return self.t1 and self.t2 and self.t3 and self.t4 and self.t5 and self.t6
+def columns(records: Sequence, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """Column ``name`` holds each record's ``name`` attribute, in order."""
+    return {name: np.array([getattr(r, name) for r in records]) for name in names}
 
 
 #: The protocol's runs per cell, in engine row order.
@@ -244,12 +231,12 @@ CELLS_PER_BATCH = 256
 
 
 def _protocol_batch(
-    cells: Sequence[SweepCell],
-    trusts: Sequence[TrustParams],
+    cells: dict[str, np.ndarray],
+    trust: dict[str, np.ndarray],
     rho0_extremes: tuple[float, float],
 ) -> RunBatch:
     """Engine rows of the protocol runs, cell-major: row ``c * len(PROTOCOL_RUNS) + r``
-    is run ``PROTOCOL_RUNS[r]`` of ``cells[c]`` under ``trusts[c]`` (with the
+    is run ``PROTOCOL_RUNS[r]`` of cell row c under trust row c (with the
     run's t0).
 
     Emergence-type runs open at the start action against the lower start
@@ -258,11 +245,11 @@ def _protocol_batch(
     scripted at the start action with one defection period at t* = warm-up
     + 1, and the run lasts t* + 2k + pad periods.
     """
-    n_cells, n_runs = len(cells), len(PROTOCOL_RUNS)
+    n_cells, n_runs = len(cells["rho0"]), len(PROTOCOL_RUNS)
     rows = n_cells * n_runs
 
     def cell_col(name: str) -> np.ndarray:
-        return np.array([getattr(c, name) for c in cells], dtype=float)
+        return np.asarray(cells[name], dtype=float)
 
     def per_cell(values) -> np.ndarray:
         return np.repeat(np.asarray(values), n_runs)
@@ -285,7 +272,7 @@ def _protocol_batch(
             out[:, r] = varied[name][pos]
         return out.ravel()
 
-    k = per_cell([c.memory_k for c in cells])
+    k = per_cell(cells["memory_k"])
     forgive = np.tile([name in _FORGIVENESS_RUNS for name in PROTOCOL_RUNS], n_cells)
     t_star = WARMUP + 1
     horizon = np.where(forgive, t_star + 2 * k + RECOVERY_PAD, WARMUP)
@@ -293,7 +280,7 @@ def _protocol_batch(
     script[:, forgive, 1] = START_ACTION
     script[t_star - 1, forgive, 1] = START_ACTION + DEFECTION
 
-    trust = {f: per_cell([getattr(tp, f) for tp in trusts]) for f in TRUST_FIELDS}
+    trust = {f: per_cell(trust[f]) for f in TRUST_FIELDS}
     trust["t0"] = per_run(1)
     recip = {
         "rho0": per_run(0), "eta": per_cell(cell_col("eta")),
@@ -322,31 +309,29 @@ def _protocol_batch(
     )
 
 
-def signal_recovery_time(
-    signals: Sequence[float],
-    t_star: int,
-    tol: float,
-    sustain: int,
-) -> int:
-    """Periods from the defection until the signal settles within tolerance.
+def recovery_times(signals: np.ndarray, horizon: np.ndarray, t_star: int) -> np.ndarray:
+    """Per row, periods from the defection until the signal settles.
 
-    ``signals`` is the per-period series of the observer's cooperation
-    signal about the defector (1-indexed by position + 1).  Recovery is the
-    first period r >= t_star with |signal| < tol sustained for ``sustain``
-    consecutive periods; returns r - t_star, or NO_RECOVERY if the series
-    never settles within the horizon.
+    ``signals[p, c]`` is row c's cooperation signal of the observer about
+    the defector in period p + 1; periods past ``horizon[c]`` are not read.
+    Recovery is the first period r >= t_star with |signal| < RECOVERY_TOL
+    for RECOVERY_SUSTAIN consecutive periods; a row gets r - t_star, or
+    NO_RECOVERY if its signal never settles within its horizon.
     """
-    n = len(signals)
-    for r in range(t_star, n - sustain + 2):
-        if all(abs(signals[r - 1 + j]) < tol for j in range(sustain)):
-            return r - t_star
-    return NO_RECOVERY
+    starts = signals.shape[0] - RECOVERY_SUSTAIN + 2 - t_star  # r = t_star, ...
+    if starts < 1:
+        return np.full(signals.shape[1], NO_RECOVERY)
+    period = np.arange(1, signals.shape[0] + 1)[:, None]
+    settled = (np.abs(signals) < RECOVERY_TOL) & (period <= horizon)
+    held = np.logical_and.reduce(
+        [settled[t_star - 1 + j : t_star - 1 + j + starts] for j in range(RECOVERY_SUSTAIN)]
+    )
+    return np.where(held.any(axis=0), held.argmax(axis=0), NO_RECOVERY)
 
 
-def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
-                   trusts: Sequence[TrustParams],
-                   rho0_extremes: tuple[float, float]) -> list[CellResult]:
-    batch = _protocol_batch(cells, trusts, rho0_extremes)
+def _measure_batch(cells: dict[str, np.ndarray], trust: dict[str, np.ndarray],
+                   rho0_extremes: tuple[float, float]) -> dict[str, np.ndarray]:
+    batch = _protocol_batch(cells, trust, rho0_extremes)
     horizon = batch.horizon
     kappa = batch.recip["kappa"][:, None, None]
     # What the targets read, kept period by period rather than whole runs.
@@ -365,7 +350,7 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
         np.maximum(bounded, phi, out=bounded, where=idx < horizon)
 
     run_batch(batch, observe)
-    n_cells, n_runs = len(cells), len(PROTOCOL_RUNS)
+    n_cells, n_runs = len(cells["rho0"]), len(PROTOCOL_RUNS)
     row = {name: np.arange(n_cells) * n_runs + r for r, name in enumerate(PROTOCOL_RUNS)}
 
     def mean_actions(rows: np.ndarray, first: int) -> np.ndarray:
@@ -376,75 +361,70 @@ def _measure_batch(indices: Sequence[int], cells: Sequence[SweepCell],
 
     steady = mean_actions(row["emergence"], WARMUP - STEADY_WINDOW)
     coop = {name: mean_actions(row[name], 0) for name in _EMERGENCE_RUNS}
+    forgive = row["forgiveness"]
+    tau_f = recovery_times(partner[:, forgive], horizon[forgive], WARMUP + 1)
+    response_high = np.abs(response[row["diff_high"]])
+    response_low = np.abs(response[row["diff_low"]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = response_high / response_low  # inf over a zero response, NaN for 0 / 0
     max_abs = bounded.reshape(n_cells, n_runs).max(axis=1)
-
-    results = []
-    for c, (index, cell) in enumerate(zip(indices, cells)):
-        # Target 1 + coop level: emergence run.
-        steady_c = float(steady[c])
-        t1 = steady_c >= START_ACTION + EMERGENCE_MARGIN
-
-        # Target 5: trust/reciprocity variants of the emergence run.
-        coop_hh = float(coop["t5_high"][c])
-        coop_lh = float(coop["t5_low_trust"][c])
-        coop_hl = float(coop["t5_low_rho"][c])
-        t5 = coop_hh > coop_lh and coop_hh > coop_hl
-
-        # Targets 2, 3: forgiveness stimulus run.
-        f = row["forgiveness"][c]
-        t2 = float(response[f]) < 0.0
-        tau_f = signal_recovery_time(partner[: horizon[f], f].tolist(), WARMUP + 1,
-                                     RECOVERY_TOL, RECOVERY_SUSTAIN)
-        t3 = tau_f != NO_RECOVERY and tau_f <= 2 * cell.memory_k
-
-        # Target 4: dependency differentiation pair.
-        response_high = abs(float(response[row["diff_high"][c]]))
-        response_low = abs(float(response[row["diff_low"][c]]))
-        ratio = response_high / response_low if response_low > 0 else math.inf
-        t4 = ratio > T4_RATIO
-
-        max_abs_c = float(max_abs[c])
-        results.append(CellResult(
-            index=index, cell=cell,
-            t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=max_abs_c <= 1.0,
-            steady_level=steady_c, coop_mean=float(coop["emergence"][c]),
-            coop_t5_high=coop_hh, coop_t5_low_trust=coop_lh, coop_t5_low_rho=coop_hl,
-            tau_f=tau_f,
-            response_high=response_high, response_low=response_low, ratio=ratio,
-            max_abs_response=max_abs_c,
-        ))
-    return results
+    return {
+        **cells,
+        "t1": steady >= START_ACTION + EMERGENCE_MARGIN,
+        "t2": response[forgive] < 0.0,
+        "t3": (tau_f != NO_RECOVERY) & (tau_f <= 2 * cells["memory_k"]),
+        "t4": ratio > T4_RATIO,
+        "t5": (coop["t5_high"] > coop["t5_low_trust"]) & (coop["t5_high"] > coop["t5_low_rho"]),
+        "t6": max_abs <= 1.0,
+        "steady_level": steady,
+        "coop_mean": coop["emergence"],
+        "coop_t5_high": coop["t5_high"],
+        "coop_t5_low_trust": coop["t5_low_trust"],
+        "coop_t5_low_rho": coop["t5_low_rho"],
+        "tau_f": tau_f,
+        "response_high": response_high,
+        "response_low": response_low,
+        "ratio": ratio,
+        "max_abs_response": max_abs,
+    }
 
 
 def measure_cells(
-    indices: Sequence[int],
-    cells: Sequence[SweepCell],
-    trusts: Sequence[TrustParams],
+    cells: dict[str, np.ndarray],
+    trust: Optional[dict[str, np.ndarray]] = None,
     rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
-) -> list[CellResult]:
-    """Run the full protocol for every configuration and score all six targets.
+) -> dict[str, np.ndarray]:
+    """Run the full protocol for every cell and score all six targets.
 
-    ``cells[c]`` runs under ``trusts[c]`` and is reported as ``indices[c]``.
-    The engine advances ``CELLS_PER_BATCH`` cells' protocol runs at once;
-    a cell's result does not depend on the batch it lands in.
+    ``cells`` holds the ``GRID_KEYS`` columns and ``trust`` the
+    ``TrustParams`` columns of the same rows (None: the default block).
+    Row c of the result table is cell c: its ``GRID_KEYS`` columns, the
+    verdicts ``t1`` .. ``t6`` and the measurements behind them.  The engine
+    advances ``CELLS_PER_BATCH`` cells' protocol runs at once; a cell's
+    result does not depend on the batch it lands in.
     """
-    results: list[CellResult] = []
-    for lo in range(0, len(cells), CELLS_PER_BATCH):
+    n = len(cells["rho0"])
+    if trust is None:
+        default = TrustParams()
+        trust = {f: np.full(n, getattr(default, f)) for f in TRUST_FIELDS}
+    parts = []
+    for lo in range(0, n, CELLS_PER_BATCH):
         part = slice(lo, lo + CELLS_PER_BATCH)
-        results += _measure_batch(indices[part], cells[part], trusts[part], rho0_extremes)
-    return results
+        parts.append(_measure_batch({key: cells[key][part] for key in GRID_KEYS},
+                                    {f: trust[f][part] for f in TRUST_FIELDS},
+                                    rho0_extremes))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def measure_cell(index: int, cell: SweepCell) -> CellResult:
-    """Run the full protocol for one configuration and score all six targets."""
-    return measure_cells([index], [cell], [TrustParams()])[0]
+def measure_cell(cell: SweepCell) -> dict:
+    """Run the full protocol for one configuration: its result row as
+    Python scalars."""
+    return {key: col.item() for key, col in measure_cells(columns([cell], GRID_KEYS)).items()}
 
 
-def run_sweep(grid: ParameterGrid) -> list[CellResult]:
-    """Measure every configuration of the grid; results ordered by index."""
-    cells = [grid.cell(i) for i in range(grid.size)]
-    return measure_cells(range(grid.size), cells, [TrustParams()] * grid.size,
-                         grid.rho0_extremes())
+def run_sweep(grid: ParameterGrid) -> dict[str, np.ndarray]:
+    """Measure every configuration of the grid; row i is cell i."""
+    return measure_cells(grid.columns(), rho0_extremes=grid.rho0_extremes())
 
 
 @dataclass(frozen=True)
@@ -464,11 +444,11 @@ class TargetReport:
         raise KeyError(target)
 
 
-def measure_targets(results: Sequence[CellResult]) -> TargetReport:
-    total = len(results)
+def measure_targets(table: dict[str, np.ndarray]) -> TargetReport:
+    total = len(table["t1"])
     rows = []
-    for key in ("t1", "t2", "t3", "t4", "t5", "t6"):
-        achieved = sum(1 for r in results if getattr(r, key))
+    for key in TARGETS:
+        achieved = int(table[key].sum())
         rate = achieved / total if total else 0.0
         rows.append(
             {
@@ -484,7 +464,7 @@ def measure_targets(results: Sequence[CellResult]) -> TargetReport:
     return TargetReport(rows=tuple(rows))
 
 
-def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> StatsSummary:
+def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsSummary:
     """Paired high-vs-low dependency analysis across the grid.
 
     The t test and effect size compare the per-cell response magnitudes;
@@ -496,9 +476,8 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
     # Checked here: the except below would report a bad seed (a
     # ConfigurationError, so a ValueError) as a grid too small.
     check_seed(seed)
-    high = [r.response_high for r in results]
-    low = [r.response_low for r in results]
-    ratios = [r.ratio for r in results if math.isfinite(r.ratio)]
+    high, low, ratios = table["response_high"], table["response_low"], table["ratio"]
+    ratios = ratios[np.isfinite(ratios)]
     try:
         t, df, p, _ = paired_ttest(high, low)
         d, _ = cohens_d(high, low)
@@ -506,12 +485,11 @@ def differentiation_stats(results: Sequence[CellResult], seed: int = 0) -> Stats
         w_stat, w_p, _ = wilcoxon_signed_rank(ratios, T4_RATIO)
     except ValueError as exc:
         raise ConfigurationError(
-            f"a {len(results)}-cell grid is too small for the differentiation "
+            f"a {len(high)}-cell grid is too small for the differentiation "
             f"statistics: {exc}"
         ) from None
-    arr = np.asarray(ratios)
     return StatsSummary(
-        mean=float(arr.mean()), sd=float(arr.std(ddof=1)),
+        mean=float(ratios.mean()), sd=float(ratios.std(ddof=1)),
         t_stat=t, df=df, p_value=p, cohens_d=d,
         ci_lo=lo, ci_hi=hi, wilcoxon_stat=w_stat, wilcoxon_p=w_p,
     )
@@ -546,30 +524,31 @@ _CELL_RANGES = {
 
 
 @dataclass(frozen=True)
-class MonteCarloTrial:
-    trial: int
-    all_targets: bool
-    ratio: float
-    clamped: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class MonteCarloReport:
-    trials: tuple[MonteCarloTrial, ...]
+    """The trials' result table (row t is trial t) and each trial's clamped
+    parameter names."""
+
+    table: dict[str, np.ndarray]
+    clamped: tuple[tuple[str, ...], ...]
     perturb: float
     seed: int
 
     @property
     def n(self) -> int:
-        return len(self.trials)
+        return len(self.clamped)
+
+    @property
+    def all_targets(self) -> np.ndarray:
+        """Per trial: whether all six targets pass."""
+        return np.logical_and.reduce([self.table[key] for key in TARGETS])
 
     @property
     def all_targets_rate(self) -> float:
-        return sum(1 for t in self.trials if t.all_targets) / self.n
+        return int(self.all_targets.sum()) / self.n
 
     @property
     def ratios(self) -> np.ndarray:
-        return np.array([t.ratio for t in self.trials])
+        return self.table["ratio"]
 
     @property
     def ratio_threshold_rate(self) -> float:
@@ -577,11 +556,12 @@ class MonteCarloReport:
 
     @property
     def min_ratio(self) -> float:
-        return float(self.ratios.min())
+        """The smallest ratio; an undefined (NaN) ratio is skipped."""
+        return float(np.fmin.reduce(self.ratios))
 
     @property
     def clamped_trials(self) -> int:
-        return sum(1 for t in self.trials if t.clamped)
+        return sum(1 for names in self.clamped if names)
 
 
 def _perturb_value(value, lo, hi, eps):
@@ -639,12 +619,6 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
-    drawn = [perturb_trial(t, perturb, seed) for t in range(trials)]
-    results = measure_cells(range(trials), [cell for cell, _, _ in drawn],
-                            [trust for _, trust, _ in drawn])
-    out = tuple(
-        MonteCarloTrial(trial=r.index, all_targets=r.all_targets, ratio=r.ratio,
-                        clamped=clamped)
-        for r, (_, _, clamped) in zip(results, drawn)
-    )
-    return MonteCarloReport(trials=out, perturb=perturb, seed=seed)
+    cells, trusts, clamped = zip(*(perturb_trial(t, perturb, seed) for t in range(trials)))
+    table = measure_cells(columns(cells, GRID_KEYS), columns(trusts, TRUST_FIELDS))
+    return MonteCarloReport(table=table, clamped=clamped, perturb=perturb, seed=seed)

@@ -7,7 +7,7 @@ from coopsim.sweep import SMOKE_GRID, run_sweep
 
 @pytest.fixture(scope="session")
 def smoke_sweep():
-    """The 3^6 smoke grid measured once per test session: (results, seconds)."""
+    """The 3^6 smoke grid measured once per test session: (table, seconds)."""
     start = time.monotonic()
-    results = run_sweep(SMOKE_GRID)
-    return results, time.monotonic() - start
+    table = run_sweep(SMOKE_GRID)
+    return table, time.monotonic() - start

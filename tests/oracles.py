@@ -17,9 +17,11 @@ Python integers (:func:`splitmix64`, :func:`uniform`, :func:`normal`), for
 the array draws of ``coopsim.rng``, and the trajectory writers one number
 at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
 :func:`long_format_csv`), for the whole-array writers of
-``coopsim.files``.  The module imports nothing from
-``coopsim.reciprocity``, ``coopsim.simulation``, ``coopsim.utility``,
-``coopsim.solver``, ``coopsim.rng`` or ``coopsim.files``.
+``coopsim.files``.  :func:`signal_recovery_time` walks one run's signal
+period by period, for the whole-array ``coopsim.sweep.recovery_times``.
+The module imports nothing from ``coopsim.reciprocity``,
+``coopsim.simulation``, ``coopsim.utility``, ``coopsim.solver``,
+``coopsim.rng``, ``coopsim.files`` or ``coopsim.sweep``.
 """
 
 from __future__ import annotations
@@ -272,3 +274,22 @@ def long_format_csv(traj) -> str:
                 if i != j:
                     lines.append(f"{t + 1},trust,{li}->{lj},{fmt(traj.trust[t, i, j])}")
     return "\n".join(lines) + "\n"
+
+
+# -- forgiveness time ----------------------------------------------------------
+
+def signal_recovery_time(signals: Sequence[float], t_star: int, tol: float,
+                         sustain: int) -> int:
+    """Periods from the defection until the signal settles within tolerance.
+
+    ``signals`` is one run's per-period series of the observer's
+    cooperation signal about the defector (period = position + 1).
+    Recovery is the first period r >= t_star with |signal| < tol sustained
+    for ``sustain`` consecutive periods; returns r - t_star, or -1 if the
+    series never settles within its length.
+    """
+    n = len(signals)
+    for r in range(t_star, n - sustain + 2):
+        if all(abs(signals[r - 1 + j]) < tol for j in range(sustain)):
+            return r - t_star
+    return -1

@@ -117,7 +117,7 @@ def test_criterion_3_behavioral_target_thresholds(sweep_results):
     assert rates["t6"] == 1.0
     assert rates["t2"] == 1.0
     assert rates["t4"] >= 0.90
-    assert all(r.ratio > 1.5 for r in results if r.t4)
+    assert (results["ratio"][results["t4"]] > 1.5).all()
     assert rates["t1"] >= 0.85
     assert rates["t3"] >= 0.80
     assert rates["t5"] >= 0.90

@@ -90,11 +90,6 @@ class TestPhaseStatistics:
         stats = cs.phase_statistics(traj, phases)
         assert stats[1].means == (0.1, 0.2, 0.3)
 
-    def test_phase_mean_changes(self):
-        stats = cs.phase_statistics(flat_trajectory())
-        for name, deltas in cs.phase_mean_changes(stats):
-            assert all(abs(x) < 1e-12 for x in deltas)
-
 
 class TestRubric:
     def test_reference_scoring_totals(self):

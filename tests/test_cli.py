@@ -117,6 +117,23 @@ class TestSweepCommand:
         assert os.path.exists(os.path.join(out, "report.md"))
         assert code in (0, 2)  # tiny unbalanced grids may miss thresholds
 
+    def test_t4_fails_where_neither_dependency_responds(self, tmp_path, capsys):
+        # lambda_r = 0 switches reciprocity off: both responses are zero, the
+        # ratio is undefined and those 10 cells fail T4
+        grid = tmp_path / "flat.grid"
+        grid.write_text("lambda_r = 0.0,1.0\nkappa = 0.5,1.0,1.5,2.0,3.0\nt0 = 0.3,0.7\n")
+        out = str(tmp_path / "out")
+        main(["sweep", "--grid", str(grid), "--out", out])
+        assert "t4 Asymmetric differentiation: 10/20 (50.0%)" in capsys.readouterr().out
+        header, *rows = read(os.path.join(out, "targets.csv")).decode().splitlines()
+        col = {name: k for k, name in enumerate(header.split(","))}
+        for row in (line.split(",") for line in rows):
+            flat = row[col["lambda_r"]] == "0.0"
+            if flat:
+                assert row[col["response_high"]] == row[col["response_low"]] == "0.0"
+            assert (row[col["ratio"]] == "nan") == flat
+            assert row[col["t4"]] == ("0" if flat else "1")
+
     def test_non_finite_level_exits_one(self, tmp_path, capsys):
         grid = tmp_path / "nan.grid"
         grid.write_text(TINY_GRID + "d = 0.5,nan\n")

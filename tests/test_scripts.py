@@ -57,7 +57,8 @@ def test_bench_smoke(tmp_path, capsys):
             "simulation.run", "simulation.period", "case_study.run_pair",
             "files.trajectory_csv", "files.dyads_csv",
             "files.long_format_csv", "solver.solve_equilibrium", "simulation.run_best_response",
-            "job.case_study", "job.simulate_best_response"} == set(
+            "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
+            "job.sweep"} == set(
         block["rows"])
     for name, row in block["rows"].items():
         assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name

@@ -373,10 +373,10 @@ def test_gate_sums_match_scalar_formula(case):
 
 def test_oracle_shares_no_code_with_the_kernel():
     # the oracle is the reference for the payoff, gate and trust kernels, the
-    # solver, the generator and the writers, so it may import none of their
-    # modules
+    # solver, the generator, the writers and the recovery detector, so it may
+    # import none of their modules
     checked = ("coopsim.reciprocity", "coopsim.simulation", "coopsim.utility", "coopsim.solver",
-               "coopsim.rng", "coopsim.files")
+               "coopsim.rng", "coopsim.files", "coopsim.sweep")
     tree = ast.parse(Path(oracles.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

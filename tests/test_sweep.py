@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -5,33 +6,50 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
-from coopsim.params import TrustParams
+from coopsim.files import targets_csv
 from coopsim.reports import render_monte_carlo
 from coopsim.stats import bootstrap_ci
 from coopsim.sweep import (
     FULL_GRID,
-    WEIGHT_GRID,
-    MonteCarloReport,
-    MonteCarloTrial,
+    GRID_KEYS,
     NO_RECOVERY,
+    RECOVERY_SUSTAIN,
+    RECOVERY_TOL,
     REFERENCE_CELL,
     RHO0_EXTREMES,
     SMOKE_GRID,
+    TARGETS,
+    WEIGHT_GRID,
+    MonteCarloReport,
     ParameterGrid,
     SweepCell,
+    columns,
     differentiation_stats,
     measure_cell,
     measure_cells,
     measure_targets,
     monte_carlo,
+    recovery_times,
     run_sweep,
-    signal_recovery_time,
 )
 
-TRUST = TrustParams()
+from oracles import signal_recovery_time
+
+
+def assert_tables_equal(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def table_rows(table, order):
+    return {key: col[order] for key, col in table.items()}
 
 
 class TestGrid:
@@ -43,17 +61,48 @@ class TestGrid:
     def test_degenerate_grid(self):
         g = ParameterGrid({"rho0": (1.0,)})
         assert g.size == 1
-        assert g.cell(0) == replace(REFERENCE_CELL, rho0=1.0)
+        assert {key: col.tolist() for key, col in g.columns().items()} == {
+            key: [getattr(REFERENCE_CELL, key)] for key in GRID_KEYS}
 
     def test_cell_enumeration_roundtrip(self):
         g = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 2.0), "memory_k": (1, 4)})
-        cells = [g.cell(i) for i in range(g.size)]
-        assert len(set(cells)) == 8
-        assert cells[0].memory_k == 1 and isinstance(cells[0].memory_k, int)
+        cols = g.columns()
+        rows = list(zip(*(cols[key].tolist() for key in GRID_KEYS)))
+        assert len(set(rows)) == 8
+        assert cols["memory_k"].dtype.kind == "i" and rows[0][GRID_KEYS.index("memory_k")] == 1
+
+    @pytest.mark.parametrize("grid", [
+        SMOKE_GRID, WEIGHT_GRID,
+        ParameterGrid({"d": (1.0, 0.2), "memory_k": (16, 1, 4), "rho0": (0.6, 0.2)}),
+    ], ids=["smoke", "weights", "keys-out-of-order"])
+    def test_columns_follow_itertools_product(self, grid):
+        # row-major in GRID_KEYS order: the last parameter varies fastest
+        levels = [grid.levels.get(key, (getattr(REFERENCE_CELL, key),)) for key in GRID_KEYS]
+        cols = grid.columns()
+        assert list(cols) == list(GRID_KEYS)
+        assert list(zip(*(cols[key].tolist() for key in GRID_KEYS))) == list(
+            itertools.product(*levels))
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
             ParameterGrid({"bogus": (1.0,)})
+
+    @pytest.mark.parametrize("levels, message", [
+        ({"memory_k": (4, 2.5)}, "memory_k must be an integer"),
+        ({"memory_k": (0,)}, "memory_k must be an integer >= 1"),
+        ({"d": (0.5, 1.5)}, "d must lie in [0, 1]"),
+        ({"kappa": (0.0,)}, "kappa must be > 0"),
+    ])
+    def test_bad_level_rejected_when_the_grid_is_built(self, levels, message):
+        with pytest.raises(ConfigurationError) as err:
+            ParameterGrid(levels)
+        assert str(err.value).startswith(message)
+
+    def test_integral_float_memory_k_level_is_an_int(self):
+        g = ParameterGrid({"memory_k": (4.0,)})
+        assert g.levels["memory_k"] == (4,) and isinstance(g.levels["memory_k"][0], int)
+        header, row = targets_csv(run_sweep(g)).splitlines()
+        assert row.split(",")[header.split(",").index("memory_k")] == "4"
 
     def test_rho0_extremes(self):
         assert FULL_GRID.rho0_extremes() == (0.2, 1.0)
@@ -63,42 +112,79 @@ class TestForgiveness:
     def test_recovery_time_k_plus_one(self):
         ks = (1, 2, 4, 8)
         cells = [replace(REFERENCE_CELL, memory_k=k) for k in ks]
-        for k, r in zip(ks, measure_cells(range(len(ks)), cells, [TRUST] * len(ks))):
-            assert r.tau_f == k + 1
-            assert k <= r.tau_f <= 2 * k
+        tau_f = measure_cells(columns(cells, GRID_KEYS))["tau_f"]
+        assert tau_f.tolist() == [k + 1 for k in ks]
 
     def test_recovery_detector(self):
-        signals = [0.0] * 9 + [-0.5, 0.1, 0.1, 0.01, 0.005, 0.001, 0.0]
-        assert signal_recovery_time(signals, 10, tol=0.02, sustain=3) == 3
-        assert signal_recovery_time([-1.0] * 20, 5, tol=0.02, sustain=3) == NO_RECOVERY
+        settles = [0.0] * 9 + [-0.5, 0.1, 0.1, 0.01, 0.005, 0.001, 0.0]
+        never = [-1.0] * 16
+        # settled only in its last RECOVERY_SUSTAIN periods: recovers at the edge
+        at_the_edge = [0.0] * 9 + [-0.5] * 4 + [0.0] * 3
+        # settled from period 15, but its horizon ends at 16
+        cut_short = [0.0] * 9 + [-0.5] * 5 + [0.0] * 2
+        signals = np.array([settles, never, at_the_edge, cut_short]).T
+        horizon = np.array([16, 16, 16, 16])
+        assert recovery_times(signals, horizon, 10).tolist() == [3, NO_RECOVERY, 4, NO_RECOVERY]
+        # the same rows, with a longer settled tail past a row's horizon
+        padded = np.vstack([signals, np.zeros((4, 4))])
+        assert recovery_times(padded, horizon, 10).tolist() == [3, NO_RECOVERY, 4, NO_RECOVERY]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_recovery_times_match_the_scalar_oracle(self, data):
+        periods = data.draw(st.integers(0, 24), label="periods")
+        rows = data.draw(st.integers(1, 5), label="rows")
+        # mostly settled values, so windows often close right at a horizon
+        value = st.sampled_from([0.0, -0.019, 0.0199, RECOVERY_TOL, -0.5, 1.0, math.nan])
+        signals = np.array(data.draw(st.lists(st.lists(value, min_size=rows, max_size=rows),
+                                              min_size=periods, max_size=periods)),
+                           dtype=float).reshape(periods, rows)
+        horizon = np.array(data.draw(st.lists(st.integers(0, periods), min_size=rows,
+                                              max_size=rows), label="horizon"))
+        t_star = data.draw(st.integers(1, periods + 2), label="t_star")
+        want = [signal_recovery_time(signals[:h, c].tolist(), t_star, RECOVERY_TOL,
+                                     RECOVERY_SUSTAIN)
+                for c, h in enumerate(horizon.tolist())]
+        assert recovery_times(signals, horizon, t_star).tolist() == want
 
 
 class TestCellMeasurement:
     def test_reference_cell_passes_everything(self):
-        r = measure_cell(0, REFERENCE_CELL)
-        assert r.all_targets
-        assert r.t2 and r.ratio > 1.5
-        assert r.tau_f == REFERENCE_CELL.memory_k + 1
-        assert r.max_abs_response <= 1.0
+        r = measure_cell(REFERENCE_CELL)
+        assert all(r[key] is True for key in TARGETS)
+        assert r["t2"] and r["ratio"] > 1.5
+        assert r["tau_f"] == REFERENCE_CELL.memory_k + 1 and isinstance(r["tau_f"], int)
+        assert r["max_abs_response"] <= 1.0
 
     def test_t4_ratio_closed_form(self):
         # flat warm-up keeps trust at its initial level, so the response
         # ratio is exactly (1 + omega*0.8)/(1 + omega*0.2) * 4**eta
         cell = replace(REFERENCE_CELL, eta=1.25)
-        r = measure_cell(0, cell)
+        r = measure_cell(cell)
         expected = (1.8 / 1.2) * 4.0**1.25
-        assert r.ratio == pytest.approx(expected, rel=1e-9)
+        assert r["ratio"] == pytest.approx(expected, rel=1e-9)
+
+    def test_t4_over_a_zero_response(self):
+        # 0.2**500 underflows to zero while 0.8**500 does not: a positive
+        # response over a zero one is an infinite ratio and passes
+        r = measure_cell(replace(REFERENCE_CELL, eta=500.0))
+        assert r["response_low"] == 0.0 < r["response_high"]
+        assert r["ratio"] == math.inf and r["t4"]
+        # no response at all: the ratio is undefined and T4 fails
+        r = measure_cell(replace(REFERENCE_CELL, lambda_r=0.0))
+        assert r["response_low"] == r["response_high"] == 0.0
+        assert math.isnan(r["ratio"]) and not r["t4"]
 
     def test_weak_corner_fails_emergence(self):
         weak = SweepCell(rho0=0.2, eta=1.5, kappa=0.5, memory_k=1, t0=0.3, d=0.2)
-        r = measure_cell(0, weak)
-        assert not r.t1  # no meaningful reciprocity, no cooperation climb
-        assert r.t2 and r.t6  # punishment sign and boundedness still hold
+        r = measure_cell(weak)
+        assert not r["t1"]  # no meaningful reciprocity, no cooperation climb
+        assert r["t2"] and r["t6"]  # punishment sign and boundedness still hold
 
     def test_t5_strict_ordering(self):
-        r = measure_cell(0, REFERENCE_CELL)
-        assert r.coop_t5_high > r.coop_t5_low_trust
-        assert r.coop_t5_high > r.coop_t5_low_rho
+        r = measure_cell(REFERENCE_CELL)
+        assert r["coop_t5_high"] > r["coop_t5_low_trust"]
+        assert r["coop_t5_high"] > r["coop_t5_low_rho"]
 
 
 class TestSweepAggregation:
@@ -107,32 +193,31 @@ class TestSweepAggregation:
         grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 3.0),
                               "memory_k": (1, 4, 16), "t0": (0.3, 0.95)})
         whole = run_sweep(grid)
-        assert [r.index for r in whole] == list(range(grid.size))
         extremes = grid.rho0_extremes()
         assert extremes == RHO0_EXTREMES  # measure_cell's
-        cells = [grid.cell(i) for i in range(grid.size)]
-        single = [measure_cell(i, c) for i, c in enumerate(cells)]
-        assert single == whole
-        order = random.Random(5).sample(range(grid.size), grid.size)
-        shuffled = measure_cells(order, [cells[i] for i in order], [TRUST] * grid.size,
-                                 extremes)
-        assert sorted(shuffled, key=lambda r: r.index) == whole
+        cells = grid.columns()
+        for i in range(grid.size):
+            cell = SweepCell(**{key: cells[key][i].item() for key in GRID_KEYS})
+            assert measure_cell(cell) == {key: col[i].item() for key, col in whole.items()}
+        order = np.array(random.Random(5).sample(range(grid.size), grid.size))
+        shuffled = measure_cells(table_rows(cells, order), rho0_extremes=extremes)
+        assert_tables_equal(shuffled, table_rows(whole, order))
         monkeypatch.setattr(sweep, "CELLS_PER_BATCH", 5)
-        assert run_sweep(grid) == whole
+        assert_tables_equal(run_sweep(grid), whole)
 
     def test_measure_targets_report(self):
         grid = ParameterGrid({"rho0": (1.0,), "kappa": (1.0,)})
-        results = run_sweep(grid)
-        report = measure_targets(results)
+        table = run_sweep(grid)
+        report = measure_targets(table)
         row = report.row("t6")
         assert row["rate"] == 1.0 and row["pass"]
         assert report.row("t2")["achieved"] == 1
 
     def test_smoke_grid_thresholds(self, smoke_sweep):
-        results, _ = smoke_sweep
-        report = measure_targets(results)
+        table, _ = smoke_sweep
+        report = measure_targets(table)
         assert report.all_pass, {r["target"]: r["rate"] for r in report.rows}
-        stats = differentiation_stats(results)
+        stats = differentiation_stats(table)
         assert stats.cohens_d >= 0.8
         assert stats.wilcoxon_p < 0.01
         assert stats.ci_lo <= stats.mean <= stats.ci_hi
@@ -143,38 +228,36 @@ class TestStructuralTargets:
     cell by cell on the smoke grid (the protocol's omega_amp is 1)."""
 
     def test_t4_ratio_closed_form(self, smoke_sweep):
-        results, _ = smoke_sweep
-        for r in results:
-            want = (0.8 / 0.2) ** r.cell.eta * (1 + 0.8) / (1 + 0.2)
-            assert r.ratio == pytest.approx(want, rel=1e-12, abs=0.0), r.cell
+        table, _ = smoke_sweep
+        want = (0.8 / 0.2) ** table["eta"] * (1 + 0.8) / (1 + 0.2)
+        np.testing.assert_allclose(table["ratio"], want, rtol=1e-12, atol=0.0)
 
     def test_forgiveness_is_one_period_past_the_window(self, smoke_sweep):
-        results, _ = smoke_sweep
-        assert all(r.tau_f == r.cell.memory_k + 1 for r in results)
+        table, _ = smoke_sweep
+        assert (table["tau_f"] == table["memory_k"] + 1).all()
 
     def test_t1_follows_the_gate_margin_cut(self, smoke_sweep):
         # the denominator of critical_rho with rho = rho0 * d**eta, cut at an
         # effective marginal cost of 0.046
-        results, _ = smoke_sweep
-
-        def margin(c):
-            return c.lambda_r * c.t0 * (1 + c.d) * c.rho0 * c.d**c.eta * c.kappa
-
-        agree = sum(r.t1 == (margin(r.cell) > 0.046) for r in results)
-        assert agree >= 0.99 * len(results), f"{agree} of {len(results)} cells agree"
+        t = smoke_sweep[0]
+        margin = (t["lambda_r"] * t["t0"] * (1 + t["d"]) * t["rho0"] * t["d"] ** t["eta"]
+                  * t["kappa"])
+        agree = int((t["t1"] == (margin > 0.046)).sum())
+        assert agree >= 0.99 * len(margin), f"{agree} of {len(margin)} cells agree"
 
 
 class TestMonteCarlo:
     def test_zero_perturbation_reproduces_base(self):
         report = monte_carlo(trials=8, perturb=0.0, seed=3)
-        assert len({t.ratio for t in report.trials}) == 1
-        base = measure_cell(0, REFERENCE_CELL)
-        assert report.trials[0].ratio == pytest.approx(base.ratio)
+        assert len(set(report.ratios.tolist())) == 1
+        base = measure_cell(REFERENCE_CELL)
+        assert report.ratios[0] == pytest.approx(base["ratio"])
 
     def test_reproducible_derived_seeds(self):
         a = monte_carlo(trials=6, perturb=0.15, seed=11)
         b = monte_carlo(trials=6, perturb=0.15, seed=11)
-        assert a.trials == b.trials
+        assert a.clamped == b.clamped
+        assert_tables_equal(a.table, b.table)
 
     def test_clamping_flagged(self):
         # cranked perturbation forces range clamps (t0 and d cap at 1)
@@ -183,25 +266,40 @@ class TestMonteCarlo:
 
     def test_integer_window_untouched(self):
         report = monte_carlo(trials=5, perturb=0.15, seed=2)
-        assert all("memory_k" not in t.clamped for t in report.trials)
+        assert all("memory_k" not in names for names in report.clamped)
+        assert (report.table["memory_k"] == REFERENCE_CELL.memory_k).all()
 
 
 def _mc_report(ratios):
-    trials = tuple(MonteCarloTrial(trial=i, all_targets=False, ratio=r, clamped=())
-                   for i, r in enumerate(ratios))
-    return MonteCarloReport(trials=trials, perturb=0.15, seed=1)
+    n = len(ratios)
+    table = {"ratio": np.array(ratios, dtype=float),
+             **{key: np.zeros(n, dtype=bool) for key in TARGETS}}
+    return MonteCarloReport(table=table, clamped=((),) * n, perturb=0.15, seed=1)
 
 
 def test_monte_carlo_report_with_an_infinite_ratio_renders_without_warnings():
-    # a zero low-dependency response gives an infinite ratio; the sd skips it
+    # a zero low-dependency response gives an infinite ratio, two zero
+    # responses an undefined one; the mean and sd skip them
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text = render_monte_carlo(_mc_report([1.5, math.inf, 5.4]))
         lone = render_monte_carlo(_mc_report([math.inf, 2.0]))
+        undefined = render_monte_carlo(_mc_report([1.5, math.nan, math.inf, 5.4]))
+        none = render_monte_carlo(_mc_report([math.nan, math.inf]))
+        drawn = render_monte_carlo(monte_carlo(trials=3, perturb=1.5, seed=42))
     sd = np.std([1.5, 5.4], ddof=1)
-    assert f"| Ratio sd | {sd:.3f} (1 of 3 ratios infinite, left out) |" in text
-    assert "| Ratio sd | n/a (1 of 2 ratios infinite, left out) |" in lone
-    assert "nan" not in text + lone
+    assert f"| Mean differentiation ratio | {np.mean([1.5, 5.4]):.3f} |" in text
+    assert f"| Ratio sd | {sd:.3f} (1 of 3 ratios not finite, left out) |" in text
+    assert "| Mean differentiation ratio | 2.000 |" in lone
+    assert "| Ratio sd | n/a (1 of 2 ratios not finite, left out) |" in lone
+    assert f"| Ratio sd | {sd:.3f} (2 of 4 ratios not finite, left out) |" in undefined
+    assert "| Minimum ratio | 1.500 |" in undefined
+    assert "| Mean differentiation ratio | n/a |" in none
+    # the ratios of these trials are 1.5, undefined and 5.40
+    assert "| Mean differentiation ratio | 3.452 |" in drawn
+    assert "(1 of 3 ratios not finite, left out)" in drawn
+    assert "nan" not in text + lone + undefined + none + drawn
+    assert "| inf |" not in text + lone + undefined + drawn
 
 
 def test_monte_carlo_report_with_finite_ratios_keeps_its_sd_line():
