@@ -7,7 +7,9 @@ Rows, each the cost of one call:
   3 actors);
 - ``simulation.update_trust``: one ``_update_trust_matrices`` on a
   (1, 3, 3) batch;
-- ``simulation.window_means``: one ``_window_means`` with k = 4;
+- ``simulation.window_means``: one ``_window_means`` with k = 4, its
+  ``reach`` built as the checkout takes it (a ``_window_reach`` array, or
+  the older per-offset list);
 - ``simulation.run`` and ``simulation.period``: one iOS ``run()``, and the
   same divided by its 66 periods;
 - ``case_study.run_pair``: the iOS baseline and counterfactual as one
@@ -20,14 +22,18 @@ Rows, each the cost of one call:
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;
 - ``sweep.measure_batch``: one ``measure_cells`` call on the first 256
-  cells of the full grid (one engine batch); on a checkout whose
-  ``measure_cells`` takes per-cell objects, the same cells as those;
+  cells of the full grid; on a checkout whose ``measure_cells`` takes
+  per-cell objects, the same cells as those;
 - ``job.case_study``: the in-process ``coopsim case-study ios
   --counterfactual`` job, output files included;
 - ``job.simulate_best_response``: the in-process ``coopsim simulate
   --mode best_response`` job on that scenario, output files included;
 - ``job.sweep``: the in-process ``coopsim sweep`` job on the 36-cell grid
-  ``SWEEP_GRID``, output files included.
+  ``SWEEP_GRID``, output files included;
+- ``job.sweep_full``: ``coopsim sweep --grid full`` in a child process,
+  interpreter start-up included, run ``FULL_SWEEP_REPEATS`` times after
+  the other rows; it also reports the largest peak resident memory of
+  the children (``child_peak_rss_mib``).
 
 Each repeat times every row once, in turn, so drift on the host spreads
 over all rows alike; a row reports the median and the quartiles of its
@@ -49,7 +55,9 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -68,6 +76,9 @@ from coopsim.solver import SolverConfig, solve_equilibrium  # noqa: E402
 SAMPLE_S = 0.02
 # The grid of the job.sweep row: 36 cells, every target passes.
 SWEEP_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,1.5,3.0\nmemory_k = 1,4,16\nd = 0.2,1.0\n"
+# The job.sweep_full row: its grid, and its runs, each a few seconds long.
+FULL_SWEEP_GRID = "full"
+FULL_SWEEP_REPEATS = 3
 
 
 def _noise_block(seed: int, n: int, horizon: int):
@@ -117,7 +128,10 @@ def rows(work: str) -> dict:
 
     k = np.array([[4]])
     hist = traj.actions[:, None, :].copy()
-    reach = [None] * 5
+    if hasattr(simulation, "_window_reach"):
+        reach = simulation._window_reach(k, scenario.n)
+    else:
+        reach = [None] * 5
     initial = np.array([scenario.baseline_init])
 
     ref = reference_scenario()
@@ -165,6 +179,26 @@ def _calls_per_sample(fn) -> int:
     return max(1, int(SAMPLE_S / max(once, 1e-9)))
 
 
+def _summary(us: list, **extra) -> dict:
+    q1, median, q3 = statistics.quantiles(us, n=4, method="inclusive")
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1, **extra}
+
+
+def full_sweep(work: str) -> dict:
+    """The job.sweep_full row: wall time of each child-process run, and the
+    largest peak resident memory of the children."""
+    argv = [sys.executable, "-m", "coopsim.cli", "sweep", "--grid", FULL_SWEEP_GRID,
+            "--out", work]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    us = []
+    for _ in range(FULL_SWEEP_REPEATS):
+        start = time.perf_counter()
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        us.append((time.perf_counter() - start) * 1e6)
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return _summary(us, calls_per_sample=1, child_peak_rss_mib=peak_mib)
+
+
 def measure(repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as work:
         table = rows(work)
@@ -177,11 +211,8 @@ def measure(repeats: int) -> dict:
                 for _ in range(number):
                     fn()
                 samples[name].append((time.perf_counter() - start) / number / divisor * 1e6)
-    out = {}
-    for name, us in samples.items():
-        q1, median, q3 = statistics.quantiles(us, n=4, method="inclusive")
-        out[name] = {"median_us": median, "q1_us": q1, "q3_us": q3,
-                     "iqr_us": q3 - q1, "calls_per_sample": calls[name]}
+        out = {name: _summary(us, calls_per_sample=calls[name]) for name, us in samples.items()}
+        out["job.sweep_full"] = full_sweep(work)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
 from coopsim.scenario import ScenarioConfig, pd_scenario, symmetric_matrix
 from coopsim.solver import SolverConfig, solve_equilibrium
-from coopsim.sweep import REFERENCE_CELL, ParameterGrid, measure_cell, measure_cells
+from coopsim.sweep import REFERENCE_CELL, ParameterGrid, forgiveness_times, measure_cell
 from coopsim.utility import private_payoffs
 
 
@@ -49,7 +49,7 @@ def experiment_3():
     print("experiment 3: memory window and forgiveness")
     ks = (1, 3, 5, 10)
     cells = ParameterGrid({"memory_k": ks}).columns()
-    for k, tau_f in zip(ks, measure_cells(cells)["tau_f"].tolist()):
+    for k, tau_f in zip(ks, forgiveness_times(cells).tolist()):
         print(f"  k = {k}: signal recovery after {tau_f} periods "
               f"(bound [{k}, {2 * k}])")
 

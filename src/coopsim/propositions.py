@@ -25,7 +25,7 @@ import numpy as np
 
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .sweep import GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, columns, measure_cells
+from .sweep import GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, columns, forgiveness_times
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,13 @@ def check_prop2(
 ) -> Prop2Result:
     """Forgiveness times across (k, kappa) must land inside [k, 2k]: the
     validation protocol's forgiveness time of the reference cell at each
-    pair, all pairs measured as one batch."""
-    cells = [replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
-             for k in ks for kappa in kappas]
-    table = measure_cells(columns(cells, GRID_KEYS))
+    pair, the pairs' forgiveness runs measured as one batch."""
+    cells = columns([replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
+                     for k in ks for kappa in kappas], GRID_KEYS)
+    tau_f = forgiveness_times(cells)
     cases = []
-    for k, kappa, tau in zip(*(table[key].tolist() for key in ("memory_k", "kappa", "tau_f"))):
+    for k, kappa, tau in zip(cells["memory_k"].tolist(), cells["kappa"].tolist(),
+                             tau_f.tolist()):
         ok = tau != NO_RECOVERY and k <= tau <= 2 * k
         cases.append(Prop2Case(memory_k=k, kappa=kappa, tau_f=tau, within_bounds=ok))
     return Prop2Result(cases=tuple(cases), passed=all(c.within_bounds for c in cases))

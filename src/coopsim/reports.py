@@ -47,6 +47,11 @@ def render_target_report(report: TargetReport, grid_size: int,
             "## Differentiation analysis (high vs low dependency)",
             "",
             f"- mean ratio: {stats.mean:.3f} (sd {stats.sd:.3f})",
+        ]
+        if stats.left_out:
+            lines.append(f"- {stats.left_out} of {stats.total} ratios not finite, left out of "
+                         "the mean, sd, bootstrap CI and Wilcoxon test")
+        lines += [
             f"- bootstrap 95% CI of the mean ratio: [{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]",
             f"- paired t({stats.df}) = {stats.t_stat:.2f}, p = {stats.p_value:.3g}",
             f"- Cohen's d = {stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})",

@@ -35,11 +35,14 @@ Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
 every parameter given per row, and shows each period's state to an
 observer; :func:`record_batch` keeps all of it, and :func:`run` is its
-B = 1 call.  Rows never interact, and every row computes exactly the
-arithmetic of a run on its own, so a row's bits do not depend on the
-batch it is in: the window means add left to right as Python's ``sum``
-does, and powers take one Python float exponent at a time as
-``array ** eta`` does for one run.
+B = 1 call.  The kernel takes its rows longest horizon first, and each
+row stops at its own horizon: from then on the kernel advances, and the
+observer sees, only the rows still live, a prefix of the batch.  Rows
+never interact, and every row computes exactly the arithmetic of a run
+on its own, so a row's bits do not depend on the batch it is in: the
+window means add oldest first onto 0.0, as ``sum(w) / len(w)`` does, and
+powers take one Python float exponent at a time as ``array ** eta`` does
+for one run.
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ class RunBatch:
 
     Scalar parameters are ``(B,)`` columns keyed by their field names in
     :class:`ReciprocityParams`, :class:`TrustParams` and :class:`SimConfig`
-    (``SIM_FIELDS``).  The batch runs to its longest horizon; a row's
-    states past its own horizon are not part of its run.
+    (``SIM_FIELDS``).  Each row runs to its own horizon.
     """
 
     d: np.ndarray  # (B, n, n) interdependence
@@ -192,6 +194,25 @@ class RunBatch:
             pre_history=np.concatenate(pre, axis=1),
         )
 
+    def take(self, rows: Sequence[int]) -> "RunBatch":
+        """The batch of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        position = np.full(len(self.horizon), -1)
+        position[rows] = np.arange(len(rows))
+
+        def columns(name):
+            return {f: c[rows] for f, c in getattr(self, name).items()}
+
+        return type(self)(
+            d=self.d[rows], recip=columns("recip"), trust=columns("trust"),
+            sim=columns("sim"), a_max=self.a_max[rows], a_init=self.a_init[rows],
+            baseline_init=self.baseline_init[rows], baseline_mode=self.baseline_mode[rows],
+            horizon=self.horizon[rows],
+            script=None if self.script is None else self.script[:, rows],
+            shocks=tuple((int(position[r]), s) for r, s in self.shocks if position[r] >= 0),
+            pre_history=None if self.pre_history is None else self.pre_history[:, rows],
+        )
+
 
 # Best-response rule: (own averages for the next period, trust, actions) -> solve result.
 BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
@@ -216,23 +237,38 @@ def _signals(actions: np.ndarray, baselines: np.ndarray) -> np.ndarray:
     return s
 
 
-def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, reach: list,
+def _window_reach(k: np.ndarray, n: int) -> np.ndarray:
+    """The (max k, B, n) weights of the window means for (B, 1) windows k:
+    entry [-o] is 1.0 on the rows whose window reaches o periods back and
+    0.0 elsewhere."""
+    offsets = np.arange(int(k.max()), 0, -1)[:, None, None]
+    return np.repeat((k[None] >= offsets).astype(float), n, axis=2)
+
+
+def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, reach: np.ndarray,
                   initial: np.ndarray) -> np.ndarray:
     """Mean of each actor's last k recorded actions (k per row), the
     configured initial level before any history exists.
 
-    ``hist[:avail]`` holds the recorded periods in order; ``reach[o]`` is
-    1.0 on the rows whose window reaches o periods back and 0.0 elsewhere
-    (None: every row).  Terms are added oldest first onto 0.0, and a
-    period outside a row's window adds a zero, so every mean has the bits
-    of ``sum(w) / len(w)``.
+    ``hist[:avail]`` holds the recorded periods in order, and ``reach``
+    comes from :func:`_window_reach`.  The terms are added oldest first
+    onto 0.0, and a period outside a row's window adds a zero, so every
+    mean has the bits of ``sum(w) / len(w)``.
     """
     if avail == 0:
         return initial.copy()
-    acc = np.zeros_like(initial)
-    for o in range(min(len(reach) - 1, avail), 0, -1):
-        acc += hist[avail - o] if reach[o] is None else hist[avail - o] * reach[o]
-    return acc / np.minimum(k, avail)
+    m = min(len(reach), avail)
+    terms = hist[avail - m : avail] * reach[len(reach) - m :]
+    if terms[0].size > 1:
+        # With more than one value per period, one reduction along the
+        # period axis adds each value's terms in order.
+        total = np.add.reduce(terms, axis=0, initial=0.0)
+    else:
+        # A lone value's terms would be summed pairwise: add them in turn.
+        total = np.zeros_like(initial)
+        for term in terms:
+            total += term
+    return total / np.minimum(k, avail)
 
 
 def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.ndarray]:
@@ -296,18 +332,27 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
 
 def run_batch(batch: RunBatch, observe: Observer,
               best_response: Optional[BestResponse] = None) -> None:
-    """Advance every row of the batch to the longest horizon.
+    """Advance every row of the batch to its own horizon.
 
-    Each period, before its trust update, ``observe(idx, state)`` sees the
-    period's state: (B, ...) arrays keyed like the :class:`Trajectory`
-    fields, which the kernel reuses, so the observer copies what it keeps.
-    Without ``best_response`` every row follows the adjustment rule; with
-    it the batch must have one row, whose actions after period 1 come from
+    Rows come in non-increasing horizon order (``ValueError`` otherwise),
+    so the rows still running in a period are a prefix of the batch: once
+    a row's horizon has passed, the kernel advances only that live prefix,
+    through views of its arrays.  Each period, before its trust update,
+    ``observe(idx, state)`` sees the state of the rows live in period
+    idx + 1: (L, ...) arrays keyed like the :class:`Trajectory` fields,
+    which the kernel reuses, so the observer copies what it keeps.  Without
+    ``best_response`` every row follows the adjustment rule; with it the
+    batch must have one row, whose actions after period 1 come from
     ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
     actor's windowed average for the period being chosen.
     """
     B, n = batch.a_init.shape
-    H = int(batch.horizon.max())
+    horizon = np.asarray(batch.horizon)
+    if horizon.min() < 1 or (horizon[1:] > horizon[:-1]).any():
+        raise ValueError("rows must come in non-increasing horizon order, each at least 1")
+    H = int(horizon[0])
+    # live[t]: the rows whose horizon reaches period t + 1
+    live = np.searchsorted(-horizon, -np.arange(1, H + 1), side="right").tolist()
     if best_response is not None and B != 1:
         raise ValueError("best-response mode runs one row at a time")
     d = batch.d
@@ -315,8 +360,7 @@ def run_batch(batch: RunBatch, observe: Observer,
     gate = gate_weights(d, batch.recip)
     kappa = _per_row(batch.recip["kappa"], (n, n))
     k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
-    reach = [None if o <= k.min() else _per_row(k[:, 0] >= o, (n,))
-             for o in range(int(k.max()) + 1)]
+    reach = _window_reach(k, n)
     tp = _trust_rows(batch.trust, d)
     rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
                               for f in ("adjust_rate", "decay", "baseline_rate"))
@@ -336,7 +380,8 @@ def run_batch(batch: RunBatch, observe: Observer,
     noisy_rows = slice(None) if len(noisy) == B else noisy
     shocks_at: dict[int, list[tuple[int, int, float]]] = {}
     for b, shock in batch.shocks:
-        shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
+        if shock.period <= horizon[b]:
+            shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
 
     mode = np.asarray(batch.baseline_mode)
     windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
@@ -387,6 +432,22 @@ def run_batch(batch: RunBatch, observe: Observer,
         if t == H:
             break
 
+        L = live[t]
+        if L < len(actions):  # the rows whose horizon is period t end here
+            (gate, kappa, k, rate, decay, norm_rate, mode, adaptive, fixed, initial, a_max,
+             actions, norms, trust, reputation, converged, term) = (
+                a[:L] for a in (gate, kappa, k, rate, decay, norm_rate, mode, adaptive, fixed,
+                                initial, a_max, actions, norms, trust, reputation, converged,
+                                term))
+            tp = {f: a[:L] for f, a in tp.items()}
+            reach, hist = reach[:, :L], hist[:, :L]
+            if script is not None:
+                script, free = script[:, :L], free[:, :L]
+            noisy = [b for b in noisy if b < L]
+            noise = noise[:, : len(noisy)] if noisy else None
+            noisy_rows = slice(None) if len(noisy) == L else noisy
+            windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
+
         # Actions through period t are known when choosing t+1 actions.
         b_next = _window_means(hist, P + t, k, reach, initial)
         if best_response is None:
@@ -410,18 +471,24 @@ def run_batch(batch: RunBatch, observe: Observer,
 
 def record_batch(batch: RunBatch, labels: tuple[str, ...],
                  best_response: Optional[BestResponse] = None) -> list[Trajectory]:
-    """Run the batch and return every row's trajectory, cut at its horizon."""
+    """Run the batch and return every row's trajectory, cut at its horizon,
+    in the batch's row order (the kernel runs the rows longest first)."""
+    order = np.argsort(-np.asarray(batch.horizon), kind="stable")
     H, (B, n) = int(batch.horizon.max()), batch.a_init.shape
     rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
     rec["converged"] = np.ones((H, B), dtype=bool)
 
     def keep(idx, state):
+        live = len(state["actions"])
         for f, sink in rec.items():
-            sink[idx] = state[f]
+            sink[idx, :live] = state[f]
 
-    run_batch(batch, keep, best_response)
-    return [Trajectory(labels=labels, **{f: a[:h, b].copy() for f, a in rec.items()})
-            for b, h in enumerate(batch.horizon)]
+    run_batch(batch.take(order), keep, best_response)
+    trajectories = [None] * B
+    for pos, b in enumerate(order.tolist()):
+        trajectories[b] = Trajectory(labels=labels, **{f: a[: batch.horizon[b], pos].copy()
+                                                       for f, a in rec.items()})
+    return trajectories
 
 
 def run(

@@ -31,6 +31,10 @@ class StatsSummary:
     ci_hi: float
     wilcoxon_stat: Optional[float]
     wilcoxon_p: Optional[float]
+    # Values the mean, sd, interval and Wilcoxon test left out as not
+    # finite, and the number of values.
+    left_out: int = 0
+    total: int = 0
 
 
 def _normal_cdf(z: float) -> float:

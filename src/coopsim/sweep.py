@@ -30,9 +30,11 @@ are its configuration, its trust block and the grid's rho0 extremes.
 
 Cells and results are held as columns: a dict of equal-length arrays in
 which row c is cell c.  A cell's result is a pure function of its
-configuration, its trust block and the grid's rho0 extremes.  The engine
-runs the protocol runs of many cells as one batch, and a cell's result
-does not depend on the batch size or on the order of the cells.
+configuration, its trust block and the grid's rho0 extremes.  Many cells
+share a protocol run (the T5 runs read neither a cell's rho0 nor its t0,
+the differentiation runs not its d), so the engine runs each distinct run
+once, each only to its own horizon, in batches of many runs; a cell's
+result does not depend on the batch size or on the order of the cells.
 Robustness trials perturb the reference cell and the default trust block.
 """
 
@@ -219,25 +221,97 @@ def columns(records: Sequence, names: Sequence[str]) -> dict[str, np.ndarray]:
     return {name: np.array([getattr(r, name) for r in records]) for name in names}
 
 
-#: The protocol's runs per cell, in engine row order.
+#: The protocol's runs per cell, in column order.
 PROTOCOL_RUNS = ("emergence", "t5_high", "t5_low_trust", "t5_low_rho",
                  "forgiveness", "diff_high", "diff_low")
 _EMERGENCE_RUNS = PROTOCOL_RUNS[:4]
 _FORGIVENESS_RUNS = PROTOCOL_RUNS[4:]
 
-#: Cells per engine batch: bounds the memory of large grids (about 30 kB
-#: of engine state per cell; much larger batches also run slower).
-CELLS_PER_BATCH = 256
+#: Distinct protocol runs per engine batch: bounds the engine state of
+#: large grids (about 4 kB per row); much larger batches also run slower.
+ROWS_PER_BATCH = 1024
 
 
-def _protocol_batch(
+def _bits(col: np.ndarray) -> np.ndarray:
+    """A column compared bit for bit: floats as their int64 patterns."""
+    return col.view(np.int64) if col.dtype == np.float64 else col
+
+
+def _runs_column(values: Sequence, n_cells: int, dtype) -> np.ndarray:
+    """The (cells, runs) column whose run r holds ``values[r]``, one value
+    or a cell column; the one value as a 0-d array when every entry holds
+    its bits."""
+    out = np.empty((n_cells, len(values)), dtype=dtype)
+    for r, value in enumerate(values):
+        out[:, r] = value
+    bits = _bits(out).reshape(-1)
+    return out if (bits != bits[0]).any() else out[0, 0, ...].copy()
+
+
+def _protocol_runs(
     cells: dict[str, np.ndarray],
     trust: dict[str, np.ndarray],
     rho0_extremes: tuple[float, float],
-) -> RunBatch:
-    """Engine rows of the protocol runs, cell-major: row ``c * len(PROTOCOL_RUNS) + r``
-    is run ``PROTOCOL_RUNS[r]`` of cell row c under trust row c (with the
-    run's t0).
+    kinds: Sequence[str] = PROTOCOL_RUNS,
+) -> dict[str, np.ndarray]:
+    """The engine parameters of the given protocol runs of every cell:
+    entry [c, r] of a column belongs to run ``kinds[r]`` of cell row c under
+    trust row c, and a column other than ``horizon`` with one value
+    throughout is that value.
+
+    Each run takes the cell's configuration and trust block, except for the
+    values it sets itself (``varied``).  ``forgive`` marks the
+    forgiveness-type runs and ``horizon`` is each run's length.
+    """
+    n_cells = len(cells["rho0"])
+    lo, hi = rho0_extremes
+    varied = {  # run -> the values it sets in place of the cell's
+        "emergence": {},
+        "t5_high": {"rho0": hi, "t0": T5_HIGH_TRUST},
+        "t5_low_trust": {"rho0": hi, "t0": T5_LOW_TRUST},
+        "t5_low_rho": {"rho0": lo, "t0": T5_HIGH_TRUST},
+        "forgiveness": {},
+        "diff_high": {"d": DIFF_HIGH},
+        "diff_low": {"d": DIFF_LOW},
+    }
+    given = {**{f: trust[f] for f in TRUST_FIELDS},
+             **{key: cells[key] for key in GRID_KEYS}}  # the cell's t0 over the trust block's
+    out = {
+        name: _runs_column([varied[run].get(name, col) for run in kinds], n_cells,
+                           np.int64 if name == "memory_k" else float)
+        for name, col in given.items()
+    }
+    out["forgive"] = _runs_column([run in _FORGIVENESS_RUNS for run in kinds], n_cells, bool)
+    horizon = np.where(out["forgive"], WARMUP + 1 + 2 * out["memory_k"] + RECOVERY_PAD, WARMUP)
+    out["horizon"] = np.broadcast_to(horizon, (n_cells, len(kinds)))
+    return out
+
+
+def _distinct_runs(runs: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One run of each distinct parameter set, longest horizon first, as
+    flat indices into the (cells, runs) columns, and each entry's index
+    among those runs.
+
+    Two runs are one when every parameter holds the same bits.  A lexsort
+    groups equal runs, since the horizon follows from the parameters.
+    """
+    shape = runs["horizon"].shape
+    keys = [_bits(col).reshape(-1) for name, col in runs.items()
+            if col.ndim and name != "horizon"]
+    horizon = runs["horizon"].reshape(-1)
+    order = np.lexsort(keys + [-horizon])  # the last key sorts first
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids.reshape(shape)
+
+
+def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
+    """Engine rows of protocol runs given as (rows,) parameter columns.
 
     Emergence-type runs open at the start action against the lower start
     norm, with adaptive baselines, for the warm-up.  Forgiveness-type runs
@@ -245,63 +319,31 @@ def _protocol_batch(
     scripted at the start action with one defection period at t* = warm-up
     + 1, and the run lasts t* + 2k + pad periods.
     """
-    n_cells, n_runs = len(cells["rho0"]), len(PROTOCOL_RUNS)
-    rows = n_cells * n_runs
-
-    def cell_col(name: str) -> np.ndarray:
-        return np.asarray(cells[name], dtype=float)
-
-    def per_cell(values) -> np.ndarray:
-        return np.repeat(np.asarray(values), n_runs)
-
-    rho0, t0, d = cell_col("rho0"), cell_col("t0"), cell_col("d")
-    lo, hi = rho0_extremes
-    varied = {  # run -> its (rho0, t0, d)
-        "emergence": (rho0, t0, d),
-        "t5_high": (hi, T5_HIGH_TRUST, d),
-        "t5_low_trust": (hi, T5_LOW_TRUST, d),
-        "t5_low_rho": (lo, T5_HIGH_TRUST, d),
-        "forgiveness": (rho0, t0, d),
-        "diff_high": (rho0, t0, DIFF_HIGH),
-        "diff_low": (rho0, t0, DIFF_LOW),
-    }
-
-    def per_run(pos: int) -> np.ndarray:
-        out = np.empty((n_cells, n_runs))
-        for r, name in enumerate(PROTOCOL_RUNS):
-            out[:, r] = varied[name][pos]
-        return out.ravel()
-
-    k = per_cell(cells["memory_k"])
-    forgive = np.tile([name in _FORGIVENESS_RUNS for name in PROTOCOL_RUNS], n_cells)
-    t_star = WARMUP + 1
-    horizon = np.where(forgive, t_star + 2 * k + RECOVERY_PAD, WARMUP)
-    script = np.full((int(horizon.max()), rows, 2), np.nan)
-    script[:, forgive, 1] = START_ACTION
-    script[t_star - 1, forgive, 1] = START_ACTION + DEFECTION
-
-    trust = {f: per_cell(trust[f]) for f in TRUST_FIELDS}
-    trust["t0"] = per_run(1)
-    recip = {
-        "rho0": per_run(0), "eta": per_cell(cell_col("eta")),
-        "kappa": per_cell(cell_col("kappa")), "memory_k": k,
-        "lambda_r": per_cell(cell_col("lambda_r")), "omega_amp": np.ones(rows),
-    }
+    size = len(runs["horizon"])
+    forgive, horizon = runs["forgive"], runs["horizon"]
+    script = None
+    if forgive.any():
+        script = np.full((int(horizon.max()), size, 2), np.nan)
+        script[:, forgive, 1] = START_ACTION
+        script[WARMUP, forgive, 1] = START_ACTION + DEFECTION  # period t*
+    recip = {f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r")}
     sim = {
-        "adjust_rate": np.full(rows, ADJUST_RATE),
-        "decay": np.full(rows, DECAY),
-        "baseline_rate": np.full(rows, BASELINE_RATE),
-        "noise_sigma": np.zeros(rows),
-        "seed": np.zeros(rows, dtype=np.int64),
+        "adjust_rate": np.full(size, ADJUST_RATE),
+        "decay": np.full(size, DECAY),
+        "baseline_rate": np.full(size, BASELINE_RATE),
+        "noise_sigma": np.zeros(size),
+        "seed": np.zeros(size, dtype=np.int64),
     }
     baseline = np.where(forgive, START_ACTION, START_NORM)
     mode = np.where(forgive, BASELINE_MODES.index("moving_average"),
                     BASELINE_MODES.index("adaptive"))
     return RunBatch(
-        d=np.where(np.eye(2, dtype=bool), 0.0, per_run(2)[:, None, None]),
-        recip=recip, trust=trust, sim=sim,
-        a_max=np.ones((rows, 2)),
-        a_init=np.full((rows, 2), START_ACTION),
+        d=np.where(np.eye(2, dtype=bool), 0.0, runs["d"][:, None, None]),
+        recip={**recip, "omega_amp": np.ones(size)},
+        trust={f: runs[f] for f in TRUST_FIELDS},
+        sim=sim,
+        a_max=np.ones((size, 2)),
+        a_init=np.full((size, 2), START_ACTION),
         baseline_init=np.repeat(baseline[:, None], 2, axis=1),
         baseline_mode=mode,
         horizon=horizon,
@@ -329,49 +371,106 @@ def recovery_times(signals: np.ndarray, horizon: np.ndarray, t_star: int) -> np.
     return np.where(held.any(axis=0), held.argmax(axis=0), NO_RECOVERY)
 
 
-def _measure_batch(cells: dict[str, np.ndarray], trust: dict[str, np.ndarray],
-                   rho0_extremes: tuple[float, float]) -> dict[str, np.ndarray]:
-    batch = _protocol_batch(cells, trust, rho0_extremes)
+def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Run protocol runs given as (rows,) parameter columns (longest first)
+    as one engine batch and keep, per run, what the targets read."""
+    batch = _protocol_batch(runs)
     horizon = batch.horizon
-    kappa = batch.recip["kappa"][:, None, None]
-    # What the targets read, kept period by period rather than whole runs.
-    actions = np.empty((WARMUP, len(horizon), 2))  # warm-up actions
-    partner = np.empty((int(horizon.max()), len(horizon)))  # 0's signal about 1
-    response = np.empty(len(horizon))  # gated response at the defection t*
-    bounded = np.zeros(len(horizon))  # largest |tanh(kappa s)| within the horizon
+    rows = len(horizon)
+    actions = np.empty((WARMUP, rows, 2))  # warm-up actions
+    partner = np.zeros((int(horizon.max()), rows))  # 0's signal about 1
+    response = np.full(rows, np.nan)  # gated response at the defection t*
+    peak = np.zeros(rows)  # largest |s| within the horizon
 
     def observe(idx: int, state) -> None:
+        live = len(state["actions"])
         if idx < WARMUP:
-            actions[idx] = state["actions"]
+            actions[idx, :live] = state["actions"]
         elif idx == WARMUP:  # period t* = warm-up + 1
-            response[:] = state["recip_term"][:, 0, 1]
-        partner[idx] = state["signal"][:, 0, 1]
-        phi = np.abs(np.tanh(kappa * state["signal"])).max(axis=(1, 2))
-        np.maximum(bounded, phi, out=bounded, where=idx < horizon)
+            response[:live] = state["recip_term"][:, 0, 1]
+        partner[idx, :live] = state["signal"][:, 0, 1]
+        np.maximum(peak[:live], np.abs(state["signal"]).max(axis=(1, 2)), out=peak[:live])
 
     run_batch(batch, observe)
-    n_cells, n_runs = len(cells["rho0"]), len(PROTOCOL_RUNS)
-    row = {name: np.arange(n_cells) * n_runs + r for r, name in enumerate(PROTOCOL_RUNS)}
 
-    def mean_actions(rows: np.ndarray, first: int) -> np.ndarray:
+    def mean_actions(first: int) -> np.ndarray:
         # Each row's mean over periods first+1..warm-up and both actors, in
         # the order (and so with the bits) of np.mean on its own record.
-        block = actions[first:, rows].transpose(1, 0, 2)
-        return np.ascontiguousarray(block).reshape(len(rows), -1).mean(axis=1)
+        block = np.ascontiguousarray(actions[first:].transpose(1, 0, 2))
+        return block.reshape(rows, -1).mean(axis=1)
 
-    steady = mean_actions(row["emergence"], WARMUP - STEADY_WINDOW)
-    coop = {name: mean_actions(row[name], 0) for name in _EMERGENCE_RUNS}
-    forgive = row["forgiveness"]
-    tau_f = recovery_times(partner[:, forgive], horizon[forgive], WARMUP + 1)
-    response_high = np.abs(response[row["diff_high"]])
-    response_low = np.abs(response[row["diff_low"]])
+    return {
+        "steady": mean_actions(WARMUP - STEADY_WINDOW),
+        "coop": mean_actions(0),
+        "tau_f": recovery_times(partner, horizon, WARMUP + 1),
+        "response": response,
+        # tanh is odd and increasing, so this is the largest |tanh(kappa s)|.
+        "bound": np.tanh(batch.recip["kappa"] * peak),
+    }
+
+
+def _measure_runs(
+    cells: dict[str, np.ndarray],
+    trust: dict[str, np.ndarray],
+    rho0_extremes: tuple[float, float],
+    kinds: Sequence[str] = PROTOCOL_RUNS,
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """What the targets read of each distinct one of the cells' protocol
+    runs, and each (cell, run) entry's index among those runs.  Each
+    distinct run goes through the engine once, in batches of
+    ``ROWS_PER_BATCH`` runs taken longest first."""
+    runs = _protocol_runs(cells, trust, rho0_extremes, kinds)
+    first, ids = _distinct_runs(runs)
+    # The distinct runs' columns, in place of the larger (cells, runs) ones.
+    runs = {name: col.reshape(-1)[first] if col.ndim else col for name, col in runs.items()}
+    parts = []
+    for lo in range(0, len(first), ROWS_PER_BATCH):
+        size = min(ROWS_PER_BATCH, len(first) - lo)
+        parts.append(_measure_batch({name: col[lo : lo + size] if col.ndim else np.full(size, col)
+                                     for name, col in runs.items()}))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}, ids
+
+
+def _default_trust(n: int) -> dict[str, np.ndarray]:
+    default = TrustParams()
+    return {f: np.full(n, getattr(default, f)) for f in TRUST_FIELDS}
+
+
+def measure_cells(
+    cells: dict[str, np.ndarray],
+    trust: Optional[dict[str, np.ndarray]] = None,
+    rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
+) -> dict[str, np.ndarray]:
+    """Run the full protocol for every cell and score all six targets.
+
+    ``cells`` holds the ``GRID_KEYS`` columns and ``trust`` the
+    ``TrustParams`` columns of the same rows (None: the default block).
+    Row c of the result table is cell c: its ``GRID_KEYS`` columns, the
+    verdicts ``t1`` .. ``t6`` and the measurements behind them.  The engine
+    runs each distinct protocol run once, however many cells share it (the
+    T5 runs do not read a cell's rho0 or t0, the differentiation runs not
+    its d), and only to that run's horizon; a cell's result does not depend
+    on the other cells.
+    """
+    if trust is None:
+        trust = _default_trust(len(cells["rho0"]))
+    m, ids = _measure_runs(cells, trust, rho0_extremes)
+
+    def of(run: str, key: str) -> np.ndarray:
+        return m[key][ids[:, PROTOCOL_RUNS.index(run)]]
+
+    steady = of("emergence", "steady")
+    coop = {name: of(name, "coop") for name in _EMERGENCE_RUNS}
+    tau_f = of("forgiveness", "tau_f")
+    response_high = np.abs(of("diff_high", "response"))
+    response_low = np.abs(of("diff_low", "response"))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = response_high / response_low  # inf over a zero response, NaN for 0 / 0
-    max_abs = bounded.reshape(n_cells, n_runs).max(axis=1)
+    max_abs = m["bound"][ids].max(axis=1)
     return {
-        **cells,
+        **{key: np.array(cells[key]) for key in GRID_KEYS},
         "t1": steady >= START_ACTION + EMERGENCE_MARGIN,
-        "t2": response[forgive] < 0.0,
+        "t2": of("forgiveness", "response") < 0.0,
         "t3": (tau_f != NO_RECOVERY) & (tau_f <= 2 * cells["memory_k"]),
         "t4": ratio > T4_RATIO,
         "t5": (coop["t5_high"] > coop["t5_low_trust"]) & (coop["t5_high"] > coop["t5_low_rho"]),
@@ -389,31 +488,13 @@ def _measure_batch(cells: dict[str, np.ndarray], trust: dict[str, np.ndarray],
     }
 
 
-def measure_cells(
-    cells: dict[str, np.ndarray],
-    trust: Optional[dict[str, np.ndarray]] = None,
-    rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
-) -> dict[str, np.ndarray]:
-    """Run the full protocol for every cell and score all six targets.
-
-    ``cells`` holds the ``GRID_KEYS`` columns and ``trust`` the
-    ``TrustParams`` columns of the same rows (None: the default block).
-    Row c of the result table is cell c: its ``GRID_KEYS`` columns, the
-    verdicts ``t1`` .. ``t6`` and the measurements behind them.  The engine
-    advances ``CELLS_PER_BATCH`` cells' protocol runs at once; a cell's
-    result does not depend on the batch it lands in.
-    """
-    n = len(cells["rho0"])
-    if trust is None:
-        default = TrustParams()
-        trust = {f: np.full(n, getattr(default, f)) for f in TRUST_FIELDS}
-    parts = []
-    for lo in range(0, n, CELLS_PER_BATCH):
-        part = slice(lo, lo + CELLS_PER_BATCH)
-        parts.append(_measure_batch({key: cells[key][part] for key in GRID_KEYS},
-                                    {f: trust[f][part] for f in TRUST_FIELDS},
-                                    rho0_extremes))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+def forgiveness_times(cells: dict[str, np.ndarray]) -> np.ndarray:
+    """Each cell's forgiveness time ``tau_f`` under the default trust block:
+    the protocol's forgiveness run alone, the same value ``measure_cells``
+    reports."""
+    m, ids = _measure_runs(cells, _default_trust(len(cells["rho0"])), RHO0_EXTREMES,
+                           ("forgiveness",))
+    return m["tau_f"][ids[:, 0]]
 
 
 def measure_cell(cell: SweepCell) -> dict:
@@ -470,14 +551,15 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     The t test and effect size compare the per-cell response magnitudes;
     the Wilcoxon test checks the ratio distribution against the T4
     differentiation threshold ``T4_RATIO`` (one sided); the bootstrap interval covers
-    the mean ratio.  A grid too small for these tests is a configuration
-    error.
+    the mean ratio.  The ratio mean, sd, interval and Wilcoxon test leave
+    out the non-finite ratios and count them.  A grid too small for these
+    tests is a configuration error.
     """
     # Checked here: the except below would report a bad seed (a
     # ConfigurationError, so a ValueError) as a grid too small.
     check_seed(seed)
-    high, low, ratios = table["response_high"], table["response_low"], table["ratio"]
-    ratios = ratios[np.isfinite(ratios)]
+    high, low, all_ratios = table["response_high"], table["response_low"], table["ratio"]
+    ratios = all_ratios[np.isfinite(all_ratios)]
     try:
         t, df, p, _ = paired_ttest(high, low)
         d, _ = cohens_d(high, low)
@@ -492,6 +574,7 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
         mean=float(ratios.mean()), sd=float(ratios.std(ddof=1)),
         t_stat=t, df=df, p_value=p, cohens_d=d,
         ci_lo=lo, ci_hi=hi, wilcoxon_stat=w_stat, wilcoxon_p=w_p,
+        left_out=len(all_ratios) - len(ratios), total=len(all_ratios),
     )
 
 

@@ -18,7 +18,9 @@ the array draws of ``coopsim.rng``, and the trajectory writers one number
 at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
 :func:`long_format_csv`), for the whole-array writers of
 ``coopsim.files``.  :func:`signal_recovery_time` walks one run's signal
-period by period, for the whole-array ``coopsim.sweep.recovery_times``.
+period by period, for the whole-array ``coopsim.sweep.recovery_times``,
+and :func:`window_mean` averages one actor's window, for
+``coopsim.simulation._window_means``.
 The module imports nothing from ``coopsim.reciprocity``,
 ``coopsim.simulation``, ``coopsim.utility``, ``coopsim.solver``,
 ``coopsim.rng``, ``coopsim.files`` or ``coopsim.sweep``.
@@ -293,3 +295,18 @@ def signal_recovery_time(signals: Sequence[float], t_star: int, tol: float,
         if all(abs(signals[r - 1 + j]) < tol for j in range(sustain)):
             return r - t_star
     return -1
+
+
+# -- windowed baseline ---------------------------------------------------------
+
+def window_mean(history: Sequence[float], k: int, initial: float) -> float:
+    """Mean of the last k entries of ``history``, ``initial`` while it is
+    empty: ``sum(w) / len(w)`` with the terms added left to right onto 0.0,
+    by an explicit loop since ``sum`` of floats compensates from Python 3.12."""
+    w = list(history)[-k:]
+    if not w:
+        return initial
+    total = 0.0
+    for x in w:
+        total += x
+    return total / len(w)

@@ -12,12 +12,14 @@ from coopsim.simulation import (
     RunBatch,
     _trust_rows,
     _update_trust_matrices,
+    _window_means,
+    _window_reach,
     run,
     record_batch,
     run_batch,
 )
 from coopsim.rng import normal
-from oracles import update_trust
+from oracles import update_trust, window_mean
 
 
 def two_actor(baseline_mode="moving_average", a_init=(0.5, 0.5),
@@ -186,8 +188,12 @@ class TestValidation:
 
 class TestBatchKernel:
     def test_rows_equal_separate_runs(self):
-        # mixed baseline modes, windows, horizons, noise, shocks and scripts
+        # mixed baseline modes, windows, horizons, noise, shocks and scripts;
+        # noisy rows end before noiseless ones, so the kernel drops noise
+        # columns while rows stay live
         runs = [
+            (two_actor("adaptive", baseline_init=(0.3, 0.3), memory_k=2, kappa=2.0),
+             SimConfig(horizon=50, noise_sigma=0.0), {0: {40: 0.1}}),
             (two_actor("adaptive", baseline_init=(0.2, 0.2), memory_k=1),
              SimConfig(horizon=30, noise_sigma=0.0), None),
             (two_actor("moving_average", memory_k=16, eta=0.5, d=0.6),
@@ -199,13 +205,16 @@ class TestBatchKernel:
             (two_actor("moving_average", memory_k=4, kappa=3.0),
              SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
         ]
-        batch = RunBatch.stack([RunBatch.single(s, sim, script) for s, sim, script in runs])
-        got_runs = record_batch(batch, ("A", "B"))
-        for got, (scen, sim, script) in zip(got_runs, runs):
-            want = run(scen, sim, script=script)
-            for name in ("actions", "baselines", "norms", "trust", "reputation",
-                         "signal", "recip_term", "converged"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # as listed, and listed shortest horizon first
+        for listed in (runs, sorted(runs, key=lambda r: r[1].horizon)):
+            batch = RunBatch.stack([RunBatch.single(s, sim, script)
+                                    for s, sim, script in listed])
+            got_runs = record_batch(batch, ("A", "B"))
+            for got, (scen, sim, script) in zip(got_runs, listed):
+                want = run(scen, sim, script=script)
+                for name in ("actions", "baselines", "norms", "trust", "reputation",
+                             "signal", "recip_term", "converged"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_rows_on_one_seed_share_one_noise_block(self, monkeypatch):
         from coopsim import simulation
@@ -257,6 +266,33 @@ class TestBatchKernel:
                                  SimConfig(horizon=3))
         with pytest.raises(ValueError):
             RunBatch.stack([plain, seeded])
+
+    def test_observer_sees_only_live_rows(self):
+        scen = two_actor()
+        sims = [SimConfig(horizon=h, noise_sigma=0.02, seed=h) for h in (5, 3, 3, 1)]
+        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        live = []
+        run_batch(batch, lambda idx, state: live.append(
+            {len(a) for a in state.values()}))
+        assert live == [{4}, {3}, {3}, {1}, {1}]
+
+    def test_rows_out_of_horizon_order_rejected(self):
+        scen = two_actor()
+        batch = RunBatch.stack([RunBatch.single(scen, SimConfig(horizon=h)) for h in (3, 5)])
+        with pytest.raises(ValueError, match="non-increasing horizon order"):
+            run_batch(batch, lambda idx, state: None)
+        # record_batch orders the rows itself and hands them back as given
+        short, long = record_batch(batch, scen.labels)
+        assert (short.horizon, long.horizon) == (3, 5)
+        assert np.array_equal(long.actions, run(scen, SimConfig(horizon=5)).actions)
+
+    def test_take_keeps_shocks_with_their_rows(self):
+        scen = two_actor()
+        sims = [SimConfig(horizon=8, noise_sigma=0.0,
+                          shocks=(Shock(period=p, actor=0, delta=-0.2),)) for p in (2, 5, 7)]
+        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims]).take([2, 0])
+        assert [(r, s.period) for r, s in batch.shocks] == [(1, 2), (0, 7)]
+        assert batch.horizon.tolist() == [8, 8]
 
     def test_best_response_needs_one_row(self):
         scen = two_actor()
@@ -356,3 +392,59 @@ def test_kernel_trust_update_matches_scalar_oracle(cases):
             assert rep[b, i, j] == pytest.approx(want_r, rel=1e-12, abs=1e-15)
         assert trust[b, 0, 0] == trust[b, 1, 1] == 1.0
         assert rep[b, 0, 0] == rep[b, 1, 1] == 0.0
+
+
+class TestExactShortcuts:
+    """Two rewrites the kernel and the sweep rely on to keep every bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tanh_of_the_largest_signal_is_the_largest_bounded_response(self, data):
+        # The sweep's T6 bound takes tanh(kappa * max|s|) once per run in
+        # place of max |tanh(kappa s)| over every signal: tanh is odd and
+        # increasing, and kappa > 0 scales without changing the order.
+        rows = data.draw(st.integers(1, 24), label="rows")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        s = np.array(data.draw(st.lists(finite, min_size=4 * rows, max_size=4 * rows)),
+                     dtype=float).reshape(rows, 2, 2)
+        kappa = np.array(data.draw(st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=rows, max_size=rows)), dtype=float)
+        with np.errstate(over="ignore"):
+            want = np.abs(np.tanh(kappa[:, None, None] * s)).max(axis=(1, 2))
+            got = np.tanh(kappa * np.abs(s).max(axis=(1, 2)))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_window_mean_of_a_lone_value_adds_in_order(self):
+        # one row of one actor: a reduction over its 8 periods would sum
+        # them pairwise and differ from the oracle in the last bit
+        values = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.595456942791246, 1.8]
+        k = np.array([[8]])
+        got = _window_means(np.array(values)[:, None, None], 8, k, _window_reach(k, 1),
+                            np.zeros((1, 1)))
+        assert got[0, 0].hex() == window_mean(values, 8, 0.0).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_window_means_match_the_scalar_oracle(self, data):
+        # per-row windows longer and shorter than the history, -0.0 and
+        # subnormal entries; the first rows of the history may be
+        # pre-history, so every window end from 0 on is checked
+        rows = data.draw(st.integers(1, 6), label="rows")
+        n = data.draw(st.integers(1, 3), label="n")
+        periods = data.draw(st.integers(0, 22), label="periods")
+        value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+                          st.floats(-10.0, 10.0))
+        size = periods * rows * n
+        hist = np.array(data.draw(st.lists(value, min_size=size, max_size=size)),
+                        dtype=float).reshape(periods, rows, n)
+        initial = np.array(data.draw(st.lists(value, min_size=rows * n, max_size=rows * n)),
+                           dtype=float).reshape(rows, n)
+        ks = data.draw(st.lists(st.integers(1, 20), min_size=rows, max_size=rows), label="k")
+        k = np.array(ks)[:, None]
+        reach = _window_reach(k, n)
+        for avail in range(periods + 1):
+            got = _window_means(hist, avail, k, reach, initial)
+            want = np.array([[window_mean(hist[:avail, b, i].tolist(), ks[b], initial[b, i])
+                              for i in range(n)] for b in range(rows)], dtype=float)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), avail

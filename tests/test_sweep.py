@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.files import targets_csv
-from coopsim.reports import render_monte_carlo
+from coopsim.reports import render_monte_carlo, render_target_report
 from coopsim.stats import bootstrap_ci
 from coopsim.sweep import (
     FULL_GRID,
@@ -189,9 +189,10 @@ class TestCellMeasurement:
 
 class TestSweepAggregation:
     def test_batch_independence(self, monkeypatch):
-        # one batch == cell by cell == shuffled == split across batches
+        # one batch == cell by cell == shuffled == split across batches; two d
+        # levels, so the differentiation runs repeat across cells
         grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 3.0),
-                              "memory_k": (1, 4, 16), "t0": (0.3, 0.95)})
+                              "memory_k": (1, 4, 16), "t0": (0.3, 0.95), "d": (0.2, 1.0)})
         whole = run_sweep(grid)
         extremes = grid.rho0_extremes()
         assert extremes == RHO0_EXTREMES  # measure_cell's
@@ -202,8 +203,45 @@ class TestSweepAggregation:
         order = np.array(random.Random(5).sample(range(grid.size), grid.size))
         shuffled = measure_cells(table_rows(cells, order), rho0_extremes=extremes)
         assert_tables_equal(shuffled, table_rows(whole, order))
-        monkeypatch.setattr(sweep, "CELLS_PER_BATCH", 5)
+        # 7 rows per engine batch splits the emergence-type runs (horizon 30)
+        # and each forgiveness-type horizon across batches
+        monkeypatch.setattr(sweep, "ROWS_PER_BATCH", 7)
         assert_tables_equal(run_sweep(grid), whole)
+
+    def test_each_distinct_run_goes_through_the_engine_once(self, monkeypatch):
+        # 36 cells x 7 runs = 252 protocol runs, 126 of them distinct: the T5
+        # runs do not read rho0 or t0 (18 each), t5_low_trust at rho0 1.0 and
+        # t0 0.3 is the emergence run of those cells, the differentiation runs
+        # do not read d (18 each), and diff_low is the forgiveness run at d 0.2
+        grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 1.5, 3.0),
+                              "memory_k": (1, 4, 16), "t0": (0.3,), "d": (0.2, 1.0)})
+        horizons, periods = [], []
+        real = sweep.run_batch
+
+        def counting(batch, observe):
+            horizons.extend(batch.horizon.tolist())
+
+            def count(idx, state):
+                periods.append(len(state["actions"]))
+                observe(idx, state)
+
+            real(batch, count)
+
+        monkeypatch.setattr(sweep, "run_batch", counting)
+        table = run_sweep(grid)
+        assert len(horizons) == 126 and horizons == sorted(horizons, reverse=True)
+        assert horizons.count(sweep.WARMUP) == 72  # emergence-type runs
+        # every run stops at its horizon: 30 + 38, 44 or 68 periods
+        assert sum(periods) == sum(horizons) == 72 * 30 + 18 * (38 + 44 + 68)
+        monkeypatch.undo()
+        assert_tables_equal(table, run_sweep(grid))
+
+    def test_forgiveness_times_match_the_full_protocol(self):
+        grid = ParameterGrid({"kappa": (0.5, 2.0), "memory_k": (1, 5, 10), "eta": (0.5, 1.5)})
+        cells = grid.columns()
+        tau_f = sweep.forgiveness_times(cells)
+        assert tau_f.dtype == np.int64
+        assert tau_f.tolist() == measure_cells(cells)["tau_f"].tolist()
 
     def test_measure_targets_report(self):
         grid = ParameterGrid({"rho0": (1.0,), "kappa": (1.0,)})
@@ -221,6 +259,23 @@ class TestSweepAggregation:
         assert stats.cohens_d >= 0.8
         assert stats.wilcoxon_p < 0.01
         assert stats.ci_lo <= stats.mean <= stats.ci_hi
+
+
+def test_report_counts_the_ratios_left_out(smoke_sweep):
+    # lambda_r 0 gives both responses zero, so half the ratios are undefined
+    grid = ParameterGrid({"lambda_r": (0.0, 1.0), "kappa": (0.5, 1.0, 1.5, 2.0, 3.0),
+                          "t0": (0.3, 0.7)})
+    table = run_sweep(grid)
+    stats = differentiation_stats(table)
+    assert (stats.left_out, stats.total, stats.df) == (10, 20, 19)
+    text = render_target_report(measure_targets(table), grid.size, stats)
+    assert ("- mean ratio: 6.000 (sd 0.000)\n- 10 of 20 ratios not finite, left out of the "
+            "mean, sd, bootstrap CI and Wilcoxon test\n- bootstrap 95% CI") in text
+    # every ratio finite: the report has no such line
+    smoke = differentiation_stats(smoke_sweep[0])
+    assert (smoke.left_out, smoke.total) == (0, SMOKE_GRID.size)
+    assert "not finite" not in render_target_report(measure_targets(smoke_sweep[0]),
+                                                    SMOKE_GRID.size, smoke)
 
 
 class TestStructuralTargets:
