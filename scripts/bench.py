@@ -30,10 +30,14 @@ Rows, each the cost of one call:
   --mode best_response`` job on that scenario, output files included;
 - ``job.sweep``: the in-process ``coopsim sweep`` job on the 36-cell grid
   ``SWEEP_GRID``, output files included;
-- ``job.sweep_full``: ``coopsim sweep --grid full`` in a child process,
-  interpreter start-up included, run ``FULL_SWEEP_REPEATS`` times after
-  the other rows; it also reports the largest peak resident memory of
-  the children (``child_peak_rss_mib``).
+- ``job.sweep_full``: ``coopsim sweep --grid full`` in a child process;
+- ``job.montecarlo``: ``coopsim montecarlo --trials 2000`` in a child
+  process.
+
+The two child-process rows include interpreter start-up, run
+``CHILD_REPEATS`` times each after the other rows, and also report the
+largest peak resident memory of their own children
+(``child_peak_rss_mib``).
 
 Each repeat times every row once, in turn, so drift on the host spreads
 over all rows alike; a row reports the median and the quartiles of its
@@ -55,7 +59,6 @@ import itertools
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -76,9 +79,11 @@ from coopsim.solver import SolverConfig, solve_equilibrium  # noqa: E402
 SAMPLE_S = 0.02
 # The grid of the job.sweep row: 36 cells, every target passes.
 SWEEP_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,1.5,3.0\nmemory_k = 1,4,16\nd = 0.2,1.0\n"
-# The job.sweep_full row: its grid, and its runs, each a few seconds long.
+# The child-process rows: the job.sweep_full grid, the job.montecarlo
+# trials, and the runs of each row (a full sweep takes a few seconds).
 FULL_SWEEP_GRID = "full"
-FULL_SWEEP_REPEATS = 3
+MONTECARLO_TRIALS = 2000
+CHILD_REPEATS = 3
 
 
 def _noise_block(seed: int, n: int, horizon: int):
@@ -184,19 +189,22 @@ def _summary(us: list, **extra) -> dict:
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1, **extra}
 
 
-def full_sweep(work: str) -> dict:
-    """The job.sweep_full row: wall time of each child-process run, and the
-    largest peak resident memory of the children."""
-    argv = [sys.executable, "-m", "coopsim.cli", "sweep", "--grid", FULL_SWEEP_GRID,
-            "--out", work]
+def child_job(args: list, work: str) -> dict:
+    """A child-process row: wall time of each ``coopsim`` run, and the
+    largest peak resident memory of those runs."""
+    argv = [sys.executable, "-m", "coopsim.cli", *args, "--out", work]
     env = {**os.environ, "PYTHONPATH": SRC}
-    us = []
-    for _ in range(FULL_SWEEP_REPEATS):
+    us, peak_kib = [], 0
+    for _ in range(CHILD_REPEATS):
         start = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak
         us.append((time.perf_counter() - start) * 1e6)
-    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    return _summary(us, calls_per_sample=1, child_peak_rss_mib=peak_mib)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
+        peak_kib = max(peak_kib, usage.ru_maxrss)
+    return _summary(us, calls_per_sample=1, child_peak_rss_mib=peak_kib / 1024)
 
 
 def measure(repeats: int) -> dict:
@@ -212,7 +220,9 @@ def measure(repeats: int) -> dict:
                     fn()
                 samples[name].append((time.perf_counter() - start) / number / divisor * 1e6)
         out = {name: _summary(us, calls_per_sample=calls[name]) for name, us in samples.items()}
-        out["job.sweep_full"] = full_sweep(work)
+        out["job.sweep_full"] = child_job(["sweep", "--grid", FULL_SWEEP_GRID], work)
+        out["job.montecarlo"] = child_job(
+            ["montecarlo", "--trials", str(MONTECARLO_TRIALS)], work)
     return out
 
 

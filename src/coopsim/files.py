@@ -353,6 +353,11 @@ def long_format_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Rows of a result table formatted at a time: bounds the Python objects
+#: alive at once to a block's, next to the text itself.
+CSV_BLOCK_ROWS = 1024
+
+
 def targets_csv(table: dict[str, np.ndarray]) -> str:
     """One line per row of a sweep's result table, verdicts as 0 and 1."""
     cols = [
@@ -362,10 +367,12 @@ def targets_csv(table: dict[str, np.ndarray]) -> str:
         "ratio", "max_abs_response",
     ]
     values = [table[c].astype(int) if table[c].dtype == bool else table[c] for c in cols]
-    lines = [",".join(["index", *cols])]
-    lines.extend(",".join(map(repr, row))
-                 for row in zip(range(len(values[0])), *(v.tolist() for v in values)))
-    return "\n".join(lines) + "\n"
+    blocks = [",".join(["index", *cols]) + "\n"]
+    for lo in range(0, len(values[0]), CSV_BLOCK_ROWS):
+        rows = zip(range(lo, lo + CSV_BLOCK_ROWS),
+                   *(v[lo : lo + CSV_BLOCK_ROWS].tolist() for v in values))
+        blocks.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return "".join(blocks)
 
 
 def write_file(path: str, text: str) -> None:

@@ -11,10 +11,12 @@ Draw order convention used by the simulation engine: the noise for actor
 reimplementation that follows this convention reproduces the streams
 bit for bit.
 
-Array form: ``stream``, ``counter`` and ``index`` may be broadcasting
-``np.uint64`` arrays (the engine draws each seed's noise as one block, actors
-``(1, n)`` by periods ``(H, 1)``); each element has the bits of the scalar
-call, as uint64 arithmetic wraps like the masked Python ints.  Box-Muller's
+Array form: ``seed``, ``stream``, ``counter`` and ``index`` may be
+broadcasting ``np.uint64`` arrays (the engine draws each seed's noise as one
+block, actors ``(1, n)`` by periods ``(H, 1)``; the Monte Carlo trials draw
+their seeds ``derive_seed(seed, trials)`` as a ``(T, 1)`` column against the
+parameters' streams); each element has the bits of the scalar call, as
+uint64 arithmetic wraps like the masked Python ints.  Box-Muller's
 ``log`` and ``cos`` go through ``math`` per element: ``np.log`` rounds
 differently on a few draws in a thousand.
 """

@@ -37,12 +37,14 @@ every parameter given per row, and shows each period's state to an
 observer; :func:`record_batch` keeps all of it, and :func:`run` is its
 B = 1 call.  The kernel takes its rows longest horizon first, and each
 row stops at its own horizon: from then on the kernel advances, and the
-observer sees, only the rows still live, a prefix of the batch.  Rows
-never interact, and every row computes exactly the arithmetic of a run
-on its own, so a row's bits do not depend on the batch it is in: the
-window means add oldest first onto 0.0, as ``sum(w) / len(w)`` does, and
-powers take one Python float exponent at a time as ``array ** eta`` does
-for one run.
+observer sees, only the rows still live, a prefix of the batch.  Each row
+may have its own number of pre-history periods: leading NaN rows of its
+``pre_history`` are periods it does not have.  Rows never interact, and
+every row computes exactly the arithmetic of a run on its own, so a row's
+bits do not depend on the batch it is in: the window means add oldest
+first onto 0.0 (an empty pre-history slot adds 0.0 before them), as
+``sum(w) / len(w)`` does, and powers take one Python float exponent at a
+time as ``array ** eta`` does for one run.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class RunBatch:
     horizon: np.ndarray  # (B,)
     script: Optional[np.ndarray] = None  # (H, B, n) pinned actions, NaN where free
     shocks: tuple[tuple[int, Shock], ...] = ()  # (row, shock), applied in order
-    pre_history: Optional[np.ndarray] = None  # (P, B, n) rows before period 1
+    pre_history: Optional[np.ndarray] = None  # (P, B, n) rows before period 1, NaN where none
 
     @classmethod
     def single(cls, scenario: ScenarioConfig, sim: SimConfig,
@@ -161,9 +163,9 @@ class RunBatch:
     def stack(cls, rows: Sequence["RunBatch"]) -> "RunBatch":
         """One batch of the given batches' rows, in order.
 
-        The batches must share the actor count and the number of
-        pre-history rows; scripts are padded with free (NaN) periods to the
-        longest horizon.
+        The batches must share the actor count.  Scripts are padded with
+        free (NaN) periods to the longest horizon, and pre-histories in
+        front with empty (NaN) periods to the longest one.
         """
         sizes = [len(b.horizon) for b in rows]
         starts = np.cumsum([0] + sizes[:-1]).tolist()
@@ -176,8 +178,9 @@ class RunBatch:
                     script[: len(b.script), start : start + size] = b.script
         pre = [np.empty((0, size, n)) if b.pre_history is None else b.pre_history
                for size, b in zip(sizes, rows)]
-        if len({len(p) for p in pre}) > 1:
-            raise ValueError("stacked batches must share the pre-history length")
+        P = max(len(p) for p in pre)
+        pre = [np.concatenate([np.full((P - len(p), size, n), np.nan), p])
+               for size, p in zip(sizes, pre)]
 
         def cat(name):
             return np.concatenate([getattr(b, name) for b in rows])
@@ -246,14 +249,17 @@ def _window_reach(k: np.ndarray, n: int) -> np.ndarray:
 
 
 def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, reach: np.ndarray,
-                  initial: np.ndarray) -> np.ndarray:
+                  initial: np.ndarray, lead=0) -> np.ndarray:
     """Mean of each actor's last k recorded actions (k per row), the
     configured initial level before any history exists.
 
     ``hist[:avail]`` holds the recorded periods in order, and ``reach``
-    comes from :func:`_window_reach`.  The terms are added oldest first
-    onto 0.0, and a period outside a row's window adds a zero, so every
-    mean has the bits of ``sum(w) / len(w)``.
+    comes from :func:`_window_reach`.  The first ``lead`` periods of a row
+    ((B, 1), or 0 for none) are periods it does not have: they hold 0.0,
+    and every row has a period after them unless ``avail`` is 0.  The
+    terms are added oldest first onto 0.0, and a period outside a row's
+    window or history adds a zero, so every mean has the bits of
+    ``sum(w) / len(w)``.
     """
     if avail == 0:
         return initial.copy()
@@ -268,7 +274,7 @@ def _window_means(hist: np.ndarray, avail: int, k: np.ndarray, reach: np.ndarray
         total = np.zeros_like(initial)
         for term in terms:
             total += term
-    return total / np.minimum(k, avail)
+    return total / np.minimum(k, avail - lead)
 
 
 def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.ndarray]:
@@ -334,10 +340,12 @@ def run_batch(batch: RunBatch, observe: Observer,
               best_response: Optional[BestResponse] = None) -> None:
     """Advance every row of the batch to its own horizon.
 
-    Rows come in non-increasing horizon order (``ValueError`` otherwise),
-    so the rows still running in a period are a prefix of the batch: once
-    a row's horizon has passed, the kernel advances only that live prefix,
-    through views of its arrays.  Each period, before its trust update,
+    A row's pre-history may be NaN only in whole leading periods, the
+    periods it does not have (``ValueError`` otherwise).  Rows come in
+    non-increasing horizon order (``ValueError`` otherwise), so the rows
+    still running in a period are a prefix of the batch: once a row's
+    horizon has passed, the kernel advances only that live prefix, through
+    views of its arrays.  Each period, before its trust update,
     ``observe(idx, state)`` sees the state of the rows live in period
     idx + 1: (L, ...) arrays keyed like the :class:`Trajectory` fields,
     which the kernel reuses, so the observer copies what it keeps.  Without
@@ -394,8 +402,12 @@ def run_batch(batch: RunBatch, observe: Observer,
 
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
     P = pre.shape[0]
-    hist = np.empty((P + H, B, n))  # pre-history, then every period's actions
-    hist[:P] = pre
+    empty = np.isnan(pre)
+    lead = np.logical_and.accumulate(empty.all(axis=2), axis=0).sum(axis=0)[:, None]
+    if (empty != (np.arange(P)[:, None, None] < lead)).any():
+        raise ValueError("pre-history may be NaN only in whole leading periods")
+    hist = np.empty((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
+    hist[:P] = np.where(empty, 0.0, pre)
 
     actions = np.array(batch.a_init, dtype=float)
     norms = initial.copy()
@@ -411,7 +423,9 @@ def run_batch(batch: RunBatch, observe: Observer,
         actions[b, i] += delta
     np.minimum(np.maximum(actions, 0.0), a_max, out=actions)
 
-    b_win = _window_means(hist, P, k, reach, initial)
+    # A row without pre-history starts at its initial level (0 / 0 elsewhere).
+    with np.errstate(invalid="ignore"):
+        b_win = np.where(lead < P, _window_means(hist, P, k, reach, initial, lead), initial)
     for t in range(1, H + 1):
         idx = t - 1
         s_win = _signals(actions, b_win)
@@ -434,11 +448,11 @@ def run_batch(batch: RunBatch, observe: Observer,
 
         L = live[t]
         if L < len(actions):  # the rows whose horizon is period t end here
-            (gate, kappa, k, rate, decay, norm_rate, mode, adaptive, fixed, initial, a_max,
-             actions, norms, trust, reputation, converged, term) = (
-                a[:L] for a in (gate, kappa, k, rate, decay, norm_rate, mode, adaptive, fixed,
-                                initial, a_max, actions, norms, trust, reputation, converged,
-                                term))
+            (gate, kappa, k, lead, rate, decay, norm_rate, mode, adaptive, fixed, initial,
+             a_max, actions, norms, trust, reputation, converged, term) = (
+                a[:L] for a in (gate, kappa, k, lead, rate, decay, norm_rate, mode, adaptive,
+                                fixed, initial, a_max, actions, norms, trust, reputation,
+                                converged, term))
             tp = {f: a[:L] for f, a in tp.items()}
             reach, hist = reach[:, :L], hist[:, :L]
             if script is not None:
@@ -449,7 +463,7 @@ def run_batch(batch: RunBatch, observe: Observer,
             windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
 
         # Actions through period t are known when choosing t+1 actions.
-        b_next = _window_means(hist, P + t, k, reach, initial)
+        b_next = _window_means(hist, P + t, k, reach, initial, lead)
         if best_response is None:
             nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
             if noise is not None:

@@ -23,6 +23,15 @@ are its configuration, its trust block and the grid's rho0 extremes.
    Proposition 2 reads too); target 6 checks every recorded bounded
    response against the +/-1 envelope.
 
+   The warm-up is a fixed point: both actors hold 0.5 against 0.5 baselines
+   and norms, so every signal is 0.0 and trust moves once, to min(t0,
+   t_max), then holds.  So the engine does not run it: a forgiveness-type
+   run starts at the defection, as period 1, with ``WARMUP`` periods of
+   0.5 as its pre-history and trust at the warm-up's end state (one
+   zero-signal trust update), and lasts 1 + 2k + ``RECOVERY_PAD`` periods.
+   Its windows, trust and actions from the defection on are those of the
+   full run, bit for bit.
+
 3. *Differentiation pair* -- the forgiveness run at dependency 0.8 versus
    0.2; target 4 passes when the high-dependency response magnitude exceeds
    the low-dependency one by more than 1.5x.  With both responses zero the
@@ -35,11 +44,13 @@ share a protocol run (the T5 runs read neither a cell's rho0 nor its t0,
 the differentiation runs not its d), so the engine runs each distinct run
 once, each only to its own horizon, in batches of many runs; a cell's
 result does not depend on the batch size or on the order of the cells.
-Robustness trials perturb the reference cell and the default trust block.
+Robustness trials perturb the reference cell and the default trust block,
+every trial's parameters drawn as one array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -50,7 +61,7 @@ from .errors import ConfigurationError
 from .params import ReciprocityParams, TrustParams, check_integer, check_seed
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
-from .simulation import TRUST_FIELDS, RunBatch, run_batch
+from .simulation import TRUST_FIELDS, RunBatch, _trust_rows, _update_trust_matrices, run_batch
 from .stats import StatsSummary, bootstrap_ci, cohens_d, paired_ttest, wilcoxon_signed_rank
 
 GRID_KEYS = ("rho0", "eta", "kappa", "memory_k", "lambda_r", "t0", "d")
@@ -61,7 +72,7 @@ NO_RECOVERY = -1
 # calibrations, not scenario defaults: the emergence run uses a faster
 # adjustment rate, a token reversion cost, and slow norm adaptation so that a
 # cooperative opening either compounds or dies out within the warm-up.
-WARMUP = 30  # emergence-run length; the defection falls on period WARMUP + 1
+WARMUP = 30  # emergence-run length, and the flat warm-up before a defection
 START_ACTION = 0.5
 START_NORM = 0.2
 ADJUST_RATE = 0.30
@@ -70,7 +81,7 @@ BASELINE_RATE = 0.04
 EMERGENCE_MARGIN = 0.05  # T1: steady level above START_ACTION by this much
 STEADY_WINDOW = 5  # T1 averages the warm-up's last periods
 DEFECTION = -0.5  # the partner's one-period drop below START_ACTION
-RECOVERY_PAD = 5  # forgiveness runs last WARMUP + 1 + 2k + RECOVERY_PAD periods
+RECOVERY_PAD = 5  # forgiveness runs last 1 + 2k + RECOVERY_PAD periods after the warm-up
 RECOVERY_TOL = 0.02
 RECOVERY_SUSTAIN = 3
 DIFF_HIGH = 0.8  # T4's dependency pair
@@ -282,7 +293,7 @@ def _protocol_runs(
         for name, col in given.items()
     }
     out["forgive"] = _runs_column([run in _FORGIVENESS_RUNS for run in kinds], n_cells, bool)
-    horizon = np.where(out["forgive"], WARMUP + 1 + 2 * out["memory_k"] + RECOVERY_PAD, WARMUP)
+    horizon = np.where(out["forgive"], 1 + 2 * out["memory_k"] + RECOVERY_PAD, WARMUP)
     out["horizon"] = np.broadcast_to(horizon, (n_cells, len(kinds)))
     return out
 
@@ -315,17 +326,28 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
 
     Emergence-type runs open at the start action against the lower start
     norm, with adaptive baselines, for the warm-up.  Forgiveness-type runs
-    start flat with moving-average baselines; the partner (actor 1) is
-    scripted at the start action with one defection period at t* = warm-up
-    + 1, and the run lasts t* + 2k + pad periods.
+    start after the flat warm-up, given as pre-history, with moving-average
+    baselines and trust as the warm-up leaves it; the partner (actor 1) is
+    scripted at the start action with one defection period at t* = 1, and
+    the run lasts t* + 2k + pad periods.
     """
     size = len(runs["horizon"])
     forgive, horizon = runs["forgive"], runs["horizon"]
-    script = None
+    d = np.where(np.eye(2, dtype=bool), 0.0, runs["d"][:, None, None])
+    trust = {f: runs[f] for f in TRUST_FIELDS}
+    script = pre = None
     if forgive.any():
         script = np.full((int(horizon.max()), size, 2), np.nan)
         script[:, forgive, 1] = START_ACTION
-        script[WARMUP, forgive, 1] = START_ACTION + DEFECTION  # period t*
+        script[0, forgive, 1] = START_ACTION + DEFECTION  # period t*
+        pre = np.full((WARMUP, size, 2), np.nan)
+        pre[:, forgive] = START_ACTION
+        # The warm-up's signals are all 0.0: its first trust update sets
+        # trust to min(t0, t_max) and keeps reputation at 0, and the later
+        # ones leave both as they are.
+        warm = np.broadcast_to(trust["t0"][:, None, None], d.shape).copy()
+        _update_trust_matrices(warm, np.zeros(d.shape), np.zeros(d.shape), _trust_rows(trust, d))
+        trust["t0"] = np.where(forgive, warm[:, 0, 1], trust["t0"])
     recip = {f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r")}
     sim = {
         "adjust_rate": np.full(size, ADJUST_RATE),
@@ -338,9 +360,9 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
     mode = np.where(forgive, BASELINE_MODES.index("moving_average"),
                     BASELINE_MODES.index("adaptive"))
     return RunBatch(
-        d=np.where(np.eye(2, dtype=bool), 0.0, runs["d"][:, None, None]),
+        d=d,
         recip={**recip, "omega_amp": np.ones(size)},
-        trust={f: runs[f] for f in TRUST_FIELDS},
+        trust=trust,
         sim=sim,
         a_max=np.ones((size, 2)),
         a_init=np.full((size, 2), START_ACTION),
@@ -348,6 +370,7 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
         baseline_mode=mode,
         horizon=horizon,
         script=script,
+        pre_history=pre,
     )
 
 
@@ -377,17 +400,17 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     batch = _protocol_batch(runs)
     horizon = batch.horizon
     rows = len(horizon)
-    actions = np.empty((WARMUP, rows, 2))  # warm-up actions
+    actions = np.zeros((WARMUP, rows, 2))  # emergence-type runs' actions
     partner = np.zeros((int(horizon.max()), rows))  # 0's signal about 1
-    response = np.full(rows, np.nan)  # gated response at the defection t*
+    response = np.empty(rows)  # gated response at the defection t* = 1
     peak = np.zeros(rows)  # largest |s| within the horizon
 
     def observe(idx: int, state) -> None:
         live = len(state["actions"])
         if idx < WARMUP:
             actions[idx, :live] = state["actions"]
-        elif idx == WARMUP:  # period t* = warm-up + 1
-            response[:live] = state["recip_term"][:, 0, 1]
+        if idx == 0:
+            response[:] = state["recip_term"][:, 0, 1]
         partner[idx, :live] = state["signal"][:, 0, 1]
         np.maximum(peak[:live], np.abs(state["signal"]).max(axis=(1, 2)), out=peak[:live])
 
@@ -402,7 +425,7 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {
         "steady": mean_actions(WARMUP - STEADY_WINDOW),
         "coop": mean_actions(0),
-        "tau_f": recovery_times(partner, horizon, WARMUP + 1),
+        "tau_f": recovery_times(partner, horizon, 1),
         "response": response,
         # tanh is odd and increasing, so this is the largest |tanh(kappa s)|.
         "bound": np.tanh(batch.recip["kappa"] * peak),
@@ -578,31 +601,25 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     )
 
 
-# Real-valued trust-block fields perturbed in robustness trials (t0 is
-# the cell's, perturbed with it).
-_TRUST_PERTURB_FIELDS = (
-    "lambda_plus", "lambda_minus", "xi", "mu_r", "delta_r",
-    "t_max", "theta_r", "lambda_t",
-)
-# Legal ranges used for clamping perturbed values.
-_TRUST_RANGES = {
-    "lambda_plus": (1e-6, 0.999999),
-    "lambda_minus": (1e-6, 0.999999),
-    "xi": (0.0, math.inf),
-    "mu_r": (1e-6, 0.999999),
-    "delta_r": (1e-6, 0.999999),
-    "t_max": (1e-6, 1.0),
-    "theta_r": (0.0, 1.0),
-    "lambda_t": (0.0, math.inf),
-}
-_CELL_PERTURB_FIELDS = ("rho0", "eta", "kappa", "lambda_r", "t0", "d")
-_CELL_RANGES = {
+#: The real-valued parameters robustness trials perturb, in draw order, by
+#: the names a clamp reports: the reference cell's (t0 is the cell's), then
+#: the default trust block's.  Each maps to the legal range its perturbed
+#: values are clamped to.  The memory window is an integer and stays.
+_PERTURB_RANGES = {
     "rho0": (0.0, math.inf),
     "eta": (0.0, math.inf),
     "kappa": (1e-9, math.inf),
     "lambda_r": (0.0, math.inf),
     "t0": (0.0, 1.0),
     "d": (0.0, 1.0),
+    "trust.lambda_plus": (1e-6, 0.999999),
+    "trust.lambda_minus": (1e-6, 0.999999),
+    "trust.xi": (0.0, math.inf),
+    "trust.mu_r": (1e-6, 0.999999),
+    "trust.delta_r": (1e-6, 0.999999),
+    "trust.t_max": (1e-6, 1.0),
+    "trust.theta_r": (0.0, 1.0),
+    "trust.lambda_t": (0.0, math.inf),
 }
 
 
@@ -647,53 +664,51 @@ class MonteCarloReport:
         return sum(1 for names in self.clamped if names)
 
 
-def _perturb_value(value, lo, hi, eps):
-    raw = value * (1.0 + eps)
-    clamped = min(hi, max(lo, raw))
-    return clamped, clamped != raw
+def perturb_trials(
+    trials: int, perturb: float, seed: int
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], tuple[tuple[str, ...], ...]]:
+    """The robustness trials' configurations as columns (row t is trial t):
+    every ``_PERTURB_RANGES`` parameter of the reference cell and the
+    default trust block scaled by U(1-p, 1+p).
 
-
-def perturb_trial(
-    trial: int,
-    perturb: float,
-    seed: int,
-) -> tuple[SweepCell, TrustParams, tuple[str, ...]]:
-    """One robustness trial's configuration: every real-valued parameter of
-    the reference cell and the default trust block scaled by U(1-p, 1+p).
-
-    The memory window is an integer and is left untouched.  Perturbed
-    values that leave their legal range are clamped and flagged; returns
-    (cell, trust, clamped field names).
+    Trial t's uniform for parameter s is ``uniform(derive_seed(seed, t), s,
+    t)``; all of them come from one array call.  Perturbed values that
+    leave their legal range are clamped and flagged.  Returns the
+    ``GRID_KEYS`` and ``TrustParams`` columns and each trial's clamped
+    parameter names.
     """
     check_seed(seed)
-    trial_seed = derive_seed(seed, trial)
-    clamped: list[str] = []
-    stream = 0
+    names = tuple(_PERTURB_RANGES)
+    base_trust = TrustParams()
+    base = np.array([getattr(base_trust, name.removeprefix("trust.")) if "." in name
+                     else getattr(REFERENCE_CELL, name) for name in names])
+    lo, hi = np.array(list(_PERTURB_RANGES.values())).T
+    t = np.arange(trials, dtype=np.uint64)
+    u = uniform(derive_seed(seed, t)[:, None], np.arange(len(names), dtype=np.uint64)[None],
+                t[:, None])
+    raw = base * (1.0 + (2.0 * u - 1.0) * perturb)
+    # min(hi, max(lo, raw)) as the built-ins break ties: the bound, then the value.
+    value = np.where(raw > lo, raw, lo)
+    value = np.where(value < hi, value, hi)
+    # Past the finiteness check, every parameter check is an interval, so a
+    # column passes when its extremes do.
+    if not np.isfinite(value).all():
+        trial, s = np.argwhere(~np.isfinite(value))[0].tolist()
+        raise ConfigurationError(f"{names[s].removeprefix('trust.')} must be finite, "
+                                 f"got {value[trial, s].item()!r}")
+    for extreme in (value.min(axis=0), value.max(axis=0)):
+        picked = dict(zip(names, extreme.tolist()))
+        replace(REFERENCE_CELL, **{n: v for n, v in picked.items() if "." not in n})
+        replace(base_trust, **{n.removeprefix("trust."): v for n, v in picked.items() if "." in n})
+    drawn = dict(zip(names, value.T))
 
-    def eps() -> float:
-        nonlocal stream
-        u = uniform(trial_seed, stream, trial)
-        stream += 1
-        return (2.0 * u - 1.0) * perturb
+    def column(name: str, default) -> np.ndarray:
+        return drawn[name] if name in drawn else np.full(trials, default)
 
-    base_cell, base_trust = REFERENCE_CELL, TrustParams()
-    cell_kwargs = {}
-    for name in _CELL_PERTURB_FIELDS:
-        lo, hi = _CELL_RANGES[name]
-        val, was_clamped = _perturb_value(getattr(base_cell, name), lo, hi, eps())
-        cell_kwargs[name] = val
-        if was_clamped:
-            clamped.append(name)
-
-    trust_kwargs = {}
-    for name in _TRUST_PERTURB_FIELDS:
-        lo, hi = _TRUST_RANGES[name]
-        val, was_clamped = _perturb_value(getattr(base_trust, name), lo, hi, eps())
-        trust_kwargs[name] = val
-        if was_clamped:
-            clamped.append(f"trust.{name}")
-    return (replace(base_cell, **cell_kwargs), replace(base_trust, **trust_kwargs),
-            tuple(clamped))
+    cells = {key: column(key, getattr(REFERENCE_CELL, key)) for key in GRID_KEYS}
+    trust = {f: column(f"trust.{f}", getattr(base_trust, f)) for f in TRUST_FIELDS}
+    clamped = tuple(tuple(itertools.compress(names, row)) for row in (value != raw).tolist())
+    return cells, trust, clamped
 
 
 def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> MonteCarloReport:
@@ -702,6 +717,6 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
-    cells, trusts, clamped = zip(*(perturb_trial(t, perturb, seed) for t in range(trials)))
-    table = measure_cells(columns(cells, GRID_KEYS), columns(trusts, TRUST_FIELDS))
+    cells, trust, clamped = perturb_trials(trials, perturb, seed)
+    table = measure_cells(cells, trust)
     return MonteCarloReport(table=table, clamped=clamped, perturb=perturb, seed=seed)

@@ -20,7 +20,13 @@ at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
 ``coopsim.files``.  :func:`signal_recovery_time` walks one run's signal
 period by period, for the whole-array ``coopsim.sweep.recovery_times``,
 and :func:`window_mean` averages one actor's window, for
-``coopsim.simulation._window_means``.
+``coopsim.simulation._window_means``.  Two references stand for the
+validation protocol as first written: :func:`full_warmup_runs` builds the
+forgiveness-type runs with their warm-up run period by period, for the
+runs that ``coopsim.sweep`` starts at the defection, and
+:func:`perturb_trial` draws and clamps one robustness trial's parameters
+one at a time (with :func:`derive_seed`), for the column draw of
+``coopsim.sweep.perturb_trials``.
 The module imports nothing from ``coopsim.reciprocity``,
 ``coopsim.simulation``, ``coopsim.utility``, ``coopsim.solver``,
 ``coopsim.rng``, ``coopsim.files`` or ``coopsim.sweep``.
@@ -29,12 +35,13 @@ The module imports nothing from ``coopsim.reciprocity``,
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
-from coopsim.scenario import ScenarioConfig
+from coopsim.scenario import BASELINE_MODES, ScenarioConfig
 
 
 def trust_ceiling(reputation: float, p: TrustParams) -> float:
@@ -228,6 +235,12 @@ def uniform(seed: int, stream: int, counter: int, index: int = 0) -> float:
     return ((key >> 11) + 0.5) * 2.0**-53
 
 
+def derive_seed(master_seed: int, config_index: int) -> int:
+    """Child seed of a numbered run: one SplitMix64 round on the master seed
+    xor the golden multiple of the index."""
+    return splitmix64((master_seed & _MASK) ^ ((config_index * _GOLDEN) & _MASK))
+
+
 def normal(seed: int, stream: int, counter: int, index: int = 0) -> float:
     """Standard normal draw via Box-Muller on uniforms 2 index and 2 index + 1."""
     u1 = uniform(seed, stream, counter, 2 * index)
@@ -310,3 +323,67 @@ def window_mean(history: Sequence[float], k: int, initial: float) -> float:
     for x in w:
         total += x
     return total / len(w)
+
+
+# -- the validation protocol as first written ----------------------------------
+
+#: The protocol constants the forgiveness-type runs read.
+WARMUP = 30
+START_ACTION = 0.5
+DEFECTION = -0.5
+RECOVERY_PAD = 5
+ADJUST_RATE, DECAY, BASELINE_RATE = 0.30, 0.005, 0.04
+
+
+def full_warmup_runs(runs: Mapping[str, np.ndarray]) -> dict:
+    """The ``RunBatch`` fields of forgiveness-type protocol runs given as
+    (rows,) parameter columns, the warm-up run through period by period.
+
+    Both actors open at START_ACTION against START_ACTION moving-average
+    baselines and trust t0, with no pre-history; the partner (actor 1) is
+    pinned at START_ACTION but for the defection at period WARMUP + 1, and
+    a run lasts WARMUP + 1 + 2k + RECOVERY_PAD periods.
+    """
+    size = len(runs["memory_k"])
+    horizon = WARMUP + 1 + 2 * np.asarray(runs["memory_k"]) + RECOVERY_PAD
+    script = np.full((int(horizon.max()), size, 2), np.nan)
+    script[:, :, 1] = START_ACTION
+    script[WARMUP, :, 1] = START_ACTION + DEFECTION
+    d = np.zeros((size, 2, 2))
+    d[:, 0, 1] = d[:, 1, 0] = runs["d"]
+    return {
+        "d": d,
+        "recip": {**{f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r")},
+                  "omega_amp": np.ones(size)},
+        "trust": {f.name: runs[f.name] for f in fields(TrustParams)},
+        "sim": {"adjust_rate": np.full(size, ADJUST_RATE), "decay": np.full(size, DECAY),
+                "baseline_rate": np.full(size, BASELINE_RATE), "noise_sigma": np.zeros(size),
+                "seed": np.zeros(size, dtype=np.uint64)},
+        "a_max": np.ones((size, 2)),
+        "a_init": np.full((size, 2), START_ACTION),
+        "baseline_init": np.full((size, 2), START_ACTION),
+        "baseline_mode": np.full(size, BASELINE_MODES.index("moving_average")),
+        "horizon": horizon,
+        "script": script,
+    }
+
+
+def perturb_trial(trial: int, perturb: float, seed: int,
+                  params: Mapping[str, tuple[float, float, float]]
+                  ) -> tuple[dict[str, float], tuple[str, ...]]:
+    """One robustness trial's parameters, drawn and clamped one at a time.
+
+    ``params`` maps each name, in draw order, to (base, lo, hi).  The s-th
+    is base * (1 + (2u - 1) * perturb) with u = uniform(derive_seed(seed,
+    trial), s, trial), clamped by min(hi, max(lo, .)).  Returns the values
+    by name and the names of the clamped ones, in order.
+    """
+    trial_seed = derive_seed(seed, trial)
+    values: dict[str, float] = {}
+    clamped = []
+    for stream, (name, (base, lo, hi)) in enumerate(params.items()):
+        raw = base * (1.0 + (2.0 * uniform(trial_seed, stream, trial) - 1.0) * perturb)
+        values[name] = min(hi, max(lo, raw))
+        if values[name] != raw:
+            clamped.append(name)
+    return values, tuple(clamped)

@@ -1,4 +1,5 @@
-"""The whole-array trajectory writers against the per-number oracle."""
+"""The whole-array writers against the per-number oracle, and the result
+table writer across its row blocks."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from coopsim import files
 from coopsim.files import dyads_csv, long_format_csv, trajectory_csv
 from coopsim.simulation import RECORDED, Trajectory
 
@@ -31,3 +33,12 @@ def test_writers_match_the_per_number_oracle(traj):
                            (dyads_csv, oracles.dyads_csv),
                            (long_format_csv, oracles.long_format_csv)):
         assert writer(traj) == oracle(traj), writer.__name__
+
+
+def test_targets_csv_does_not_depend_on_its_block_size(monkeypatch, smoke_sweep):
+    # the smoke grid's 729 rows fit one block; 7-row blocks split them
+    table, _ = smoke_sweep
+    whole = files.targets_csv(table)
+    assert len(whole.splitlines()) == 1 + len(table["t1"])
+    monkeypatch.setattr(files, "CSV_BLOCK_ROWS", 7)
+    assert files.targets_csv(table) == whole

@@ -46,10 +46,11 @@ def test_run_validation_matches_the_cli(tmp_path):
 def test_bench_smoke(tmp_path, capsys):
     out = tmp_path / "bench.json"
     bench = _load("bench")
-    # the child-process sweep row on the 36-cell grid, not the full one
+    # the child-process rows on the 36-cell grid, not the full one, and on
+    # 20 Monte Carlo trials
     grid = tmp_path / "small.grid"
     grid.write_text(bench.SWEEP_GRID, encoding="utf-8")
-    bench.FULL_SWEEP_GRID, bench.FULL_SWEEP_REPEATS = str(grid), 2
+    bench.FULL_SWEEP_GRID, bench.MONTECARLO_TRIALS, bench.CHILD_REPEATS = str(grid), 20, 2
     assert bench.main(["--repeats", "3", "--out", str(out), "--label", "a"]) == 0
     assert bench.main(["--repeats", "3", "--out", str(out), "--label", "b"]) == 0
     stored = json.loads(out.read_text())
@@ -62,9 +63,10 @@ def test_bench_smoke(tmp_path, capsys):
             "files.trajectory_csv", "files.dyads_csv",
             "files.long_format_csv", "solver.solve_equilibrium", "simulation.run_best_response",
             "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
-            "job.sweep", "job.sweep_full"} == set(
+            "job.sweep", "job.sweep_full", "job.montecarlo"} == set(
         block["rows"])
     for name, row in block["rows"].items():
         assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name
-    assert block["rows"]["job.sweep_full"]["child_peak_rss_mib"] > 0.0
+    for name in ("job.sweep_full", "job.montecarlo"):
+        assert block["rows"][name]["child_peak_rss_mib"] > 0.0
     assert "job.case_study" in capsys.readouterr().out

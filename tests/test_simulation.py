@@ -260,12 +260,39 @@ class TestBatchKernel:
         for got, sim in zip(record_batch(batch, scen.labels), sims):
             assert np.array_equal(got.actions, run(scen, sim).actions)
 
-    def test_stack_rejects_unequal_pre_history(self):
-        plain = RunBatch.single(two_actor(), SimConfig(horizon=3))
-        seeded = RunBatch.single(replace(two_actor(), pre_history=((0.5, 0.5),)),
-                                 SimConfig(horizon=3))
-        with pytest.raises(ValueError):
-            RunBatch.stack([plain, seeded])
+    def test_stack_front_pads_unequal_pre_history(self):
+        # pre-histories of 0, 1 and 3 periods under windows shorter and
+        # longer than them, across baseline modes and with noise
+        runs = [
+            (replace(two_actor(memory_k=2), pre_history=((0.2, 0.9),)),
+             SimConfig(horizon=9, noise_sigma=0.0)),
+            (two_actor("adaptive", baseline_init=(0.3, 0.3), memory_k=5),
+             SimConfig(horizon=12, noise_sigma=0.02, seed=4)),
+            (replace(two_actor(memory_k=6, kappa=2.0),
+                     pre_history=((0.1, 0.8), (0.6, -0.0), (0.35, 0.7))),
+             SimConfig(horizon=12, noise_sigma=0.0)),
+            (replace(two_actor("fixed", a_init=(0.9, 0.1), baseline_init=(0.5, 0.5),
+                               memory_k=1), pre_history=((0.4, 0.5),)),
+             SimConfig(horizon=4, noise_sigma=0.05, seed=4)),
+        ]
+        batch = RunBatch.stack([RunBatch.single(*r) for r in runs])
+        assert batch.pre_history.shape == (3, 4, 2)
+        lead = np.isnan(batch.pre_history).all(axis=2).sum(axis=0)
+        assert lead.tolist() == [2, 3, 0, 2]
+        for got, (scen, sim) in zip(record_batch(batch, ("A", "B")), runs):
+            want = run(scen, sim)
+            for name in ("actions", "baselines", "norms", "trust", "reputation",
+                         "signal", "recip_term", "converged"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_pre_history_nan_only_in_leading_periods(self):
+        batch = RunBatch.single(replace(two_actor(), pre_history=((0.5, 0.5), (0.4, 0.6))),
+                                SimConfig(horizon=3))
+        for period, actors in ((1, [0, 1]), (0, [1])):
+            pre = batch.pre_history.copy()
+            pre[period, 0, actors] = np.nan
+            with pytest.raises(ValueError, match="NaN only in whole leading periods"):
+                run_batch(replace(batch, pre_history=pre), lambda idx, state: None)
 
     def test_observer_sees_only_live_rows(self):
         scen = two_actor()
@@ -443,8 +470,17 @@ class TestExactShortcuts:
         ks = data.draw(st.lists(st.integers(1, 20), min_size=rows, max_size=rows), label="k")
         k = np.array(ks)[:, None]
         reach = _window_reach(k, n)
+        # row b's first leads[b] periods are empty slots, which hold 0.0
+        leads = data.draw(st.lists(st.integers(0, periods), min_size=rows, max_size=rows),
+                          label="lead")
+        for b, lead in enumerate(leads):
+            hist[:lead, b] = 0.0
         for avail in range(periods + 1):
-            got = _window_means(hist, avail, k, reach, initial)
-            want = np.array([[window_mean(hist[:avail, b, i].tolist(), ks[b], initial[b, i])
-                              for i in range(n)] for b in range(rows)], dtype=float)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), avail
+            with np.errstate(invalid="ignore"):  # 0 / 0 on the rows without a period
+                got = _window_means(hist, avail, k, reach, initial, np.array(leads)[:, None])
+            for b, lead in enumerate(leads):
+                if 0 < avail <= lead:
+                    continue  # a row without a period is the caller's to handle
+                want = [window_mean(hist[lead:avail, b, i].tolist(), ks[b], initial[b, i])
+                        for i in range(n)]
+                assert got[b].tobytes() == np.array(want, dtype=float).tobytes(), avail

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.files import targets_csv
+from coopsim.params import TrustParams
 from coopsim.reports import render_monte_carlo, render_target_report
+from coopsim.simulation import TRUST_FIELDS, RunBatch, record_batch
 from coopsim.stats import bootstrap_ci
 from coopsim.sweep import (
     FULL_GRID,
@@ -38,6 +40,7 @@ from coopsim.sweep import (
     run_sweep,
 )
 
+import oracles
 from oracles import signal_recovery_time
 
 
@@ -114,6 +117,16 @@ class TestForgiveness:
         cells = [replace(REFERENCE_CELL, memory_k=k) for k in ks]
         tau_f = measure_cells(columns(cells, GRID_KEYS))["tau_f"]
         assert tau_f.tolist() == [k + 1 for k in ks]
+
+    def test_prop2_window_holds_by_construction(self):
+        # the signal about the partner is 0.5 / k (at least RECOVERY_TOL up to
+        # k = 25) while the defection is in the k-period window and 0.0 once
+        # it has left: tau_f = k + 1, inside [k, 2k]
+        ks = range(1, 21)
+        tau_f = sweep.forgiveness_times(columns([replace(REFERENCE_CELL, memory_k=k)
+                                                 for k in ks], GRID_KEYS))
+        assert tau_f.tolist() == [k + 1 for k in ks]
+        assert all(k <= tau <= 2 * k for k, tau in zip(ks, tau_f.tolist()))
 
     def test_recovery_detector(self):
         settles = [0.0] * 9 + [-0.5, 0.1, 0.1, 0.01, 0.005, 0.001, 0.0]
@@ -231,8 +244,9 @@ class TestSweepAggregation:
         table = run_sweep(grid)
         assert len(horizons) == 126 and horizons == sorted(horizons, reverse=True)
         assert horizons.count(sweep.WARMUP) == 72  # emergence-type runs
-        # every run stops at its horizon: 30 + 38, 44 or 68 periods
-        assert sum(periods) == sum(horizons) == 72 * 30 + 18 * (38 + 44 + 68)
+        # every run stops at its horizon: 30, and 8, 14 or 38 periods from
+        # the defection on for k = 1, 4 and 16
+        assert sum(periods) == sum(horizons) == 72 * 30 + 18 * (8 + 14 + 38) == 3240
         monkeypatch.undo()
         assert_tables_equal(table, run_sweep(grid))
 
@@ -242,6 +256,43 @@ class TestSweepAggregation:
         tau_f = sweep.forgiveness_times(cells)
         assert tau_f.dtype == np.int64
         assert tau_f.tolist() == measure_cells(cells)["tau_f"].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_runs_from_the_defection_match_the_full_warm_up(self, data):
+        # t0 above t_max, a deadband (above 0.5 it hides the defection) and
+        # windows longer than the warm-up, so shorter than k at the defection
+        rows = data.draw(st.integers(1, 4), label="cells")
+        unit, open_unit = st.floats(0.0, 1.0), st.floats(0.01, 0.99)
+        cell = st.fixed_dictionaries({
+            "rho0": st.floats(0.0, 2.0), "eta": st.floats(0.0, 3.0),
+            "kappa": st.floats(0.05, 4.0), "memory_k": st.integers(1, 40),
+            "lambda_r": st.floats(0.0, 2.0), "t0": unit, "d": unit})
+        block = st.fixed_dictionaries({
+            "lambda_plus": open_unit, "lambda_minus": open_unit, "xi": st.floats(0.0, 2.0),
+            "mu_r": open_unit, "delta_r": open_unit, "t_max": st.floats(0.05, 1.0),
+            "theta_r": unit, "lambda_t": st.floats(0.0, 2.0),
+            "deadband": st.one_of(st.just(0.0), st.floats(0.0, 0.7))})
+        drawn = [(data.draw(cell), data.draw(block)) for _ in range(rows)]
+        cells = {key: np.array([c[key] for c, _ in drawn]) for key in GRID_KEYS}
+        trust = {f: np.array([b.get(f, TrustParams.t0) for _, b in drawn])
+                 for f in TRUST_FIELDS}
+        m, ids = sweep._measure_runs(cells, trust, RHO0_EXTREMES)
+
+        runs = sweep._protocol_runs(cells, trust, RHO0_EXTREMES)
+        kinds = [sweep.PROTOCOL_RUNS.index(r) for r in ("forgiveness", "diff_high", "diff_low")]
+        shape = runs["horizon"].shape
+        flat = {name: np.broadcast_to(col, shape)[:, kinds].reshape(-1)
+                for name, col in runs.items()}
+        full = record_batch(RunBatch(**oracles.full_warmup_runs(flat)), ("A", "B"))
+        for i, kappa, traj in zip(ids[:, kinds].reshape(-1).tolist(), flat["kappa"], full):
+            signal = traj.signal[:, 0, 1]
+            want_tau = signal_recovery_time(signal.tolist(), oracles.WARMUP + 1,
+                                            RECOVERY_TOL, RECOVERY_SUSTAIN)
+            want_bound = np.abs(np.tanh(kappa * traj.signal)).max()
+            assert m["tau_f"][i] == want_tau
+            assert m["response"][i].hex() == traj.recip_term[oracles.WARMUP, 0, 1].hex()
+            assert m["bound"][i].hex() == want_bound.hex()
 
     def test_measure_targets_report(self):
         grid = ParameterGrid({"rho0": (1.0,), "kappa": (1.0,)})
@@ -324,6 +375,27 @@ class TestMonteCarlo:
         assert all("memory_k" not in names for names in report.clamped)
         assert (report.table["memory_k"] == REFERENCE_CELL.memory_k).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(trials=st.integers(2, 12), perturb=st.floats(0.0, 3.0),
+           seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**63, 2**64 - 1])))
+    def test_trial_columns_match_the_scalar_trials(self, trials, perturb, seed):
+        cells, trust, clamped = sweep.perturb_trials(trials, perturb, seed)
+        base = TrustParams()
+        params = {name: (getattr(base, name.removeprefix("trust.")) if "." in name
+                         else getattr(REFERENCE_CELL, name), lo, hi)
+                  for name, (lo, hi) in sweep._PERTURB_RANGES.items()}
+        assert len(clamped) == trials
+        for t in range(trials):
+            values, names = oracles.perturb_trial(t, perturb, seed, params)
+            assert clamped[t] == names
+            for name, value in values.items():
+                col = trust[name.removeprefix("trust.")] if "." in name else cells[name]
+                assert col[t].hex() == value.hex(), name
+        # the parameters left alone keep their base values
+        assert cells["memory_k"].tolist() == [REFERENCE_CELL.memory_k] * trials
+        assert trust["t0"].tolist() == [base.t0] * trials
+        assert trust["deadband"].tolist() == [base.deadband] * trials
+
 
 def _mc_report(ratios):
     n = len(ratios)
@@ -364,12 +436,12 @@ def test_monte_carlo_report_with_finite_ratios_keeps_its_sd_line():
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5], ids=["negative", "2**64", "non-integer"])
-@pytest.mark.parametrize("call", ["bootstrap_ci", "perturb_trial", "differentiation_stats"])
+@pytest.mark.parametrize("call", ["bootstrap_ci", "perturb_trials", "differentiation_stats"])
 def test_seed_outside_the_generator_range_rejected(call, seed, smoke_sweep):
     # the generator would alias -1 with 2**64 - 1 and 2**64 with 0
     calls = {
         "bootstrap_ci": lambda: bootstrap_ci([1.0, 2.0, 3.0], seed=seed),
-        "perturb_trial": lambda: sweep.perturb_trial(3, 0.15, seed),
+        "perturb_trials": lambda: sweep.perturb_trials(3, 0.15, seed),
         "differentiation_stats": lambda: differentiation_stats(smoke_sweep[0], seed=seed),
     }
     with pytest.raises(ConfigurationError, match=r"^seed must be in \[0, 2\*\*64\), got "):
