@@ -7,14 +7,11 @@ Rows, each the cost of one call:
   3 actors);
 - ``simulation.update_trust``: one ``_update_trust_matrices`` on a
   (1, 3, 3) batch;
-- ``simulation.window_means``: one ``_window_means`` with k = 4, its
-  ``reach`` built as the checkout takes it (a ``_window_reach`` array, or
-  the older per-offset list);
+- ``simulation.window_means``: one ``_window_means`` with k = 4;
 - ``simulation.run`` and ``simulation.period``: one iOS ``run()``, and the
   same divided by its 66 periods;
 - ``case_study.run_pair``: the iOS baseline and counterfactual as one
-  two-row ``record_batch`` (``case_study.run_ios_pair``); on a checkout
-  without that function, the two ``run_ios`` calls it replaces;
+  two-row ``record_batch`` (``case_study.run_ios_pair``);
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
@@ -22,8 +19,7 @@ Rows, each the cost of one call:
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;
 - ``sweep.measure_batch``: one ``measure_cells`` call on the first 256
-  cells of the full grid; on a checkout whose ``measure_cells`` takes
-  per-cell objects, the same cells as those;
+  cells of the full grid;
 - ``job.case_study``: the in-process ``coopsim case-study ios
   --counterfactual`` job, output files included;
 - ``job.simulate_best_response``: the in-process ``coopsim simulate
@@ -55,7 +51,6 @@ import argparse
 import contextlib
 import dataclasses
 import io
-import itertools
 import json
 import os
 import platform
@@ -93,26 +88,10 @@ def _noise_block(seed: int, n: int, horizon: int):
     return lambda: rng.normal(seed, streams, counters)
 
 
-def _run_pair(seed: int):
-    """The iOS baseline and counterfactual runs, as the checkout makes them
-    for ``coopsim case-study ios --counterfactual``."""
-    if hasattr(case_study, "run_ios_pair"):
-        return case_study.run_ios_pair(seed)
-    return case_study.run_ios(False, seed), case_study.run_ios(True, seed)
-
-
 def _measure_batch(cells: int):
-    """One ``measure_cells`` call on the full grid's first ``cells`` cells,
-    as the checkout takes them."""
-    grid = sweep.FULL_GRID
-    if hasattr(grid, "columns"):
-        first = {key: col[:cells] for key, col in grid.columns().items()}
-        return lambda: sweep.measure_cells(first)
-    levels = [grid.levels.get(key, (getattr(sweep.REFERENCE_CELL, key),))
-              for key in sweep.GRID_KEYS]
-    first = [sweep.SweepCell(*row) for row in itertools.islice(itertools.product(*levels), cells)]
-    trust = [sweep.TrustParams()] * cells
-    return lambda: sweep.measure_cells(range(cells), first, trust)
+    """One ``measure_cells`` call on the full grid's first ``cells`` cells."""
+    first = {key: col[:cells] for key, col in sweep.FULL_GRID.columns().items()}
+    return lambda: sweep.measure_cells(first)
 
 
 def _cli(argv: list) -> None:
@@ -133,10 +112,7 @@ def rows(work: str) -> dict:
 
     k = np.array([[4]])
     hist = traj.actions[:, None, :].copy()
-    if hasattr(simulation, "_window_reach"):
-        reach = simulation._window_reach(k, scenario.n)
-    else:
-        reach = [None] * 5
+    reach = simulation._window_reach(k, scenario.n)
     initial = np.array([scenario.baseline_init])
 
     ref = reference_scenario()
@@ -163,7 +139,7 @@ def rows(work: str) -> dict:
             lambda: simulation._window_means(hist, 20, k, reach, initial), 1),
         "simulation.run": (lambda: simulation.run(scenario, sim), 1),
         "simulation.period": (lambda: simulation.run(scenario, sim), sim.horizon),
-        "case_study.run_pair": (lambda: _run_pair(sim.seed), 1),
+        "case_study.run_pair": (lambda: case_study.run_ios_pair(sim.seed), 1),
         "files.trajectory_csv": (lambda: files.trajectory_csv(traj), 1),
         "files.dyads_csv": (lambda: files.dyads_csv(traj), 1),
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),

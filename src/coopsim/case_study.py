@@ -9,10 +9,13 @@ parameters, shock schedule) are fixed here.  Phase analytics, the
 auto-scorable subset of the 12-indicator validation rubric, and the
 early-concession counterfactual build on the shared simulation engine.
 
-Phase boundaries and shocks: the triggering event of each transition lands
-on the closing quarter of the preceding phase (commission criticism at
-Q36, the lawsuit escalation at Q48, the policy concession at Q54); the
-maturation transition at Q16 is endogenous, with no shock.
+Phase boundaries and shocks: the phases are the fixed partition
+``IOS_PHASES`` of the 66 quarters, each at least six quarters long, and the
+phase analytics take only a trajectory of that length.  The triggering
+event of each transition lands on the closing quarter of the preceding
+phase (commission criticism at Q36, the lawsuit escalation at Q48, the
+policy concession at Q54); the maturation transition at Q16 is endogenous,
+with no shock.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,11 +102,8 @@ class PhaseSpec:
     start: int
     end: int  # inclusive
 
-    @property
-    def quarters(self) -> range:
-        return range(self.start, self.end + 1)
 
-
+#: The five documented phases: a fixed partition of quarters 1..HORIZON.
 IOS_PHASES = (
     PhaseSpec("Symbiosis", 1, 16),
     PhaseSpec("Maturation", 17, 36),
@@ -113,15 +113,13 @@ IOS_PHASES = (
 )
 
 
-def validate_phases(phases: Sequence[PhaseSpec], horizon: int) -> None:
-    """Phases must be contiguous, non-overlapping, and cover 1..horizon."""
-    expected = 1
-    for p in phases:
-        if p.start != expected or p.end < p.start:
-            raise ConfigurationError(f"phase {p.name} breaks the partition")
-        expected = p.end + 1
-    if expected != horizon + 1:
-        raise ConfigurationError("phases do not cover the full horizon")
+def _phase_blocks(series: np.ndarray) -> list[np.ndarray]:
+    """Each phase's quarters of a per-quarter series, which must span the
+    case study's ``HORIZON`` quarters."""
+    if len(series) != HORIZON:
+        raise ConfigurationError(
+            f"the case-study phases need a {HORIZON}-quarter trajectory, got {len(series)}")
+    return [series[p.start - 1 : p.end] for p in IOS_PHASES]
 
 
 def ios_dependency_csv_path() -> str:
@@ -174,14 +172,15 @@ def build_ios_scenario(counterfactual: bool = False,
     return scenario, sim
 
 
-def run_ios(counterfactual: bool = False, seed: int = DEFAULT_SEED) -> Trajectory:
-    scenario, sim = build_ios_scenario(counterfactual, seed)
-    return run(scenario, sim)
+def run_ios(seed: int = DEFAULT_SEED) -> Trajectory:
+    """The baseline run alone; :func:`run_ios_pair` gives the counterfactual."""
+    return run(*build_ios_scenario(False, seed))
 
 
 def run_ios_pair(seed: int = DEFAULT_SEED) -> tuple[Trajectory, Trajectory]:
-    """``(baseline, counterfactual)``: the two runs of :func:`run_ios`,
-    advanced together as one two-row batch that draws one noise block."""
+    """``(baseline, counterfactual)``: the runs of both ``build_ios_scenario``
+    variants, advanced together as one two-row batch that draws one noise
+    block."""
     runs = [build_ios_scenario(counterfactual, seed) for counterfactual in (False, True)]
     batch = RunBatch.stack([RunBatch.single(scenario, sim) for scenario, sim in runs])
     base, cf = record_batch(batch, ACTORS)
@@ -199,20 +198,15 @@ class PhaseStats:
     sds: tuple[float, ...]
 
 
-def phase_statistics(traj: Trajectory,
-                     phases: Sequence[PhaseSpec] = IOS_PHASES) -> list[PhaseStats]:
-    validate_phases(phases, traj.horizon)
-    out = []
-    for p in phases:
-        block = traj.actions[p.start - 1 : p.end]
-        out.append(
-            PhaseStats(
-                phase=p.name, start=p.start, end=p.end,
-                means=tuple(float(x) for x in block.mean(axis=0)),
-                sds=tuple(float(x) for x in block.std(axis=0, ddof=0)),
-            )
+def phase_statistics(traj: Trajectory) -> list[PhaseStats]:
+    return [
+        PhaseStats(
+            phase=p.name, start=p.start, end=p.end,
+            means=tuple(float(x) for x in block.mean(axis=0)),
+            sds=tuple(float(x) for x in block.std(axis=0, ddof=0)),
         )
-    return out
+        for p, block in zip(IOS_PHASES, _phase_blocks(traj.actions))
+    ]
 
 
 #: Transition detection: a disruption moves aggregate cooperation by more
@@ -222,8 +216,7 @@ JUMP_THRESHOLD = 0.05
 NORM_GAP = 0.03
 
 
-def detect_transitions(traj: Trajectory,
-                       phases: Sequence[PhaseSpec] = IOS_PHASES) -> dict[str, Optional[int]]:
+def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
     """Detected transition quarter opening each phase (None if not found).
 
     Disruption-driven transitions are quarters where the aggregate
@@ -248,8 +241,8 @@ def detect_transitions(traj: Trajectory,
             plateau = q - 1
             break
 
-    out: dict[str, Optional[int]] = {phases[0].name: 1, phases[1].name: plateau}
-    for p in phases[2:]:
+    out: dict[str, Optional[int]] = {IOS_PHASES[0].name: 1, IOS_PHASES[1].name: plateau}
+    for p in IOS_PHASES[2:]:
         best = None
         for q in detected_shocks:
             if best is None or abs(q - (p.start - 1)) < abs(best - (p.start - 1)):
@@ -325,12 +318,12 @@ class RubricScore:
         return total, float(applicable)
 
 
-def _gate_matrix(traj: Trajectory, phases: Sequence[PhaseSpec]) -> list[tuple[float, float]]:
+def _gate_matrix(traj: Trajectory) -> list[tuple[float, float]]:
     """Per phase: (developer-side, platform-side) mean trust-gated response weights."""
     gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
     out = []
-    for p in phases:
-        weighted = traj.trust[p.start - 1 : p.end].mean(axis=0) * gate
+    for block in _phase_blocks(traj.trust):
+        weighted = block.mean(axis=0) * gate
         out.append((float(weighted[1, 0] + weighted[2, 0]),
                     float(weighted[0, 1] + weighted[0, 2])))
     return out
@@ -358,24 +351,23 @@ def _trend_score(delta: float, expected: int, band: float) -> float:
 def _body_end(p: PhaseSpec, is_last: bool) -> int:
     # Transition shocks land on closing quarters; the phase body excludes
     # them so the triggering event does not mask the phase character.
-    return p.end if is_last else max(p.start, p.end - 1)
+    return p.end if is_last else p.end - 1
 
 
-def score_rubric_auto(traj: Trajectory,
-                      phases: Sequence[PhaseSpec] = IOS_PHASES) -> RubricScore:
+def score_rubric_auto(traj: Trajectory) -> RubricScore:
     """Score the automatable indicators (1, 4, 8, 10) phase by phase."""
-    validate_phases(phases, traj.horizon)
+    blocks = _phase_blocks(traj.actions)
     m = traj.actions.mean(axis=1)
-    n_phases = len(phases)
+    n_phases = len(IOS_PHASES)
 
     # Indicator 1: trend direction, measured between phase-body endpoints
     # (two-quarter means for noise robustness).
     def ref_level(q: int) -> float:
-        return float(m[max(0, q - 2) : q].mean())
+        return float(m[q - 2 : q].mean())
 
     trend_scores = []
-    prev_ref = ref_level(min(2, traj.horizon))
-    for idx, p in enumerate(phases):
+    prev_ref = ref_level(2)
+    for idx, p in enumerate(IOS_PHASES):
         ref = ref_level(_body_end(p, idx == n_phases - 1))
         trend_scores.append(_trend_score(ref - prev_ref, EXPECTED_TRENDS[idx], band=0.05))
         prev_ref = ref
@@ -384,14 +376,14 @@ def score_rubric_auto(traj: Trajectory,
     # weights: the developers' trust-gated reciprocity capacity toward the
     # platform exceeds the platform's toward them in every phase.
     asym_scores = [
-        1.0 if dev > apple else 0.0 for dev, apple in _gate_matrix(traj, phases)
+        1.0 if dev > apple else 0.0 for dev, apple in _gate_matrix(traj)
     ]
 
     # Indicator 8: transition timing within one quarter of the phase's
     # opening transition (the closing quarter of the preceding phase).
-    transitions = detect_transitions(traj, phases)
+    transitions = detect_transitions(traj)
     timing_scores = []
-    for idx, p in enumerate(phases):
+    for idx, p in enumerate(IOS_PHASES):
         if idx == 0:
             timing_scores.append(1.0)
             continue
@@ -404,17 +396,12 @@ def score_rubric_auto(traj: Trajectory,
 
     # Indicator 10: within-phase stability after removing the phase trend.
     stab_scores = []
-    for p in phases:
-        block = traj.actions[p.start - 1 : p.end]
+    for block in blocks:
         q = np.arange(block.shape[0], dtype=float)
         resid_sd = []
         for col in range(block.shape[1]):
             series = block[:, col]
-            if len(series) > 2:
-                coef = np.polyfit(q, series, 1)
-                resid = series - np.polyval(coef, q)
-            else:
-                resid = series - series.mean()
+            resid = series - np.polyval(np.polyfit(q, series, 1), q)
             resid_sd.append(float(resid.std(ddof=0)))
         stab_scores.append(_band_score(float(np.mean(resid_sd)), 0.15, 0.22))
 

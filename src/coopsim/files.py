@@ -239,7 +239,7 @@ def read_scenario(path: str) -> tuple[ScenarioConfig, SimConfig]:
 
 
 def write_scenario(path: str, scenario: ScenarioConfig, sim: SimConfig) -> None:
-    _write_text(path, scenario_to_text(scenario, sim))
+    write_file(path, scenario_to_text(scenario, sim))
 
 
 # -- dependency tables -------------------------------------------------------
@@ -312,12 +312,6 @@ def read_grid(path: str) -> ParameterGrid:
 
 # -- output CSVs ---------------------------------------------------------------
 
-def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _dyads(traj: Trajectory, *states: str) -> tuple[list, list]:
     """Each off-diagonal (i, j) label pair in row-major order, and per named
     (H, n, n) state the period rows of its off-diagonal values as lists."""
@@ -376,4 +370,6 @@ def targets_csv(table: dict[str, np.ndarray]) -> str:
 
 
 def write_file(path: str, text: str) -> None:
-    _write_text(path, text)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -17,7 +17,7 @@ from .case_study import (
     PhaseStats,
     RubricScore,
 )
-from .stats import StatsSummary, effect_size_label
+from .stats import BOOTSTRAP_LEVEL, StatsSummary, effect_size_label
 from .sweep import T4_RATIO, MonteCarloReport, TargetReport
 
 
@@ -52,7 +52,8 @@ def render_target_report(report: TargetReport, grid_size: int,
             lines.append(f"- {stats.left_out} of {stats.total} ratios not finite, left out of "
                          "the mean, sd, bootstrap CI and Wilcoxon test")
         lines += [
-            f"- bootstrap 95% CI of the mean ratio: [{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]",
+            f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: "
+            f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]",
             f"- paired t({stats.df}) = {stats.t_stat:.2f}, p = {stats.p_value:.3g}",
             f"- Cohen's d = {stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})",
             f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): "
@@ -99,7 +100,7 @@ def phase_stats_csv(stats: Sequence[PhaseStats], labels: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_rubric(score: RubricScore, phases=IOS_PHASES) -> str:
+def render_rubric(score: RubricScore) -> str:
     ref_total, applicable = RubricScore.reference_total()
     lines = [
         "# Validation rubric",
@@ -109,8 +110,8 @@ def render_rubric(score: RubricScore, phases=IOS_PHASES) -> str:
         "reference assessment attached (`ref` columns).  `n/a` marks cells",
         "not applicable to a phase.",
         "",
-        "| # | Indicator | " + " | ".join(p.name for p in phases) + " | Auto avg |",
-        "|---|-----------|" + "---|" * (len(phases) + 1),
+        "| # | Indicator | " + " | ".join(p.name for p in IOS_PHASES) + " | Auto avg |",
+        "|---|-----------|" + "---|" * (len(IOS_PHASES) + 1),
     ]
 
     def cell(value) -> str:

@@ -116,12 +116,6 @@ class ScenarioConfig:
     def n(self) -> int:
         return len(self.labels)
 
-    def actor_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ConfigurationError(f"unknown actor label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -6,15 +6,17 @@ two-layer trust state, then advance actions by the selected rule:
 
 - ``adjustment`` mode moves each action by the sum of its gated
   reciprocity terms at the adjustment rate, minus mean reversion toward
-  the actor's prevailing norm, plus optional Gaussian noise and scheduled
-  shocks, clipped to bounds:
+  the actor's prevailing norm, plus optional Gaussian noise:
 
-      a_i' = clip(a_i + adjust_rate * sum_j term_ij
-                  - decay * (a_i - norm_i) + noise + shock)
+      a_i' = a_i + adjust_rate * sum_j term_ij - decay * (a_i - norm_i) + noise
 
 - ``best_response`` mode replaces the action update with a fresh
   equilibrium solve given each actor's own windowed average and the
   current trust.
+
+Every period's actions, period 1's initial actions included, then go
+through one step: the period's scheduled shocks are added, its scripted
+actions replace the result, and the bounds clip it.
 
 Reference levels.  The *cooperation signal* recorded per dyad and driving
 the trust/reputation updates is always the canonical bounded-memory
@@ -26,10 +28,11 @@ adapting per-actor norm, or the deviation from a fixed reference.  The
 norm -- also the anchor of the mean-reversion term -- moves toward the
 latest actions at ``baseline_rate`` each period (rate 0 pins it).  Noise
 comes from the counter-based generator, one stream per actor, counter =
-period, so runs are bit-reproducible and order-independent; the
-adjustment rule draws one ``(H, n)`` block per distinct seed of the noisy
-rows, in one array call before the first period, and the rows on that seed
-share it (best-response mode ignores noise and draws none).
+period, so runs are bit-reproducible and order-independent.  The
+adjustment rule's noise is one ``(H, B, n)`` array built before the first
+period: one ``(H, n)`` draw per distinct seed of the noisy rows, shared by
+the rows on that seed and scaled by each row's sigma, and -0.0 on the
+noiseless rows (best-response mode ignores noise and draws none).
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
@@ -118,7 +121,7 @@ class RunBatch:
     baseline_init: np.ndarray  # (B, n)
     baseline_mode: np.ndarray  # (B,) index into BASELINE_MODES
     horizon: np.ndarray  # (B,)
-    script: Optional[np.ndarray] = None  # (H, B, n) pinned actions, NaN where free
+    script: Optional[np.ndarray] = None  # (H, B, n) pinned actions, NaN where free; beats shocks
     shocks: tuple[tuple[int, Shock], ...] = ()  # (row, shock), applied in order
     pre_history: Optional[np.ndarray] = None  # (P, B, n) rows before period 1, NaN where none
 
@@ -372,20 +375,20 @@ def run_batch(batch: RunBatch, observe: Observer,
     tp = _trust_rows(batch.trust, d)
     rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
                               for f in ("adjust_rate", "decay", "baseline_rate"))
-    # One read-only (H, n) block per distinct seed of the noisy rows, whose
-    # row t - 1 is period t's noise; noise[t - 1] holds every noisy row's
-    # scaled noise for period t.
+    # Period t's noise is noise[t - 1]: each noisy row's scaled (H, n) block,
+    # one draw per distinct seed, and -0.0 on the other rows, since adding
+    # -0.0 leaves every value's bits as they are.
     sigma, seeds = batch.sim["noise_sigma"], batch.sim["seed"]
-    noisy = [] if best_response is not None else np.flatnonzero(sigma > 0.0).tolist()
-    blocks: dict[int, np.ndarray] = {}
-    for seed in {int(seeds[b]) for b in noisy}:
-        blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
-                              np.arange(1, H + 1, dtype=np.uint64)[:, None])
-        blocks[seed].flags.writeable = False
-    noise = (np.stack([float(sigma[b]) * blocks[int(seeds[b])] for b in noisy], axis=1)
-             if noisy else None)
-    # A slice when every row is noisy: an index list costs about 5 us more per period.
-    noisy_rows = slice(None) if len(noisy) == B else noisy
+    noise = None
+    if best_response is None and (sigma > 0.0).any():
+        noise = np.full((H, B, n), -0.0)
+        blocks: dict[int, np.ndarray] = {}
+        for b in np.flatnonzero(sigma > 0.0).tolist():
+            seed = int(seeds[b])
+            if seed not in blocks:
+                blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
+                                      np.arange(1, H + 1, dtype=np.uint64)[:, None])
+            noise[:, b] = float(sigma[b]) * blocks[seed]
     shocks_at: dict[int, list[tuple[int, int, float]]] = {}
     for b, shock in batch.shocks:
         if shock.period <= horizon[b]:
@@ -409,20 +412,22 @@ def run_batch(batch: RunBatch, observe: Observer,
     hist = np.empty((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
     hist[:P] = np.where(empty, 0.0, pre)
 
-    actions = np.array(batch.a_init, dtype=float)
     norms = initial.copy()
     trust = _per_row(batch.trust["t0"], (n, n))
     trust.reshape(B, n * n)[:, :: n + 1] = 1.0
     reputation = np.zeros((B, n, n))
     converged = np.ones(B, dtype=bool)
 
-    # Period-1 actions may themselves be scripted or shocked.
-    if script is not None:
-        actions = np.where(free[0], actions, script[0])
-    for b, i, delta in shocks_at.get(1, ()):
-        actions[b, i] += delta
-    np.minimum(np.maximum(actions, 0.0), a_max, out=actions)
+    def settle(a: np.ndarray, idx: int) -> np.ndarray:
+        """Period idx + 1's actions from the rule's ``a``: the period's
+        shocks, then its script, then the bounds."""
+        for b, i, delta in shocks_at.get(idx + 1, ()):
+            a[b, i] += delta
+        if script is not None:
+            a = np.where(free[idx], a, script[idx])
+        return np.minimum(np.maximum(a, 0.0), a_max, out=a)
 
+    actions = settle(np.array(batch.a_init, dtype=float), 0)
     # A row without pre-history starts at its initial level (0 / 0 elsewhere).
     with np.errstate(invalid="ignore"):
         b_win = np.where(lead < P, _window_means(hist, P, k, reach, initial, lead), initial)
@@ -457,9 +462,8 @@ def run_batch(batch: RunBatch, observe: Observer,
             reach, hist = reach[:, :L], hist[:, :L]
             if script is not None:
                 script, free = script[:, :L], free[:, :L]
-            noisy = [b for b in noisy if b < L]
-            noise = noise[:, : len(noisy)] if noisy else None
-            noisy_rows = slice(None) if len(noisy) == L else noisy
+            if noise is not None:
+                noise = noise[:, :L]
             windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
 
         # Actions through period t are known when choosing t+1 actions.
@@ -467,20 +471,14 @@ def run_batch(batch: RunBatch, observe: Observer,
         if best_response is None:
             nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
             if noise is not None:
-                nxt[noisy_rows] += noise[t]
+                nxt += noise[t]
         else:
             result = best_response(b_next[0], trust[0], actions[0])
             converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 
-        for b, i, delta in shocks_at.get(t + 1, ()):
-            nxt[b, i] += delta
-        if script is not None:
-            nxt = np.where(free[t], nxt, script[t])
-        np.minimum(np.maximum(nxt, 0.0), a_max, out=nxt)
-
         norms += norm_rate * (actions - norms)
-        actions, b_win = nxt, b_next
+        actions, b_win = settle(nxt, t), b_next
 
 
 def record_batch(batch: RunBatch, labels: tuple[str, ...],
@@ -508,21 +506,21 @@ def record_batch(batch: RunBatch, labels: tuple[str, ...],
 def run(
     scenario: ScenarioConfig,
     sim: SimConfig,
-    solver=None,
     script: Optional[Mapping[int, Mapping[int, float]]] = None,
 ) -> Trajectory:
-    """Simulate one full trajectory: the one-row call of :func:`run_batch`.
+    """Simulate one full trajectory: the one-row call of :func:`run_batch`,
+    best-response mode with the default ``SolverConfig``.
 
     ``script`` optionally pins actors to fixed actions: ``{actor: {period:
-    value}}`` overrides the dynamics (and suppresses that actor's noise for
-    the scripted period); the validation protocol uses this to inject
-    controlled defection stimuli.
+    value}}`` overrides the dynamics, the noise and any shock of that actor
+    in the scripted period; in every period the shocks apply first, then
+    the script, then the bounds.
     """
     respond = None
     if sim.mode == "best_response":
         from .solver import EquilibriumSolver, SolverConfig
 
-        respond = EquilibriumSolver(scenario, SolverConfig() if solver is None else solver)
+        respond = EquilibriumSolver(scenario, SolverConfig())
 
     return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
 

@@ -155,6 +155,9 @@ def effect_size_label(d: float) -> str:
 
 #: Resample indices drawn per chunk: bounds the index matrix's memory.
 _BOOTSTRAP_CHUNK = 20_000
+#: Resamples of one bootstrap interval, and its coverage.
+BOOTSTRAP_REPLICATES = 10_000
+BOOTSTRAP_LEVEL = 0.95
 
 
 def _resample_means(sample: np.ndarray, replicates: int, seed: int) -> np.ndarray:
@@ -175,13 +178,9 @@ def _resample_means(sample: np.ndarray, replicates: int, seed: int) -> np.ndarra
     return means
 
 
-def bootstrap_ci(
-    sample: Sequence[float],
-    replicates: int = 10000,
-    seed: int = 0,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for the mean.
+def bootstrap_ci(sample: Sequence[float], seed: int = 0) -> tuple[float, float]:
+    """Seeded ``BOOTSTRAP_LEVEL`` percentile bootstrap interval for the mean,
+    over ``BOOTSTRAP_REPLICATES`` resamples.
 
     Resampling indices come from a generator seeded deterministically from
     ``seed``, so intervals are reproducible.
@@ -190,8 +189,8 @@ def bootstrap_ci(
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise ValueError("sample must be nonempty")
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(_resample_means(arr, replicates, seed), [alpha, 1.0 - alpha])
+    alpha = (1.0 - BOOTSTRAP_LEVEL) / 2.0
+    lo, hi = np.quantile(_resample_means(arr, BOOTSTRAP_REPLICATES, seed), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 

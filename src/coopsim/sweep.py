@@ -21,7 +21,9 @@ are its configuration, its trust block and the grid's rho0 extremes.
    observer's cooperation signal about the defector returns within
    tolerance inside 2k periods (the forgiveness time ``tau_f``, which
    Proposition 2 reads too); target 6 checks every recorded bounded
-   response against the +/-1 envelope.
+   response against the +/-1 envelope.  While the defection is in the
+   window the signal is 0.5/k, so windows above ``MAX_MEMORY_K`` = 25 would
+   read as recovered at once; grids reject them.
 
    The warm-up is a fixed point: both actors hold 0.5 against 0.5 baselines
    and norms, so every signal is 0.0 and trust moves once, to min(t0,
@@ -84,6 +86,10 @@ DEFECTION = -0.5  # the partner's one-period drop below START_ACTION
 RECOVERY_PAD = 5  # forgiveness runs last 1 + 2k + RECOVERY_PAD periods after the warm-up
 RECOVERY_TOL = 0.02
 RECOVERY_SUSTAIN = 3
+#: The longest memory window the forgiveness run can measure: while the
+#: defection is in the window the signal about the defector is -DEFECTION / k,
+#: and below RECOVERY_TOL it would read as recovered at once.
+MAX_MEMORY_K = math.floor(-DEFECTION / RECOVERY_TOL)
 DIFF_HIGH = 0.8  # T4's dependency pair
 DIFF_LOW = 0.2
 T4_RATIO = 1.5
@@ -143,7 +149,8 @@ class ParameterGrid:
     """Cartesian product of per-parameter levels, row-major in GRID_KEYS order.
 
     Each level passes ``SweepCell``'s validators when the grid is built, and
-    is stored as the cell stores it (``memory_k`` as an int).
+    is stored as the cell stores it (``memory_k`` as an int); ``memory_k``
+    levels may not exceed ``MAX_MEMORY_K``.
     """
 
     levels: dict[str, tuple[float, ...]]
@@ -162,6 +169,11 @@ class ParameterGrid:
                 if not vals:
                     raise ConfigurationError(f"grid parameter {key!r} has no levels")
                 clean[key] = vals
+        if max(clean.get("memory_k", (0,))) > MAX_MEMORY_K:
+            raise ConfigurationError(
+                f"memory_k levels above {MAX_MEMORY_K} are beyond the forgiveness "
+                f"run: its signal {-DEFECTION}/k would start inside the recovery "
+                f"tolerance {RECOVERY_TOL}")
         if not clean:
             raise ConfigurationError("grid defines no parameters")
         object.__setattr__(self, "levels", clean)

@@ -198,7 +198,7 @@ def test_criterion_8_solver_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def ios_runs():
-    return cs.run_ios(False), cs.run_ios(True)
+    return cs.run_ios(), cs.run_ios_pair()[1]
 
 
 def test_criterion_9_phase_orderings(ios_runs):

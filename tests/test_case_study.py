@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim.errors import ConfigurationError
-from coopsim.simulation import Trajectory
+from coopsim.simulation import Trajectory, run
 
 
 class TestScenarioConstants:
@@ -51,14 +51,9 @@ class TestScenarioConstants:
         assert by_key[(54, 0)] == +0.20
 
     def test_phase_partition(self):
-        cs.validate_phases(cs.IOS_PHASES, cs.HORIZON)
         spans = [(p.start, p.end) for p in cs.IOS_PHASES]
         assert spans == [(1, 16), (17, 36), (37, 48), (49, 54), (55, 66)]
-
-    def test_broken_partition_rejected(self):
-        phases = (cs.PhaseSpec("a", 1, 10), cs.PhaseSpec("b", 12, 66))
-        with pytest.raises(ConfigurationError):
-            cs.validate_phases(phases, 66)
+        assert spans[-1][1] == cs.HORIZON
 
 
 def flat_trajectory(level=0.7, horizon=66, n=3):
@@ -83,12 +78,11 @@ class TestPhaseStatistics:
             assert p.means == pytest.approx((0.7, 0.7, 0.7), abs=1e-12)
             assert p.sds == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
-    def test_single_quarter_phase(self):
-        traj = flat_trajectory(0.5, horizon=3)
-        traj.actions[1] = [0.1, 0.2, 0.3]
-        phases = (cs.PhaseSpec("a", 1, 1), cs.PhaseSpec("b", 2, 2), cs.PhaseSpec("c", 3, 3))
-        stats = cs.phase_statistics(traj, phases)
-        assert stats[1].means == (0.1, 0.2, 0.3)
+    @pytest.mark.parametrize("analysis", ["phase_statistics", "score_rubric_auto"])
+    @pytest.mark.parametrize("horizon", [65, 67])
+    def test_other_horizons_rejected(self, analysis, horizon):
+        with pytest.raises(ConfigurationError, match="66-quarter"):
+            getattr(cs, analysis)(flat_trajectory(horizon=horizon))
 
 
 class TestRubric:
@@ -110,7 +104,7 @@ class TestRubric:
         assert all(v == 1.0 for v in score.auto[10])
 
     def test_auto_indicators_on_baseline_run(self):
-        traj = cs.run_ios(False)
+        traj = cs.run_ios()
         score = cs.score_rubric_auto(traj)
         for indicator in cs.AUTO_INDICATORS:
             assert score.auto_average(indicator) >= 0.75, indicator
@@ -119,7 +113,7 @@ class TestRubric:
             assert all(v is not None for v in score.auto[indicator])
 
     def test_manual_indicators_not_auto_scored(self):
-        score = cs.score_rubric_auto(cs.run_ios(False))
+        score = cs.score_rubric_auto(cs.run_ios())
         for indicator in (2, 3, 5, 6, 7, 9, 11, 12):
             assert all(v is None for v in score.auto[indicator])
             assert score.reference[indicator] == cs.HUMAN_REFERENCE_SCORES[indicator]
@@ -127,21 +121,21 @@ class TestRubric:
 
 class TestBaselineRun:
     def test_crisis_is_minimum_maturation_is_maximum(self):
-        stats = cs.phase_statistics(cs.run_ios(False))
+        stats = cs.phase_statistics(cs.run_ios())
         means = np.array([p.means for p in stats])
         for actor in range(3):
             assert int(np.argmin(means[:, actor])) == 3
             assert int(np.argmax(means[:, actor])) == 1
 
     def test_transitions_within_one_quarter(self):
-        detected = cs.detect_transitions(cs.run_ios(False))
+        detected = cs.detect_transitions(cs.run_ios())
         assert abs(detected["Maturation"] - 16) <= 1
         assert detected["Tension"] == 36
         assert detected["Crisis"] == 48
         assert detected["Adjustment"] == 54
 
     def test_major_moves_more_than_platform_in_decline(self):
-        stats = cs.phase_statistics(cs.run_ios(False))
+        stats = cs.phase_statistics(cs.run_ios())
         means = np.array([p.means for p in stats])
         for phase in (2, 3):  # tension and crisis
             d_major = abs(means[phase, 1] - means[phase - 1, 1])
@@ -151,28 +145,26 @@ class TestBaselineRun:
 
 class TestCounterfactual:
     def test_identical_runs_have_zero_uplift(self):
-        base = cs.run_ios(False)
+        base = cs.run_ios()
         cmp = cs.counterfactual_comparison(base, base)
         assert all(u == 0.0 for u in cmp.uplift)
 
     def test_uplift_band_and_trust_floor(self):
-        base = cs.run_ios(False)
-        cf = cs.run_ios(True)
+        base, cf = cs.run_ios(), cs.run_ios_pair()[1]
         cmp = cs.counterfactual_comparison(base, cf)
         for u in cmp.uplift:
             assert 0.05 <= u <= 0.25
         assert cmp.min_bilateral_trust > 0.5
 
     def test_mismatched_horizons_rejected(self):
-        base = cs.run_ios(False)
+        base = cs.run_ios()
         short = flat_trajectory(horizon=10)
         with pytest.raises(ConfigurationError):
             cs.counterfactual_comparison(base, short)
 
     def test_noise_streams_are_paired(self):
         # same seed drives both runs, so pre-divergence quarters match
-        base = cs.run_ios(False, seed=7)
-        cf = cs.run_ios(True, seed=7)
+        base, cf = cs.run_ios(seed=7), cs.run_ios_pair(seed=7)[1]
         assert np.allclose(base.actions[:30], cf.actions[:30])
 
     @given(seed=st.sampled_from([0, cs.DEFAULT_SEED, 2**64 - 1]) | st.integers(0, 2**64 - 1))
@@ -181,7 +173,7 @@ class TestCounterfactual:
         # one two-row batch on one noise block gives each run's own bits
         pair = cs.run_ios_pair(seed)
         for got, counterfactual in zip(pair, (False, True)):
-            want = cs.run_ios(counterfactual, seed)
+            want = run(*cs.build_ios_scenario(counterfactual, seed))
             for f in fields(Trajectory):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 if f.name == "labels":

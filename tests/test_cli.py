@@ -155,6 +155,15 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: memory_k must be an integer")
         assert not os.path.exists(os.path.join(out, "targets.csv"))
 
+    def test_memory_k_beyond_the_forgiveness_run_exits_one(self, tmp_path, capsys):
+        # at k = 26 the forgiveness run would read as recovered at once
+        grid = tmp_path / "k.grid"
+        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 4,26\n")
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: memory_k levels above 25 ")
+        assert not os.path.exists(out)
+
     def test_grid_too_small_for_statistics_exits_one(self, tmp_path, capsys):
         # 4 cells give fewer than the 6 ratios the Wilcoxon test needs
         grid = tmp_path / "four.grid"
@@ -333,6 +342,11 @@ class TestPropCheckCommand:
         assert main(["prop-check", "--prop", "2", "--k", "5", "--kappa", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "tau_f=6" in out and "pass" in out
+
+    def test_prop2_beyond_the_forgiveness_run_fails(self, capsys):
+        # a finding, not an input error: tau_f = 1 lies outside [26, 52]
+        assert main(["prop-check", "--prop", "2", "--k", "26", "--kappa", "1.0"]) == 2
+        assert "k=26 kappa=1.0: tau_f=1 in [26, 52] -> FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, message", [("--k", "memory_k must be an integer >= 1"),
                                                ("--kappa", "kappa must be > 0")])

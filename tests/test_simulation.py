@@ -185,12 +185,24 @@ class TestValidation:
         traj = run(scen, sim, script={1: {p: 0.25 for p in range(2, 7)}})
         assert np.allclose(traj.actions[1:, 1], 0.25)
 
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_script_overrides_a_shock_in_every_period(self, period):
+        # each period adds its shocks, then applies its script, then the
+        # bounds; period 1's initial actions take the same step
+        shocks = (Shock(period=period, actor=0, delta=-0.2),
+                  Shock(period=period, actor=1, delta=-0.2))
+        sim = SimConfig(horizon=4, noise_sigma=0.0, shocks=shocks)
+        free = run(two_actor(), replace(sim, shocks=()), script={1: {period: 0.9}})
+        traj = run(two_actor(), sim, script={1: {period: 0.9}})
+        assert traj.actions[period - 1, 1] == 0.9
+        assert traj.actions[period - 1, 0] == free.actions[period - 1, 0] - 0.2
+
 
 class TestBatchKernel:
     def test_rows_equal_separate_runs(self):
         # mixed baseline modes, windows, horizons, noise, shocks and scripts;
-        # noisy rows end before noiseless ones, so the kernel drops noise
-        # columns while rows stay live
+        # noisy rows end before noiseless ones, so the kernel cuts the noise
+        # array (-0.0 on noiseless rows) with the live rows
         runs = [
             (two_actor("adaptive", baseline_init=(0.3, 0.3), memory_k=2, kappa=2.0),
              SimConfig(horizon=50, noise_sigma=0.0), {0: {40: 0.1}}),
@@ -214,7 +226,7 @@ class TestBatchKernel:
                 want = run(scen, sim, script=script)
                 for name in ("actions", "baselines", "norms", "trust", "reputation",
                              "signal", "recip_term", "converged"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_rows_on_one_seed_share_one_noise_block(self, monkeypatch):
         from coopsim import simulation
@@ -239,7 +251,7 @@ class TestBatchKernel:
             want = run(scen, sim)
             for name in ("actions", "baselines", "norms", "trust", "reputation",
                          "signal", "recip_term", "converged"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_rows_keep_seeds_above_the_int64_range(self):
         # seeds span [0, 2**64): stacking a small seed with a large one must
@@ -248,7 +260,7 @@ class TestBatchKernel:
         sims = [SimConfig(horizon=12, noise_sigma=0.02, seed=s) for s in (3, 2**64 - 1)]
         batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
         for got, sim in zip(record_batch(batch, scen.labels), sims):
-            assert np.array_equal(got.actions, run(scen, sim).actions)
+            assert got.actions.tobytes() == run(scen, sim).actions.tobytes()
 
     def test_stack_keeps_pre_history_and_offsets_shocks(self):
         scen = replace(two_actor(memory_k=3), pre_history=((0.2, 0.9), (0.4, 0.7)))
@@ -258,7 +270,7 @@ class TestBatchKernel:
         assert batch.pre_history.shape == (2, 2, 2) and batch.script is None
         assert [(r, s.period) for r, s in batch.shocks] == [(0, 3), (1, 6)]
         for got, sim in zip(record_batch(batch, scen.labels), sims):
-            assert np.array_equal(got.actions, run(scen, sim).actions)
+            assert got.actions.tobytes() == run(scen, sim).actions.tobytes()
 
     def test_stack_front_pads_unequal_pre_history(self):
         # pre-histories of 0, 1 and 3 periods under windows shorter and
@@ -311,7 +323,7 @@ class TestBatchKernel:
         # record_batch orders the rows itself and hands them back as given
         short, long = record_batch(batch, scen.labels)
         assert (short.horizon, long.horizon) == (3, 5)
-        assert np.array_equal(long.actions, run(scen, SimConfig(horizon=5)).actions)
+        assert long.actions.tobytes() == run(scen, SimConfig(horizon=5)).actions.tobytes()
 
     def test_take_keeps_shocks_with_their_rows(self):
         scen = two_actor()

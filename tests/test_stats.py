@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
+from coopsim import stats
 from coopsim.rng import derive_seed
 from coopsim.stats import (
     _resample_means,
@@ -72,30 +73,29 @@ class TestCohensD:
 
 class TestBootstrap:
     def test_constant_sample(self):
-        lo, hi = bootstrap_ci([3.5] * 10, replicates=500, seed=1)
+        lo, hi = bootstrap_ci([3.5] * 10, seed=1)
         assert lo == hi == 3.5
 
     def test_mean_contained(self):
         rng = random.Random(9)
         sample = [rng.gauss(5, 2) for _ in range(40)]
-        lo, hi = bootstrap_ci(sample, replicates=2000, seed=2)
+        lo, hi = bootstrap_ci(sample, seed=2)
         assert lo <= np.mean(sample) <= hi
 
     def test_deterministic_given_seed(self):
         sample = [1.0, 4.0, 2.0, 8.0, 5.0]
-        assert bootstrap_ci(sample, seed=7, replicates=1000) == bootstrap_ci(
-            sample, seed=7, replicates=1000
-        )
+        assert bootstrap_ci(sample, seed=7) == bootstrap_ci(sample, seed=7)
 
-    def test_coverage_on_synthetic_normals(self):
+    def test_coverage_on_synthetic_normals(self, monkeypatch):
         # percentile interval of the mean covers the true mean about 95% of
-        # the time; 500 trials, tolerance band [92%, 98%]
+        # the time; 500 trials of 400 resamples, tolerance band [92%, 98%]
+        monkeypatch.setattr(stats, "BOOTSTRAP_REPLICATES", 400)
         hits = 0
         trials = 500
         gen = np.random.default_rng(123)
         for trial in range(trials):
             sample = gen.normal(0.0, 1.0, size=35)
-            lo, hi = bootstrap_ci(sample, replicates=400, seed=derive_seed(11, trial))
+            lo, hi = bootstrap_ci(sample, seed=derive_seed(11, trial))
             if lo <= 0.0 <= hi:
                 hits += 1
         assert 0.92 * trials <= hits <= 0.98 * trials
@@ -146,8 +146,9 @@ def _reference_bootstrap(sample, replicates, seed, level=0.95):
 # one chunk (one replicate a chunk)
 @pytest.mark.parametrize("n, replicates", [(7, 3001), (8, 3000), (729, 1000),
                                            (20_001, 30), (45_000, 7)])
-def test_bootstrap_matches_per_replicate_reference(n, replicates):
+def test_bootstrap_matches_per_replicate_reference(n, replicates, monkeypatch):
     sample = np.random.default_rng(n).normal(size=n)
     means, interval = _reference_bootstrap(sample, replicates, seed=13)
     assert np.array_equal(_resample_means(sample, replicates, 13), means)
-    assert bootstrap_ci(sample, replicates=replicates, seed=13) == interval
+    monkeypatch.setattr(stats, "BOOTSTRAP_REPLICATES", replicates)
+    assert bootstrap_ci(sample, seed=13) == interval

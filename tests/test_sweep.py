@@ -95,6 +95,7 @@ class TestGrid:
         ({"memory_k": (0,)}, "memory_k must be an integer >= 1"),
         ({"d": (0.5, 1.5)}, "d must lie in [0, 1]"),
         ({"kappa": (0.0,)}, "kappa must be > 0"),
+        ({"memory_k": (4, 26)}, "memory_k levels above 25 are beyond the forgiveness run"),
     ])
     def test_bad_level_rejected_when_the_grid_is_built(self, levels, message):
         with pytest.raises(ConfigurationError) as err:
@@ -106,6 +107,12 @@ class TestGrid:
         assert g.levels["memory_k"] == (4,) and isinstance(g.levels["memory_k"][0], int)
         header, row = targets_csv(run_sweep(g)).splitlines()
         assert row.split(",")[header.split(",").index("memory_k")] == "4"
+
+    def test_longest_measurable_window_is_accepted(self):
+        # at k = 25 the signal 0.5 / k still reads as the defection: tau_f = k + 1
+        assert sweep.MAX_MEMORY_K == 25
+        g = ParameterGrid({"memory_k": (4, 25)})
+        assert sweep.forgiveness_times(g.columns()).tolist() == [5, 26]
 
     def test_rho0_extremes(self):
         assert FULL_GRID.rho0_extremes() == (0.2, 1.0)
