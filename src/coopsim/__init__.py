@@ -17,7 +17,6 @@ from .solver import (
     EquilibriumResult,
     EquilibriumSolver,
     SolverConfig,
-    best_response,
     critical_rho,
     cross_partial_check,
     solve_equilibrium,

@@ -227,16 +227,16 @@ def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
     three-quarter norm growth implies a remaining gap below ``NORM_GAP``.
     The first phase has no transition and maps to quarter 1.
     """
+    _phase_blocks(traj.actions)  # only a HORIZON-quarter trajectory has the phases
     m = traj.actions.mean(axis=1)
     norms = traj.norms.mean(axis=1)
-    horizon = len(m)
     detected_shocks = sorted(
-        q + 1 for q in range(1, horizon) if abs(m[q] - m[q - 1]) > JUMP_THRESHOLD
+        q + 1 for q in range(1, HORIZON) if abs(m[q] - m[q - 1]) > JUMP_THRESHOLD
     )
 
     plateau = None
     slope_threshold = NORM_RATE * NORM_GAP
-    for q in range(6, horizon + 1):
+    for q in range(6, HORIZON + 1):
         if (norms[q - 1] - norms[q - 4]) / 3.0 < slope_threshold:
             plateau = q - 1
             break

@@ -146,7 +146,7 @@ def cmd_translate(args) -> int:
     if args.elicit:
         with open(args.elicit, "r", encoding="utf-8") as fh:
             elic = fh.read()
-    result = translate(labels, entries, elic, symmetric_rho=args.symmetric_rho)
+    result = translate(labels, entries, elic)
     files.write_scenario(args.out, result.scenario, result.sim)
     n = result.scenario.n
     print(f"translated {len(entries)} dependency rows over {n} actors -> {args.out}")
@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="dependency table + elicitation -> scenario")
     p.add_argument("--deps", required=True, help="dependency CSV")
     p.add_argument("--elicit", default=None, help="elicitation key/value file")
-    p.add_argument("--symmetric-rho", action="store_true",
-                   help="emit mutual-dependency sensitivities")
     p.add_argument("--out", required=True, help="scenario file to write")
     p.set_defaults(func=cmd_translate)
 

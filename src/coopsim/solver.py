@@ -4,7 +4,8 @@ Each iteration evaluates every actor's best response on a finite action
 grid against the partners' previous-iterate actions (simultaneous/Jacobi
 updates, which preserve symmetry exactly), starting from the previous
 period's profile, until the sup-norm action change drops below tolerance.
-Non-convergence returns the last iterate, flagged.
+Non-convergence returns the last iterate, flagged.  One iteration
+(``max_iters=1``) gives every actor's best response to the warm start.
 
 Best-response objective.  The literal reciprocity term of the period
 utility depends only on partners' signals, so it is a constant in the
@@ -237,21 +238,6 @@ class EquilibriumSolver:
             if residual < config.tol:
                 return EquilibriumResult(tuple(actions), True, it, residual)
         return EquilibriumResult(tuple(actions), False, config.max_iters, residual)
-
-
-def best_response(
-    i: int,
-    actions: Sequence[float],
-    scenario: ScenarioConfig,
-    trust: np.ndarray,
-    own_avg: Optional[Sequence[float]] = None,
-    solver: SolverConfig = SolverConfig(),
-) -> float:
-    """Best response of actor i to the given partner actions."""
-    eq = EquilibriumSolver(scenario, solver)
-    arr = np.asarray(actions, dtype=float)
-    standalone = standalone_payoff(eq.endowments, arr, scenario.econ)
-    return eq._respond(i, arr, standalone, eq._solve_terms(own_avg, trust))
 
 
 def solve_equilibrium(

@@ -208,25 +208,14 @@ def wilcoxon_signed_rank(sample: Sequence[float], mu0: float = 0.0):
         return 0.0, 1.0, True
     if n < 6:
         raise ValueError("normal approximation needs at least 6 nonzero differences")
-    absd = np.abs(arr)
-    order = np.argsort(absd, kind="stable")
-    ranks = np.empty(n)
-    sorted_abs = absd[order]
-    i = 0
-    pos = 1
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        mid = (pos + (pos + (j - i))) / 2.0
-        ranks[order[i : j + 1]] = mid
-        pos += j - i + 1
-        i = j + 1
+    # each distinct |difference| once, in order: its tied run ends at rank
+    # cumsum(counts), so its mid-rank is that end less (count - 1) / 2
+    _, inverse, counts = np.unique(np.abs(arr), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     w_plus = float(ranks[arr > 0].sum())
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     # tie correction
-    _, counts = np.unique(sorted_abs, return_counts=True)
     var -= float(((counts**3 - counts).sum())) / 48.0
     if var <= 0.0:
         return w_plus, 1.0 if w_plus <= mean else 0.0, True

@@ -78,7 +78,8 @@ class TestPhaseStatistics:
             assert p.means == pytest.approx((0.7, 0.7, 0.7), abs=1e-12)
             assert p.sds == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("analysis", ["phase_statistics", "score_rubric_auto"])
+    @pytest.mark.parametrize("analysis",
+                             ["phase_statistics", "score_rubric_auto", "detect_transitions"])
     @pytest.mark.parametrize("horizon", [65, 67])
     def test_other_horizons_rejected(self, analysis, horizon):
         with pytest.raises(ConfigurationError, match="66-quarter"):

@@ -1,11 +1,13 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from coopsim import case_study as cs
-from coopsim.cli import main
+from coopsim.cli import build_parser, main
 from coopsim.files import scenario_to_text, write_file
 from coopsim.scenario import SimConfig, reference_scenario
 
@@ -381,3 +383,25 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tau_f=2" in proc.stdout
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_command_block_lists_every_option():
+    # README documents the ignored --parallel in prose, not in the block
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("coopsim "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for action in sub._actions for o in action.option_strings
+               if o.startswith("--") and o not in ("--help", "--parallel")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == options

@@ -26,23 +26,6 @@ def test_run_experiments(capsys):
     assert "lambda_r = 1.0: efforts" in out and "team output 64.6" in out
 
 
-def test_run_validation_matches_the_cli(tmp_path):
-    from coopsim.cli import main
-
-    grid = tmp_path / "grid.txt"
-    grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,1.5,3.0\nmemory_k = 1,16\n", encoding="utf-8")
-    out, ref = tmp_path / "validation", tmp_path / "sweep"
-    code = _load("run_validation").main(
-        ["--grid", str(grid), "--out", str(out), "--trials", "8", "--seed", "7",
-         "--parallel", "2"])
-    sweep_code = main(["sweep", "--grid", str(grid), "--out", str(ref), "--seed", "7"])
-    trials_code = main(["montecarlo", "--trials", "8", "--seed", "7", "--out", str(ref)])
-    assert code == max(sweep_code, trials_code)
-    for name in ("targets.csv", "report.md", "montecarlo.csv", "montecarlo.md"):
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    assert len((out / "targets.csv").read_text().splitlines()) == 1 + 12
-
-
 def test_bench_smoke(tmp_path, capsys):
     out = tmp_path / "bench.json"
     bench = _load("bench")

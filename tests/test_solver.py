@@ -20,7 +20,6 @@ from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario
 from coopsim.solver import (
     EquilibriumSolver,
     SolverConfig,
-    best_response,
     critical_rho,
     cross_partial_check,
     solve_equilibrium,
@@ -28,6 +27,12 @@ from coopsim.solver import (
 from coopsim.utility import private_payoffs
 import oracles
 from oracles import argmax_on_grid, exhaustive_nash, objective
+
+
+def best_responses(scenario, trust, actions, cfg):
+    """Every actor's best response to ``actions``: one Jacobi iteration."""
+    return solve_equilibrium(scenario, None, trust, replace(cfg, max_iters=1),
+                             warm_start=actions).actions
 
 
 def trust_matrix(scenario, level=None):
@@ -85,8 +90,9 @@ class TestArgmax:
                 scen = _random_scenario(rng, kind)
                 trust = trust_matrix(scen)
                 others = np.array([rng.uniform(0, 20) for _ in range(scen.n)])
+                responses = best_responses(scen, trust, others, cfg)
                 for i in range(scen.n if kind == "three_actor" else 1):
-                    br = best_response(i, others, scen, trust, solver=cfg)
+                    br = responses[i]
                     exhaustive = argmax_on_grid(
                         lambda x: objective(i, x, others, scen.baseline_init[i], trust[i],
                                             scen),
@@ -120,8 +126,9 @@ class TestArgmax:
             )
             trust = trust_matrix(scen)
             others = np.array([rng.uniform(0, 20) for _ in range(3)])
+            responses = best_responses(scen, trust, others, SolverConfig(grid_points=41))
             for i in range(3):
-                br = best_response(i, others, scen, trust, solver=SolverConfig(grid_points=41))
+                br = responses[i]
 
                 def value(x):
                     return objective(i, x, others, scen.baseline_init[i], trust[i], scen)
@@ -159,9 +166,8 @@ class TestDilemma:
         cfg = SolverConfig(grid_points=201)
         res = solve_equilibrium(scen, None, trust, cfg, warm_start=(0.0, 0.0))
         assert res.converged
-        for i in range(2):
-            br = best_response(i, np.array(res.actions), scen, trust, solver=cfg)
-            assert br == pytest.approx(res.actions[i], abs=1e-12)
+        responses = best_responses(scen, trust, res.actions, cfg)
+        assert responses == pytest.approx(res.actions, abs=1e-12)
 
 
 class TestCriticalRho:

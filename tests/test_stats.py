@@ -112,19 +112,22 @@ class TestWilcoxon:
         assert p < 0.05
 
     def test_matches_reference_implementation(self):
+        # each sample also rounded to tenths and to integers, which ties
+        # |differences| (and makes zeros, which both implementations drop)
         rng = random.Random(29)
         for _ in range(20):
             n = rng.randint(8, 60)
-            sample = [rng.gauss(0.3, 1.0) for _ in range(n)]
-            if all(abs(v) < 1e-12 for v in sample):
-                continue
-            stat, p, degenerate = wilcoxon_signed_rank(sample, 0.0)
-            if degenerate:
-                continue
-            ref = sps.wilcoxon(np.array(sample), alternative="greater",
-                               correction=True, method="approx")
-            assert stat == pytest.approx(ref.statistic, abs=1e-9)
-            assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-9)
+            raw = [rng.gauss(0.3, 1.0) for _ in range(n)]
+            for sample in (raw, [round(v, 1) for v in raw], [round(v) for v in raw]):
+                if all(abs(v) < 1e-12 for v in sample):
+                    continue
+                stat, p, degenerate = wilcoxon_signed_rank(sample, 0.0)
+                if degenerate:
+                    continue
+                ref = sps.wilcoxon(np.array(sample, dtype=float), alternative="greater",
+                                   correction=True, method="approx")
+                assert stat == pytest.approx(ref.statistic, abs=1e-9)
+                assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-9)
 
     def test_needs_six_nonzero(self):
         with pytest.raises(ValueError):

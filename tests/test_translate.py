@@ -29,13 +29,7 @@ from coopsim.scenario import (
     symmetric_matrix,
 )
 from coopsim.simulation import run
-from coopsim.translate import (
-    ADVICE_TABLE,
-    CalibrationObservation,
-    Symptom,
-    calibration_advice,
-    translate,
-)
+from coopsim.translate import translate
 
 
 def ios_inputs():
@@ -133,16 +127,6 @@ class TestTranslate:
         result = translate(labels, entries, "rho0 = 0.85\neta = 1.3")
         i = {lab: k for k, lab in enumerate(labels)}
         assert result.rho[i["Major"]][i["Apple"]] == pytest.approx(0.85 * 0.8775**1.3)
-
-    def test_symmetric_formulation_flag(self):
-        labels, entries = ios_inputs()
-        result = translate(labels, entries, symmetric_rho=True)
-        i = {lab: k for k, lab in enumerate(labels)}
-        coupled = (0.8775 * 0.6575) ** 0.5
-        assert result.rho[i["Major"]][i["Apple"]] == pytest.approx(coupled)
-        assert result.rho[i["Major"]][i["Apple"]] == pytest.approx(
-            result.rho[i["Apple"]][i["Major"]]
-        )
 
     def test_out_of_range_names_the_step(self):
         labels, entries = ios_inputs()
@@ -266,45 +250,6 @@ class TestTranslate:
         small = translate(labels, entries, "rho0_target = 1.0\nrho0_observed = 0.9")
         assert small.reciprocity_gap == pytest.approx(0.1)
         assert small.gap_advice == ()
-
-
-class TestCalibrationAdvice:
-    def test_each_symptom_maps(self):
-        table = {
-            Symptom.COOP_TOO_HIGH: ("rho0", "decrease"),
-            Symptom.COOP_TOO_LOW: ("rho0", "increase"),
-            Symptom.FORGIVE_TOO_SLOW: ("memory_k", "decrease"),
-            Symptom.FORGIVE_TOO_FAST: ("memory_k", "increase"),
-            Symptom.RESPONSES_TOO_SHARP: ("kappa", "decrease"),
-            Symptom.RESPONSES_TOO_GRADUAL: ("kappa", "increase"),
-            Symptom.DIFFERENTIATION_WEAK: ("eta", "increase"),
-            Symptom.DIFFERENTIATION_EXTREME: ("eta", "decrease"),
-        }
-        for symptom, (param, direction) in table.items():
-            advice, conflicts = calibration_advice([CalibrationObservation(symptom)])
-            assert advice[0].parameter == param
-            assert advice[0].direction == direction
-            assert not conflicts
-
-    def test_coop_too_high_offers_both_levers(self):
-        advice, _ = calibration_advice([CalibrationObservation(Symptom.COOP_TOO_HIGH)])
-        assert [(a.parameter, a.direction) for a in advice] == [
-            ("rho0", "decrease"), ("lambda_r", "decrease"),
-        ]
-
-    def test_empty_observations(self):
-        advice, conflicts = calibration_advice([])
-        assert advice == [] and conflicts == []
-
-    def test_conflicts_reported_not_merged(self):
-        advice, conflicts = calibration_advice([
-            CalibrationObservation(Symptom.FORGIVE_TOO_SLOW),
-            CalibrationObservation(Symptom.FORGIVE_TOO_FAST),
-        ])
-        assert len(advice) == 2
-        assert len(conflicts) == 1
-        assert conflicts[0].parameter == "memory_k"
-        assert conflicts[0].directions == ("decrease", "increase")
 
 
 class TestDependencyCsv:
