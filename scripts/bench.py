@@ -105,8 +105,8 @@ def rows(work: str) -> dict:
     """Row name -> (zero-argument call, divisor of its time)."""
     scenario, sim = case_study.build_ios_scenario()
     traj = simulation.run(scenario, sim)
-    batch = simulation.RunBatch.single(scenario, sim)
-    p = simulation._trust_rows(batch.trust, batch.d)
+    batch = simulation.RunBatch.of([(scenario, sim)])
+    p = simulation._trust_rows(batch.rows, batch.rows["d"])
     trust, reputation = traj.trust[10][None].copy(), traj.reputation[10][None].copy()
     signal = traj.signal[10][None]
 

@@ -181,8 +181,8 @@ def run_ios_pair(seed: int = DEFAULT_SEED) -> tuple[Trajectory, Trajectory]:
     """``(baseline, counterfactual)``: the runs of both ``build_ios_scenario``
     variants, advanced together as one two-row batch that draws one noise
     block."""
-    runs = [build_ios_scenario(counterfactual, seed) for counterfactual in (False, True)]
-    batch = RunBatch.stack([RunBatch.single(scenario, sim) for scenario, sim in runs])
+    batch = RunBatch.of([build_ios_scenario(counterfactual, seed)
+                         for counterfactual in (False, True)])
     base, cf = record_batch(batch, ACTORS)
     return base, cf
 

@@ -11,6 +11,7 @@ identical.  ``COOP_SEED`` provides the seed when ``--seed`` is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -47,11 +48,6 @@ def _default_seed(value) -> int:
     return check_seed(value)
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
 def cmd_simulate(args) -> int:
     scenario, sim = files.read_scenario(args.scenario)
     overrides = {}
@@ -64,8 +60,8 @@ def cmd_simulate(args) -> int:
     if overrides:
         sim = replace(sim, **overrides)
     traj = run(scenario, sim)
-    files.write_file(_out_path(args.out, "trajectory.csv"), files.trajectory_csv(traj))
-    files.write_file(_out_path(args.out, "dyads.csv"), files.dyads_csv(traj))
+    files.write_file(os.path.join(args.out, "trajectory.csv"), files.trajectory_csv(traj))
+    files.write_file(os.path.join(args.out, "dyads.csv"), files.dyads_csv(traj))
     print(f"simulated {sim.horizon} periods for {scenario.n} actors -> {args.out}")
     return EXIT_OK
 
@@ -82,9 +78,9 @@ def cmd_sweep(args) -> int:
     table = run_sweep(grid)
     report = measure_targets(table)
     stats = differentiation_stats(table, seed=seed)
-    files.write_file(_out_path(args.out, "targets.csv"), files.targets_csv(table))
+    files.write_file(os.path.join(args.out, "targets.csv"), files.targets_csv(table))
     files.write_file(
-        _out_path(args.out, "report.md"),
+        os.path.join(args.out, "report.md"),
         reports.render_target_report(report, grid.size, stats),
     )
     for row in report.rows:
@@ -98,12 +94,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     report = monte_carlo(trials=args.trials, perturb=args.perturb, seed=_default_seed(args.seed))
-    files.write_file(_out_path(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
+    files.write_file(os.path.join(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
     lines = ["trial,all_targets,ratio,clamped"]
     for t, (ok, ratio, clamped) in enumerate(
             zip(report.all_targets.tolist(), report.ratios.tolist(), report.clamped)):
         lines.append(f"{t},{int(ok)},{ratio:.12g},{';'.join(clamped)}")
-    files.write_file(_out_path(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
+    files.write_file(os.path.join(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
     print(
         f"trials={report.n} all-targets={100 * report.all_targets_rate:.1f}% "
         f"ratio>={T4_RATIO} in {100 * report.ratio_threshold_rate:.1f}% "
@@ -122,12 +118,12 @@ def cmd_case_study(args) -> int:
     else:
         base = traj = case_study.run_ios(seed=seed)
 
-    files.write_file(_out_path(args.out, "trajectory.csv"), files.trajectory_csv(traj))
-    files.write_file(_out_path(args.out, "dyads.csv"), files.dyads_csv(traj))
-    files.write_file(_out_path(args.out, "long.csv"), files.long_format_csv(traj))
+    files.write_file(os.path.join(args.out, "trajectory.csv"), files.trajectory_csv(traj))
+    files.write_file(os.path.join(args.out, "dyads.csv"), files.dyads_csv(traj))
+    files.write_file(os.path.join(args.out, "long.csv"), files.long_format_csv(traj))
     stats = case_study.phase_statistics(traj)
     files.write_file(
-        _out_path(args.out, "phase_stats.csv"),
+        os.path.join(args.out, "phase_stats.csv"),
         reports.phase_stats_csv(stats, traj.labels),
     )
     rubric = case_study.score_rubric_auto(base)
@@ -135,7 +131,7 @@ def cmd_case_study(args) -> int:
     if args.counterfactual:
         cmp = case_study.counterfactual_comparison(base, traj)
         rubric_md += "\n" + reports.render_counterfactual(cmp, traj.labels)
-    files.write_file(_out_path(args.out, "rubric.md"), rubric_md)
+    files.write_file(os.path.join(args.out, "rubric.md"), rubric_md)
     print(f"case study 'ios'{' (counterfactual)' if args.counterfactual else ''} -> {args.out}")
     return EXIT_OK
 
@@ -212,6 +208,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopsim",
@@ -279,10 +276,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .sweep import GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, columns, forgiveness_times
+from .sweep import (GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, ParameterGrid, columns,
+                    forgiveness_times)
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,10 @@ def check_prop2(
 ) -> Prop2Result:
     """Forgiveness times across (k, kappa) must land inside [k, 2k]: the
     validation protocol's forgiveness time of the reference cell at each
-    pair, the pairs' forgiveness runs measured as one batch."""
+    pair, the pairs' forgiveness runs measured as one batch.  The levels
+    pass the sweep grid's checks, so a window beyond the forgiveness run's
+    reach (``MAX_MEMORY_K``) is a ``ConfigurationError``."""
+    ParameterGrid({"memory_k": tuple(ks), "kappa": tuple(kappas)})
     cells = columns([replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
                      for k in ks for kappa in kappas], GRID_KEYS)
     tau_f = forgiveness_times(cells)

@@ -35,14 +35,19 @@ the rows on that seed and scaled by each row's sigma, and -0.0 on the
 noiseless rows (best-response mode ignores noise and draws none).
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
-once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, with
-every parameter given per row, and shows each period's state to an
-observer; :func:`record_batch` keeps all of it, and :func:`run` is its
-B = 1 call.  The kernel takes its rows longest horizon first, and each
-row stops at its own horizon: from then on the kernel advances, and the
-observer sees, only the rows still live, a prefix of the batch.  Each row
-may have its own number of pre-history periods: leading NaN rows of its
-``pre_history`` are periods it does not have.  Rows never interact, and
+once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, and
+shows each period's state to an observer.  Its inputs are a
+:class:`RunBatch`: one table ``rows`` of per-row columns, with the row on
+the first axis of every entry (each parameter field as ``(B,)``, ``d`` as
+``(B, n, n)``, ``a_max``, ``a_init`` and ``baseline_init`` as ``(B, n)``,
+``baseline_mode`` and ``horizon`` as ``(B,)``), beside the scripts,
+shocks and pre-histories.  :func:`record_batch` keeps every observed
+state, and :func:`run` is its B = 1 call.  The kernel takes its rows
+longest horizon first, and each row stops at its own horizon: from then
+on the kernel advances, and the observer sees, only the rows still live,
+a prefix of the batch.  Each row may have its own number of pre-history
+periods: leading NaN rows of its ``pre_history`` are periods it does not
+have.  Rows never interact, and
 every row computes exactly the arithmetic of a run on its own, so a row's
 bits do not depend on the batch it is in: the window means add oldest
 first onto 0.0 (an empty pre-history slot adds 0.0 before them), as
@@ -107,116 +112,77 @@ RECORDED = {"actions": 1, "baselines": 1, "norms": 1, "trust": 2, "reputation": 
 class RunBatch:
     """Inputs of B independent runs over n actors; row b is one run.
 
-    Scalar parameters are ``(B,)`` columns keyed by their field names in
-    :class:`ReciprocityParams`, :class:`TrustParams` and :class:`SimConfig`
-    (``SIM_FIELDS``).  Each row runs to its own horizon.
+    ``rows`` is one table with the row on the first axis of every entry:
+    each :class:`ReciprocityParams`, :class:`TrustParams` and ``SIM_FIELDS``
+    field as a (B,) column under its field name (the seeds as uint64), and
+
+    - ``d``: (B, n, n) interdependence,
+    - ``a_max``, ``a_init``, ``baseline_init``: (B, n),
+    - ``baseline_mode``: (B,) index into ``BASELINE_MODES``,
+    - ``horizon``: (B,); each row runs to its own.
     """
 
-    d: np.ndarray  # (B, n, n) interdependence
-    recip: Mapping[str, np.ndarray]
-    trust: Mapping[str, np.ndarray]
-    sim: Mapping[str, np.ndarray]
-    a_max: np.ndarray  # (B, n)
-    a_init: np.ndarray  # (B, n)
-    baseline_init: np.ndarray  # (B, n)
-    baseline_mode: np.ndarray  # (B,) index into BASELINE_MODES
-    horizon: np.ndarray  # (B,)
+    rows: Mapping[str, np.ndarray]
     script: Optional[np.ndarray] = None  # (H, B, n) pinned actions, NaN where free; beats shocks
     shocks: tuple[tuple[int, Shock], ...] = ()  # (row, shock), applied in order
     pre_history: Optional[np.ndarray] = None  # (P, B, n) rows before period 1, NaN where none
 
     @classmethod
-    def single(cls, scenario: ScenarioConfig, sim: SimConfig,
-               script: Optional[Mapping[int, Mapping[int, float]]] = None) -> "RunBatch":
-        """The one-row batch of a scenario and run configuration."""
-        n = scenario.n
-        for shock in sim.shocks:
-            if not 0 <= shock.actor < n:
-                raise ConfigurationError(f"shock targets unknown actor {shock.actor}")
-            if shock.period > sim.horizon:
-                raise ConfigurationError(
-                    f"shock at period {shock.period} is beyond the horizon {sim.horizon}"
-                )
-        pinned = None
-        if script:
-            pinned = np.full((sim.horizon, 1, n), np.nan)
-            for i, per in script.items():
-                for period, value in per.items():
-                    if 1 <= period <= sim.horizon:
-                        pinned[period - 1, 0, i] = value
-        pre = np.array(scenario.pre_history, dtype=float).reshape(-1, 1, n)
-        return cls(
-            d=scenario.d.values[None],
-            recip={f: np.array([getattr(scenario.recip, f)]) for f in RECIP_FIELDS},
-            trust={f: np.array([getattr(scenario.trust, f)]) for f in TRUST_FIELDS},
-            # uint64 seeds, so stacking rows keeps every seed in [0, 2**64) exact
-            sim={f: np.array([getattr(sim, f)], dtype=np.uint64 if f == "seed" else float)
-                 for f in SIM_FIELDS},
-            a_max=np.array([scenario.a_max]),
-            a_init=np.array([scenario.a_init]),
-            baseline_init=np.array([scenario.baseline_init]),
-            baseline_mode=np.array([BASELINE_MODES.index(scenario.baseline_mode)]),
-            horizon=np.array([sim.horizon]),
-            script=pinned,
-            shocks=tuple((0, s) for s in sim.shocks),
-            pre_history=pre,
-        )
+    def of(cls, runs: Sequence[tuple]) -> "RunBatch":
+        """The batch of ``(scenario, sim[, script])`` runs, one row each, in
+        order; the scenarios must share the actor count.
 
-    @classmethod
-    def stack(cls, rows: Sequence["RunBatch"]) -> "RunBatch":
-        """One batch of the given batches' rows, in order.
-
-        The batches must share the actor count.  Scripts are padded with
-        free (NaN) periods to the longest horizon, and pre-histories in
-        front with empty (NaN) periods to the longest one.
+        A script ``{actor: {period: value}}`` pins actions; scripts are
+        padded with free (NaN) periods to the longest horizon, and
+        pre-histories in front with empty (NaN) periods to the longest one.
         """
-        sizes = [len(b.horizon) for b in rows]
-        starts = np.cumsum([0] + sizes[:-1]).tolist()
-        n = rows[0].a_init.shape[1]
+        scenarios, sims, scripts = zip(*((*run, None)[:3] for run in runs))
+        B, n = len(sims), scenarios[0].n
+        for scenario, sim in zip(scenarios, sims):
+            for shock in sim.shocks:
+                if not 0 <= shock.actor < scenario.n:
+                    raise ConfigurationError(f"shock targets unknown actor {shock.actor}")
+                if shock.period > sim.horizon:
+                    raise ConfigurationError(
+                        f"shock at period {shock.period} is beyond the horizon {sim.horizon}"
+                    )
+        rows = {f: np.array([getattr(s.recip, f) for s in scenarios]) for f in RECIP_FIELDS}
+        rows |= {f: np.array([getattr(s.trust, f) for s in scenarios]) for f in TRUST_FIELDS}
+        # uint64 seeds keep every seed in [0, 2**64) exact
+        rows |= {f: np.array([getattr(sim, f) for sim in sims],
+                             dtype=np.uint64 if f == "seed" else float) for f in SIM_FIELDS}
+        rows |= {f: np.array([getattr(s, f) for s in scenarios], dtype=float)
+                 for f in ("a_max", "a_init", "baseline_init")}
+        rows["d"] = np.array([s.d.values for s in scenarios])
+        rows["baseline_mode"] = np.array([BASELINE_MODES.index(s.baseline_mode)
+                                          for s in scenarios])
+        rows["horizon"] = np.array([sim.horizon for sim in sims])
         script = None
-        if any(b.script is not None for b in rows):
-            script = np.full((max(int(b.horizon.max()) for b in rows), sum(sizes), n), np.nan)
-            for start, size, b in zip(starts, sizes, rows):
-                if b.script is not None:
-                    script[: len(b.script), start : start + size] = b.script
-        pre = [np.empty((0, size, n)) if b.pre_history is None else b.pre_history
-               for size, b in zip(sizes, rows)]
-        P = max(len(p) for p in pre)
-        pre = [np.concatenate([np.full((P - len(p), size, n), np.nan), p])
-               for size, p in zip(sizes, pre)]
+        if any(scripts):
+            script = np.full((int(rows["horizon"].max()), B, n), np.nan)
+            for b, (sim, pins) in enumerate(zip(sims, scripts)):
+                for i, per in (pins or {}).items():
+                    for period, value in per.items():
+                        if 1 <= period <= sim.horizon:
+                            script[period - 1, b, i] = value
+        P = max(len(s.pre_history) for s in scenarios)
+        pre = np.full((P, B, n), np.nan)
+        for b, s in enumerate(scenarios):
+            if s.pre_history:
+                pre[P - len(s.pre_history):, b] = s.pre_history
+        return cls(rows=rows, script=script, pre_history=pre,
+                   shocks=tuple((b, shock) for b, sim in enumerate(sims) for shock in sim.shocks))
 
-        def cat(name):
-            return np.concatenate([getattr(b, name) for b in rows])
-
-        def columns(name):
-            return {f: np.concatenate([getattr(b, name)[f] for b in rows])
-                    for f in getattr(rows[0], name)}
-
-        return cls(
-            d=cat("d"), recip=columns("recip"), trust=columns("trust"), sim=columns("sim"),
-            a_max=cat("a_max"), a_init=cat("a_init"), baseline_init=cat("baseline_init"),
-            baseline_mode=cat("baseline_mode"), horizon=cat("horizon"), script=script,
-            shocks=tuple((start + r, s) for start, b in zip(starts, rows) for r, s in b.shocks),
-            pre_history=np.concatenate(pre, axis=1),
-        )
-
-    def take(self, rows: Sequence[int]) -> "RunBatch":
+    def take(self, order: Sequence[int]) -> "RunBatch":
         """The batch of the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        position = np.full(len(self.horizon), -1)
-        position[rows] = np.arange(len(rows))
-
-        def columns(name):
-            return {f: c[rows] for f, c in getattr(self, name).items()}
-
+        order = np.asarray(order, dtype=np.int64)
+        position = np.full(len(self.rows["horizon"]), -1)
+        position[order] = np.arange(len(order))
         return type(self)(
-            d=self.d[rows], recip=columns("recip"), trust=columns("trust"),
-            sim=columns("sim"), a_max=self.a_max[rows], a_init=self.a_init[rows],
-            baseline_init=self.baseline_init[rows], baseline_mode=self.baseline_mode[rows],
-            horizon=self.horizon[rows],
-            script=None if self.script is None else self.script[:, rows],
+            rows={f: c[order] for f, c in self.rows.items()},
+            script=None if self.script is None else self.script[:, order],
             shocks=tuple((int(position[r]), s) for r, s in self.shocks if position[r] >= 0),
-            pre_history=None if self.pre_history is None else self.pre_history[:, rows],
+            pre_history=None if self.pre_history is None else self.pre_history[:, order],
         )
 
 
@@ -357,8 +323,9 @@ def run_batch(batch: RunBatch, observe: Observer,
     ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
     actor's windowed average for the period being chosen.
     """
-    B, n = batch.a_init.shape
-    horizon = np.asarray(batch.horizon)
+    rows = batch.rows
+    B, n = rows["a_init"].shape
+    horizon = np.asarray(rows["horizon"])
     if horizon.min() < 1 or (horizon[1:] > horizon[:-1]).any():
         raise ValueError("rows must come in non-increasing horizon order, each at least 1")
     H = int(horizon[0])
@@ -366,19 +333,19 @@ def run_batch(batch: RunBatch, observe: Observer,
     live = np.searchsorted(-horizon, -np.arange(1, H + 1), side="right").tolist()
     if best_response is not None and B != 1:
         raise ValueError("best-response mode runs one row at a time")
-    d = batch.d
+    d = rows["d"]
 
-    gate = gate_weights(d, batch.recip)
-    kappa = _per_row(batch.recip["kappa"], (n, n))
-    k = np.asarray(batch.recip["memory_k"], dtype=np.int64)[:, None]
+    gate = gate_weights(d, rows)
+    kappa = _per_row(rows["kappa"], (n, n))
+    k = np.asarray(rows["memory_k"], dtype=np.int64)[:, None]
     reach = _window_reach(k, n)
-    tp = _trust_rows(batch.trust, d)
-    rate, decay, norm_rate = (_per_row(batch.sim[f], (n,))
+    tp = _trust_rows(rows, d)
+    rate, decay, norm_rate = (_per_row(rows[f], (n,))
                               for f in ("adjust_rate", "decay", "baseline_rate"))
     # Period t's noise is noise[t - 1]: each noisy row's scaled (H, n) block,
     # one draw per distinct seed, and -0.0 on the other rows, since adding
     # -0.0 leaves every value's bits as they are.
-    sigma, seeds = batch.sim["noise_sigma"], batch.sim["seed"]
+    sigma, seeds = rows["noise_sigma"], rows["seed"]
     noise = None
     if best_response is None and (sigma > 0.0).any():
         noise = np.full((H, B, n), -0.0)
@@ -394,12 +361,12 @@ def run_batch(batch: RunBatch, observe: Observer,
         if shock.period <= horizon[b]:
             shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
 
-    mode = np.asarray(batch.baseline_mode)
+    mode = np.asarray(rows["baseline_mode"])
     windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
     adaptive = _per_row(mode == BASELINE_MODES.index("adaptive"), (n,)) > 0.0
     fixed = _per_row(mode == BASELINE_MODES.index("fixed"), (n,)) > 0.0
-    initial = np.asarray(batch.baseline_init, dtype=float)
-    a_max = np.asarray(batch.a_max, dtype=float)
+    initial = np.asarray(rows["baseline_init"], dtype=float)
+    a_max = np.asarray(rows["a_max"], dtype=float)
     script = batch.script
     free = None if script is None else np.isnan(script)
 
@@ -413,7 +380,7 @@ def run_batch(batch: RunBatch, observe: Observer,
     hist[:P] = np.where(empty, 0.0, pre)
 
     norms = initial.copy()
-    trust = _per_row(batch.trust["t0"], (n, n))
+    trust = _per_row(rows["t0"], (n, n))
     trust.reshape(B, n * n)[:, :: n + 1] = 1.0
     reputation = np.zeros((B, n, n))
     converged = np.ones(B, dtype=bool)
@@ -427,7 +394,7 @@ def run_batch(batch: RunBatch, observe: Observer,
             a = np.where(free[idx], a, script[idx])
         return np.minimum(np.maximum(a, 0.0), a_max, out=a)
 
-    actions = settle(np.array(batch.a_init, dtype=float), 0)
+    actions = settle(np.array(rows["a_init"], dtype=float), 0)
     # A row without pre-history starts at its initial level (0 / 0 elsewhere).
     with np.errstate(invalid="ignore"):
         b_win = np.where(lead < P, _window_means(hist, P, k, reach, initial, lead), initial)
@@ -485,8 +452,9 @@ def record_batch(batch: RunBatch, labels: tuple[str, ...],
                  best_response: Optional[BestResponse] = None) -> list[Trajectory]:
     """Run the batch and return every row's trajectory, cut at its horizon,
     in the batch's row order (the kernel runs the rows longest first)."""
-    order = np.argsort(-np.asarray(batch.horizon), kind="stable")
-    H, (B, n) = int(batch.horizon.max()), batch.a_init.shape
+    horizon = batch.rows["horizon"]
+    order = np.argsort(-horizon, kind="stable")
+    H, (B, n) = int(horizon.max()), batch.rows["a_init"].shape
     rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
     rec["converged"] = np.ones((H, B), dtype=bool)
 
@@ -498,7 +466,7 @@ def record_batch(batch: RunBatch, labels: tuple[str, ...],
     run_batch(batch.take(order), keep, best_response)
     trajectories = [None] * B
     for pos, b in enumerate(order.tolist()):
-        trajectories[b] = Trajectory(labels=labels, **{f: a[: batch.horizon[b], pos].copy()
+        trajectories[b] = Trajectory(labels=labels, **{f: a[: horizon[b], pos].copy()
                                                        for f, a in rec.items()})
     return trajectories
 
@@ -522,5 +490,5 @@ def run(
 
         respond = EquilibriumSolver(scenario, SolverConfig())
 
-    return record_batch(RunBatch.single(scenario, sim, script), scenario.labels, respond)[0]
+    return record_batch(RunBatch.of([(scenario, sim, script)]), scenario.labels, respond)[0]
 

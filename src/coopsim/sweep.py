@@ -346,7 +346,7 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
     size = len(runs["horizon"])
     forgive, horizon = runs["forgive"], runs["horizon"]
     d = np.where(np.eye(2, dtype=bool), 0.0, runs["d"][:, None, None])
-    trust = {f: runs[f] for f in TRUST_FIELDS}
+    rows = {f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r") + TRUST_FIELDS}
     script = pre = None
     if forgive.any():
         script = np.full((int(horizon.max()), size, 2), np.nan)
@@ -357,33 +357,26 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
         # The warm-up's signals are all 0.0: its first trust update sets
         # trust to min(t0, t_max) and keeps reputation at 0, and the later
         # ones leave both as they are.
-        warm = np.broadcast_to(trust["t0"][:, None, None], d.shape).copy()
-        _update_trust_matrices(warm, np.zeros(d.shape), np.zeros(d.shape), _trust_rows(trust, d))
-        trust["t0"] = np.where(forgive, warm[:, 0, 1], trust["t0"])
-    recip = {f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r")}
-    sim = {
+        warm = np.broadcast_to(rows["t0"][:, None, None], d.shape).copy()
+        _update_trust_matrices(warm, np.zeros(d.shape), np.zeros(d.shape), _trust_rows(rows, d))
+        rows["t0"] = np.where(forgive, warm[:, 0, 1], rows["t0"])
+    baseline = np.where(forgive, START_ACTION, START_NORM)
+    rows |= {
+        "omega_amp": np.ones(size),
         "adjust_rate": np.full(size, ADJUST_RATE),
         "decay": np.full(size, DECAY),
         "baseline_rate": np.full(size, BASELINE_RATE),
         "noise_sigma": np.zeros(size),
-        "seed": np.zeros(size, dtype=np.int64),
+        "seed": np.zeros(size, dtype=np.uint64),
+        "d": d,
+        "a_max": np.ones((size, 2)),
+        "a_init": np.full((size, 2), START_ACTION),
+        "baseline_init": np.repeat(baseline[:, None], 2, axis=1),
+        "baseline_mode": np.where(forgive, BASELINE_MODES.index("moving_average"),
+                                  BASELINE_MODES.index("adaptive")),
+        "horizon": horizon,
     }
-    baseline = np.where(forgive, START_ACTION, START_NORM)
-    mode = np.where(forgive, BASELINE_MODES.index("moving_average"),
-                    BASELINE_MODES.index("adaptive"))
-    return RunBatch(
-        d=d,
-        recip={**recip, "omega_amp": np.ones(size)},
-        trust=trust,
-        sim=sim,
-        a_max=np.ones((size, 2)),
-        a_init=np.full((size, 2), START_ACTION),
-        baseline_init=np.repeat(baseline[:, None], 2, axis=1),
-        baseline_mode=mode,
-        horizon=horizon,
-        script=script,
-        pre_history=pre,
-    )
+    return RunBatch(rows, script=script, pre_history=pre)
 
 
 def recovery_times(signals: np.ndarray, horizon: np.ndarray, t_star: int) -> np.ndarray:
@@ -409,8 +402,7 @@ def recovery_times(signals: np.ndarray, horizon: np.ndarray, t_star: int) -> np.
 def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Run protocol runs given as (rows,) parameter columns (longest first)
     as one engine batch and keep, per run, what the targets read."""
-    batch = _protocol_batch(runs)
-    horizon = batch.horizon
+    horizon = runs["horizon"]
     rows = len(horizon)
     actions = np.zeros((WARMUP, rows, 2))  # emergence-type runs' actions
     partner = np.zeros((int(horizon.max()), rows))  # 0's signal about 1
@@ -426,7 +418,7 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         partner[idx, :live] = state["signal"][:, 0, 1]
         np.maximum(peak[:live], np.abs(state["signal"]).max(axis=(1, 2)), out=peak[:live])
 
-    run_batch(batch, observe)
+    run_batch(_protocol_batch(runs), observe)
 
     def mean_actions(first: int) -> np.ndarray:
         # Each row's mean over periods first+1..warm-up and both actors, in
@@ -440,7 +432,7 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         "tau_f": recovery_times(partner, horizon, 1),
         "response": response,
         # tanh is odd and increasing, so this is the largest |tanh(kappa s)|.
-        "bound": np.tanh(batch.recip["kappa"] * peak),
+        "bound": np.tanh(runs["kappa"] * peak),
     }
 
 

@@ -351,21 +351,23 @@ def full_warmup_runs(runs: Mapping[str, np.ndarray]) -> dict:
     script[WARMUP, :, 1] = START_ACTION + DEFECTION
     d = np.zeros((size, 2, 2))
     d[:, 0, 1] = d[:, 1, 0] = runs["d"]
-    return {
+    given = ("rho0", "eta", "kappa", "memory_k", "lambda_r") + tuple(
+        f.name for f in fields(TrustParams))
+    rows = {f: runs[f] for f in given} | {
+        "omega_amp": np.ones(size),
+        "adjust_rate": np.full(size, ADJUST_RATE),
+        "decay": np.full(size, DECAY),
+        "baseline_rate": np.full(size, BASELINE_RATE),
+        "noise_sigma": np.zeros(size),
+        "seed": np.zeros(size, dtype=np.uint64),
         "d": d,
-        "recip": {**{f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r")},
-                  "omega_amp": np.ones(size)},
-        "trust": {f.name: runs[f.name] for f in fields(TrustParams)},
-        "sim": {"adjust_rate": np.full(size, ADJUST_RATE), "decay": np.full(size, DECAY),
-                "baseline_rate": np.full(size, BASELINE_RATE), "noise_sigma": np.zeros(size),
-                "seed": np.zeros(size, dtype=np.uint64)},
         "a_max": np.ones((size, 2)),
         "a_init": np.full((size, 2), START_ACTION),
         "baseline_init": np.full((size, 2), START_ACTION),
         "baseline_mode": np.full(size, BASELINE_MODES.index("moving_average")),
         "horizon": horizon,
-        "script": script,
     }
+    return {"rows": rows, "script": script}
 
 
 def perturb_trial(trial: int, perturb: float, seed: int,

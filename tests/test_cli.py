@@ -339,16 +339,36 @@ class TestTranslateCommand:
                      "--elicit", str(elicit), "--out", out]) == 1
 
 
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "{dir}", "--out", "{dir}/o"],
+        ["sweep", "--grid", "{dir}", "--out", "{dir}/o"],
+        ["translate", "--deps", cs.ios_dependency_csv_path(), "--elicit", "{dir}",
+         "--out", "{dir}/s.conf"],
+        ["simulate", "--scenario", "{latin1}", "--out", "{dir}/o"],
+        ["simulate", "--scenario", "{scenario}", "--out", "{scenario}"],
+    ], ids=["scenario-dir", "grid-dir", "elicit-dir", "scenario-not-utf8", "out-is-a-file"])
+    def test_exits_one_with_an_error_line(self, argv, scenario_file, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.conf"
+        latin1.write_bytes(b"# caf\xe9\n")
+        paths = {"dir": str(tmp_path), "latin1": str(latin1), "scenario": scenario_file}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestPropCheckCommand:
     def test_prop2_single_cell(self, capsys):
         assert main(["prop-check", "--prop", "2", "--k", "5", "--kappa", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "tau_f=6" in out and "pass" in out
 
-    def test_prop2_beyond_the_forgiveness_run_fails(self, capsys):
-        # a finding, not an input error: tau_f = 1 lies outside [26, 52]
-        assert main(["prop-check", "--prop", "2", "--k", "26", "--kappa", "1.0"]) == 2
-        assert "k=26 kappa=1.0: tau_f=1 in [26, 52] -> FAIL" in capsys.readouterr().out
+    def test_prop2_beyond_the_forgiveness_run_exits_one(self, capsys):
+        # at k = 26 the forgiveness run would read as recovered at once, so
+        # the window is rejected as a grid level above 25 is
+        assert main(["prop-check", "--prop", "2", "--k", "26", "--kappa", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: memory_k levels above 25")
+        assert "tau_f" not in captured.out
 
     @pytest.mark.parametrize("flag, message", [("--k", "memory_k must be an integer >= 1"),
                                                ("--kappa", "kappa must be > 0")])

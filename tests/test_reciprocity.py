@@ -51,23 +51,14 @@ def response(s, kappa, **kwargs):
 def deviation_terms(s, kappa):
     """Period-1 recip_term of ``deviating(s, kappa=kappa)`` for every entry
     of the (B,) arrays, run as one batch."""
-    one = RunBatch.single(observed((0.0, 0.0), (0.0, 0.0)), ONE_PERIOD)
-    rows = len(s)
-
-    def wide(col):
-        return np.repeat(col, rows, axis=0)
-
+    batch = RunBatch.of([(observed((0.0, 0.0), (0.0, 0.0)), ONE_PERIOD)] * len(s))
     pos, neg = np.maximum(s, 0.0), np.maximum(-s, 0.0)
-    batch = replace(
-        one, d=wide(one.d),
-        recip={f: wide(c) for f, c in one.recip.items()} | {"kappa": kappa},
-        trust={f: wide(c) for f, c in one.trust.items()},
-        sim={f: wide(c) for f, c in one.sim.items()},
-        a_max=np.repeat(np.maximum(np.abs(s), 1.0)[:, None], 2, axis=1),
-        a_init=np.stack([neg, pos], axis=1), baseline_init=np.stack([pos, neg], axis=1),
-        baseline_mode=wide(one.baseline_mode), horizon=wide(one.horizon),
-        pre_history=None,
-    )
+    batch = replace(batch, rows=batch.rows | {
+        "kappa": kappa,
+        "a_max": np.repeat(np.maximum(np.abs(s), 1.0)[:, None], 2, axis=1),
+        "a_init": np.stack([neg, pos], axis=1),
+        "baseline_init": np.stack([pos, neg], axis=1),
+    })
     terms = []
     run_batch(batch, lambda idx, state: terms.append(state["recip_term"].copy()))
     return terms[0]

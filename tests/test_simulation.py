@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from coopsim.errors import ConfigurationError
 from coopsim.params import EconomyParams, ReciprocityParams, TrustParams
 from coopsim.scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, symmetric_matrix
+from coopsim import sweep
 from coopsim.simulation import (
+    RECIP_FIELDS,
+    SIM_FIELDS,
     TRUST_FIELDS,
     RunBatch,
     _trust_rows,
@@ -174,10 +177,11 @@ class TestValidation:
     @pytest.mark.parametrize("shock", [Shock(period=9, actor=0, delta=0.1),
                                        Shock(period=2, actor=7, delta=0.1)])
     def test_bad_shock_rejected_when_building_a_batch_row(self, shock):
-        # the batched path (RunBatch.single, then record_batch) checks
-        # shocks too, not only run()
+        # the batched path (RunBatch.of, then record_batch) checks shocks
+        # too, not only run()
         with pytest.raises(ConfigurationError):
-            RunBatch.single(two_actor(), SimConfig(horizon=5, shocks=(shock,)))
+            RunBatch.of([(two_actor(), SimConfig(horizon=5)),
+                         (two_actor(), SimConfig(horizon=5, shocks=(shock,)))])
 
     def test_script_pins_actions(self):
         scen = two_actor()
@@ -219,8 +223,7 @@ class TestBatchKernel:
         ]
         # as listed, and listed shortest horizon first
         for listed in (runs, sorted(runs, key=lambda r: r[1].horizon)):
-            batch = RunBatch.stack([RunBatch.single(s, sim, script)
-                                    for s, sim, script in listed])
+            batch = RunBatch.of(listed)
             got_runs = record_batch(batch, ("A", "B"))
             for got, (scen, sim, script) in zip(got_runs, listed):
                 want = run(scen, sim, script=script)
@@ -245,7 +248,7 @@ class TestBatchKernel:
                            shocks=(Shock(period=7, actor=0, delta=-0.3),))),
                 (two_actor("fixed", a_init=(0.8, 0.3), baseline_init=(0.5, 0.5)),
                  SimConfig(horizon=18, noise_sigma=0.02, seed=9))]
-        got_runs = record_batch(RunBatch.stack([RunBatch.single(*r) for r in runs]), ("A", "B"))
+        got_runs = record_batch(RunBatch.of(runs), ("A", "B"))
         assert sorted(draws) == [5, 9]
         for got, (scen, sim) in zip(got_runs, runs):
             want = run(scen, sim)
@@ -254,25 +257,27 @@ class TestBatchKernel:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_rows_keep_seeds_above_the_int64_range(self):
-        # seeds span [0, 2**64): stacking a small seed with a large one must
-        # not turn the seed column into floats
+        # seeds span [0, 2**64): a small seed beside a large one must not
+        # turn the seed column into floats
         scen = two_actor("adaptive", baseline_init=(0.3, 0.3))
         sims = [SimConfig(horizon=12, noise_sigma=0.02, seed=s) for s in (3, 2**64 - 1)]
-        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        batch = RunBatch.of([(scen, sim) for sim in sims])
+        assert batch.rows["seed"].dtype == np.uint64
+        assert batch.rows["seed"].tolist() == [3, 2**64 - 1]
         for got, sim in zip(record_batch(batch, scen.labels), sims):
             assert got.actions.tobytes() == run(scen, sim).actions.tobytes()
 
-    def test_stack_keeps_pre_history_and_offsets_shocks(self):
+    def test_of_keeps_pre_history_and_offsets_shocks(self):
         scen = replace(two_actor(memory_k=3), pre_history=((0.2, 0.9), (0.4, 0.7)))
         sims = [SimConfig(horizon=10, noise_sigma=0.0,
                           shocks=(Shock(period=p, actor=1, delta=-0.2),)) for p in (3, 6)]
-        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        batch = RunBatch.of([(scen, sim) for sim in sims])
         assert batch.pre_history.shape == (2, 2, 2) and batch.script is None
         assert [(r, s.period) for r, s in batch.shocks] == [(0, 3), (1, 6)]
         for got, sim in zip(record_batch(batch, scen.labels), sims):
             assert got.actions.tobytes() == run(scen, sim).actions.tobytes()
 
-    def test_stack_front_pads_unequal_pre_history(self):
+    def test_of_front_pads_unequal_pre_history(self):
         # pre-histories of 0, 1 and 3 periods under windows shorter and
         # longer than them, across baseline modes and with noise
         runs = [
@@ -287,7 +292,7 @@ class TestBatchKernel:
                                memory_k=1), pre_history=((0.4, 0.5),)),
              SimConfig(horizon=4, noise_sigma=0.05, seed=4)),
         ]
-        batch = RunBatch.stack([RunBatch.single(*r) for r in runs])
+        batch = RunBatch.of(runs)
         assert batch.pre_history.shape == (3, 4, 2)
         lead = np.isnan(batch.pre_history).all(axis=2).sum(axis=0)
         assert lead.tolist() == [2, 3, 0, 2]
@@ -298,8 +303,8 @@ class TestBatchKernel:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_pre_history_nan_only_in_leading_periods(self):
-        batch = RunBatch.single(replace(two_actor(), pre_history=((0.5, 0.5), (0.4, 0.6))),
-                                SimConfig(horizon=3))
+        batch = RunBatch.of([(replace(two_actor(), pre_history=((0.5, 0.5), (0.4, 0.6))),
+                              SimConfig(horizon=3))])
         for period, actors in ((1, [0, 1]), (0, [1])):
             pre = batch.pre_history.copy()
             pre[period, 0, actors] = np.nan
@@ -309,7 +314,7 @@ class TestBatchKernel:
     def test_observer_sees_only_live_rows(self):
         scen = two_actor()
         sims = [SimConfig(horizon=h, noise_sigma=0.02, seed=h) for h in (5, 3, 3, 1)]
-        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims])
+        batch = RunBatch.of([(scen, sim) for sim in sims])
         live = []
         run_batch(batch, lambda idx, state: live.append(
             {len(a) for a in state.values()}))
@@ -317,7 +322,7 @@ class TestBatchKernel:
 
     def test_rows_out_of_horizon_order_rejected(self):
         scen = two_actor()
-        batch = RunBatch.stack([RunBatch.single(scen, SimConfig(horizon=h)) for h in (3, 5)])
+        batch = RunBatch.of([(scen, SimConfig(horizon=h)) for h in (3, 5)])
         with pytest.raises(ValueError, match="non-increasing horizon order"):
             run_batch(batch, lambda idx, state: None)
         # record_batch orders the rows itself and hands them back as given
@@ -329,13 +334,34 @@ class TestBatchKernel:
         scen = two_actor()
         sims = [SimConfig(horizon=8, noise_sigma=0.0,
                           shocks=(Shock(period=p, actor=0, delta=-0.2),)) for p in (2, 5, 7)]
-        batch = RunBatch.stack([RunBatch.single(scen, sim) for sim in sims]).take([2, 0])
+        batch = RunBatch.of([(scen, sim) for sim in sims]).take([2, 0])
         assert [(r, s.period) for r, s in batch.shocks] == [(1, 2), (0, 7)]
-        assert batch.horizon.tolist() == [8, 8]
+        assert batch.rows["horizon"].tolist() == [8, 8]
+
+    def test_rows_table_has_the_documented_keys_and_shapes(self):
+        scalars = set(RECIP_FIELDS + TRUST_FIELDS + SIM_FIELDS) | {"baseline_mode", "horizon"}
+        per_actor = {"a_max", "a_init", "baseline_init"}
+        scen = two_actor()
+        built = RunBatch.of([(scen, SimConfig(horizon=4), {1: {2: 0.3, 9: 0.1}}),
+                             (scen, SimConfig(horizon=6))])
+        # the script is padded with free periods to the longest horizon
+        pinned = np.argwhere(~np.isnan(built.script)).tolist()
+        assert built.script.shape == (6, 2, 2) and pinned == [[1, 0, 1]]
+        runs = sweep._protocol_runs(sweep.columns([sweep.REFERENCE_CELL], sweep.GRID_KEYS),
+                                    sweep._default_trust(1), sweep.RHO0_EXTREMES)
+        shape = runs["horizon"].shape
+        protocol = sweep._protocol_batch({name: np.broadcast_to(col, shape).reshape(-1)
+                                          for name, col in runs.items()})
+        for batch in (built, protocol):  # both over 2 actors
+            B = len(batch.rows["horizon"])
+            assert set(batch.rows) == scalars | per_actor | {"d"}
+            for name, col in batch.rows.items():
+                want = (B,) if name in scalars else (B, 2) if name in per_actor else (B, 2, 2)
+                assert col.shape == want, name
 
     def test_best_response_needs_one_row(self):
         scen = two_actor()
-        batch = RunBatch.stack([RunBatch.single(scen, SimConfig(horizon=3))] * 2)
+        batch = RunBatch.of([(scen, SimConfig(horizon=3))] * 2)
         with pytest.raises(ValueError):
             run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
 
@@ -379,7 +405,7 @@ def test_action_bounds_keep_np_clip_bits(rows, n):
     gen = np.random.default_rng(10 * rows + n)
     levels = np.array([-0.0, 0.0, 5e-324, 0.5, 1.0])
     starts, pinned = gen.choice(levels, (2, rows, n))
-    batches = []
+    runs = []
     for a_init, second in zip(starts.tolist(), pinned.tolist()):
         scen = ScenarioConfig(
             labels=tuple("ABCDE"[:n]), d=symmetric_matrix(n, 0.5),
@@ -387,10 +413,10 @@ def test_action_bounds_keep_np_clip_bits(rows, n):
             a_init=tuple(a_init),
         )
         script = {i: {2: v} for i, v in enumerate(second)}
-        batches.append(RunBatch.single(scen, SimConfig(horizon=2), script))
-    batch = RunBatch.stack(batches)
+        runs.append((scen, SimConfig(horizon=2), script))
+    batch = RunBatch.of(runs)
     got = np.stack([traj.actions for traj in record_batch(batch, scen.labels)], axis=1)
-    want = np.clip(np.stack([starts, pinned]), 0.0, batch.a_max)
+    want = np.clip(np.stack([starts, pinned]), 0.0, batch.rows["a_max"])
     assert np.array_equal(_bits(got), _bits(want))
 
 

@@ -239,7 +239,7 @@ class TestSweepAggregation:
         real = sweep.run_batch
 
         def counting(batch, observe):
-            horizons.extend(batch.horizon.tolist())
+            horizons.extend(batch.rows["horizon"].tolist())
 
             def count(idx, state):
                 periods.append(len(state["actions"]))
