@@ -40,6 +40,9 @@ EXIT_THRESHOLD = 2
 # stays so existing command lines keep working.
 PARALLEL_HELP = "accepted and ignored: runs are batched in one process"
 
+# The commands whose --out is a directory of output files.
+OUT_DIRECTORY_COMMANDS = ("simulate", "sweep", "montecarlo", "case-study")
+
 
 def _default_seed(value) -> int:
     if value is None:
@@ -60,6 +63,10 @@ def cmd_simulate(args) -> int:
     if overrides:
         sim = replace(sim, **overrides)
     traj = run(scenario, sim)
+    unsolved = [t + 1 for t, ok in enumerate(traj.converged.tolist()) if not ok]
+    if unsolved:
+        print(f"warning: the best-response solve did not converge in periods "
+              f"{', '.join(map(str, unsolved))}", file=sys.stderr)
     files.write_file(os.path.join(args.out, "trajectory.csv"), files.trajectory_csv(traj))
     files.write_file(os.path.join(args.out, "dyads.csv"), files.dyads_csv(traj))
     print(f"simulated {sim.horizon} periods for {scenario.n} actors -> {args.out}")
@@ -138,10 +145,7 @@ def cmd_case_study(args) -> int:
 
 def cmd_translate(args) -> int:
     labels, entries = files.read_dependency_csv(args.deps)
-    elic = ""
-    if args.elicit:
-        with open(args.elicit, "r", encoding="utf-8") as fh:
-            elic = fh.read()
+    elic = files.read_text(args.elicit) if args.elicit else ""
     result = translate(labels, entries, elic)
     files.write_scenario(args.out, result.scenario, result.sim)
     n = result.scenario.n
@@ -198,8 +202,7 @@ def cmd_report(args) -> int:
     for name in ("report.md", "montecarlo.md", "rubric.md"):
         path = os.path.join(args.input, name)
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                pieces.append(fh.read())
+            pieces.append(files.read_text(path))
     if not pieces:
         print(f"no report inputs found under {args.input}", file=sys.stderr)
         return EXIT_USAGE
@@ -275,8 +278,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # An --out that is a file fails before the job runs, not at its first write.
+        if args.command in OUT_DIRECTORY_COMMANDS and os.path.isfile(args.out):
+            raise ConfigurationError(f"{args.out}: --out is a file, not a directory")
         return args.func(args)
-    except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -234,8 +234,7 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
 
 
 def read_scenario(path: str) -> tuple[ScenarioConfig, SimConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_text(fh.read())
+    return scenario_from_text(read_text(path))
 
 
 def write_scenario(path: str, scenario: ScenarioConfig, sim: SimConfig) -> None:
@@ -250,8 +249,7 @@ DEPENDENCY_HEADER = ("depender", "dependee", "dependum", "type", "weight",
 
 def read_dependency_csv(path: str) -> tuple[tuple[str, ...], list[DependencyEntry]]:
     """Read a dependency table; actor indices follow first appearance."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_dependency_csv(fh.read())
+    return parse_dependency_csv(read_text(path, newline=""))
 
 
 def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEntry]]:
@@ -306,8 +304,7 @@ def parse_grid(text: str) -> ParameterGrid:
 
 
 def read_grid(path: str) -> ParameterGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid(fh.read())
+    return parse_grid(read_text(path))
 
 
 # -- output CSVs ---------------------------------------------------------------
@@ -367,6 +364,16 @@ def targets_csv(table: dict[str, np.ndarray]) -> str:
                    *(v[lo : lo + CSV_BLOCK_ROWS].tolist() for v in values))
         blocks.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return "".join(blocks)
+
+
+def read_text(path: str, newline: Optional[str] = None) -> str:
+    """The UTF-8 text of the file at ``path``; text that is not UTF-8 is a
+    ConfigurationError that names the path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def write_file(path: str, text: str) -> None:

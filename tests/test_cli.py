@@ -1,15 +1,20 @@
 import argparse
+import functools
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from dataclasses import replace
 
 from coopsim import case_study as cs
+from coopsim import solver
 from coopsim.cli import build_parser, main
-from coopsim.files import scenario_to_text, write_file
+from coopsim.files import dyads_csv, read_scenario, scenario_to_text, trajectory_csv, write_file
 from coopsim.scenario import SimConfig, reference_scenario
+from coopsim.simulation import run
 
 TINY_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 1,4\n"
 
@@ -339,21 +344,96 @@ class TestTranslateCommand:
                      "--elicit", str(elicit), "--out", out]) == 1
 
 
+NOT_UTF8 = "error: {latin1}: 'utf-8' codec can't decode"
+
+
 class TestUnreadablePaths:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--scenario", "{dir}", "--out", "{dir}/o"],
-        ["sweep", "--grid", "{dir}", "--out", "{dir}/o"],
-        ["translate", "--deps", cs.ios_dependency_csv_path(), "--elicit", "{dir}",
-         "--out", "{dir}/s.conf"],
-        ["simulate", "--scenario", "{latin1}", "--out", "{dir}/o"],
-        ["simulate", "--scenario", "{scenario}", "--out", "{scenario}"],
-    ], ids=["scenario-dir", "grid-dir", "elicit-dir", "scenario-not-utf8", "out-is-a-file"])
-    def test_exits_one_with_an_error_line(self, argv, scenario_file, tmp_path, capsys):
+    @pytest.fixture()
+    def paths(self, scenario_file, tmp_path):
         latin1 = tmp_path / "latin1.conf"
         latin1.write_bytes(b"# caf\xe9\n")
-        paths = {"dir": str(tmp_path), "latin1": str(latin1), "scenario": scenario_file}
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "report.md").write_bytes(b"# caf\xe9\n")
+        return {"dir": str(tmp_path), "latin1": str(latin1), "scenario": scenario_file,
+                "report": str(inputs / "report.md"), "inputs": str(inputs)}
+
+    # Each case: the command line, the path its error must name, and how the
+    # error line starts.
+    @pytest.mark.parametrize("argv, culprit, start", [
+        (["simulate", "--scenario", "{dir}", "--out", "{dir}/o"], "dir", "error: "),
+        (["sweep", "--grid", "{dir}", "--out", "{dir}/o"], "dir", "error: "),
+        (["translate", "--deps", cs.ios_dependency_csv_path(), "--elicit", "{dir}",
+          "--out", "{dir}/s.conf"], "dir", "error: "),
+        (["simulate", "--scenario", "{latin1}", "--out", "{dir}/o"], "latin1", NOT_UTF8),
+        (["simulate", "--scenario", "{scenario}", "--out", "{scenario}"], "scenario",
+         "error: {scenario}: --out is a file"),
+        (["sweep", "--grid", "{latin1}", "--out", "{dir}/o"], "latin1", NOT_UTF8),
+        (["translate", "--deps", "{latin1}", "--out", "{dir}/s.conf"], "latin1", NOT_UTF8),
+        (["translate", "--deps", cs.ios_dependency_csv_path(), "--elicit", "{latin1}",
+          "--out", "{dir}/s.conf"], "latin1", NOT_UTF8),
+        (["report", "--in", "{inputs}", "--out", "{dir}/all.md"], "report",
+         "error: {report}: 'utf-8' codec can't decode"),
+    ], ids=["scenario-dir", "grid-dir", "elicit-dir", "scenario-not-utf8", "out-is-a-file",
+            "grid-not-utf8", "deps-not-utf8", "elicit-not-utf8", "report-not-utf8"])
+    def test_exits_one_with_an_error_line(self, argv, culprit, start, paths, capsys):
         assert main([arg.format(**paths) for arg in argv]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(start.format(**paths)) and paths[culprit] in err
+        assert len(err.splitlines()) == 1
+
+    def test_out_that_is_a_file_fails_before_the_job_runs(self, scenario_file, monkeypatch,
+                                                           capsys):
+        calls = []
+
+        def run_ios_pair(*args):
+            calls.append(args)
+            raise RuntimeError("the job ran")
+
+        monkeypatch.setattr(cs, "run_ios_pair", run_ios_pair)
+        assert main(["case-study", "ios", "--counterfactual", "--out", scenario_file]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {scenario_file}: --out is a file, not a directory"]
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+    def test_every_directory_out_is_checked_first(self, command, scenario_file, capsys):
+        job = {"simulate": ["--scenario", scenario_file], "sweep": ["--grid", "smoke"],
+               "montecarlo": ["--trials", "2"]}[command]
+        assert main([command, *job, "--out", scenario_file]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {scenario_file}: --out is a file")
+
+    def test_translate_still_overwrites_its_out_file(self, scenario_file):
+        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
+                     "--out", scenario_file]) == 0
+        assert "actors = Apple,Major,Small" in read(scenario_file).decode()
+
+
+class TestSolveWarnings:
+    def test_unconverged_periods_are_listed_on_stderr(self, scenario_file, tmp_path,
+                                                       monkeypatch, capsys):
+        # One iteration per solve leaves a solve whose warm start moves unconverged.
+        monkeypatch.setattr(solver, "SolverConfig",
+                            functools.partial(solver.SolverConfig, max_iters=1))
+        scenario, sim = read_scenario(scenario_file)
+        traj = run(scenario, replace(sim, mode="best_response"))
+        unsolved = [t + 1 for t in np.flatnonzero(~traj.converged).tolist()]
+        assert unsolved
+
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--scenario", scenario_file, "--mode", "best_response",
+                     "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: the best-response solve did not converge in "
+                                f"periods {', '.join(map(str, unsolved))}\n")
+        assert captured.out == f"simulated {traj.horizon} periods for 2 actors -> {out}\n"
+        assert read(os.path.join(out, "trajectory.csv")).decode() == trajectory_csv(traj)
+        assert read(os.path.join(out, "dyads.csv")).decode() == dyads_csv(traj)
+
+    def test_converged_run_prints_no_warning(self, scenario_file, tmp_path, capsys):
+        assert main(["simulate", "--scenario", scenario_file, "--mode", "best_response",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPropCheckCommand:

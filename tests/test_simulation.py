@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -5,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsim.errors import ConfigurationError
-from coopsim.params import EconomyParams, ReciprocityParams, TrustParams
+from coopsim.files import read_scenario
+from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TrustParams
 from coopsim.scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, symmetric_matrix
 from coopsim import sweep
 from coopsim.simulation import (
@@ -13,6 +16,7 @@ from coopsim.simulation import (
     SIM_FIELDS,
     TRUST_FIELDS,
     RunBatch,
+    _reusing,
     _trust_rows,
     _update_trust_matrices,
     _window_means,
@@ -22,6 +26,7 @@ from coopsim.simulation import (
     run_batch,
 )
 from coopsim.rng import normal
+from coopsim.solver import EquilibriumSolver
 from oracles import update_trust, window_mean
 
 
@@ -364,6 +369,119 @@ class TestBatchKernel:
         batch = RunBatch.of([(scen, SimConfig(horizon=3))] * 2)
         with pytest.raises(ValueError):
             run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
+
+
+BENCHMARK_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark",
+                                  "scenarios", "equilibrium.conf")
+
+
+def _solve_inputs(traj):
+    """The bytes of the inputs of the solve that chose each period t + 1 >= 2:
+    that period's own averages and trust, and period t's actions."""
+    return [(traj.baselines[t].tobytes(), traj.trust[t].tobytes(), traj.actions[t - 1].tobytes())
+            for t in range(1, traj.horizon)]
+
+
+def _replay_mismatches(scenario, traj):
+    """The 0-based periods t >= 1 whose actions or solve flag a freshly built
+    solver does not reproduce, bit for bit, from the recorded inputs."""
+    mismatches = []
+    for t in range(1, traj.horizon):
+        result = EquilibriumSolver(scenario)(traj.baselines[t], traj.trust[t], traj.actions[t - 1])
+        if not (np.array_equal(_bits(result.actions), _bits(traj.actions[t]))
+                and result.converged == traj.converged[t]):
+            mismatches.append(t)
+    return mismatches
+
+
+def _counted_run(scenario, sim):
+    """A best-response run through a counting solver: its trajectory and
+    the number of solver calls."""
+    solve, calls = EquilibriumSolver(scenario), []
+
+    def counting(own_avg, trust, actions):
+        calls.append(None)
+        return solve(own_avg, trust, actions)
+
+    return record_batch(RunBatch.of([(scenario, sim)]), scenario.labels, counting)[0], len(calls)
+
+
+def _input_runs(traj):
+    """The number of runs of byte-identical consecutive solve inputs."""
+    keys = _solve_inputs(traj)
+    return sum(1 for t, key in enumerate(keys) if t == 0 or key != keys[t - 1])
+
+
+@st.composite
+def _solver_scenario(draw):
+    """A 2- or 3-actor scenario; most settle within 20 best-response periods."""
+    n = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    d = [[0.0 if i == j else draw(unit) for j in range(n)] for i in range(n)]
+    a_max = draw(st.sampled_from((1.0, 10.0)))
+    return ScenarioConfig(
+        labels=("A", "B", "C")[:n],
+        d=InterdependenceMatrix(d),
+        recip=ReciprocityParams(rho0=draw(st.floats(0.0, 2.0)), kappa=draw(st.floats(0.5, 3.0)),
+                                memory_k=draw(st.integers(1, 5))),
+        trust=TrustParams(t0=draw(unit)),
+        econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n,
+                           theta_v=draw(st.floats(1.0, 20.0)), gamma=draw(st.floats(0.0, 5.0))),
+        a_max=(a_max,) * n,
+        a_init=tuple(draw(st.floats(0.0, a_max)) for _ in range(n)),
+    )
+
+
+class TestSolveReuse:
+    """A best-response run solves a period only when its inputs change."""
+
+    def test_benchmark_scenario_replays_with_fewer_solves(self):
+        scenario, sim = read_scenario(BENCHMARK_SCENARIO)
+        sim = replace(sim, mode="best_response")
+        assert sim.shocks == ()
+        traj = run(scenario, sim)
+        assert _replay_mismatches(scenario, traj) == []
+        counted, calls = _counted_run(scenario, sim)
+        assert np.array_equal(_bits(counted.actions), _bits(traj.actions))
+        # the run settles: 5 solves for its 39 periods after the first
+        assert calls == _input_runs(traj) < traj.horizon - 1
+
+    @given(_solver_scenario(), st.integers(2, 20))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_scenarios_replay_and_solve_once_per_input_run(self, scenario, horizon):
+        sim = SimConfig(horizon=horizon, mode="best_response")
+        traj = run(scenario, sim)
+        assert _replay_mismatches(scenario, traj) == []
+        counted, calls = _counted_run(scenario, sim)
+        assert np.array_equal(_bits(counted.actions), _bits(traj.actions))
+        assert calls == _input_runs(traj)
+
+    @pytest.mark.parametrize("change", ["ulp", "negative zero"])
+    @pytest.mark.parametrize("which", ["own_avg", "trust", "actions"])
+    def test_one_changed_bit_in_any_input_is_a_new_solve(self, which, change):
+        inputs = {"own_avg": np.array([0.5, -0.0]),
+                  "trust": np.array([[1.0, -0.0], [0.7, 1.0]]),
+                  "actions": np.array([0.25, -0.0])}
+        calls = []
+        respond = _reusing(lambda *args: calls.append(args) or len(calls))
+        assert respond(*inputs.values()) == 1
+        assert respond(*(a.copy() for a in inputs.values())) == 1
+        changed = {name: a.copy() for name, a in inputs.items()}
+        flat = changed[which].reshape(-1)
+        if change == "ulp":
+            flat[0] = np.nextafter(flat[0], np.inf)
+        else:
+            flat[flat == 0.0] = 0.0  # -0.0 == 0.0, so this rewrites the sign bit
+        assert respond(*changed.values()) == 2
+        assert len(calls) == 2
+
+    def test_inputs_written_in_place_are_a_new_solve(self):
+        own_avg, trust, actions = np.array([0.5, 0.5]), np.eye(2), np.array([0.25, 0.75])
+        calls = []
+        respond = _reusing(lambda *args: calls.append(args) or len(calls))
+        assert respond(own_avg, trust, actions) == 1
+        trust[0, 1] = 0.7  # as the kernel's trust update does
+        assert respond(own_avg, trust, actions) == 2
 
 
 # The kernel bounds actions, reputation and trust with np.maximum/np.minimum
