@@ -278,9 +278,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        # An --out that is a file fails before the job runs, not at its first write.
-        if args.command in OUT_DIRECTORY_COMMANDS and os.path.isfile(args.out):
-            raise ConfigurationError(f"{args.out}: --out is a file, not a directory")
+        if args.command in OUT_DIRECTORY_COMMANDS:
+            # A file at --out or above it fails here, not at the job's first write.
+            path = os.path.abspath(args.out)
+            while not os.path.exists(path):
+                path = os.path.dirname(path)
+            if not os.path.isdir(path):
+                where = "--out" if path == os.path.abspath(args.out) else path
+                raise ConfigurationError(f"{args.out}: {where} is a file, not a directory")
         return args.func(args)
     except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

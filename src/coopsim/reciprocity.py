@@ -25,6 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .params import ReciprocityParams
 
 
@@ -49,11 +50,22 @@ def gate_weights(d: np.ndarray, recip: Mapping[str, np.ndarray]) -> np.ndarray:
 
     ``d`` is (B, n, n); ``recip`` holds (B,) columns keyed by the
     :class:`ReciprocityParams` field names.  The diagonal is not zeroed:
-    with eta = 0 it carries rho0.
+    with eta = 0 it carries rho0.  A gate that overflows (huge rho0 or
+    lambda_r) raises :class:`ConfigurationError`: inf * tanh(0) would
+    turn every action after it into NaN.
     """
-    return (recip["lambda_r"][:, None, None]
-            * (1.0 + recip["omega_amp"][:, None, None] * d)
-            * sensitivity(d, recip["rho0"], recip["eta"]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = (recip["lambda_r"][:, None, None]
+                * (1.0 + recip["omega_amp"][:, None, None] * d)
+                * sensitivity(d, recip["rho0"], recip["eta"]))
+    bad = ~np.isfinite(gate)
+    if bad.any():
+        b = int(np.argwhere(bad)[0, 0])
+        levels = ", ".join(f"{f} = {float(recip[f][b])!r}"
+                           for f in ("lambda_r", "omega_amp", "rho0", "eta"))
+        raise ConfigurationError("the reciprocity gate lambda_r * (1 + omega_amp * D) * rho0 "
+                                 f"* D ** eta is not finite at {levels}")
+    return gate
 
 
 def gate_matrix(d: np.ndarray, recip: ReciprocityParams) -> np.ndarray:

@@ -45,10 +45,13 @@ the first axis of every entry (each parameter field as ``(B,)``, ``d`` as
 ``(B, n, n)``, ``a_max``, ``a_init`` and ``baseline_init`` as ``(B, n)``,
 ``baseline_mode`` and ``horizon`` as ``(B,)``), beside the scripts,
 shocks and pre-histories.  :func:`record_batch` keeps every observed
-state, and :func:`run` is its B = 1 call.  The kernel takes its rows
-longest horizon first, and each row stops at its own horizon: from then
-on the kernel advances, and the observer sees, only the rows still live,
-a prefix of the batch.  Each row may have its own number of pre-history
+state, and :func:`run` is its B = 1 call.  Both take the rows longest
+horizon first, and each row stops at its own horizon: from then on the
+kernel advances, and the observer sees, only the rows still live, a
+prefix of the batch.  The kernel keeps every per-row input in one table
+(and the period-first ones in a second), so a horizon cut is one slice of
+each.  The action rule's reference is picked per row by its
+``baseline_mode``.  Each row may have its own number of pre-history
 periods: leading NaN rows of its ``pre_history`` are periods it does not
 have.  Rows never interact, and
 every row computes exactly the arithmetic of a run on its own, so a row's
@@ -176,18 +179,6 @@ class RunBatch:
         return cls(rows=rows, script=script, pre_history=pre,
                    shocks=tuple((b, shock) for b, sim in enumerate(sims) for shock in sim.shocks))
 
-    def take(self, order: Sequence[int]) -> "RunBatch":
-        """The batch of the given rows, in the given order."""
-        order = np.asarray(order, dtype=np.int64)
-        position = np.full(len(self.rows["horizon"]), -1)
-        position[order] = np.arange(len(order))
-        return type(self)(
-            rows={f: c[order] for f, c in self.rows.items()},
-            script=None if self.script is None else self.script[:, order],
-            shocks=tuple((int(position[r]), s) for r, s in self.shocks if position[r] >= 0),
-            pre_history=None if self.pre_history is None else self.pre_history[:, order],
-        )
-
 
 # Best-response rule: (own averages for the next period, trust, actions) -> solve result.
 BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
@@ -285,7 +276,8 @@ def _trust_rows(trust: Mapping[str, np.ndarray], d: np.ndarray) -> dict[str, np.
 def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndarray,
                            p: Mapping[str, np.ndarray]) -> None:
     """Advance every dyad's trust T and reputation damage R by one observed
-    signal s, in place; ``p`` comes from ``_trust_rows``.
+    signal s, in place; ``p`` holds the entries of ``_trust_rows`` (the
+    kernel passes its whole row table).
 
     Reputation moves first:
 
@@ -361,41 +353,6 @@ def run_batch(batch: RunBatch, observe: Observer,
         best_response = _reusing(best_response)
     d = rows["d"]
 
-    gate = gate_weights(d, rows)
-    kappa = _per_row(rows["kappa"], (n, n))
-    k = np.asarray(rows["memory_k"], dtype=np.int64)[:, None]
-    reach = _window_reach(k, n)
-    tp = _trust_rows(rows, d)
-    rate, decay, norm_rate = (_per_row(rows[f], (n,))
-                              for f in ("adjust_rate", "decay", "baseline_rate"))
-    # Period t's noise is noise[t - 1]: each noisy row's scaled (H, n) block,
-    # one draw per distinct seed, and -0.0 on the other rows, since adding
-    # -0.0 leaves every value's bits as they are.
-    sigma, seeds = rows["noise_sigma"], rows["seed"]
-    noise = None
-    if best_response is None and (sigma > 0.0).any():
-        noise = np.full((H, B, n), -0.0)
-        blocks: dict[int, np.ndarray] = {}
-        for b in np.flatnonzero(sigma > 0.0).tolist():
-            seed = int(seeds[b])
-            if seed not in blocks:
-                blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
-                                      np.arange(1, H + 1, dtype=np.uint64)[:, None])
-            noise[:, b] = float(sigma[b]) * blocks[seed]
-    shocks_at: dict[int, list[tuple[int, int, float]]] = {}
-    for b, shock in batch.shocks:
-        if shock.period <= horizon[b]:
-            shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
-
-    mode = np.asarray(rows["baseline_mode"])
-    windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
-    adaptive = _per_row(mode == BASELINE_MODES.index("adaptive"), (n,)) > 0.0
-    fixed = _per_row(mode == BASELINE_MODES.index("fixed"), (n,)) > 0.0
-    initial = np.asarray(rows["baseline_init"], dtype=float)
-    a_max = np.asarray(rows["a_max"], dtype=float)
-    script = batch.script
-    free = None if script is None else np.isnan(script)
-
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
     P = pre.shape[0]
     empty = np.isnan(pre)
@@ -405,7 +362,41 @@ def run_batch(batch: RunBatch, observe: Observer,
     hist = np.empty((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
     hist[:P] = np.where(empty, 0.0, pre)
 
-    norms = initial.copy()
+    # Every per-row input, row first, and every period-first one: a horizon
+    # cut keeps the live rows of each.
+    k = np.asarray(rows["memory_k"], dtype=np.int64)[:, None]
+    p = {"gate": gate_weights(d, rows), "kappa": _per_row(rows["kappa"], (n, n)), "k": k,
+         "lead": lead, "rate": _per_row(rows["adjust_rate"], (n,)),
+         "decay": _per_row(rows["decay"], (n,)),
+         "norm_rate": _per_row(rows["baseline_rate"], (n,)),
+         "mode": np.asarray(rows["baseline_mode"])[:, None],  # index into BASELINE_MODES
+         "initial": np.asarray(rows["baseline_init"], dtype=float),
+         "a_max": np.asarray(rows["a_max"], dtype=float)} | _trust_rows(rows, d)
+    per = {"hist": hist, "reach": _window_reach(k, n)}
+    if batch.script is not None:
+        per |= {"script": batch.script, "free": np.isnan(batch.script)}
+    # Period t's noise is noise[t - 1]: each noisy row's scaled (H, n) block,
+    # one draw per distinct seed, and -0.0 on the other rows, since adding
+    # -0.0 leaves every value's bits as they are.
+    sigma, seeds = rows["noise_sigma"], rows["seed"]
+    if best_response is None and (sigma > 0.0).any():
+        per["noise"] = np.full((H, B, n), -0.0)
+        blocks: dict[int, np.ndarray] = {}
+        for b in np.flatnonzero(sigma > 0.0).tolist():
+            seed = int(seeds[b])
+            if seed not in blocks:
+                blocks[seed] = normal(seed, np.arange(n, dtype=np.uint64)[None],
+                                      np.arange(1, H + 1, dtype=np.uint64)[:, None])
+            per["noise"][:, b] = float(sigma[b]) * blocks[seed]
+    shocks_at: dict[int, list[tuple[int, int, float]]] = {}
+    for b, shock in batch.shocks:
+        if shock.period <= horizon[b]:
+            shocks_at.setdefault(shock.period, []).append((b, shock.actor, shock.delta))
+
+    # The leading rows whose rule's reference is the windowed mean: the live
+    # rows are a prefix, so while no others are live the rule's signal is s_win.
+    windowed_rows = next((b for b, m in enumerate(p["mode"][:, 0].tolist()) if m), B)
+    norms = p["initial"].copy()
     trust = _per_row(rows["t0"], (n, n))
     trust.reshape(B, n * n)[:, :: n + 1] = 1.0
     reputation = np.zeros((B, n, n))
@@ -416,70 +407,62 @@ def run_batch(batch: RunBatch, observe: Observer,
         shocks, then its script, then the bounds."""
         for b, i, delta in shocks_at.get(idx + 1, ()):
             a[b, i] += delta
-        if script is not None:
-            a = np.where(free[idx], a, script[idx])
-        return np.minimum(np.maximum(a, 0.0), a_max, out=a)
+        if "script" in per:
+            a = np.where(per["free"][idx], a, per["script"][idx])
+        return np.minimum(np.maximum(a, 0.0), p["a_max"], out=a)
 
     actions = settle(np.array(rows["a_init"], dtype=float), 0)
     # A row without pre-history starts at its initial level (0 / 0 elsewhere).
     with np.errstate(invalid="ignore"):
-        b_win = np.where(lead < P, _window_means(hist, P, k, reach, initial, lead), initial)
+        b_win = np.where(lead < P, _window_means(hist, P, k, per["reach"], p["initial"], lead),
+                         p["initial"])
     for t in range(1, H + 1):
         idx = t - 1
         s_win = _signals(actions, b_win)
-        if windowed_rule:
-            s_rule = s_win
-        else:
-            s_rule = _signals(actions, np.where(adaptive, norms,
-                                                np.where(fixed, initial, b_win)))
-        term = gate * trust * np.tanh(kappa * s_rule)
+        s_rule = s_win
+        if len(actions) > windowed_rows:  # a live row's rule follows its norm or fixed level
+            # the references in BASELINE_MODES order
+            s_rule = _signals(actions, np.choose(p["mode"], (b_win, norms, p["initial"])))
+        term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
 
-        hist[P + idx] = actions
+        per["hist"][P + idx] = actions
         observe(idx, {"actions": actions, "baselines": b_win, "norms": norms,
                       "trust": trust, "reputation": reputation, "signal": s_win,
                       "recip_term": term, "converged": converged})
 
-        _update_trust_matrices(trust, reputation, s_win, tp)
+        _update_trust_matrices(trust, reputation, s_win, p)
 
         if t == H:
             break
 
         L = live[t]
         if L < len(actions):  # the rows whose horizon is period t end here
-            (gate, kappa, k, lead, rate, decay, norm_rate, mode, adaptive, fixed, initial,
-             a_max, actions, norms, trust, reputation, converged, term) = (
-                a[:L] for a in (gate, kappa, k, lead, rate, decay, norm_rate, mode, adaptive,
-                                fixed, initial, a_max, actions, norms, trust, reputation,
-                                converged, term))
-            tp = {f: a[:L] for f, a in tp.items()}
-            reach, hist = reach[:, :L], hist[:, :L]
-            if script is not None:
-                script, free = script[:, :L], free[:, :L]
-            if noise is not None:
-                noise = noise[:, :L]
-            windowed_rule = bool((mode == BASELINE_MODES.index("moving_average")).all())
+            p = {f: a[:L] for f, a in p.items()}
+            per = {f: a[:, :L] for f, a in per.items()}
+            actions, norms, trust, reputation, converged, term = (
+                a[:L] for a in (actions, norms, trust, reputation, converged, term))
 
         # Actions through period t are known when choosing t+1 actions.
-        b_next = _window_means(hist, P + t, k, reach, initial, lead)
+        b_next = _window_means(per["hist"], P + t, p["k"], per["reach"], p["initial"], p["lead"])
         if best_response is None:
-            nxt = actions + rate * term.sum(axis=2) - decay * (actions - norms)
-            if noise is not None:
-                nxt += noise[t]
+            nxt = actions + p["rate"] * term.sum(axis=2) - p["decay"] * (actions - norms)
+            if "noise" in per:
+                nxt += per["noise"][t]
         else:
             result = best_response(b_next[0], trust[0], actions[0])
             converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 
-        norms += norm_rate * (actions - norms)
+        norms += p["norm_rate"] * (actions - norms)
         actions, b_win = settle(nxt, t), b_next
 
 
 def record_batch(batch: RunBatch, labels: tuple[str, ...],
                  best_response: Optional[BestResponse] = None) -> list[Trajectory]:
-    """Run the batch and return every row's trajectory, cut at its horizon,
-    in the batch's row order (the kernel runs the rows longest first)."""
+    """Run the batch, its rows longest first as :func:`run_batch` takes
+    them, and return every row's trajectory, cut at its horizon, in row
+    order."""
     horizon = batch.rows["horizon"]
-    order = np.argsort(-horizon, kind="stable")
     H, (B, n) = int(horizon.max()), batch.rows["a_init"].shape
     rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
     rec["converged"] = np.ones((H, B), dtype=bool)
@@ -489,12 +472,9 @@ def record_batch(batch: RunBatch, labels: tuple[str, ...],
         for f, sink in rec.items():
             sink[idx, :live] = state[f]
 
-    run_batch(batch.take(order), keep, best_response)
-    trajectories = [None] * B
-    for pos, b in enumerate(order.tolist()):
-        trajectories[b] = Trajectory(labels=labels, **{f: a[: horizon[b], pos].copy()
-                                                       for f, a in rec.items()})
-    return trajectories
+    run_batch(batch, keep, best_response)
+    return [Trajectory(labels=labels, **{f: a[:h, b].copy() for f, a in rec.items()})
+            for b, h in enumerate(horizon.tolist())]
 
 
 def run(

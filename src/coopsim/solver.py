@@ -3,7 +3,7 @@
 Each iteration evaluates every actor's best response on a finite action
 grid against the partners' previous-iterate actions (simultaneous/Jacobi
 updates, which preserve symmetry exactly), starting from the previous
-period's profile, until the sup-norm action change drops below tolerance.
+period's profile, until the sup-norm action change drops below ``TOL``.
 Non-convergence returns the last iterate, flagged.  One iteration
 (``max_iters=1``) gives every actor's best response to the warm start.
 
@@ -51,6 +51,10 @@ from .scenario import ScenarioConfig
 from .utility import standalone_payoff, synergy, team_member_utility
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A solve has converged when no action moves by this much in one iteration.
+# Refinement introduces float-level jitter between Jacobi sweeps, so the
+# tolerance stays comfortably above it.
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,6 @@ class SolverConfig:
     """
 
     max_iters: int = 100
-    tol: float = 1e-6
     grid_points: int = 201
     refine: bool = False
 
@@ -71,8 +74,6 @@ class SolverConfig:
         check_integer(self, ("max_iters", "grid_points"))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.grid_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.grid_points}")
 
@@ -235,7 +236,7 @@ class EquilibriumSolver:
                 nxt[i] = self._respond(i, actions, standalone, terms)
             residual = float(np.max(np.abs(nxt - actions)))
             actions = nxt
-            if residual < config.tol:
+            if residual < TOL:
                 return EquilibriumResult(tuple(actions), True, it, residual)
         return EquilibriumResult(tuple(actions), False, config.max_iters, residual)
 
@@ -301,9 +302,7 @@ def cross_partial_check(
     from .scenario import reference_scenario
 
     if solver is None:
-        # Refinement introduces float-level jitter between Jacobi sweeps, so
-        # the convergence tolerance stays comfortably above it.
-        solver = SolverConfig(grid_points=4001, refine=True, tol=1e-6)
+        solver = SolverConfig(grid_points=4001, refine=True)
 
     def corner(t: float, r: float) -> tuple[float, bool]:
         scen = reference_scenario(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,17 @@ class TestUnreadablePaths:
         assert err == [f"error: {scenario_file}: --out is a file, not a directory"]
         assert calls == []
 
+    def test_out_below_a_file_fails_before_the_job_runs(self, scenario_file, monkeypatch,
+                                                        capsys):
+        calls = []
+        monkeypatch.setattr(cs, "run_ios_pair", lambda *args: calls.append(args))
+        out = os.path.join(scenario_file, "x", "y")
+        assert main(["case-study", "ios", "--counterfactual", "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out}: {os.path.abspath(scenario_file)} is a file, "
+                       "not a directory"]
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
     def test_every_directory_out_is_checked_first(self, command, scenario_file, capsys):
         job = {"simulate": ["--scenario", scenario_file], "sweep": ["--grid", "smoke"],
@@ -407,6 +419,24 @@ class TestUnreadablePaths:
         assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
                      "--out", scenario_file]) == 0
         assert "actors = Apple,Major,Small" in read(scenario_file).decode()
+
+
+class TestOverflowingGate:
+    @pytest.mark.parametrize("mode", ["adjustment", "best_response"])
+    def test_exits_one_with_one_error_line_and_no_output(self, mode, tmp_path, capsys):
+        # lambda_r * (1 + omega * D) * rho0 * D overflows to inf, and
+        # inf * tanh(0) would make every later action NaN
+        path = str(tmp_path / "big.conf")
+        write_file(path, scenario_to_text(reference_scenario(rho0=1e308, lambda_r=5.0),
+                                          SimConfig(horizon=12)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", path, "--mode", mode,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the reciprocity gate ")
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestSolveWarnings:

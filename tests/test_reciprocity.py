@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim.errors import ConfigurationError
 from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TrustParams
+from coopsim.reciprocity import gate_weights
 from coopsim.scenario import BASELINE_MODES, ScenarioConfig, SimConfig, symmetric_matrix
 from coopsim.simulation import RunBatch, run, run_batch
 from oracles import gated_term
@@ -198,6 +201,21 @@ class TestGatedTerm:
             assert a <= b + 1e-12
         elif s < 0:
             assert a >= b - 1e-12
+
+
+class TestGateWeights:
+    def test_an_overflowing_gate_is_rejected_without_a_warning(self):
+        # row 1's lambda_r * (1 + omega * D) * rho0 * D overflows; row 0 is finite
+        d = np.array([[[0.0, 0.8], [0.8, 0.0]]] * 2)
+        recip = {"lambda_r": np.array([1.0, 5.0]), "omega_amp": np.array([1.0, 1.0]),
+                 "rho0": np.array([1.0, 1e308]), "eta": np.array([1.0, 1.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match=r"^the reciprocity gate .* is not finite at "
+                                     r"lambda_r = 5\.0, omega_amp = 1\.0, rho0 = 1e\+308"):
+                gate_weights(d, recip)
+            assert np.isfinite(gate_weights(d[:1], {f: c[:1] for f, c in recip.items()})).all()
 
 
 def _level(hi):

@@ -211,8 +211,11 @@ class TestBatchKernel:
     def test_rows_equal_separate_runs(self):
         # mixed baseline modes, windows, horizons, noise, shocks and scripts;
         # noisy rows end before noiseless ones, so the kernel cuts the noise
-        # array (-0.0 on noiseless rows) with the live rows
+        # array (-0.0 on noiseless rows) with the live rows; the longest row
+        # follows its window, so its last periods take the rule's shortcut
         runs = [
+            (two_actor("moving_average", memory_k=3, d=0.5),
+             SimConfig(horizon=60, noise_sigma=0.0), None),
             (two_actor("adaptive", baseline_init=(0.3, 0.3), memory_k=2, kappa=2.0),
              SimConfig(horizon=50, noise_sigma=0.0), {0: {40: 0.1}}),
             (two_actor("adaptive", baseline_init=(0.2, 0.2), memory_k=1),
@@ -226,15 +229,17 @@ class TestBatchKernel:
             (two_actor("moving_average", memory_k=4, kappa=3.0),
              SimConfig(horizon=1, noise_sigma=0.0), {0: {1: 0.25}}),
         ]
-        # as listed, and listed shortest horizon first
-        for listed in (runs, sorted(runs, key=lambda r: r[1].horizon)):
-            batch = RunBatch.of(listed)
-            got_runs = record_batch(batch, ("A", "B"))
-            for got, (scen, sim, script) in zip(got_runs, listed):
-                want = run(scen, sim, script=script)
-                for name in ("actions", "baselines", "norms", "trust", "reputation",
-                             "signal", "recip_term", "converged"):
-                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        runs.sort(key=lambda r: -r[1].horizon)  # longest first
+        got_runs = record_batch(RunBatch.of(runs), ("A", "B"))
+        for got, (scen, sim, script) in zip(got_runs, runs):
+            want = run(scen, sim, script=script)
+            for name in ("actions", "baselines", "norms", "trust", "reputation",
+                         "signal", "recip_term", "converged"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # the rows come longest first; record_batch does not reorder them
+        shortest_first = RunBatch.of(sorted(runs, key=lambda r: r[1].horizon))
+        with pytest.raises(ValueError, match="non-increasing horizon order"):
+            record_batch(shortest_first, ("A", "B"))
 
     def test_rows_on_one_seed_share_one_noise_block(self, monkeypatch):
         from coopsim import simulation
@@ -297,10 +302,11 @@ class TestBatchKernel:
                                memory_k=1), pre_history=((0.4, 0.5),)),
              SimConfig(horizon=4, noise_sigma=0.05, seed=4)),
         ]
+        runs.sort(key=lambda r: -r[1].horizon)  # stable: longest first
         batch = RunBatch.of(runs)
         assert batch.pre_history.shape == (3, 4, 2)
         lead = np.isnan(batch.pre_history).all(axis=2).sum(axis=0)
-        assert lead.tolist() == [2, 3, 0, 2]
+        assert lead.tolist() == [3, 0, 2, 2]
         for got, (scen, sim) in zip(record_batch(batch, ("A", "B")), runs):
             want = run(scen, sim)
             for name in ("actions", "baselines", "norms", "trust", "reputation",
@@ -330,18 +336,8 @@ class TestBatchKernel:
         batch = RunBatch.of([(scen, SimConfig(horizon=h)) for h in (3, 5)])
         with pytest.raises(ValueError, match="non-increasing horizon order"):
             run_batch(batch, lambda idx, state: None)
-        # record_batch orders the rows itself and hands them back as given
-        short, long = record_batch(batch, scen.labels)
-        assert (short.horizon, long.horizon) == (3, 5)
-        assert long.actions.tobytes() == run(scen, SimConfig(horizon=5)).actions.tobytes()
-
-    def test_take_keeps_shocks_with_their_rows(self):
-        scen = two_actor()
-        sims = [SimConfig(horizon=8, noise_sigma=0.0,
-                          shocks=(Shock(period=p, actor=0, delta=-0.2),)) for p in (2, 5, 7)]
-        batch = RunBatch.of([(scen, sim) for sim in sims]).take([2, 0])
-        assert [(r, s.period) for r, s in batch.shocks] == [(1, 2), (0, 7)]
-        assert batch.rows["horizon"].tolist() == [8, 8]
+        with pytest.raises(ValueError, match="non-increasing horizon order"):
+            record_batch(batch, scen.labels)
 
     def test_rows_table_has_the_documented_keys_and_shapes(self):
         scalars = set(RECIP_FIELDS + TRUST_FIELDS + SIM_FIELDS) | {"baseline_mode", "horizon"}

@@ -291,8 +291,11 @@ class TestSweepAggregation:
         shape = runs["horizon"].shape
         flat = {name: np.broadcast_to(col, shape)[:, kinds].reshape(-1)
                 for name, col in runs.items()}
+        # the engine takes its rows longest first: a run lasts 2k + const periods
+        order = np.argsort(-flat["memory_k"], kind="stable")
+        flat = {name: col[order] for name, col in flat.items()}
         full = record_batch(RunBatch(**oracles.full_warmup_runs(flat)), ("A", "B"))
-        for i, kappa, traj in zip(ids[:, kinds].reshape(-1).tolist(), flat["kappa"], full):
+        for i, kappa, traj in zip(ids[:, kinds].reshape(-1)[order].tolist(), flat["kappa"], full):
             signal = traj.signal[:, 0, 1]
             want_tau = signal_recovery_time(signal.tolist(), oracles.WARMUP + 1,
                                             RECOVERY_TOL, RECOVERY_SUSTAIN)
