@@ -15,6 +15,9 @@ Rows, each the cost of one call:
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
+- ``solver.cross_partial_check``: one default ``cross_partial_check()``,
+  four refined 4001-point solves; ``prop-check``'s Prop 3 is three such
+  calls, about two thirds of the job;
 - ``simulation.run_best_response``: one best-response ``run()`` of the
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;
@@ -68,7 +71,7 @@ import numpy as np  # noqa: E402
 
 from coopsim import case_study, cli, files, rng, simulation, sweep  # noqa: E402
 from coopsim.scenario import reference_scenario  # noqa: E402
-from coopsim.solver import SolverConfig, solve_equilibrium  # noqa: E402
+from coopsim.solver import SolverConfig, cross_partial_check, solve_equilibrium  # noqa: E402
 
 # Calls per sample are chosen so one sample takes about this long.
 SAMPLE_S = 0.02
@@ -145,6 +148,7 @@ def rows(work: str) -> dict:
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),
         "solver.solve_equilibrium": (
             lambda: solve_equilibrium(ref, own_avg, ref_trust, SolverConfig()), 1),
+        "solver.cross_partial_check": (cross_partial_check, 1),
         "simulation.run_best_response": (lambda: simulation.run(eq_scenario, eq_sim), 1),
         "sweep.measure_batch": (_measure_batch(256), 1),
         "job.case_study": (lambda: _cli(case_job), 1),

@@ -25,6 +25,7 @@ from .sweep import (
     BUILTIN_GRIDS,
     T4_RATIO,
     TARGET_THRESHOLDS,
+    ParameterGrid,
     differentiation_stats,
     measure_targets,
     monte_carlo,
@@ -166,6 +167,13 @@ def cmd_translate(args) -> int:
 
 def cmd_prop_check(args) -> int:
     props = [args.prop] if args.prop else [1, 2, 3]
+    ks = [args.k] if args.k is not None else [1, 5, 10]
+    kappas = [args.kappa] if args.kappa is not None else [0.5, 1.0, 2.0]
+    # Prop 2's options fail here, before any proposition runs or prints.
+    if 2 not in props and (args.k is not None or args.kappa is not None):
+        raise ConfigurationError(f"--k and --kappa apply to prop 2 only, not prop {args.prop}")
+    if 2 in props:
+        ParameterGrid({"memory_k": tuple(ks), "kappa": tuple(kappas)})
     all_pass = True
     if 1 in props:
         r = check_prop1()
@@ -175,8 +183,6 @@ def cmd_prop_check(args) -> int:
         print(f"  above: actions = {tuple(round(a, 3) for a in r.above_actions)}")
         print(f"  -> {'pass' if r.passed else 'FAIL'}")
     if 2 in props:
-        ks = [args.k] if args.k is not None else [1, 5, 10]
-        kappas = [args.kappa] if args.kappa is not None else [0.5, 1.0, 2.0]
         r2 = check_prop2(ks=ks, kappas=kappas)
         all_pass &= r2.passed
         print("prop 2 forgiveness window:")

@@ -55,7 +55,7 @@ def check_prop1(margin: float = 0.1) -> Prop1Result:
         scen = pd_scenario(rho0=rho0)
         trust = np.full((2, 2), scen.trust.t0)
         np.fill_diagonal(trust, 1.0)
-        return solve_equilibrium(scen, None, trust, solver, warm_start=scen.a_init)
+        return solve_equilibrium(scen, None, trust, solver)
 
     below = solve_at((1.0 - margin) * rho_star)
     above = solve_at((1.0 + margin) * rho_star)

@@ -26,28 +26,29 @@ threshold ``critical_rho`` is built from.  ``own_avg`` is each actor's
 windowed average, which the engine computes (``scenario.baseline_init``
 when none is given).
 
-The payoffs come from the elementwise kernel in :mod:`coopsim.utility`,
-which scores a whole grid of candidates or the refinement's single one.
-Each part of the objective is computed as seldom as what it depends on
-allows.  Per run (scenario and :class:`SolverConfig`): each actor's grid,
-the gate matrix (the shared :func:`~coopsim.reciprocity.gate_matrix`), each
-actor's standalone payoff over its grid, and the partner lists and team
-flags.  Per solve (``own_avg`` and trust): the gate sums, the partner
-weights D_ij (1 + lambda_t T_ij) and each actor's reciprocity term over
-its grid.  Per iteration: the standalone payoffs at the profile, the
-partners' action product, the synergy and partner terms and the argmax.
+The payoffs come from the elementwise kernel in :mod:`coopsim.utility`.
+Each actor's response in an iteration uses one objective, ``value(a, own,
+recip)``, which scores a whole grid of candidates or one float of the
+golden-section refinement alike.  Each of its inputs is computed as seldom
+as what it depends on allows.  Per run (scenario and
+:class:`SolverConfig`): each actor's grid, the gate matrix (the shared
+:func:`~coopsim.reciprocity.gate_matrix`) and each actor's standalone
+payoff over its grid.  Per solve (``own_avg`` and trust): the gate sums,
+the partner weights D_ij (1 + lambda_t T_ij) and each actor's reciprocity
+term over its grid.  Per iteration: the objective itself, built on the
+standalone payoffs at the profile and the partners' action product.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .params import check_integer
 from .reciprocity import gate_matrix
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, reference_scenario
 from .utility import standalone_payoff, synergy, team_member_utility
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,49 +87,6 @@ class EquilibriumResult:
     residual: float
 
 
-def _own_avg(scenario: ScenarioConfig, own_avg: Optional[Sequence[float]]) -> np.ndarray:
-    """Each actor's recent-average action, the reference for its own signal."""
-    return np.array(scenario.baseline_init if own_avg is None else own_avg, dtype=float)
-
-
-def _objective(
-    i: int,
-    actions: np.ndarray,
-    standalone: np.ndarray,
-    weights: np.ndarray,
-    partners: list[int],
-    member: bool,
-    scenario: ScenarioConfig,
-) -> Callable:
-    """Best-response objective of actor i against ``actions``, as a function
-    ``score(a_i, own, recip)`` of i's candidate action ``a_i``: a float, or
-    an array of candidates scored elementwise.  ``own`` is i's standalone
-    payoff and ``recip`` its reciprocity term at ``a_i``; ``standalone``
-    holds every actor's standalone payoff at ``actions`` and ``weights`` is
-    row i of the partner weights."""
-    econ = scenario.econ
-    team = scenario.team
-    n = scenario.n
-    partners_product = math.prod(actions[j] for j in partners)
-
-    def score(a_i, own, recip):
-        if member:
-            total = team_member_utility(i, a_i, actions, team)
-        else:
-            s = synergy(a_i, partners_product, n, econ)
-            total = own + econ.alpha[i] * s
-            for j in partners:
-                total = total + weights[j] * (standalone[j] + econ.alpha[j] * s)
-        return total + recip
-
-    return score
-
-
-def _reciprocity(a_i, gate: float, kappa: float, own_avg: float):
-    """The anticipated-reciprocity term at the candidate's own signal."""
-    return gate * np.tanh(kappa * (a_i - own_avg))
-
-
 def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
@@ -157,16 +115,13 @@ class EquilibriumSolver:
     """
 
     def __init__(self, scenario: ScenarioConfig, config: SolverConfig = SolverConfig()) -> None:
-        econ, team, n = scenario.econ, scenario.team, scenario.n
+        econ = scenario.econ
         self.scenario = scenario
         self.config = config
-        self.endowments = np.asarray(econ.endowments)
-        self.grids = [np.linspace(0.0, scenario.a_max[i], config.grid_points) for i in range(n)]
+        self.grids = [np.linspace(0.0, a_max, config.grid_points) for a_max in scenario.a_max]
         self.gate = gate_matrix(scenario.d.values, scenario.recip)
         self.grid_payoffs = [standalone_payoff(econ.endowments[i], grid, econ)
                              for i, grid in enumerate(self.grids)]
-        self.partners = [[j for j in range(n) if j != i] for i in range(n)]
-        self.members = [team is not None and i in team.members for i in range(n)]
 
     def _gate_sums(self, trust: np.ndarray) -> np.ndarray:
         """Each actor's total weight on its anticipated own-signal response:
@@ -175,46 +130,6 @@ class EquilibriumSolver:
         np.fill_diagonal(weights, 0.0)
         return weights.sum(axis=1)
 
-    def _solve_terms(self, own_avg: Optional[Sequence[float]], trust: np.ndarray) -> tuple:
-        """What every iteration of one solve shares: each actor's reference
-        and gate sum, the partner weights D_ij (1 + lambda_t T_ij), and each
-        actor's reciprocity term over its grid."""
-        scenario = self.scenario
-        reference = _own_avg(scenario, own_avg).tolist()
-        gates = self._gate_sums(trust).tolist()
-        weights = scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
-        kappa = scenario.recip.kappa
-        recips = [_reciprocity(grid, gate, kappa, own_avg)
-                  for grid, gate, own_avg in zip(self.grids, gates, reference)]
-        return reference, gates, weights, recips
-
-    def _respond(self, i: int, actions: np.ndarray, standalone: np.ndarray, terms: tuple) -> float:
-        """Actor i's best response to ``actions``: the smallest maximizing
-        grid point, or the refined action when it scores at least as well."""
-        reference, gates, weights, recips = terms
-        scenario = self.scenario
-        score = _objective(i, actions, standalone, weights[i], self.partners[i], self.members[i],
-                           scenario)
-        grid = self.grids[i]
-        values = score(grid, self.grid_payoffs[i], recips[i])
-        # Smallest maximizing grid point (tie-break toward less action).
-        best = float(values.max())
-        idx = int(np.nonzero(values > best - 1e-12)[0][0])
-        x = float(grid[idx])
-        if not self.config.refine:
-            return x
-        econ = scenario.econ
-        e_i, gate, kappa, own_avg = econ.endowments[i], gates[i], scenario.recip.kappa, reference[i]
-
-        def objective(a_i: float):
-            return score(a_i, standalone_payoff(e_i, a_i, econ),
-                         _reciprocity(a_i, gate, kappa, own_avg))
-
-        lo = float(grid[max(0, idx - 1)])
-        hi = float(grid[min(len(grid) - 1, idx + 1)])
-        xr = _golden_refine(objective, lo, hi)
-        return xr if objective(xr) >= best else x
-
     def __call__(
         self,
         own_avg: Optional[Sequence[float]],
@@ -222,18 +137,57 @@ class EquilibriumSolver:
         warm_start: Optional[Sequence[float]] = None,
     ) -> EquilibriumResult:
         """Iterate simultaneous best responses from ``warm_start`` (the
-        scenario's ``a_init`` when None) until the profile settles."""
+        scenario's ``a_init`` when None) until the profile settles.  An
+        actor's response is the smallest maximizing grid point, or the
+        refined action when it scores at least as well."""
         scenario, config = self.scenario, self.config
-        n = scenario.n
+        econ, team, n, kappa = scenario.econ, scenario.team, scenario.n, scenario.recip.kappa
         actions = np.array(warm_start if warm_start is not None else scenario.a_init, dtype=float)
-        terms = self._solve_terms(own_avg, trust)
+        endowments = np.asarray(econ.endowments)
+        reference = np.array(scenario.baseline_init if own_avg is None else own_avg,
+                             dtype=float).tolist()
+        gates = self._gate_sums(trust).tolist()
+        weights = scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
+        recips = [gate * np.tanh(kappa * (grid - ref))
+                  for grid, gate, ref in zip(self.grids, gates, reference)]
 
         residual = math.inf
         for it in range(1, config.max_iters + 1):
-            standalone = standalone_payoff(self.endowments, actions, scenario.econ)
+            standalone = standalone_payoff(endowments, actions, econ)
             nxt = np.empty(n)
-            for i in range(n):
-                nxt[i] = self._respond(i, actions, standalone, terms)
+            for i, grid in enumerate(self.grids):
+                partners = [j for j in range(n) if j != i]
+                product = math.prod(actions[j] for j in partners)
+                member = team is not None and i in team.members
+
+                def value(a, own, recip):
+                    """i's objective at its action ``a`` (a float or a grid),
+                    given its standalone payoff and reciprocity term there."""
+                    if member:
+                        total = team_member_utility(i, a, actions, team)
+                    else:
+                        s = synergy(a, product, n, econ)
+                        total = own + econ.alpha[i] * s
+                        for j in partners:
+                            total = total + weights[i, j] * (standalone[j] + econ.alpha[j] * s)
+                    return total + recip
+
+                values = value(grid, self.grid_payoffs[i], recips[i])
+                # Smallest maximizing grid point (tie-break toward less action).
+                best = float(values.max())
+                idx = int(np.nonzero(values > best - 1e-12)[0][0])
+                nxt[i] = grid[idx]
+                if config.refine:
+                    e_i, gate, ref = econ.endowments[i], gates[i], reference[i]
+
+                    def refined(a: float):
+                        return value(a, standalone_payoff(e_i, a, econ),
+                                     gate * np.tanh(kappa * (a - ref)))
+
+                    xr = _golden_refine(refined, float(grid[max(0, idx - 1)]),
+                                        float(grid[min(len(grid) - 1, idx + 1)]))
+                    if refined(xr) >= best:
+                        nxt[i] = xr
             residual = float(np.max(np.abs(nxt - actions)))
             actions = nxt
             if residual < TOL:
@@ -299,8 +253,6 @@ def cross_partial_check(
     inconclusive.  With the reciprocity channel off (lambda_r = 0) the
     estimate is numerically zero.
     """
-    from .scenario import reference_scenario
-
     if solver is None:
         solver = SolverConfig(grid_points=4001, refine=True)
 
@@ -310,7 +262,7 @@ def cross_partial_check(
         )
         trust = np.full((2, 2), t)
         np.fill_diagonal(trust, 1.0)
-        res = solve_equilibrium(scen, None, trust, solver, warm_start=scen.a_init)
+        res = solve_equilibrium(scen, None, trust, solver)
         return res.actions[0], res.converged
 
     app, ok1 = corner(t0 + dt, rho0 + drho)

@@ -491,6 +491,24 @@ class TestPropCheckCommand:
         assert main(["prop-check", "--prop", "1"]) == 0
         assert "rho*" in capsys.readouterr().out
 
+    def test_bad_prop2_option_fails_before_any_proposition_runs(self, capsys):
+        # without --prop all three would run; the bad window stops the job
+        # before prop 1 prints
+        assert main(["prop-check", "--k", "26"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: memory_k levels above 25")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("prop", ["1", "3"])
+    @pytest.mark.parametrize("options", [["--k", "3"], ["--kappa", "9"],
+                                         ["--k", "3", "--kappa", "9"]])
+    def test_prop2_options_with_another_prop_exit_one(self, capsys, prop, options):
+        # the options reach prop 2 only, so they are refused, not ignored
+        assert main(["prop-check", "--prop", prop, *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --k and --kappa apply to prop 2 only, not prop {prop}\n"
+        assert captured.out == ""
+
 
 class TestReportCommand:
     def test_combines_prior_outputs(self, tmp_path):

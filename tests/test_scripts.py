@@ -44,7 +44,8 @@ def test_bench_smoke(tmp_path, capsys):
     assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
             "simulation.run", "simulation.period", "case_study.run_pair",
             "files.trajectory_csv", "files.dyads_csv",
-            "files.long_format_csv", "solver.solve_equilibrium", "simulation.run_best_response",
+            "files.long_format_csv", "solver.solve_equilibrium", "solver.cross_partial_check",
+            "simulation.run_best_response",
             "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
             "job.sweep", "job.sweep_full", "job.montecarlo"} == set(
         block["rows"])

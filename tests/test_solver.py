@@ -79,26 +79,33 @@ class TestArgmax:
         grid = np.arange(0.0, 10.5, 0.5)
         assert argmax_on_grid(lambda x: -((x - 7.0) ** 2), grid) == 7.0
 
-    def test_brute_force_equivalence_random_configs(self):
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_brute_force_equivalence_random_configs(self, refine):
         # two actors with each value form, and three actors with a
-        # three-way synergy
+        # three-way synergy; every actor's response against the oracle's
+        # grid best: equal to it on the grid, and with refinement within
+        # one grid step of it and scoring at least as well (to 1e-9)
         rng = random.Random(31)
         grid = np.linspace(0, 20.0, 41)
-        cfg = SolverConfig(grid_points=41)
+        step = grid[1] - grid[0]
+        cfg = SolverConfig(grid_points=41, refine=refine)
         for kind, draws in (("logarithmic", 200), ("power", 100), ("three_actor", 100)):
             for _ in range(draws):
                 scen = _random_scenario(rng, kind)
                 trust = trust_matrix(scen)
                 others = np.array([rng.uniform(0, 20) for _ in range(scen.n)])
                 responses = best_responses(scen, trust, others, cfg)
-                for i in range(scen.n if kind == "three_actor" else 1):
+                for i in range(scen.n):
+                    def value(x):
+                        return objective(i, x, others, scen.baseline_init[i], trust[i], scen)
+
                     br = responses[i]
-                    exhaustive = argmax_on_grid(
-                        lambda x: objective(i, x, others, scen.baseline_init[i], trust[i],
-                                            scen),
-                        grid,
-                    )
-                    assert br == pytest.approx(exhaustive, abs=1e-12), kind
+                    exhaustive = argmax_on_grid(value, grid)
+                    if not refine:
+                        assert br == pytest.approx(exhaustive, abs=1e-12), kind
+                        continue
+                    assert abs(br - exhaustive) <= step * (1 + 1e-12), kind
+                    assert value(br) >= value(exhaustive) - 1e-9, kind
 
     @pytest.mark.parametrize("teammate_payoff", ["sum", "mean"])
     def test_brute_force_team_scenario(self, teammate_payoff):
