@@ -17,7 +17,8 @@ Rows, each the cost of one call:
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
 - ``solver.cross_partial_check``: one default ``cross_partial_check()``,
   four refined 4001-point solves; ``prop-check``'s Prop 3 is three such
-  calls, about two thirds of the job;
+  calls, 57% of the ``job.prop_check`` time (median of three 40-run
+  medians on 2 Xeon vCPUs, Python 3.11.7, numpy 2.4.6);
 - ``simulation.run_best_response``: one best-response ``run()`` of the
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;
@@ -27,6 +28,8 @@ Rows, each the cost of one call:
   --counterfactual`` job, output files included;
 - ``job.simulate_best_response``: the in-process ``coopsim simulate
   --mode best_response`` job on that scenario, output files included;
+- ``job.prop_check``: the in-process ``coopsim prop-check`` job, its
+  output included;
 - ``job.sweep``: the in-process ``coopsim sweep`` job on the 36-cell grid
   ``SWEEP_GRID``, output files included;
 - ``job.sweep_full``: ``coopsim sweep --grid full`` in a child process;
@@ -153,6 +156,7 @@ def rows(work: str) -> dict:
         "sweep.measure_batch": (_measure_batch(256), 1),
         "job.case_study": (lambda: _cli(case_job), 1),
         "job.simulate_best_response": (lambda: _cli(simulate_job), 1),
+        "job.prop_check": (lambda: _cli(["prop-check"]), 1),
         "job.sweep": (lambda: _cli(sweep_job), 1),
     }
 

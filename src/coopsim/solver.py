@@ -30,17 +30,30 @@ The payoffs come from the elementwise kernel in :mod:`coopsim.utility`.
 Each actor's response in an iteration uses one objective, ``value(a, own,
 recip)``, which scores a whole grid of candidates or one float of the
 golden-section refinement alike.  Each of its inputs is computed as seldom
-as what it depends on allows.  Per run (scenario and
-:class:`SolverConfig`): each actor's grid, the gate matrix (the shared
-:func:`~coopsim.reciprocity.gate_matrix`) and each actor's standalone
-payoff over its grid.  Per solve (``own_avg`` and trust): the gate sums,
-the partner weights D_ij (1 + lambda_t T_ij) and each actor's reciprocity
-term over its grid.  Per iteration: the objective itself, built on the
-standalone payoffs at the profile and the partners' action product.
+as what it depends on allows, and once for all actors whose inputs are the
+same bits.  Per run (scenario and :class:`SolverConfig`): one grid per
+distinct ``a_max``, the gate matrix (the shared
+:func:`~coopsim.reciprocity.gate_matrix`), one standalone payoff over the
+grid per distinct (endowment, ``a_max``), and each actor's partners and
+team membership.  Per solve (``own_avg`` and trust): the gate sums, the
+partner weights D_ij (1 + lambda_t T_ij) and, for each actor that is
+solved, its reciprocity term over its grid.  Per iteration: one response
+per distinct key.
+
+A response is a pure function of the bits of what it reads: the actor's
+``a_max``, endowment, gate sum, ``own_avg`` and alpha_i, the partners'
+action product, and for each partner j in turn D_ij (1 + lambda_t T_ij),
+j's standalone payoff at the profile and alpha_j.  So an actor whose key
+matches an earlier actor's in the same iteration takes that response, bit
+for bit the one it would have computed; the symmetric two-actor scenarios
+of the proposition checks score and refine one response per iteration.
+Keys compare bits, not values, since 0.0 == -0.0.  A team member's
+utility reads its own index, so team members never share.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -106,6 +119,21 @@ def _golden_refine(fn, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
+def _bits(*values: float) -> bytes:
+    """The IEEE 754 bits of ``values``, as a key: unlike float equality it
+    keeps 0.0 and -0.0 apart and matches a NaN only by its bits."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _share(keys: Sequence, make) -> list:
+    """``[make(i) for i in range(len(keys))]``, calling ``make`` only at the
+    first index of each distinct key; a later index with an equal key gets
+    that first result."""
+    made = {}
+    return [made[key] if key in made else made.setdefault(key, make(i))
+            for i, key in enumerate(keys)]
+
+
 class EquilibriumSolver:
     """Best-response solves of one scenario under one :class:`SolverConfig`.
 
@@ -118,10 +146,15 @@ class EquilibriumSolver:
         econ = scenario.econ
         self.scenario = scenario
         self.config = config
-        self.grids = [np.linspace(0.0, a_max, config.grid_points) for a_max in scenario.a_max]
+        a_max, endowments = scenario.a_max, econ.endowments
+        self.grids = _share([_bits(m) for m in a_max],
+                            lambda i: np.linspace(0.0, a_max[i], config.grid_points))
         self.gate = gate_matrix(scenario.d.values, scenario.recip)
-        self.grid_payoffs = [standalone_payoff(econ.endowments[i], grid, econ)
-                             for i, grid in enumerate(self.grids)]
+        self.grid_payoffs = _share([_bits(e, m) for e, m in zip(endowments, a_max)],
+                                   lambda i: standalone_payoff(endowments[i], self.grids[i], econ))
+        n, team = scenario.n, scenario.team
+        self.partners = [[j for j in range(n) if j != i] for i in range(n)]
+        self.members = [team is not None and i in team.members for i in range(n)]
 
     def _gate_sums(self, trust: np.ndarray) -> np.ndarray:
         """Each actor's total weight on its anticipated own-signal response:
@@ -148,17 +181,34 @@ class EquilibriumSolver:
                              dtype=float).tolist()
         gates = self._gate_sums(trust).tolist()
         weights = scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
-        recips = [gate * np.tanh(kappa * (grid - ref))
-                  for grid, gate, ref in zip(self.grids, gates, reference)]
+        # Only non-members with equal gate sums and references can share a
+        # response.  Their keys hold the bits of what it reads that stay fixed
+        # over the solve, any other actor's key is its own index, and twins
+        # (equal keys) add the partners' product and payoffs each iteration.
+        probe = list(zip(gates, reference))
+        fixed = [_bits(scenario.a_max[i], econ.endowments[i], gates[i], reference[i],
+                       econ.alpha[i], *(x for j in others for x in (weights[i, j], econ.alpha[j])))
+                 if probe.count(probe[i]) > 1 and not self.members[i] else i
+                 for i, others in enumerate(self.partners)]
+        twins = [fixed.count(key) > 1 for key in fixed]
+        recips = {}
 
         residual = math.inf
         for it in range(1, config.max_iters + 1):
             standalone = standalone_payoff(endowments, actions, econ)
+            payoffs = standalone.tolist()
             nxt = np.empty(n)
+            first = {}
             for i, grid in enumerate(self.grids):
-                partners = [j for j in range(n) if j != i]
+                partners, member = self.partners[i], self.members[i]
                 product = math.prod(actions[j] for j in partners)
-                member = team is not None and i in team.members
+                if twins[i]:
+                    # Twins whose inputs match in every bit share one response.
+                    key = fixed[i] + _bits(product, *[payoffs[j] for j in partners])
+                    if key in first:
+                        nxt[i] = nxt[first[key]]
+                        continue
+                    first[key] = i
 
                 def value(a, own, recip):
                     """i's objective at its action ``a`` (a float or a grid),
@@ -172,6 +222,8 @@ class EquilibriumSolver:
                             total = total + weights[i, j] * (standalone[j] + econ.alpha[j] * s)
                     return total + recip
 
+                if i not in recips:
+                    recips[i] = gates[i] * np.tanh(kappa * (grid - reference[i]))
                 values = value(grid, self.grid_payoffs[i], recips[i])
                 # Smallest maximizing grid point (tie-break toward less action).
                 best = float(values.max())

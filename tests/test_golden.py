@@ -12,7 +12,9 @@ dispatches on, to tell a code change from a different machine.
 """
 
 import hashlib
+import math
 import os
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +23,16 @@ import pytest
 from coopsim import case_study
 from coopsim.cli import main
 from coopsim.files import scenario_to_text
-from coopsim.params import InterdependenceMatrix
-from coopsim.scenario import SimConfig, reference_scenario
+from coopsim.params import (
+    EconomyParams,
+    InterdependenceMatrix,
+    ReciprocityParams,
+    TeamParams,
+    TrustParams,
+)
+from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario
 from coopsim.simulation import run
+from coopsim.solver import SolverConfig, solve_equilibrium
 from test_translate import team_scenario
 
 # Spans both rho0 extremes (the T5 variants), three memory windows (the
@@ -186,6 +195,114 @@ def test_best_response_pre_history_checksums(eta):
                  "recip_term", "converged"):
         h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
     assert h.hexdigest() == PRE_HISTORY_GOLDEN[eta], f"eta={eta} moved ({_machine()})"
+
+
+def _pair_matrix(n, diagonal, draw):
+    """An (n, n) matrix of ``draw()`` values whose rows and columns 0 and 1
+    are mirror images, so actors 0 and 1 see the same partners."""
+    m = np.array([[diagonal if i == j else draw() for j in range(n)] for i in range(n)])
+    m[1, 0] = m[0, 1]
+    m[1, 2:] = m[0, 2:]
+    m[2:, 1] = m[2:, 0]
+    return m
+
+
+def _solver_case(rng, kind):
+    """One seeded solve: ``(scenario, config, own_avg, trust, warm_start)``.
+
+    ``kind`` is ``"random"`` (every actor drawn apart), ``"pair"`` (actors 0
+    and 1 bit-identical in every input their responses read) or ``"near"``
+    (such a pair with one of actor 1's inputs moved by one ulp).
+    """
+    n = rng.choice((2, 3, 4))
+
+    def unit():
+        return rng.uniform(0.0, 1.0)
+
+    def per_actor(draw):
+        vec = [draw() for _ in range(n)]
+        if kind != "random":
+            vec[1] = vec[0]
+        return vec
+
+    if kind == "random":
+        d = np.array([[0.0 if i == j else unit() for j in range(n)] for i in range(n)])
+        trust = np.array([[1.0 if i == j else unit() for j in range(n)] for i in range(n)])
+    else:
+        d, trust = _pair_matrix(n, 0.0, unit), _pair_matrix(n, 1.0, unit)
+    shares = per_actor(lambda: rng.uniform(0.5, 2.0))
+    endowments = per_actor(lambda: rng.choice((0.0, 50.0, rng.uniform(0.0, 100.0))))
+    a_max = per_actor(lambda: rng.choice((10.0, 20.0, rng.uniform(5.0, 40.0))))
+    a_init = [rng.uniform(0.0, m) for m in a_max]
+    baseline = [rng.uniform(0.0, m) for m in a_max]
+    own_avg = [rng.uniform(0.0, m) for m in a_max] if rng.random() < 0.5 else None
+    warm = [rng.uniform(0.0, m) for m in a_max] if rng.random() < 0.5 else None
+    for vec in (a_init, baseline, own_avg, warm):
+        if kind != "random" and vec is not None:
+            vec[1] = vec[0]
+    if kind == "near":
+        up = rng.choice(("endowment", "a_max", "a_init", "baseline", "d", "trust"))
+        vec = {"endowment": endowments, "a_max": a_max,
+               "a_init": warm if warm is not None else a_init,
+               "baseline": own_avg if own_avg is not None else baseline}.get(up)
+        if vec is not None:
+            vec[1] = math.nextafter(vec[1], math.inf)
+        elif up == "d":
+            d[1, 0] = math.nextafter(d[1, 0], math.inf)
+        else:
+            trust[1, 0] = math.nextafter(trust[1, 0], math.inf)
+    team = None
+    if rng.random() < 0.15:
+        members = (0, 1) if n == 2 or rng.random() < 0.5 else tuple(range(n))
+        loyalty = [unit() for _ in members]
+        loyalty[1] = loyalty[0]
+        team = TeamParams(members=members, loyalty=tuple(loyalty),
+                          omega_prod=rng.uniform(5.0, 15.0), beta_team=rng.uniform(0.3, 0.9),
+                          teammate_payoff=rng.choice(("sum", "mean")))
+    scenario = ScenarioConfig(
+        labels=tuple("ABCD"[:n]),
+        d=InterdependenceMatrix(d),
+        recip=ReciprocityParams(rho0=rng.uniform(0.0, 2.0), eta=rng.uniform(0.5, 2.0),
+                                kappa=rng.uniform(0.3, 2.0), lambda_r=rng.uniform(0.0, 2.0),
+                                omega_amp=unit()),
+        trust=TrustParams(lambda_t=rng.uniform(0.0, 2.0)),
+        econ=EconomyParams(endowments=tuple(endowments),
+                           alpha=tuple(w / sum(shares) for w in shares),
+                           theta_v=rng.uniform(5.0, 20.0), power_beta=rng.uniform(0.3, 0.95),
+                           gamma=rng.choice((0.0, rng.uniform(0.1, 2.0))),
+                           value_form=rng.choice(("logarithmic", "power"))),
+        a_max=tuple(a_max),
+        a_init=tuple(a_init),
+        baseline_init=tuple(baseline),
+        team=team,
+    )
+    config = SolverConfig(grid_points=rng.choice((21, 41, 101)),
+                          max_iters=rng.choice((1, 4, 12)), refine=rng.random() < 0.35)
+    return scenario, config, own_avg, trust, warm
+
+
+SOLVER_KINDS = ("random", "pair", "near")
+SOLVER_CASES = 200
+# SHA-256 over (actions bytes, converged, iterations, residual.hex()) of
+# SOLVER_CASES seeded solves, the kinds of _solver_case in turn, plus the
+# 3-actor team scenario with refinement off and on.
+SOLVER_GOLDEN = "b66ce79b345774cb6da0fb6d5443766c8d2c501a8c2331f268d8f7f876229bc7"
+
+
+def test_solver_checksum():
+    rng = random.Random(2203)
+    cases = [_solver_case(rng, SOLVER_KINDS[c % 3]) for c in range(SOLVER_CASES)]
+    team = team_scenario()
+    trust = np.full((3, 3), team.trust.t0)
+    np.fill_diagonal(trust, 1.0)
+    cases += [(team, SolverConfig(grid_points=41, max_iters=12, refine=refine), None, trust, None)
+              for refine in (False, True)]
+    h = hashlib.sha256()
+    for scenario, config, own_avg, trust, warm in cases:
+        res = solve_equilibrium(scenario, own_avg, trust, config, warm)
+        h.update(repr((np.array(res.actions).tobytes(), res.converged, res.iterations,
+                       res.residual.hex())).encode())
+    assert h.hexdigest() == SOLVER_GOLDEN, f"solver results moved ({_machine()})"
 
 
 # SHA-256 over the reprs of check_prop3()'s three estimates, one a line: the

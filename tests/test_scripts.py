@@ -47,7 +47,7 @@ def test_bench_smoke(tmp_path, capsys):
             "files.long_format_csv", "solver.solve_equilibrium", "solver.cross_partial_check",
             "simulation.run_best_response",
             "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
-            "job.sweep", "job.sweep_full", "job.montecarlo"} == set(
+            "job.prop_check", "job.sweep", "job.sweep_full", "job.montecarlo"} == set(
         block["rows"])
     for name, row in block["rows"].items():
         assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name

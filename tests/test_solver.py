@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim import solver as solver_module
 from coopsim.params import (
     EconomyParams,
     InterdependenceMatrix,
@@ -342,6 +344,48 @@ def test_reused_solver_matches_fresh_solves(case):
         assert all(isinstance(a, np.float64) for a in got.actions)
     for now, then in zip(cached, before):
         assert now.tobytes() == then.tobytes()
+
+
+def _sharing_case(case):
+    """(scenario, own_avg, distinct responses per iteration) of one
+    refined-solve case of ``test_bit_identical_actors_share_one_response``."""
+    ref = reference_scenario()
+    if case == "symmetric pair":
+        return ref, None, 1
+    if case == "endowment one ulp apart":
+        econ = replace(ref.econ, endowments=(100.0, math.nextafter(100.0, math.inf)))
+        return replace(ref, econ=econ), None, 2
+    if case == "own averages 0.0 and -0.0":
+        return ref, (0.0, -0.0), 2
+    if case == "identical team members":
+        team = TeamParams(members=(0, 1), loyalty=(0.5, 0.5))
+        return replace(ref, team=team), None, 2
+    three = ScenarioConfig(
+        labels=("A", "B", "C"),
+        d=InterdependenceMatrix([[0.0, 0.5, 0.3], [0.5, 0.0, 0.3], [0.6, 0.6, 0.0]]),
+        econ=EconomyParams(endowments=(100.0, 100.0, 60.0), alpha=(0.3, 0.3, 0.4),
+                           theta_v=10.0, gamma=0.5),
+        a_max=(40.0,) * 3,
+        a_init=(5.0, 5.0, 8.0),
+    )
+    return three, None, 2
+
+
+@pytest.mark.parametrize("case", [
+    "symmetric pair", "endowment one ulp apart", "own averages 0.0 and -0.0",
+    "identical team members", "three actors, two identical",
+])
+def test_bit_identical_actors_share_one_response(case, monkeypatch):
+    # an actor whose response reads the same bits as an earlier actor's in
+    # the same iteration takes that response instead of refining its own;
+    # inputs that differ in any bit, and team members, are solved apart
+    scen, own_avg, distinct = _sharing_case(case)
+    refine, calls = solver_module._golden_refine, []
+    monkeypatch.setattr(solver_module, "_golden_refine",
+                        lambda *args: calls.append(args) or refine(*args))
+    res = solve_equilibrium(scen, own_avg, trust_matrix(scen),
+                            SolverConfig(grid_points=401, refine=True))
+    assert len(calls) == distinct * res.iterations
 
 
 @st.composite
