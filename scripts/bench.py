@@ -14,6 +14,9 @@ Rows, each the cost of one call:
   two-row ``record_batch`` (``case_study.run_ios_pair``);
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
+- ``scenario.reference_scenario``: one ``reference_scenario()`` build,
+  every block validated; ``prop-check`` builds 12 of these and 3
+  ``pd_scenario()`` per job;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
 - ``solver.cross_partial_check``: one default ``cross_partial_check()``,
   four refined 4001-point solves; ``prop-check``'s Prop 3 is three such
@@ -149,6 +152,7 @@ def rows(work: str) -> dict:
         "files.trajectory_csv": (lambda: files.trajectory_csv(traj), 1),
         "files.dyads_csv": (lambda: files.dyads_csv(traj), 1),
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),
+        "scenario.reference_scenario": (reference_scenario, 1),
         "solver.solve_equilibrium": (
             lambda: solve_equilibrium(ref, own_avg, ref_trust, SolverConfig()), 1),
         "solver.cross_partial_check": (cross_partial_check, 1),

@@ -21,42 +21,127 @@ amplification in the reciprocity term) is distinct from ``TeamParams
 .omega_prod`` (team productivity), and ``power_beta`` (value-function
 exponent) is distinct from ``TeamParams.beta_team`` (team effort
 elasticity).
+
+One range policy serves every block here and in the other modules
+(``Shock``, ``ScenarioConfig``, ``SimConfig``, ``SolverConfig``,
+``SweepCell``): ``RANGES`` maps each bounded numeric field name to its
+legal interval, and ``validate``, called from each block's
+``__post_init__``, checks every numeric field against its declared type
+and that interval.  A ``__post_init__`` keeps only the checks that relate
+fields (the alpha sum, vector lengths, string choices).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DependencyTableError
 
 
-def check_finite(obj, names: Sequence[str]) -> None:
-    """Reject NaN and infinite values among ``obj``'s named numeric fields
-    (tuple fields entrywise) with a ConfigurationError naming the field."""
-    for name in names:
-        value = getattr(obj, name)
-        entries = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in entries):
-            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+_UNBOUNDED = (-math.inf, math.inf, "()")
+
+#: The legal interval ``(lo, hi, ends)`` of every bounded numeric field, by
+#: field name; ``ends`` holds the interval's brackets, ``[`` or ``]`` for a
+#: closed end.  Names are unique across the blocks, and a name that recurs
+#: (``SweepCell``'s ``rho0`` .. ``t0``) is the same parameter.
+RANGES = {
+    "weight": (0.0, math.inf, "[)"),  # DependencyEntry
+    "criticality": (0.0, 1.0, "[]"),
+    "rho0": (0.0, math.inf, "[)"),  # ReciprocityParams and SweepCell
+    "eta": (0.0, math.inf, "[)"),
+    "kappa": (0.0, math.inf, "()"),
+    "memory_k": (1, math.inf, "[)"),
+    "lambda_r": (0.0, math.inf, "[)"),
+    "omega_amp": (0.0, math.inf, "[)"),
+    "t0": (0.0, 1.0, "[]"),  # TrustParams and SweepCell
+    "lambda_plus": (0.0, 1.0, "()"),
+    "lambda_minus": (0.0, 1.0, "()"),
+    "xi": (0.0, math.inf, "[)"),
+    "mu_r": (0.0, 1.0, "()"),
+    "delta_r": (0.0, 1.0, "()"),
+    "t_max": (0.0, 1.0, "(]"),
+    "theta_r": (0.0, 1.0, "[]"),
+    "lambda_t": (0.0, math.inf, "[)"),
+    "deadband": (0.0, math.inf, "[)"),
+    "endowments": (0.0, math.inf, "[)"),  # EconomyParams
+    "alpha": (0.0, math.inf, "[)"),
+    "theta_v": (0.0, math.inf, "[)"),
+    "power_beta": (0.0, 1.0, "()"),
+    "gamma": (0.0, math.inf, "[)"),
+    "loyalty": (0.0, 1.0, "[]"),  # TeamParams
+    "omega_prod": (0.0, math.inf, "()"),
+    "beta_team": (0.0, 1.0, "()"),
+    "unit_cost": (0.0, math.inf, "()"),
+    "phi_b": (0.0, 1.0, "[]"),
+    "phi_c": (0.0, 1.0, "[]"),
+    "period": (1, math.inf, "[)"),  # Shock
+    "a_max": (0.0, math.inf, "()"),  # ScenarioConfig
+    "horizon": (1, math.inf, "[)"),  # SimConfig
+    "adjust_rate": (0.0, 1.0, "[]"),
+    "decay": (0.0, 1.0, "[]"),
+    "baseline_rate": (0.0, 1.0, "[]"),
+    "noise_sigma": (0.0, math.inf, "[)"),
+    "max_iters": (1, math.inf, "[)"),  # SolverConfig
+    "grid_points": (2, math.inf, "[)"),
+    "d": (0.0, 1.0, "[]"),  # SweepCell
+}
+
+#: The field types that ``validate`` checks.
+_NUMERIC = ("float", "int", "tuple[float, ...]", "tuple[int, ...]")
 
 
-def check_integer(obj, names: Sequence[str]) -> None:
-    """Reject non-integral values among ``obj``'s named fields (tuple fields
-    entrywise) with a ConfigurationError naming the field, and store
-    integral floats as int."""
-    for name in names:
-        value = getattr(obj, name)
-        entries = value if isinstance(value, tuple) else (value,)
-        if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-                   for v in entries):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        ints = tuple(int(v) for v in entries)
-        object.__setattr__(obj, name, ints if isinstance(value, tuple) else ints[0])
+@functools.cache
+def _field_checks(cls) -> tuple:
+    checks = []
+    for f in fields(cls):
+        if f.type in _NUMERIC:
+            lo, hi, ends = RANGES.get(f.name, _UNBOUNDED)
+            bound = (f"lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if hi < math.inf
+                     else f"be >= {lo:g}" if ends[0] == "[" else f"be > {lo:g}")
+            checks.append((f.name, f.type, lo, ends[0] == "(", hi, ends[1] == ")", bound))
+    return tuple(checks)
+
+
+def _as_int(name: str, x, value) -> int:
+    if isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def validate(block) -> None:
+    """Check every numeric field of the dataclass ``block`` by its declared
+    type, in field order: ``int``, ``float`` and their ``tuple[..., ...]``
+    forms must be finite, ints integral (stored as int, so 3.0 is 3), tuple
+    entries of floats are stored as floats, and a field named in ``RANGES``
+    must lie in its interval.  A ConfigurationError names the field."""
+    for name, kind, lo, lo_open, hi, hi_open, bound in _field_checks(type(block)):
+        value = getattr(block, name)
+        if kind == "float":
+            entries = (value,)
+        else:
+            if kind == "int":
+                if type(value) is not int:
+                    value = _as_int(name, value, value)
+                entries = (value,)
+            elif kind == "tuple[float, ...]":
+                value = entries = tuple(float(x) for x in value)
+            else:
+                value = entries = tuple(x if type(x) is int else _as_int(name, x, value)
+                                        for x in value)
+            object.__setattr__(block, name, value)
+        for x in entries:
+            if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+                if not (isinstance(x, int) or math.isfinite(x)):
+                    raise ConfigurationError(f"{name} must be finite, got {value!r}")
+                raise ConfigurationError(f"{name} must {bound}, got {value}")
 
 
 def check_seed(seed) -> int:
@@ -84,16 +169,10 @@ class DependencyEntry:
     criticality: float
 
     def __post_init__(self) -> None:
-        check_integer(self, ("depender", "dependee"))
+        validate(self)
         if self.depender == self.dependee:
             raise ConfigurationError(
                 f"self-dependency not allowed (actor {self.depender}, {self.dependum!r})"
-            )
-        if self.weight < 0:
-            raise ConfigurationError(f"dependency weight must be >= 0, got {self.weight}")
-        if not 0.0 <= self.criticality <= 1.0:
-            raise ConfigurationError(
-                f"criticality must lie in [0, 1], got {self.criticality}"
             )
 
 
@@ -197,23 +276,7 @@ class ReciprocityParams:
     omega_amp: float = 1.0
 
     def __post_init__(self) -> None:
-        check_finite(self, _RECIP_NAMES)
-        check_integer(self, ("memory_k",))
-        if self.rho0 < 0:
-            raise ConfigurationError(f"rho0 must be >= 0, got {self.rho0}")
-        if self.eta < 0:
-            raise ConfigurationError(f"eta must be >= 0, got {self.eta}")
-        if self.kappa <= 0:
-            raise ConfigurationError(f"kappa must be > 0, got {self.kappa}")
-        if self.memory_k < 1:
-            raise ConfigurationError(f"memory_k must be an integer >= 1, got {self.memory_k}")
-        if self.lambda_r < 0:
-            raise ConfigurationError(f"lambda_r must be >= 0, got {self.lambda_r}")
-        if self.omega_amp < 0:
-            raise ConfigurationError(f"omega_amp must be >= 0, got {self.omega_amp}")
-
-
-_RECIP_NAMES = tuple(f.name for f in fields(ReciprocityParams))
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -245,26 +308,7 @@ class TrustParams:
     deadband: float = 0.0
 
     def __post_init__(self) -> None:
-        check_finite(self, _TRUST_NAMES)
-        if not 0.0 <= self.t0 <= 1.0:
-            raise ConfigurationError(f"t0 must lie in [0, 1], got {self.t0}")
-        for name in ("lambda_plus", "lambda_minus", "mu_r", "delta_r"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {v}")
-        if self.xi < 0:
-            raise ConfigurationError(f"xi must be >= 0, got {self.xi}")
-        if not 0.0 < self.t_max <= 1.0:
-            raise ConfigurationError(f"t_max must lie in (0, 1], got {self.t_max}")
-        if not 0.0 <= self.theta_r <= 1.0:
-            raise ConfigurationError(f"theta_r must lie in [0, 1], got {self.theta_r}")
-        if self.lambda_t < 0:
-            raise ConfigurationError(f"lambda_t must be >= 0, got {self.lambda_t}")
-        if self.deadband < 0:
-            raise ConfigurationError(f"deadband must be >= 0, got {self.deadband}")
-
-
-_TRUST_NAMES = tuple(f.name for f in fields(TrustParams))
+        validate(self)
 
 VALUE_FORMS = ("logarithmic", "power")
 
@@ -288,25 +332,13 @@ class EconomyParams:
     value_form: str = "logarithmic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endowments", tuple(float(e) for e in self.endowments))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        check_finite(self, ("endowments", "alpha", "theta_v", "power_beta", "gamma"))
+        validate(self)
         if len(self.endowments) != len(self.alpha):
             raise ConfigurationError("endowments and alpha must have the same length")
-        if any(e < 0 for e in self.endowments):
-            raise ConfigurationError("endowments must be >= 0")
-        if any(a < 0 for a in self.alpha):
-            raise ConfigurationError("bargaining shares must be >= 0")
         if abs(sum(self.alpha) - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"bargaining shares must sum to 1 (got {sum(self.alpha)!r})"
             )
-        if self.theta_v < 0:
-            raise ConfigurationError(f"theta_v must be >= 0, got {self.theta_v}")
-        if not 0.0 < self.power_beta < 1.0:
-            raise ConfigurationError(f"power_beta must lie in (0, 1), got {self.power_beta}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
         if self.value_form not in VALUE_FORMS:
             raise ConfigurationError(
                 f"value_form must be one of {VALUE_FORMS}, got {self.value_form!r}"
@@ -339,25 +371,10 @@ class TeamParams:
     teammate_payoff: str = "sum"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        check_integer(self, ("members",))
-        object.__setattr__(self, "loyalty", tuple(float(x) for x in self.loyalty))
-        check_finite(self, ("omega_prod", "beta_team", "unit_cost", "loyalty", "phi_b", "phi_c"))
+        validate(self)
         if len(self.members) == 0:
             raise ConfigurationError("team must have at least one member")
         if len(self.loyalty) != len(self.members):
             raise ConfigurationError("one loyalty value per team member is required")
-        if self.omega_prod <= 0:
-            raise ConfigurationError(f"omega_prod must be > 0, got {self.omega_prod}")
-        if not 0.0 < self.beta_team < 1.0:
-            raise ConfigurationError(f"beta_team must lie in (0, 1), got {self.beta_team}")
-        if self.unit_cost <= 0:
-            raise ConfigurationError(f"unit_cost must be > 0, got {self.unit_cost}")
-        if any(not 0.0 <= th <= 1.0 for th in self.loyalty):
-            raise ConfigurationError("loyalty values must lie in [0, 1]")
-        for name in ("phi_b", "phi_c"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
         if self.teammate_payoff not in ("sum", "mean"):
             raise ConfigurationError("teammate_payoff must be 'sum' or 'mean'")

@@ -32,9 +32,8 @@ from .params import (
     ReciprocityParams,
     TeamParams,
     TrustParams,
-    check_finite,
-    check_integer,
     check_seed,
+    validate,
 )
 
 BASELINE_MODES = ("moving_average", "adaptive", "fixed")
@@ -50,10 +49,7 @@ class Shock:
     delta: float
 
     def __post_init__(self) -> None:
-        check_finite(self, ("delta",))
-        check_integer(self, ("period", "actor"))
-        if self.period < 1:
-            raise ConfigurationError(f"shock period must be >= 1, got {self.period}")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -85,19 +81,14 @@ class ScenarioConfig:
             )
         if self.econ.n != n:
             raise ConfigurationError("economy parameter vectors must cover every actor")
-        a_max = tuple(float(x) for x in (self.a_max or (1.0,) * n))
-        a_init = tuple(float(x) for x in (self.a_init or (0.0,) * n))
-        baseline_init = tuple(float(x) for x in (self.baseline_init or a_init))
-        object.__setattr__(self, "a_max", a_max)
-        object.__setattr__(self, "a_init", a_init)
-        object.__setattr__(self, "baseline_init", baseline_init)
-        check_finite(self, ("a_max", "a_init", "baseline_init"))
-        for name, vec in (("a_max", a_max), ("a_init", a_init), ("baseline_init", baseline_init)):
-            if len(vec) != n:
+        object.__setattr__(self, "a_max", self.a_max or (1.0,) * n)
+        object.__setattr__(self, "a_init", self.a_init or (0.0,) * n)
+        object.__setattr__(self, "baseline_init", self.baseline_init or self.a_init)
+        validate(self)
+        for name in ("a_max", "a_init", "baseline_init"):
+            if len(getattr(self, name)) != n:
                 raise ConfigurationError(f"{name} must have one entry per actor")
-        if any(m <= 0 for m in a_max):
-            raise ConfigurationError("a_max entries must be > 0")
-        if any(not 0 <= x <= m for x, m in zip(a_init, a_max)):
+        if any(not 0 <= x <= m for x, m in zip(self.a_init, self.a_max)):
             raise ConfigurationError("initial actions must lie within [0, a_max]")
         if self.baseline_mode not in BASELINE_MODES:
             raise ConfigurationError(
@@ -131,19 +122,10 @@ class SimConfig:
     shocks: tuple[Shock, ...] = ()
 
     def __post_init__(self) -> None:
-        check_finite(self, ("horizon", "adjust_rate", "decay", "baseline_rate", "noise_sigma"))
-        check_integer(self, ("horizon", "seed"))
+        validate(self)
         check_seed(self.seed)
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in SIM_MODES:
             raise ConfigurationError(f"mode must be one of {SIM_MODES}, got {self.mode!r}")
-        for name in ("adjust_rate", "decay", "baseline_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "shocks", tuple(self.shocks))
 
 

@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import check_integer
+from .params import validate
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig, reference_scenario
 from .utility import standalone_payoff, synergy, team_member_utility
@@ -85,11 +85,7 @@ class SolverConfig:
     refine: bool = False
 
     def __post_init__(self) -> None:
-        check_integer(self, ("max_iters", "grid_points"))
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.grid_points}")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -285,8 +281,6 @@ def critical_rho(
 class CrossPartialResult:
     estimate: float
     corners_converged: bool
-    dt: float
-    drho: float
 
 
 def cross_partial_check(
@@ -322,7 +316,4 @@ def cross_partial_check(
     amp, ok3 = corner(t0 - dt, rho0 + drho)
     amm, ok4 = corner(t0 - dt, rho0 - drho)
     estimate = (app - apm - amp + amm) / (4.0 * dt * drho)
-    return CrossPartialResult(
-        estimate=estimate, corners_converged=ok1 and ok2 and ok3 and ok4,
-        dt=dt, drho=drho,
-    )
+    return CrossPartialResult(estimate=estimate, corners_converged=ok1 and ok2 and ok3 and ok4)

@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import ReciprocityParams, TrustParams, check_integer, check_seed
+from .params import TrustParams, check_seed, validate
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
 from .simulation import TRUST_FIELDS, RunBatch, _trust_rows, _update_trust_matrices, run_batch
@@ -131,14 +131,9 @@ class SweepCell:
     d: float = 0.8
 
     def __post_init__(self) -> None:
-        # The shared parameter validators: a bad grid level or trial value
-        # fails as the same field of a scenario would.
-        ReciprocityParams(rho0=self.rho0, eta=self.eta, kappa=self.kappa,
-                          memory_k=self.memory_k, lambda_r=self.lambda_r)
-        check_integer(self, ("memory_k",))
-        TrustParams(t0=self.t0)
-        if not 0.0 <= self.d <= 1.0:
-            raise ConfigurationError(f"d must lie in [0, 1], got {self.d}")
+        # The shared ranges: a bad grid level fails as the same field of a
+        # scenario would.
+        validate(self)
 
 
 REFERENCE_CELL = SweepCell()
@@ -607,8 +602,9 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
 
 #: The real-valued parameters robustness trials perturb, in draw order, by
 #: the names a clamp reports: the reference cell's (t0 is the cell's), then
-#: the default trust block's.  Each maps to the legal range its perturbed
-#: values are clamped to.  The memory window is an integer and stays.
+#: the default trust block's.  Each maps to the range its perturbed values
+#: are clamped to, which lies inside the parameter's ``params.RANGES``
+#: interval.  The memory window is an integer and stays.
 _PERTURB_RANGES = {
     "rho0": (0.0, math.inf),
     "eta": (0.0, math.inf),
@@ -694,16 +690,12 @@ def perturb_trials(
     # min(hi, max(lo, raw)) as the built-ins break ties: the bound, then the value.
     value = np.where(raw > lo, raw, lo)
     value = np.where(value < hi, value, hi)
-    # Past the finiteness check, every parameter check is an interval, so a
-    # column passes when its extremes do.
+    # Every clamp interval lies inside the parameter's ``RANGES`` interval,
+    # so a finite value is a legal one.
     if not np.isfinite(value).all():
         trial, s = np.argwhere(~np.isfinite(value))[0].tolist()
         raise ConfigurationError(f"{names[s].removeprefix('trust.')} must be finite, "
                                  f"got {value[trial, s].item()!r}")
-    for extreme in (value.min(axis=0), value.max(axis=0)):
-        picked = dict(zip(names, extreme.tolist()))
-        replace(REFERENCE_CELL, **{n: v for n, v in picked.items() if "." not in n})
-        replace(base_trust, **{n.removeprefix("trust."): v for n, v in picked.items() if "." in n})
     drawn = dict(zip(names, value.T))
 
     def column(name: str, default) -> np.ndarray:

@@ -14,6 +14,7 @@ from coopsim import case_study as cs
 from coopsim import solver
 from coopsim.cli import build_parser, main
 from coopsim.files import dyads_csv, read_scenario, scenario_to_text, trajectory_csv, write_file
+from coopsim.params import RANGES
 from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import run
 
@@ -328,6 +329,21 @@ class TestTranslateCommand:
         assert main(["translate", "--deps", str(deps), "--out", str(tmp_path / "s.conf")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {column} must be ")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_dependency_weight_exits_one(self, tmp_path, capsys, weight):
+        # named as the weight, not as the matrix it would poison, and quietly
+        with open(cs.ios_dependency_csv_path(), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index("weight")] = weight
+        deps = tmp_path / "deps.csv"
+        deps.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["translate", "--deps", str(deps), "--out", str(tmp_path / "s.conf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weight must be finite") and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("line", ["horizon = forty", "seed = 4.2",
                                       "rho0_target = 1.2\nrho0_observed = low"])
     def test_malformed_elicited_number_exits_one(self, tmp_path, capsys, line):
@@ -480,7 +496,7 @@ class TestPropCheckCommand:
         assert captured.err.startswith("error: memory_k levels above 25")
         assert "tau_f" not in captured.out
 
-    @pytest.mark.parametrize("flag, message", [("--k", "memory_k must be an integer >= 1"),
+    @pytest.mark.parametrize("flag, message", [("--k", "memory_k must be >= 1"),
                                                ("--kappa", "kappa must be > 0")])
     def test_zero_prop2_cell_exits_one(self, capsys, flag, message):
         # a zero is validated, not replaced by the default levels
@@ -553,3 +569,11 @@ def test_readme_command_block_lists_every_option():
         for name, sub in subparsers.choices.items()
     }
     assert documented == options
+
+
+def test_readme_range_table_lists_every_range():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Parameter ranges", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \|.*\| `([^`]+)` \|$", section, re.M))
+    assert documented == {name: f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+                          for name, (lo, hi, ends) in RANGES.items()}

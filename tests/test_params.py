@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -174,7 +175,128 @@ def _field_names(cls):
     return [f.name for f in fields(cls)]
 
 
+INF = math.inf
+#: Every numeric field of every block: (block, field, kind, lo, hi, ends),
+#: the legal interval as each block's own checks bounded it before the
+#: blocks shared one table; written out here, not read from
+#: ``params.RANGES``, so the test is an independent reference.  An
+#: unbounded field is (-INF, INF): only finiteness applies.  ``seed``'s
+#: upper end is ``check_seed``'s.
+BOUNDS = [
+    (DependencyEntry, "depender", int, -INF, INF, "()"),
+    (DependencyEntry, "dependee", int, -INF, INF, "()"),
+    (DependencyEntry, "weight", float, 0.0, INF, "[)"),
+    (DependencyEntry, "criticality", float, 0.0, 1.0, "[]"),
+    (ReciprocityParams, "rho0", float, 0.0, INF, "[)"),
+    (ReciprocityParams, "eta", float, 0.0, INF, "[)"),
+    (ReciprocityParams, "kappa", float, 0.0, INF, "()"),
+    (ReciprocityParams, "memory_k", int, 1, INF, "[)"),
+    (ReciprocityParams, "lambda_r", float, 0.0, INF, "[)"),
+    (ReciprocityParams, "omega_amp", float, 0.0, INF, "[)"),
+    (TrustParams, "t0", float, 0.0, 1.0, "[]"),
+    (TrustParams, "lambda_plus", float, 0.0, 1.0, "()"),
+    (TrustParams, "lambda_minus", float, 0.0, 1.0, "()"),
+    (TrustParams, "xi", float, 0.0, INF, "[)"),
+    (TrustParams, "mu_r", float, 0.0, 1.0, "()"),
+    (TrustParams, "delta_r", float, 0.0, 1.0, "()"),
+    (TrustParams, "t_max", float, 0.0, 1.0, "(]"),
+    (TrustParams, "theta_r", float, 0.0, 1.0, "[]"),
+    (TrustParams, "lambda_t", float, 0.0, INF, "[)"),
+    (TrustParams, "deadband", float, 0.0, INF, "[)"),
+    (EconomyParams, "endowments", float, 0.0, INF, "[)"),
+    (EconomyParams, "alpha", float, 0.0, INF, "[)"),
+    (EconomyParams, "theta_v", float, 0.0, INF, "[)"),
+    (EconomyParams, "power_beta", float, 0.0, 1.0, "()"),
+    (EconomyParams, "gamma", float, 0.0, INF, "[)"),
+    (TeamParams, "members", int, -INF, INF, "()"),
+    (TeamParams, "loyalty", float, 0.0, 1.0, "[]"),
+    (TeamParams, "omega_prod", float, 0.0, INF, "()"),
+    (TeamParams, "beta_team", float, 0.0, 1.0, "()"),
+    (TeamParams, "unit_cost", float, 0.0, INF, "()"),
+    (TeamParams, "phi_b", float, 0.0, 1.0, "[]"),
+    (TeamParams, "phi_c", float, 0.0, 1.0, "[]"),
+    (Shock, "period", int, 1, INF, "[)"),
+    (Shock, "actor", int, -INF, INF, "()"),
+    (Shock, "delta", float, -INF, INF, "()"),
+    (ScenarioConfig, "a_max", float, 0.0, INF, "()"),
+    (ScenarioConfig, "a_init", float, -INF, INF, "()"),
+    (ScenarioConfig, "baseline_init", float, -INF, INF, "()"),
+    (SimConfig, "horizon", int, 1, INF, "[)"),
+    (SimConfig, "adjust_rate", float, 0.0, 1.0, "[]"),
+    (SimConfig, "decay", float, 0.0, 1.0, "[]"),
+    (SimConfig, "baseline_rate", float, 0.0, 1.0, "[]"),
+    (SimConfig, "noise_sigma", float, 0.0, INF, "[)"),
+    (SimConfig, "seed", int, 0, 2**64, "[)"),
+    (SolverConfig, "max_iters", int, 1, INF, "[)"),
+    (SolverConfig, "grid_points", int, 2, INF, "[)"),
+    (SweepCell, "rho0", float, 0.0, INF, "[)"),
+    (SweepCell, "eta", float, 0.0, INF, "[)"),
+    (SweepCell, "kappa", float, 0.0, INF, "()"),
+    (SweepCell, "memory_k", int, 1, INF, "[)"),
+    (SweepCell, "lambda_r", float, 0.0, INF, "[)"),
+    (SweepCell, "t0", float, 0.0, 1.0, "[]"),
+    (SweepCell, "d", float, 0.0, 1.0, "[]"),
+]
+
+#: The other fields a block needs, and how a vector field carries the value
+#: under test (as its first entry).
+BASE = {
+    DependencyEntry: dict(depender=0, dependee=1, dependum="d", weight=1.0, exists=True,
+                          criticality=0.5),
+    TeamParams: dict(members=(0,), loyalty=(0.5,)),
+    Shock: dict(period=2, actor=0, delta=0.1),
+    ScenarioConfig: dict(labels=("A", "B"), d=symmetric_matrix(2, 0.5)),
+}
+VECTOR = {
+    "endowments": lambda x: (x, 100.0), "alpha": lambda x: (x, 1.0 - x),
+    "members": lambda x: (x,), "loyalty": lambda x: (x,),
+    "a_max": lambda x: (x, 1.0), "a_init": lambda x: (x, 0.0),
+    "baseline_init": lambda x: (x, 0.5),
+}
+
+
+def _build(block, name, x):
+    value = VECTOR[name](x) if name in VECTOR else x
+    return block(**{**BASE.get(block, {}), name: value})
+
+
+def _stored(obj, name):
+    value = getattr(obj, name)
+    return value[0] if name in VECTOR else value
+
+
 class TestNonFiniteRejected:
+    @pytest.mark.parametrize("block, name, kind, lo, hi, ends", BOUNDS,
+                             ids=[f"{b.__name__}.{n}" for b, n, *_ in BOUNDS])
+    def test_every_field_at_its_bounds(self, block, name, kind, lo, hi, ends):
+        def rejected(x):
+            with pytest.raises(ConfigurationError, match=rf"^{name} "):
+                _build(block, name, x)
+
+        def accepted(x):
+            assert _stored(_build(block, name, x), name) == x
+
+        def step(x, direction):
+            # one ulp for a float field, 1 for an int field
+            return x + direction if kind is int else math.nextafter(x, direction * INF)
+
+        for bad in NON_FINITE:
+            rejected(bad)
+        for bound, closed, outward in ((lo, ends[0] == "[", -1), (hi, ends[1] == "]", 1)):
+            if math.isinf(bound):
+                continue
+            if closed:
+                accepted(bound)
+            else:
+                rejected(bound)
+            rejected(step(bound, outward))
+            accepted(step(bound, -outward))
+        if kind is int:
+            with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer"):
+                _build(block, name, 2.5)
+            stored = _stored(_build(block, name, 3.0), name)
+            assert stored == 3 and type(stored) is int
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("name", _field_names(ReciprocityParams))
     def test_reciprocity(self, name, bad):
@@ -248,6 +370,11 @@ class TestIntegerFields:
     def test_non_integer_rejected(self, make, name):
         with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got"):
             make()
+
+    def test_int_beyond_float_range_is_out_of_range(self):
+        # a ConfigurationError naming the field, not an OverflowError
+        with pytest.raises(ConfigurationError, match="^horizon must be >= 1, got -1000"):
+            SimConfig(horizon=-10**400)
 
     @pytest.mark.parametrize("build", INTEGRAL.values(), ids=INTEGRAL.keys())
     def test_integral_float_acts_as_int(self, build):

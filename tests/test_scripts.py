@@ -44,7 +44,8 @@ def test_bench_smoke(tmp_path, capsys):
     assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
             "simulation.run", "simulation.period", "case_study.run_pair",
             "files.trajectory_csv", "files.dyads_csv",
-            "files.long_format_csv", "solver.solve_equilibrium", "solver.cross_partial_check",
+            "files.long_format_csv", "scenario.reference_scenario", "solver.solve_equilibrium",
+            "solver.cross_partial_check",
             "simulation.run_best_response",
             "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
             "job.prop_check", "job.sweep", "job.sweep_full", "job.montecarlo"} == set(

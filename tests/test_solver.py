@@ -278,7 +278,7 @@ class TestHistoryAwareSolve:
 @pytest.mark.parametrize("field, value, message", [
     ("max_iters", 0, "max_iters must be >= 1"),
     ("max_iters", 1.5, "max_iters must be an integer"),
-    ("grid_points", 1, "grid needs at least 2 points"),
+    ("grid_points", 1, "grid_points must be >= 2"),
 ])
 def test_solver_config_rejects(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}, got"):

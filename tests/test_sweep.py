@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coopsim import sweep
 from coopsim.errors import ConfigurationError
 from coopsim.files import targets_csv
-from coopsim.params import TrustParams
+from coopsim.params import RANGES, TrustParams
 from coopsim.reports import render_monte_carlo, render_target_report
 from coopsim.simulation import TRUST_FIELDS, RunBatch, record_batch
 from coopsim.stats import bootstrap_ci
@@ -92,7 +92,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("levels, message", [
         ({"memory_k": (4, 2.5)}, "memory_k must be an integer"),
-        ({"memory_k": (0,)}, "memory_k must be an integer >= 1"),
+        ({"memory_k": (0,)}, "memory_k must be >= 1"),
         ({"d": (0.5, 1.5)}, "d must lie in [0, 1]"),
         ({"kappa": (0.0,)}, "kappa must be > 0"),
         ({"memory_k": (4, 26)}, "memory_k levels above 25 are beyond the forgiveness run"),
@@ -384,6 +384,17 @@ class TestMonteCarlo:
         report = monte_carlo(trials=5, perturb=0.15, seed=2)
         assert all("memory_k" not in names for names in report.clamped)
         assert (report.table["memory_k"] == REFERENCE_CELL.memory_k).all()
+
+    @pytest.mark.parametrize("name", list(sweep._PERTURB_RANGES))
+    def test_clamps_lie_inside_the_parameter_ranges(self, name):
+        # perturb_trials checks a clamped value for finiteness only, so each
+        # clamp must keep it legal: a closed end may equal the bound, an open
+        # end must sit strictly inside; an infinite clamp is no clamp, and
+        # finiteness stands in for an infinite open end
+        c_lo, c_hi = sweep._PERTURB_RANGES[name]
+        lo, hi, ends = RANGES[name.removeprefix("trust.")]
+        assert lo <= c_lo if ends[0] == "[" else lo < c_lo
+        assert c_hi <= hi if ends[1] == "]" else c_hi < hi or c_hi == hi == math.inf
 
     @settings(max_examples=100, deadline=None)
     @given(trials=st.integers(2, 12), perturb=st.floats(0.0, 3.0),
