@@ -17,9 +17,15 @@ appear only when the scenario has them.  All emitted numbers use ``.``
 decimals, files are UTF-8 with LF line endings, and writers are
 deterministic so reruns are byte identical.
 
+This module is the one reader of ``key = value`` text: scenario, grid and
+(for :mod:`coopsim.translate`) elicitation files reject a key they do not
+know, allow one value per key (``single``; the scenario's ``d``,
+``pre_history`` and ``shock`` lines aside) and read each value by its
+field's declared type (``read_field``, ``read_block``).
+
 Dependency tables are CSV with the header
 ``depender,dependee,dependum,type,weight,exists,criticality``; actor
-indices are assigned by first appearance.
+indices are assigned by first appearance, and ``exists`` is 0 or 1.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ def parse_keyvalues(text: str) -> dict[str, list[str]]:
     return out
 
 
-def _single(kv: dict[str, list[str]], key: str, default: Optional[str] = None) -> Optional[str]:
+def single(kv: dict[str, list[str]], key: str, default: Optional[str] = None) -> Optional[str]:
+    """The one value of ``key`` (a ConfigurationError if repeated), or ``default``."""
     vals = kv.get(key)
     if not vals:
         return default
@@ -113,24 +120,29 @@ _READERS = {
 }
 
 
-def _keyed_fields(cls) -> tuple:
-    """``(name, reader)`` for each field of ``cls`` that is a key of its own
+def _keyed_fields(cls) -> dict:
+    """``{name: reader}`` for each field of ``cls`` that is a key of its own
     name, in field order."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _READERS[hints[f.name]]) for f in fields(cls)
-                 if hints[f.name] in _READERS)
+    return {f.name: _READERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _READERS}
 
 
 _KEYED = {cls: _keyed_fields(cls) for cls in (ScenarioConfig, ReciprocityParams, TrustParams,
                                                EconomyParams, TeamParams, SimConfig)}
-_KNOWN_KEYS = {"actors", "d", "pre_history", "team", "shock",
-               *(name for keyed in _KEYED.values() for name, _ in keyed)}
+_FIELD_READERS = {name: read for keyed in _KEYED.values() for name, read in keyed.items()}
+_KNOWN_KEYS = {"actors", "d", "pre_history", "team", "shock", *_FIELD_READERS}
+
+
+def read_field(name: str, raw: str):
+    """Block field ``name`` read from ``raw`` by its declared type; a
+    malformed number is a ConfigurationError naming ``name``."""
+    return _FIELD_READERS[name](raw, name)
 
 
 def _field_lines(block) -> list[str]:
     """``name = value`` for every keyed field of ``block``, in field order."""
     lines = []
-    for name, _ in _KEYED[type(block)]:
+    for name in _KEYED[type(block)]:
         value = getattr(block, name)
         if isinstance(value, tuple):
             value = ",".join(fmt(v) for v in value)
@@ -140,12 +152,12 @@ def _field_lines(block) -> list[str]:
     return lines
 
 
-def _read_block(cls, kv: dict[str, list[str]], **given):
-    """``cls`` from ``given`` plus every keyed field the file sets."""
-    for name, read in _KEYED[cls]:
-        raw = _single(kv, name)
-        if raw is not None:
-            given[name] = read(raw, name)
+def read_block(cls, kv: dict[str, list[str]], **given):
+    """``cls`` from ``given`` plus every keyed field the text sets (which
+    overrides ``given``); the dataclass defaults fill the rest."""
+    for name in _KEYED[cls]:
+        if (raw := single(kv, name)) is not None:
+            given[name] = read_field(name, raw)
     return cls(**given)
 
 
@@ -170,9 +182,9 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
 
 def _team_from(kv: dict[str, list[str]], index: dict[str, int]) -> Optional[TeamParams]:
     """The ``team`` line's members (by label) and the team fields, or None."""
-    members = _single(kv, "team")
+    members = single(kv, "team")
     if members is None:
-        given = [name for name, _ in _KEYED[TeamParams] if name in kv]
+        given = [name for name in _KEYED[TeamParams] if name in kv]
         if given:
             raise ConfigurationError(f"{given[0]} needs a 'team' line naming the members")
         return None
@@ -180,7 +192,7 @@ def _team_from(kv: dict[str, list[str]], index: dict[str, int]) -> Optional[Team
     for label in labels:
         if label not in index:
             raise ConfigurationError(f"team names unknown actor {label!r}")
-    return _read_block(TeamParams, kv, members=tuple(index[label] for label in labels))
+    return read_block(TeamParams, kv, members=tuple(index[label] for label in labels))
 
 
 def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
@@ -188,7 +200,7 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
     for key in kv:
         if key not in _KNOWN_KEYS:
             raise ConfigurationError(f"unknown scenario key {key!r}")
-    actors_line = _single(kv, "actors")
+    actors_line = single(kv, "actors")
     if not actors_line:
         raise ConfigurationError("scenario must declare 'actors'")
     labels = tuple(a.strip() for a in actors_line.split(","))
@@ -213,24 +225,21 @@ def scenario_from_text(text: str) -> tuple[ScenarioConfig, SimConfig]:
             raise ConfigurationError(f"bad shock entry {entry!r}")
         actor = index.get(parts[1])
         if actor is None:
-            try:
-                actor = int(parts[1])
-            except ValueError:
-                raise ConfigurationError(f"shock names unknown actor: {entry!r}") from None
+            raise ConfigurationError(f"shock names unknown actor: {entry!r}")
         shocks.append(Shock(period=parse_number(parts[0], "shock period", int), actor=actor,
                             delta=parse_number(parts[2], "shock delta")))
 
-    scenario = _read_block(
+    scenario = read_block(
         ScenarioConfig, kv,
         labels=labels,
         d=InterdependenceMatrix(d),
-        recip=_read_block(ReciprocityParams, kv),
-        trust=_read_block(TrustParams, kv),
-        econ=_read_block(EconomyParams, kv, endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
+        recip=read_block(ReciprocityParams, kv),
+        trust=read_block(TrustParams, kv),
+        econ=read_block(EconomyParams, kv, endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
         pre_history=tuple(_floats(row, "pre_history") for row in kv.get("pre_history", [])),
         team=_team_from(kv, index),
     )
-    return scenario, _read_block(SimConfig, kv, shocks=tuple(shocks))
+    return scenario, read_block(SimConfig, kv, shocks=tuple(shocks))
 
 
 def read_scenario(path: str) -> tuple[ScenarioConfig, SimConfig]:
@@ -281,7 +290,7 @@ def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEnt
             DependencyEntry(
                 depender=actor(depender), dependee=actor(dependee),
                 dependum=dependum.strip(), weight=parse_number(weight, "weight"),
-                exists=bool(parse_number(exists, "exists", int)),
+                exists=parse_number(exists, "exists", int),
                 criticality=parse_number(crit, "criticality"),
             )
         )
@@ -291,16 +300,13 @@ def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEnt
 # -- sweep grids --------------------------------------------------------------
 
 def parse_grid(text: str) -> ParameterGrid:
+    """Comma-separated levels per ``SweepCell`` field, read by its type; a
+    key that is no grid parameter keeps its text for ``ParameterGrid`` to reject."""
     kv = parse_keyvalues(text)
     kinds = get_type_hints(SweepCell)
-    levels = {}
-    for key, vals in kv.items():
-        if key not in GRID_KEYS:
-            raise ConfigurationError(f"unknown grid parameter {key!r}")
-        if len(vals) > 1:
-            raise ConfigurationError(f"grid parameter {key!r} given more than once")
-        levels[key] = tuple(parse_number(x, key, kinds[key]) for x in vals[0].split(","))
-    return ParameterGrid(levels)
+    return ParameterGrid({key: tuple(_READERS[kinds.get(key, str)](x, key)
+                                     for x in single(kv, key).split(","))
+                          for key in kv})
 
 
 def read_grid(path: str) -> ParameterGrid:

@@ -157,8 +157,9 @@ class DependencyEntry:
     """One row of a dependency table.
 
     ``weight`` is the importance weight of the dependum to the depender,
-    ``exists`` flags whether the dependency is present (0/1), and
-    ``criticality`` in [0, 1] captures how replaceable the dependee is.
+    ``exists`` flags whether the dependency is present (0 or 1, stored as a
+    bool), and ``criticality`` in [0, 1] captures how replaceable the
+    dependee is.
     """
 
     depender: int
@@ -170,6 +171,9 @@ class DependencyEntry:
 
     def __post_init__(self) -> None:
         validate(self)
+        if self.exists not in (0, 1):
+            raise ConfigurationError(f"exists must be 0 or 1, got {self.exists!r}")
+        object.__setattr__(self, "exists", bool(self.exists))
         if self.depender == self.dependee:
             raise ConfigurationError(
                 f"self-dependency not allowed (actor {self.depender}, {self.dependum!r})"
@@ -232,28 +236,25 @@ def compute_interdependence(
     """
     weight_sums = np.zeros((n, n))
     weighted = np.zeros((n, n))
-    for e in entries:
-        if e.depender >= n or e.dependee >= n:
-            raise ConfigurationError(
-                f"dependency entry references actor {max(e.depender, e.dependee)} "
-                f"but only {n} actors are declared"
-            )
-        weight_sums[e.depender, e.dependee] += e.weight
-        weighted[e.depender, e.dependee] += e.weight * float(e.exists) * e.criticality
-
-    d = np.zeros((n, n))
     has_entries = np.zeros((n, n), dtype=bool)
     for e in entries:
-        has_entries[e.depender, e.dependee] = True
-    for i in range(n):
-        for j in range(n):
-            if not has_entries[i, j]:
-                continue
-            if weight_sums[i, j] <= 0.0:
-                raise DependencyTableError(
-                    f"dependency pair ({i}, {j}) has entries but zero total weight"
+        for actor in (e.depender, e.dependee):
+            if not 0 <= actor < n:
+                raise ConfigurationError(
+                    f"dependency entry references actor {actor} "
+                    f"but only actors 0 to {n - 1} are declared"
                 )
-            d[i, j] = weighted[i, j] / weight_sums[i, j]
+        weight_sums[e.depender, e.dependee] += e.weight
+        weighted[e.depender, e.dependee] += e.weight * float(e.exists) * e.criticality
+        has_entries[e.depender, e.dependee] = True
+
+    empty = np.argwhere(has_entries & (weight_sums <= 0.0))
+    if len(empty):
+        i, j = empty[0]
+        raise DependencyTableError(
+            f"dependency pair ({i}, {j}) has entries but zero total weight"
+        )
+    d = np.divide(weighted, weight_sums, out=np.zeros((n, n)), where=has_entries)
     return InterdependenceMatrix(d)
 
 

@@ -12,21 +12,25 @@ workflow that turns a strategic dependency model into a runnable scenario:
 7. integrate trust parameters                (human, trust keys)
 8. simulate and calibrate                    (computed: scenario emission)
 
-Steps 1-4 and 6-7 are elicitation inputs supplied through the plain-text
-configuration file; the tool validates ranges (naming the offending step),
-fills documented defaults, computes step 5, and emits a complete scenario
-file.
+Steps 1-4 and 6-7 are elicitation inputs supplied through a plain-text
+``key = value`` file, read by :mod:`coopsim.files`, the one reader of that
+format: each key at most once, every value by the declared type of the
+parameter-block field it sets, and a key outside ``ELICITATION_KEYS`` is an
+error.  The tool checks the stricter elicitation ranges of ``STEP_RANGES``
+(naming the offending step), lets the parameter blocks' defaults fill what
+is not elicited, computes step 5, and emits a complete scenario file.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .files import parse_keyvalues, parse_number
+from .files import parse_keyvalues, parse_number, read_block, read_field, single
 from .params import (
     DependencyEntry,
     EconomyParams,
@@ -40,7 +44,23 @@ from .scenario import ScenarioConfig, SimConfig
 #: Memory-window heuristic per interaction granularity.
 GRANULARITY_WINDOWS = {"quarterly": 4, "monthly": 6, "weekly": 12}
 
-DEFAULTS = {"rho0": 1.0, "eta": 1.0, "kappa": 1.0}
+#: The elicited values with a stricter range than the parameter blocks':
+#: key -> (step, step name, lo, hi), checked in this order.
+STEP_RANGES = {
+    "memory_k": (4, "memory window", 1, math.inf),
+    "rho0": (5, "reciprocity sensitivity", 0.0, 5.0),
+    "eta": (5, "reciprocity sensitivity", 0.0, 3.0),
+    "kappa": (6, "response sensitivity", 1e-9, 5.0),
+    "lambda_r": (7, "trust integration", 0.0, 5.0),
+    "omega_amp": (7, "trust integration", 0.0, 5.0),
+    "t0": (7, "trust integration", 0.0, 1.0),
+    "lambda_t": (7, "trust integration", 0.0, 5.0),
+}
+
+#: The reciprocity gap's target and observed base tendency.
+GAP_KEYS = ("rho0_target", "rho0_observed")
+#: Every key an elicitation file may set.
+ELICITATION_KEYS = ("granularity", "baseline_mode", *STEP_RANGES, "horizon", "seed", *GAP_KEYS)
 
 #: Reciprocity-gap interventions, all printed for a large gap: low
 #: sensitivity, short memory, weak trust gating, asymmetric reciprocity.
@@ -78,91 +98,58 @@ def translate(
 ) -> TranslationResult:
     """Turn a dependency table plus elicited values into a full scenario.
 
-    Unelicited reciprocity parameters fall back to the documented defaults
-    (``rho0 = 1.0``, ``eta = 1.0``, ``kappa = 1.0``) and the memory window
-    to the granularity heuristic (quarterly 4, monthly 6, weekly 12).
-    Out-of-range elicited values raise a validation error naming the
-    pipeline step they belong to.  The emitted sensitivities are the
-    engine's directional rho0 * D_ij ** eta.
+    Unelicited values take the parameter blocks' defaults (``rho0``,
+    ``eta`` and ``kappa`` 1.0) but for three: the memory window follows the
+    granularity heuristic (quarterly 4, monthly 6, weekly 12), ``horizon``
+    is 40 and the initial actions and baselines are 0.5.  Out-of-range
+    elicited values raise a validation error naming the pipeline step they
+    belong to.  The emitted sensitivities are the engine's directional
+    rho0 * D_ij ** eta.
     """
     labels = tuple(labels)
     n = len(labels)
     d = compute_interdependence(entries, n)  # step 5
     kv = parse_keyvalues(elicitation_text)
+    for key in kv:
+        if key not in ELICITATION_KEYS:
+            raise ConfigurationError(f"unknown elicitation key {key!r}")
 
-    def elicited(key: str, step: int, what: str, lo: float, hi: float,
-                 default: float) -> float:
-        vals = kv.get(key)
-        if not vals:
-            return default
-        try:
-            value = float(vals[-1])
-        except ValueError:
-            raise _step_error(step, what, f"{key} is not a number: {vals[-1]!r}")
-        if not lo <= value <= hi:
-            raise _step_error(
-                step, what, f"{key} = {value} outside the valid range [{lo}, {hi}]"
-            )
-        return value
-
-    granularity = (kv.get("granularity") or ["quarterly"])[-1].strip().lower()
+    granularity = single(kv, "granularity", "quarterly").lower()
     if granularity not in GRANULARITY_WINDOWS:
         raise _step_error(
             2, "temporal granularity",
             f"granularity must be one of {sorted(GRANULARITY_WINDOWS)}, got {granularity!r}",
         )
-    if "memory_k" in kv:
+    for key, (step, what, lo, hi) in STEP_RANGES.items():
+        if (raw := single(kv, key)) is None:
+            continue
         try:
-            memory_k = int(kv["memory_k"][-1])
-        except ValueError:
-            raise _step_error(4, "memory window", "memory_k must be an integer")
-        if memory_k < 1:
-            raise _step_error(4, "memory window", f"memory_k must be >= 1, got {memory_k}")
-    else:
-        memory_k = GRANULARITY_WINDOWS[granularity]
+            value = read_field(key, raw)
+        except ConfigurationError as exc:
+            raise _step_error(step, what, str(exc)) from None
+        if not lo <= value <= hi:
+            raise _step_error(step, what, f"{key} must be >= {lo}, got {value}" if hi == math.inf
+                              else f"{key} = {value} outside the valid range [{lo}, {hi}]")
 
-    rho0 = elicited("rho0", 5, "reciprocity sensitivity", 0.0, 5.0, DEFAULTS["rho0"])
-    eta = elicited("eta", 5, "reciprocity sensitivity", 0.0, 3.0, DEFAULTS["eta"])
-    kappa = elicited("kappa", 6, "response sensitivity", 1e-9, 5.0, DEFAULTS["kappa"])
-    lambda_r = elicited("lambda_r", 7, "trust integration", 0.0, 5.0, 1.0)
-    omega_amp = elicited("omega_amp", 7, "trust integration", 0.0, 5.0, 1.0)
-    t0 = elicited("t0", 7, "trust integration", 0.0, 1.0, TrustParams().t0)
-    lambda_t = elicited("lambda_t", 7, "trust integration", 0.0, 5.0, 1.0)
-
-    baseline_mode = (kv.get("baseline_mode") or ["moving_average"])[-1].strip()
-    horizon = parse_number((kv.get("horizon") or ["40"])[-1], "horizon", int)
-    seed = parse_number((kv.get("seed") or ["42"])[-1], "seed", int)
-
-    recip = ReciprocityParams(
-        rho0=rho0, eta=eta, kappa=kappa, memory_k=memory_k,
-        lambda_r=lambda_r, omega_amp=omega_amp,
-    )
-    trust = TrustParams(t0=t0, lambda_t=lambda_t)
-    scenario = ScenarioConfig(
+    sim = read_block(SimConfig, kv, horizon=40)
+    scenario = read_block(
+        ScenarioConfig, kv,
         labels=labels,
         d=d,
-        recip=recip,
-        trust=trust,
+        recip=read_block(ReciprocityParams, kv, memory_k=GRANULARITY_WINDOWS[granularity]),
+        trust=read_block(TrustParams, kv),
         econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
-        a_max=(1.0,) * n,
         a_init=(0.5,) * n,
-        baseline_init=(0.5,) * n,
-        baseline_mode=baseline_mode,
     )
-    sim = SimConfig(horizon=horizon, seed=seed)
-
-    rho = sensitivity(d.values[None], np.array([rho0]), np.array([eta]))[0]
+    recip = scenario.recip
+    rho = sensitivity(d.values[None], np.array([recip.rho0]), np.array([recip.eta]))[0]
     np.fill_diagonal(rho, 0.0)
 
-    gap = None
-    gap_advice: tuple[str, ...] = ()
-    if "rho0_target" in kv and "rho0_observed" in kv:
-        gap = (parse_number(kv["rho0_target"][-1], "rho0_target")
-               - parse_number(kv["rho0_observed"][-1], "rho0_observed"))
-        if gap > GAP_THRESHOLD:
-            gap_advice = GAP_INTERVENTIONS
+    given = [parse_number(raw, key) for key in GAP_KEYS if (raw := single(kv, key)) is not None]
+    gap = given[0] - given[1] if len(given) == 2 else None
 
     return TranslationResult(
         scenario=scenario, sim=sim, rho=tuple(map(tuple, rho.tolist())),
-        reciprocity_gap=gap, gap_advice=gap_advice,
+        reciprocity_gap=gap,
+        gap_advice=GAP_INTERVENTIONS if gap is not None and gap > GAP_THRESHOLD else (),
     )

@@ -17,6 +17,7 @@ from coopsim.files import dyads_csv, read_scenario, scenario_to_text, trajectory
 from coopsim.params import RANGES
 from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import run
+from coopsim.translate import ELICITATION_KEYS, STEP_RANGES
 
 TINY_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 1,4\n"
 
@@ -317,13 +318,16 @@ class TestTranslateCommand:
                      "--elicit", str(elicit), "--out", out]) == 0
         assert "rho0 = 0.85" in read(out).decode()
 
-    @pytest.mark.parametrize("column", ["weight", "exists", "criticality"])
-    def test_malformed_dependency_number_exits_one(self, tmp_path, capsys, column):
+    @pytest.mark.parametrize("column, value", [
+        ("weight", "n/a"), ("exists", "n/a"), ("criticality", "n/a"),
+        ("exists", "7"), ("exists", "-1"),
+    ], ids=["weight", "exists", "criticality", "exists-7", "exists-negative"])
+    def test_malformed_dependency_number_exits_one(self, tmp_path, capsys, column, value):
         with open(cs.ios_dependency_csv_path(), encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         header = lines[0].split(",")
         row = lines[1].split(",")
-        row[header.index(column)] = "n/a"
+        row[header.index(column)] = value
         deps = tmp_path / "deps.csv"
         deps.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
         assert main(["translate", "--deps", str(deps), "--out", str(tmp_path / "s.conf")]) == 1
@@ -359,6 +363,21 @@ class TestTranslateCommand:
         out = str(tmp_path / "s.conf")
         assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
                      "--elicit", str(elicit), "--out", out]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("rho_0 = 2.5", "unknown elicitation key 'rho_0'"),
+        ("lambda_plus = 0.5", "unknown elicitation key 'lambda_plus'"),
+        ("kappa = 2\nkappa = 3", "key 'kappa' given more than once"),
+        ("rho0 = x", "step 5 (reciprocity sensitivity): rho0 must be a number, got 'x'"),
+    ], ids=["misspelt", "not-elicited", "repeated", "malformed"])
+    def test_elicitation_read_by_the_scenario_rules(self, tmp_path, capsys, text, message):
+        elicit = tmp_path / "elicit.conf"
+        elicit.write_text(text + "\n")
+        out = tmp_path / "s.conf"
+        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
+                     "--elicit", str(elicit), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 NOT_UTF8 = "error: {latin1}: 'utf-8' codec can't decode"
@@ -569,6 +588,15 @@ def test_readme_command_block_lists_every_option():
         for name, sub in subparsers.choices.items()
     }
     assert documented == options
+
+
+def test_readme_elicitation_table_lists_every_key():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("**Elicitation files**", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", section, re.M))
+    assert list(documented) == list(ELICITATION_KEYS)
+    assert {key: documented[key] for key in STEP_RANGES} == {
+        key: str(step) for key, (step, *_) in STEP_RANGES.items()}
 
 
 def test_readme_range_table_lists_every_range():

@@ -358,12 +358,18 @@ def test_run_experiments_stdout_checksum(capsys):
 
 
 # SHA-256 of scenario files as the writer emits them: a translated table with
-# elicited values, the iOS counterfactual (pre-history rows, the trust
-# deadband, shocks) and a 3-actor team.
+# elicited values, the same table with the elicitation keys ``ELICITATION``
+# leaves out (``memory_k`` aside, which would override the granularity
+# heuristic), the iOS counterfactual (pre-history rows, the trust deadband,
+# shocks) and a 3-actor team.
 ELICITATION = "rho0 = 0.85\neta = 1.3\nkappa = 1.2\nt0 = 0.65\nhorizon = 40\nseed = 7\n"
+ELICITATION_REST = ("granularity = monthly\nbaseline_mode = adaptive\nlambda_r = 0.6\n"
+                    "omega_amp = 1.5\nlambda_t = 2.0\nrho0_target = 1.2\nrho0_observed = 0.5\n")
 SCENARIO_TEXT_GOLDEN = {
     "translate":
         "7392beb754656d8eb86a5521296956ec5d19af3e230754086c2a71d6118f1746",
+    "translate-rest":
+        "546efa41966e5b254629211bfe9828440ae37ab9a8821337b4db16e66ec63e35",
     "ios-counterfactual":
         "626c5355d434cf365925b6a164cd68e471656907396b232392e8868539d07caa",
     "team":
@@ -377,8 +383,9 @@ def _scenario_text(case, tmp_path):
     if case == "team":
         return scenario_to_text(team_scenario(), SimConfig())
     out = tmp_path / "scenario.conf"
+    elicitation = ELICITATION_REST if case == "translate-rest" else ELICITATION
     assert main(["translate", "--deps", case_study.ios_dependency_csv_path(),
-                 "--elicit", _write(tmp_path / "elicit.conf", ELICITATION),
+                 "--elicit", _write(tmp_path / "elicit.conf", elicitation),
                  "--out", str(out)]) == 0
     return out.read_bytes().decode("utf-8")
 

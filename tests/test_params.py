@@ -68,6 +68,40 @@ class TestComputeInterdependence:
         with pytest.raises(ConfigurationError):
             compute_interdependence([entry(0, 5, 1.0, 0.5)], 2)
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, 1)])
+    def test_negative_actor_rejected(self, i, j):
+        # numpy would wrap a negative index onto the last actors' row or column
+        with pytest.raises(ConfigurationError, match=f"references actor {min(i, j)} "
+                                                     "but only actors 0 to 1 are declared"):
+            compute_interdependence([entry(i, j, 1.0, 0.5)], 2)
+
+    @pytest.mark.parametrize("exists", [7, -1, 0.5, "1"])
+    def test_exists_is_zero_or_one(self, exists):
+        with pytest.raises(ConfigurationError, match="^exists must be 0 or 1, got "):
+            entry(0, 1, 1.0, 0.5, exists=exists)
+        assert entry(0, 1, 1.0, 0.5, exists=1).exists is True
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2), st.floats(0.0, 10.0),
+                              st.booleans(), st.floats(0.0, 1.0)), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_each_pair_sums_its_entries_in_table_order(self, rows):
+        # bit for bit the per-pair weighted mean, summed in entry order
+        entries = [entry(i, (i + j) % 3, w, c, exists=x) for i, j, w, x, c in rows]
+        sums: dict = {}
+        for e in entries:
+            w, v = sums.get((e.depender, e.dependee), (0.0, 0.0))
+            sums[e.depender, e.dependee] = (w + e.weight,
+                                            v + e.weight * float(e.exists) * e.criticality)
+        if any(w <= 0.0 for w, _ in sums.values()):
+            with pytest.raises(DependencyTableError):
+                compute_interdependence(entries, 3)
+            return
+        d = compute_interdependence(entries, 3).values
+        expected = np.zeros((3, 3))
+        for (i, j), (w, v) in sums.items():
+            expected[i, j] = v / w
+        assert d.tobytes() == expected.tobytes()
+
     @given(
         st.lists(
             st.tuples(

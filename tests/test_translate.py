@@ -130,16 +130,24 @@ class TestTranslate:
 
     def test_out_of_range_names_the_step(self):
         labels, entries = ios_inputs()
-        with pytest.raises(ConfigurationError, match="step 6"):
-            translate(labels, entries, "kappa = -1")
-        with pytest.raises(ConfigurationError, match="step 5"):
-            translate(labels, entries, "rho0 = 99")
-        with pytest.raises(ConfigurationError, match="step 7"):
-            translate(labels, entries, "t0 = 1.5")
-        with pytest.raises(ConfigurationError, match="step 4"):
-            translate(labels, entries, "memory_k = 0")
-        with pytest.raises(ConfigurationError, match="step 2"):
-            translate(labels, entries, "granularity = hourly")
+        for text, message in [
+            ("kappa = -1", "step 6 (response sensitivity): kappa = -1.0 outside the valid "
+                           "range [1e-09, 5.0]"),
+            ("rho0 = 99", "step 5 (reciprocity sensitivity): rho0 = 99.0 outside the valid "
+                          "range [0.0, 5.0]"),
+            ("t0 = 1.5", "step 7 (trust integration): t0 = 1.5 outside the valid "
+                         "range [0.0, 1.0]"),
+            ("memory_k = 0", "step 4 (memory window): memory_k must be >= 1, got 0"),
+            ("granularity = hourly", "step 2 (temporal granularity): granularity must be one "
+                                     "of ['monthly', 'quarterly', 'weekly'], got 'hourly'"),
+            ("eta = nan", "step 5 (reciprocity sensitivity): eta = nan outside the valid "
+                          "range [0.0, 3.0]"),
+            ("lambda_t = 1e309", "step 7 (trust integration): lambda_t = inf outside the "
+                                 "valid range [0.0, 5.0]"),
+        ]:
+            with pytest.raises(ConfigurationError) as err:
+                translate(labels, entries, text)
+            assert str(err.value) == message
 
     def test_idempotent_roundtrip(self):
         labels, entries = ios_inputs()
@@ -234,6 +242,7 @@ class TestTranslate:
         ("team = A,B", "one loyalty value per team member"),
         ("team = A,B\nloyalty = 0.5,0.5\nunit_cost = inf", "unit_cost must be finite"),
         ("pre_history = 0.5", "pre_history rows must have one action per actor"),
+        ("shock = 36,0,-0.1", "shock names unknown actor: '36,0,-0.1'"),
         *((f"{name} = 0", f"unknown scenario key '{name}'")
           for name in ("members", "shocks", "labels", "recip", "econ")),
     ])
