@@ -29,17 +29,23 @@ from .errors import ConfigurationError
 from .params import ReciprocityParams
 
 
+#: The scalar exponents of ``array ** e`` that numpy computes by another
+#: route than its elementwise power.
+_FAST_EXPONENTS = frozenset((0.5, 2.0, -1.0))
+
+
 def sensitivity(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Per-row sensitivity rho = rho0 * D ** eta on (B, n, n) coefficients.
 
     Zero-dependency pairs get 0, and rho0 when eta = 0 (0 ** 0 is 1).
-    Powers are taken one eta value at a time with a Python float exponent,
-    as ``D ** eta`` is for a single run: numpy special-cases some scalar
-    exponents (0.5 takes a square root), whose bits differ from an
-    elementwise power.
+    The powers have the bits of ``D ** eta`` with a Python float exponent,
+    as for a single run: one elementwise power gives them, but for the
+    scalar exponents numpy special-cases (0.5 takes a square root, 2 a
+    square, -1 a reciprocal), whose rows are taken again with that
+    exponent.
     """
-    power = np.empty_like(d)
-    for e in set(eta.tolist()):
+    power = np.power(d, eta[:, None, None])
+    for e in _FAST_EXPONENTS.intersection(eta.tolist()):
         rows = eta == e
         power[rows] = d[rows] ** e
     return rho0[:, None, None] * power

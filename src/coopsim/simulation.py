@@ -15,7 +15,14 @@ two-layer trust state, then advance actions by the selected rule:
   the previous actions.  A solve is a pure function of those three
   inputs, so a period whose inputs are byte-identical to the last solve's
   (as they are once a run settles) reuses that solve's result instead of
-  solving again.
+  solving again.  A period whose last k + 1 actions, trust and reputation
+  are byte-identical to the last period's (all k + 1 real periods, no
+  empty pre-history slot) is that period again: its k + 2 equal actions
+  give both periods the same window means, so the same signals, trust
+  update, next window and solve.  Such a settled period reuses them all
+  and is still recorded; only its norms move, and with them the rule's
+  signal and gated term of an adaptive-baseline run, which are formed
+  again.
 
 Every period's actions, period 1's initial actions included, then go
 through one step: the period's scheduled shocks are added, its scripted
@@ -337,7 +344,10 @@ def run_batch(batch: RunBatch, observe: Observer,
     ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
     actor's windowed average for the period being chosen.  It is called
     only when those three arrays differ, in at least one byte, from its
-    last call's; a period with the same inputs reuses the last result.
+    last call's; a period with the same inputs reuses the last result.  A
+    period whose last k + 1 actions, trust and reputation repeat the last
+    period's bytes also reuses its signals, trust and reputation (no trust
+    update), next window and response, as the module docstring says.
     """
     rows = batch.rows
     B, n = rows["a_init"].shape
@@ -365,11 +375,14 @@ def run_batch(batch: RunBatch, observe: Observer,
     # Every per-row input, row first, and every period-first one: a horizon
     # cut keeps the live rows of each.
     k = np.asarray(rows["memory_k"], dtype=np.int64)[:, None]
+    mode = np.asarray(rows["baseline_mode"])[:, None]  # index into BASELINE_MODES
     p = {"gate": gate_weights(d, rows), "kappa": _per_row(rows["kappa"], (n, n)), "k": k,
          "lead": lead, "rate": _per_row(rows["adjust_rate"], (n,)),
          "decay": _per_row(rows["decay"], (n,)),
          "norm_rate": _per_row(rows["baseline_rate"], (n,)),
-         "mode": np.asarray(rows["baseline_mode"])[:, None],  # index into BASELINE_MODES
+         # (B, 1) masks of the rows whose rule follows the window, the norm
+         "by_window": mode == BASELINE_MODES.index("moving_average"),
+         "by_norm": mode == BASELINE_MODES.index("adaptive"),
          "initial": np.asarray(rows["baseline_init"], dtype=float),
          "a_max": np.asarray(rows["a_max"], dtype=float)} | _trust_rows(rows, d)
     per = {"hist": hist, "reach": _window_reach(k, n)}
@@ -395,7 +408,7 @@ def run_batch(batch: RunBatch, observe: Observer,
 
     # The leading rows whose rule's reference is the windowed mean: the live
     # rows are a prefix, so while no others are live the rule's signal is s_win.
-    windowed_rows = next((b for b, m in enumerate(p["mode"][:, 0].tolist()) if m), B)
+    windowed_rows = next((b for b, w in enumerate(p["by_window"][:, 0].tolist()) if not w), B)
     norms = p["initial"].copy()
     trust = _per_row(rows["t0"], (n, n))
     trust.reshape(B, n * n)[:, :: n + 1] = 1.0
@@ -416,21 +429,33 @@ def run_batch(batch: RunBatch, observe: Observer,
     with np.errstate(invalid="ignore"):
         b_win = np.where(lead < P, _window_means(hist, P, k, per["reach"], p["initial"], lead),
                          p["initial"])
+    key = None  # best-response mode: the last period's actions, trust and reputation
     for t in range(1, H + 1):
         idx = t - 1
-        s_win = _signals(actions, b_win)
-        s_rule = s_win
-        if len(actions) > windowed_rows:  # a live row's rule follows its norm or fixed level
-            # the references in BASELINE_MODES order
-            s_rule = _signals(actions, np.choose(p["mode"], (b_win, norms, p["initial"])))
-        term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
-
         per["hist"][P + idx] = actions
+        # A best-response period whose last k + 1 actions (none of them an
+        # empty pre-history slot), trust and reputation repeat the last
+        # period's bytes is that period again but for its norms: it keeps
+        # the last signals, trust, reputation, window and response.
+        settled = False
+        if best_response is not None and (oldest := P + idx - p["k"][0, 0]) >= p["lead"][0, 0]:
+            last, key = key, (per["hist"][oldest : P + idx + 1].tobytes(), trust.tobytes(),
+                              reputation.tobytes())
+            settled = key == last
+        if not settled:
+            s_win = s_rule = _signals(actions, b_win)
+        if len(actions) > windowed_rows:  # a live row's rule follows its norm or fixed level
+            s_rule = _signals(actions, np.where(p["by_window"], b_win,
+                                                np.where(p["by_norm"], norms, p["initial"])))
+        if not settled or len(actions) > windowed_rows:
+            term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
+
         observe(idx, {"actions": actions, "baselines": b_win, "norms": norms,
                       "trust": trust, "reputation": reputation, "signal": s_win,
                       "recip_term": term, "converged": converged})
 
-        _update_trust_matrices(trust, reputation, s_win, p)
+        if not settled:
+            _update_trust_matrices(trust, reputation, s_win, p)
 
         if t == H:
             break
@@ -442,15 +467,19 @@ def run_batch(batch: RunBatch, observe: Observer,
             actions, norms, trust, reputation, converged, term = (
                 a[:L] for a in (actions, norms, trust, reputation, converged, term))
 
-        # Actions through period t are known when choosing t+1 actions.
-        b_next = _window_means(per["hist"], P + t, p["k"], per["reach"], p["initial"], p["lead"])
+        # Actions through period t are known when choosing t+1 actions; a
+        # settled period keeps b_next, which is its own window b_win.
+        if not settled:
+            b_next = _window_means(per["hist"], P + t, p["k"], per["reach"], p["initial"],
+                                   p["lead"])
         if best_response is None:
             nxt = actions + p["rate"] * term.sum(axis=2) - p["decay"] * (actions - norms)
             if "noise" in per:
                 nxt += per["noise"][t]
         else:
-            result = best_response(b_next[0], trust[0], actions[0])
-            converged = np.array([result.converged])
+            if not settled:
+                result = best_response(b_next[0], trust[0], actions[0])
+                converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 
         norms += p["norm_rate"] * (actions - norms)

@@ -57,7 +57,8 @@ STEP_RANGES = {
     "lambda_t": (7, "trust integration", 0.0, 5.0),
 }
 
-#: The reciprocity gap's target and observed base tendency.
+#: The reciprocity gap's target and observed base tendency: both finite,
+#: given together or not at all.
 GAP_KEYS = ("rho0_target", "rho0_observed")
 #: Every key an elicitation file may set.
 ELICITATION_KEYS = ("granularity", "baseline_mode", *STEP_RANGES, "horizon", "seed", *GAP_KEYS)
@@ -145,8 +146,15 @@ def translate(
     rho = sensitivity(d.values[None], np.array([recip.rho0]), np.array([recip.eta]))[0]
     np.fill_diagonal(rho, 0.0)
 
-    given = [parse_number(raw, key) for key in GAP_KEYS if (raw := single(kv, key)) is not None]
-    gap = given[0] - given[1] if len(given) == 2 else None
+    given = {key: parse_number(raw, key) for key in GAP_KEYS
+             if (raw := single(kv, key)) is not None}
+    if len(given) == 1:
+        raise ConfigurationError(f"the reciprocity gap needs both {' and '.join(GAP_KEYS)}, "
+                                 f"got only {next(iter(given))}")
+    for key, value in given.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
+    gap = given["rho0_target"] - given["rho0_observed"] if given else None
 
     return TranslationResult(
         scenario=scenario, sim=sim, rho=tuple(map(tuple, rho.tolist())),

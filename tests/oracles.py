@@ -20,7 +20,11 @@ at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
 ``coopsim.files``.  :func:`signal_recovery_time` walks one run's signal
 period by period, for the whole-array ``coopsim.sweep.recovery_times``,
 and :func:`window_mean` averages one actor's window, for
-``coopsim.simulation._window_means``.  Two references stand for the
+``coopsim.simulation._window_means``.  :func:`reference_run` runs a whole
+adjustment-mode run one period and one dyad at a time from those pieces,
+for the batched kernel ``coopsim.simulation.run_batch``, and
+:func:`sensitivity_per_eta` takes the structural sensitivity one eta at a
+time, for ``coopsim.reciprocity.sensitivity``.  Two references stand for the
 validation protocol as first written: :func:`full_warmup_runs` builds the
 forgiveness-type runs with their warm-up run period by period, for the
 runs that ``coopsim.sweep`` starts at the defection, and
@@ -41,7 +45,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from coopsim.params import EconomyParams, ReciprocityParams, TeamParams, TrustParams
-from coopsim.scenario import BASELINE_MODES, ScenarioConfig
+from coopsim.scenario import BASELINE_MODES, ScenarioConfig, SimConfig
 
 
 def trust_ceiling(reputation: float, p: TrustParams) -> float:
@@ -323,6 +327,100 @@ def window_mean(history: Sequence[float], k: int, initial: float) -> float:
     for x in w:
         total += x
     return total / len(w)
+
+
+# -- the whole engine, one period and one dyad at a time -------------------------
+
+def reference_run(scenario: ScenarioConfig, sim: SimConfig,
+                  script: Optional[Mapping[int, Mapping[int, float]]] = None
+                  ) -> dict[str, np.ndarray]:
+    """An adjustment-mode run in plain Python floats, written from the
+    ``coopsim.simulation`` module docstring: the recorded per-period states
+    keyed like the ``Trajectory`` fields (``converged`` aside).
+
+    Each period: the windowed baseline of each actor's real history
+    (:func:`window_mean`, the pre-history first, the initial level while
+    there is none), the signals a_j - baseline_j, the gated terms on the
+    signal against the rule's reference (:func:`gated_term`; the window, the
+    adaptive norm or the fixed initial level), then one
+    :func:`update_trust` per dyad.  The next actions are
+
+        a_i + adjust_rate * sum_j term_ij - decay * (a_i - norm_i) + noise_i
+
+    with noise_i = noise_sigma * normal(seed, i, period) on noisy runs, the
+    norms move toward the period's actions at ``baseline_rate``, and every
+    period's actions, period 1's included, take its shocks in order, then
+    its script, then the bounds [0, a_max].
+    """
+    if sim.mode != "adjustment":
+        raise ValueError("the reference runs adjustment mode only")
+    n, recip, k = scenario.n, scenario.recip, scenario.recip.memory_k
+    d = [[float(x) for x in row] for row in scenario.d.values]
+    mode = scenario.baseline_mode
+    history = [[row[i] for row in scenario.pre_history] for i in range(n)]
+    script = script or {}
+
+    def settle(a: list[float], period: int) -> list[float]:
+        for shock in sim.shocks:
+            if shock.period == period:
+                a[shock.actor] += shock.delta
+        for i, per in script.items():
+            if period in per:
+                a[i] = float(per[period])
+        return [min(max(x, 0.0), m) for x, m in zip(a, scenario.a_max)]
+
+    actions = settle([float(x) for x in scenario.a_init], 1)
+    norms = [float(x) for x in scenario.baseline_init]
+    trust = [[1.0 if i == j else scenario.trust.t0 for j in range(n)] for i in range(n)]
+    reputation = [[0.0] * n for _ in range(n)]
+    rec: dict[str, list] = {f: [] for f in ("actions", "baselines", "norms", "trust",
+                                            "reputation", "signal", "recip_term")}
+    for t in range(1, sim.horizon + 1):
+        baselines = [window_mean(history[j], k, scenario.baseline_init[j]) for j in range(n)]
+        ref = {"moving_average": baselines, "adaptive": norms,
+               "fixed": scenario.baseline_init}[mode]
+        signal = [[0.0 if i == j else actions[j] - baselines[j] for j in range(n)]
+                  for i in range(n)]
+        term = [[0.0 if i == j else gated_term(trust[i][j], d[i][j], actions[j] - ref[j], recip)
+                 for j in range(n)] for i in range(n)]
+        for name, value in (("actions", actions), ("baselines", baselines), ("norms", norms),
+                            ("trust", trust), ("reputation", reputation), ("signal", signal),
+                            ("recip_term", term)):
+            rec[name].append(np.array(value, dtype=float))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    trust[i][j], reputation[i][j] = update_trust(
+                        trust[i][j], reputation[i][j], signal[i][j], d[i][j], scenario.trust)
+        if t == sim.horizon:
+            break
+        for j in range(n):
+            history[j].append(actions[j])
+        nxt = []
+        for i in range(n):
+            total = 0.0  # in turn: sum() of floats compensates from Python 3.12
+            for x in term[i]:
+                total += x
+            a = actions[i] + sim.adjust_rate * total - sim.decay * (actions[i] - norms[i])
+            if sim.noise_sigma > 0.0:
+                a += sim.noise_sigma * normal(sim.seed, i, t + 1)
+            nxt.append(a)
+        norms = [m + sim.baseline_rate * (a - m) for a, m in zip(actions, norms)]
+        actions = settle(nxt, t + 1)
+    return {name: np.array(values) for name, values in rec.items()}
+
+
+# -- the structural sensitivity one eta at a time --------------------------------
+
+def sensitivity_per_eta(d: np.ndarray, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """rho0 * D ** eta on (B, n, n) coefficients, the power taken once per
+    distinct eta through a (B,) mask with a Python float exponent, as
+    ``D ** eta`` is for a single run."""
+    power = np.empty_like(d)
+    for e in set(eta.tolist()):
+        rows = eta == e
+        power[rows] = d[rows] ** e
+    return rho0[:, None, None] * power
 
 
 # -- the validation protocol as first written ----------------------------------

@@ -357,6 +357,21 @@ class TestTranslateCommand:
                      "--elicit", str(elicit), "--out", str(tmp_path / "s.conf")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("rho0_target = inf\nrho0_observed = inf", "rho0_target must be finite, got inf"),
+        ("rho0_target = 1.2\nrho0_observed = nan", "rho0_observed must be finite, got nan"),
+        ("rho0_target = 1.2", "the reciprocity gap needs both rho0_target and rho0_observed, "
+                              "got only rho0_target"),
+    ], ids=["non-finite", "nan", "lone-key"])
+    def test_bad_reciprocity_gap_exits_one(self, tmp_path, capsys, text, message):
+        elicit = tmp_path / "elicit.conf"
+        elicit.write_text(text + "\n")
+        out = tmp_path / "s.conf"
+        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
+                     "--elicit", str(elicit), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_elicitation_exits_one(self, tmp_path):
         elicit = tmp_path / "elicit.conf"
         elicit.write_text("kappa = -3\n")

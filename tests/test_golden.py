@@ -33,6 +33,7 @@ from coopsim.params import (
 from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario
 from coopsim.simulation import run
 from coopsim.solver import SolverConfig, solve_equilibrium
+from test_simulation import settled_best_response
 from test_translate import team_scenario
 
 # Spans both rho0 extremes (the T5 variants), three memory windows (the
@@ -187,14 +188,31 @@ PRE_HISTORY_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("eta", sorted(PRE_HISTORY_GOLDEN))
-def test_best_response_pre_history_checksums(eta):
-    traj = run(_pre_history_scenario(eta), SimConfig(horizon=12, mode="best_response"))
+def _trajectory_digest(traj) -> str:
     h = hashlib.sha256()
     for name in ("actions", "baselines", "norms", "trust", "reputation", "signal",
                  "recip_term", "converged"):
         h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
-    assert h.hexdigest() == PRE_HISTORY_GOLDEN[eta], f"eta={eta} moved ({_machine()})"
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("eta", sorted(PRE_HISTORY_GOLDEN))
+def test_best_response_pre_history_checksums(eta):
+    traj = run(_pre_history_scenario(eta), SimConfig(horizon=12, mode="best_response"))
+    assert _trajectory_digest(traj) == PRE_HISTORY_GOLDEN[eta], f"eta={eta} moved ({_machine()})"
+
+
+# SHA-256 over every recorded Trajectory array of the 40-period best-response
+# run of the translated iOS dependency table, which settles: from period 7 on
+# its actions, trust and reputation repeat.
+SETTLED_GOLDEN = "40919f33f7a607293dde94d89542c25b3a57ca6c4fae222d567338244bcfe62c"
+
+
+def test_settled_best_response_checksum():
+    scenario, sim = settled_best_response()
+    traj = run(scenario, sim)
+    assert traj.horizon == 40
+    assert _trajectory_digest(traj) == SETTLED_GOLDEN, f"settled run moved ({_machine()})"
 
 
 def _pair_matrix(n, diagonal, draw):

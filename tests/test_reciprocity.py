@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from coopsim.errors import ConfigurationError
 from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TrustParams
-from coopsim.reciprocity import gate_weights
+from coopsim.reciprocity import gate_weights, sensitivity
 from coopsim.scenario import BASELINE_MODES, ScenarioConfig, SimConfig, symmetric_matrix
 from coopsim.simulation import RunBatch, run, run_batch
-from oracles import gated_term
+from oracles import gated_term, sensitivity_per_eta
 
 ONE_PERIOD = SimConfig(horizon=1, noise_sigma=0.0)
 
@@ -216,6 +216,26 @@ class TestGateWeights:
                                      r"lambda_r = 5\.0, omega_amp = 1\.0, rho0 = 1e\+308"):
                 gate_weights(d, recip)
             assert np.isfinite(gate_weights(d[:1], {f: c[:1] for f, c in recip.items()})).all()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_sensitivity_matches_the_per_eta_powers(data):
+    # one elementwise power against one masked power per distinct eta, bit
+    # for bit: numpy's fast scalar exponents 0.5, 2 and -1 among random
+    # etas, 0 and 1, and zero-dependency pairs (0 ** -1 is inf both ways)
+    rows = data.draw(st.integers(1, 40), label="rows")
+    n = data.draw(st.integers(2, 4), label="n")
+    eta = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0)), st.floats(0.0, 3.0)),
+        min_size=rows, max_size=rows)))
+    rho0 = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=rows, max_size=rows)))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    d = np.random.default_rng(seed).random((rows, n, n))
+    d[d < 0.2] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf with rho0 = 0
+        got, want = sensitivity(d, rho0, eta), sensitivity_per_eta(d, rho0, eta)
+    assert got.tobytes() == want.tobytes()
 
 
 def _level(hi):

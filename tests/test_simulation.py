@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,17 +9,28 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim.cli import main
 from coopsim.errors import ConfigurationError
 from coopsim.files import read_scenario
 from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TrustParams
-from coopsim.scenario import ScenarioConfig, Shock, SimConfig, pd_scenario, symmetric_matrix
-from coopsim import sweep
+from coopsim.scenario import (
+    BASELINE_MODES,
+    ScenarioConfig,
+    Shock,
+    SimConfig,
+    pd_scenario,
+    symmetric_matrix,
+)
+from coopsim import case_study, simulation, sweep
+from coopsim.reciprocity import gate_weights
 from coopsim.simulation import (
     RECIP_FIELDS,
+    RECORDED,
     SIM_FIELDS,
     TRUST_FIELDS,
     RunBatch,
     _reusing,
+    _signals,
     _trust_rows,
     _update_trust_matrices,
     _window_means,
@@ -27,7 +41,7 @@ from coopsim.simulation import (
 )
 from coopsim.rng import normal
 from coopsim.solver import EquilibriumSolver
-from oracles import update_trust, window_mean
+from oracles import reference_run, update_trust, window_mean
 
 
 def two_actor(baseline_mode="moving_average", a_init=(0.5, 0.5),
@@ -428,6 +442,63 @@ def _solver_scenario(draw):
     )
 
 
+def settled_best_response():
+    """The scenario that ``coopsim translate --deps
+    src/coopsim/data/ios_dependencies.csv`` writes, read back, in
+    best-response mode: 40 periods, whose actions, trust and reputation
+    stop moving after the first few."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "equilibrium.conf")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["translate", "--deps", case_study.ios_dependency_csv_path(),
+                         "--out", path]) == 0
+        scenario, sim = read_scenario(path)
+    return scenario, replace(sim, mode="best_response")
+
+
+class TestSettledPeriods:
+    """Once a best-response run settles, its periods repeat the last one."""
+
+    @pytest.mark.parametrize("baseline_mode", ["moving_average", "adaptive"])
+    def test_every_period_replays_from_the_kernel_helpers(self, baseline_mode):
+        # each recorded period rebuilt from the one before it, bit for bit
+        scenario, sim = settled_best_response()
+        scenario = replace(scenario, baseline_mode=baseline_mode)
+        traj = run(scenario, sim)
+        rows = RunBatch.of([(scenario, sim)]).rows
+        p, gate = _trust_rows(rows, rows["d"]), gate_weights(rows["d"], rows)[0]
+        k = np.array([[scenario.recip.memory_k]])
+        reach, initial = _window_reach(k, scenario.n), np.array([scenario.baseline_init])
+        kappa = scenario.recip.kappa
+        for t in range(traj.horizon):
+            signal = _signals(traj.actions[t][None], traj.baselines[t][None])
+            assert signal[0].tobytes() == traj.signal[t].tobytes(), t
+            ref = traj.norms[t] if baseline_mode == "adaptive" else traj.baselines[t]
+            term = gate * traj.trust[t] * np.tanh(kappa * _signals(traj.actions[t][None],
+                                                                   ref[None])[0])
+            assert term.tobytes() == traj.recip_term[t].tobytes(), t
+            if t + 1 == traj.horizon:
+                break
+            trust, reputation = traj.trust[t][None].copy(), traj.reputation[t][None].copy()
+            _update_trust_matrices(trust, reputation, signal, p)
+            assert trust[0].tobytes() == traj.trust[t + 1].tobytes(), t
+            assert reputation[0].tobytes() == traj.reputation[t + 1].tobytes(), t
+            b_next = _window_means(traj.actions[: t + 1, None].copy(), t + 1, k, reach, initial)
+            assert b_next[0].tobytes() == traj.baselines[t + 1].tobytes(), t
+
+    def test_settled_periods_skip_the_trust_update(self, monkeypatch):
+        calls = []
+        update = simulation._update_trust_matrices
+
+        def counting(*args):
+            calls.append(None)
+            return update(*args)
+
+        monkeypatch.setattr(simulation, "_update_trust_matrices", counting)
+        run(*settled_best_response())
+        assert len(calls) < 10  # of 40 periods
+
+
 class TestSolveReuse:
     """A best-response run solves a period only when its inputs change."""
 
@@ -636,3 +707,107 @@ class TestExactShortcuts:
                 want = [window_mean(hist[lead:avail, b, i].tolist(), ks[b], initial[b, i])
                         for i in range(n)]
                 assert got[b].tobytes() == np.array(want, dtype=float).tobytes(), avail
+
+
+def _reference_row(draw, rnd, n):
+    """One adjustment-mode run over n actors: ``(scenario, sim, script)``.
+
+    Hypothesis draws the structure (window, horizon, baseline mode,
+    pre-history length, shocks, script, noise); ``rnd`` draws the levels."""
+    def unit():
+        return rnd.uniform(0.0, 1.0)
+
+    def rate():
+        return rnd.uniform(0.001, 0.999)
+
+    d = [[0.0 if i == j or rnd.random() < 0.2 else unit() for j in range(n)] for i in range(n)]
+    a_max = [rnd.choice((1.0, 2.5)) for _ in range(n)]
+
+    def levels():
+        return tuple(rnd.uniform(0.0, m) for m in a_max)
+
+    k = draw(st.integers(1, 5))
+    horizon = draw(st.integers(1, 16))
+    scenario = ScenarioConfig(
+        labels=("A", "B", "C")[:n],
+        d=InterdependenceMatrix(d),
+        recip=ReciprocityParams(
+            rho0=rnd.uniform(0.0, 2.0), eta=rnd.choice((0.0, 0.5, 1.0, 2.0, rnd.uniform(0.0, 2.5))),
+            kappa=rnd.uniform(0.1, 3.0), memory_k=k, lambda_r=rnd.uniform(0.0, 2.0),
+            omega_amp=unit()),
+        trust=TrustParams(t0=unit(), lambda_plus=rate(), lambda_minus=rate(),
+                          xi=rnd.uniform(0.0, 3.0), mu_r=rate(), delta_r=rate(),
+                          t_max=rnd.uniform(0.01, 1.0), theta_r=unit(),
+                          deadband=draw(st.sampled_from((0.0, 0.05)))),
+        econ=EconomyParams(endowments=(1.0,) * n, alpha=(1.0 / n,) * n),
+        a_max=tuple(a_max),
+        a_init=levels(),
+        baseline_init=levels(),
+        baseline_mode=draw(st.sampled_from(BASELINE_MODES)),
+        pre_history=tuple(levels() for _ in range(draw(st.integers(0, k + 1)))),
+    )
+    shocks = tuple(Shock(period=rnd.randint(1, horizon), actor=rnd.randrange(n),
+                         delta=rnd.uniform(-1.0, 1.0))
+                   for _ in range(draw(st.integers(0, 3))))
+    sim = SimConfig(horizon=horizon, adjust_rate=unit(), decay=unit(), baseline_rate=unit(),
+                    noise_sigma=draw(st.sampled_from((0.0, 0.0, 0.02, 0.3))),
+                    seed=draw(st.integers(0, 2)), shocks=shocks)
+    script = None
+    if draw(st.booleans()):
+        actor = rnd.randrange(n)
+        script = {actor: {rnd.randint(1, horizon): rnd.uniform(0.0, a_max[actor])
+                          for _ in range(rnd.randint(1, 3))}}
+    return scenario, sim, script
+
+
+@st.composite
+def _reference_batch(draw):
+    """2 to 5 runs over a shared actor count, longest horizon first."""
+    n = draw(st.integers(2, 3))
+    rnd = draw(st.randoms(use_true_random=True))
+    runs = [_reference_row(draw, rnd, n) for _ in range(draw(st.integers(2, 5)))]
+    return sorted(runs, key=lambda run: -run[1].horizon)
+
+
+class TestReferenceEngine:
+    """Batched runs against the period-by-period scalar engine."""
+
+    @settings(deadline=None)
+    @given(_reference_batch())
+    def test_batch_rows_match_the_reference_run(self, runs):
+        batch = record_batch(RunBatch.of(runs), runs[0][0].labels)
+        for got, (scenario, sim, script) in zip(batch, runs):
+            want = reference_run(scenario, sim, script)
+            # Exact where the kernel docstring promises the bits: a row's
+            # bits do not depend on its batch; period 1 is the settled
+            # initial actions against the window of the pre-history, before
+            # any arithmetic of the rule; and every windowed baseline is
+            # sum(w) / len(w) of the recorded actions, and every signal the
+            # difference a_j - baseline_j.
+            alone = run(scenario, sim, script)
+            for name in (*RECORDED, "converged"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+            for name in ("actions", "baselines", "norms", "trust", "reputation", "signal"):
+                assert getattr(got, name)[0].tobytes() == want[name][0].tobytes(), name
+            history = np.concatenate([np.reshape(scenario.pre_history, (-1, scenario.n)),
+                                      got.actions])
+            pre = len(scenario.pre_history)
+            means = [[window_mean(history[: pre + t, j].tolist(), scenario.recip.memory_k,
+                                  scenario.baseline_init[j]) for j in range(scenario.n)]
+                     for t in range(sim.horizon)]
+            assert got.baselines.tobytes() == np.array(means).tobytes()
+            diff = np.repeat((got.actions - got.baselines)[:, None], scenario.n, axis=1)
+            signal = np.where(np.eye(scenario.n, dtype=bool), 0.0, diff)
+            assert got.signal.tobytes() == signal.tobytes()
+            # Elsewhere to rel 1e-12: the reference takes D ** eta as a
+            # Python float power (numpy's array power may differ in the last
+            # bit), forms the gated term and the reputation decay in another
+            # order (R - delta_r R against R (1 - delta_r)) and adds the
+            # rule's terms in another order, so later periods carry a few
+            # ulps.  The absolute 1e-12 covers signals and terms near zero,
+            # differences of nearly equal numbers whose relative error has
+            # no bound.
+            for name, values in want.items():
+                np.testing.assert_allclose(getattr(got, name), values, rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
+
