@@ -22,8 +22,6 @@ from .solver import (
     solve_equilibrium,
 )
 from .utility import (
-    UtilityBreakdown,
-    complete_utility,
     individual_value,
     private_payoffs,
     standalone_payoff,

@@ -210,8 +210,7 @@ def cmd_report(args) -> int:
         if os.path.exists(path):
             pieces.append(files.read_text(path))
     if not pieces:
-        print(f"no report inputs found under {args.input}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(f"no report inputs found under {args.input}")
     files.write_file(args.out, "\n".join(pieces))
     print(f"combined {len(pieces)} report sections -> {args.out}")
     return EXIT_OK

@@ -167,9 +167,10 @@ def scenario_to_text(scenario: ScenarioConfig, sim: SimConfig) -> str:
     lines.extend(f"pre_history = {','.join(fmt(v) for v in row)}"
                  for row in scenario.pre_history)
     d = scenario.d.values
+    # Every coefficient but the default +0.0; -0.0 == 0.0, so its sign bit counts.
     lines.extend(f"d = {labels[i]},{labels[j]},{fmt(d[i, j])}"
                  for i in range(scenario.n) for j in range(scenario.n)
-                 if i != j and d[i, j] != 0.0)
+                 if i != j and (d[i, j] != 0.0 or np.signbit(d[i, j])))
     for block in (scenario.recip, scenario.trust, scenario.econ):
         lines.extend(_field_lines(block))
     if scenario.team is not None:

@@ -10,8 +10,8 @@ The conditional-cooperation chain is:
 with the structural sensitivity rho_ij = rho0 * D_ij ** eta.  This module
 holds the one implementation of rho (:func:`sensitivity`) and of the gate
 ``lambda_r * (1 + omega * D) * rho`` without ``T * phi``
-(:func:`gate_weights`), shared by the engine, the solver, the case study,
-the utility breakdown and the translation pipeline.  The engine forms the
+(:func:`gate_weights`), shared by the engine, the solver, the case study
+and the translation pipeline.  The engine forms the
 signals and multiplies in ``T * tanh(kappa * s)``
 (``coopsim.simulation.run_batch``); its baseline is a k-window moving
 average of the partner's own recent actions (self-referential norms), a

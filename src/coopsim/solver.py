@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .params import validate
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig, reference_scenario
@@ -146,8 +147,10 @@ class EquilibriumSolver:
         self.grids = _share([_bits(m) for m in a_max],
                             lambda i: np.linspace(0.0, a_max[i], config.grid_points))
         self.gate = gate_matrix(scenario.d.values, scenario.recip)
-        self.grid_payoffs = _share([_bits(e, m) for e, m in zip(endowments, a_max)],
-                                   lambda i: standalone_payoff(endowments[i], self.grids[i], econ))
+        with np.errstate(over="ignore"):  # the solve reports an overflow
+            self.grid_payoffs = _share(
+                [_bits(e, m) for e, m in zip(endowments, a_max)],
+                lambda i: standalone_payoff(endowments[i], self.grids[i], econ))
         n, team = scenario.n, scenario.team
         self.partners = [[j for j in range(n) if j != i] for i in range(n)]
         self.members = [team is not None and i in team.members for i in range(n)]
@@ -167,8 +170,10 @@ class EquilibriumSolver:
     ) -> EquilibriumResult:
         """Iterate simultaneous best responses from ``warm_start`` (the
         scenario's ``a_init`` when None) until the profile settles.  An
-        actor's response is the smallest maximizing grid point, or the
-        refined action when it scores at least as well."""
+        actor's response is the smallest grid point scoring at least its
+        grid best - 1e-12, or the refined action when it scores at least as
+        well as that best.  An objective that is not finite (an overflow at
+        huge endowments or ``theta_v``) raises :class:`ConfigurationError`."""
         scenario, config = self.scenario, self.config
         econ, team, n, kappa = scenario.econ, scenario.team, scenario.n, scenario.recip.kappa
         actions = np.array(warm_start if warm_start is not None else scenario.a_init, dtype=float)
@@ -189,57 +194,63 @@ class EquilibriumSolver:
         twins = [fixed.count(key) > 1 for key in fixed]
         recips = {}
 
-        residual = math.inf
-        for it in range(1, config.max_iters + 1):
-            standalone = standalone_payoff(endowments, actions, econ)
-            payoffs = standalone.tolist()
-            nxt = np.empty(n)
-            first = {}
-            for i, grid in enumerate(self.grids):
-                partners, member = self.partners[i], self.members[i]
-                product = math.prod(actions[j] for j in partners)
-                if twins[i]:
-                    # Twins whose inputs match in every bit share one response.
-                    key = fixed[i] + _bits(product, *[payoffs[j] for j in partners])
-                    if key in first:
-                        nxt[i] = nxt[first[key]]
-                        continue
-                    first[key] = i
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = math.inf
+            for it in range(1, config.max_iters + 1):
+                standalone = standalone_payoff(endowments, actions, econ)
+                payoffs = standalone.tolist()
+                nxt = np.empty(n)
+                first = {}
+                for i, grid in enumerate(self.grids):
+                    partners, member = self.partners[i], self.members[i]
+                    product = math.prod(actions[j] for j in partners)
+                    if twins[i]:
+                        # Twins whose inputs match in every bit share one response.
+                        key = fixed[i] + _bits(product, *[payoffs[j] for j in partners])
+                        if key in first:
+                            nxt[i] = nxt[first[key]]
+                            continue
+                        first[key] = i
 
-                def value(a, own, recip):
-                    """i's objective at its action ``a`` (a float or a grid),
-                    given its standalone payoff and reciprocity term there."""
-                    if member:
-                        total = team_member_utility(i, a, actions, team)
-                    else:
-                        s = synergy(a, product, n, econ)
-                        total = own + econ.alpha[i] * s
-                        for j in partners:
-                            total = total + weights[i, j] * (standalone[j] + econ.alpha[j] * s)
-                    return total + recip
+                    def value(a, own, recip):
+                        """i's objective at its action ``a`` (a float or a grid),
+                        given its standalone payoff and reciprocity term there."""
+                        if member:
+                            total = team_member_utility(i, a, actions, team)
+                        else:
+                            s = synergy(a, product, n, econ)
+                            total = own + econ.alpha[i] * s
+                            for j in partners:
+                                total = total + weights[i, j] * (standalone[j] + econ.alpha[j] * s)
+                        return total + recip
 
-                if i not in recips:
-                    recips[i] = gates[i] * np.tanh(kappa * (grid - reference[i]))
-                values = value(grid, self.grid_payoffs[i], recips[i])
-                # Smallest maximizing grid point (tie-break toward less action).
-                best = float(values.max())
-                idx = int(np.nonzero(values > best - 1e-12)[0][0])
-                nxt[i] = grid[idx]
-                if config.refine:
-                    e_i, gate, ref = econ.endowments[i], gates[i], reference[i]
+                    if i not in recips:
+                        recips[i] = gates[i] * np.tanh(kappa * (grid - reference[i]))
+                    values = value(grid, self.grid_payoffs[i], recips[i])
+                    best = float(values.max())
+                    if not math.isfinite(best):
+                        raise ConfigurationError(f"the best-response objective of actor "
+                                                 f"{scenario.labels[i]} is not finite, got {best}")
+                    # Smallest grid point within 1e-12 of the best (tie-break toward
+                    # less action); >=, since best - 1e-12 rounds to best once
+                    # |best| >= 2 ** 14.
+                    idx = int(np.nonzero(values >= best - 1e-12)[0][0])
+                    nxt[i] = grid[idx]
+                    if config.refine:
+                        e_i, gate, ref = econ.endowments[i], gates[i], reference[i]
 
-                    def refined(a: float):
-                        return value(a, standalone_payoff(e_i, a, econ),
-                                     gate * np.tanh(kappa * (a - ref)))
+                        def refined(a: float):
+                            return value(a, standalone_payoff(e_i, a, econ),
+                                         gate * np.tanh(kappa * (a - ref)))
 
-                    xr = _golden_refine(refined, float(grid[max(0, idx - 1)]),
-                                        float(grid[min(len(grid) - 1, idx + 1)]))
-                    if refined(xr) >= best:
-                        nxt[i] = xr
-            residual = float(np.max(np.abs(nxt - actions)))
-            actions = nxt
-            if residual < TOL:
-                return EquilibriumResult(tuple(actions), True, it, residual)
+                        xr = _golden_refine(refined, float(grid[max(0, idx - 1)]),
+                                            float(grid[min(len(grid) - 1, idx + 1)]))
+                        if refined(xr) >= best:
+                            nxt[i] = xr
+                residual = float(np.max(np.abs(nxt - actions)))
+                actions = nxt
+                if residual < TOL:
+                    return EquilibriumResult(tuple(actions), True, it, residual)
         return EquilibriumResult(tuple(actions), False, config.max_iters, residual)
 
 

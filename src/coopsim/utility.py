@@ -1,50 +1,23 @@
-"""The payoff kernel: value creation, private payoffs, the team-member
-utility and the four-component modular utility.
+"""The payoff kernel: individual value f(a), the standalone payoff
+e_i - a_i + f(a_i), the geometric-mean synergy, every actor's private
+payoff (:func:`private_payoffs`) and the team-member utility.
 
 Each formula is elementwise in one actor's action ``a_i``: a float scores
 one candidate, an array a whole grid of candidates.  The equilibrium
 solver scores its grids and its golden-section refinement with these
 functions, and :func:`private_payoffs` builds a whole profile's payoffs
-from the same pieces.  The complete per-actor utility decomposes additively:
-
-    total = base + interdep + trust_mod + recip_mod
-
-    base      = e_i - a_i + f(a_i) + alpha_i * gamma * (prod_j a_j) ** (1/N)
-    interdep  = sum_{j != i} D_ij * base_j
-    trust_mod = lambda_t * sum_{j != i} T_ij * D_ij * base_j
-    recip_mod = sum_{j != i} lambda_r * T_ij * (1 + omega * D_ij) * rho_ij
-                    * tanh(kappa * s_ij)
-
-Setting lambda_r = 0 switches conditional cooperation off (trust-augmented
-model); additionally setting lambda_t = 0 leaves the bare
-interdependence-augmented payoff.  The optional team-production utility is
-a separate mode, not a fifth component.
+from the same pieces.  How they combine with the trust weights and the
+gated reciprocity term into an actor's best-response objective is set
+out in the :mod:`coopsim.solver` docstring.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .params import EconomyParams, InterdependenceMatrix, ReciprocityParams, TeamParams, TrustParams
-from .reciprocity import gate_matrix
-
-
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    """Per-component decomposition of a single actor's utility."""
-
-    base: float
-    interdep: float
-    trust_mod: float
-    recip_mod: float
-
-    @property
-    def total(self) -> float:
-        return self.base + self.interdep + self.trust_mod + self.recip_mod
+from .params import EconomyParams, TeamParams
 
 
 def individual_value(a_i: float | np.ndarray, econ: EconomyParams) -> float | np.ndarray:
@@ -117,44 +90,3 @@ def team_member_utility(
     if team.teammate_payoff == "mean":
         mates = mates / (n - 1)
     return own + team.phi_b * theta_i * mates
-
-
-def complete_utility(
-    i: int,
-    a: Sequence[float],
-    d: InterdependenceMatrix,
-    trust_to: Sequence[float],
-    signals: Sequence[float],
-    econ: EconomyParams,
-    recip: ReciprocityParams,
-    tr: TrustParams,
-) -> UtilityBreakdown:
-    """Evaluate the full modular utility of actor i.
-
-    ``trust_to[j]`` is i's immediate trust in j and ``signals[j]`` is i's
-    observed cooperation signal about j (both ignored at j = i).  A missing
-    dyad state (NaN trust) or trust outside [0, 1] is a configuration error.
-    """
-    n = d.n
-    if len(trust_to) != n or len(signals) != n:
-        raise ConfigurationError("trust and signal vectors must cover every actor")
-    payoffs = private_payoffs(a, econ)
-    trust_to = np.asarray(trust_to, dtype=float)
-    gated = gate_matrix(d.values, recip)[i] * trust_to * np.tanh(
-        recip.kappa * np.asarray(signals, dtype=float))
-    interdep = 0.0
-    trust_mod = 0.0
-    recip_mod = 0.0
-    for j in range(n):
-        if j == i:
-            continue
-        t_ij = float(trust_to[j])
-        if not 0.0 <= t_ij <= 1.0:  # NaN marks a missing dyad state
-            raise ConfigurationError(f"trust for pair ({i}, {j}) must lie in [0, 1], got {t_ij}")
-        pi_j = float(payoffs[j])
-        d_ij = d[i, j]
-        interdep += d_ij * pi_j
-        trust_mod += tr.lambda_t * t_ij * d_ij * pi_j
-        recip_mod += float(gated[j])
-    return UtilityBreakdown(base=float(payoffs[i]), interdep=interdep, trust_mod=trust_mod,
-                            recip_mod=recip_mod)

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from coopsim import case_study as cs
-from coopsim.params import TrustParams
 from coopsim.propositions import check_prop2, check_prop3
 from coopsim.reciprocity import sensitivity
 from coopsim.scenario import SimConfig, reference_scenario
@@ -35,7 +34,6 @@ from coopsim.sweep import (
     monte_carlo,
     run_sweep,
 )
-from coopsim.utility import complete_utility
 from oracles import exhaustive_nash
 from test_reciprocity import deviation_terms, period_one, response
 from test_trust import kernel_step, random_columns
@@ -310,33 +308,3 @@ def test_criterion_11_trust_range_fuzz():
         assert ((0.0 <= trust)
                 & (trust <= np.minimum(p["t_max"], 1.0 - p["theta_r"] * rep) + 1e-12)).all()
     report("11/trust-ranges", "10000 random signal sequences stay in range")
-
-
-def test_criterion_11_utility_breakdown_identity():
-    from coopsim.params import EconomyParams, InterdependenceMatrix, ReciprocityParams
-
-    rng = random.Random(11)
-    for _ in range(1000):
-        n = rng.choice((2, 3))
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    d[i, j] = rng.random()
-        alpha = np.array([rng.random() + 0.05 for _ in range(n)])
-        econ = EconomyParams(
-            endowments=tuple(rng.uniform(0, 100) for _ in range(n)),
-            alpha=tuple(alpha / alpha.sum()), gamma=rng.uniform(0, 2),
-        )
-        recip = ReciprocityParams(rho0=rng.uniform(0, 2), kappa=rng.uniform(0.1, 3),
-                                  lambda_r=rng.uniform(0, 2))
-        tr = TrustParams(lambda_t=rng.uniform(0, 2))
-        u = complete_utility(
-            rng.randrange(n), [rng.uniform(0, 10) for _ in range(n)],
-            InterdependenceMatrix(d), [rng.random() for _ in range(n)],
-            [rng.uniform(-2, 2) for _ in range(n)], econ, recip, tr,
-        )
-        assert u.total == pytest.approx(
-            u.base + u.interdep + u.trust_mod + u.recip_mod, rel=1e-12, abs=1e-12
-        )
-    report("11/utility-identity", "1000 random breakdowns sum exactly")

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import functools
+import glob
 import os
 import re
 import subprocess
@@ -489,6 +491,32 @@ class TestOverflowingGate:
         assert not (out / "trajectory.csv").exists()
 
 
+class TestOverflowingObjective:
+    def _simulate(self, tmp_path, **econ):
+        path = str(tmp_path / "big.conf")
+        scen = reference_scenario()
+        write_file(path, scenario_to_text(replace(scen, econ=replace(scen.econ, **econ)),
+                                          SimConfig(horizon=12)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(["simulate", "--scenario", path, "--mode", "best_response",
+                         "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("econ", [{"theta_v": 1e308}, {"endowments": (1e308, 1e308)}],
+                             ids=["theta_v", "endowments"])
+    def test_exits_one_with_one_error_line_and_no_output(self, econ, tmp_path, capsys):
+        # the objective overflows to inf, whose argmax would be meaningless
+        assert self._simulate(tmp_path, **econ) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the best-response objective of actor A is not finite, got inf"]
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_a_large_finite_objective_solves(self, tmp_path):
+        # past 2 ** 14, best - 1e-12 rounds to best: the maximum still qualifies
+        assert self._simulate(tmp_path, endowments=(20000.0, 20000.0)) == 0
+        assert (tmp_path / "o" / "trajectory.csv").exists()
+
+
 class TestSolveWarnings:
     def test_unconverged_periods_are_listed_on_stderr(self, scenario_file, tmp_path,
                                                        monkeypatch, capsys):
@@ -568,9 +596,10 @@ class TestReportCommand:
         assert main(["report", "--in", out, "--out", combined]) == 0
         assert "Validation rubric" in read(combined).decode()
 
-    def test_empty_directory_exits_one(self, tmp_path):
+    def test_empty_directory_exits_one(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path), "--out",
                      str(tmp_path / "x.md")]) == 1
+        assert capsys.readouterr().err == f"error: no report inputs found under {tmp_path}\n"
 
 
 def test_console_entry_point_runs():
@@ -603,6 +632,30 @@ def test_readme_command_block_lists_every_option():
         for name, sub in subparsers.choices.items()
     }
     assert documented == options
+
+
+def test_every_export_has_a_caller():
+    # each name the package exports is used somewhere in the package or in
+    # scripts/ beyond its own def or class (imports and docstrings aside)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    package = os.path.join(root, "src", "coopsim")
+    with open(os.path.join(package, "__init__.py"), encoding="utf-8") as fh:
+        exported = [alias.asname or alias.name for node in ast.parse(fh.read()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+    trees = []
+    for path in (glob.glob(os.path.join(package, "*.py"))
+                 + glob.glob(os.path.join(root, "scripts", "*.py"))):
+        if os.path.basename(path) != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                trees.append(ast.parse(fh.read()))
+
+    def used(node, name, own=False):
+        own = own or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        if not own and name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            return True
+        return any(used(child, name, own) for child in ast.iter_child_nodes(node))
+
+    assert [name for name in exported if not any(used(t, name) for t in trees)] == []
 
 
 def test_readme_elicitation_table_lists_every_key():

@@ -1,8 +1,10 @@
 """The whole-array writers against the per-number oracle, the result
-table writer across its row blocks, and the three ``key = value`` readers
-(scenario, grid and elicitation) under malformed input."""
+table writer across its row blocks, the scenario writer's round trip, and
+the three ``key = value`` readers (scenario, grid and elicitation) under
+malformed input."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ import oracles
 from coopsim import files
 from coopsim.errors import ConfigurationError
 from coopsim.files import dyads_csv, long_format_csv, parse_grid, scenario_from_text, trajectory_csv
-from coopsim.params import DependencyEntry
+from coopsim.params import DependencyEntry, InterdependenceMatrix
+from coopsim.scenario import SimConfig, reference_scenario
 from coopsim.simulation import RECORDED, Trajectory
 from coopsim.sweep import GRID_KEYS
 from coopsim.translate import ELICITATION_KEYS, translate
@@ -64,6 +67,13 @@ KEYS = sorted({*files._KNOWN_KEYS, *GRID_KEYS, *ELICITATION_KEYS})
 #: Malformed values, and a few well-formed ones so that some lines parse.
 RAW_VALUES = ("nan", "inf", "1e309", "", "x", "1,2,3,4", "12345678901234567890",
           "1,x,2", "0.5", "2", "A,B,0.5")
+
+
+def test_scenario_text_keeps_a_negative_zero_coefficient():
+    # -0.0 == 0.0, so compare bits: read back as +0.0 it flips recip_term's sign
+    scenario = replace(reference_scenario(), d=InterdependenceMatrix([[0.0, -0.0], [0.5, 0.0]]))
+    back, _ = scenario_from_text(files.scenario_to_text(scenario, SimConfig(horizon=5)))
+    assert back.d.values.view(np.uint64).tolist() == scenario.d.values.view(np.uint64).tolist()
 
 
 @st.composite

@@ -177,7 +177,10 @@ class TestSignalsAndResponses:
 
 class TestGatedTerm:
     def test_trust_gate_closed(self):
-        assert response(-5.0, 2.0, t0=0.0, d=0.9, omega_amp=1.0) == 0.0
+        # zero trust closes the gate, and so does lambda_r = 0, which
+        # switches conditional cooperation off at any trust
+        for closed in ({"t0": 0.0}, {"t0": 0.9, "lambda_r": 0.0}):
+            assert response(-5.0, 2.0, d=0.9, omega_amp=1.0, **closed) == 0.0
 
     def test_moderate_gating(self):
         # T * rho * response with the amplification factor at 1 (D = 0)

@@ -44,8 +44,9 @@ def trust_matrix(scenario, level=None):
 
 
 def _random_scenario(rng, kind):
-    """A random two-actor reference scenario with either value form, or a
-    three-actor scenario without a team whose synergy is on."""
+    """A random two-actor reference scenario with either value form or with
+    endowments of 1e4 to 1e5, or a three-actor scenario without a team whose
+    synergy is on."""
     if kind == "three_actor":
         d = np.array([[0.0 if i == j else rng.uniform(0, 1) for j in range(3)]
                       for i in range(3)])
@@ -69,6 +70,9 @@ def _random_scenario(rng, kind):
     if kind == "power":
         scen = replace(scen, econ=replace(scen.econ, value_form="power",
                                           power_beta=rng.uniform(0.3, 0.95)))
+    if kind == "large_endowments":
+        scen = replace(scen, econ=replace(scen.econ, endowments=(rng.uniform(1e4, 1e5),
+                                                                 rng.uniform(1e4, 1e5))))
     return scen
 
 
@@ -83,15 +87,18 @@ class TestArgmax:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_brute_force_equivalence_random_configs(self, refine):
-        # two actors with each value form, and three actors with a
-        # three-way synergy; every actor's response against the oracle's
-        # grid best: equal to it on the grid, and with refinement within
-        # one grid step of it and scoring at least as well (to 1e-9)
+        # two actors with each value form, three actors with a three-way
+        # synergy, and two actors whose endowments put the objective past
+        # 2 ** 14, where best - 1e-12 rounds to best; every actor's response
+        # against the oracle's grid best: equal to it on the grid, and with
+        # refinement within one grid step of it and scoring at least as well
+        # (to 1e-9)
         rng = random.Random(31)
         grid = np.linspace(0, 20.0, 41)
         step = grid[1] - grid[0]
         cfg = SolverConfig(grid_points=41, refine=refine)
-        for kind, draws in (("logarithmic", 200), ("power", 100), ("three_actor", 100)):
+        for kind, draws in (("logarithmic", 200), ("power", 100), ("three_actor", 100),
+                            ("large_endowments", 100)):
             for _ in range(draws):
                 scen = _random_scenario(rng, kind)
                 trust = trust_matrix(scen)

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -6,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.errors import ConfigurationError
-from coopsim.params import (
-    EconomyParams,
-    InterdependenceMatrix,
-    ReciprocityParams,
-    TeamParams,
-    TrustParams,
-)
+from coopsim.params import EconomyParams, TeamParams
 from coopsim.utility import (
-    complete_utility,
     individual_value,
     private_payoffs,
     standalone_payoff,
@@ -128,105 +119,6 @@ class TestCandidateAxis:
             values = kernel(grid)
             for k, x in enumerate(grid):
                 assert kernel(float(x)) == pytest.approx(values[k], rel=1e-12, abs=0.0)
-
-
-def two_actor_setup(d=0.5, trust=1.0, lambda_r=1.0, lambda_t=1.0):
-    m = InterdependenceMatrix([[0.0, d], [d, 0.0]])
-    recip = ReciprocityParams(rho0=1.0, eta=1.0, kappa=1.0, lambda_r=lambda_r,
-                              omega_amp=1.0)
-    tr = TrustParams(lambda_t=lambda_t)
-    trust_to = [trust, trust]
-    return m, recip, tr, trust_to
-
-
-class TestCompleteUtility:
-    def test_all_modifiers_vanish(self):
-        m = InterdependenceMatrix([[0.0, 0.0], [0.0, 0.0]])
-        recip = ReciprocityParams(lambda_r=0.0)
-        tr = TrustParams(lambda_t=0.0)
-        u = complete_utility(0, [4.0, 4.0], m, [1.0, 1.0], [0.0, 0.3], LOG2, recip, tr)
-        assert u.total == pytest.approx(private_payoffs([4.0, 4.0], LOG2)[0])
-
-    def test_reciprocity_switch_off(self):
-        m, recip, tr, trust_to = two_actor_setup(lambda_r=0.0)
-        u = complete_utility(0, [4.0, 4.0], m, trust_to, [0.0, -2.0], LOG2, recip, tr)
-        assert u.recip_mod == 0.0
-
-    def test_recovers_trust_model_then_base_model(self):
-        a = [3.0, 5.0]
-        m, recip, tr, trust_to = two_actor_setup(lambda_r=0.0, lambda_t=0.0)
-        u = complete_utility(0, a, m, trust_to, [0.0, 1.0], LOG2, recip, tr)
-        pi = private_payoffs(a, LOG2)
-        expected = pi[0] + 0.5 * pi[1]
-        assert u.total == pytest.approx(expected, rel=1e-12)
-
-    def test_breakdown_matches_monolithic_expression(self):
-        # independent single-expression evaluation of the full utility
-        a = [4.0, 6.0]
-        s = [0.0, 0.3]
-        m, recip, tr, trust_to = two_actor_setup(d=0.5, trust=1.0)
-        u = complete_utility(0, a, m, trust_to, s, LOG2, recip, tr)
-        pi0, pi1 = private_payoffs(a, LOG2)
-        monolithic = (
-            pi0
-            + 0.5 * pi1
-            + tr.lambda_t * 1.0 * 0.5 * pi1
-            + recip.lambda_r * 1.0 * (1 + 1.0 * 0.5) * (1.0 * 0.5**1.0)
-            * math.tanh(1.0 * 0.3)
-        )
-        assert u.total == pytest.approx(monolithic, rel=1e-12)
-
-    def test_component_sum_identity_random_states(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            n = rng.choice((2, 3))
-            d = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        d[i, j] = rng.random()
-            m = InterdependenceMatrix(d)
-            alpha = np.array([rng.random() + 0.05 for _ in range(n)])
-            econ = EconomyParams(
-                endowments=tuple(rng.uniform(0, 100) for _ in range(n)),
-                alpha=tuple(alpha / alpha.sum()),
-                gamma=rng.uniform(0, 2),
-                value_form=rng.choice(("logarithmic", "power")),
-            )
-            recip = ReciprocityParams(rho0=rng.uniform(0, 2), eta=rng.uniform(0, 2),
-                                      kappa=rng.uniform(0.1, 3),
-                                      lambda_r=rng.uniform(0, 2),
-                                      omega_amp=rng.uniform(0, 2))
-            tr = TrustParams(lambda_t=rng.uniform(0, 2))
-            a = [rng.uniform(0, 10) for _ in range(n)]
-            trust_to = [rng.random() for _ in range(n)]
-            sig = [rng.uniform(-2, 2) for _ in range(n)]
-            i = rng.randrange(n)
-            u = complete_utility(i, a, m, trust_to, sig, econ, recip, tr)
-            total = u.base + u.interdep + u.trust_mod + u.recip_mod
-            assert u.total == pytest.approx(total, rel=1e-12, abs=1e-12)
-
-    def test_recip_mod_trust_derivative_sign(self):
-        # finite differences at random points: the sensitivity of the
-        # reciprocity component to trust carries the response's sign
-        rng = random.Random(21)
-        m, recip, tr, _ = two_actor_setup(d=0.6)
-        for _ in range(100):
-            t = rng.uniform(0.05, 0.95)
-            s = rng.uniform(-2, 2)
-            if abs(s) < 1e-3:
-                continue
-            eps = 1e-4
-            hi = complete_utility(0, [1.0, 1.0], m, [1.0, t + eps], [0.0, s], LOG2, recip, tr)
-            lo = complete_utility(0, [1.0, 1.0], m, [1.0, t - eps], [0.0, s], LOG2, recip, tr)
-            deriv = (hi.recip_mod - lo.recip_mod) / (2 * eps)
-            assert math.copysign(1.0, deriv) == math.copysign(1.0, s)
-
-    def test_missing_dyad_state_is_error(self):
-        m, recip, tr, _ = two_actor_setup()
-        for bad in (float("nan"), -0.1, 1.5):
-            with pytest.raises(ConfigurationError, match=r"trust for pair \(0, 1\)"):
-                complete_utility(0, [1.0, 1.0], m, [1.0, bad], [0.0, 0.0], LOG2, recip, tr)
 
 
 class TestTeamUtility:
