@@ -15,13 +15,14 @@ Rows, each the cost of one call:
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``scenario.reference_scenario``: one ``reference_scenario()`` build,
-  every block validated; ``prop-check`` builds 12 of these and 3
+  every block validated; ``prop-check`` builds 6 of these and 3
   ``pd_scenario()`` per job;
 - ``solver.solve_equilibrium``: one solve on ``reference_scenario()``;
 - ``solver.cross_partial_check``: one default ``cross_partial_check()``,
-  four refined 4001-point solves; ``prop-check``'s Prop 3 is three such
-  calls, 57% of the ``job.prop_check`` time (median of three 40-run
-  medians on 2 Xeon vCPUs, Python 3.11.7, numpy 2.4.6);
+  two solver builds (one per rho0 level) and four refined 4001-point
+  solves; ``prop-check``'s Prop 3 is three such calls, 56–58% of the
+  ``job.prop_check`` time (median of three 40-run medians on 2 Xeon
+  vCPUs, Python 3.11.7, numpy 2.4.6);
 - ``simulation.run_best_response``: one best-response ``run()`` of the
   3-actor scenario that the in-process ``coopsim translate --deps
   src/coopsim/data/ios_dependencies.csv`` writes;

@@ -355,7 +355,7 @@ def _body_end(p: PhaseSpec, is_last: bool) -> int:
 
 
 def score_rubric_auto(traj: Trajectory) -> RubricScore:
-    """Score the automatable indicators (1, 4, 8, 10) phase by phase."""
+    """Score the automatable indicators, ``AUTO_INDICATORS``, phase by phase."""
     blocks = _phase_blocks(traj.actions)
     m = traj.actions.mean(axis=1)
     n_phases = len(IOS_PHASES)
@@ -408,10 +408,8 @@ def score_rubric_auto(traj: Trajectory) -> RubricScore:
     auto: dict[int, tuple[Optional[float], ...]] = {
         i: tuple([None] * n_phases) for i in range(1, 13)
     }
-    auto[1] = tuple(trend_scores)
-    auto[4] = tuple(asym_scores)
-    auto[8] = tuple(timing_scores)
-    auto[10] = tuple(stab_scores)
+    scores = (trend_scores, asym_scores, timing_scores, stab_scores)  # AUTO_INDICATORS order
+    auto.update(zip(AUTO_INDICATORS, map(tuple, scores)))
     return RubricScore(auto=auto, reference=dict(HUMAN_REFERENCE_SCORES))
 
 

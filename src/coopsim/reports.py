@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .case_study import (
+    AUTO_INDICATORS,
     IOS_PHASES,
     RUBRIC_INDICATORS,
     CounterfactualComparison,
@@ -43,21 +44,25 @@ def render_target_report(report: TargetReport, grid_size: int,
         )
     lines.append("")
     if stats is not None:
+        # With no finite ratio there is no ratio statistic to show.
+        mean, ci, wilcoxon = "n/a (sd n/a)", "n/a", "n/a"
+        if stats.mean is not None:
+            mean = f"{stats.mean:.3f} (sd {stats.sd:.3f})"
+            ci = f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]"
+            wilcoxon = f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}"
         lines += [
             "## Differentiation analysis (high vs low dependency)",
             "",
-            f"- mean ratio: {stats.mean:.3f} (sd {stats.sd:.3f})",
+            f"- mean ratio: {mean}",
         ]
         if stats.left_out:
             lines.append(f"- {stats.left_out} of {stats.total} ratios not finite, left out of "
                          "the mean, sd, bootstrap CI and Wilcoxon test")
         lines += [
-            f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: "
-            f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]",
+            f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: {ci}",
             f"- paired t({stats.df}) = {stats.t_stat:.2f}, p = {stats.p_value:.3g}",
             f"- Cohen's d = {stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})",
-            f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): "
-            f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}",
+            f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): {wilcoxon}",
             "",
         ]
     return "\n".join(lines)
@@ -105,7 +110,8 @@ def render_rubric(score: RubricScore) -> str:
     lines = [
         "# Validation rubric",
         "",
-        "Automated scoring covers indicators 1, 4, 8, and 10; the remaining",
+        f"Automated scoring covers indicators {', '.join(map(str, AUTO_INDICATORS[:-1]))}, "
+        f"and {AUTO_INDICATORS[-1]}; the remaining",
         "indicators require documentary judgment and are reported with the",
         "reference assessment attached (`ref` columns).  `n/a` marks cells",
         "not applicable to a phase.",
@@ -118,14 +124,12 @@ def render_rubric(score: RubricScore) -> str:
         return "n/a" if value is None else f"{value:g}"
 
     for idx, name in enumerate(RUBRIC_INDICATORS, start=1):
-        auto_row = score.auto[idx]
-        ref_row = score.reference[idx]
-        if any(v is not None for v in auto_row):
-            cells = " | ".join(cell(v) for v in auto_row)
+        if idx in AUTO_INDICATORS:
+            cells = " | ".join(cell(v) for v in score.auto[idx])
             avg = score.auto_average(idx)
             lines.append(f"| {idx} | {name} | {cells} | {avg:.2f} |")
         else:
-            cells = " | ".join(f"ref {cell(v)}" for v in ref_row)
+            cells = " | ".join(f"ref {cell(v)}" for v in score.reference[idx])
             lines.append(f"| {idx} | {name} | {cells} | (manual) |")
     lines += [
         "",

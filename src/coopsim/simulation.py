@@ -12,17 +12,17 @@ two-layer trust state, then advance actions by the selected rule:
 
 - ``best_response`` mode replaces the action update with an equilibrium
   solve given each actor's own windowed average, the current trust and
-  the previous actions.  A solve is a pure function of those three
-  inputs, so a period whose inputs are byte-identical to the last solve's
-  (as they are once a run settles) reuses that solve's result instead of
-  solving again.  A period whose last k + 1 actions, trust and reputation
-  are byte-identical to the last period's (all k + 1 real periods, no
-  empty pre-history slot) is that period again: its k + 2 equal actions
-  give both periods the same window means, so the same signals, trust
-  update, next window and solve.  Such a settled period reuses them all
-  and is still recorded; only its norms move, and with them the rule's
-  signal and gated term of an adaptive-baseline run, which are formed
-  again.
+  the previous actions.  The kernel keeps two keys, as bytes.  A solve is
+  a pure function of its three inputs, so a period whose inputs are
+  byte-identical to the last solve's (as they are once a run settles)
+  reuses that solve's result instead of solving again.  A period whose
+  last k + 1 actions, trust and reputation are byte-identical to the last
+  period's (all k + 1 real periods, no empty pre-history slot) is that
+  period again: its k + 2 equal actions give both periods the same window
+  means, so the same signals, trust update, next window and solve.  Such
+  a settled period reuses them all and is still recorded; only its norms
+  move, and with them the rule's signal and gated term of an
+  adaptive-baseline run, which are formed again.
 
 Every period's actions, period 1's initial actions included, then go
 through one step: the period's scheduled shocks are added, its scripted
@@ -193,25 +193,6 @@ BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
 Observer = Callable[[int, Mapping[str, np.ndarray]], None]
 
 
-def _reusing(best_response: BestResponse) -> BestResponse:
-    """``best_response`` that returns its last result again, without
-    calling it, when its inputs are byte-identical to the last call's.
-
-    The inputs are kept as bytes, which are copies: the kernel writes its
-    arrays in place.  A ``-0.0`` where ``0.0`` was, or a change of one ulp,
-    is a new input."""
-    key = result = None
-
-    def respond(own_avg: np.ndarray, trust: np.ndarray, actions: np.ndarray):
-        nonlocal key, result
-        inputs = (own_avg.tobytes(), trust.tobytes(), actions.tobytes())
-        if inputs != key:
-            key, result = inputs, best_response(own_avg, trust, actions)
-        return result
-
-    return respond
-
-
 def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
     """A (B,) parameter column spread over each row's actors or dyads, so
     the kernel's arithmetic runs on whole contiguous arrays."""
@@ -344,8 +325,9 @@ def run_batch(batch: RunBatch, observe: Observer,
     ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
     actor's windowed average for the period being chosen.  It is called
     only when those three arrays differ, in at least one byte, from its
-    last call's; a period with the same inputs reuses the last result.  A
-    period whose last k + 1 actions, trust and reputation repeat the last
+    last call's, which the kernel keeps as bytes (copies, since it updates
+    trust in place); a period with the same inputs reuses the last result.
+    A period whose last k + 1 actions, trust and reputation repeat the last
     period's bytes also reuses its signals, trust and reputation (no trust
     update), next window and response, as the module docstring says.
     """
@@ -360,7 +342,6 @@ def run_batch(batch: RunBatch, observe: Observer,
     if best_response is not None:
         if B != 1:
             raise ValueError("best-response mode runs one row at a time")
-        best_response = _reusing(best_response)
     d = rows["d"]
 
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
@@ -429,7 +410,9 @@ def run_batch(batch: RunBatch, observe: Observer,
     with np.errstate(invalid="ignore"):
         b_win = np.where(lead < P, _window_means(hist, P, k, per["reach"], p["initial"], lead),
                          p["initial"])
-    key = None  # best-response mode: the last period's actions, trust and reputation
+    # Best-response mode: the bytes of the last period's actions, trust and
+    # reputation, and of the last solve's inputs.
+    key = solved = None
     for t in range(1, H + 1):
         idx = t - 1
         per["hist"][P + idx] = actions
@@ -477,8 +460,9 @@ def run_batch(batch: RunBatch, observe: Observer,
             if "noise" in per:
                 nxt += per["noise"][t]
         else:
-            if not settled:
-                result = best_response(b_next[0], trust[0], actions[0])
+            inputs = (b_next.tobytes(), trust.tobytes(), actions.tobytes())
+            if inputs != solved:
+                solved, result = inputs, best_response(b_next[0], trust[0], actions[0])
                 converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
 

@@ -43,18 +43,20 @@ per distinct key.
 A response is a pure function of the bits of what it reads: the actor's
 ``a_max``, endowment, gate sum, ``own_avg`` and alpha_i, the partners'
 action product, and for each partner j in turn D_ij (1 + lambda_t T_ij),
-j's standalone payoff at the profile and alpha_j.  So an actor whose key
-matches an earlier actor's in the same iteration takes that response, bit
-for bit the one it would have computed; the symmetric two-actor scenarios
-of the proposition checks score and refine one response per iteration.
-Keys compare bits, not values, since 0.0 == -0.0.  A team member's
-utility reads its own index, so team members never share.
+alpha_j and j's standalone payoff at the profile.  Those bits are a
+non-member's key each iteration; a team member's utility reads its own
+index, so its key is that index and team members never share.  One
+helper, :func:`_share`, shares the grids, the grid payoffs and the
+responses alike: an actor whose key matches an earlier actor's takes that
+result, bit for bit the one it would have computed, so the symmetric
+two-actor scenarios of the proposition checks score and refine one
+response per iteration.  Keys compare bits, not values, since 0.0 == -0.0.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -182,16 +184,6 @@ class EquilibriumSolver:
                              dtype=float).tolist()
         gates = self._gate_sums(trust).tolist()
         weights = scenario.d.values * (1.0 + scenario.trust.lambda_t * trust)
-        # Only non-members with equal gate sums and references can share a
-        # response.  Their keys hold the bits of what it reads that stay fixed
-        # over the solve, any other actor's key is its own index, and twins
-        # (equal keys) add the partners' product and payoffs each iteration.
-        probe = list(zip(gates, reference))
-        fixed = [_bits(scenario.a_max[i], econ.endowments[i], gates[i], reference[i],
-                       econ.alpha[i], *(x for j in others for x in (weights[i, j], econ.alpha[j])))
-                 if probe.count(probe[i]) > 1 and not self.members[i] else i
-                 for i, others in enumerate(self.partners)]
-        twins = [fixed.count(key) > 1 for key in fixed]
         recips = {}
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,18 +191,12 @@ class EquilibriumSolver:
             for it in range(1, config.max_iters + 1):
                 standalone = standalone_payoff(endowments, actions, econ)
                 payoffs = standalone.tolist()
-                nxt = np.empty(n)
-                first = {}
-                for i, grid in enumerate(self.grids):
-                    partners, member = self.partners[i], self.members[i]
-                    product = math.prod(actions[j] for j in partners)
-                    if twins[i]:
-                        # Twins whose inputs match in every bit share one response.
-                        key = fixed[i] + _bits(product, *[payoffs[j] for j in partners])
-                        if key in first:
-                            nxt[i] = nxt[first[key]]
-                            continue
-                        first[key] = i
+                products = [math.prod(actions[j] for j in partners) for partners in self.partners]
+
+                def respond(i: int) -> float:
+                    """Actor i's best response to the previous iterate."""
+                    grid, partners, member, product = (
+                        self.grids[i], self.partners[i], self.members[i], products[i])
 
                     def value(a, own, recip):
                         """i's objective at its action ``a`` (a float or a grid),
@@ -235,7 +221,6 @@ class EquilibriumSolver:
                     # less action); >=, since best - 1e-12 rounds to best once
                     # |best| >= 2 ** 14.
                     idx = int(np.nonzero(values >= best - 1e-12)[0][0])
-                    nxt[i] = grid[idx]
                     if config.refine:
                         e_i, gate, ref = econ.endowments[i], gates[i], reference[i]
 
@@ -246,7 +231,18 @@ class EquilibriumSolver:
                         xr = _golden_refine(refined, float(grid[max(0, idx - 1)]),
                                             float(grid[min(len(grid) - 1, idx + 1)]))
                         if refined(xr) >= best:
-                            nxt[i] = xr
+                            return xr
+                    return grid[idx]
+
+                # A non-member's key holds the bits of all its response reads; a
+                # team member's is its own index.
+                keys = [i if self.members[i] else
+                        _bits(scenario.a_max[i], econ.endowments[i], gates[i], reference[i],
+                              econ.alpha[i], products[i],
+                              *(x for j in partners
+                                for x in (weights[i, j], econ.alpha[j], payoffs[j])))
+                        for i, partners in enumerate(self.partners)]
+                nxt = np.array(_share(keys, respond), dtype=float)
                 residual = float(np.max(np.abs(nxt - actions)))
                 actions = nxt
                 if residual < TOL:
@@ -308,23 +304,24 @@ def cross_partial_check(
     Four equilibrium solves at (T0 +/- dt, rho0 +/- drho) on the two-actor
     reference configuration; any unconverged corner flags the check
     inconclusive.  With the reciprocity channel off (lambda_r = 0) the
-    estimate is numerically zero.
+    estimate is numerically zero.  A solve reads the trust matrix it is
+    given, not the scenario's T0, so one solver per rho0 level solves both
+    of its T0 corners; every corner's T0 is still validated.
     """
     if solver is None:
         solver = SolverConfig(grid_points=4001, refine=True)
-
-    def corner(t: float, r: float) -> tuple[float, bool]:
-        scen = reference_scenario(
-            rho0=r, t0=t, d=d, kappa=0.5, theta_v=10.0, a_max=40.0, lambda_r=lambda_r
-        )
-        trust = np.full((2, 2), t)
-        np.fill_diagonal(trust, 1.0)
-        res = solve_equilibrium(scen, None, trust, solver)
-        return res.actions[0], res.converged
-
-    app, ok1 = corner(t0 + dt, rho0 + drho)
-    apm, ok2 = corner(t0 + dt, rho0 - drho)
-    amp, ok3 = corner(t0 - dt, rho0 + drho)
-    amm, ok4 = corner(t0 - dt, rho0 - drho)
+    levels = [reference_scenario(rho0=r, t0=t0 + dt, d=d, kappa=0.5, theta_v=10.0,
+                                 a_max=40.0, lambda_r=lambda_r)
+              for r in (rho0 + drho, rho0 - drho)]
+    replace(levels[0].trust, t0=t0 - dt)  # validates the lower T0
+    corners = []
+    for scen in levels:
+        solve = EquilibriumSolver(scen, solver)
+        for t in (t0 + dt, t0 - dt):
+            trust = np.full((2, 2), t)
+            np.fill_diagonal(trust, 1.0)
+            corners.append(solve(None, trust))
+    app, amp, apm, amm = (res.actions[0] for res in corners)
     estimate = (app - apm - amp + amm) / (4.0 * dt * drho)
-    return CrossPartialResult(estimate=estimate, corners_converged=ok1 and ok2 and ok3 and ok4)
+    return CrossPartialResult(estimate=estimate,
+                              corners_converged=all(res.converged for res in corners))

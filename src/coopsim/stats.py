@@ -21,18 +21,19 @@ from .rng import derive_seed
 
 @dataclass(frozen=True)
 class StatsSummary:
-    mean: float
-    sd: float
+    mean: Optional[float]
+    sd: Optional[float]
     t_stat: Optional[float]
     df: Optional[int]
     p_value: Optional[float]
     cohens_d: Optional[float]
-    ci_lo: float
-    ci_hi: float
+    ci_lo: Optional[float]
+    ci_hi: Optional[float]
     wilcoxon_stat: Optional[float]
     wilcoxon_p: Optional[float]
     # Values the mean, sd, interval and Wilcoxon test left out as not
-    # finite, and the number of values.
+    # finite, and the number of values; those four are None when every
+    # value is left out.
     left_out: int = 0
     total: int = 0
 

@@ -574,26 +574,29 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     the Wilcoxon test checks the ratio distribution against the T4
     differentiation threshold ``T4_RATIO`` (one sided); the bootstrap interval covers
     the mean ratio.  The ratio mean, sd, interval and Wilcoxon test leave
-    out the non-finite ratios and count them.  A grid too small for these
-    tests is a configuration error.
+    out the non-finite ratios and count them, and are None when no ratio is
+    finite.  A grid too small for these tests is a configuration error.
     """
     # Checked here: the except below would report a bad seed (a
     # ConfigurationError, so a ValueError) as a grid too small.
     check_seed(seed)
     high, low, all_ratios = table["response_high"], table["response_low"], table["ratio"]
     ratios = all_ratios[np.isfinite(all_ratios)]
+    mean = sd = lo = hi = w_stat = w_p = None
     try:
         t, df, p, _ = paired_ttest(high, low)
         d, _ = cohens_d(high, low)
-        lo, hi = bootstrap_ci(ratios, seed=seed)
-        w_stat, w_p, _ = wilcoxon_signed_rank(ratios, T4_RATIO)
+        if len(ratios):
+            lo, hi = bootstrap_ci(ratios, seed=seed)
+            w_stat, w_p, _ = wilcoxon_signed_rank(ratios, T4_RATIO)
+            mean, sd = float(ratios.mean()), float(ratios.std(ddof=1))
     except ValueError as exc:
         raise ConfigurationError(
             f"a {len(high)}-cell grid is too small for the differentiation "
             f"statistics: {exc}"
         ) from None
     return StatsSummary(
-        mean=float(ratios.mean()), sd=float(ratios.std(ddof=1)),
+        mean=mean, sd=sd,
         t_stat=t, df=df, p_value=p, cohens_d=d,
         ci_lo=lo, ci_hi=hi, wilcoxon_stat=w_stat, wilcoxon_p=w_p,
         left_out=len(all_ratios) - len(ratios), total=len(all_ratios),

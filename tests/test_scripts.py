@@ -34,10 +34,15 @@ def test_bench_smoke(tmp_path, capsys):
     grid = tmp_path / "small.grid"
     grid.write_text(bench.SWEEP_GRID, encoding="utf-8")
     bench.FULL_SWEEP_GRID, bench.MONTECARLO_TRIALS, bench.CHILD_REPEATS = str(grid), 20, 2
-    assert bench.main(["--repeats", "3", "--out", str(out), "--label", "a"]) == 0
+    # --out keeps the file's other blocks as they were
+    kept = {"machine": {"cores": 2}, "repeats": 15,
+            "rows": {"job.sweep": {"median_us": 0.1, "q1_us": 5e-324,
+                                   "q3_us": 1234.5678901234567}}}
+    out.write_text(json.dumps({"a": kept}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     assert bench.main(["--repeats", "3", "--out", str(out), "--label", "b"]) == 0
     stored = json.loads(out.read_text())
     assert sorted(stored) == ["a", "b"]
+    assert json.dumps(stored["a"], sort_keys=True) == json.dumps(kept, sort_keys=True)
     block = stored["b"]
     assert block["repeats"] == 3
     assert {"cores", "cpu_model", "simd_found", "python", "numpy"} <= set(block["machine"])

@@ -29,7 +29,6 @@ from coopsim.simulation import (
     SIM_FIELDS,
     TRUST_FIELDS,
     RunBatch,
-    _reusing,
     _signals,
     _trust_rows,
     _update_trust_matrices,
@@ -40,7 +39,7 @@ from coopsim.simulation import (
     run_batch,
 )
 from coopsim.rng import normal
-from coopsim.solver import EquilibriumSolver
+from coopsim.solver import EquilibriumResult, EquilibriumSolver
 from oracles import reference_run, update_trust, window_mean
 
 
@@ -523,32 +522,65 @@ class TestSolveReuse:
         assert np.array_equal(_bits(counted.actions), _bits(traj.actions))
         assert calls == _input_runs(traj)
 
-    @pytest.mark.parametrize("change", ["ulp", "negative zero"])
-    @pytest.mark.parametrize("which", ["own_avg", "trust", "actions"])
-    def test_one_changed_bit_in_any_input_is_a_new_solve(self, which, change):
-        inputs = {"own_avg": np.array([0.5, -0.0]),
-                  "trust": np.array([[1.0, -0.0], [0.7, 1.0]]),
-                  "actions": np.array([0.25, -0.0])}
-        calls = []
-        respond = _reusing(lambda *args: calls.append(args) or len(calls))
-        assert respond(*inputs.values()) == 1
-        assert respond(*(a.copy() for a in inputs.values())) == 1
-        changed = {name: a.copy() for name, a in inputs.items()}
-        flat = changed[which].reshape(-1)
-        if change == "ulp":
-            flat[0] = np.nextafter(flat[0], np.inf)
-        else:
-            flat[flat == 0.0] = 0.0  # -0.0 == 0.0, so this rewrites the sign bit
-        assert respond(*changed.values()) == 2
-        assert len(calls) == 2
+    @pytest.mark.parametrize("which", ["own_avg", "trust", "actions"], ids=lambda w: f"{w}-ulp")
+    def test_one_changed_bit_in_any_input_is_a_new_solve(self, which):
+        # one solve per run of byte-identical inputs, and two consecutive
+        # solves whose inputs differ in one entry of `which` by one ulp
+        scenario, profile, entry = _ONE_ULP_RUNS[which]
+        traj, calls = _stub_run(scenario, SimConfig(horizon=10, mode="best_response"), profile)
+        assert len(calls) == _input_runs(traj) > 1
+        steps = [[(_bits(b).astype(np.int64) - _bits(a).astype(np.int64)).tolist()
+                  for a, b in zip(before, after)] for before, after in zip(calls, calls[1:])]
+        one_ulp = [[0] * a.size for a in calls[0]]
+        one_ulp[("own_avg", "trust", "actions").index(which)][entry] = 1
+        assert one_ulp in steps
 
     def test_inputs_written_in_place_are_a_new_solve(self):
-        own_avg, trust, actions = np.array([0.5, 0.5]), np.eye(2), np.array([0.25, 0.75])
-        calls = []
-        respond = _reusing(lambda *args: calls.append(args) or len(calls))
-        assert respond(own_avg, trust, actions) == 1
-        trust[0, 1] = 0.7  # as the kernel's trust update does
-        assert respond(own_avg, trust, actions) == 2
+        # the solver gets views of the kernel's arrays, and the trust update
+        # writes trust in place: from period 4 on it moves one ulp a period
+        # while the other inputs stay, and each such period is a new solve
+        scenario, profile, _ = _ONE_ULP_RUNS["trust"]
+        views = []
+
+        def respond(own_avg, trust, actions):
+            views.append(trust)
+            return EquilibriumResult(profile, True, 1, 0.0)
+
+        run_batch(RunBatch.of([(scenario, SimConfig(horizon=10, mode="best_response"))]),
+                  lambda idx, state: None, respond)
+        assert all(np.shares_memory(views[0], view) for view in views)
+        assert len(views) == 8  # of 9 periods after the first
+
+
+def _stub_run(scenario, sim, profile):
+    """A best-response run whose solver answers ``profile`` to every call:
+    its trajectory and each call's inputs, trust flattened."""
+    calls = []
+
+    def respond(own_avg, trust, actions):
+        calls.append((own_avg.copy(), trust.reshape(-1).copy(), actions.copy()))
+        return EquilibriumResult(profile, True, 1, 0.0)
+
+    return record_batch(RunBatch.of([(scenario, sim)]), scenario.labels, respond)[0], calls
+
+
+# Best-response runs (scenario, stub answer, entry) in which two consecutive
+# solves' inputs differ in one input only, at that entry, by one ulp.  In
+# the first two the signals stay within a few ulps, too small to move trust
+# at 0.7.
+_ONE_ULP_RUNS = {
+    # the answer is one ulp above A's initial 0.5, and the window means of
+    # 0.5 and the answer round back to 0.5
+    "actions": (two_actor(memory_k=10), (np.nextafter(0.5, 1.0), 0.5), 0),
+    # A answers four ulps above 0.5: its window mean moves from two to three
+    # ulps above 0.5 while its actions stay
+    "own_avg": (two_actor(memory_k=10), (0.5 + 4 * (np.nextafter(0.5, 1.0) - 0.5), 0.5), 0),
+    # the mean of three 0.7s is one ulp below 0.7, so from period 4 B sees A
+    # one ulp above its baseline and B's trust in A, entry 2 of the
+    # flattened matrix, grows one ulp a period from 0.1
+    "trust": (replace(two_actor(a_init=(0.7, 0.5), memory_k=3), trust=TrustParams(t0=0.1)),
+              (0.7, 0.5), 2),
+}
 
 
 # The kernel bounds actions, reputation and trust with np.maximum/np.minimum

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsim import solver as solver_module
+from coopsim.errors import ConfigurationError
 from coopsim.params import (
     EconomyParams,
     InterdependenceMatrix,
@@ -260,6 +262,25 @@ class TestComparativeStatics:
         res = cross_partial_check(lambda_r=0.0)
         assert res.corners_converged
         assert abs(res.estimate) < 1e-6
+
+    @pytest.mark.parametrize("t0, got", [(0.98, "1.03"), (0.02, "-0.03")])
+    def test_cross_partial_corners_keep_trust_validation(self, t0, got):
+        # one solver per rho0 level solves both T0 corners, each still validated
+        message = re.escape(f"t0 must lie in [0, 1], got {got}")
+        with pytest.raises(ConfigurationError, match=message):
+            cross_partial_check(t0=t0)
+
+    def test_cross_partial_builds_one_solver_per_rho0_level(self, monkeypatch):
+        builds = []
+
+        class Counting(EquilibriumSolver):
+            def __init__(self, scenario, config):
+                builds.append(scenario.recip.rho0)
+                super().__init__(scenario, config)
+
+        monkeypatch.setattr(solver_module, "EquilibriumSolver", Counting)
+        assert cross_partial_check(rho0=1.0, drho=0.5).corners_converged
+        assert builds == [1.5, 0.5]
 
 
 class TestHistoryAwareSolve:
