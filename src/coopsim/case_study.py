@@ -21,7 +21,6 @@ with no shock.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -290,34 +289,6 @@ HUMAN_REFERENCE_SCORES: dict[int, tuple[Optional[float], ...]] = {
 EXPECTED_TRENDS = (+1, 0, -1, -1, +1)
 
 
-@dataclass(frozen=True)
-class RubricScore:
-    """Auto-scored rubric cells plus the attached human reference.
-
-    ``auto[i]`` holds the machine scores for indicator i (1-based) across
-    the five phases, None where not applicable.  Indicators outside the
-    automated subset carry None in ``auto`` and are reported through
-    ``reference`` only.
-    """
-
-    auto: dict[int, tuple[Optional[float], ...]]
-    reference: dict[int, tuple[Optional[float], ...]]
-
-    def auto_average(self, indicator: int) -> float:
-        cells = [c for c in self.auto[indicator] if c is not None]
-        return sum(cells) / len(cells) if cells else math.nan
-
-    @staticmethod
-    def reference_total() -> tuple[float, float]:
-        total = sum(
-            c for row in HUMAN_REFERENCE_SCORES.values() for c in row if c is not None
-        )
-        applicable = sum(
-            1 for row in HUMAN_REFERENCE_SCORES.values() for c in row if c is not None
-        )
-        return total, float(applicable)
-
-
 def _gate_matrix(traj: Trajectory) -> list[tuple[float, float]]:
     """Per phase: (developer-side, platform-side) mean trust-gated response weights."""
     gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
@@ -354,8 +325,9 @@ def _body_end(p: PhaseSpec, is_last: bool) -> int:
     return p.end if is_last else p.end - 1
 
 
-def score_rubric_auto(traj: Trajectory) -> RubricScore:
-    """Score the automatable indicators, ``AUTO_INDICATORS``, phase by phase."""
+def score_rubric_auto(traj: Trajectory) -> dict[int, tuple[float, ...]]:
+    """Score the automatable indicators, ``AUTO_INDICATORS``, phase by phase:
+    each indicator's five phase scores, keyed by its 1-based number."""
     blocks = _phase_blocks(traj.actions)
     m = traj.actions.mean(axis=1)
     n_phases = len(IOS_PHASES)
@@ -405,12 +377,8 @@ def score_rubric_auto(traj: Trajectory) -> RubricScore:
             resid_sd.append(float(resid.std(ddof=0)))
         stab_scores.append(_band_score(float(np.mean(resid_sd)), 0.15, 0.22))
 
-    auto: dict[int, tuple[Optional[float], ...]] = {
-        i: tuple([None] * n_phases) for i in range(1, 13)
-    }
     scores = (trend_scores, asym_scores, timing_scores, stab_scores)  # AUTO_INDICATORS order
-    auto.update(zip(AUTO_INDICATORS, map(tuple, scores)))
-    return RubricScore(auto=auto, reference=dict(HUMAN_REFERENCE_SCORES))
+    return dict(zip(AUTO_INDICATORS, map(tuple, scores)))
 
 
 @dataclass(frozen=True)

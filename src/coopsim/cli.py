@@ -82,22 +82,19 @@ def _load_grid(name_or_path: str):
 
 def cmd_sweep(args) -> int:
     seed = _default_seed(args.seed)
-    grid = _load_grid(args.grid)
-    table = run_sweep(grid)
-    report = measure_targets(table)
+    table = run_sweep(_load_grid(args.grid))
+    rows = measure_targets(table)
     stats = differentiation_stats(table, seed=seed)
     files.write_file(os.path.join(args.out, "targets.csv"), files.targets_csv(table))
-    files.write_file(
-        os.path.join(args.out, "report.md"),
-        reports.render_target_report(report, grid.size, stats),
-    )
-    for row in report.rows:
+    files.write_file(os.path.join(args.out, "report.md"),
+                     reports.render_target_report(rows, stats))
+    for row in rows:
         status = "pass" if row["pass"] else "FAIL"
         print(
             f"{row['target']} {row['name']}: {row['achieved']}/{row['total']} "
             f"({100 * row['rate']:.1f}%) threshold {100 * row['threshold']:.0f}% -> {status}"
         )
-    return EXIT_OK if report.all_pass else EXIT_THRESHOLD
+    return EXIT_OK if all(row["pass"] for row in rows) else EXIT_THRESHOLD
 
 
 def cmd_montecarlo(args) -> int:
@@ -134,8 +131,7 @@ def cmd_case_study(args) -> int:
         os.path.join(args.out, "phase_stats.csv"),
         reports.phase_stats_csv(stats, traj.labels),
     )
-    rubric = case_study.score_rubric_auto(base)
-    rubric_md = reports.render_rubric(rubric)
+    rubric_md = reports.render_rubric(case_study.score_rubric_auto(base))
     if args.counterfactual:
         cmp = case_study.counterfactual_comparison(base, traj)
         rubric_md += "\n" + reports.render_counterfactual(cmp, traj.labels)

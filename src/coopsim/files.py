@@ -49,7 +49,7 @@ from .params import (
 )
 from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory
-from .sweep import GRID_KEYS, ParameterGrid, SweepCell
+from .sweep import GRID_KEYS, TARGETS, ParameterGrid, SweepCell
 
 
 def fmt(x) -> str:
@@ -360,7 +360,7 @@ def targets_csv(table: dict[str, np.ndarray]) -> str:
     """One line per row of a sweep's result table, verdicts as 0 and 1."""
     cols = [
         *GRID_KEYS,
-        "t1", "t2", "t3", "t4", "t5", "t6",
+        *TARGETS,
         "steady_level", "coop_mean", "tau_f", "response_high", "response_low",
         "ratio", "max_abs_response",
     ]

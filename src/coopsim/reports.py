@@ -12,31 +12,32 @@ import numpy as np
 
 from .case_study import (
     AUTO_INDICATORS,
+    HUMAN_REFERENCE_SCORES,
     IOS_PHASES,
     RUBRIC_INDICATORS,
     CounterfactualComparison,
     PhaseStats,
-    RubricScore,
 )
 from .stats import BOOTSTRAP_LEVEL, StatsSummary, effect_size_label
-from .sweep import T4_RATIO, MonteCarloReport, TargetReport
+from .sweep import T4_RATIO, MonteCarloReport
 
 
 def _pct(x: float) -> str:
     return f"{100.0 * x:.1f}%"
 
 
-def render_target_report(report: TargetReport, grid_size: int,
-                         stats: Optional[StatsSummary] = None) -> str:
+def render_target_report(rows: Sequence[dict], stats: Optional[StatsSummary] = None) -> str:
+    """The target rows of ``sweep.measure_targets`` and, when given, the
+    differentiation statistics; a statistic that is None is shown as n/a."""
     lines = [
         "# Behavioral target achievement",
         "",
-        f"Configurations: {grid_size}",
+        f"Configurations: {rows[0]['total']}",
         "",
         "| # | Target | Achieved | Rate | Threshold | Status |",
         "|---|--------|----------|------|-----------|--------|",
     ]
-    for i, row in enumerate(report.rows, start=1):
+    for i, row in enumerate(rows, start=1):
         status = "pass" if row["pass"] else "FAIL"
         lines.append(
             f"| {i} | {row['name']} | {row['achieved']} / {row['total']} "
@@ -44,12 +45,18 @@ def render_target_report(report: TargetReport, grid_size: int,
         )
     lines.append("")
     if stats is not None:
-        # With no finite ratio there is no ratio statistic to show.
+        # With no finite ratio there is no ratio statistic to show; a
+        # degenerate test is shown with its reason.
         mean, ci, wilcoxon = "n/a (sd n/a)", "n/a", "n/a"
         if stats.mean is not None:
             mean = f"{stats.mean:.3f} (sd {stats.sd:.3f})"
             ci = f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]"
-            wilcoxon = f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}"
+            wilcoxon = (f"n/a (every ratio equals {T4_RATIO})" if stats.wilcoxon_stat is None
+                        else f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}")
+        t_test = ("n/a (the high - low differences have zero variance)" if stats.t_stat is None
+                  else f"{stats.t_stat:.2f}, p = {stats.p_value:.3g}")
+        effect = ("n/a (both response samples have zero variance)" if stats.cohens_d is None
+                  else f"{stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})")
         lines += [
             "## Differentiation analysis (high vs low dependency)",
             "",
@@ -60,8 +67,8 @@ def render_target_report(report: TargetReport, grid_size: int,
                          "the mean, sd, bootstrap CI and Wilcoxon test")
         lines += [
             f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: {ci}",
-            f"- paired t({stats.df}) = {stats.t_stat:.2f}, p = {stats.p_value:.3g}",
-            f"- Cohen's d = {stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})",
+            f"- paired t({stats.df}) = {t_test}",
+            f"- Cohen's d = {effect}",
             f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): {wilcoxon}",
             "",
         ]
@@ -105,8 +112,10 @@ def phase_stats_csv(stats: Sequence[PhaseStats], labels: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_rubric(score: RubricScore) -> str:
-    ref_total, applicable = RubricScore.reference_total()
+def render_rubric(auto: dict[int, tuple[float, ...]]) -> str:
+    """The machine scores of ``case_study.score_rubric_auto`` beside the
+    human reference assessment of the other indicators."""
+    reference = [c for row in HUMAN_REFERENCE_SCORES.values() for c in row if c is not None]
     lines = [
         "# Validation rubric",
         "",
@@ -119,21 +128,18 @@ def render_rubric(score: RubricScore) -> str:
         "| # | Indicator | " + " | ".join(p.name for p in IOS_PHASES) + " | Auto avg |",
         "|---|-----------|" + "---|" * (len(IOS_PHASES) + 1),
     ]
-
-    def cell(value) -> str:
-        return "n/a" if value is None else f"{value:g}"
-
     for idx, name in enumerate(RUBRIC_INDICATORS, start=1):
         if idx in AUTO_INDICATORS:
-            cells = " | ".join(cell(v) for v in score.auto[idx])
-            avg = score.auto_average(idx)
-            lines.append(f"| {idx} | {name} | {cells} | {avg:.2f} |")
+            scores = auto[idx]
+            cells = " | ".join(f"{v:g}" for v in scores)
+            lines.append(f"| {idx} | {name} | {cells} | {sum(scores) / len(scores):.2f} |")
         else:
-            cells = " | ".join(f"ref {cell(v)}" for v in score.reference[idx])
+            cells = " | ".join("ref n/a" if v is None else f"ref {v:g}"
+                               for v in HUMAN_REFERENCE_SCORES[idx])
             lines.append(f"| {idx} | {name} | {cells} | (manual) |")
     lines += [
         "",
-        f"Reference assessment total: {ref_total:g} / {applicable:g} applicable points.",
+        f"Reference assessment total: {sum(reference):g} / {len(reference)} applicable points.",
         "",
     ]
     return "\n".join(lines)

@@ -306,7 +306,9 @@ def cross_partial_check(
     inconclusive.  With the reciprocity channel off (lambda_r = 0) the
     estimate is numerically zero.  A solve reads the trust matrix it is
     given, not the scenario's T0, so one solver per rho0 level solves both
-    of its T0 corners; every corner's T0 is still validated.
+    of its T0 corners; every corner's T0 is still validated.  The levels
+    differ only in their gate matrices, so corners whose gates and T0 hold
+    the same bits (both levels' gates are 0 at lambda_r = 0) are one solve.
     """
     if solver is None:
         solver = SolverConfig(grid_points=4001, refine=True)
@@ -314,13 +316,16 @@ def cross_partial_check(
                                  a_max=40.0, lambda_r=lambda_r)
               for r in (rho0 + drho, rho0 - drho)]
     replace(levels[0].trust, t0=t0 - dt)  # validates the lower T0
-    corners = []
-    for scen in levels:
-        solve = EquilibriumSolver(scen, solver)
-        for t in (t0 + dt, t0 - dt):
-            trust = np.full((2, 2), t)
-            np.fill_diagonal(trust, 1.0)
-            corners.append(solve(None, trust))
+    solves = [EquilibriumSolver(scen, solver) for scen in levels]
+    cases = [(solve, t) for solve in solves for t in (t0 + dt, t0 - dt)]
+
+    def corner(c: int) -> EquilibriumResult:
+        solve, t = cases[c]
+        trust = np.full((2, 2), t)
+        np.fill_diagonal(trust, 1.0)
+        return solve(None, trust)
+
+    corners = _share([solve.gate.tobytes() + _bits(t) for solve, t in cases], corner)
     app, amp, apm, amm = (res.actions[0] for res in corners)
     estimate = (app - apm - amp + amm) / (4.0 * dt * drho)
     return CrossPartialResult(estimate=estimate,

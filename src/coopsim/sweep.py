@@ -530,24 +530,9 @@ def run_sweep(grid: ParameterGrid) -> dict[str, np.ndarray]:
     return measure_cells(grid.columns(), rho0_extremes=grid.rho0_extremes())
 
 
-@dataclass(frozen=True)
-class TargetReport:
-    """Achievement rates per behavioral target against their thresholds."""
-
-    rows: tuple[dict, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r["pass"] for r in self.rows)
-
-    def row(self, target: str) -> dict:
-        for r in self.rows:
-            if r["target"] == target:
-                return r
-        raise KeyError(target)
-
-
-def measure_targets(table: dict[str, np.ndarray]) -> TargetReport:
+def measure_targets(table: dict[str, np.ndarray]) -> tuple[dict, ...]:
+    """One row per target, in ``TARGETS`` order: its achieved count out of
+    the table's ``total`` rows, the rate, the threshold and the verdict."""
     total = len(table["t1"])
     rows = []
     for key in TARGETS:
@@ -564,7 +549,7 @@ def measure_targets(table: dict[str, np.ndarray]) -> TargetReport:
                 "pass": rate >= TARGET_THRESHOLDS[key],
             }
         )
-    return TargetReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsSummary:
@@ -575,7 +560,9 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     differentiation threshold ``T4_RATIO`` (one sided); the bootstrap interval covers
     the mean ratio.  The ratio mean, sd, interval and Wilcoxon test leave
     out the non-finite ratios and count them, and are None when no ratio is
-    finite.  A grid too small for these tests is a configuration error.
+    finite.  A degenerate test (zero variance, or no ratio off the threshold)
+    is None too, with the t test's df kept.  A grid too small for these
+    tests is a configuration error.
     """
     # Checked here: the except below would report a bad seed (a
     # ConfigurationError, so a ValueError) as a grid too small.
@@ -584,11 +571,17 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     ratios = all_ratios[np.isfinite(all_ratios)]
     mean = sd = lo = hi = w_stat = w_p = None
     try:
-        t, df, p, _ = paired_ttest(high, low)
-        d, _ = cohens_d(high, low)
+        t, df, p, t_degenerate = paired_ttest(high, low)
+        d, d_degenerate = cohens_d(high, low)
+        if t_degenerate:
+            t = p = None
+        if d_degenerate:
+            d = None
         if len(ratios):
             lo, hi = bootstrap_ci(ratios, seed=seed)
-            w_stat, w_p, _ = wilcoxon_signed_rank(ratios, T4_RATIO)
+            w_stat, w_p, w_degenerate = wilcoxon_signed_rank(ratios, T4_RATIO)
+            if w_degenerate:
+                w_stat = w_p = None
             mean, sd = float(ratios.mean()), float(ratios.std(ddof=1))
     except ValueError as exc:
         raise ConfigurationError(
@@ -634,7 +627,6 @@ class MonteCarloReport:
     table: dict[str, np.ndarray]
     clamped: tuple[tuple[str, ...], ...]
     perturb: float
-    seed: int
 
     @property
     def n(self) -> int:
@@ -718,4 +710,4 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
     cells, trust, clamped = perturb_trials(trials, perturb, seed)
     table = measure_cells(cells, trust)
-    return MonteCarloReport(table=table, clamped=clamped, perturb=perturb, seed=seed)
+    return MonteCarloReport(table=table, clamped=clamped, perturb=perturb)

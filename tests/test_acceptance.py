@@ -110,8 +110,7 @@ def sweep_results(request):
 
 def test_criterion_3_behavioral_target_thresholds(sweep_results):
     grid, results, elapsed = sweep_results
-    report_rows = measure_targets(results)
-    rates = {r["target"]: r["rate"] for r in report_rows.rows}
+    rates = {r["target"]: r["rate"] for r in measure_targets(results)}
     assert rates["t6"] == 1.0
     assert rates["t2"] == 1.0
     assert rates["t4"] >= 0.90
@@ -231,7 +230,7 @@ def test_criterion_9_asymmetric_response(ios_runs):
 def test_criterion_9_rubric_automation(ios_runs):
     base, _ = ios_runs
     score = cs.score_rubric_auto(base)
-    averages = {i: score.auto_average(i) for i in cs.AUTO_INDICATORS}
+    averages = {i: sum(cells) / len(cells) for i, cells in score.items()}
     for indicator, avg in averages.items():
         assert avg >= 0.75, (indicator, avg)
     report("9/rubric", f"auto indicators 1/4/8/10 averages: "

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim.errors import ConfigurationError
+from coopsim.reports import render_rubric
 from coopsim.simulation import Trajectory, run
 
 
@@ -88,9 +89,8 @@ class TestPhaseStatistics:
 
 class TestRubric:
     def test_reference_scoring_totals(self):
-        total, applicable = cs.RubricScore.reference_total()
-        assert applicable == 51.0
-        assert total == pytest.approx(43.0)
+        text = render_rubric(cs.score_rubric_auto(flat_trajectory()))
+        assert "\nReference assessment total: 43 / 51 applicable points.\n" in text
 
     def test_reference_phase_totals(self):
         per_phase = [0.0] * 5
@@ -102,22 +102,27 @@ class TestRubric:
 
     def test_flat_trajectory_perfectly_stable(self):
         score = cs.score_rubric_auto(flat_trajectory())
-        assert all(v == 1.0 for v in score.auto[10])
+        assert all(v == 1.0 for v in score[10])
 
     def test_auto_indicators_on_baseline_run(self):
         traj = cs.run_ios()
         score = cs.score_rubric_auto(traj)
         for indicator in cs.AUTO_INDICATORS:
-            assert score.auto_average(indicator) >= 0.75, indicator
-        # all five cells of every auto indicator are populated
-        for indicator in cs.AUTO_INDICATORS:
-            assert all(v is not None for v in score.auto[indicator])
+            # one score per phase
+            assert len(score[indicator]) == len(cs.IOS_PHASES)
+            assert sum(score[indicator]) / len(cs.IOS_PHASES) >= 0.75, indicator
 
     def test_manual_indicators_not_auto_scored(self):
         score = cs.score_rubric_auto(cs.run_ios())
+        assert tuple(score) == cs.AUTO_INDICATORS
+        # the rubric shows the reference assessment of the other indicators
+        rows = render_rubric(score).splitlines()
         for indicator in (2, 3, 5, 6, 7, 9, 11, 12):
-            assert all(v is None for v in score.auto[indicator])
-            assert score.reference[indicator] == cs.HUMAN_REFERENCE_SCORES[indicator]
+            row = next(r for r in rows if r.startswith(f"| {indicator} | "))
+            ref = cs.HUMAN_REFERENCE_SCORES[indicator]
+            assert row.split(" | ")[2:-1] == [f"ref {'n/a' if v is None else f'{v:g}'}"
+                                              for v in ref]
+            assert row.endswith("| (manual) |")
 
 
 class TestBaselineRun:

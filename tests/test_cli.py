@@ -188,7 +188,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("channel", ["lambda_r", "rho0"])
     def test_grid_without_a_finite_ratio_reports_n_a(self, tmp_path, channel, capsys):
         # with the reciprocity channel off every response is 0, so every
-        # differentiation ratio is 0/0: the ratio statistics read n/a
+        # differentiation ratio is 0/0: the ratio statistics read n/a, and
+        # with no variance anywhere there is no t test or effect size either
         grid = tmp_path / "zero.grid"
         grid.write_text(f"{channel} = 0.0\nkappa = 0.5,1,1.5,2,3\nmemory_k = 1,2,4,8,16\n")
         out = str(tmp_path / "o")
@@ -201,6 +202,8 @@ class TestSweepCommand:
         assert "- mean ratio: n/a (sd n/a)\n- 25 of 25 ratios not finite" in report
         assert "- bootstrap 95% CI of the mean ratio: n/a\n" in report
         assert "- Wilcoxon signed-rank vs 1.5 (one-sided): n/a\n" in report
+        assert ("- paired t(24) = n/a (the high - low differences have zero variance)\n"
+                "- Cohen's d = n/a (both response samples have zero variance)\n") in report
 
     def test_parallel_is_accepted_and_ignored(self, tmp_path):
         grid = tmp_path / "tiny.grid"

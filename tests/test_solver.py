@@ -282,6 +282,21 @@ class TestComparativeStatics:
         assert cross_partial_check(rho0=1.0, drho=0.5).corners_converged
         assert builds == [1.5, 0.5]
 
+    @pytest.mark.parametrize("lambda_r, solves", [(0.0, 2), (1.0, 4)])
+    def test_cross_partial_solves_each_distinct_corner_once(self, monkeypatch, lambda_r,
+                                                            solves):
+        # at lambda_r 0 both rho0 levels' gates are 0: their corners are the same solves
+        calls = []
+        call = EquilibriumSolver.__call__
+
+        def counting(self, *args):
+            calls.append(args)
+            return call(self, *args)
+
+        monkeypatch.setattr(EquilibriumSolver, "__call__", counting)
+        cross_partial_check(lambda_r=lambda_r)
+        assert len(calls) == solves
+
 
 class TestHistoryAwareSolve:
     def test_unconverged_is_flagged_not_raised(self):

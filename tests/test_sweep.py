@@ -307,15 +307,16 @@ class TestSweepAggregation:
     def test_measure_targets_report(self):
         grid = ParameterGrid({"rho0": (1.0,), "kappa": (1.0,)})
         table = run_sweep(grid)
-        report = measure_targets(table)
-        row = report.row("t6")
-        assert row["rate"] == 1.0 and row["pass"]
-        assert report.row("t2")["achieved"] == 1
+        rows = measure_targets(table)
+        assert [r["target"] for r in rows] == list(TARGETS)
+        by_target = {r["target"]: r for r in rows}
+        assert by_target["t6"]["rate"] == 1.0 and by_target["t6"]["pass"]
+        assert (by_target["t2"]["achieved"], by_target["t2"]["total"]) == (1, 1)
 
     def test_smoke_grid_thresholds(self, smoke_sweep):
         table, _ = smoke_sweep
-        report = measure_targets(table)
-        assert report.all_pass, {r["target"]: r["rate"] for r in report.rows}
+        rows = measure_targets(table)
+        assert all(r["pass"] for r in rows), {r["target"]: r["rate"] for r in rows}
         stats = differentiation_stats(table)
         assert stats.cohens_d >= 0.8
         assert stats.wilcoxon_p < 0.01
@@ -329,14 +330,30 @@ def test_report_counts_the_ratios_left_out(smoke_sweep):
     table = run_sweep(grid)
     stats = differentiation_stats(table)
     assert (stats.left_out, stats.total, stats.df) == (10, 20, 19)
-    text = render_target_report(measure_targets(table), grid.size, stats)
+    text = render_target_report(measure_targets(table), stats)
+    assert f"\nConfigurations: {grid.size}\n" in text
     assert ("- mean ratio: 6.000 (sd 0.000)\n- 10 of 20 ratios not finite, left out of the "
             "mean, sd, bootstrap CI and Wilcoxon test\n- bootstrap 95% CI") in text
     # every ratio finite: the report has no such line
     smoke = differentiation_stats(smoke_sweep[0])
     assert (smoke.left_out, smoke.total) == (0, SMOKE_GRID.size)
-    assert "not finite" not in render_target_report(measure_targets(smoke_sweep[0]),
-                                                    SMOKE_GRID.size, smoke)
+    assert "not finite" not in render_target_report(measure_targets(smoke_sweep[0]), smoke)
+
+
+def test_degenerate_statistics_report_n_a():
+    # every ratio is exactly the T4 threshold: no Wilcoxon rank is possible;
+    # both samples are constant, so Cohen's d has no spread either
+    high, low = np.full(8, 3.0), np.full(8, 2.0)
+    table = {"response_high": high, "response_low": low, "ratio": high / low}
+    stats = differentiation_stats(table)
+    assert (stats.t_stat, stats.p_value, stats.df) == (None, None, 7)
+    assert (stats.cohens_d, stats.wilcoxon_stat, stats.wilcoxon_p) == (None, None, None)
+    assert stats.mean == 1.5
+    text = render_target_report(measure_targets({key: np.ones(8, bool) for key in TARGETS}),
+                                stats)
+    assert "- paired t(7) = n/a (the high - low differences have zero variance)\n" in text
+    assert "- Cohen's d = n/a (both response samples have zero variance)\n" in text
+    assert "- Wilcoxon signed-rank vs 1.5 (one-sided): n/a (every ratio equals 1.5)\n" in text
 
 
 class TestStructuralTargets:
@@ -422,7 +439,7 @@ def _mc_report(ratios):
     n = len(ratios)
     table = {"ratio": np.array(ratios, dtype=float),
              **{key: np.zeros(n, dtype=bool) for key in TARGETS}}
-    return MonteCarloReport(table=table, clamped=((),) * n, perturb=0.15, seed=1)
+    return MonteCarloReport(table=table, clamped=((),) * n, perturb=0.15)
 
 
 def test_monte_carlo_report_with_an_infinite_ratio_renders_without_warnings():
