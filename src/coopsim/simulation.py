@@ -1,8 +1,9 @@
 """Sequential repeated-interaction engine.
 
 Each period: observe partners' actions against per-actor baselines, form
-cooperation signals, record the trust-gated reciprocity terms, update the
-two-layer trust state, then advance actions by the selected rule:
+cooperation signals and the trust-gated reciprocity terms, record the
+period's state, then (but for the last period) update the two-layer trust
+state and advance actions by the selected rule:
 
 - ``adjustment`` mode moves each action by the sum of its gated
   reciprocity terms at the adjustment rate, minus mean reversion toward
@@ -46,16 +47,18 @@ noiseless rows (best-response mode ignores noise and draws none).
 
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, and
-shows each period's state to an observer.  Its inputs are a
-:class:`RunBatch`: one table ``rows`` of per-row columns, with the row on
-the first axis of every entry (each parameter field as ``(B,)``, ``d`` as
-``(B, n, n)``, ``a_max``, ``a_init`` and ``baseline_init`` as ``(B, n)``,
+returns their record: every period's state, period first, as
+``(H, B, ...)`` arrays.  Its inputs are a :class:`RunBatch`: one table
+``rows`` of per-row columns, with the row on the first axis of every
+entry (each parameter field as ``(B,)``, ``d`` as ``(B, n, n)``,
+``a_max``, ``a_init`` and ``baseline_init`` as ``(B, n)``,
 ``baseline_mode`` and ``horizon`` as ``(B,)``), beside the scripts,
-shocks and pre-histories.  :func:`record_batch` keeps every observed
-state, and :func:`run` is its B = 1 call.  Both take the rows longest
-horizon first, and each row stops at its own horizon: from then on the
-kernel advances, and the observer sees, only the rows still live, a
-prefix of the batch.  The kernel keeps every per-row input in one table
+shocks and pre-histories.  :func:`record_batch` cuts the record into
+each row's :class:`Trajectory`, and :func:`run` is its B = 1 call.  Both
+take the rows longest horizon first, and each row stops at its own
+horizon: from then on the kernel advances, and records, only the rows
+still live, a prefix of the batch, and the row's later periods in the
+record hold zeros.  The kernel keeps every per-row input in one table
 (and the period-first ones in a second), so a horizon cut is one slice of
 each.  The action rule's reference is picked per row by its
 ``baseline_mode``.  Each row may have its own number of pre-history
@@ -189,8 +192,6 @@ class RunBatch:
 
 # Best-response rule: (own averages for the next period, trust, actions) -> solve result.
 BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
-# Per-period observer: (period index, state arrays keyed like Trajectory fields).
-Observer = Callable[[int, Mapping[str, np.ndarray]], None]
 
 
 def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -307,21 +308,24 @@ def _update_trust_matrices(trust: np.ndarray, reputation: np.ndarray, s: np.ndar
     trust.reshape(len(trust), n * n)[:, :: n + 1] = 1.0
 
 
-def run_batch(batch: RunBatch, observe: Observer,
-              best_response: Optional[BestResponse] = None) -> None:
-    """Advance every row of the batch to its own horizon.
+def run_batch(batch: RunBatch,
+              best_response: Optional[BestResponse] = None) -> dict[str, np.ndarray]:
+    """Advance every row of the batch to its own horizon and return its
+    record: each ``RECORDED`` state and ``converged``, as (H, B, ...)
+    arrays, period first, keyed like the :class:`Trajectory` fields, where
+    H is the longest horizon.  A row's periods past its horizon hold zeros
+    (``converged`` True).
 
     A row's pre-history may be NaN only in whole leading periods, the
     periods it does not have (``ValueError`` otherwise).  Rows come in
     non-increasing horizon order (``ValueError`` otherwise), so the rows
     still running in a period are a prefix of the batch: once a row's
     horizon has passed, the kernel advances only that live prefix, through
-    views of its arrays.  Each period, before its trust update,
-    ``observe(idx, state)`` sees the state of the rows live in period
-    idx + 1: (L, ...) arrays keyed like the :class:`Trajectory` fields,
-    which the kernel reuses, so the observer copies what it keeps.  Without
-    ``best_response`` every row follows the adjustment rule; with it the
-    batch must have one row, whose actions after period 1 come from
+    views of its arrays.  Each period's states are recorded before its
+    trust update, and the kernel returns once period H is recorded, so
+    the last period runs no trust update.  Without ``best_response``
+    every row follows the adjustment rule; with it the batch must have
+    one row, whose actions after period 1 come from
     ``best_response(own_avg, trust, actions)``, where ``own_avg`` is each
     actor's windowed average for the period being chosen.  It is called
     only when those three arrays differ, in at least one byte, from its
@@ -352,6 +356,10 @@ def run_batch(batch: RunBatch, observe: Observer,
         raise ValueError("pre-history may be NaN only in whole leading periods")
     hist = np.empty((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
     hist[:P] = np.where(empty, 0.0, pre)
+    # The record: each period writes its live rows, and cutting a row zeros
+    # its later periods, so no entry is written twice.
+    rec = {f: np.empty((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
+    rec["converged"] = np.ones((H, B), dtype=bool)
 
     # Every per-row input, row first, and every period-first one: a horizon
     # cut keeps the live rows of each.
@@ -394,7 +402,6 @@ def run_batch(batch: RunBatch, observe: Observer,
     trust = _per_row(rows["t0"], (n, n))
     trust.reshape(B, n * n)[:, :: n + 1] = 1.0
     reputation = np.zeros((B, n, n))
-    converged = np.ones(B, dtype=bool)
 
     def settle(a: np.ndarray, idx: int) -> np.ndarray:
         """Period idx + 1's actions from the rule's ``a``: the period's
@@ -433,22 +440,23 @@ def run_batch(batch: RunBatch, observe: Observer,
         if not settled or len(actions) > windowed_rows:
             term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
 
-        observe(idx, {"actions": actions, "baselines": b_win, "norms": norms,
-                      "trust": trust, "reputation": reputation, "signal": s_win,
-                      "recip_term": term, "converged": converged})
+        # in RECORDED order
+        for f, state in zip(RECORDED, (actions, b_win, norms, trust, reputation, s_win, term)):
+            rec[f][idx, : len(state)] = state
+        if t == H:
+            return rec
 
         if not settled:
             _update_trust_matrices(trust, reputation, s_win, p)
 
-        if t == H:
-            break
-
         L = live[t]
         if L < len(actions):  # the rows whose horizon is period t end here
+            for f in RECORDED:
+                rec[f][t:, L : len(actions)] = 0.0
             p = {f: a[:L] for f, a in p.items()}
             per = {f: a[:, :L] for f, a in per.items()}
-            actions, norms, trust, reputation, converged, term = (
-                a[:L] for a in (actions, norms, trust, reputation, converged, term))
+            actions, norms, trust, reputation, term = (
+                a[:L] for a in (actions, norms, trust, reputation, term))
 
         # Actions through period t are known when choosing t+1 actions; a
         # settled period keeps b_next, which is its own window b_win.
@@ -463,8 +471,8 @@ def run_batch(batch: RunBatch, observe: Observer,
             inputs = (b_next.tobytes(), trust.tobytes(), actions.tobytes())
             if inputs != solved:
                 solved, result = inputs, best_response(b_next[0], trust[0], actions[0])
-                converged = np.array([result.converged])
             nxt = np.array([result.actions], dtype=float)
+            rec["converged"][t] = result.converged
 
         norms += p["norm_rate"] * (actions - norms)
         actions, b_win = settle(nxt, t), b_next
@@ -475,19 +483,9 @@ def record_batch(batch: RunBatch, labels: tuple[str, ...],
     """Run the batch, its rows longest first as :func:`run_batch` takes
     them, and return every row's trajectory, cut at its horizon, in row
     order."""
-    horizon = batch.rows["horizon"]
-    H, (B, n) = int(horizon.max()), batch.rows["a_init"].shape
-    rec = {f: np.zeros((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
-    rec["converged"] = np.ones((H, B), dtype=bool)
-
-    def keep(idx, state):
-        live = len(state["actions"])
-        for f, sink in rec.items():
-            sink[idx, :live] = state[f]
-
-    run_batch(batch, keep, best_response)
+    rec = run_batch(batch, best_response)
     return [Trajectory(labels=labels, **{f: a[:h, b].copy() for f, a in rec.items()})
-            for b, h in enumerate(horizon.tolist())]
+            for b, h in enumerate(batch.rows["horizon"].tolist())]
 
 
 def run(

@@ -246,7 +246,9 @@ _EMERGENCE_RUNS = PROTOCOL_RUNS[:4]
 _FORGIVENESS_RUNS = PROTOCOL_RUNS[4:]
 
 #: Distinct protocol runs per engine batch: bounds the engine state of
-#: large grids (about 4 kB per row); much larger batches also run slower.
+#: large grids (at most 10.3 kB per row, the run record included: the
+#: largest traced peak of a full-grid batch); much larger batches also run
+#: slower.
 ROWS_PER_BATCH = 1024
 
 
@@ -399,21 +401,11 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     as one engine batch and keep, per run, what the targets read."""
     horizon = runs["horizon"]
     rows = len(horizon)
-    actions = np.zeros((WARMUP, rows, 2))  # emergence-type runs' actions
-    partner = np.zeros((int(horizon.max()), rows))  # 0's signal about 1
-    response = np.empty(rows)  # gated response at the defection t* = 1
-    peak = np.zeros(rows)  # largest |s| within the horizon
-
-    def observe(idx: int, state) -> None:
-        live = len(state["actions"])
-        if idx < WARMUP:
-            actions[idx, :live] = state["actions"]
-        if idx == 0:
-            response[:] = state["recip_term"][:, 0, 1]
-        partner[idx, :live] = state["signal"][:, 0, 1]
-        np.maximum(peak[:live], np.abs(state["signal"]).max(axis=(1, 2)), out=peak[:live])
-
-    run_batch(_protocol_batch(runs), observe)
+    rec = run_batch(_protocol_batch(runs))
+    # The emergence-type runs' actions, zero-padded to the warm-up when
+    # every run of the batch is a shorter forgiveness-type one.
+    actions = np.zeros((WARMUP, rows, 2))
+    actions[: len(rec["actions"])] = rec["actions"][:WARMUP]
 
     def mean_actions(first: int) -> np.ndarray:
         # Each row's mean over periods first+1..warm-up and both actors, in
@@ -424,10 +416,14 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {
         "steady": mean_actions(WARMUP - STEADY_WINDOW),
         "coop": mean_actions(0),
-        "tau_f": recovery_times(partner, horizon, 1),
-        "response": response,
-        # tanh is odd and increasing, so this is the largest |tanh(kappa s)|.
-        "bound": np.tanh(runs["kappa"] * peak),
+        "tau_f": recovery_times(rec["signal"][:, :, 0, 1], horizon, 1),  # 0's signal about 1
+        # at the defection t* = 1; a copy, since a view would keep the record
+        "response": rec["recip_term"][0, :, 0, 1].copy(),
+        # tanh is odd and increasing, so this is the largest |tanh(kappa s)|
+        # (a run's periods past its horizon hold 0.0).  One reduction over
+        # the periods first: a reduction over three axes at once is slow.
+        "bound": np.tanh(runs["kappa"]
+                         * np.abs(rec["signal"]).max(axis=0).reshape(rows, -1).max(axis=1)),
     }
 
 

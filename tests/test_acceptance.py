@@ -182,6 +182,7 @@ def test_criterion_8_solver_oracle_equivalence():
                                 warm_start=scen.a_init)
         assert res.converged
         nash = exhaustive_nash(scen, trust, grid_points)
+        assert nash, "exhaustive search found no equilibrium"
         step = 20.0 / (grid_points - 1)
         dist = min(
             max(abs(res.actions[0] - p[0]), abs(res.actions[1] - p[1])) for p in nash

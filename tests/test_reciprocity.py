@@ -62,9 +62,7 @@ def deviation_terms(s, kappa):
         "a_init": np.stack([neg, pos], axis=1),
         "baseline_init": np.stack([pos, neg], axis=1),
     })
-    terms = []
-    run_batch(batch, lambda idx, state: terms.append(state["recip_term"].copy()))
-    return terms[0]
+    return run_batch(batch)["recip_term"][0]
 
 
 def baselines_of(values, k, pre=(), initial=0.0):

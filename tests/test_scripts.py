@@ -5,6 +5,9 @@ import importlib.util
 import json
 import os
 
+from coopsim import cli, simulation
+from coopsim.scenario import SimConfig, reference_scenario
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 SPANS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "spans.py")
 
@@ -76,3 +79,12 @@ def test_benchmark_spans_name_existing_functions():
                if not callable(getattr(importlib.import_module(module), name, None))}
     # functions the engine no longer has; their spans read 0
     assert missing == {"reciprocity.moving_average", "sweep.monte_carlo_trial"}
+
+
+def test_benchmark_program_contract():
+    # the benchmark reads each simulated run's converged flags from the
+    # engine entry point the CLI binds
+    assert cli.run is simulation.run
+    traj = cli.run(reference_scenario(), SimConfig(horizon=4, mode="best_response"))
+    assert isinstance(traj, simulation.Trajectory)
+    assert traj.converged.dtype == bool and traj.converged.shape == (4,)

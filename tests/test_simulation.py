@@ -333,22 +333,42 @@ class TestBatchKernel:
             pre = batch.pre_history.copy()
             pre[period, 0, actors] = np.nan
             with pytest.raises(ValueError, match="NaN only in whole leading periods"):
-                run_batch(replace(batch, pre_history=pre), lambda idx, state: None)
+                run_batch(replace(batch, pre_history=pre))
 
-    def test_observer_sees_only_live_rows(self):
+    def test_trust_update_sees_only_live_rows(self, monkeypatch):
+        # each period but the last updates the rows live in it; nothing
+        # reads the last period's update, so the kernel runs none
+        live = []
+
+        def counting(trust, *args):
+            live.append(len(trust))
+            return _update_trust_matrices(trust, *args)
+
+        monkeypatch.setattr(simulation, "_update_trust_matrices", counting)
         scen = two_actor()
         sims = [SimConfig(horizon=h, noise_sigma=0.02, seed=h) for h in (5, 3, 3, 1)]
-        batch = RunBatch.of([(scen, sim) for sim in sims])
-        live = []
-        run_batch(batch, lambda idx, state: live.append(
-            {len(a) for a in state.values()}))
-        assert live == [{4}, {3}, {3}, {1}, {1}]
+        run_batch(RunBatch.of([(scen, sim) for sim in sims]))
+        assert live == [4, 3, 3, 1]
+
+    def test_record_rows_match_their_own_runs(self):
+        # a row's record is its own run's up to its horizon, zeros (and
+        # converged True) after it
+        scen = two_actor("adaptive", baseline_init=(0.3, 0.3))
+        sims = [SimConfig(horizon=h, noise_sigma=0.02, seed=h) for h in (9, 6, 2)]
+        rec = run_batch(RunBatch.of([(scen, sim) for sim in sims]))
+        assert set(rec) == set(RECORDED) | {"converged"}
+        for b, sim in enumerate(sims):
+            want = run(scen, sim)
+            for name, a in rec.items():
+                assert a.shape[:2] == (9, 3), name
+                assert a[: sim.horizon, b].tobytes() == getattr(want, name).tobytes(), name
+                assert (a[sim.horizon :, b] == (name == "converged")).all(), name
 
     def test_rows_out_of_horizon_order_rejected(self):
         scen = two_actor()
         batch = RunBatch.of([(scen, SimConfig(horizon=h)) for h in (3, 5)])
         with pytest.raises(ValueError, match="non-increasing horizon order"):
-            run_batch(batch, lambda idx, state: None)
+            run_batch(batch)
         with pytest.raises(ValueError, match="non-increasing horizon order"):
             record_batch(batch, scen.labels)
 
@@ -377,7 +397,7 @@ class TestBatchKernel:
         scen = two_actor()
         batch = RunBatch.of([(scen, SimConfig(horizon=3))] * 2)
         with pytest.raises(ValueError):
-            run_batch(batch, lambda idx, state: None, best_response=lambda *args: None)
+            run_batch(batch, best_response=lambda *args: None)
 
 
 BENCHMARK_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark",
@@ -547,7 +567,7 @@ class TestSolveReuse:
             return EquilibriumResult(profile, True, 1, 0.0)
 
         run_batch(RunBatch.of([(scenario, SimConfig(horizon=10, mode="best_response"))]),
-                  lambda idx, state: None, respond)
+                  best_response=respond)
         assert all(np.shares_memory(views[0], view) for view in views)
         assert len(views) == 8  # of 9 periods after the first
 

@@ -30,7 +30,7 @@ from coopsim.solver import (
 )
 from coopsim.utility import private_payoffs
 import oracles
-from oracles import argmax_on_grid, exhaustive_nash, objective
+from oracles import argmax_on_grid, objective
 
 
 def best_responses(scenario, trust, actions, cfg):
@@ -204,34 +204,6 @@ class TestCriticalRho:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             critical_rho(1.0, 0.0, 0.7, 1.0, 0.5, 1.0)
-
-
-class TestOracleEquivalence:
-    def test_matches_exhaustive_nash_on_random_scenarios(self):
-        rng = random.Random(77)
-        grid_points = 41
-        checked = 0
-        for _ in range(50):
-            scen = reference_scenario(
-                rho0=rng.uniform(0, 1.5), eta=rng.uniform(0.5, 1.5),
-                kappa=rng.uniform(0.3, 1.5), t0=rng.uniform(0.2, 0.9),
-                d=rng.uniform(0.0, 1.0), theta_v=rng.uniform(5, 20),
-                a_max=20.0, gamma=rng.uniform(0, 1.5),
-            )
-            trust = trust_matrix(scen)
-            cfg = SolverConfig(grid_points=grid_points, max_iters=200)
-            res = solve_equilibrium(scen, None, trust, cfg, warm_start=scen.a_init)
-            assert res.converged, "random scenario did not converge"
-            nash = exhaustive_nash(scen, trust, grid_points)
-            assert nash, "exhaustive search found no equilibrium"
-            step = 20.0 / (grid_points - 1)
-            dist = min(
-                max(abs(res.actions[0] - p[0]), abs(res.actions[1] - p[1]))
-                for p in nash
-            )
-            assert dist <= step + 1e-9
-            checked += 1
-        assert checked == 50
 
 
 class TestComparativeStatics:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim import sweep
+from coopsim import simulation, sweep
 from coopsim.errors import ConfigurationError
 from coopsim.files import targets_csv
 from coopsim.params import RANGES, TrustParams
@@ -235,25 +235,27 @@ class TestSweepAggregation:
         # do not read d (18 each), and diff_low is the forgiveness run at d 0.2
         grid = ParameterGrid({"rho0": (0.2, 1.0), "kappa": (0.5, 1.5, 3.0),
                               "memory_k": (1, 4, 16), "t0": (0.3,), "d": (0.2, 1.0)})
-        horizons, periods = [], []
-        real = sweep.run_batch
+        horizons, live = [], []
+        real, update = sweep.run_batch, simulation._update_trust_matrices
 
-        def counting(batch, observe):
+        def counting(batch):
             horizons.extend(batch.rows["horizon"].tolist())
+            return real(batch)
 
-            def count(idx, state):
-                periods.append(len(state["actions"]))
-                observe(idx, state)
-
-            real(batch, count)
+        def counting_update(trust, *args):
+            live.append(len(trust))
+            return update(trust, *args)
 
         monkeypatch.setattr(sweep, "run_batch", counting)
+        monkeypatch.setattr(simulation, "_update_trust_matrices", counting_update)
         table = run_sweep(grid)
         assert len(horizons) == 126 and horizons == sorted(horizons, reverse=True)
         assert horizons.count(sweep.WARMUP) == 72  # emergence-type runs
         # every run stops at its horizon: 30, and 8, 14 or 38 periods from
-        # the defection on for k = 1, 4 and 16
-        assert sum(periods) == sum(horizons) == 72 * 30 + 18 * (8 + 14 + 38) == 3240
+        # the defection on for k = 1, 4 and 16; each period but the batch's
+        # last updates the trust of the runs live in it
+        assert sum(horizons) == 72 * 30 + 18 * (8 + 14 + 38) == 3240
+        assert live == [sum(h >= t for h in horizons) for t in range(1, max(horizons))]
         monkeypatch.undo()
         assert_tables_equal(table, run_sweep(grid))
 
