@@ -288,8 +288,8 @@ def main(argv=None) -> int:
                 where = "--out" if path == os.path.abspath(args.out) else path
                 raise ConfigurationError(f"{args.out}: {where} is a file, not a directory")
         return args.func(args)
-    except (ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

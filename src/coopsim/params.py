@@ -46,6 +46,10 @@ from .errors import ConfigurationError, DependencyTableError
 
 _UNBOUNDED = (-math.inf, math.inf, "()")
 
+#: Every bounded int field is a count or a period that the engine sizes
+#: numpy arrays by, so it must fit an int64.
+COUNT_LIMIT = 2**63
+
 #: The legal interval ``(lo, hi, ends)`` of every bounded numeric field, by
 #: field name; ``ends`` holds the interval's brackets, ``[`` or ``]`` for a
 #: closed end.  Names are unique across the blocks, and a name that recurs
@@ -104,7 +108,8 @@ def _field_checks(cls) -> tuple:
             lo, hi, ends = RANGES.get(f.name, _UNBOUNDED)
             bound = (f"lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if hi < math.inf
                      else f"be >= {lo:g}" if ends[0] == "[" else f"be > {lo:g}")
-            checks.append((f.name, f.type, lo, ends[0] == "(", hi, ends[1] == ")", bound))
+            cap = COUNT_LIMIT if f.type == "int" and f.name in RANGES else math.inf
+            checks.append((f.name, f.type, lo, ends[0] == "(", hi, ends[1] == ")", bound, cap))
     return tuple(checks)
 
 
@@ -121,8 +126,9 @@ def validate(block) -> None:
     type, in field order: ``int``, ``float`` and their ``tuple[..., ...]``
     forms must be finite, ints integral (stored as int, so 3.0 is 3), tuple
     entries of floats are stored as floats, and a field named in ``RANGES``
-    must lie in its interval.  A ConfigurationError names the field."""
-    for name, kind, lo, lo_open, hi, hi_open, bound in _field_checks(type(block)):
+    must lie in its interval, below ``COUNT_LIMIT`` for an int.  A
+    ConfigurationError names the field."""
+    for name, kind, lo, lo_open, hi, hi_open, bound, cap in _field_checks(type(block)):
         value = getattr(block, name)
         if kind == "float":
             entries = (value,)
@@ -142,6 +148,8 @@ def validate(block) -> None:
                 if not (isinstance(x, int) or math.isfinite(x)):
                     raise ConfigurationError(f"{name} must be finite, got {value!r}")
                 raise ConfigurationError(f"{name} must {bound}, got {value}")
+            if x >= cap:
+                raise ConfigurationError(f"{name} must be < 2**63, got {value}")
 
 
 def check_seed(seed) -> int:

@@ -6,7 +6,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,9 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.1f}%"
 
 
-def render_target_report(rows: Sequence[dict], stats: Optional[StatsSummary] = None) -> str:
-    """The target rows of ``sweep.measure_targets`` and, when given, the
-    differentiation statistics; a statistic that is None is shown as n/a."""
+def render_target_report(rows: Sequence[dict], stats: StatsSummary) -> str:
+    """The target rows of ``sweep.measure_targets`` and the differentiation
+    statistics; a statistic that is None is shown as n/a."""
     lines = [
         "# Behavioral target achievement",
         "",
@@ -44,34 +44,33 @@ def render_target_report(rows: Sequence[dict], stats: Optional[StatsSummary] = N
             f"| {_pct(row['rate'])} | >= {_pct(row['threshold'])} | {status} |"
         )
     lines.append("")
-    if stats is not None:
-        # With no finite ratio there is no ratio statistic to show; a
-        # degenerate test is shown with its reason.
-        mean, ci, wilcoxon = "n/a (sd n/a)", "n/a", "n/a"
-        if stats.mean is not None:
-            mean = f"{stats.mean:.3f} (sd {stats.sd:.3f})"
-            ci = f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]"
-            wilcoxon = (f"n/a (every ratio equals {T4_RATIO})" if stats.wilcoxon_stat is None
-                        else f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}")
-        t_test = ("n/a (the high - low differences have zero variance)" if stats.t_stat is None
-                  else f"{stats.t_stat:.2f}, p = {stats.p_value:.3g}")
-        effect = ("n/a (both response samples have zero variance)" if stats.cohens_d is None
-                  else f"{stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})")
-        lines += [
-            "## Differentiation analysis (high vs low dependency)",
-            "",
-            f"- mean ratio: {mean}",
-        ]
-        if stats.left_out:
-            lines.append(f"- {stats.left_out} of {stats.total} ratios not finite, left out of "
-                         "the mean, sd, bootstrap CI and Wilcoxon test")
-        lines += [
-            f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: {ci}",
-            f"- paired t({stats.df}) = {t_test}",
-            f"- Cohen's d = {effect}",
-            f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): {wilcoxon}",
-            "",
-        ]
+    # With no finite ratio there is no ratio statistic to show; a
+    # degenerate test is shown with its reason.
+    mean, ci, wilcoxon = "n/a (sd n/a)", "n/a", "n/a"
+    if stats.mean is not None:
+        mean = f"{stats.mean:.3f} (sd {stats.sd:.3f})"
+        ci = f"[{stats.ci_lo:.3f}, {stats.ci_hi:.3f}]"
+        wilcoxon = (f"n/a (every ratio equals {T4_RATIO})" if stats.wilcoxon_stat is None
+                    else f"W+ = {stats.wilcoxon_stat:.1f}, p = {stats.wilcoxon_p:.3g}")
+    t_test = ("n/a (the high - low differences have zero variance)" if stats.t_stat is None
+              else f"{stats.t_stat:.2f}, p = {stats.p_value:.3g}")
+    effect = ("n/a (both response samples have zero variance)" if stats.cohens_d is None
+              else f"{stats.cohens_d:.3f} ({effect_size_label(stats.cohens_d)})")
+    lines += [
+        "## Differentiation analysis (high vs low dependency)",
+        "",
+        f"- mean ratio: {mean}",
+    ]
+    if stats.left_out:
+        lines.append(f"- {stats.left_out} of {stats.total} ratios not finite, left out of "
+                     "the mean, sd, bootstrap CI and Wilcoxon test")
+    lines += [
+        f"- bootstrap {BOOTSTRAP_LEVEL:.0%} CI of the mean ratio: {ci}",
+        f"- paired t({stats.df}) = {t_test}",
+        f"- Cohen's d = {effect}",
+        f"- Wilcoxon signed-rank vs {T4_RATIO} (one-sided): {wilcoxon}",
+        "",
+    ]
     return "\n".join(lines)
 
 

@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import TrustParams, check_seed, validate
+from .params import COUNT_LIMIT, TrustParams, check_seed, validate
 from .rng import derive_seed, uniform
 from .scenario import BASELINE_MODES
 from .simulation import TRUST_FIELDS, RunBatch, _trust_rows, _update_trust_matrices, run_batch
@@ -702,6 +702,8 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
     """Robustness analysis around the reference configuration."""
     if trials < 2:
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
+    if trials >= COUNT_LIMIT:
+        raise ConfigurationError(f"trials must be < 2**63, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
     cells, trust, clamped = perturb_trials(trials, perturb, seed)

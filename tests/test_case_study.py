@@ -12,14 +12,6 @@ from coopsim.simulation import Trajectory, run
 
 
 class TestScenarioConstants:
-    def test_interdependence_coefficients(self):
-        d = cs.ios_interdependence()
-        assert d[1, 0] == pytest.approx(0.8775, abs=1e-12)  # major on platform
-        assert d[2, 0] == pytest.approx(0.9195, abs=1e-12)  # small on platform
-        assert d[0, 1] == pytest.approx(0.6575, abs=1e-12)  # platform on major
-        assert d[0, 2] == pytest.approx(0.7075, abs=1e-12)  # platform on small
-        assert d[1, 2] == 0.0 and d[2, 1] == 0.0
-
     def test_asymmetry_ratios(self):
         d = cs.ios_interdependence()
         assert d[1, 0] / d[0, 1] == pytest.approx(1.33, abs=0.01)
@@ -55,6 +47,13 @@ class TestScenarioConstants:
         spans = [(p.start, p.end) for p in cs.IOS_PHASES]
         assert spans == [(1, 16), (17, 36), (37, 48), (49, 54), (55, 66)]
         assert spans[-1][1] == cs.HORIZON
+
+
+@pytest.fixture(scope="module")
+def ios_run():
+    """The baseline case-study run at the default seed; the phase, rubric
+    and counterfactual criteria on it are in test_acceptance.py."""
+    return cs.run_ios()
 
 
 def flat_trajectory(level=0.7, horizon=66, n=3):
@@ -104,16 +103,8 @@ class TestRubric:
         score = cs.score_rubric_auto(flat_trajectory())
         assert all(v == 1.0 for v in score[10])
 
-    def test_auto_indicators_on_baseline_run(self):
-        traj = cs.run_ios()
-        score = cs.score_rubric_auto(traj)
-        for indicator in cs.AUTO_INDICATORS:
-            # one score per phase
-            assert len(score[indicator]) == len(cs.IOS_PHASES)
-            assert sum(score[indicator]) / len(cs.IOS_PHASES) >= 0.75, indicator
-
-    def test_manual_indicators_not_auto_scored(self):
-        score = cs.score_rubric_auto(cs.run_ios())
+    def test_manual_indicators_not_auto_scored(self, ios_run):
+        score = cs.score_rubric_auto(ios_run)
         assert tuple(score) == cs.AUTO_INDICATORS
         # the rubric shows the reference assessment of the other indicators
         rows = render_rubric(score).splitlines()
@@ -125,48 +116,14 @@ class TestRubric:
             assert row.endswith("| (manual) |")
 
 
-class TestBaselineRun:
-    def test_crisis_is_minimum_maturation_is_maximum(self):
-        stats = cs.phase_statistics(cs.run_ios())
-        means = np.array([p.means for p in stats])
-        for actor in range(3):
-            assert int(np.argmin(means[:, actor])) == 3
-            assert int(np.argmax(means[:, actor])) == 1
-
-    def test_transitions_within_one_quarter(self):
-        detected = cs.detect_transitions(cs.run_ios())
-        assert abs(detected["Maturation"] - 16) <= 1
-        assert detected["Tension"] == 36
-        assert detected["Crisis"] == 48
-        assert detected["Adjustment"] == 54
-
-    def test_major_moves_more_than_platform_in_decline(self):
-        stats = cs.phase_statistics(cs.run_ios())
-        means = np.array([p.means for p in stats])
-        for phase in (2, 3):  # tension and crisis
-            d_major = abs(means[phase, 1] - means[phase - 1, 1])
-            d_apple = abs(means[phase, 0] - means[phase - 1, 0])
-            assert d_major > d_apple
-
-
 class TestCounterfactual:
-    def test_identical_runs_have_zero_uplift(self):
-        base = cs.run_ios()
-        cmp = cs.counterfactual_comparison(base, base)
+    def test_identical_runs_have_zero_uplift(self, ios_run):
+        cmp = cs.counterfactual_comparison(ios_run, ios_run)
         assert all(u == 0.0 for u in cmp.uplift)
 
-    def test_uplift_band_and_trust_floor(self):
-        base, cf = cs.run_ios(), cs.run_ios_pair()[1]
-        cmp = cs.counterfactual_comparison(base, cf)
-        for u in cmp.uplift:
-            assert 0.05 <= u <= 0.25
-        assert cmp.min_bilateral_trust > 0.5
-
-    def test_mismatched_horizons_rejected(self):
-        base = cs.run_ios()
-        short = flat_trajectory(horizon=10)
+    def test_mismatched_horizons_rejected(self, ios_run):
         with pytest.raises(ConfigurationError):
-            cs.counterfactual_comparison(base, short)
+            cs.counterfactual_comparison(ios_run, flat_trajectory(horizon=10))
 
     def test_noise_streams_are_paired(self):
         # same seed drives both runs, so pre-divergence quarters match

@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import functools
 import glob
+import io
 import os
 import re
 import subprocess
@@ -11,17 +13,21 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim import solver
 from coopsim.cli import build_parser, main
 from coopsim.files import dyads_csv, read_scenario, scenario_to_text, trajectory_csv, write_file
 from coopsim.params import RANGES
-from coopsim.scenario import SimConfig, reference_scenario
+from coopsim.scenario import SIM_MODES, SimConfig, reference_scenario
 from coopsim.simulation import run
 from coopsim.translate import ELICITATION_KEYS, STEP_RANGES
 
 TINY_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 1,4\n"
+#: A count past int64, refused by name before any array is sized by it.
+HUGE = str(10**20)
 
 
 @pytest.fixture()
@@ -80,6 +86,13 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(tmp_path / "nope.conf"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_periods_beyond_int64_exits_one(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", scenario_file, "--periods", HUGE,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: horizon must be < 2**63, got {HUGE}\n"
+        assert not out.exists()
+
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys):
         scen = tmp_path / "nan.conf"
         scen.write_text(scenario_to_text(reference_scenario(), SimConfig(horizon=5))
@@ -103,6 +116,8 @@ class TestSimulate:
         ("seed = 42", "seed = 42\nteam = A,B\nloyalty = 0.2,0.3\nomega_prod = ten",
          "omega_prod"),
         ("seed = 42", "seed = 42\nteam = A,B\nloyalty = 0.2,0.3o", "loyalty"),
+        ("horizon = 5", f"horizon = {HUGE}", "horizon"),
+        ("memory_k = 5", f"memory_k = {HUGE}", "memory_k"),
     ])
     def test_malformed_number_exits_one(self, tmp_path, capsys, old, new, key):
         text = scenario_to_text(reference_scenario(), SimConfig(horizon=5))
@@ -146,44 +161,29 @@ class TestSweepCommand:
             assert (row[col["ratio"]] == "nan") == flat
             assert row[col["t4"]] == ("0" if flat else "1")
 
-    def test_non_finite_level_exits_one(self, tmp_path, capsys):
-        grid = tmp_path / "nan.grid"
-        grid.write_text(TINY_GRID + "d = 0.5,nan\n")
-        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
-    def test_malformed_level_exits_one(self, tmp_path, capsys):
-        grid = tmp_path / "bad.grid"
-        grid.write_text(TINY_GRID + "d = 0.5,high\n")
-        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: d must be a number")
-
-    def test_fractional_memory_k_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        (TINY_GRID + "d = 0.5,nan\n", "d must be finite, got nan"),
+        (TINY_GRID + "d = 0.5,high\n", "d must be a number, got 'high'"),
         # the window is an integer: 2.5 is refused, not truncated to 2
-        grid = tmp_path / "k.grid"
-        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 2.5,4\n")
-        out = str(tmp_path / "o")
-        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: memory_k must be an integer")
-        assert not os.path.exists(os.path.join(out, "targets.csv"))
-
-    def test_memory_k_beyond_the_forgiveness_run_exits_one(self, tmp_path, capsys):
+        ("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 2.5,4\n",
+         "memory_k must be an integer, got '2.5'"),
         # at k = 26 the forgiveness run would read as recovered at once
-        grid = tmp_path / "k.grid"
-        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 4,26\n")
-        out = str(tmp_path / "o")
-        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: memory_k levels above 25 ")
-        assert not os.path.exists(out)
-
-    def test_grid_too_small_for_statistics_exits_one(self, tmp_path, capsys):
+        ("rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 4,26\n",
+         "memory_k levels above 25 are beyond the forgiveness run: its signal 0.5/k would "
+         "start inside the recovery tolerance 0.02"),
         # 4 cells give fewer than the 6 ratios the Wilcoxon test needs
-        grid = tmp_path / "four.grid"
-        grid.write_text("rho0 = 0.2,1.0\nkappa = 0.5,1.5\n")
-        out = str(tmp_path / "o")
-        assert main(["sweep", "--grid", str(grid), "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: a 4-cell grid is too small")
-        assert not os.path.exists(os.path.join(out, "targets.csv"))
+        ("rho0 = 0.2,1.0\nkappa = 0.5,1.5\n",
+         "a 4-cell grid is too small for the differentiation statistics: normal "
+         "approximation needs at least 6 nonzero differences"),
+    ], ids=["non-finite-level", "malformed-level", "fractional-memory-k",
+            "memory-k-beyond-the-forgiveness-run", "too-small-for-statistics"])
+    def test_bad_grid_exits_one(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "bad.grid"
+        grid.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("channel", ["lambda_r", "rho0"])
     def test_grid_without_a_finite_ratio_reports_n_a(self, tmp_path, channel, capsys):
@@ -206,23 +206,15 @@ class TestSweepCommand:
                 "- Cohen's d = n/a (both response samples have zero variance)\n") in report
 
     def test_parallel_is_accepted_and_ignored(self, tmp_path):
+        # three reruns of one grid, so also the byte-identical rerun check
         grid = tmp_path / "tiny.grid"
         grid.write_text(TINY_GRID)
         outs = [str(tmp_path / name) for name in ("plain", "p1", "p4")]
         main(["sweep", "--grid", str(grid), "--out", outs[0]])
         main(["sweep", "--grid", str(grid), "--out", outs[1], "--parallel", "1"])
         main(["sweep", "--grid", str(grid), "--out", outs[2], "--parallel", "4"])
-        texts = {read(os.path.join(out, "targets.csv")) for out in outs}
-        assert len(texts) == 1
-
-    def test_rerun_byte_identical(self, tmp_path):
-        grid = tmp_path / "tiny.grid"
-        grid.write_text(TINY_GRID)
-        out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-        main(["sweep", "--grid", str(grid), "--out", out1, "--parallel", "1"])
-        main(["sweep", "--grid", str(grid), "--out", out2, "--parallel", "1"])
-        assert read(os.path.join(out1, "targets.csv")) == read(os.path.join(out2, "targets.csv"))
-        assert read(os.path.join(out1, "report.md")) == read(os.path.join(out2, "report.md"))
+        for name in ("targets.csv", "report.md"):
+            assert len({read(os.path.join(out, name)) for out in outs}) == 1, name
 
 
 class TestMonteCarloCommand:
@@ -250,6 +242,7 @@ class TestMonteCarloCommand:
         (["--trials", "1"], "trials must be >= 2"),
         (["--trials", "4", "--perturb", "nan"], "perturb must be finite and >= 0"),
         (["--trials", "4", "--perturb", "-0.1"], "perturb must be finite and >= 0"),
+        (["--trials", HUGE], f"trials must be < 2**63, got {HUGE}"),
     ])
     def test_bad_trials_or_perturb_exits_one(self, tmp_path, capsys, args, message):
         out = str(tmp_path / "mc")
@@ -370,44 +363,26 @@ class TestTranslateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: weight must be finite") and "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("line", ["horizon = forty", "seed = 4.2",
-                                      "rho0_target = 1.2\nrho0_observed = low"])
-    def test_malformed_elicited_number_exits_one(self, tmp_path, capsys, line):
-        elicit = tmp_path / "elicit.conf"
-        elicit.write_text(line + "\n")
-        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
-                     "--elicit", str(elicit), "--out", str(tmp_path / "s.conf")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
     @pytest.mark.parametrize("text, message", [
+        ("horizon = forty", "horizon must be an integer, got 'forty'"),
+        ("seed = 4.2", "seed must be an integer, got '4.2'"),
+        ("rho0_target = 1.2\nrho0_observed = low", "rho0_observed must be a number, got 'low'"),
         ("rho0_target = inf\nrho0_observed = inf", "rho0_target must be finite, got inf"),
         ("rho0_target = 1.2\nrho0_observed = nan", "rho0_observed must be finite, got nan"),
         ("rho0_target = 1.2", "the reciprocity gap needs both rho0_target and rho0_observed, "
                               "got only rho0_target"),
-    ], ids=["non-finite", "nan", "lone-key"])
-    def test_bad_reciprocity_gap_exits_one(self, tmp_path, capsys, text, message):
-        elicit = tmp_path / "elicit.conf"
-        elicit.write_text(text + "\n")
-        out = tmp_path / "s.conf"
-        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
-                     "--elicit", str(elicit), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    def test_invalid_elicitation_exits_one(self, tmp_path):
-        elicit = tmp_path / "elicit.conf"
-        elicit.write_text("kappa = -3\n")
-        out = str(tmp_path / "s.conf")
-        assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
-                     "--elicit", str(elicit), "--out", out]) == 1
-
-    @pytest.mark.parametrize("text, message", [
+        ("kappa = -3", "step 6 (response sensitivity): kappa = -3.0 outside the valid range "
+                       "[1e-09, 5.0]"),
+        # the keys are read by the scenario file's rules
         ("rho_0 = 2.5", "unknown elicitation key 'rho_0'"),
         ("lambda_plus = 0.5", "unknown elicitation key 'lambda_plus'"),
         ("kappa = 2\nkappa = 3", "key 'kappa' given more than once"),
         ("rho0 = x", "step 5 (reciprocity sensitivity): rho0 must be a number, got 'x'"),
-    ], ids=["misspelt", "not-elicited", "repeated", "malformed"])
-    def test_elicitation_read_by_the_scenario_rules(self, tmp_path, capsys, text, message):
+        (f"memory_k = {HUGE}", f"memory_k must be < 2**63, got {HUGE}"),
+    ], ids=["horizon-not-integer", "seed-not-integer", "gap-not-number", "gap-non-finite",
+            "gap-nan", "gap-lone-key", "out-of-range", "misspelt", "not-elicited", "repeated",
+            "malformed", "memory-k-beyond-int64"])
+    def test_bad_elicitation_exits_one(self, tmp_path, capsys, text, message):
         elicit = tmp_path / "elicit.conf"
         elicit.write_text(text + "\n")
         out = tmp_path / "s.conf"
@@ -491,6 +466,89 @@ class TestUnreadablePaths:
         assert main(["translate", "--deps", cs.ios_dependency_csv_path(),
                      "--out", scenario_file]) == 0
         assert "actors = Apple,Major,Small" in read(scenario_file).decode()
+
+
+#: Values that no option may accept: letters (never a digit, a sign or an
+#: option), non-integers for the int options, and below-range or 10**20
+#: numbers.  No drawn value is a valid size, which would start a long job.
+LETTERS = st.text("abcdefghijklmnopqrstuvwxyz", max_size=6)
+NOT_AN_INT = LETTERS | st.sampled_from(["nan", "inf", "-inf", "2.5", "1e3"])
+NOT_A_FLOAT = LETTERS | st.sampled_from(["nan", "inf", "-inf"])
+MISSING = LETTERS.map("{{missing}}/{}".format)
+
+
+def _rejected_ints(lo):
+    """The rejected values of an int option whose range starts at ``lo``."""
+    return NOT_AN_INT | st.integers(max_value=lo - 1).map(str) | st.just(HUGE)
+
+
+#: Per case: the command line around the option and the option's rejected
+#: values.  The command lines are valid and small without the option.
+SIMULATE = ["simulate", "--scenario", "{scenario}", "--out", "{out}"]
+SWEEP = ["sweep", "--grid", "{grid}", "--out", "{out}"]
+MONTECARLO = ["montecarlo", "--trials", "2", "--out", "{out}"]
+CASE_STUDY = ["case-study", "ios", "--out", "{out}"]
+PROP2 = ["prop-check", "--prop", "2"]
+BAD_OPTIONS = [
+    *((argv, "--seed", _rejected_ints(0)) for argv in (SIMULATE, SWEEP, MONTECARLO, CASE_STUDY)),
+    (SIMULATE, "--periods", _rejected_ints(1)),
+    (SIMULATE, "--mode", LETTERS.filter(lambda text: text not in SIM_MODES)),
+    (MONTECARLO, "--trials", _rejected_ints(2)),
+    (MONTECARLO, "--perturb", NOT_A_FLOAT | st.floats(max_value=-1e-300).map(repr)),
+    (SWEEP, "--parallel", NOT_AN_INT),
+    (MONTECARLO, "--parallel", NOT_AN_INT),
+    (["prop-check"], "--prop", _rejected_ints(1) | st.just("4")),
+    (PROP2, "--k", _rejected_ints(1)),
+    (PROP2, "--kappa", NOT_A_FLOAT | st.floats(max_value=0.0, allow_nan=False).map(repr)),
+    (["simulate", "--out", "{out}"], "--scenario", MISSING),
+    (["sweep", "--out", "{out}"], "--grid", MISSING),
+    (["translate", "--out", "{out}"], "--deps", MISSING),
+    (["translate", "--deps", cs.ios_dependency_csv_path(), "--out", "{out}"], "--elicit", MISSING),
+    (["report", "--out", "{out}"], "--in", MISSING),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli_inputs")
+    write_file(str(base / "scenario.conf"),
+               scenario_to_text(reference_scenario(), SimConfig(horizon=4)))
+    (base / "tiny.grid").write_text(TINY_GRID)
+    return {"scenario": str(base / "scenario.conf"), "grid": str(base / "tiny.grid"),
+            "out": str(base / "out"), "missing": str(base / "missing")}
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_option_parse_failure_exits_one_with_one_error_line(cli_inputs, data):
+    argv, flag, values = data.draw(st.sampled_from(BAD_OPTIONS), label="case")
+    value = data.draw(values, label="value")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([arg.format(**cli_inputs) for arg in argv]
+                    + [f"{flag}={value.format(**cli_inputs)}"])
+    assert code == 1
+    # one line, or argparse's usage lines and then its one error line
+    lines = err.getvalue().splitlines()
+    assert lines[-1].startswith("error: ") or lines[0].startswith("usage: "), lines
+    assert [line for line in lines if "error:" in line] == lines[-1:], lines
+    assert not os.path.exists(cli_inputs["out"])
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 EiB for an array"),
+     "error: Unable to allocate 8.00 EiB for an array"),
+], ids=["bare", "numpy"])
+def test_out_of_memory_exits_one_with_an_error_line(exc, line, tmp_path, monkeypatch, capsys):
+    def run_ios_pair(*args):
+        raise exc
+
+    monkeypatch.setattr(cs, "run_ios_pair", run_ios_pair)
+    out = tmp_path / "o"
+    assert main(["case-study", "ios", "--counterfactual", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
 
 
 class TestOverflowingGate:

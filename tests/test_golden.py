@@ -33,6 +33,7 @@ from coopsim.params import (
 from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario
 from coopsim.simulation import run
 from coopsim.solver import SolverConfig, solve_equilibrium
+from test_acceptance import prop3
 from test_simulation import settled_best_response
 from test_translate import team_scenario
 
@@ -330,9 +331,7 @@ PROP3_GOLDEN = "e3e8919708588c2df9e653e0c6759bfaa6590ad2e079303ae1b2dd480ecd0ff5
 
 
 def test_prop3_estimates_checksum():
-    from coopsim.propositions import check_prop3
-
-    res = check_prop3()
+    res = prop3()
     text = "\n".join(repr(float(x)) for x in (res.estimate, res.halved_estimate,
                                               res.zero_channel_estimate))
     digest = hashlib.sha256(text.encode()).hexdigest()

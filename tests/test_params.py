@@ -126,11 +126,6 @@ def rho(rho0, d, eta):
 
 
 class TestReciprocitySensitivity:
-    def test_formula_values(self):
-        # rho0 * D**eta, exact
-        assert rho(1.2, 0.8, 1.2) == pytest.approx(0.9180983997984355, abs=1e-12)
-        assert rho(1.2, 0.3, 1.2) == pytest.approx(0.2829611108147842, abs=1e-12)
-
     def test_zero_dependency(self):
         assert rho(1.5, 0.0, 1.2) == 0.0
 

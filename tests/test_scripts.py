@@ -1,6 +1,7 @@
 """The reproduction scripts run end to end against the package API."""
 
 import ast
+import glob
 import importlib.util
 import json
 import os
@@ -79,6 +80,28 @@ def test_benchmark_spans_name_existing_functions():
                if not callable(getattr(importlib.import_module(module), name, None))}
     # functions the engine no longer has; their spans read 0
     assert missing == {"reciprocity.moving_average", "sweep.monte_carlo_trial"}
+
+
+def test_no_two_tests_share_a_body_up_to_literals():
+    # one test per property: tests that differ only in their literals are
+    # one parametrized table (docstrings and report(...) lines aside)
+    def is_noise(stmt):
+        return isinstance(stmt, ast.Expr) and (
+            isinstance(stmt.value, ast.Constant)
+            or getattr(getattr(stmt.value, "func", None), "id", None) == "report")
+
+    bodies = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                key = "\n".join(ast.dump(s) for s in node.body if not is_noise(s))
+                bodies.setdefault(key, []).append(f"{os.path.basename(path)}::{node.name}")
+    assert [names for names in bodies.values() if len(names) > 1] == []
 
 
 def test_benchmark_program_contract():

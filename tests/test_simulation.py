@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import tempfile
@@ -182,24 +183,19 @@ class TestBestResponseMode:
 
 
 class TestValidation:
-    def test_shock_beyond_horizon_rejected(self):
-        scen = two_actor()
-        with pytest.raises(ConfigurationError):
-            run(scen, SimConfig(horizon=5, shocks=(Shock(period=9, actor=0, delta=0.1),)))
-
-    def test_shock_unknown_actor_rejected(self):
-        scen = two_actor()
-        with pytest.raises(ConfigurationError):
-            run(scen, SimConfig(horizon=5, shocks=(Shock(period=2, actor=7, delta=0.1),)))
-
-    @pytest.mark.parametrize("shock", [Shock(period=9, actor=0, delta=0.1),
-                                       Shock(period=2, actor=7, delta=0.1)])
-    def test_bad_shock_rejected_when_building_a_batch_row(self, shock):
-        # the batched path (RunBatch.of, then record_batch) checks shocks
-        # too, not only run()
-        with pytest.raises(ConfigurationError):
-            RunBatch.of([(two_actor(), SimConfig(horizon=5)),
-                         (two_actor(), SimConfig(horizon=5, shocks=(shock,)))])
+    @pytest.mark.parametrize("shock, message", [
+        (Shock(period=9, actor=0, delta=0.1), "shock at period 9 is beyond the horizon 5"),
+        (Shock(period=2, actor=7, delta=0.1), "shock targets unknown actor 7"),
+    ], ids=["beyond-horizon", "unknown-actor"])
+    @pytest.mark.parametrize("build", [
+        lambda bad: run(*bad),
+        lambda bad: RunBatch.of([(two_actor(), SimConfig(horizon=5)), bad]),
+    ], ids=["run", "second-batch-row"])
+    def test_bad_shock_rejected(self, shock, message, build):
+        # run() and the batched path (RunBatch.of, then record_batch) both
+        # check shocks
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            build((two_actor(), SimConfig(horizon=5, shocks=(shock,))))
 
     def test_script_pins_actions(self):
         scen = two_actor()
@@ -461,11 +457,12 @@ def _solver_scenario(draw):
     )
 
 
+@functools.cache
 def settled_best_response():
     """The scenario that ``coopsim translate --deps
     src/coopsim/data/ios_dependencies.csv`` writes, read back, in
     best-response mode: 40 periods, whose actions, trust and reputation
-    stop moving after the first few."""
+    stop moving after the first few.  Translated once; both are frozen."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "equilibrium.conf")
         with contextlib.redirect_stdout(io.StringIO()):

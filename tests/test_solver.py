@@ -220,21 +220,6 @@ class TestComparativeStatics:
         for lo, hi in zip(means, means[1:]):
             assert hi >= lo - 1e-9
 
-    def test_cross_partial_positive_at_reference(self):
-        res = cross_partial_check()
-        assert res.corners_converged
-        assert res.estimate > 0
-
-    def test_cross_partial_sign_stable_under_halving(self):
-        full = cross_partial_check(dt=0.05, drho=0.05)
-        half = cross_partial_check(dt=0.025, drho=0.025)
-        assert full.estimate > 0 and half.estimate > 0
-
-    def test_cross_partial_zero_without_reciprocity(self):
-        res = cross_partial_check(lambda_r=0.0)
-        assert res.corners_converged
-        assert abs(res.estimate) < 1e-6
-
     @pytest.mark.parametrize("t0, got", [(0.98, "1.03"), (0.02, "-0.03")])
     def test_cross_partial_corners_keep_trust_validation(self, t0, got):
         # one solver per rho0 level solves both T0 corners, each still validated
