@@ -1,7 +1,10 @@
 """Acceptance gate: one test (or test group) per release criterion.
 
-Each criterion is checked once, here: no unit test repeats one on the same
-data, and an assertion a unit test made beyond the criterion was moved in.
+Each criterion is checked here, on its own data.  A unit test of the same
+property checks it on other data (another seed, step size or input, or the
+case-study scenarios run without noise); the one overlap is the smoke
+grid's pass flags, which ``test_sweep.py`` keeps so that the smoke grid
+stays checked when criterion 3 reads the full grid.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  By default criterion 3 checks the 3^6 smoke grid (same
 thresholds, the session's shared smoke sweep); the full 5^6 grid, which
@@ -113,9 +116,7 @@ def sweep_results(request):
 
 def test_criterion_3_behavioral_target_thresholds(sweep_results):
     grid, results, elapsed = sweep_results
-    rows = measure_targets(results)
-    assert all(r["pass"] for r in rows)
-    rates = {r["target"]: r["rate"] for r in rows}
+    rates = {r["target"]: r["rate"] for r in measure_targets(results)}
     assert rates["t6"] == 1.0
     assert rates["t2"] == 1.0
     assert rates["t4"] >= 0.90

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +7,21 @@ from hypothesis import strategies as st
 
 from coopsim import case_study as cs
 from coopsim.errors import ConfigurationError
+from coopsim.files import read_dependency_csv
+from coopsim.params import compute_interdependence
 from coopsim.reports import render_rubric
 from coopsim.simulation import Trajectory, run
 
 
 class TestScenarioConstants:
+    def test_interdependence_coefficients(self):
+        # the scenario's D is the shipped table's, in ACTORS order; acceptance
+        # criterion 2 checks the table's coefficients themselves
+        labels, entries = read_dependency_csv(cs.ios_dependency_csv_path())
+        assert tuple(labels) == cs.ACTORS
+        d = compute_interdependence(entries, len(labels))
+        assert cs.ios_interdependence().values.tobytes() == d.values.tobytes()
+
     def test_asymmetry_ratios(self):
         d = cs.ios_interdependence()
         assert d[1, 0] / d[0, 1] == pytest.approx(1.33, abs=0.01)
@@ -54,6 +64,15 @@ def ios_run():
     """The baseline case-study run at the default seed; the phase, rubric
     and counterfactual criteria on it are in test_acceptance.py."""
     return cs.run_ios()
+
+
+@pytest.fixture(scope="module")
+def ios_skeleton():
+    """The baseline and counterfactual scenarios run without noise, so the
+    phase structure is the shocks' alone: the criterion-9 claims that
+    test_acceptance.py checks on the released noisy run hold here too."""
+    return [run(scen, replace(sim, noise_sigma=0.0))
+            for scen, sim in (cs.build_ios_scenario(cf) for cf in (False, True))]
 
 
 def flat_trajectory(level=0.7, horizon=66, n=3):
@@ -103,6 +122,13 @@ class TestRubric:
         score = cs.score_rubric_auto(flat_trajectory())
         assert all(v == 1.0 for v in score[10])
 
+    def test_auto_indicators_on_baseline_run(self, ios_skeleton):
+        score = cs.score_rubric_auto(ios_skeleton[0])
+        for indicator in cs.AUTO_INDICATORS:
+            # one score per phase
+            assert len(score[indicator]) == len(cs.IOS_PHASES)
+            assert sum(score[indicator]) / len(cs.IOS_PHASES) >= 0.75, indicator
+
     def test_manual_indicators_not_auto_scored(self, ios_run):
         score = cs.score_rubric_auto(ios_run)
         assert tuple(score) == cs.AUTO_INDICATORS
@@ -116,7 +142,37 @@ class TestRubric:
             assert row.endswith("| (manual) |")
 
 
+class TestBaselineRun:
+    def test_crisis_is_minimum_maturation_is_maximum(self, ios_skeleton):
+        stats = cs.phase_statistics(ios_skeleton[0])
+        means = np.array([p.means for p in stats])
+        for actor in range(3):
+            assert int(np.argmin(means[:, actor])) == 3
+            assert int(np.argmax(means[:, actor])) == 1
+
+    def test_transitions_within_one_quarter(self, ios_skeleton):
+        detected = cs.detect_transitions(ios_skeleton[0])
+        assert abs(detected["Maturation"] - 16) <= 1
+        assert detected["Tension"] == 36
+        assert detected["Crisis"] == 48
+        assert detected["Adjustment"] == 54
+
+    def test_major_moves_more_than_platform_in_decline(self, ios_skeleton):
+        stats = cs.phase_statistics(ios_skeleton[0])
+        means = np.array([p.means for p in stats])
+        for phase in (2, 3):  # tension and crisis
+            d_major = abs(means[phase, 1] - means[phase - 1, 1])
+            d_apple = abs(means[phase, 0] - means[phase - 1, 0])
+            assert d_major > d_apple
+
+
 class TestCounterfactual:
+    def test_uplift_band_and_trust_floor(self, ios_skeleton):
+        cmp = cs.counterfactual_comparison(*ios_skeleton)
+        for u in cmp.uplift:
+            assert 0.05 <= u <= 0.25
+        assert cmp.min_bilateral_trust > 0.5
+
     def test_identical_runs_have_zero_uplift(self, ios_run):
         cmp = cs.counterfactual_comparison(ios_run, ios_run)
         assert all(u == 0.0 for u in cmp.uplift)

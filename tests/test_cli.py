@@ -206,15 +206,23 @@ class TestSweepCommand:
                 "- Cohen's d = n/a (both response samples have zero variance)\n") in report
 
     def test_parallel_is_accepted_and_ignored(self, tmp_path):
-        # three reruns of one grid, so also the byte-identical rerun check
         grid = tmp_path / "tiny.grid"
         grid.write_text(TINY_GRID)
         outs = [str(tmp_path / name) for name in ("plain", "p1", "p4")]
         main(["sweep", "--grid", str(grid), "--out", outs[0]])
         main(["sweep", "--grid", str(grid), "--out", outs[1], "--parallel", "1"])
         main(["sweep", "--grid", str(grid), "--out", outs[2], "--parallel", "4"])
-        for name in ("targets.csv", "report.md"):
-            assert len({read(os.path.join(out, name)) for out in outs}) == 1, name
+        texts = {read(os.path.join(out, "targets.csv")) for out in outs}
+        assert len(texts) == 1
+
+    def test_rerun_byte_identical(self, tmp_path):
+        grid = tmp_path / "tiny.grid"
+        grid.write_text(TINY_GRID)
+        out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        main(["sweep", "--grid", str(grid), "--out", out1, "--parallel", "1"])
+        main(["sweep", "--grid", str(grid), "--out", out2, "--parallel", "1"])
+        assert read(os.path.join(out1, "targets.csv")) == read(os.path.join(out2, "targets.csv"))
+        assert read(os.path.join(out1, "report.md")) == read(os.path.join(out2, "report.md"))
 
 
 class TestMonteCarloCommand:

@@ -126,6 +126,11 @@ def rho(rho0, d, eta):
 
 
 class TestReciprocitySensitivity:
+    def test_formula_values(self):
+        # rho0 * D**eta, exact, off the worked example's eta = 1.2
+        assert rho(2.0, 0.25, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert rho(0.9, 0.64, 1.5) == pytest.approx(0.4608, abs=1e-12)
+
     def test_zero_dependency(self):
         assert rho(1.5, 0.0, 1.2) == 0.0
 

@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 import warnings
 from dataclasses import replace
 
@@ -99,6 +101,18 @@ class TestMovingAverage:
         # baseline for period 3 must ignore the period-3 action
         assert baselines_of([1.0, 2.0, 100.0], 5)[2] == pytest.approx(1.5)
 
+    def test_oracle_equivalence_on_random_windows(self):
+        # acceptance criterion 11 draws its windows from Random(1234)
+        rng = random.Random(4321)
+        for _ in range(100):
+            n = rng.randint(1, 40)
+            values = [rng.uniform(0, 20) for _ in range(n)]
+            k = rng.randint(1, 25)
+            got = baselines_of(values, k)
+            for t in range(2, n + 2):
+                expected = statistics.fmean(values[max(0, t - 1 - k) : t - 1])
+                assert got[t - 1] == pytest.approx(expected, rel=1e-12)
+
     def test_isolated_deviation_footprint(self):
         # a deviation of size delta at t* adds exactly delta/k to the window
         # mean for the next k periods and nothing afterwards
@@ -116,11 +130,22 @@ class TestMovingAverage:
 
 
 class TestSignalsAndResponses:
+    def test_worked_deviation(self):
+        # the worked example's 10-unit shortfall (acceptance criterion 1),
+        # seen from both sides: B 10 below its baseline, A 10 above its own
+        signal = deviating(-10.0).signal[0]
+        assert (signal[0, 1], signal[1, 0]) == (-10.0, 10.0)
+
     def test_no_deviation(self):
         assert period_one((0.0, 5.0), (0.0, 5.0)).signal[0, 0, 1] == 0.0
 
     def test_positive_deviation(self):
         assert period_one((0.0, 0.95), (0.0, 0.80)).signal[0, 0, 1] == pytest.approx(0.15)
+
+    def test_saturated_response(self):
+        # tanh saturates on both sides of the baseline
+        for s, bound in ((-25.0, -1.0), (25.0, 1.0)):
+            assert response(s, 1.0) == pytest.approx(bound, abs=1e-4)
 
     def test_moderate_sensitivity_response(self):
         assert response(1.0, 1.2) == pytest.approx(0.8336546070121552, abs=1e-12)
@@ -141,6 +166,14 @@ class TestSignalsAndResponses:
         x = kappa * s
         if abs(x) <= 0.05:
             assert abs(response(s, kappa) - x) <= abs(x) ** 3 / 3 + 1e-15
+
+    def test_fuzz_bounded_10k(self):
+        # heavy-tailed signals and sensitivities across three decades; the
+        # uniform draws are acceptance criterion 11's
+        rng = np.random.default_rng(99)
+        term = deviation_terms(100 * rng.standard_cauchy(10000), 10 ** rng.uniform(-2, 1, 10000))
+        assert ((-1.0 <= term) & (term <= 1.0)).all()
+        assert (term[:, 1, 0] == -term[:, 0, 1]).all()
 
     def test_weighted_response(self):
         assert response(-10.0, 1.0, rho0=0.8) == pytest.approx(-0.8, abs=1e-3)

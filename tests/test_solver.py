@@ -220,6 +220,24 @@ class TestComparativeStatics:
         for lo, hi in zip(means, means[1:]):
             assert hi >= lo - 1e-9
 
+    # acceptance criterion 6 runs check_prop3's steps of 0.05 and 0.025;
+    # these use other steps, so other corner solves
+
+    def test_cross_partial_positive_at_reference(self):
+        res = cross_partial_check(dt=0.1, drho=0.1)
+        assert res.corners_converged
+        assert res.estimate > 0
+
+    def test_cross_partial_sign_stable_under_halving(self):
+        full = cross_partial_check(dt=0.08, drho=0.08)
+        half = cross_partial_check(dt=0.04, drho=0.04)
+        assert full.estimate > 0 and half.estimate > 0
+
+    def test_cross_partial_zero_without_reciprocity(self):
+        res = cross_partial_check(dt=0.1, drho=0.1, lambda_r=0.0)
+        assert res.corners_converged
+        assert abs(res.estimate) < 1e-6
+
     @pytest.mark.parametrize("t0, got", [(0.98, "1.03"), (0.02, "-0.03")])
     def test_cross_partial_corners_keep_trust_validation(self, t0, got):
         # one solver per rho0 level solves both T0 corners, each still validated

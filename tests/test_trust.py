@@ -104,6 +104,20 @@ class TestUpdate:
         drops = list(0.8 - trust)
         assert drops == sorted(drops)
 
+    def test_fuzz_invariants_10k_sequences(self):
+        # 10,000 random parameter rows, each fed 12 random signals, on
+        # another stream than acceptance criterion 11's default_rng(7)
+        rng = np.random.default_rng(8)
+        rows = 10000
+        p = random_columns(rng, rows)
+        trust, rep = np.minimum(p["t0"], p["t_max"]), np.zeros(rows)
+        d = rng.uniform(0, 1, rows)
+        for _ in range(12):
+            trust, rep = kernel_step(trust, rep, rng.uniform(-2, 2, rows), d, p)
+            ceiling = np.minimum(p["t_max"], 1.0 - p["theta_r"] * rep)
+            assert ((0.0 <= rep) & (rep <= 1.0)).all()
+            assert ((0.0 <= trust) & (trust <= ceiling + 1e-12)).all()
+
     def test_hysteresis(self):
         # violate-then-rebuild ends strictly below cooperate-only whenever
         # the damaged ceiling still binds at the end
