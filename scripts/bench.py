@@ -25,7 +25,10 @@ Rows, each the cost of one call:
   vCPUs, Python 3.11.7, numpy 2.4.6);
 - ``simulation.run_best_response``: one best-response ``run()`` of the
   3-actor scenario that the in-process ``coopsim translate --deps
-  src/coopsim/data/ios_dependencies.csv`` writes;
+  src/coopsim/data/ios_dependencies.csv`` writes (40 periods, 34 of them
+  settled);
+- ``simulation.run_best_response_long``: the same run at horizon 400, whose
+  periods from the seventh on are settled;
 - ``sweep.measure_batch``: one ``measure_cells`` call on the first 256
   cells of the full grid;
 - ``job.case_study``: the in-process ``coopsim case-study ios
@@ -133,6 +136,7 @@ def rows(work: str) -> dict:
     _cli(["translate", "--deps", DEPS, "--out", equilibrium])
     eq_scenario, eq_sim = files.read_scenario(equilibrium)
     eq_sim = dataclasses.replace(eq_sim, mode="best_response")
+    eq_long = dataclasses.replace(eq_sim, horizon=400)
     case_job = ["case-study", "ios", "--counterfactual", "--out", work]
     sweep_grid = os.path.join(work, "bench.grid")
     with open(sweep_grid, "w", encoding="utf-8") as fh:
@@ -158,6 +162,7 @@ def rows(work: str) -> dict:
             lambda: solve_equilibrium(ref, own_avg, ref_trust, SolverConfig()), 1),
         "solver.cross_partial_check": (cross_partial_check, 1),
         "simulation.run_best_response": (lambda: simulation.run(eq_scenario, eq_sim), 1),
+        "simulation.run_best_response_long": (lambda: simulation.run(eq_scenario, eq_long), 1),
         "sweep.measure_batch": (_measure_batch(256), 1),
         "job.case_study": (lambda: _cli(case_job), 1),
         "job.simulate_best_response": (lambda: _cli(simulate_job), 1),

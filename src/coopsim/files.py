@@ -316,39 +316,62 @@ def read_grid(path: str) -> ParameterGrid:
 
 # -- output CSVs ---------------------------------------------------------------
 
-def _dyads(traj: Trajectory, *states: str) -> tuple[list, list]:
-    """Each off-diagonal (i, j) label pair in row-major order, and per named
-    (H, n, n) state the period rows of its off-diagonal values as lists."""
+def _pairs(traj: Trajectory, sep: str) -> list[str]:
+    """Each off-diagonal (i, j) label pair in row-major order, joined by
+    ``sep``; ``state[:, off]`` of an (H, n, n) state lists its values in
+    that order, with ``off`` the off-diagonal mask."""
     labels = traj.labels
-    off = ~np.eye(traj.n, dtype=bool)
-    pairs = [(li, lj) for i, li in enumerate(labels) for j, lj in enumerate(labels) if i != j]
-    return pairs, [getattr(traj, state)[:, off].tolist() for state in states]
+    return [f"{li}{sep}{lj}" for i, li in enumerate(labels) for j, lj in enumerate(labels)
+            if i != j]
+
+
+def _period_lines(header: str, values: np.ndarray, lines) -> str:
+    """The CSV text of ``header`` and every period's lines, each line led by
+    its period: ``lines(row)`` gives one period's lines without it, from its
+    ``values[t].tolist()``.  A period whose values have the bits of the
+    period before (so -0.0 and 0.0 differ) reuses that period's lines; one
+    int64 comparison finds all such periods."""
+    bits = np.ascontiguousarray(values).reshape(len(values), -1).view(np.int64)
+    repeats = np.zeros(len(values), dtype=bool)
+    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    fresh = iter(values[~repeats].tolist())
+    text = [header]
+    for t, repeat in enumerate(repeats.tolist(), start=1):
+        if not repeat:
+            body = lines(next(fresh))
+        if body:
+            text.append(f"{t}," + f"\n{t},".join(body))
+    return "\n".join(text) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["period,actor,action"]
-    for t, row in enumerate(traj.actions.tolist(), start=1):
-        lines.extend(f"{t},{label},{a!r}" for label, a in zip(traj.labels, row))
-    return "\n".join(lines) + "\n"
+    """One line per period and actor, from one formatting per run of
+    periods whose actions repeat bit for bit."""
+    labels = traj.labels
+    return _period_lines("period,actor,action", traj.actions,
+                         lambda row: [f"{label},{a!r}" for label, a in zip(labels, row)])
 
 
 def dyads_csv(traj: Trajectory) -> str:
-    pairs, cols = _dyads(traj, "trust", "reputation", "signal", "recip_term")
-    lines = ["period,i,j,trust,reputation,signal,recip_term"]
-    for t, rows in enumerate(zip(*cols), start=1):
-        lines.extend(f"{t},{li},{lj},{tr!r},{rep!r},{s!r},{term!r}"
-                     for (li, lj), tr, rep, s, term in zip(pairs, *rows))
-    return "\n".join(lines) + "\n"
+    """One line per period and off-diagonal dyad, from one formatting per
+    run of periods whose four dyad states repeat bit for bit."""
+    states = ("trust", "reputation", "signal", "recip_term")
+    off, pairs = ~np.eye(traj.n, dtype=bool), _pairs(traj, ",")
+    values = np.stack([getattr(traj, state) for state in states], axis=-1)[:, off]
+    return _period_lines("period,i,j,trust,reputation,signal,recip_term", values,
+                         lambda row: [f"{pair},{tr!r},{rep!r},{s!r},{term!r}"
+                                      for pair, (tr, rep, s, term) in zip(pairs, row)])
 
 
 def long_format_csv(traj: Trajectory) -> str:
-    """Plot-ready long format: one measurement per row."""
-    pairs, (trust,) = _dyads(traj, "trust")
-    lines = ["period,series,actor,value"]
-    for t, (actions, row) in enumerate(zip(traj.actions.tolist(), trust), start=1):
-        lines.extend(f"{t},action,{label},{a!r}" for label, a in zip(traj.labels, actions))
-        lines.extend(f"{t},trust,{li}->{lj},{v!r}" for (li, lj), v in zip(pairs, row))
-    return "\n".join(lines) + "\n"
+    """Plot-ready long format: one measurement per row, each period's
+    actions, then its off-diagonal trust."""
+    labels, n = traj.labels, traj.n
+    off, pairs = ~np.eye(n, dtype=bool), _pairs(traj, "->")
+    values = np.concatenate([traj.actions, traj.trust[:, off]], axis=1)
+    return _period_lines("period,series,actor,value", values,
+                         lambda row: [*(f"action,{label},{a!r}" for label, a in zip(labels, row)),
+                                      *(f"trust,{pair},{v!r}" for pair, v in zip(pairs, row[n:]))])
 
 
 #: Rows of a result table formatted at a time: bounds the Python objects

@@ -20,10 +20,14 @@ state and advance actions by the selected rule:
   last k + 1 actions, trust and reputation are byte-identical to the last
   period's (all k + 1 real periods, no empty pre-history slot) is that
   period again: its k + 2 equal actions give both periods the same window
-  means, so the same signals, trust update, next window and solve.  Such
-  a settled period reuses them all and is still recorded; only its norms
-  move, and with them the rule's signal and gated term of an
-  adaptive-baseline run, which are formed again.
+  means, so the same signals, trust update, next window and solve.  So is
+  every later period up to the next one with a shock or a script pin, as
+  long as the settled period has none itself (the period after a pinned
+  one may leave the pin).  Such a settled tail is recorded in one step:
+  one write per state, the norms (the only state that still moves) by
+  their recurrence, and, for a rule that follows the norm or the fixed
+  level, its gated terms as one block.  The run then resumes at the
+  event's period, or returns.
 
 Every period's actions, period 1's initial actions included, then go
 through one step: the period's scheduled shocks are added, its scripted
@@ -331,9 +335,13 @@ def run_batch(batch: RunBatch,
     only when those three arrays differ, in at least one byte, from its
     last call's, which the kernel keeps as bytes (copies, since it updates
     trust in place); a period with the same inputs reuses the last result.
-    A period whose last k + 1 actions, trust and reputation repeat the last
-    period's bytes also reuses its signals, trust and reputation (no trust
-    update), next window and response, as the module docstring says.
+    A period without a shock or pin whose last k + 1 actions, trust and
+    reputation repeat the last period's bytes is settled: it and every
+    period after it up to the next shock or pin are recorded in one step,
+    with the last period's signals, trust, reputation, window and response
+    (no trust update and no solve), as the module docstring says.  A
+    horizon whose record numpy could not size is a
+    :class:`ConfigurationError` that names it.
     """
     rows = batch.rows
     B, n = rows["a_init"].shape
@@ -341,8 +349,6 @@ def run_batch(batch: RunBatch,
     if horizon.min() < 1 or (horizon[1:] > horizon[:-1]).any():
         raise ValueError("rows must come in non-increasing horizon order, each at least 1")
     H = int(horizon[0])
-    # live[t]: the rows whose horizon reaches period t + 1
-    live = np.searchsorted(-horizon, -np.arange(1, H + 1), side="right").tolist()
     if best_response is not None:
         if B != 1:
             raise ValueError("best-response mode runs one row at a time")
@@ -350,6 +356,13 @@ def run_batch(batch: RunBatch,
 
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
     P = pre.shape[0]
+    # The largest arrays sized by the horizon, each (H, B, n, n) record and
+    # the (P + H, B, n) history, must fit numpy's array size limit.
+    if (P + H) * B * n * n * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"horizon {H} is too long: its record would pass numpy's array size limit")
+    # live[t]: the rows whose horizon reaches period t + 1
+    live = np.searchsorted(-horizon, -np.arange(1, H + 1), side="right").tolist()
     empty = np.isnan(pre)
     lead = np.logical_and.accumulate(empty.all(axis=2), axis=0).sum(axis=0)[:, None]
     if (empty != (np.arange(P)[:, None, None] < lead)).any():
@@ -374,7 +387,8 @@ def run_batch(batch: RunBatch,
          "by_norm": mode == BASELINE_MODES.index("adaptive"),
          "initial": np.asarray(rows["baseline_init"], dtype=float),
          "a_max": np.asarray(rows["a_max"], dtype=float)} | _trust_rows(rows, d)
-    per = {"hist": hist, "reach": _window_reach(k, n)}
+    # A window longer than the run and its pre-history reaches no further.
+    per = {"hist": hist, "reach": _window_reach(np.minimum(k, P + H), n)}
     if batch.script is not None:
         per |= {"script": batch.script, "free": np.isnan(batch.script)}
     # Period t's noise is noise[t - 1]: each noisy row's scaled (H, n) block,
@@ -418,27 +432,57 @@ def run_batch(batch: RunBatch,
         b_win = np.where(lead < P, _window_means(hist, P, k, per["reach"], p["initial"], lead),
                          p["initial"])
     # Best-response mode: the bytes of the last period's actions, trust and
-    # reputation, and of the last solve's inputs.
+    # reputation, and of the last solve's inputs; and the periods with a
+    # shock or a script pin, each of which ends a settled span.
     key = solved = None
-    for t in range(1, H + 1):
+    if best_response is not None:
+        events = set(shocks_at)
+        if "script" in per:
+            events.update((np.flatnonzero(~per["free"].all(axis=(1, 2))) + 1).tolist())
+        events = sorted(events)
+    t = 1
+    while True:
         idx = t - 1
         per["hist"][P + idx] = actions
         # A best-response period whose last k + 1 actions (none of them an
         # empty pre-history slot), trust and reputation repeat the last
-        # period's bytes is that period again but for its norms: it keeps
-        # the last signals, trust, reputation, window and response.
-        settled = False
+        # period's bytes is that period again but for its norms, and so is
+        # every period after it up to the next one with a shock or pin.  One
+        # with a shock or pin of its own runs in full: the period after it
+        # may leave the pin.
         if best_response is not None and (oldest := P + idx - p["k"][0, 0]) >= p["lead"][0, 0]:
             last, key = key, (per["hist"][oldest : P + idx + 1].tobytes(), trust.tobytes(),
                               reputation.tobytes())
-            settled = key == last
-        if not settled:
-            s_win = s_rule = _signals(actions, b_win)
+            if key == last and (end := next((e for e in events if e >= t), H + 1)) > t:
+                # Periods t to end - 1 in one step: the last period's signals,
+                # trust, reputation, window and response, the norms by their
+                # recurrence, and the rule's terms against the norms or the
+                # fixed level as one (end - t, 1, n, n) block.
+                per["hist"][P + idx : P + end - 1] = actions
+                x, a, rate = norms[0].tolist(), actions[0].tolist(), p["norm_rate"][0].tolist()
+                steps = [x]
+                for _ in range(end - t):
+                    x = [xi + ri * (ai - xi) for xi, ai, ri in zip(x, a, rate)]
+                    steps.append(x)
+                norms = np.array(steps)
+                if len(actions) > windowed_rows:
+                    ref = np.where(p["by_norm"], norms[:-1], p["initial"])
+                    term = p["gate"] * trust * np.tanh(p["kappa"] * _signals(actions, ref)[:, None])
+                for f, state in zip(RECORDED, (actions, b_win, norms[:-1, None], trust, reputation,
+                                               s_win, term)):
+                    rec[f][idx : end - 1] = state
+                rec["converged"][t:end] = result.converged
+                if end > H:
+                    return rec
+                norms = norms[-1:]
+                actions, t = settle(np.array([result.actions], dtype=float), end - 1), end
+                continue
+
+        s_win = s_rule = _signals(actions, b_win)
         if len(actions) > windowed_rows:  # a live row's rule follows its norm or fixed level
             s_rule = _signals(actions, np.where(p["by_window"], b_win,
                                                 np.where(p["by_norm"], norms, p["initial"])))
-        if not settled or len(actions) > windowed_rows:
-            term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
+        term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
 
         # in RECORDED order
         for f, state in zip(RECORDED, (actions, b_win, norms, trust, reputation, s_win, term)):
@@ -446,8 +490,7 @@ def run_batch(batch: RunBatch,
         if t == H:
             return rec
 
-        if not settled:
-            _update_trust_matrices(trust, reputation, s_win, p)
+        _update_trust_matrices(trust, reputation, s_win, p)
 
         L = live[t]
         if L < len(actions):  # the rows whose horizon is period t end here
@@ -458,11 +501,8 @@ def run_batch(batch: RunBatch,
             actions, norms, trust, reputation, term = (
                 a[:L] for a in (actions, norms, trust, reputation, term))
 
-        # Actions through period t are known when choosing t+1 actions; a
-        # settled period keeps b_next, which is its own window b_win.
-        if not settled:
-            b_next = _window_means(per["hist"], P + t, p["k"], per["reach"], p["initial"],
-                                   p["lead"])
+        # Actions through period t are known when choosing t+1 actions.
+        b_next = _window_means(per["hist"], P + t, p["k"], per["reach"], p["initial"], p["lead"])
         if best_response is None:
             nxt = actions + p["rate"] * term.sum(axis=2) - p["decay"] * (actions - norms)
             if "noise" in per:
@@ -475,7 +515,7 @@ def run_batch(batch: RunBatch,
             rec["converged"][t] = result.converged
 
         norms += p["norm_rate"] * (actions - norms)
-        actions, b_win = settle(nxt, t), b_next
+        actions, b_win, t = settle(nxt, t), b_next, t + 1
 
 
 def record_batch(batch: RunBatch, labels: tuple[str, ...],

@@ -21,8 +21,9 @@ at a time through :func:`fmt` (:func:`trajectory_csv`, :func:`dyads_csv`,
 period by period, for the whole-array ``coopsim.sweep.recovery_times``,
 and :func:`window_mean` averages one actor's window, for
 ``coopsim.simulation._window_means``.  :func:`reference_run` runs a whole
-adjustment-mode run one period and one dyad at a time from those pieces,
-for the batched kernel ``coopsim.simulation.run_batch``, and
+run one period and one dyad at a time from those pieces, for the batched
+kernel ``coopsim.simulation.run_batch``: adjustment mode, or best-response
+mode with a solve every period and no reuse, and
 :func:`sensitivity_per_eta` takes the structural sensitivity one eta at a
 time, for ``coopsim.reciprocity.sensitivity``.  Two references stand for the
 validation protocol as first written: :func:`full_warmup_runs` builds the
@@ -57,8 +58,8 @@ def update_trust(trust: float, reputation: float, s: float, d_ij: float,
                  p: TrustParams) -> tuple[float, float]:
     """One dyad's (trust, reputation) after observing signal ``s``.
 
-    Reputation first (decay at delta_r for s >= 0, damage mu_r |s| (1 - R)
-    for s < 0), then trust against the ceiling of the new reputation
+    Reputation first (decay R (1 - delta_r) for s >= 0, damage mu_r |s|
+    (1 - R) for s < 0), then trust against the ceiling of the new reputation
     (building lambda_plus s (ceiling - T) for s > 0, erosion lambda_minus s
     T (1 + xi D) otherwise), clipped to [0, ceiling]; |s| <= deadband
     counts as zero.
@@ -66,7 +67,7 @@ def update_trust(trust: float, reputation: float, s: float, d_ij: float,
     if abs(s) <= p.deadband:
         s = 0.0
     if s >= 0.0:
-        rep = reputation - p.delta_r * reputation
+        rep = reputation * (1.0 - p.delta_r)
     else:
         rep = reputation + p.mu_r * (-s) * (1.0 - reputation)
     rep = min(1.0, max(0.0, rep))
@@ -332,28 +333,32 @@ def window_mean(history: Sequence[float], k: int, initial: float) -> float:
 # -- the whole engine, one period and one dyad at a time -------------------------
 
 def reference_run(scenario: ScenarioConfig, sim: SimConfig,
-                  script: Optional[Mapping[int, Mapping[int, float]]] = None
-                  ) -> dict[str, np.ndarray]:
-    """An adjustment-mode run in plain Python floats, written from the
-    ``coopsim.simulation`` module docstring: the recorded per-period states
-    keyed like the ``Trajectory`` fields (``converged`` aside).
+                  script: Optional[Mapping[int, Mapping[int, float]]] = None,
+                  respond=None) -> dict[str, np.ndarray]:
+    """A run in plain Python floats, written from the ``coopsim.simulation``
+    module docstring: the recorded per-period states and ``converged``,
+    keyed like the ``Trajectory`` fields.
 
     Each period: the windowed baseline of each actor's real history
     (:func:`window_mean`, the pre-history first, the initial level while
     there is none), the signals a_j - baseline_j, the gated terms on the
     signal against the rule's reference (:func:`gated_term`; the window, the
     adaptive norm or the fixed initial level), then one
-    :func:`update_trust` per dyad.  The next actions are
+    :func:`update_trust` per dyad.  In adjustment mode the next actions are
 
         a_i + adjust_rate * sum_j term_ij - decay * (a_i - norm_i) + noise_i
 
-    with noise_i = noise_sigma * normal(seed, i, period) on noisy runs, the
-    norms move toward the period's actions at ``baseline_rate``, and every
-    period's actions, period 1's included, take its shocks in order, then
-    its script, then the bounds [0, a_max].
+    with noise_i = noise_sigma * normal(seed, i, period) on noisy runs.  In
+    best-response mode (``respond`` given) they are
+    ``respond(own_avg, trust, actions).actions``, called every period with
+    each actor's window mean through the period as ``own_avg``, and its
+    ``converged`` is the next period's.  The norms move toward the period's
+    actions at ``baseline_rate``, and every period's actions, period 1's
+    included, take its shocks in order, then its script, then the bounds
+    [0, a_max].
     """
-    if sim.mode != "adjustment":
-        raise ValueError("the reference runs adjustment mode only")
+    if (sim.mode == "best_response") != (respond is not None):
+        raise ValueError("best-response mode takes a respond callable, adjustment mode none")
     n, recip, k = scenario.n, scenario.recip, scenario.recip.memory_k
     d = [[float(x) for x in row] for row in scenario.d.values]
     mode = scenario.baseline_mode
@@ -375,6 +380,7 @@ def reference_run(scenario: ScenarioConfig, sim: SimConfig,
     reputation = [[0.0] * n for _ in range(n)]
     rec: dict[str, list] = {f: [] for f in ("actions", "baselines", "norms", "trust",
                                             "reputation", "signal", "recip_term")}
+    converged = [True]
     for t in range(1, sim.horizon + 1):
         baselines = [window_mean(history[j], k, scenario.baseline_init[j]) for j in range(n)]
         ref = {"moving_average": baselines, "adaptive": norms,
@@ -396,18 +402,26 @@ def reference_run(scenario: ScenarioConfig, sim: SimConfig,
             break
         for j in range(n):
             history[j].append(actions[j])
-        nxt = []
-        for i in range(n):
-            total = 0.0  # in turn: sum() of floats compensates from Python 3.12
-            for x in term[i]:
-                total += x
-            a = actions[i] + sim.adjust_rate * total - sim.decay * (actions[i] - norms[i])
-            if sim.noise_sigma > 0.0:
-                a += sim.noise_sigma * normal(sim.seed, i, t + 1)
-            nxt.append(a)
+        if respond is not None:
+            own = [window_mean(history[j], k, scenario.baseline_init[j]) for j in range(n)]
+            result = respond(np.array(own), np.array(trust), np.array(actions))
+            nxt = [float(a) for a in result.actions]
+            converged.append(bool(result.converged))
+        else:
+            nxt = []
+            for i in range(n):
+                total = 0.0  # in turn: sum() of floats compensates from Python 3.12
+                for x in term[i]:
+                    total += x
+                a = actions[i] + sim.adjust_rate * total - sim.decay * (actions[i] - norms[i])
+                if sim.noise_sigma > 0.0:
+                    a += sim.noise_sigma * normal(sim.seed, i, t + 1)
+                nxt.append(a)
+            converged.append(True)
         norms = [m + sim.baseline_rate * (a - m) for a, m in zip(actions, norms)]
         actions = settle(nxt, t + 1)
-    return {name: np.array(values) for name, values in rec.items()}
+    return {name: np.array(values) for name, values in rec.items()} | {
+        "converged": np.array(converged)}
 
 
 # -- the structural sensitivity one eta at a time --------------------------------

@@ -28,6 +28,10 @@ from coopsim.translate import ELICITATION_KEYS, STEP_RANGES
 TINY_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,3.0\nmemory_k = 1,4\n"
 #: A count past int64, refused by name before any array is sized by it.
 HUGE = str(10**20)
+#: A horizon below int64 whose record numpy could not size.
+LONG = 2**61
+BENCHMARK_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark",
+                                  "scenarios", "equilibrium.conf")
 
 
 @pytest.fixture()
@@ -92,6 +96,35 @@ class TestSimulate:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: horizon must be < 2**63, got {HUGE}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["scenario", "periods"])
+    def test_horizon_past_numpy_sizes_exits_one(self, where, scenario_file, tmp_path, capsys):
+        scenario, out = tmp_path / "long.conf", tmp_path / "o"
+        with open(scenario_file, encoding="utf-8") as fh:
+            scenario.write_text(fh.read().replace("horizon = 12", f"horizon = {LONG}"))
+        argv = (["--scenario", str(scenario)] if where == "scenario"
+                else ["--scenario", scenario_file, "--periods", str(LONG)])
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: horizon {LONG} is too long: its record "
+                                           "would pass numpy's array size limit\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["adjustment", "best_response"])
+    def test_window_past_the_run_reads_the_whole_run(self, mode, tmp_path):
+        # a window longer than the run and its pre-history reads no more
+        # periods, whatever its length: 10**18 sizes no array by it
+        with open(BENCHMARK_SCENARIO, encoding="utf-8") as fh:
+            text = fh.read()
+        scenario, sim = read_scenario(BENCHMARK_SCENARIO)
+        assert sim.horizon == 40 and scenario.pre_history == ()
+        written = []
+        for k in (40, 10**18):
+            scenario, out = tmp_path / f"k{k}.conf", tmp_path / f"k{k}"
+            scenario.write_text(text.replace("memory_k = 4\n", f"memory_k = {k}\n"))
+            assert main(["simulate", "--scenario", str(scenario), "--mode", mode,
+                         "--out", str(out)]) == 0
+            written.append([read(out / name) for name in ("trajectory.csv", "dyads.csv")])
+        assert written[0] == written[1]
 
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys):
         scen = tmp_path / "nan.conf"

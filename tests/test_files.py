@@ -29,10 +29,27 @@ VALUES = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=Tru
 
 @st.composite
 def trajectories(draw):
+    """Drawn values, some periods a copy of an earlier one: of the period
+    before, of the period two back, or of the period before but for one
+    written 0.0 that turns to -0.0 (the writers reuse a period's lines only
+    for the same bits)."""
     n = draw(st.integers(1, 4))
-    horizon = draw(st.integers(1, 5))
+    horizon = draw(st.integers(1, 6))
     states = {f: draw(arrays(float, (horizon,) + (n,) * axes, elements=VALUES))
               for f, axes in RECORDED.items()}
+    written = ("actions",) + (("trust", "reputation", "signal", "recip_term") if n > 1 else ())
+    for t in range(1, horizon):
+        kind = draw(st.sampled_from(("fresh", "before", "two back", "signed zero")))
+        if kind == "fresh" or (kind == "two back" and t < 2):
+            continue
+        for values in states.values():
+            values[t] = values[t - 2 if kind == "two back" else t - 1]
+        if kind == "signed zero":
+            state, i = draw(st.sampled_from(written)), draw(st.integers(0, n - 1))
+            if state != "actions":
+                j = draw(st.integers(0, n - 2))
+                i = (i, j + (j >= i))  # off the diagonal
+            states[state][t - 1][i], states[state][t][i] = 0.0, -0.0
     return Trajectory(labels=tuple(f"a{i}" for i in range(n)), **states,
                       converged=np.ones(horizon, dtype=bool))
 

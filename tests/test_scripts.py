@@ -57,7 +57,7 @@ def test_bench_smoke(tmp_path, capsys):
             "files.trajectory_csv", "files.dyads_csv",
             "files.long_format_csv", "scenario.reference_scenario", "solver.solve_equilibrium",
             "solver.cross_partial_check",
-            "simulation.run_best_response",
+            "simulation.run_best_response", "simulation.run_best_response_long",
             "sweep.measure_batch", "job.case_study", "job.simulate_best_response",
             "job.prop_check", "job.sweep", "job.sweep_full", "job.montecarlo"} == set(
         block["rows"])

@@ -472,10 +472,53 @@ def settled_best_response():
     return scenario, replace(sim, mode="best_response")
 
 
+@st.composite
+def _best_response_run(draw):
+    """A `_solver_scenario` in a drawn baseline mode, best-response for up to
+    60 periods, with shocks and script pins drawn into it; a pin may hold
+    an actor over several periods, so the run can settle while pinned."""
+    scenario = draw(_solver_scenario())
+    scenario = replace(scenario, baseline_mode=draw(st.sampled_from(BASELINE_MODES)))
+    horizon = draw(st.integers(1, 60))
+    periods, actors = st.integers(1, horizon), st.integers(0, scenario.n - 1)
+    shocks = tuple(Shock(period=draw(periods), actor=draw(actors),
+                         delta=draw(st.floats(-1.0, 1.0)))
+                   for _ in range(draw(st.integers(0, 2))))
+    script = {}
+    for _ in range(draw(st.integers(0, 2))):  # an actor held at one level for a while
+        i, start = draw(actors), draw(periods)
+        level = draw(st.floats(0.0, scenario.a_max[i]))
+        script.setdefault(i, {}).update(dict.fromkeys(range(start, draw(periods) + 1), level))
+    sim = SimConfig(horizon=horizon, mode="best_response", shocks=shocks,
+                    baseline_rate=draw(st.sampled_from((0.0, 0.08, 0.5))))
+    return scenario, sim, script or None
+
+
+def _assert_matches_the_reference(scenario, sim, script):
+    """``run()`` against the best-response reference run, which solves every
+    period: every state and ``converged`` bit for bit, the gated terms
+    against those the kernel's arithmetic forms from the reference's states
+    (``math.tanh`` and ``np.tanh`` differ in the last bit on about a
+    quarter of inputs) and to 1e-12 against the reference's own.  Returns
+    the reference's record."""
+    got = run(scenario, sim, script)
+    want = reference_run(scenario, sim, script, EquilibriumSolver(scenario))
+    for name in (*RECORDED, "converged"):
+        if name != "recip_term":
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+    ref = {"moving_average": want["baselines"], "adaptive": want["norms"]}.get(
+        scenario.baseline_mode, np.array([scenario.baseline_init]))
+    term = (gate_weights(scenario.d.values[None], RunBatch.of([(scenario, sim)]).rows)
+            * want["trust"] * np.tanh(scenario.recip.kappa * _signals(want["actions"], ref)))
+    assert got.recip_term.tobytes() == term.tobytes()
+    np.testing.assert_allclose(got.recip_term, want["recip_term"], rtol=1e-12, atol=1e-12)
+    return want
+
+
 class TestSettledPeriods:
     """Once a best-response run settles, its periods repeat the last one."""
 
-    @pytest.mark.parametrize("baseline_mode", ["moving_average", "adaptive"])
+    @pytest.mark.parametrize("baseline_mode", BASELINE_MODES)
     def test_every_period_replays_from_the_kernel_helpers(self, baseline_mode):
         # each recorded period rebuilt from the one before it, bit for bit
         scenario, sim = settled_best_response()
@@ -489,7 +532,8 @@ class TestSettledPeriods:
         for t in range(traj.horizon):
             signal = _signals(traj.actions[t][None], traj.baselines[t][None])
             assert signal[0].tobytes() == traj.signal[t].tobytes(), t
-            ref = traj.norms[t] if baseline_mode == "adaptive" else traj.baselines[t]
+            ref = {"moving_average": traj.baselines[t], "adaptive": traj.norms[t]}.get(
+                baseline_mode, initial[0])
             term = gate * traj.trust[t] * np.tanh(kappa * _signals(traj.actions[t][None],
                                                                    ref[None])[0])
             assert term.tobytes() == traj.recip_term[t].tobytes(), t
@@ -513,6 +557,38 @@ class TestSettledPeriods:
         monkeypatch.setattr(simulation, "_update_trust_matrices", counting)
         run(*settled_best_response())
         assert len(calls) < 10  # of 40 periods
+
+    @given(_best_response_run())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_runs_match_the_reference_run(self, drawn):
+        scenario, sim, script = drawn
+        _assert_matches_the_reference(scenario, sim, script)
+
+    @pytest.mark.parametrize("baseline_mode", BASELINE_MODES)
+    @pytest.mark.parametrize("shocks, script, settled", [
+        ((Shock(period=25, actor=0, delta=-0.05),), {1: {31: 0.95}},
+         [*range(5, 25), 29, 30, *range(35, 41)]),
+        ((), {1: dict.fromkeys(range(10, 21), 0.95)}, [*range(5, 10), *range(13, 21),
+                                                       *range(24, 41)]),
+    ], ids=["shock-25-pin-31", "pin-10-to-20"])
+    def test_settled_spans_end_at_shocks_and_pins(self, baseline_mode, shocks, script, settled):
+        # A deadband keeps trust still through the events, so the run
+        # settles again after each.  Its spans end at the shock at period 25
+        # and at the pin at period 31; or, held at one level from period 10
+        # to 20, it settles in periods 13 to 20, each of which starts no span,
+        # since the period after a pinned one may leave the pin.
+        scenario, sim = settled_best_response()
+        scenario = replace(scenario, baseline_mode=baseline_mode,
+                           recip=replace(scenario.recip, memory_k=2),
+                           trust=replace(scenario.trust, deadband=0.1))
+        sim = replace(sim, shocks=shocks)
+        want = _assert_matches_the_reference(scenario, sim, script)
+        # the periods whose last 3 actions, trust and reputation repeat the
+        # period before
+        actions, keep = want["actions"], ("actions", "trust", "reputation")
+        assert settled == [t + 1 for t in range(3, sim.horizon)
+                           if all(want[f][t].tobytes() == want[f][t - 1].tobytes() for f in keep)
+                           and actions[t - 2 : t + 1].tobytes() == actions[t - 3 : t].tobytes()]
 
 
 class TestSolveReuse:
@@ -850,10 +926,9 @@ class TestReferenceEngine:
             assert got.signal.tobytes() == signal.tobytes()
             # Elsewhere to rel 1e-12: the reference takes D ** eta as a
             # Python float power (numpy's array power may differ in the last
-            # bit), forms the gated term and the reputation decay in another
-            # order (R - delta_r R against R (1 - delta_r)) and adds the
-            # rule's terms in another order, so later periods carry a few
-            # ulps.  The absolute 1e-12 covers signals and terms near zero,
+            # bit), forms the gated term in another order with math.tanh and
+            # adds the rule's terms in another order, so later periods carry
+            # a few ulps.  The absolute 1e-12 covers signals and terms near zero,
             # differences of nearly equal numbers whose relative error has
             # no bound.
             for name, values in want.items():
