@@ -23,11 +23,13 @@ state and advance actions by the selected rule:
   means, so the same signals, trust update, next window and solve.  So is
   every later period up to the next one with a shock or a script pin, as
   long as the settled period has none itself (the period after a pinned
-  one may leave the pin).  Such a settled tail is recorded in one step:
-  one write per state, the norms (the only state that still moves) by
-  their recurrence, and, for a rule that follows the norm or the fixed
-  level, its gated terms as one block.  The run then resumes at the
-  event's period, or returns.
+  one may leave the pin).  Such a span of m settled periods is recorded
+  in one step: the norms, the only state that still moves, follow their
+  recurrence as one (m, 1, n) block, and the live period's signals, gated
+  terms and record write run once on it, with no trust update and no
+  solve.  A span that would last one period runs as a live period, whose
+  trust update then changes no bit and whose solve is the last one.  The
+  run then resumes at the event's period, or returns.
 
 Every period's actions, period 1's initial actions included, then go
 through one step: the period's scheduled shocks are added, its scripted
@@ -52,7 +54,8 @@ noiseless rows (best-response mode ignores noise and draws none).
 Batching.  One kernel, :func:`run_batch`, advances B independent runs at
 once as ``(B, n)`` actions and ``(B, n, n)`` trust and reputation, and
 returns their record: every period's state, period first, as
-``(H, B, ...)`` arrays.  Its inputs are a :class:`RunBatch`: one table
+``(H, B, ...)`` arrays, whose actions are the rows of the history the
+windows read.  Its inputs are a :class:`RunBatch`: one table
 ``rows`` of per-row columns, with the row on the first axis of every
 entry (each parameter field as ``(B,)``, ``d`` as ``(B, n, n)``,
 ``a_max``, ``a_init`` and ``baseline_init`` as ``(B, n)``,
@@ -177,15 +180,16 @@ class RunBatch:
         rows["baseline_mode"] = np.array([BASELINE_MODES.index(s.baseline_mode)
                                           for s in scenarios])
         rows["horizon"] = np.array([sim.horizon for sim in sims])
+        H, P = int(rows["horizon"].max()), max(len(s.pre_history) for s in scenarios)
+        _check_horizon(H, P, B, n)
         script = None
         if any(scripts):
-            script = np.full((int(rows["horizon"].max()), B, n), np.nan)
+            script = np.full((H, B, n), np.nan)
             for b, (sim, pins) in enumerate(zip(sims, scripts)):
                 for i, per in (pins or {}).items():
                     for period, value in per.items():
                         if 1 <= period <= sim.horizon:
                             script[period - 1, b, i] = value
-        P = max(len(s.pre_history) for s in scenarios)
         pre = np.full((P, B, n), np.nan)
         for b, s in enumerate(scenarios):
             if s.pre_history:
@@ -198,6 +202,14 @@ class RunBatch:
 BestResponse = Callable[[np.ndarray, np.ndarray, np.ndarray], object]
 
 
+def _check_horizon(H: int, P: int, B: int, n: int) -> None:
+    """Reject a horizon whose largest arrays, each (H, B, n, n) record and
+    the (P + H, B, n) history, would pass numpy's array size limit."""
+    if (P + H) * B * n * n * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"horizon {H} is too long: its record would pass numpy's array size limit")
+
+
 def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
     """A (B,) parameter column spread over each row's actors or dyads, so
     the kernel's arithmetic runs on whole contiguous arrays."""
@@ -208,10 +220,11 @@ def _per_row(values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _signals(actions: np.ndarray, baselines: np.ndarray) -> np.ndarray:
-    """s[b, i, j] = a_j - baseline_j off the diagonal, 0 on it."""
-    n = actions.shape[1]
-    s = np.repeat((actions - baselines)[:, None, :], n, axis=1)
-    s.reshape(len(s), n * n)[:, :: n + 1] = 0.0
+    """s[..., i, j] = a_j - baseline_j off the diagonal, 0 on it, for
+    actions and baselines broadcast over any leading axes."""
+    n = actions.shape[-1]
+    s = np.repeat((actions - baselines)[..., None, :], n, axis=-2)
+    s.reshape(-1, n * n)[:, :: n + 1] = 0.0
     return s
 
 
@@ -318,7 +331,8 @@ def run_batch(batch: RunBatch,
     record: each ``RECORDED`` state and ``converged``, as (H, B, ...)
     arrays, period first, keyed like the :class:`Trajectory` fields, where
     H is the longest horizon.  A row's periods past its horizon hold zeros
-    (``converged`` True).
+    (``converged`` True), and the actions are a view of the kernel's
+    history of actions.
 
     A row's pre-history may be NaN only in whole leading periods, the
     periods it does not have (``ValueError`` otherwise).  Rows come in
@@ -335,13 +349,10 @@ def run_batch(batch: RunBatch,
     only when those three arrays differ, in at least one byte, from its
     last call's, which the kernel keeps as bytes (copies, since it updates
     trust in place); a period with the same inputs reuses the last result.
-    A period without a shock or pin whose last k + 1 actions, trust and
-    reputation repeat the last period's bytes is settled: it and every
-    period after it up to the next shock or pin are recorded in one step,
-    with the last period's signals, trust, reputation, window and response
-    (no trust update and no solve), as the module docstring says.  A
-    horizon whose record numpy could not size is a
-    :class:`ConfigurationError` that names it.
+    A settled period and those after it up to the next shock or pin are
+    recorded in one step, as the module docstring says.  A horizon whose
+    record numpy could not size is a :class:`ConfigurationError` that
+    names it.
     """
     rows = batch.rows
     B, n = rows["a_init"].shape
@@ -356,22 +367,19 @@ def run_batch(batch: RunBatch,
 
     pre = np.empty((0, B, n)) if batch.pre_history is None else batch.pre_history
     P = pre.shape[0]
-    # The largest arrays sized by the horizon, each (H, B, n, n) record and
-    # the (P + H, B, n) history, must fit numpy's array size limit.
-    if (P + H) * B * n * n * 8 > np.iinfo(np.intp).max:
-        raise ConfigurationError(
-            f"horizon {H} is too long: its record would pass numpy's array size limit")
+    _check_horizon(H, P, B, n)
     # live[t]: the rows whose horizon reaches period t + 1
     live = np.searchsorted(-horizon, -np.arange(1, H + 1), side="right").tolist()
     empty = np.isnan(pre)
     lead = np.logical_and.accumulate(empty.all(axis=2), axis=0).sum(axis=0)[:, None]
     if (empty != (np.arange(P)[:, None, None] < lead)).any():
         raise ValueError("pre-history may be NaN only in whole leading periods")
-    hist = np.empty((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
+    hist = np.zeros((P + H, B, n))  # pre-history (0.0 where none), then every period's actions
     hist[:P] = np.where(empty, 0.0, pre)
-    # The record: each period writes its live rows, and cutting a row zeros
-    # its later periods, so no entry is written twice.
-    rec = {f: np.empty((H, B) + (n,) * axes) for f, axes in RECORDED.items()}
+    # The record, zeros until a step writes its live rows: the actions are
+    # the history's rows, and each step writes the other states once.
+    written = tuple(RECORDED)[1:]
+    rec = {"actions": hist[P:]} | {f: np.zeros((H, B) + (n,) * RECORDED[f]) for f in written}
     rec["converged"] = np.ones((H, B), dtype=bool)
 
     # Every per-row input, row first, and every period-first one: a horizon
@@ -442,7 +450,7 @@ def run_batch(batch: RunBatch,
         events = sorted(events)
     t = 1
     while True:
-        idx = t - 1
+        idx, end = t - 1, t + 1  # this step records periods t to end - 1
         per["hist"][P + idx] = actions
         # A best-response period whose last k + 1 actions (none of them an
         # empty pre-history slot), trust and reputation repeat the last
@@ -453,30 +461,21 @@ def run_batch(batch: RunBatch,
         if best_response is not None and (oldest := P + idx - p["k"][0, 0]) >= p["lead"][0, 0]:
             last, key = key, (per["hist"][oldest : P + idx + 1].tobytes(), trust.tobytes(),
                               reputation.tobytes())
-            if key == last and (end := next((e for e in events if e >= t), H + 1)) > t:
-                # Periods t to end - 1 in one step: the last period's signals,
-                # trust, reputation, window and response, the norms by their
-                # recurrence, and the rule's terms against the norms or the
-                # fixed level as one (end - t, 1, n, n) block.
-                per["hist"][P + idx : P + end - 1] = actions
-                x, a, rate = norms[0].tolist(), actions[0].tolist(), p["norm_rate"][0].tolist()
-                steps = [x]
-                for _ in range(end - t):
-                    x = [xi + ri * (ai - xi) for xi, ai, ri in zip(x, a, rate)]
-                    steps.append(x)
-                norms = np.array(steps)
-                if len(actions) > windowed_rows:
-                    ref = np.where(p["by_norm"], norms[:-1], p["initial"])
-                    term = p["gate"] * trust * np.tanh(p["kappa"] * _signals(actions, ref)[:, None])
-                for f, state in zip(RECORDED, (actions, b_win, norms[:-1, None], trust, reputation,
-                                               s_win, term)):
-                    rec[f][idx : end - 1] = state
-                rec["converged"][t:end] = result.converged
-                if end > H:
-                    return rec
-                norms = norms[-1:]
-                actions, t = settle(np.array([result.actions], dtype=float), end - 1), end
-                continue
+            if key == last:
+                end = max(end, next((e for e in events if e >= t), H + 1))
+        at = idx
+        if end > t + 1:
+            # Periods t to end - 1 in one step: the last period's actions,
+            # window, trust, reputation and response, and the norms by their
+            # recurrence, as an (end - t, 1, n) block.
+            per["hist"][P + idx : P + end - 1] = actions
+            x, a, rate = norms[0].tolist(), actions[0].tolist(), p["norm_rate"][0].tolist()
+            steps = []
+            for _ in range(end - t):
+                steps.append(x)
+                x = [xi + ri * (ai - xi) for xi, ai, ri in zip(x, a, rate)]
+            norms, at = np.array(steps)[:, None], slice(idx, end - 1)
+            rec["converged"][t:end] = result.converged
 
         s_win = s_rule = _signals(actions, b_win)
         if len(actions) > windowed_rows:  # a live row's rule follows its norm or fixed level
@@ -484,18 +483,19 @@ def run_batch(batch: RunBatch,
                                                 np.where(p["by_norm"], norms, p["initial"])))
         term = p["gate"] * trust * np.tanh(p["kappa"] * s_rule)
 
-        # in RECORDED order
-        for f, state in zip(RECORDED, (actions, b_win, norms, trust, reputation, s_win, term)):
-            rec[f][idx, : len(state)] = state
-        if t == H:
+        for f, state in zip(written, (b_win, norms, trust, reputation, s_win, term)):
+            rec[f][at, : len(actions)] = state
+        if end > H:
             return rec
+        if end > t + 1:  # resume at the event's period
+            norms = np.array([x])
+            actions, t = settle(np.array([result.actions], dtype=float), end - 1), end
+            continue
 
         _update_trust_matrices(trust, reputation, s_win, p)
 
         L = live[t]
         if L < len(actions):  # the rows whose horizon is period t end here
-            for f in RECORDED:
-                rec[f][t:, L : len(actions)] = 0.0
             p = {f: a[:L] for f, a in p.items()}
             per = {f: a[:, :L] for f, a in per.items()}
             actions, norms, trust, reputation, term = (

@@ -107,8 +107,8 @@ def _beta_cf(a: float, b: float, x: float, max_iters: int = 300, eps: float = 1e
 def paired_ttest(x: Sequence[float], y: Sequence[float]):
     """Two-sided paired t-test on the differences x - y.
 
-    Returns (t, df, p, degenerate).  Zero-variance differences are flagged
-    degenerate rather than raising.
+    Returns (t, df, p); t and p are None when the differences have zero
+    variance, where no test is possible.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -119,19 +119,17 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]):
     mean = float(diff.mean())
     sd = float(diff.std(ddof=1))
     if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, n - 1, 1.0, True
-        return math.inf if mean > 0 else -math.inf, n - 1, 0.0, True
+        return None, n - 1, None
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * _t_sf(abs(t), n - 1)
-    return t, n - 1, min(1.0, p), False
+    return t, n - 1, min(1.0, p)
 
 
 def cohens_d(x: Sequence[float], y: Sequence[float]):
     """Effect size (mean x - mean y) / sqrt((s_x^2 + s_y^2) / 2).
 
-    Returns (d, degenerate).  The symmetric pooled form is used regardless
-    of sample sizes.
+    The symmetric pooled form is used regardless of sample sizes.  None
+    when both samples have zero variance.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -139,8 +137,8 @@ def cohens_d(x: Sequence[float], y: Sequence[float]):
         raise ValueError("each sample needs size >= 2")
     pooled = math.sqrt((xa.var(ddof=1) + ya.var(ddof=1)) / 2.0)
     if pooled == 0.0:
-        return 0.0, True
-    return float((xa.mean() - ya.mean()) / pooled), False
+        return None
+    return float((xa.mean() - ya.mean()) / pooled)
 
 
 def effect_size_label(d: float) -> str:
@@ -200,13 +198,14 @@ def wilcoxon_signed_rank(sample: Sequence[float], mu0: float = 0.0):
 
     Zero differences are excluded, ties get mid-ranks, and the normal
     approximation is applied with a 0.5 continuity correction and the
-    standard tie adjustment of the variance.  Returns (W+, p, degenerate).
+    standard tie adjustment of the variance.  Returns (W+, p), both None
+    when every difference is zero.
     """
     arr = np.asarray(sample, dtype=float) - mu0
     arr = arr[arr != 0.0]
     n = arr.size
     if n == 0:
-        return 0.0, 1.0, True
+        return None, None
     if n < 6:
         raise ValueError("normal approximation needs at least 6 nonzero differences")
     # each distinct |difference| once, in order: its tied run ends at rank
@@ -216,9 +215,8 @@ def wilcoxon_signed_rank(sample: Sequence[float], mu0: float = 0.0):
     w_plus = float(ranks[arr > 0].sum())
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    # tie correction
+    # tie correction; at least n(n + 1)(3n + 3) / 48 > 0, when every
+    # difference is tied
     var -= float(((counts**3 - counts).sum())) / 48.0
-    if var <= 0.0:
-        return w_plus, 1.0 if w_plus <= mean else 0.0, True
     z = (w_plus - mean - 0.5) / math.sqrt(var)
-    return w_plus, 1.0 - _normal_cdf(z), False
+    return w_plus, 1.0 - _normal_cdf(z)

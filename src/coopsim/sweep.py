@@ -567,17 +567,11 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
     ratios = all_ratios[np.isfinite(all_ratios)]
     mean = sd = lo = hi = w_stat = w_p = None
     try:
-        t, df, p, t_degenerate = paired_ttest(high, low)
-        d, d_degenerate = cohens_d(high, low)
-        if t_degenerate:
-            t = p = None
-        if d_degenerate:
-            d = None
+        t, df, p = paired_ttest(high, low)
+        d = cohens_d(high, low)
         if len(ratios):
             lo, hi = bootstrap_ci(ratios, seed=seed)
-            w_stat, w_p, w_degenerate = wilcoxon_signed_rank(ratios, T4_RATIO)
-            if w_degenerate:
-                w_stat = w_p = None
+            w_stat, w_p = wilcoxon_signed_rank(ratios, T4_RATIO)
             mean, sd = float(ratios.mean()), float(ratios.std(ddof=1))
     except ValueError as exc:
         raise ConfigurationError(

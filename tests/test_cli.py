@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from coopsim import case_study as cs
 from coopsim import solver
 from coopsim.cli import build_parser, main
+from coopsim.errors import ConfigurationError
 from coopsim.files import dyads_csv, read_scenario, scenario_to_text, trajectory_csv, write_file
 from coopsim.params import RANGES
 from coopsim.scenario import SIM_MODES, SimConfig, reference_scenario
@@ -105,9 +106,13 @@ class TestSimulate:
         argv = (["--scenario", str(scenario)] if where == "scenario"
                 else ["--scenario", scenario_file, "--periods", str(LONG)])
         assert main(["simulate", *argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"error: horizon {LONG} is too long: its record "
-                                           "would pass numpy's array size limit\n")
+        message = f"horizon {LONG} is too long: its record would pass numpy's array size limit"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+        # a scripted run is refused before its script is sized by the horizon
+        with pytest.raises(ConfigurationError) as refused:
+            run(reference_scenario(), SimConfig(horizon=LONG), {0: {1: 0.5}})
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("mode", ["adjustment", "best_response"])
     def test_window_past_the_run_reads_the_whole_run(self, mode, tmp_path):

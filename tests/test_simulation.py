@@ -565,23 +565,33 @@ class TestSettledPeriods:
         _assert_matches_the_reference(scenario, sim, script)
 
     @pytest.mark.parametrize("baseline_mode", BASELINE_MODES)
-    @pytest.mark.parametrize("shocks, script, settled", [
-        ((Shock(period=25, actor=0, delta=-0.05),), {1: {31: 0.95}},
+    @pytest.mark.parametrize("horizon, shocks, script, settled", [
+        (40, (Shock(period=25, actor=0, delta=-0.05),), {1: {31: 0.95}},
          [*range(5, 25), 29, 30, *range(35, 41)]),
-        ((), {1: dict.fromkeys(range(10, 21), 0.95)}, [*range(5, 10), *range(13, 21),
-                                                       *range(24, 41)]),
-    ], ids=["shock-25-pin-31", "pin-10-to-20"])
-    def test_settled_spans_end_at_shocks_and_pins(self, baseline_mode, shocks, script, settled):
+        (40, (), {1: dict.fromkeys(range(10, 21), 0.95)}, [*range(5, 10), *range(13, 21),
+                                                           *range(24, 41)]),
+        (40, (Shock(period=6, actor=0, delta=-0.05),), None, [5, *range(10, 41)]),
+        (40, (), {1: {6: 0.95}}, [5, *range(10, 41)]),
+        (40, (), None, [*range(5, 41)]),
+        (5, (), None, [5]),
+    ], ids=["shock-25-pin-31", "pin-10-to-20", "shock-at-t+1", "pin-at-t+1", "to-the-horizon",
+            "at-the-horizon"])
+    def test_settled_spans_end_at_shocks_and_pins(self, baseline_mode, horizon, shocks, script,
+                                                  settled):
         # A deadband keeps trust still through the events, so the run
         # settles again after each.  Its spans end at the shock at period 25
         # and at the pin at period 31; or, held at one level from period 10
         # to 20, it settles in periods 13 to 20, each of which starts no span,
-        # since the period after a pinned one may leave the pin.
+        # since the period after a pinned one may leave the pin.  Period 5
+        # settles; a shock or pin at period 6 leaves it a span of one period,
+        # which runs as a live period, and the span from period 10 runs to
+        # the horizon, as does the one from period 5 without events, or the
+        # one-period span of a run whose last period is 5.
         scenario, sim = settled_best_response()
         scenario = replace(scenario, baseline_mode=baseline_mode,
                            recip=replace(scenario.recip, memory_k=2),
                            trust=replace(scenario.trust, deadband=0.1))
-        sim = replace(sim, shocks=shocks)
+        sim = replace(sim, horizon=horizon, shocks=shocks)
         want = _assert_matches_the_reference(scenario, sim, script)
         # the periods whose last 3 actions, trust and reputation repeat the
         # period before

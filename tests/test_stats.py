@@ -19,15 +19,16 @@ from coopsim.stats import (
 
 class TestPairedTTest:
     def test_identical_samples(self):
-        t, df, p, degenerate = paired_ttest([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert t == 0.0 and degenerate
+        # zero-variance differences, zero or not, admit no test
+        for y in ([1.0, 2.0, 3.0], [0.5, 1.5, 2.5]):
+            assert paired_ttest([1.0, 2.0, 3.0], y) == (None, 2, None)
 
     def test_hand_formula(self):
         x = [2.0, 3.0, 4.0, 5.0]
         y = [1.0, 1.5, 2.5, 4.0]
         diff = np.array(x) - np.array(y)
         expected_t = diff.mean() / (diff.std(ddof=1) / math.sqrt(len(diff)))
-        t, df, p, _ = paired_ttest(x, y)
+        t, df, p = paired_ttest(x, y)
         assert t == pytest.approx(expected_t, rel=1e-12)
         assert df == 3
 
@@ -37,7 +38,7 @@ class TestPairedTTest:
             n = rng.randint(5, 60)
             x = [rng.gauss(1.0, 2.0) for _ in range(n)]
             y = [rng.gauss(0.5, 1.5) for _ in range(n)]
-            t, df, p, _ = paired_ttest(x, y)
+            t, df, p = paired_ttest(x, y)
             ref = sps.ttest_rel(x, y)
             assert t == pytest.approx(ref.statistic, rel=1e-9)
             assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-12)
@@ -45,14 +46,15 @@ class TestPairedTTest:
 
 class TestCohensD:
     def test_identical(self):
-        d, degenerate = cohens_d([1.0, 1.0, 2.0], [1.0, 1.0, 2.0])
-        assert d == 0.0
+        assert cohens_d([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]) == 0.0
+        # both samples constant: no spread to scale by
+        assert cohens_d([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]) is None
 
     def test_unit_effect(self):
         rng = random.Random(3)
         x = [rng.gauss(2.0, 1.0) for _ in range(4000)]
         y = [rng.gauss(1.0, 1.0) for _ in range(4000)]
-        d, _ = cohens_d(x, y)
+        d = cohens_d(x, y)
         assert d == pytest.approx(1.0, abs=0.08)
 
     def test_symmetric_pooled_form(self):
@@ -60,7 +62,7 @@ class TestCohensD:
         y = [1.0, 1.0, 1.0, 7.0]
         sx, sy = np.var(x, ddof=1), np.var(y, ddof=1)
         expected = (np.mean(x) - np.mean(y)) / math.sqrt((sx + sy) / 2)
-        d, _ = cohens_d(x, y)
+        d = cohens_d(x, y)
         assert d == pytest.approx(expected, rel=1e-12)
 
     def test_interpretation_bands(self):
@@ -103,12 +105,19 @@ class TestBootstrap:
 
 class TestWilcoxon:
     def test_all_equal_is_degenerate(self):
-        stat, p, degenerate = wilcoxon_signed_rank([2.0] * 10, 2.0)
-        assert degenerate and p == 1.0
+        assert wilcoxon_signed_rank([2.0] * 10, 2.0) == (None, None)
+
+    def test_every_difference_tied_still_has_variance(self):
+        # the tie-corrected variance is smallest with every |difference|
+        # tied, n(n + 1)(3n + 3) / 48, and still positive
+        for n in (6, 10, 61):
+            stat, p = wilcoxon_signed_rank([-1.0] * n, 0.0)
+            z = (0.0 - n * (n + 1) / 4.0 - 0.5) / math.sqrt(n * (n + 1) * (3 * n + 3) / 48.0)
+            assert stat == 0.0 and p == pytest.approx(1.0 - stats._normal_cdf(z), rel=1e-12)
 
     def test_extreme_ordering(self):
-        stat, p, degenerate = wilcoxon_signed_rank([2.0, 2.1, 2.5, 3.0, 2.2, 2.9], 1.5)
-        assert not degenerate
+        stat, p = wilcoxon_signed_rank([2.0, 2.1, 2.5, 3.0, 2.2, 2.9], 1.5)
+        assert stat == 21.0  # every rank, 1 to 6, is positive
         assert p < 0.05
 
     def test_matches_reference_implementation(self):
@@ -121,9 +130,7 @@ class TestWilcoxon:
             for sample in (raw, [round(v, 1) for v in raw], [round(v) for v in raw]):
                 if all(abs(v) < 1e-12 for v in sample):
                     continue
-                stat, p, degenerate = wilcoxon_signed_rank(sample, 0.0)
-                if degenerate:
-                    continue
+                stat, p = wilcoxon_signed_rank(sample, 0.0)
                 ref = sps.wilcoxon(np.array(sample, dtype=float), alternative="greater",
                                    correction=True, method="approx")
                 assert stat == pytest.approx(ref.statistic, abs=1e-9)
