@@ -12,6 +12,8 @@ Rows, each the cost of one call:
   same divided by its 66 periods;
 - ``case_study.run_pair``: the iOS baseline and counterfactual as one
   two-row ``record_batch`` (``case_study.run_ios_pair``);
+- ``case_study.score_rubric_auto``: the four machine rubric indicators of
+  the iOS run, its transitions detected included;
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``scenario.reference_scenario``: one ``reference_scenario()`` build,
@@ -154,6 +156,7 @@ def rows(work: str) -> dict:
         "simulation.run": (lambda: simulation.run(scenario, sim), 1),
         "simulation.period": (lambda: simulation.run(scenario, sim), sim.horizon),
         "case_study.run_pair": (lambda: case_study.run_ios_pair(sim.seed), 1),
+        "case_study.score_rubric_auto": (lambda: case_study.score_rubric_auto(traj), 1),
         "files.trajectory_csv": (lambda: files.trajectory_csv(traj), 1),
         "files.dyads_csv": (lambda: files.dyads_csv(traj), 1),
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),

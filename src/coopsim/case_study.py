@@ -16,6 +16,27 @@ event of each transition lands on the closing quarter of the preceding
 phase (commission criticism at Q36, the lawsuit escalation at Q48, the
 policy concession at Q54); the maturation transition at Q16 is endogenous,
 with no shock.
+
+``score_rubric_auto`` scores four rubric indicators per phase from a run.
+Each takes one band rule: 1 at or below a good bound, 0.5 at or below a
+partial bound, else 0.
+
+1. Cooperation trend direction: the change in aggregate cooperation from the
+   end of one phase body to the end of the next, each end level the mean of
+   its last two quarters.  A phase body leaves out its closing quarter, where
+   the next transition's shock lands, except in the last phase.  A stable
+   phase scores the size of the change, bounds 0.05 and 0.1.  A rising or
+   falling phase scores 1 when it moves the expected way by more than 0.05,
+   and 0.5 when by less.
+4. Asymmetry reflects power: 1 when, at the phase-mean trust, the
+   developers' trust-gated response weights toward the platform sum to more
+   than the platform's toward them; else 0.
+8. Phase transition timing: the distance in quarters from the detected
+   transition (``detect_transitions``) to the closing quarter of the phase
+   before, bounds 1 and 2.  A transition not found scores 0.
+10. Equilibrium stability: the actors' mean standard deviation of
+    cooperation about their own least-squares line over the phase, bounds
+    0.15 and 0.22.
 """
 
 from __future__ import annotations
@@ -74,7 +95,9 @@ NOISE_SIGMA = 0.02
 #: above-norm cooperation.
 NORM_RATE = 0.22
 #: Fixed seed of the released scenario, so the shipped baseline run is
-#: reproducible and representative of the noise-free structure.
+#: reproducible.  The phase claims the tests check hold at this seed and in
+#: the noise-free runs, but not at most seeds: all five criterion-9 checks
+#: hold on 20 of seeds 0-999.
 DEFAULT_SEED = 186
 
 BASELINE_SHOCKS = (
@@ -219,34 +242,26 @@ def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
     """Detected transition quarter opening each phase (None if not found).
 
     Disruption-driven transitions are quarters where the aggregate
-    cooperation level moves by more than ``JUMP_THRESHOLD`` in one quarter.
-    The endogenous maturation transition is when the cooperative norm has
-    been institutionalized: norms grow at ``NORM_RATE * gap`` while the
-    climb lasts, so the transition is the first quarter at which the
-    three-quarter norm growth implies a remaining gap below ``NORM_GAP``.
-    The first phase has no transition and maps to quarter 1.
+    cooperation level moves by more than ``JUMP_THRESHOLD`` in one quarter;
+    each phase takes the one nearest the closing quarter of the phase
+    before, the earlier of two equally near.  The endogenous maturation
+    transition is when the cooperative norm has been institutionalized:
+    norms grow at ``NORM_RATE * gap`` while the climb lasts, so the
+    transition is the first quarter at which the three-quarter norm growth
+    implies a remaining gap below ``NORM_GAP``.  The first phase has no
+    transition and maps to quarter 1.
     """
     _phase_blocks(traj.actions)  # only a HORIZON-quarter trajectory has the phases
     m = traj.actions.mean(axis=1)
     norms = traj.norms.mean(axis=1)
-    detected_shocks = sorted(
-        q + 1 for q in range(1, HORIZON) if abs(m[q] - m[q - 1]) > JUMP_THRESHOLD
-    )
-
-    plateau = None
-    slope_threshold = NORM_RATE * NORM_GAP
-    for q in range(6, HORIZON + 1):
-        if (norms[q - 1] - norms[q - 4]) / 3.0 < slope_threshold:
-            plateau = q - 1
-            break
-
-    out: dict[str, Optional[int]] = {IOS_PHASES[0].name: 1, IOS_PHASES[1].name: plateau}
+    jumps = np.flatnonzero(np.abs(np.diff(m)) > JUMP_THRESHOLD) + 2
+    plateaus = np.flatnonzero((norms[5:] - norms[2:-3]) / 3.0 < NORM_RATE * NORM_GAP)
+    out: dict[str, Optional[int]] = {
+        IOS_PHASES[0].name: 1,
+        IOS_PHASES[1].name: int(plateaus[0]) + 5 if plateaus.size else None,
+    }
     for p in IOS_PHASES[2:]:
-        best = None
-        for q in detected_shocks:
-            if best is None or abs(q - (p.start - 1)) < abs(best - (p.start - 1)):
-                best = q
-        out[p.name] = best
+        out[p.name] = int(jumps[np.abs(jumps - (p.start - 1)).argmin()]) if jumps.size else None
     return out
 
 
@@ -288,97 +303,50 @@ HUMAN_REFERENCE_SCORES: dict[int, tuple[Optional[float], ...]] = {
 #: Expected per-phase trend signs: +1 rising, 0 stable, -1 falling.
 EXPECTED_TRENDS = (+1, 0, -1, -1, +1)
 
-
-def _gate_matrix(traj: Trajectory) -> list[tuple[float, float]]:
-    """Per phase: (developer-side, platform-side) mean trust-gated response weights."""
-    gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
-    out = []
-    for block in _phase_blocks(traj.trust):
-        weighted = block.mean(axis=0) * gate
-        out.append((float(weighted[1, 0] + weighted[2, 0]),
-                    float(weighted[0, 1] + weighted[0, 2])))
-    return out
-
-
-def _band_score(value: float, good: float, partial: float) -> float:
-    if value <= good:
-        return 1.0
-    if value <= partial:
-        return 0.5
-    return 0.0
+_EXPECTED = np.array(EXPECTED_TRENDS)
+#: Indicator 1's ends: two-quarter levels end at quarter 2 and at each phase
+#: body's last quarter.
+_LEVEL_ENDS = np.array([2] + [p.end - 1 for p in IOS_PHASES[:-1]] + [IOS_PHASES[-1].end])
+#: Indicator 1's bounds.  A rising or falling phase is scored on its
+#: shortfall ``-expected * change``, which must be below -0.05 and below 0,
+#: not at them, so its bounds sit one float step below.
+_TREND_GOOD = np.where(_EXPECTED == 0, 0.05, np.nextafter(-0.05, -np.inf))
+_TREND_PARTIAL = np.where(_EXPECTED == 0, 0.1, np.nextafter(0.0, -np.inf))
 
 
-def _trend_score(delta: float, expected: int, band: float) -> float:
-    if expected == 0:
-        return _band_score(abs(delta), band, 2 * band)
-    signed = delta * expected
-    if signed > band:
-        return 1.0
-    if signed > 0:
-        return 0.5
-    return 0.0
-
-
-def _body_end(p: PhaseSpec, is_last: bool) -> int:
-    # Transition shocks land on closing quarters; the phase body excludes
-    # them so the triggering event does not mask the phase character.
-    return p.end if is_last else p.end - 1
+def _bands(value: np.ndarray, good, partial) -> tuple[float, ...]:
+    """The band rule per phase: 1 at or below ``good``, 0.5 at or below
+    ``partial``, else 0."""
+    return tuple(np.where(value <= good, 1.0, np.where(value <= partial, 0.5, 0.0)).tolist())
 
 
 def score_rubric_auto(traj: Trajectory) -> dict[int, tuple[float, ...]]:
     """Score the automatable indicators, ``AUTO_INDICATORS``, phase by phase:
-    each indicator's five phase scores, keyed by its 1-based number."""
+    each indicator's five phase scores, keyed by its 1-based number.  The
+    module docstring states each indicator's rule."""
     blocks = _phase_blocks(traj.actions)
     m = traj.actions.mean(axis=1)
-    n_phases = len(IOS_PHASES)
 
-    # Indicator 1: trend direction, measured between phase-body endpoints
-    # (two-quarter means for noise robustness).
-    def ref_level(q: int) -> float:
-        return float(m[q - 2 : q].mean())
+    change = np.diff((m[_LEVEL_ENDS - 2] + m[_LEVEL_ENDS - 1]) / 2.0)
+    trend = _bands(np.where(_EXPECTED == 0, np.abs(change), -_EXPECTED * change),
+                   _TREND_GOOD, _TREND_PARTIAL)
 
-    trend_scores = []
-    prev_ref = ref_level(2)
-    for idx, p in enumerate(IOS_PHASES):
-        ref = ref_level(_body_end(p, idx == n_phases - 1))
-        trend_scores.append(_trend_score(ref - prev_ref, EXPECTED_TRENDS[idx], band=0.05))
-        prev_ref = ref
+    gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
+    weighted = np.array([block.mean(axis=0) for block in _phase_blocks(traj.trust)]) * gate
+    asymmetry = tuple(map(float, weighted[:, 1:, 0].sum(axis=1) > weighted[:, 0, 1:].sum(axis=1)))
 
-    # Indicator 4: structural power asymmetry shows up in the response
-    # weights: the developers' trust-gated reciprocity capacity toward the
-    # platform exceeds the platform's toward them in every phase.
-    asym_scores = [
-        1.0 if dev > apple else 0.0 for dev, apple in _gate_matrix(traj)
-    ]
+    detected = detect_transitions(traj).values()
+    timing = _bands(np.array([np.inf if q is None else abs(q - (p.start - 1))
+                              for p, q in zip(IOS_PHASES, detected)]), 1, 2)
 
-    # Indicator 8: transition timing within one quarter of the phase's
-    # opening transition (the closing quarter of the preceding phase).
-    transitions = detect_transitions(traj)
-    timing_scores = []
-    for idx, p in enumerate(IOS_PHASES):
-        if idx == 0:
-            timing_scores.append(1.0)
-            continue
-        q = transitions.get(p.name)
-        if q is None:
-            timing_scores.append(0.0)
-        else:
-            err = abs(q - (p.start - 1))
-            timing_scores.append(1.0 if err <= 1 else (0.5 if err <= 2 else 0.0))
-
-    # Indicator 10: within-phase stability after removing the phase trend.
-    stab_scores = []
+    resid_sd = []
     for block in blocks:
-        q = np.arange(block.shape[0], dtype=float)
-        resid_sd = []
-        for col in range(block.shape[1]):
-            series = block[:, col]
-            resid = series - np.polyval(np.polyfit(q, series, 1), q)
-            resid_sd.append(float(resid.std(ddof=0)))
-        stab_scores.append(_band_score(float(np.mean(resid_sd)), 0.15, 0.22))
+        q = np.arange(len(block), dtype=float)
+        slope, intercept = np.polyfit(q, block, 1)
+        resid_sd.append((block - (slope * q[:, None] + intercept)).std(axis=0).mean())
+    stability = _bands(np.array(resid_sd), 0.15, 0.22)
 
-    scores = (trend_scores, asym_scores, timing_scores, stab_scores)  # AUTO_INDICATORS order
-    return dict(zip(AUTO_INDICATORS, map(tuple, scores)))
+    return dict(zip(AUTO_INDICATORS, (trend, asymmetry, timing, stability)))
 
 
 @dataclass(frozen=True)

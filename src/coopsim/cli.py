@@ -105,10 +105,10 @@ def cmd_montecarlo(args) -> int:
             zip(report.all_targets.tolist(), report.ratios.tolist(), report.clamped)):
         lines.append(f"{t},{int(ok)},{ratio:.12g},{';'.join(clamped)}")
     files.write_file(os.path.join(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
+    low = "n/a" if report.min_ratio is None else f"{report.min_ratio:.2f}"
     print(
         f"trials={report.n} all-targets={100 * report.all_targets_rate:.1f}% "
-        f"ratio>={T4_RATIO} in {100 * report.ratio_threshold_rate:.1f}% "
-        f"(min {report.min_ratio:.2f})"
+        f"ratio>={T4_RATIO} in {100 * report.ratio_threshold_rate:.1f}% (min {low})"
     )
     passed = report.ratio_threshold_rate >= TARGET_THRESHOLDS["t4"]
     return EXIT_OK if passed else EXIT_THRESHOLD

@@ -84,6 +84,7 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
     sd = f"{finite.std(ddof=1):.3f}" if len(finite) > 1 else "n/a"
     if len(finite) < len(ratios):
         sd += f" ({len(ratios) - len(finite)} of {len(ratios)} ratios not finite, left out)"
+    low = "n/a" if report.min_ratio is None else f"{report.min_ratio:.3f}"
     lines = [
         "# Robustness under parameter perturbation",
         "",
@@ -95,7 +96,7 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
         f"{report.n} ({_pct(report.all_targets_rate)}) |",
         f"| Mean differentiation ratio | {mean} |",
         f"| Ratio sd | {sd} |",
-        f"| Minimum ratio | {report.min_ratio:.3f} |",
+        f"| Minimum ratio | {low} |",
         f"| Ratio >= {T4_RATIO} | {_pct(report.ratio_threshold_rate)} |",
         f"| Trials with clamped parameters | {report.clamped_trials} |",
         "",

@@ -70,35 +70,28 @@ def _betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _off_zero(v: float) -> float:
+    """``v``, or 1e-300 when it is that close to zero, so Lentz's method
+    never divides by zero."""
+    return 1e-300 if abs(v) < 1e-300 else v
+
+
 def _beta_cf(a: float, b: float, x: float, max_iters: int = 300, eps: float = 1e-14) -> float:
+    """The incomplete beta function's continued fraction by the modified
+    Lentz method: each m takes an even and an odd coefficient, and the
+    fraction has converged once an odd step moves it by less than ``eps``."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, max_iters + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             break
     return h

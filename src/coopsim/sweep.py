@@ -640,9 +640,11 @@ class MonteCarloReport:
         return float((self.ratios >= T4_RATIO).mean())
 
     @property
-    def min_ratio(self) -> float:
-        """The smallest ratio; an undefined (NaN) ratio is skipped."""
-        return float(np.fmin.reduce(self.ratios))
+    def min_ratio(self) -> Optional[float]:
+        """The smallest ratio; an undefined (NaN) ratio is skipped, and with
+        no ratio defined there is none."""
+        low = float(np.fmin.reduce(self.ratios))
+        return None if math.isnan(low) else low
 
     @property
     def clamped_trials(self) -> int:

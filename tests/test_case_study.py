@@ -90,6 +90,46 @@ def flat_trajectory(level=0.7, horizon=66, n=3):
     )
 
 
+def built_trajectory(levels=((1, 0.5), (66, 0.5)), steps=(), zigzag=0.0,
+                     norms=((1, 0.5), (66, 0.5)), trust=((1, 0.7), (66, 0.7))):
+    """A 66-quarter trajectory built from its parts.  Every actor's level runs
+    through the ``(quarter, level)`` knots ``levels`` and moves by ``delta``
+    from each ``(quarter, delta)`` of ``steps`` on; actors 0 and 1 add
+    ``+zigzag`` and ``-zigzag`` in alternate quarters, which leaves the
+    aggregate level as it is.  Every actor's norm runs through the ``norms``
+    knots, and the developers' trust in the platform through the ``trust``
+    knots; every other trust is 0.7."""
+    q = np.arange(1, cs.HORIZON + 1)
+    level = np.interp(q, *zip(*levels)) + sum(delta * (q >= at) for at, delta in steps)
+    wobble = zigzag * (-1.0) ** q
+    actions = level[:, None] + np.stack([wobble, -wobble, 0.0 * wobble], axis=1)
+    shape = (cs.HORIZON, 3, 3)
+    trust_matrices = np.full(shape, 0.7)
+    trust_matrices[:, 1:, 0] = np.interp(q, *zip(*trust))[:, None]
+    return Trajectory(
+        labels=cs.ACTORS,
+        actions=actions,
+        baselines=actions.copy(),
+        norms=np.repeat(np.interp(q, *zip(*norms))[:, None], 3, axis=1),
+        trust=trust_matrices,
+        reputation=np.zeros(shape),
+        signal=np.zeros(shape),
+        recip_term=np.zeros(shape),
+        converged=np.ones(cs.HORIZON, dtype=bool),
+    )
+
+
+def body_trends(*deltas):
+    """Level knots that move the aggregate level by each delta, in turn,
+    between the two-quarter levels at the ends of the phase bodies that
+    indicator 1 compares."""
+    knots, level = [(1, 0.5), (2, 0.5)], 0.5
+    for end, delta in zip((15, 35, 47, 53, 66), deltas):
+        level += delta
+        knots += [(end - 1, level), (end, level)]
+    return tuple(knots)
+
+
 class TestPhaseStatistics:
     def test_constant_trajectory(self):
         stats = cs.phase_statistics(flat_trajectory(0.7))
@@ -128,6 +168,55 @@ class TestRubric:
             # one score per phase
             assert len(score[indicator]) == len(cs.IOS_PHASES)
             assert sum(score[indicator]) / len(cs.IOS_PHASES) >= 0.75, indicator
+
+    # Built trajectories, one row per discrete branch of the scorers: the
+    # transitions in phase order, then the four indicators' phase scores.
+    @pytest.mark.parametrize("parts, transitions, scores", [
+        # no jump: the disruption transitions are None and score 0; flat
+        # norms plateau at once, 11 quarters early
+        pytest.param({}, (1, 5, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="no-jump"),
+        # jumps at 34 and 38 tie for Q36, 47 and 49 for Q48: the earlier wins
+        pytest.param({"steps": ((34, -0.08), (38, -0.08), (47, 0.08), (49, -0.08), (53, 0.08))},
+                     (1, 5, 34, 47, 53),
+                     {1: (0.0, 0.5, 0.5, 0.0, 0.5), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.5, 1.0, 1.0), 10: (1.0,) * 5}, id="tied-jumps"),
+        pytest.param({"norms": ((1, 0.2), (66, 0.9))}, (1, None, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-never-flatten"),
+        pytest.param({"norms": ((1, 0.2), (20, 0.6), (66, 0.6))}, (1, 22, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-flatten-late"),
+        # trend deltas against the expected signs (+, 0, -, -, +)
+        pytest.param({"levels": body_trends(0.07, 0.04, -0.07, -0.03, 0.2)},
+                     (1, 5, None, None, None),
+                     {1: (1.0, 1.0, 1.0, 0.5, 1.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-inside-bands"),
+        pytest.param({"levels": body_trends(0.03, -0.07, -0.03, 0.03, -0.03)},
+                     (1, 5, None, None, None),
+                     {1: (0.5, 0.5, 0.5, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-between-bands"),
+        pytest.param({"levels": body_trends(-0.03, 0.12, 0.2, -0.2, 0.03)},
+                     (1, 5, None, None, None),
+                     {1: (0.0, 0.0, 0.0, 1.0, 0.5), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-outside-bands"),
+        # detrended sds of 0.17-0.18, then of 0.26-0.27
+        pytest.param({"zigzag": 0.27}, (1, 5, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.5,) * 5}, id="unsteady"),
+        pytest.param({"zigzag": 0.4}, (1, 5, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.0,) * 5}, id="erratic"),
+        pytest.param({"trust": ((1, 0.7), (40, 0.7), (50, 0.2), (66, 0.2))},
+                     (1, 5, None, None, None),
+                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0, 1.0, 1.0, 0.0, 0.0),
+                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="developer-distrust"),
+    ])
+    def test_scorers_on_built_trajectories(self, parts, transitions, scores):
+        traj = built_trajectory(**parts)
+        assert tuple(cs.detect_transitions(traj).values()) == transitions
+        assert cs.score_rubric_auto(traj) == scores
 
     def test_manual_indicators_not_auto_scored(self, ios_run):
         score = cs.score_rubric_auto(ios_run)

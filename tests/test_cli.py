@@ -282,6 +282,15 @@ class TestMonteCarloCommand:
             outs.append(read(os.path.join(out, "montecarlo.csv")))
         assert outs[0] == outs[1]
 
+    def test_no_defined_ratio_prints_no_minimum(self, tmp_path, capsys):
+        # both trials' responses are zero, so every ratio is 0/0
+        out = str(tmp_path / "mc")
+        assert main(["montecarlo", "--trials", "2", "--perturb", "100", "--seed", "1",
+                     "--out", out]) == 2
+        assert capsys.readouterr().out == (
+            "trials=2 all-targets=0.0% ratio>=1.5 in 0.0% (min n/a)\n")
+        assert "| Minimum ratio | n/a |" in read(os.path.join(out, "montecarlo.md")).decode()
+
     @pytest.mark.parametrize("args, message", [
         (["--trials", "0"], "trials must be >= 2"),
         (["--trials", "-2"], "trials must be >= 2"),

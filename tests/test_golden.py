@@ -412,3 +412,25 @@ def test_scenario_text_checksum(case, tmp_path):
     text = _scenario_text(case, tmp_path)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == SCENARIO_TEXT_GOLDEN[case], f"{case} scenario text moved:\n{text}"
+
+
+# SHA-256 over the reprs of detect_transitions() and score_rubric_auto() on
+# both rows of run_ios_pair(seed) for seeds 0-99, then on the noise-free
+# baseline and counterfactual: the values and their Python types.
+SCORER_GOLDEN = "f642ab9b6d9bf7f75c451e109e7ff03bf8493074a345afa67bcc12711490dfef"
+
+
+def _scored_runs():
+    for seed in range(100):
+        yield from case_study.run_ios_pair(seed)
+    for counterfactual in (False, True):
+        scenario, sim = case_study.build_ios_scenario(counterfactual)
+        yield run(scenario, replace(sim, noise_sigma=0.0))
+
+
+def test_case_study_scorer_checksum():
+    h = hashlib.sha256()
+    for traj in _scored_runs():
+        h.update(repr((case_study.detect_transitions(traj),
+                       case_study.score_rubric_auto(traj))).encode())
+    assert h.hexdigest() == SCORER_GOLDEN, f"case-study scores moved ({_machine()})"

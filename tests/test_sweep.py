@@ -454,6 +454,7 @@ def test_monte_carlo_report_with_an_infinite_ratio_renders_without_warnings():
         lone = render_monte_carlo(_mc_report([math.inf, 2.0]))
         undefined = render_monte_carlo(_mc_report([1.5, math.nan, math.inf, 5.4]))
         none = render_monte_carlo(_mc_report([math.nan, math.inf]))
+        undefined_only = render_monte_carlo(_mc_report([math.nan, math.nan]))
         drawn = render_monte_carlo(monte_carlo(trials=3, perturb=1.5, seed=42))
     sd = np.std([1.5, 5.4], ddof=1)
     assert f"| Mean differentiation ratio | {np.mean([1.5, 5.4]):.3f} |" in text
@@ -466,7 +467,8 @@ def test_monte_carlo_report_with_an_infinite_ratio_renders_without_warnings():
     # the ratios of these trials are 1.5, undefined and 5.40
     assert "| Mean differentiation ratio | 3.452 |" in drawn
     assert "(1 of 3 ratios not finite, left out)" in drawn
-    assert "nan" not in text + lone + undefined + none + drawn
+    assert "| Minimum ratio | n/a |" in undefined_only
+    assert "nan" not in text + lone + undefined + none + undefined_only + drawn
     assert "| inf |" not in text + lone + undefined + drawn
 
 
