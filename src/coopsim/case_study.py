@@ -232,8 +232,8 @@ def phase_statistics(traj: Trajectory) -> list[PhaseStats]:
 
 
 #: Transition detection: a disruption moves aggregate cooperation by more
-#: than JUMP_THRESHOLD in one quarter; the norm is institutionalized once
-#: the remaining gap to cooperation is below NORM_GAP.
+#: than JUMP_THRESHOLD in one quarter; the norm is institutionalized once it
+#: has climbed NORM_GAP and the remaining gap to cooperation is below NORM_GAP.
 JUMP_THRESHOLD = 0.05
 NORM_GAP = 0.03
 
@@ -248,14 +248,17 @@ def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
     transition is when the cooperative norm has been institutionalized:
     norms grow at ``NORM_RATE * gap`` while the climb lasts, so the
     transition is the first quarter at which the three-quarter norm growth
-    implies a remaining gap below ``NORM_GAP``.  The first phase has no
-    transition and maps to quarter 1.
+    implies a remaining gap below ``NORM_GAP``, once the mean norm has risen
+    at least ``NORM_GAP`` above its quarter-1 value: norms that never climb
+    have no maturation (None).  The first phase has no transition and maps
+    to quarter 1.
     """
     _phase_blocks(traj.actions)  # only a HORIZON-quarter trajectory has the phases
     m = traj.actions.mean(axis=1)
     norms = traj.norms.mean(axis=1)
     jumps = np.flatnonzero(np.abs(np.diff(m)) > JUMP_THRESHOLD) + 2
-    plateaus = np.flatnonzero((norms[5:] - norms[2:-3]) / 3.0 < NORM_RATE * NORM_GAP)
+    plateaus = np.flatnonzero(((norms[5:] - norms[2:-3]) / 3.0 < NORM_RATE * NORM_GAP)
+                              & (norms[5:] - norms[0] >= NORM_GAP))
     out: dict[str, Optional[int]] = {
         IOS_PHASES[0].name: 1,
         IOS_PHASES[1].name: int(plateaus[0]) + 5 if plateaus.size else None,

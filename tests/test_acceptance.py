@@ -4,11 +4,10 @@ Each criterion is checked here, on its own data.  A unit test of the same
 property checks it on other data (another seed, step size or input, or the
 case-study scenarios run without noise); the one overlap is the smoke
 grid's pass flags, which ``test_sweep.py`` keeps so that the smoke grid
-stays checked when criterion 3 reads the full grid.
+stays checked while criteria 3 and 4 read the full grid.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  By default criterion 3 checks the 3^6 smoke grid (same
-thresholds, the session's shared smoke sweep); the full 5^6 grid, which
-takes seconds, is enabled with ``COOPSIM_FULL_ACCEPTANCE=1``.
+criterion.  Criteria 3 and 4 read the full 5^6 grid, measured and
+bootstrapped once per session (``conftest.full_sweep``).
 
 Criterion 1 carries two expected failures, marked xfail: the stated
 acceptance bands for the two worked-example sensitivities (0.90 and 0.29,
@@ -21,7 +20,6 @@ import functools
 import os
 import random
 import statistics
-import time
 
 import numpy as np
 import pytest
@@ -31,19 +29,10 @@ from coopsim.propositions import check_prop2, check_prop3
 from coopsim.reciprocity import sensitivity
 from coopsim.scenario import reference_scenario
 from coopsim.solver import SolverConfig, solve_equilibrium
-from coopsim.sweep import (
-    FULL_GRID,
-    SMOKE_GRID,
-    differentiation_stats,
-    measure_targets,
-    monte_carlo,
-    run_sweep,
-)
+from coopsim.sweep import FULL_GRID, measure_targets, monte_carlo
 from oracles import exhaustive_nash
 from test_reciprocity import baselines_of, deviation_terms, period_one, response
 from test_trust import kernel_step, random_columns
-
-FULL = os.environ.get("COOPSIM_FULL_ACCEPTANCE") == "1"
 
 
 def report(criterion: str, detail: str) -> None:
@@ -105,17 +94,8 @@ def test_criterion_2_shipped_dependency_table():
 
 # -- criteria 3 & 4: behavioral targets and differentiation stats --------------
 
-@pytest.fixture(scope="module")
-def sweep_results(request):
-    if not FULL:
-        return (SMOKE_GRID, *request.getfixturevalue("smoke_sweep"))
-    start = time.monotonic()
-    results = run_sweep(FULL_GRID)
-    return FULL_GRID, results, time.monotonic() - start
-
-
-def test_criterion_3_behavioral_target_thresholds(sweep_results):
-    grid, results, elapsed = sweep_results
+def test_criterion_3_behavioral_target_thresholds(full_sweep):
+    results, _, elapsed = full_sweep
     rates = {r["target"]: r["rate"] for r in measure_targets(results)}
     assert rates["t6"] == 1.0
     assert rates["t2"] == 1.0
@@ -124,16 +104,13 @@ def test_criterion_3_behavioral_target_thresholds(sweep_results):
     assert rates["t1"] >= 0.85
     assert rates["t3"] >= 0.80
     assert rates["t5"] >= 0.90
-    if not FULL:
-        assert elapsed < 120.0, "smoke grid must finish inside two minutes"
-    label = "full 5^6" if FULL else "3^6 smoke"
-    report("3", f"{label} grid ({grid.size} cells, {elapsed:.0f}s): "
+    assert elapsed < 120.0, "full grid must finish inside two minutes"
+    report("3", f"full 5^6 grid ({FULL_GRID.size} cells, {elapsed:.1f}s): "
                 + ", ".join(f"{k}={100 * v:.1f}%" for k, v in rates.items()))
 
 
-def test_criterion_4_differentiation_effect_size(sweep_results):
-    _, results, _ = sweep_results
-    stats = differentiation_stats(results, seed=42)
+def test_criterion_4_differentiation_effect_size(full_sweep):
+    _, stats, _ = full_sweep
     assert stats.cohens_d >= 0.8
     assert stats.wilcoxon_p < 0.01
     assert stats.ci_lo <= stats.mean <= stats.ci_hi

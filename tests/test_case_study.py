@@ -172,14 +172,14 @@ class TestRubric:
     # Built trajectories, one row per discrete branch of the scorers: the
     # transitions in phase order, then the four indicators' phase scores.
     @pytest.mark.parametrize("parts, transitions, scores", [
-        # no jump: the disruption transitions are None and score 0; flat
-        # norms plateau at once, 11 quarters early
-        pytest.param({}, (1, 5, None, None, None),
+        # no jump: the disruption transitions are None and score 0; norms
+        # that never climb have no maturation either
+        pytest.param({}, (1, None, None, None, None),
                      {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="no-jump"),
         # jumps at 34 and 38 tie for Q36, 47 and 49 for Q48: the earlier wins
         pytest.param({"steps": ((34, -0.08), (38, -0.08), (47, 0.08), (49, -0.08), (53, 0.08))},
-                     (1, 5, 34, 47, 53),
+                     (1, None, 34, 47, 53),
                      {1: (0.0, 0.5, 0.5, 0.0, 0.5), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.5, 1.0, 1.0), 10: (1.0,) * 5}, id="tied-jumps"),
         pytest.param({"norms": ((1, 0.2), (66, 0.9))}, (1, None, None, None, None),
@@ -190,26 +190,26 @@ class TestRubric:
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-flatten-late"),
         # trend deltas against the expected signs (+, 0, -, -, +)
         pytest.param({"levels": body_trends(0.07, 0.04, -0.07, -0.03, 0.2)},
-                     (1, 5, None, None, None),
+                     (1, None, None, None, None),
                      {1: (1.0, 1.0, 1.0, 0.5, 1.0), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-inside-bands"),
         pytest.param({"levels": body_trends(0.03, -0.07, -0.03, 0.03, -0.03)},
-                     (1, 5, None, None, None),
+                     (1, None, None, None, None),
                      {1: (0.5, 0.5, 0.5, 0.0, 0.0), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-between-bands"),
         pytest.param({"levels": body_trends(-0.03, 0.12, 0.2, -0.2, 0.03)},
-                     (1, 5, None, None, None),
+                     (1, None, None, None, None),
                      {1: (0.0, 0.0, 0.0, 1.0, 0.5), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-outside-bands"),
         # detrended sds of 0.17-0.18, then of 0.26-0.27
-        pytest.param({"zigzag": 0.27}, (1, 5, None, None, None),
+        pytest.param({"zigzag": 0.27}, (1, None, None, None, None),
                      {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.5,) * 5}, id="unsteady"),
-        pytest.param({"zigzag": 0.4}, (1, 5, None, None, None),
+        pytest.param({"zigzag": 0.4}, (1, None, None, None, None),
                      {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.0,) * 5}, id="erratic"),
         pytest.param({"trust": ((1, 0.7), (40, 0.7), (50, 0.2), (66, 0.2))},
-                     (1, 5, None, None, None),
+                     (1, None, None, None, None),
                      {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0, 1.0, 1.0, 0.0, 0.0),
                       8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="developer-distrust"),
     ])

@@ -65,11 +65,10 @@ def test_writers_match_the_per_number_oracle(traj):
 
 def test_targets_csv_does_not_depend_on_its_block_size(monkeypatch, smoke_sweep):
     # the smoke grid's 729 rows fit one block; 7-row blocks split them
-    table, _ = smoke_sweep
-    whole = files.targets_csv(table)
-    assert len(whole.splitlines()) == 1 + len(table["t1"])
+    whole = files.targets_csv(smoke_sweep)
+    assert len(whole.splitlines()) == 1 + len(smoke_sweep["t1"])
     monkeypatch.setattr(files, "CSV_BLOCK_ROWS", 7)
-    assert files.targets_csv(table) == whole
+    assert files.targets_csv(smoke_sweep) == whole
 
 
 #: The three readers of ``key = value`` text, each given the same lines: a

@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 from coopsim import case_study
 from coopsim.cli import main
-from coopsim.files import scenario_to_text
+from coopsim.files import scenario_to_text, targets_csv
 from coopsim.params import (
     EconomyParams,
     InterdependenceMatrix,
@@ -30,9 +31,11 @@ from coopsim.params import (
     TeamParams,
     TrustParams,
 )
+from coopsim.reports import render_target_report
 from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario
 from coopsim.simulation import run
 from coopsim.solver import SolverConfig, solve_equilibrium
+from coopsim.sweep import measure_targets
 from test_acceptance import prop3
 from test_simulation import settled_best_response
 from test_translate import team_scenario
@@ -108,23 +111,37 @@ GOLDEN = {
         "dyads.csv":
             "37fb50ef6ac13a4391fa0543b5b9c77e68589ba1101d0edc7a00dbc42a259a94",
     },
-    "case-study": {
+    # README's "Reproducing the shipped results", one row per command line
+    # (its --out aside); the full grid's row is FULL_GRID_GOLDEN below
+    "case-study ios --seed 186": {
         "trajectory.csv":
-            "8c821b049d43950615277af3d33673e338b2af66b0729092890715718c8280b1",
+            "712053374c7bf3181658631a77da003a0a49251fe6550a983021f27849ac7b5f",
         "dyads.csv":
-            "1af53a411461f26df0c2c3da927f28eb7501224e5970d90fab476847ced3bd18",
+            "c8e482dacff293fca4290ff642da0c5018a57977212f3523684bcb676e204ae9",
         "long.csv":
-            "a4e163aafaa20ef0d746766ec5890dca1a8ee3e5eaa453ee2a1d9f5328830ca7",
+            "604ca502c89e533c1d2eb09048a9abdd6274c2e89e50dabe295d8133a5befbe4",
         "phase_stats.csv":
-            "e4998f514436baba586a829df088766b04699948ae8b90880acabf1fb91918d1",
+            "95cf59bdad2508a59157b7905a3bc9d27ae7de33e6af2550a33b52487d32b4d4",
         "rubric.md":
-            "0365f7055398592e05d89acd5f9da70eaa25d3c86296877406d6479357dcd591",
+            "8923fcf9b76562747d3c6d7be980c75c549c25d6aadbd28a09c2ae3795582f5a",
     },
-    "montecarlo": {
+    "case-study ios --counterfactual --seed 186": {
+        "trajectory.csv":
+            "d203600d4116fbd2c538fe0be68a8b14537652df27be502a06a62798a9a10647",
+        "dyads.csv":
+            "5d70736b62652cffd113954c16f51d58b06ee57735050f67a4fe4582eaeaa4da",
+        "long.csv":
+            "bb8defacdf22f6dc0c4b9c8290fa3f20f867b8d18eb9ee6e45042c076041e3d7",
+        "phase_stats.csv":
+            "2fb2f361d1969309ea08d557a444ee0d4b432de2002df39411530fd53d9e967f",
+        "rubric.md":
+            "b63976e450b9880c51b891542bba8fab459379f2a38b78c04527b32c240fcccb",
+    },
+    "montecarlo --trials 2000 --seed 42": {
         "montecarlo.csv":
-            "1668d8277babadb157e9b90f6ba67558b21c3e7cc1d6d596dacd32c819ab48ed",
+            "01447e99e3b97d98ef09ae2a741ffd2ef58e83cb3a8048ab0d979639c4eb313a",
         "montecarlo.md":
-            "bc83d4d44efed6369a3ff080a96382234ef608436b5254683096f329993f49b4",
+            "5cdc14c56d565d112c81b972d91dbf64da599f195b6da0f378136e78b49de9fc",
     },
     "sweep": {
         "targets.csv":
@@ -145,13 +162,11 @@ def _argv(job, tmp_path, out):
     if job == "sweep":
         grid = _write(tmp_path / "grid.txt", GOLDEN_GRID)
         return ["sweep", "--grid", grid, "--seed", "3", "--out", out]
-    if job == "montecarlo":
-        return ["montecarlo", "--trials", "36", "--seed", "5", "--out", out]
-    if job == "case-study":
-        return ["case-study", "ios", "--counterfactual", "--seed", "11", "--out", out]
-    text = BEST_RESPONSE_SCENARIO if job == "best-response" else ADJUSTMENT_SCENARIO
-    scenario = _write(tmp_path / "scenario.conf", text)
-    return ["simulate", "--scenario", scenario, "--out", out]
+    if job in ("adjustment", "best-response"):
+        text = BEST_RESPONSE_SCENARIO if job == "best-response" else ADJUSTMENT_SCENARIO
+        scenario = _write(tmp_path / "scenario.conf", text)
+        return ["simulate", "--scenario", scenario, "--out", out]
+    return [*job.split(), "--out", out]
 
 
 def _machine() -> str:
@@ -163,15 +178,51 @@ def _machine() -> str:
     return f"numpy {np.__version__}; CPU features: {features}"
 
 
-@pytest.mark.parametrize("job", sorted(GOLDEN))
+@pytest.mark.parametrize("job", sorted(GOLDEN),
+                         ids=lambda job: job.replace(" --", "-").replace(" ", "-"))
 def test_golden_checksums(job, tmp_path):
     out = str(tmp_path / "out")
     assert main(_argv(job, tmp_path, out)) in (0, 2)
     got = {}
-    for name in GOLDEN[job]:
+    for name in os.listdir(out):  # every file the job writes
         with open(os.path.join(out, name), "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[job], f"{job} outputs moved ({_machine()})"
+
+
+# README's `coopsim sweep --grid full --seed 42`, hashed from the session's
+# full-grid table and statistics (conftest.full_sweep) as cmd_sweep renders
+# them.  targets.csv moves with numpy's SIMD dispatch level, so its digest is
+# this host's; report.md holds across levels.
+FULL_GRID_COMMAND = "sweep --grid full --seed 42"
+FULL_GRID_GOLDEN = {
+    "targets.csv": "66119417d744f3b844f4b3e75f9f2ee02502de035d67381d159f7c8b3ad98b46",
+    "report.md": "bea915576b87fe74f4f15dd193f35e034113250153b59eb05f2146ef3c797f49",
+}
+
+
+def test_full_grid_checksums(full_sweep):
+    table, stats, _ = full_sweep
+    texts = {"targets.csv": targets_csv(table),
+             "report.md": render_target_report(measure_targets(table), stats)}
+    got = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+           for name, text in texts.items()}
+    assert got == FULL_GRID_GOLDEN, f"full-grid outputs moved ({_machine()})"
+
+
+def test_every_shipped_command_is_hashed():
+    # each line of README's reproduction block has a digest above: a coopsim
+    # command its row (--out aside), the script its stdout's
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Reproducing the shipped results", 1)[1].split("```")[1]
+    for line in block.strip().splitlines():
+        if line.startswith("coopsim "):
+            command = re.sub(r" --out \S+", "", line.removeprefix("coopsim "))
+            assert command in (*GOLDEN, FULL_GRID_COMMAND), f"no digest for {line!r}"
+        else:
+            assert line == "python scripts/run_experiments.py", f"no digest for {line!r}"
+            assert callable(test_run_experiments_stdout_checksum)
 
 
 def _pre_history_scenario(eta):
