@@ -14,6 +14,10 @@ Rows, each the cost of one call:
   two-row ``record_batch`` (``case_study.run_ios_pair``);
 - ``case_study.score_rubric_auto``: the four machine rubric indicators of
   the iOS run, its transitions detected included;
+- ``case_study.seed_batch``: the iOS baseline and counterfactual at seeds
+  0-199 as one 400-row ``run_batch`` (``case_study.ios_batch``), then the
+  phase statistics, the rubric scores and the counterfactual comparison
+  of all 200 seeds at once;
 - ``files.trajectory_csv``, ``files.dyads_csv``, ``files.long_format_csv``:
   each writer on the iOS trajectory;
 - ``scenario.reference_scenario``: one ``reference_scenario()`` build,
@@ -103,6 +107,18 @@ def _noise_block(seed: int, n: int, horizon: int):
     return lambda: rng.normal(seed, streams, counters)
 
 
+def _seed_batch(seeds: int):
+    """Both iOS variants at ``seeds`` seeds run as one batch and scored."""
+    def call():
+        rec = simulation.run_batch(case_study.ios_batch(range(seeds)))
+        actions, norms, trust = (rec[f].reshape(rec[f].shape[0], 2, seeds, *rec[f].shape[2:])
+                                 for f in ("actions", "norms", "trust"))
+        case_study.phase_statistics(actions)
+        case_study.score_rubric_auto(actions[:, 0], norms[:, 0], trust[:, 0])
+        case_study.counterfactual_comparison(actions[:, 0], actions[:, 1], trust[:, 1])
+    return call
+
+
 def _measure_batch(cells: int):
     """One ``measure_cells`` call on the full grid's first ``cells`` cells."""
     first = {key: col[:cells] for key, col in sweep.FULL_GRID.columns().items()}
@@ -156,7 +172,9 @@ def rows(work: str) -> dict:
         "simulation.run": (lambda: simulation.run(scenario, sim), 1),
         "simulation.period": (lambda: simulation.run(scenario, sim), sim.horizon),
         "case_study.run_pair": (lambda: case_study.run_ios_pair(sim.seed), 1),
-        "case_study.score_rubric_auto": (lambda: case_study.score_rubric_auto(traj), 1),
+        "case_study.score_rubric_auto": (
+            lambda: case_study.score_rubric_auto(traj.actions, traj.norms, traj.trust), 1),
+        "case_study.seed_batch": (_seed_batch(200), 1),
         "files.trajectory_csv": (lambda: files.trajectory_csv(traj), 1),
         "files.dyads_csv": (lambda: files.dyads_csv(traj), 1),
         "files.long_format_csv": (lambda: files.long_format_csv(traj), 1),

@@ -9,9 +9,14 @@ parameters, shock schedule) are fixed here.  Phase analytics, the
 auto-scorable subset of the 12-indicator validation rubric, and the
 early-concession counterfactual build on the shared simulation engine.
 
+The analytics take run arrays, period on axis 0 and actor axes last:
+``actions`` and ``norms`` as ``(H, ..., n)``, ``trust`` as ``(H, ..., n, n)``.
+Batch axes between them carry through to every result, so one
+:class:`Trajectory` and the record of a many-seed :func:`ios_batch` score alike.
+
 Phase boundaries and shocks: the phases are the fixed partition
 ``IOS_PHASES`` of the 66 quarters, each at least six quarters long, and the
-phase analytics take only a trajectory of that length.  The triggering
+analytics take only runs of that length.  The triggering
 event of each transition lands on the closing quarter of the preceding
 phase (commission criticism at Q36, the lawsuit escalation at Q48, the
 policy concession at Q54); the maturation transition at Q16 is endogenous,
@@ -33,7 +38,7 @@ partial bound, else 0.
    than the platform's toward them; else 0.
 8. Phase transition timing: the distance in quarters from the detected
    transition (``detect_transitions``) to the closing quarter of the phase
-   before, bounds 1 and 2.  A transition not found scores 0.
+   before, bounds 1 and 2.  A transition not found (quarter 0) scores 0.
 10. Equilibrium stability: the actors' mean standard deviation of
     cooperation about their own least-squares line over the phase, bounds
     0.15 and 0.22.
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from .params import (
 )
 from .reciprocity import gate_matrix
 from .scenario import ScenarioConfig, Shock, SimConfig
-from .simulation import RunBatch, Trajectory, record_batch, run
+from .simulation import RunBatch, Trajectory, record_batch
 
 ACTORS = ("Apple", "Major", "Small")
 
@@ -136,12 +141,18 @@ IOS_PHASES = (
 
 
 def _phase_blocks(series: np.ndarray) -> list[np.ndarray]:
-    """Each phase's quarters of a per-quarter series, which must span the
+    """Each phase's quarters of a run array, whose axis 0 must span the
     case study's ``HORIZON`` quarters."""
     if len(series) != HORIZON:
         raise ConfigurationError(
             f"the case-study phases need a {HORIZON}-quarter trajectory, got {len(series)}")
     return [series[p.start - 1 : p.end] for p in IOS_PHASES]
+
+
+def _per_phase(x, ndim: int) -> np.ndarray:
+    """``x``, a scalar or one value per phase, with unit axes appended so it
+    broadcasts along the batch axes of an ``ndim``-axis per-phase array."""
+    return np.reshape(x, np.shape(x) + (1,) * (ndim - np.ndim(x)))
 
 
 def ios_dependency_csv_path() -> str:
@@ -165,7 +176,7 @@ def build_ios_scenario(counterfactual: bool = False,
     The counterfactual variant attenuates the tension and crisis shocks and
     adds a proactive platform concession at Q44; it reuses the baseline
     noise seed, so the two runs share one noise block (see
-    :func:`run_ios_pair`).
+    :func:`ios_batch`).
     """
     scenario = ScenarioConfig(
         labels=ACTORS,
@@ -194,41 +205,25 @@ def build_ios_scenario(counterfactual: bool = False,
     return scenario, sim
 
 
-def run_ios(seed: int = DEFAULT_SEED) -> Trajectory:
-    """The baseline run alone; :func:`run_ios_pair` gives the counterfactual."""
-    return run(*build_ios_scenario(False, seed))
+def ios_batch(seeds: Sequence[int]) -> RunBatch:
+    """Both ``build_ios_scenario`` variants at each seed as one batch, the
+    baselines in seed order and then the counterfactuals, so the record
+    reshapes to ``(H, 2, S, ...)``.  A seed's two rows draw one noise block."""
+    return RunBatch.of([build_ios_scenario(counterfactual, seed)
+                        for counterfactual in (False, True) for seed in seeds])
 
 
 def run_ios_pair(seed: int = DEFAULT_SEED) -> tuple[Trajectory, Trajectory]:
-    """``(baseline, counterfactual)``: the runs of both ``build_ios_scenario``
-    variants, advanced together as one two-row batch that draws one noise
-    block."""
-    batch = RunBatch.of([build_ios_scenario(counterfactual, seed)
-                         for counterfactual in (False, True)])
-    base, cf = record_batch(batch, ACTORS)
-    return base, cf
+    """``(baseline, counterfactual)``: the one-seed :func:`ios_batch`."""
+    return tuple(record_batch(ios_batch([seed]), ACTORS))
 
 
-@dataclass(frozen=True)
-class PhaseStats:
-    """Per-phase, per-actor mean and standard deviation of cooperation."""
-
-    phase: str
-    start: int
-    end: int
-    means: tuple[float, ...]
-    sds: tuple[float, ...]
-
-
-def phase_statistics(traj: Trajectory) -> list[PhaseStats]:
-    return [
-        PhaseStats(
-            phase=p.name, start=p.start, end=p.end,
-            means=tuple(float(x) for x in block.mean(axis=0)),
-            sds=tuple(float(x) for x in block.std(axis=0, ddof=0)),
-        )
-        for p, block in zip(IOS_PHASES, _phase_blocks(traj.actions))
-    ]
+def phase_statistics(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each phase's mean and standard deviation of every actor's
+    cooperation: ``(means, sds)``, each ``(5, ..., n)``."""
+    blocks = _phase_blocks(actions)
+    return (np.stack([block.mean(axis=0) for block in blocks]),
+            np.stack([block.std(axis=0) for block in blocks]))
 
 
 #: Transition detection: a disruption moves aggregate cooperation by more
@@ -238,8 +233,13 @@ JUMP_THRESHOLD = 0.05
 NORM_GAP = 0.03
 
 
-def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
-    """Detected transition quarter opening each phase (None if not found).
+#: Where each phase's transition is due: the closing quarter of the phase before.
+_OPENING = np.array([p.start - 1 for p in IOS_PHASES])
+
+
+def detect_transitions(actions: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Detected transition quarter opening each phase, as ``(5, ...)`` ints
+    with 0 where none is found.
 
     Disruption-driven transitions are quarters where the aggregate
     cooperation level moves by more than ``JUMP_THRESHOLD`` in one quarter;
@@ -250,22 +250,20 @@ def detect_transitions(traj: Trajectory) -> dict[str, Optional[int]]:
     transition is the first quarter at which the three-quarter norm growth
     implies a remaining gap below ``NORM_GAP``, once the mean norm has risen
     at least ``NORM_GAP`` above its quarter-1 value: norms that never climb
-    have no maturation (None).  The first phase has no transition and maps
+    have no maturation (0).  The first phase has no transition and maps
     to quarter 1.
     """
-    _phase_blocks(traj.actions)  # only a HORIZON-quarter trajectory has the phases
-    m = traj.actions.mean(axis=1)
-    norms = traj.norms.mean(axis=1)
-    jumps = np.flatnonzero(np.abs(np.diff(m)) > JUMP_THRESHOLD) + 2
-    plateaus = np.flatnonzero(((norms[5:] - norms[2:-3]) / 3.0 < NORM_RATE * NORM_GAP)
-                              & (norms[5:] - norms[0] >= NORM_GAP))
-    out: dict[str, Optional[int]] = {
-        IOS_PHASES[0].name: 1,
-        IOS_PHASES[1].name: int(plateaus[0]) + 5 if plateaus.size else None,
-    }
-    for p in IOS_PHASES[2:]:
-        out[p.name] = int(jumps[np.abs(jumps - (p.start - 1)).argmin()]) if jumps.size else None
-    return out
+    _phase_blocks(actions)  # only a HORIZON-quarter run has the phases
+    m = actions.mean(axis=-1)
+    norm = norms.mean(axis=-1)
+    jumped = np.abs(np.diff(m, axis=0)) > JUMP_THRESHOLD  # at quarters 2..HORIZON
+    distance = np.abs(np.arange(2, HORIZON + 1) - _OPENING[2:, None])
+    nearest = np.where(jumped, _per_phase(distance, jumped.ndim + 1), np.inf).argmin(axis=1) + 2
+    plateau = (((norm[5:] - norm[2:-3]) / 3.0 < NORM_RATE * NORM_GAP)
+               & (norm[5:] - norm[0] >= NORM_GAP))
+    maturation = np.where(plateau.any(axis=0), plateau.argmax(axis=0) + 5, 0)
+    return np.stack([np.ones_like(maturation), maturation,
+                     *np.where(jumped.any(axis=0), nearest, 0)])
 
 
 RUBRIC_INDICATORS = (
@@ -317,61 +315,57 @@ _TREND_GOOD = np.where(_EXPECTED == 0, 0.05, np.nextafter(-0.05, -np.inf))
 _TREND_PARTIAL = np.where(_EXPECTED == 0, 0.1, np.nextafter(0.0, -np.inf))
 
 
-def _bands(value: np.ndarray, good, partial) -> tuple[float, ...]:
-    """The band rule per phase: 1 at or below ``good``, 0.5 at or below
-    ``partial``, else 0."""
-    return tuple(np.where(value <= good, 1.0, np.where(value <= partial, 0.5, 0.0)).tolist())
+def _bands(value: np.ndarray, good, partial) -> np.ndarray:
+    """The band rule on a ``(5, ...)`` array: 1 at or below ``good``, 0.5
+    at or below ``partial``, else 0; a bound is one value or one per phase."""
+    good, partial = _per_phase(good, value.ndim), _per_phase(partial, value.ndim)
+    return np.where(value <= good, 1.0, np.where(value <= partial, 0.5, 0.0))
 
 
-def score_rubric_auto(traj: Trajectory) -> dict[int, tuple[float, ...]]:
+def score_rubric_auto(actions: np.ndarray, norms: np.ndarray,
+                      trust: np.ndarray) -> dict[int, np.ndarray]:
     """Score the automatable indicators, ``AUTO_INDICATORS``, phase by phase:
-    each indicator's five phase scores, keyed by its 1-based number.  The
-    module docstring states each indicator's rule."""
-    blocks = _phase_blocks(traj.actions)
-    m = traj.actions.mean(axis=1)
+    each indicator's ``(5, ...)`` phase scores, keyed by its 1-based number.
+    The module docstring states each indicator's rule."""
+    blocks = _phase_blocks(actions)
+    m = actions.mean(axis=-1)
 
-    change = np.diff((m[_LEVEL_ENDS - 2] + m[_LEVEL_ENDS - 1]) / 2.0)
-    trend = _bands(np.where(_EXPECTED == 0, np.abs(change), -_EXPECTED * change),
+    change = np.diff((m[_LEVEL_ENDS - 2] + m[_LEVEL_ENDS - 1]) / 2.0, axis=0)
+    expected = _per_phase(_EXPECTED, change.ndim)
+    trend = _bands(np.where(expected == 0, np.abs(change), -expected * change),
                    _TREND_GOOD, _TREND_PARTIAL)
 
     gate = gate_matrix(ios_interdependence().values, IOS_RECIP)
-    weighted = np.array([block.mean(axis=0) for block in _phase_blocks(traj.trust)]) * gate
-    asymmetry = tuple(map(float, weighted[:, 1:, 0].sum(axis=1) > weighted[:, 0, 1:].sum(axis=1)))
+    weighted = np.stack([block.mean(axis=0) for block in _phase_blocks(trust)]) * gate
+    asymmetry = (weighted[..., 1:, 0].sum(axis=-1)
+                 > weighted[..., 0, 1:].sum(axis=-1)).astype(float)
 
-    detected = detect_transitions(traj).values()
-    timing = _bands(np.array([np.inf if q is None else abs(q - (p.start - 1))
-                              for p, q in zip(IOS_PHASES, detected)]), 1, 2)
+    detected = detect_transitions(actions, norms)
+    timing = _bands(np.where(detected == 0, np.inf,
+                             np.abs(detected - _per_phase(_OPENING, detected.ndim))), 1, 2)
 
     resid_sd = []
     for block in blocks:
+        # one least-squares line per actor of every run
+        columns = block.reshape(len(block), -1)
         q = np.arange(len(block), dtype=float)
-        slope, intercept = np.polyfit(q, block, 1)
-        resid_sd.append((block - (slope * q[:, None] + intercept)).std(axis=0).mean())
-    stability = _bands(np.array(resid_sd), 0.15, 0.22)
+        slope, intercept = np.polyfit(q, columns, 1)
+        resid = (columns - (slope * q[:, None] + intercept)).std(axis=0)
+        resid_sd.append(resid.reshape(block.shape[1:]).mean(axis=-1))
+    stability = _bands(np.stack(resid_sd), 0.15, 0.22)
 
     return dict(zip(AUTO_INDICATORS, (trend, asymmetry, timing, stability)))
 
 
-@dataclass(frozen=True)
-class CounterfactualComparison:
-    uplift: tuple[float, ...]  # relative whole-horizon mean-cooperation gain
-    base_means: tuple[float, ...]
-    cf_means: tuple[float, ...]
-    min_bilateral_trust: float  # over the counterfactual horizon
-
-
-def counterfactual_comparison(base: Trajectory, cf: Trajectory) -> CounterfactualComparison:
-    """Per-actor relative uplift of the counterfactual over the baseline."""
-    if base.horizon != cf.horizon or base.n != cf.n:
-        raise ConfigurationError("trajectories must share horizon and actor count")
-    base_means = base.actions.mean(axis=0)
-    cf_means = cf.actions.mean(axis=0)
-    uplift = (cf_means - base_means) / base_means
-    mask = ~np.eye(cf.n, dtype=bool)
-    min_trust = float(cf.trust[:, mask].min())
-    return CounterfactualComparison(
-        uplift=tuple(float(u) for u in uplift),
-        base_means=tuple(float(x) for x in base_means),
-        cf_means=tuple(float(x) for x in cf_means),
-        min_bilateral_trust=min_trust,
-    )
+def counterfactual_comparison(base_actions: np.ndarray, cf_actions: np.ndarray,
+                              cf_trust: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(base_means, cf_means, uplift, min_trust)``: each actor's
+    whole-horizon mean cooperation in the baseline and counterfactual runs
+    and the counterfactual's relative uplift, as ``(..., n)``, and the
+    counterfactual's minimum bilateral trust over the horizon, as ``(...)``."""
+    if base_actions.shape != cf_actions.shape:
+        raise ConfigurationError("the runs must share horizon, batch and actor axes")
+    base_means, cf_means = base_actions.mean(axis=0), cf_actions.mean(axis=0)
+    bilateral = np.where(np.eye(cf_trust.shape[-1], dtype=bool), np.inf, cf_trust)
+    return (base_means, cf_means, (cf_means - base_means) / base_means,
+            bilateral.min(axis=(0, -2, -1)))

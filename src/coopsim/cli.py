@@ -100,11 +100,7 @@ def cmd_sweep(args) -> int:
 def cmd_montecarlo(args) -> int:
     report = monte_carlo(trials=args.trials, perturb=args.perturb, seed=_default_seed(args.seed))
     files.write_file(os.path.join(args.out, "montecarlo.md"), reports.render_monte_carlo(report))
-    lines = ["trial,all_targets,ratio,clamped"]
-    for t, (ok, ratio, clamped) in enumerate(
-            zip(report.all_targets.tolist(), report.ratios.tolist(), report.clamped)):
-        lines.append(f"{t},{int(ok)},{ratio:.12g},{';'.join(clamped)}")
-    files.write_file(os.path.join(args.out, "montecarlo.csv"), "\n".join(lines) + "\n")
+    files.write_file(os.path.join(args.out, "montecarlo.csv"), files.montecarlo_csv(report))
     low = "n/a" if report.min_ratio is None else f"{report.min_ratio:.2f}"
     print(
         f"trials={report.n} all-targets={100 * report.all_targets_rate:.1f}% "
@@ -117,24 +113,21 @@ def cmd_montecarlo(args) -> int:
 def cmd_case_study(args) -> int:
     if args.name != "ios":
         raise ConfigurationError(f"unknown case study {args.name!r}")
-    seed = _default_seed(args.seed)
-    if args.counterfactual:
-        base, traj = case_study.run_ios_pair(seed)
-    else:
-        base = traj = case_study.run_ios(seed=seed)
+    base, cf = case_study.run_ios_pair(_default_seed(args.seed))
+    traj = cf if args.counterfactual else base
 
     files.write_file(os.path.join(args.out, "trajectory.csv"), files.trajectory_csv(traj))
     files.write_file(os.path.join(args.out, "dyads.csv"), files.dyads_csv(traj))
     files.write_file(os.path.join(args.out, "long.csv"), files.long_format_csv(traj))
-    stats = case_study.phase_statistics(traj)
     files.write_file(
         os.path.join(args.out, "phase_stats.csv"),
-        reports.phase_stats_csv(stats, traj.labels),
+        reports.phase_stats_csv(*case_study.phase_statistics(traj.actions), traj.labels),
     )
-    rubric_md = reports.render_rubric(case_study.score_rubric_auto(base))
+    rubric_md = reports.render_rubric(
+        case_study.score_rubric_auto(base.actions, base.norms, base.trust))
     if args.counterfactual:
-        cmp = case_study.counterfactual_comparison(base, traj)
-        rubric_md += "\n" + reports.render_counterfactual(cmp, traj.labels)
+        cmp = case_study.counterfactual_comparison(base.actions, cf.actions, cf.trust)
+        rubric_md += "\n" + reports.render_counterfactual(*cmp, cf.labels)
     files.write_file(os.path.join(args.out, "rubric.md"), rubric_md)
     print(f"case study 'ios'{' (counterfactual)' if args.counterfactual else ''} -> {args.out}")
     return EXIT_OK

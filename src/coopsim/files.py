@@ -49,7 +49,7 @@ from .params import (
 )
 from .scenario import ScenarioConfig, Shock, SimConfig
 from .simulation import Trajectory
-from .sweep import GRID_KEYS, TARGETS, ParameterGrid, SweepCell
+from .sweep import GRID_KEYS, TARGETS, MonteCarloReport, ParameterGrid, SweepCell
 
 
 def fmt(x) -> str:
@@ -394,6 +394,16 @@ def targets_csv(table: dict[str, np.ndarray]) -> str:
                    *(v[lo : lo + CSV_BLOCK_ROWS].tolist() for v in values))
         blocks.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return "".join(blocks)
+
+
+def montecarlo_csv(report: MonteCarloReport) -> str:
+    """One line per Monte Carlo trial: its verdict as 0 or 1, its ratio and
+    its clamped parameters."""
+    lines = ["trial,all_targets,ratio,clamped"]
+    for t, (ok, ratio, clamped) in enumerate(
+            zip(report.all_targets.tolist(), report.ratios.tolist(), report.clamped)):
+        lines.append(f"{t},{int(ok)},{ratio:.12g},{';'.join(clamped)}")
+    return "\n".join(lines) + "\n"
 
 
 def read_text(path: str, newline: Optional[str] = None) -> str:

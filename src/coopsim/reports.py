@@ -15,8 +15,6 @@ from .case_study import (
     HUMAN_REFERENCE_SCORES,
     IOS_PHASES,
     RUBRIC_INDICATORS,
-    CounterfactualComparison,
-    PhaseStats,
 )
 from .stats import BOOTSTRAP_LEVEL, StatsSummary, effect_size_label
 from .sweep import T4_RATIO, MonteCarloReport
@@ -104,11 +102,12 @@ def render_monte_carlo(report: MonteCarloReport) -> str:
     return "\n".join(lines)
 
 
-def phase_stats_csv(stats: Sequence[PhaseStats], labels: Sequence[str]) -> str:
+def phase_stats_csv(means: np.ndarray, sds: np.ndarray, labels: Sequence[str]) -> str:
+    """The ``(5, n)`` phase means and sds of ``case_study.phase_statistics``."""
     lines = ["phase,start,end,actor,mean,sd"]
-    for p in stats:
-        for lab, m, s in zip(labels, p.means, p.sds):
-            lines.append(f"{p.phase},{p.start},{p.end},{lab},{m:.12g},{s:.12g}")
+    for p, phase_means, phase_sds in zip(IOS_PHASES, means, sds):
+        for lab, m, s in zip(labels, phase_means, phase_sds):
+            lines.append(f"{p.name},{p.start},{p.end},{lab},{m:.12g},{s:.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -145,18 +144,20 @@ def render_rubric(auto: dict[int, tuple[float, ...]]) -> str:
     return "\n".join(lines)
 
 
-def render_counterfactual(cmp: CounterfactualComparison, labels: Sequence[str]) -> str:
+def render_counterfactual(base_means: np.ndarray, cf_means: np.ndarray, uplift: np.ndarray,
+                          min_trust: float, labels: Sequence[str]) -> str:
+    """One run pair's ``case_study.counterfactual_comparison``."""
     lines = [
         "# Counterfactual comparison",
         "",
         "| Actor | Baseline mean | Counterfactual mean | Uplift |",
         "|-------|---------------|---------------------|--------|",
     ]
-    for lab, b, c, u in zip(labels, cmp.base_means, cmp.cf_means, cmp.uplift):
+    for lab, b, c, u in zip(labels, base_means, cf_means, uplift):
         lines.append(f"| {lab} | {b:.3f} | {c:.3f} | {100 * u:+.1f}% |")
     lines += [
         "",
-        f"Minimum bilateral trust over the horizon: {cmp.min_bilateral_trust:.3f}",
+        f"Minimum bilateral trust over the horizon: {min_trust:.3f}",
         "",
     ]
     return "\n".join(lines)

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from coopsim.sweep import FULL_GRID, SMOKE_GRID, differentiation_stats, run_sweep
+from coopsim.sweep import FULL_GRID, SMOKE_GRID, differentiation_stats, monte_carlo, run_sweep
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +20,10 @@ def full_sweep():
     table = run_sweep(FULL_GRID)
     elapsed = time.monotonic() - start
     return table, differentiation_stats(table, seed=42), elapsed
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_2000():
+    """The 2000 perturbed trials of ``coopsim montecarlo --trials 2000 --seed
+    42``, run once per test session."""
+    return monte_carlo(trials=2000, perturb=0.15, seed=42)

@@ -63,7 +63,7 @@ class TestScenarioConstants:
 def ios_run():
     """The baseline case-study run at the default seed; the phase, rubric
     and counterfactual criteria on it are in test_acceptance.py."""
-    return cs.run_ios()
+    return cs.run_ios_pair()[0]
 
 
 @pytest.fixture(scope="module")
@@ -130,24 +130,90 @@ def body_trends(*deltas):
     return tuple(knots)
 
 
+def rubric(traj):
+    """The machine rubric scores of one trajectory."""
+    return cs.score_rubric_auto(traj.actions, traj.norms, traj.trust)
+
+
+#: Built trajectories, one per discrete branch of the scorers: the parts,
+#: then the transitions in phase order (None: not found), then the four
+#: indicators' phase scores.
+BUILT = [
+    # no jump: the disruption transitions are None and score 0; norms
+    # that never climb have no maturation either
+    pytest.param({}, (1, None, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="no-jump"),
+    # jumps at 34 and 38 tie for Q36, 47 and 49 for Q48: the earlier wins
+    pytest.param({"steps": ((34, -0.08), (38, -0.08), (47, 0.08), (49, -0.08), (53, 0.08))},
+                 (1, None, 34, 47, 53),
+                 {1: (0.0, 0.5, 0.5, 0.0, 0.5), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.5, 1.0, 1.0), 10: (1.0,) * 5}, id="tied-jumps"),
+    pytest.param({"norms": ((1, 0.2), (66, 0.9))}, (1, None, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-never-flatten"),
+    pytest.param({"norms": ((1, 0.2), (20, 0.6), (66, 0.6))}, (1, 22, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-flatten-late"),
+    # trend deltas against the expected signs (+, 0, -, -, +)
+    pytest.param({"levels": body_trends(0.07, 0.04, -0.07, -0.03, 0.2)},
+                 (1, None, None, None, None),
+                 {1: (1.0, 1.0, 1.0, 0.5, 1.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-inside-bands"),
+    pytest.param({"levels": body_trends(0.03, -0.07, -0.03, 0.03, -0.03)},
+                 (1, None, None, None, None),
+                 {1: (0.5, 0.5, 0.5, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-between-bands"),
+    pytest.param({"levels": body_trends(-0.03, 0.12, 0.2, -0.2, 0.03)},
+                 (1, None, None, None, None),
+                 {1: (0.0, 0.0, 0.0, 1.0, 0.5), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-outside-bands"),
+    # detrended sds of 0.17-0.18, then of 0.26-0.27
+    pytest.param({"zigzag": 0.27}, (1, None, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.5,) * 5}, id="unsteady"),
+    pytest.param({"zigzag": 0.4}, (1, None, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.0,) * 5}, id="erratic"),
+    pytest.param({"trust": ((1, 0.7), (40, 0.7), (50, 0.2), (66, 0.2))},
+                 (1, None, None, None, None),
+                 {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0, 1.0, 1.0, 0.0, 0.0),
+                  8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="developer-distrust"),
+]
+
+
+@pytest.fixture(scope="module")
+def built_batch():
+    """The ``BUILT`` trajectories as one (66, 10, ...) batch, scored once:
+    (transitions, scores)."""
+    trajs = [built_trajectory(**case.values[0]) for case in BUILT]
+    actions, norms, trust = (np.stack([getattr(t, f) for t in trajs], axis=1)
+                             for f in ("actions", "norms", "trust"))
+    return cs.detect_transitions(actions, norms), cs.score_rubric_auto(actions, norms, trust)
+
+
 class TestPhaseStatistics:
     def test_constant_trajectory(self):
-        stats = cs.phase_statistics(flat_trajectory(0.7))
-        for p in stats:
-            assert p.means == pytest.approx((0.7, 0.7, 0.7), abs=1e-12)
-            assert p.sds == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+        means, sds = cs.phase_statistics(flat_trajectory(0.7).actions)
+        assert means.shape == sds.shape == (5, 3)
+        assert means == pytest.approx(np.full((5, 3), 0.7), abs=1e-12)
+        assert sds == pytest.approx(np.zeros((5, 3)), abs=1e-12)
 
     @pytest.mark.parametrize("analysis",
                              ["phase_statistics", "score_rubric_auto", "detect_transitions"])
     @pytest.mark.parametrize("horizon", [65, 67])
     def test_other_horizons_rejected(self, analysis, horizon):
+        traj = flat_trajectory(horizon=horizon)
+        reads = {"phase_statistics": (traj.actions,),
+                 "detect_transitions": (traj.actions, traj.norms),
+                 "score_rubric_auto": (traj.actions, traj.norms, traj.trust)}
         with pytest.raises(ConfigurationError, match="66-quarter"):
-            getattr(cs, analysis)(flat_trajectory(horizon=horizon))
+            getattr(cs, analysis)(*reads[analysis])
 
 
 class TestRubric:
     def test_reference_scoring_totals(self):
-        text = render_rubric(cs.score_rubric_auto(flat_trajectory()))
+        text = render_rubric(rubric(flat_trajectory()))
         assert "\nReference assessment total: 43 / 51 applicable points.\n" in text
 
     def test_reference_phase_totals(self):
@@ -159,67 +225,31 @@ class TestRubric:
         assert per_phase == pytest.approx([8.5, 10.0, 8.0, 6.5, 10.0])
 
     def test_flat_trajectory_perfectly_stable(self):
-        score = cs.score_rubric_auto(flat_trajectory())
+        score = rubric(flat_trajectory())
         assert all(v == 1.0 for v in score[10])
 
     def test_auto_indicators_on_baseline_run(self, ios_skeleton):
-        score = cs.score_rubric_auto(ios_skeleton[0])
+        score = rubric(ios_skeleton[0])
         for indicator in cs.AUTO_INDICATORS:
             # one score per phase
             assert len(score[indicator]) == len(cs.IOS_PHASES)
             assert sum(score[indicator]) / len(cs.IOS_PHASES) >= 0.75, indicator
 
-    # Built trajectories, one row per discrete branch of the scorers: the
-    # transitions in phase order, then the four indicators' phase scores.
-    @pytest.mark.parametrize("parts, transitions, scores", [
-        # no jump: the disruption transitions are None and score 0; norms
-        # that never climb have no maturation either
-        pytest.param({}, (1, None, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="no-jump"),
-        # jumps at 34 and 38 tie for Q36, 47 and 49 for Q48: the earlier wins
-        pytest.param({"steps": ((34, -0.08), (38, -0.08), (47, 0.08), (49, -0.08), (53, 0.08))},
-                     (1, None, 34, 47, 53),
-                     {1: (0.0, 0.5, 0.5, 0.0, 0.5), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.5, 1.0, 1.0), 10: (1.0,) * 5}, id="tied-jumps"),
-        pytest.param({"norms": ((1, 0.2), (66, 0.9))}, (1, None, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-never-flatten"),
-        pytest.param({"norms": ((1, 0.2), (20, 0.6), (66, 0.6))}, (1, 22, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="norms-flatten-late"),
-        # trend deltas against the expected signs (+, 0, -, -, +)
-        pytest.param({"levels": body_trends(0.07, 0.04, -0.07, -0.03, 0.2)},
-                     (1, None, None, None, None),
-                     {1: (1.0, 1.0, 1.0, 0.5, 1.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-inside-bands"),
-        pytest.param({"levels": body_trends(0.03, -0.07, -0.03, 0.03, -0.03)},
-                     (1, None, None, None, None),
-                     {1: (0.5, 0.5, 0.5, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-between-bands"),
-        pytest.param({"levels": body_trends(-0.03, 0.12, 0.2, -0.2, 0.03)},
-                     (1, None, None, None, None),
-                     {1: (0.0, 0.0, 0.0, 1.0, 0.5), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="trends-outside-bands"),
-        # detrended sds of 0.17-0.18, then of 0.26-0.27
-        pytest.param({"zigzag": 0.27}, (1, None, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.5,) * 5}, id="unsteady"),
-        pytest.param({"zigzag": 0.4}, (1, None, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0,) * 5,
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (0.0,) * 5}, id="erratic"),
-        pytest.param({"trust": ((1, 0.7), (40, 0.7), (50, 0.2), (66, 0.2))},
-                     (1, None, None, None, None),
-                     {1: (0.0, 1.0, 0.0, 0.0, 0.0), 4: (1.0, 1.0, 1.0, 0.0, 0.0),
-                      8: (1.0, 0.0, 0.0, 0.0, 0.0), 10: (1.0,) * 5}, id="developer-distrust"),
-    ])
-    def test_scorers_on_built_trajectories(self, parts, transitions, scores):
+    @pytest.mark.parametrize("row, parts, transitions, scores",
+                             [pytest.param(row, *case.values, id=case.id)
+                              for row, case in enumerate(BUILT)])
+    def test_scorers_on_built_trajectories(self, built_batch, row, parts, transitions, scores):
+        # each trajectory alone, then as its row of the batch of them all
         traj = built_trajectory(**parts)
-        assert tuple(cs.detect_transitions(traj).values()) == transitions
-        assert cs.score_rubric_auto(traj) == scores
+        batch_transitions, batch_scores = built_batch
+        for detected, score in [
+                (cs.detect_transitions(traj.actions, traj.norms), rubric(traj)),
+                (batch_transitions[:, row], {i: s[:, row] for i, s in batch_scores.items()})]:
+            assert tuple(q or None for q in detected.tolist()) == transitions
+            assert {i: tuple(s.tolist()) for i, s in score.items()} == scores
 
     def test_manual_indicators_not_auto_scored(self, ios_run):
-        score = cs.score_rubric_auto(ios_run)
+        score = rubric(ios_run)
         assert tuple(score) == cs.AUTO_INDICATORS
         # the rubric shows the reference assessment of the other indicators
         rows = render_rubric(score).splitlines()
@@ -233,22 +263,21 @@ class TestRubric:
 
 class TestBaselineRun:
     def test_crisis_is_minimum_maturation_is_maximum(self, ios_skeleton):
-        stats = cs.phase_statistics(ios_skeleton[0])
-        means = np.array([p.means for p in stats])
+        means, _ = cs.phase_statistics(ios_skeleton[0].actions)
         for actor in range(3):
             assert int(np.argmin(means[:, actor])) == 3
             assert int(np.argmax(means[:, actor])) == 1
 
     def test_transitions_within_one_quarter(self, ios_skeleton):
-        detected = cs.detect_transitions(ios_skeleton[0])
-        assert abs(detected["Maturation"] - 16) <= 1
-        assert detected["Tension"] == 36
-        assert detected["Crisis"] == 48
-        assert detected["Adjustment"] == 54
+        _, maturation, tension, crisis, adjustment = cs.detect_transitions(
+            ios_skeleton[0].actions, ios_skeleton[0].norms)
+        assert abs(maturation - 16) <= 1
+        assert tension == 36
+        assert crisis == 48
+        assert adjustment == 54
 
     def test_major_moves_more_than_platform_in_decline(self, ios_skeleton):
-        stats = cs.phase_statistics(ios_skeleton[0])
-        means = np.array([p.means for p in stats])
+        means, _ = cs.phase_statistics(ios_skeleton[0].actions)
         for phase in (2, 3):  # tension and crisis
             d_major = abs(means[phase, 1] - means[phase - 1, 1])
             d_apple = abs(means[phase, 0] - means[phase - 1, 0])
@@ -257,22 +286,25 @@ class TestBaselineRun:
 
 class TestCounterfactual:
     def test_uplift_band_and_trust_floor(self, ios_skeleton):
-        cmp = cs.counterfactual_comparison(*ios_skeleton)
-        for u in cmp.uplift:
+        base, cf = ios_skeleton
+        _, _, uplift, min_trust = cs.counterfactual_comparison(base.actions, cf.actions, cf.trust)
+        for u in uplift:
             assert 0.05 <= u <= 0.25
-        assert cmp.min_bilateral_trust > 0.5
+        assert min_trust > 0.5
 
     def test_identical_runs_have_zero_uplift(self, ios_run):
-        cmp = cs.counterfactual_comparison(ios_run, ios_run)
-        assert all(u == 0.0 for u in cmp.uplift)
+        _, _, uplift, _ = cs.counterfactual_comparison(ios_run.actions, ios_run.actions,
+                                                       ios_run.trust)
+        assert all(u == 0.0 for u in uplift)
 
     def test_mismatched_horizons_rejected(self, ios_run):
         with pytest.raises(ConfigurationError):
-            cs.counterfactual_comparison(ios_run, flat_trajectory(horizon=10))
+            cs.counterfactual_comparison(ios_run.actions, flat_trajectory(horizon=10).actions,
+                                         ios_run.trust)
 
     def test_noise_streams_are_paired(self):
         # same seed drives both runs, so pre-divergence quarters match
-        base, cf = cs.run_ios(seed=7), cs.run_ios_pair(seed=7)[1]
+        base, cf = cs.run_ios_pair(seed=7)
         assert np.allclose(base.actions[:30], cf.actions[:30])
 
     @given(seed=st.sampled_from([0, cs.DEFAULT_SEED, 2**64 - 1]) | st.integers(0, 2**64 - 1))

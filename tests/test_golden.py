@@ -23,7 +23,7 @@ import pytest
 
 from coopsim import case_study
 from coopsim.cli import main
-from coopsim.files import scenario_to_text, targets_csv
+from coopsim.files import montecarlo_csv, scenario_to_text, targets_csv
 from coopsim.params import (
     EconomyParams,
     InterdependenceMatrix,
@@ -31,9 +31,9 @@ from coopsim.params import (
     TeamParams,
     TrustParams,
 )
-from coopsim.reports import render_target_report
+from coopsim.reports import render_monte_carlo, render_target_report
 from coopsim.scenario import ScenarioConfig, SimConfig, reference_scenario
-from coopsim.simulation import run
+from coopsim.simulation import RunBatch, run, run_batch
 from coopsim.solver import SolverConfig, solve_equilibrium
 from coopsim.sweep import measure_targets
 from test_acceptance import prop3
@@ -112,7 +112,8 @@ GOLDEN = {
             "37fb50ef6ac13a4391fa0543b5b9c77e68589ba1101d0edc7a00dbc42a259a94",
     },
     # README's "Reproducing the shipped results", one row per command line
-    # (its --out aside); the full grid's row is FULL_GRID_GOLDEN below
+    # (its --out aside); the full grid's and the Monte Carlo's rows are
+    # FULL_GRID_GOLDEN and MONTECARLO_GOLDEN below
     "case-study ios --seed 186": {
         "trajectory.csv":
             "712053374c7bf3181658631a77da003a0a49251fe6550a983021f27849ac7b5f",
@@ -136,12 +137,6 @@ GOLDEN = {
             "2fb2f361d1969309ea08d557a444ee0d4b432de2002df39411530fd53d9e967f",
         "rubric.md":
             "b63976e450b9880c51b891542bba8fab459379f2a38b78c04527b32c240fcccb",
-    },
-    "montecarlo --trials 2000 --seed 42": {
-        "montecarlo.csv":
-            "01447e99e3b97d98ef09ae2a741ffd2ef58e83cb3a8048ab0d979639c4eb313a",
-        "montecarlo.md":
-            "5cdc14c56d565d112c81b972d91dbf64da599f195b6da0f378136e78b49de9fc",
     },
     "sweep": {
         "targets.csv":
@@ -210,6 +205,24 @@ def test_full_grid_checksums(full_sweep):
     assert got == FULL_GRID_GOLDEN, f"full-grid outputs moved ({_machine()})"
 
 
+# README's `coopsim montecarlo --trials 2000 --seed 42`, hashed from the
+# session's 2000 trials (conftest.monte_carlo_2000) as cmd_montecarlo
+# renders them.
+MONTECARLO_COMMAND = "montecarlo --trials 2000 --seed 42"
+MONTECARLO_GOLDEN = {
+    "montecarlo.csv": "01447e99e3b97d98ef09ae2a741ffd2ef58e83cb3a8048ab0d979639c4eb313a",
+    "montecarlo.md": "5cdc14c56d565d112c81b972d91dbf64da599f195b6da0f378136e78b49de9fc",
+}
+
+
+def test_montecarlo_checksums(monte_carlo_2000):
+    texts = {"montecarlo.csv": montecarlo_csv(monte_carlo_2000),
+             "montecarlo.md": render_monte_carlo(monte_carlo_2000)}
+    got = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+           for name, text in texts.items()}
+    assert got == MONTECARLO_GOLDEN, f"Monte Carlo outputs moved ({_machine()})"
+
+
 def test_every_shipped_command_is_hashed():
     # each line of README's reproduction block has a digest above: a coopsim
     # command its row (--out aside), the script its stdout's
@@ -219,7 +232,8 @@ def test_every_shipped_command_is_hashed():
     for line in block.strip().splitlines():
         if line.startswith("coopsim "):
             command = re.sub(r" --out \S+", "", line.removeprefix("coopsim "))
-            assert command in (*GOLDEN, FULL_GRID_COMMAND), f"no digest for {line!r}"
+            assert command in (*GOLDEN, FULL_GRID_COMMAND, MONTECARLO_COMMAND), \
+                f"no digest for {line!r}"
         else:
             assert line == "python scripts/run_experiments.py", f"no digest for {line!r}"
             assert callable(test_run_experiments_stdout_checksum)
@@ -466,22 +480,30 @@ def test_scenario_text_checksum(case, tmp_path):
 
 
 # SHA-256 over the reprs of detect_transitions() and score_rubric_auto() on
-# both rows of run_ios_pair(seed) for seeds 0-99, then on the noise-free
-# baseline and counterfactual: the values and their Python types.
+# the baseline and the counterfactual run of seeds 0-99, seed by seed, then
+# on the noise-free baseline and counterfactual: per run, the values and
+# their Python types as a {phase: quarter, None if not found} dict and an
+# {indicator: five floats} dict.
 SCORER_GOLDEN = "f642ab9b6d9bf7f75c451e109e7ff03bf8493074a345afa67bcc12711490dfef"
 
 
 def _scored_runs():
-    for seed in range(100):
-        yield from case_study.run_ios_pair(seed)
-    for counterfactual in (False, True):
-        scenario, sim = case_study.build_ios_scenario(counterfactual)
-        yield run(scenario, replace(sim, noise_sigma=0.0))
+    """Every scored run's (actions, norms, trust), in that order, as one
+    202-row batch."""
+    runs = [case_study.build_ios_scenario(cf, seed) for seed in range(100) for cf in (False, True)]
+    runs += [(scenario, replace(sim, noise_sigma=0.0))
+             for scenario, sim in (case_study.build_ios_scenario(cf) for cf in (False, True))]
+    record = run_batch(RunBatch.of(runs))
+    return record["actions"], record["norms"], record["trust"]
 
 
 def test_case_study_scorer_checksum():
+    actions, norms, trust = _scored_runs()
+    detected = case_study.detect_transitions(actions, norms).T.tolist()
+    scores = {i: cells.T.tolist()
+              for i, cells in case_study.score_rubric_auto(actions, norms, trust).items()}
     h = hashlib.sha256()
-    for traj in _scored_runs():
-        h.update(repr((case_study.detect_transitions(traj),
-                       case_study.score_rubric_auto(traj))).encode())
+    for row, quarters in enumerate(detected):
+        h.update(repr(({p.name: q or None for p, q in zip(case_study.IOS_PHASES, quarters)},
+                       {i: tuple(cells[row]) for i, cells in scores.items()})).encode())
     assert h.hexdigest() == SCORER_GOLDEN, f"case-study scores moved ({_machine()})"

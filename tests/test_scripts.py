@@ -54,7 +54,7 @@ def test_bench_smoke(tmp_path, capsys):
     assert {"cores", "cpu_model", "simd_found", "python", "numpy"} <= set(block["machine"])
     assert {"rng.noise_block", "simulation.update_trust", "simulation.window_means",
             "simulation.run", "simulation.period", "case_study.run_pair",
-            "case_study.score_rubric_auto",
+            "case_study.score_rubric_auto", "case_study.seed_batch",
             "files.trajectory_csv", "files.dyads_csv",
             "files.long_format_csv", "scenario.reference_scenario", "solver.solve_equilibrium",
             "solver.cross_partial_check",
