@@ -52,7 +52,9 @@ Rows, each the cost of one call:
 The two child-process rows include interpreter start-up, run
 ``CHILD_REPEATS`` times each after the other rows, and also report the
 largest peak resident memory of their own children
-(``child_peak_rss_mib``).
+(``child_peak_rss_mib``), and the peak of one more child run with
+``MALLOC_MMAP_THRESHOLD_`` set (``child_peak_rss_fixed_mmap_mib``), which
+a change of heap layout alone does not move.
 
 Each repeat times every row once, in turn, so drift on the host spreads
 over all rows alike; a row reports the median and the quartiles of its
@@ -98,6 +100,9 @@ SWEEP_GRID = "rho0 = 0.2,1.0\nkappa = 0.5,1.5,3.0\nmemory_k = 1,4,16\nd = 0.2,1.
 FULL_SWEEP_GRID = "full"
 MONTECARLO_TRIALS = 2000
 CHILD_REPEATS = 3
+# glibc's initial mmap threshold in bytes.  Set in the environment it stays
+# fixed: glibc no longer raises it as large blocks are freed.
+FIXED_MMAP_THRESHOLD = 131072
 
 
 def _noise_block(seed: int, n: int, horizon: int):
@@ -204,22 +209,30 @@ def _summary(us: list, **extra) -> dict:
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1, **extra}
 
 
+def _child(argv: list, env: dict) -> tuple[float, float]:
+    """One child run: its wall time in microseconds and its own peak
+    resident memory in MiB."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak
+    us = (time.perf_counter() - start) * 1e6
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return us, usage.ru_maxrss / 1024
+
+
 def child_job(args: list, work: str) -> dict:
-    """A child-process row: wall time of each ``coopsim`` run, and the
-    largest peak resident memory of those runs."""
+    """A child-process row: wall time of each ``coopsim`` run, the largest
+    peak resident memory of those runs, and the peak of one more run with
+    glibc's mmap threshold fixed at ``FIXED_MMAP_THRESHOLD`` (the dynamic
+    threshold can move a peak by a few MiB with the heap's layout alone)."""
     argv = [sys.executable, "-m", "coopsim.cli", *args, "--out", work]
     env = {**os.environ, "PYTHONPATH": SRC}
-    us, peak_kib = [], 0
-    for _ in range(CHILD_REPEATS):
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak
-        us.append((time.perf_counter() - start) * 1e6)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
-            raise subprocess.CalledProcessError(proc.returncode, argv)
-        peak_kib = max(peak_kib, usage.ru_maxrss)
-    return _summary(us, calls_per_sample=1, child_peak_rss_mib=peak_kib / 1024)
+    us, peaks = zip(*(_child(argv, env) for _ in range(CHILD_REPEATS)))
+    _, fixed = _child(argv, {**env, "MALLOC_MMAP_THRESHOLD_": str(FIXED_MMAP_THRESHOLD)})
+    return _summary(list(us), calls_per_sample=1, child_peak_rss_mib=max(peaks),
+                    child_peak_rss_fixed_mmap_mib=fixed)
 
 
 def measure(repeats: int) -> dict:

@@ -300,12 +300,14 @@ def parse_dependency_csv(text: str) -> tuple[tuple[str, ...], list[DependencyEnt
 
 # -- sweep grids --------------------------------------------------------------
 
+_GRID_READERS = _keyed_fields(SweepCell)
+
+
 def parse_grid(text: str) -> ParameterGrid:
     """Comma-separated levels per ``SweepCell`` field, read by its type; a
     key that is no grid parameter keeps its text for ``ParameterGrid`` to reject."""
     kv = parse_keyvalues(text)
-    kinds = get_type_hints(SweepCell)
-    return ParameterGrid({key: tuple(_READERS[kinds.get(key, str)](x, key)
+    return ParameterGrid({key: tuple(_GRID_READERS.get(key, _READERS[str])(x, key)
                                      for x in single(kv, key).split(","))
                           for key in kv})
 

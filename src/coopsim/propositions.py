@@ -18,15 +18,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .scenario import pd_scenario
 from .solver import SolverConfig, critical_rho, cross_partial_check, solve_equilibrium
-from .sweep import (GRID_KEYS, NO_RECOVERY, REFERENCE_CELL, ParameterGrid, columns,
-                    forgiveness_times)
+from .sweep import NO_RECOVERY, ParameterGrid, forgiveness_times
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,12 @@ def check_prop2(
     pair, the pairs' forgiveness runs measured as one batch.  The levels
     pass the sweep grid's checks, so a window beyond the forgiveness run's
     reach (``MAX_MEMORY_K``) is a ``ConfigurationError``."""
-    ParameterGrid({"memory_k": tuple(ks), "kappa": tuple(kappas)})
-    cells = columns([replace(REFERENCE_CELL, memory_k=int(k), kappa=kappa)
-                     for k in ks for kappa in kappas], GRID_KEYS)
-    tau_f = forgiveness_times(cells)
+    levels = ParameterGrid({"memory_k": tuple(ks), "kappa": tuple(kappas)}).levels
+    k_col, kappa_col = (m.ravel() for m in np.meshgrid(levels["memory_k"], levels["kappa"],
+                                                        indexing="ij"))
+    tau_f = forgiveness_times({"memory_k": k_col, "kappa": kappa_col})
     cases = []
-    for k, kappa, tau in zip(cells["memory_k"].tolist(), cells["kappa"].tolist(),
-                             tau_f.tolist()):
+    for k, kappa, tau in zip(k_col.tolist(), kappa_col.tolist(), tau_f.tolist()):
         ok = tau != NO_RECOVERY and k <= tau <= 2 * k
         cases.append(Prop2Case(memory_k=k, kappa=kappa, tau_f=tau, within_bounds=ok))
     return Prop2Result(cases=tuple(cases), passed=all(c.within_bounds for c in cases))

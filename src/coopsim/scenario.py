@@ -75,6 +75,12 @@ class ScenarioConfig:
             raise ConfigurationError("scenario needs at least one actor")
         if len(set(self.labels)) != n:
             raise ConfigurationError("actor labels must be unique")
+        for label in self.labels:
+            # What the scenario file and the CSV headers can hold: a line of
+            # its own, read back stripped, split at ',' and cut at '#'.
+            if label.splitlines() != [label] or label != label.strip() or {",", "#"} & set(label):
+                raise ConfigurationError(f"actor label {label!r} must be one non-empty line "
+                                         f"without ',', '#' or surrounding whitespace")
         if self.d.n != n:
             raise ConfigurationError(
                 f"interdependence matrix is {self.d.n}x{self.d.n} but there are {n} actors"

@@ -41,9 +41,9 @@ solved, its reciprocity term over its grid.  Per iteration: one response
 per distinct key.
 
 A response is a pure function of the bits of what it reads: the actor's
-``a_max``, endowment, gate sum, ``own_avg`` and alpha_i, the partners'
-action product, and for each partner j in turn D_ij (1 + lambda_t T_ij),
-alpha_j and j's standalone payoff at the profile.  Those bits are a
+``a_max``, endowment, gate sum, ``own_avg`` and alpha_i, and for each
+partner j in turn its action, D_ij (1 + lambda_t T_ij), alpha_j and j's
+standalone payoff at the profile.  Those bits are a
 non-member's key each iteration; a team member's utility reads its own
 index, so its key is that index and team members never share.  One
 helper, :func:`_share`, shares the grids, the grid payoffs and the
@@ -177,7 +177,7 @@ class EquilibriumSolver:
         well as that best.  An objective that is not finite (an overflow at
         huge endowments or ``theta_v``) raises :class:`ConfigurationError`."""
         scenario, config = self.scenario, self.config
-        econ, team, n, kappa = scenario.econ, scenario.team, scenario.n, scenario.recip.kappa
+        econ, team, kappa = scenario.econ, scenario.team, scenario.recip.kappa
         actions = np.array(warm_start if warm_start is not None else scenario.a_init, dtype=float)
         endowments = np.asarray(econ.endowments)
         reference = np.array(scenario.baseline_init if own_avg is None else own_avg,
@@ -191,12 +191,11 @@ class EquilibriumSolver:
             for it in range(1, config.max_iters + 1):
                 standalone = standalone_payoff(endowments, actions, econ)
                 payoffs = standalone.tolist()
-                products = [math.prod(actions[j] for j in partners) for partners in self.partners]
 
                 def respond(i: int) -> float:
                     """Actor i's best response to the previous iterate."""
-                    grid, partners, member, product = (
-                        self.grids[i], self.partners[i], self.members[i], products[i])
+                    grid, partners, member = self.grids[i], self.partners[i], self.members[i]
+                    partner_actions = [actions[j] for j in partners]
 
                     def value(a, own, recip):
                         """i's objective at its action ``a`` (a float or a grid),
@@ -204,7 +203,7 @@ class EquilibriumSolver:
                         if member:
                             total = team_member_utility(i, a, actions, team)
                         else:
-                            s = synergy(a, product, n, econ)
+                            s = synergy(a, partner_actions, econ)
                             total = own + econ.alpha[i] * s
                             for j in partners:
                                 total = total + weights[i, j] * (standalone[j] + econ.alpha[j] * s)
@@ -238,9 +237,9 @@ class EquilibriumSolver:
                 # team member's is its own index.
                 keys = [i if self.members[i] else
                         _bits(scenario.a_max[i], econ.endowments[i], gates[i], reference[i],
-                              econ.alpha[i], products[i],
+                              econ.alpha[i],
                               *(x for j in partners
-                                for x in (weights[i, j], econ.alpha[j], payoffs[j])))
+                                for x in (actions[j], weights[i, j], econ.alpha[j], payoffs[j])))
                         for i, partners in enumerate(self.partners)]
                 nxt = np.array(_share(keys, respond), dtype=float)
                 residual = float(np.max(np.abs(nxt - actions)))

@@ -3,7 +3,7 @@
 Standard two-actor measurement protocol (noise off, adjustment dynamics,
 deterministic).  The protocol is fixed: every number below is one of the
 module constants ``WARMUP`` .. ``T5_LOW_TRUST``, and a cell's only inputs
-are its configuration, its trust block and the grid's rho0 extremes.
+are its row of the cell table and the grid's rho0 extremes.
 
 1. *Emergence run* -- both actors open at cooperation 0.5 against a lower
    starting norm of 0.2 (a cooperative opening: current behavior sits above
@@ -40,13 +40,14 @@ are its configuration, its trust block and the grid's rho0 extremes.
    ratio is undefined (NaN) and target 4 fails.
 
 Cells and results are held as columns: a dict of equal-length arrays in
-which row c is cell c.  A cell's result is a pure function of its
-configuration, its trust block and the grid's rho0 extremes.  Many cells
+which row c is cell c; a cell table's columns bear ``CELL_DEFAULTS``
+names, and one it leaves out holds the reference value.  A cell's result
+is a pure function of its row and the grid's rho0 extremes.  Many cells
 share a protocol run (the T5 runs read neither a cell's rho0 nor its t0,
 the differentiation runs not its d), so the engine runs each distinct run
 once, each only to its own horizon, in batches of many runs; a cell's
 result does not depend on the batch size or on the order of the cells.
-Robustness trials perturb the reference cell and the default trust block,
+Robustness trials perturb the reference values of 14 of those columns,
 every trial's parameters drawn as one array.
 """
 
@@ -137,6 +138,11 @@ class SweepCell:
 
 
 REFERENCE_CELL = SweepCell()
+
+#: A cell table's columns and the reference value of each one it leaves out:
+#: the default trust block's, then the reference cell's (``t0`` is the cell's).
+CELL_DEFAULTS = {**{f: getattr(TrustParams(), f) for f in TRUST_FIELDS},
+                 **{key: getattr(REFERENCE_CELL, key) for key in GRID_KEYS}}
 
 
 @dataclass(frozen=True)
@@ -268,22 +274,34 @@ def _runs_column(values: Sequence, n_cells: int, dtype) -> np.ndarray:
     return out if (bits != bits[0]).any() else out[0, 0, ...].copy()
 
 
+def _cell_table(cells: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The table in every ``CELL_DEFAULTS`` column, in that order, one it
+    leaves out at the reference value; an unknown (say misspelt) name is a
+    ValueError, not a reference value taken unseen."""
+    for name in cells:
+        if name not in CELL_DEFAULTS:
+            raise ValueError(f"unknown cell column {name!r}; "
+                             f"expected one of {tuple(CELL_DEFAULTS)}")
+    n_cells = len(next(iter(cells.values())))
+    return {name: np.asarray(cells[name]) if name in cells else np.full(n_cells, value)
+            for name, value in CELL_DEFAULTS.items()}
+
+
 def _protocol_runs(
     cells: dict[str, np.ndarray],
-    trust: dict[str, np.ndarray],
     rho0_extremes: tuple[float, float],
     kinds: Sequence[str] = PROTOCOL_RUNS,
 ) -> dict[str, np.ndarray]:
     """The engine parameters of the given protocol runs of every cell:
-    entry [c, r] of a column belongs to run ``kinds[r]`` of cell row c under
-    trust row c, and a column other than ``horizon`` with one value
-    throughout is that value.
+    entry [c, r] of a column belongs to run ``kinds[r]`` of cell row c, and
+    a column other than ``horizon`` with one value throughout is that value.
 
-    Each run takes the cell's configuration and trust block, except for the
+    Each run takes the cell's ``CELL_DEFAULTS`` columns, except for the
     values it sets itself (``varied``).  ``forgive`` marks the
     forgiveness-type runs and ``horizon`` is each run's length.
     """
-    n_cells = len(cells["rho0"])
+    given = _cell_table(cells)
+    n_cells = len(given["rho0"])
     lo, hi = rho0_extremes
     varied = {  # run -> the values it sets in place of the cell's
         "emergence": {},
@@ -294,8 +312,6 @@ def _protocol_runs(
         "diff_high": {"d": DIFF_HIGH},
         "diff_low": {"d": DIFF_LOW},
     }
-    given = {**{f: trust[f] for f in TRUST_FIELDS},
-             **{key: cells[key] for key in GRID_KEYS}}  # the cell's t0 over the trust block's
     out = {
         name: _runs_column([varied[run].get(name, col) for run in kinds], n_cells,
                            np.int64 if name == "memory_k" else float)
@@ -343,7 +359,7 @@ def _protocol_batch(runs: dict[str, np.ndarray]) -> RunBatch:
     size = len(runs["horizon"])
     forgive, horizon = runs["forgive"], runs["horizon"]
     d = np.where(np.eye(2, dtype=bool), 0.0, runs["d"][:, None, None])
-    rows = {f: runs[f] for f in ("rho0", "eta", "kappa", "memory_k", "lambda_r") + TRUST_FIELDS}
+    rows = {name: runs[name] for name in CELL_DEFAULTS if name != "d"}
     script = pre = None
     if forgive.any():
         script = np.full((int(horizon.max()), size, 2), np.nan)
@@ -429,7 +445,6 @@ def _measure_batch(runs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _measure_runs(
     cells: dict[str, np.ndarray],
-    trust: dict[str, np.ndarray],
     rho0_extremes: tuple[float, float],
     kinds: Sequence[str] = PROTOCOL_RUNS,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -437,7 +452,7 @@ def _measure_runs(
     runs, and each (cell, run) entry's index among those runs.  Each
     distinct run goes through the engine once, in batches of
     ``ROWS_PER_BATCH`` runs taken longest first."""
-    runs = _protocol_runs(cells, trust, rho0_extremes, kinds)
+    runs = _protocol_runs(cells, rho0_extremes, kinds)
     first, ids = _distinct_runs(runs)
     # The distinct runs' columns, in place of the larger (cells, runs) ones.
     runs = {name: col.reshape(-1)[first] if col.ndim else col for name, col in runs.items()}
@@ -449,30 +464,23 @@ def _measure_runs(
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}, ids
 
 
-def _default_trust(n: int) -> dict[str, np.ndarray]:
-    default = TrustParams()
-    return {f: np.full(n, getattr(default, f)) for f in TRUST_FIELDS}
-
-
 def measure_cells(
     cells: dict[str, np.ndarray],
-    trust: Optional[dict[str, np.ndarray]] = None,
     rho0_extremes: tuple[float, float] = RHO0_EXTREMES,
 ) -> dict[str, np.ndarray]:
     """Run the full protocol for every cell and score all six targets.
 
-    ``cells`` holds the ``GRID_KEYS`` columns and ``trust`` the
-    ``TrustParams`` columns of the same rows (None: the default block).
-    Row c of the result table is cell c: its ``GRID_KEYS`` columns, the
-    verdicts ``t1`` .. ``t6`` and the measurements behind them.  The engine
+    ``cells`` is a cell table: columns named from ``CELL_DEFAULTS``, a
+    column it leaves out at its reference value.  Row c of the result
+    table is cell c: its ``GRID_KEYS`` columns, the verdicts ``t1`` ..
+    ``t6`` and the measurements behind them.  The engine
     runs each distinct protocol run once, however many cells share it (the
     T5 runs do not read a cell's rho0 or t0, the differentiation runs not
     its d), and only to that run's horizon; a cell's result does not depend
     on the other cells.
     """
-    if trust is None:
-        trust = _default_trust(len(cells["rho0"]))
-    m, ids = _measure_runs(cells, trust, rho0_extremes)
+    cells = _cell_table(cells)
+    m, ids = _measure_runs(cells, rho0_extremes)
 
     def of(run: str, key: str) -> np.ndarray:
         return m[key][ids[:, PROTOCOL_RUNS.index(run)]]
@@ -507,11 +515,10 @@ def measure_cells(
 
 
 def forgiveness_times(cells: dict[str, np.ndarray]) -> np.ndarray:
-    """Each cell's forgiveness time ``tau_f`` under the default trust block:
-    the protocol's forgiveness run alone, the same value ``measure_cells``
-    reports."""
-    m, ids = _measure_runs(cells, _default_trust(len(cells["rho0"])), RHO0_EXTREMES,
-                           ("forgiveness",))
+    """Each cell's forgiveness time ``tau_f``: the protocol's forgiveness
+    run alone, the same value ``measure_cells`` reports for the same cell
+    table."""
+    m, ids = _measure_runs(cells, RHO0_EXTREMES, ("forgiveness",))
     return m["tau_f"][ids[:, 0]]
 
 
@@ -588,9 +595,10 @@ def differentiation_stats(table: dict[str, np.ndarray], seed: int = 0) -> StatsS
 
 #: The real-valued parameters robustness trials perturb, in draw order, by
 #: the names a clamp reports: the reference cell's (t0 is the cell's), then
-#: the default trust block's.  Each maps to the range its perturbed values
-#: are clamped to, which lies inside the parameter's ``params.RANGES``
-#: interval.  The memory window is an integer and stays.
+#: the default trust block's, whose columns drop the ``trust.``.  Each maps
+#: to the range its perturbed values are clamped to, which lies inside the
+#: parameter's ``params.RANGES`` interval.  The memory window is an integer
+#: and stays.
 _PERTURB_RANGES = {
     "rho0": (0.0, math.inf),
     "eta": (0.0, math.inf),
@@ -653,22 +661,20 @@ class MonteCarloReport:
 
 def perturb_trials(
     trials: int, perturb: float, seed: int
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], tuple[tuple[str, ...], ...]]:
-    """The robustness trials' configurations as columns (row t is trial t):
-    every ``_PERTURB_RANGES`` parameter of the reference cell and the
-    default trust block scaled by U(1-p, 1+p).
+) -> tuple[dict[str, np.ndarray], tuple[tuple[str, ...], ...]]:
+    """The robustness trials as a cell table (row t is trial t): each
+    ``_PERTURB_RANGES`` parameter's ``CELL_DEFAULTS`` value scaled by
+    U(1-p, 1+p), one column per parameter.
 
     Trial t's uniform for parameter s is ``uniform(derive_seed(seed, t), s,
     t)``; all of them come from one array call.  Perturbed values that
-    leave their legal range are clamped and flagged.  Returns the
-    ``GRID_KEYS`` and ``TrustParams`` columns and each trial's clamped
-    parameter names.
+    leave their legal range are clamped and flagged.  Returns the table and
+    each trial's clamped parameter names.
     """
     check_seed(seed)
     names = tuple(_PERTURB_RANGES)
-    base_trust = TrustParams()
-    base = np.array([getattr(base_trust, name.removeprefix("trust.")) if "." in name
-                     else getattr(REFERENCE_CELL, name) for name in names])
+    keys = [name.removeprefix("trust.") for name in names]
+    base = np.array([CELL_DEFAULTS[key] for key in keys])
     lo, hi = np.array(list(_PERTURB_RANGES.values())).T
     t = np.arange(trials, dtype=np.uint64)
     u = uniform(derive_seed(seed, t)[:, None], np.arange(len(names), dtype=np.uint64)[None],
@@ -681,17 +687,9 @@ def perturb_trials(
     # so a finite value is a legal one.
     if not np.isfinite(value).all():
         trial, s = np.argwhere(~np.isfinite(value))[0].tolist()
-        raise ConfigurationError(f"{names[s].removeprefix('trust.')} must be finite, "
-                                 f"got {value[trial, s].item()!r}")
-    drawn = dict(zip(names, value.T))
-
-    def column(name: str, default) -> np.ndarray:
-        return drawn[name] if name in drawn else np.full(trials, default)
-
-    cells = {key: column(key, getattr(REFERENCE_CELL, key)) for key in GRID_KEYS}
-    trust = {f: column(f"trust.{f}", getattr(base_trust, f)) for f in TRUST_FIELDS}
+        raise ConfigurationError(f"{keys[s]} must be finite, got {value[trial, s].item()!r}")
     clamped = tuple(tuple(itertools.compress(names, row)) for row in (value != raw).tolist())
-    return cells, trust, clamped
+    return dict(zip(keys, value.T)), clamped
 
 
 def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> MonteCarloReport:
@@ -702,6 +700,6 @@ def monte_carlo(trials: int = 2000, perturb: float = 0.15, seed: int = 42) -> Mo
         raise ConfigurationError(f"trials must be < 2**63, got {trials}")
     if not 0.0 <= perturb < math.inf:
         raise ConfigurationError(f"perturb must be finite and >= 0, got {perturb}")
-    cells, trust, clamped = perturb_trials(trials, perturb, seed)
-    table = measure_cells(cells, trust)
+    cells, clamped = perturb_trials(trials, perturb, seed)
+    table = measure_cells(cells)
     return MonteCarloReport(table=table, clamped=clamped, perturb=perturb)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .params import EconomyParams, TeamParams
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 def individual_value(a_i: float | np.ndarray, econ: EconomyParams) -> float | np.ndarray:
     """Individual value f(a): theta_v * ln(1 + a) or a ** power_beta, for a
@@ -37,17 +39,34 @@ def standalone_payoff(
 
 
 def synergy(
-    a_i: float | np.ndarray, partners_product: float, n: int, econ: EconomyParams
+    a_i: float | np.ndarray, partners: Sequence[float], econ: EconomyParams
 ) -> float | np.ndarray:
-    """Geometric-mean synergy gamma * (a_i * prod_{j != i} a_j) ** (1/N).
+    """Geometric-mean synergy gamma * (a_i * prod_j a_j) ** (1/N) of ``a_i``
+    and the other N - 1 actions ``partners``.
 
-    ``partners_product`` is the product of the other N - 1 actions.  The
-    term vanishes whenever any actor contributes nothing, so joint value
-    above the sum of parts requires everyone's participation.
+    The term vanishes whenever any actor contributes nothing, so joint value
+    above the sum of parts requires everyone's participation.  Where the
+    product is not a normal float (it overflows, is subnormal, or is 0 with
+    every action positive) the mean comes from the logs instead, as
+    exp((ln a_i + fsum_j ln a_j) / N).
     """
-    if econ.gamma > 0.0 and partners_product > 0.0:
-        return econ.gamma * (a_i * partners_product) ** (1.0 / n)
-    return 0.0
+    if econ.gamma <= 0.0:
+        return 0.0
+    product = math.prod(partners)
+    if not product > 0.0 and not all(x > 0.0 for x in partners):
+        return 0.0
+    n = len(partners) + 1
+    if _TINY <= product < math.inf:
+        full = a_i * product
+        mean = full ** (1.0 / n)
+        off = (a_i > 0.0) & ((full < _TINY) | (full == math.inf))
+        if not np.any(off):
+            return econ.gamma * mean
+    else:
+        mean, off = 0.0, True
+    with np.errstate(divide="ignore"):  # ln 0 = -inf gives a mean of 0
+        log_mean = np.exp((np.log(a_i) + math.fsum(map(math.log, partners))) / n)
+    return econ.gamma * np.where(off, log_mean, mean)
 
 
 def private_payoffs(a: Sequence[float], econ: EconomyParams) -> np.ndarray:
@@ -61,7 +80,7 @@ def private_payoffs(a: Sequence[float], econ: EconomyParams) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.min() < 0:
         raise ValueError(f"actions must be >= 0, got {tuple(arr.tolist())}")
-    s = synergy(arr[0], math.prod(arr[1:]), len(arr), econ)
+    s = synergy(arr[0], arr[1:].tolist(), econ)
     return standalone_payoff(np.asarray(econ.endowments), arr, econ) + np.asarray(econ.alpha) * s
 
 

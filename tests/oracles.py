@@ -100,7 +100,7 @@ def value_creation(a: Sequence[float], econ: EconomyParams) -> float:
     arr = [float(x) for x in a]
     total = sum(individual_value(x, econ) for x in arr)
     if econ.gamma > 0.0 and all(x > 0.0 for x in arr):
-        log_mean = sum(math.log(x) for x in arr) / len(arr)
+        log_mean = math.fsum(math.log(x) for x in arr) / len(arr)
         total += econ.gamma * math.exp(log_mean)
     return total
 

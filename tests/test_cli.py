@@ -388,6 +388,21 @@ class TestTranslateCommand:
                      "--elicit", str(elicit), "--out", out]) == 0
         assert "rho0 = 0.85" in read(out).decode()
 
+    @pytest.mark.parametrize("label, written", [("Dev #1", "Dev #1"), ('"A,B"', "A,B")],
+                             ids=["hash", "comma"])
+    def test_actor_label_a_scenario_file_cannot_hold_exits_one(self, tmp_path, capsys, label,
+                                                               written):
+        # '#' would start a comment and ',' split the actors line when read back
+        deps = tmp_path / "deps.csv"
+        deps.write_text("depender,dependee,dependum,type,weight,exists,criticality\n"
+                        f"{label},Platform,API,resource,0.5,1,0.5\n")
+        out = tmp_path / "s.conf"
+        assert main(["translate", "--deps", str(deps), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: actor label {written!r} must be ")
+        assert err.count("\n") == 1 and "error:" not in err[1:]
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, value", [
         ("weight", "n/a"), ("exists", "n/a"), ("criticality", "n/a"),
         ("exists", "7"), ("exists", "-1"),

@@ -66,6 +66,7 @@ def test_bench_smoke(tmp_path, capsys):
         assert 0.0 < row["q1_us"] <= row["median_us"] <= row["q3_us"], name
     for name in ("job.sweep_full", "job.montecarlo"):
         assert block["rows"][name]["child_peak_rss_mib"] > 0.0
+        assert block["rows"][name]["child_peak_rss_fixed_mmap_mib"] > 0.0
     assert "job.case_study" in capsys.readouterr().out
 
 

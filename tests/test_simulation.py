@@ -377,8 +377,8 @@ class TestBatchKernel:
         # the script is padded with free periods to the longest horizon
         pinned = np.argwhere(~np.isnan(built.script)).tolist()
         assert built.script.shape == (6, 2, 2) and pinned == [[1, 0, 1]]
-        runs = sweep._protocol_runs(sweep.columns([sweep.REFERENCE_CELL], sweep.GRID_KEYS),
-                                    sweep._default_trust(1), sweep.RHO0_EXTREMES)
+        runs = sweep._protocol_runs({"rho0": np.array([sweep.REFERENCE_CELL.rho0])},
+                                    sweep.RHO0_EXTREMES)
         shape = runs["horizon"].shape
         protocol = sweep._protocol_batch({name: np.broadcast_to(col, shape).reshape(-1)
                                           for name, col in runs.items()})

@@ -20,7 +20,7 @@ from coopsim.params import (
     TeamParams,
     TrustParams,
 )
-from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario
+from coopsim.scenario import ScenarioConfig, pd_scenario, reference_scenario, symmetric_matrix
 from coopsim.solver import (
     EquilibriumSolver,
     SolverConfig,
@@ -153,6 +153,19 @@ class TestArgmax:
 
                 best = max(value(x) for x in grid)
                 assert value(br) == pytest.approx(best, abs=1e-9)
+
+
+def test_two_hundred_actor_first_solve_is_finite():
+    # the product of 199 partners' actions at 39 overflows; the synergy's
+    # log form keeps every actor's objective finite
+    n = 200
+    scen = ScenarioConfig(labels=tuple(f"a{i}" for i in range(n)),
+                          d=symmetric_matrix(n, 0.5),
+                          econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n,
+                                             gamma=2.0),
+                          a_max=(40.0,) * n, a_init=(39.0,) * n)
+    res = solve_equilibrium(scen, None, trust_matrix(scen), SolverConfig(max_iters=2))
+    assert len(res.actions) == n and np.isfinite(res.actions).all()
 
 
 class TestDilemma:

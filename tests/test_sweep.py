@@ -266,6 +266,25 @@ class TestSweepAggregation:
         assert tau_f.dtype == np.int64
         assert tau_f.tolist() == measure_cells(cells)["tau_f"].tolist()
 
+    @pytest.mark.parametrize("names", [("kappa",), ("memory_k", "lambda_plus")])
+    def test_a_column_left_out_takes_its_reference_value(self, names):
+        levels = {"kappa": [0.5, 3.0, 1.0], "memory_k": [1, 16, 5],
+                  "lambda_plus": [0.05, 0.4, 0.1]}
+        partial = {name: np.array(levels[name]) for name in names}
+        reference = ({f: getattr(TrustParams(), f) for f in TRUST_FIELDS}
+                     | {key: getattr(REFERENCE_CELL, key) for key in GRID_KEYS})
+        full = {name: np.full(3, value) for name, value in reference.items()} | partial
+        assert_tables_equal(measure_cells(partial), measure_cells(full))
+        assert (sweep.forgiveness_times(partial).tolist()
+                == sweep.forgiveness_times(full).tolist())
+
+    @pytest.mark.parametrize("name", ["lambda_pls", "trust.xi", "omega_amp"])
+    def test_an_unknown_column_is_rejected(self, name):
+        table = {"kappa": np.ones(2), name: np.ones(2)}
+        for call in (measure_cells, sweep.forgiveness_times):
+            with pytest.raises(ValueError, match=f"unknown cell column '{name}'"):
+                call(table)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_runs_from_the_defection_match_the_full_warm_up(self, data):
@@ -282,13 +301,11 @@ class TestSweepAggregation:
             "mu_r": open_unit, "delta_r": open_unit, "t_max": st.floats(0.05, 1.0),
             "theta_r": unit, "lambda_t": st.floats(0.0, 2.0),
             "deadband": st.one_of(st.just(0.0), st.floats(0.0, 0.7))})
-        drawn = [(data.draw(cell), data.draw(block)) for _ in range(rows)]
-        cells = {key: np.array([c[key] for c, _ in drawn]) for key in GRID_KEYS}
-        trust = {f: np.array([b.get(f, TrustParams.t0) for _, b in drawn])
-                 for f in TRUST_FIELDS}
-        m, ids = sweep._measure_runs(cells, trust, RHO0_EXTREMES)
+        drawn = [{**data.draw(cell), **data.draw(block)} for _ in range(rows)]
+        cells = {name: np.array([row[name] for row in drawn]) for name in drawn[0]}
+        m, ids = sweep._measure_runs(cells, RHO0_EXTREMES)
 
-        runs = sweep._protocol_runs(cells, trust, RHO0_EXTREMES)
+        runs = sweep._protocol_runs(cells, RHO0_EXTREMES)
         kinds = [sweep.PROTOCOL_RUNS.index(r) for r in ("forgiveness", "diff_high", "diff_low")]
         shape = runs["horizon"].shape
         flat = {name: np.broadcast_to(col, shape)[:, kinds].reshape(-1)
@@ -421,7 +438,7 @@ class TestMonteCarlo:
     @given(trials=st.integers(2, 12), perturb=st.floats(0.0, 3.0),
            seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**63, 2**64 - 1])))
     def test_trial_columns_match_the_scalar_trials(self, trials, perturb, seed):
-        cells, trust, clamped = sweep.perturb_trials(trials, perturb, seed)
+        cells, clamped = sweep.perturb_trials(trials, perturb, seed)
         base = TrustParams()
         params = {name: (getattr(base, name.removeprefix("trust.")) if "." in name
                          else getattr(REFERENCE_CELL, name), lo, hi)
@@ -431,12 +448,11 @@ class TestMonteCarlo:
             values, names = oracles.perturb_trial(t, perturb, seed, params)
             assert clamped[t] == names
             for name, value in values.items():
-                col = trust[name.removeprefix("trust.")] if "." in name else cells[name]
-                assert col[t].hex() == value.hex(), name
-        # the parameters left alone keep their base values
-        assert cells["memory_k"].tolist() == [REFERENCE_CELL.memory_k] * trials
-        assert trust["t0"].tolist() == [base.t0] * trials
-        assert trust["deadband"].tolist() == [base.deadband] * trials
+                assert cells[name.removeprefix("trust.")][t].hex() == value.hex(), name
+        # only the drawn columns: the parameters left alone (memory_k and
+        # deadband) take their reference values in measure_cells
+        assert sorted(cells) == sorted(name.removeprefix("trust.")
+                                       for name in sweep._PERTURB_RANGES)
 
 
 def _mc_report(ratios):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -193,13 +194,28 @@ class TestTranslate:
         assert back.team == mates
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_random_scenario_roundtrip(self, data):
-        # from_text(to_text(s)) == s with pre-history rows and a team
+        # from_text(to_text(s)) == s with pre-history rows, a team and any
+        # labels the file can hold; every other label is rejected
         n = data.draw(st.integers(1, 4))
         unit = st.floats(0.0, 1.0)
+        one_line = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"),
+                                         blacklist_characters=",#"), min_size=1)
+        labels = data.draw(st.lists(one_line | st.text(), min_size=n, max_size=n, unique=True))
+
+        def holdable(label):
+            return (label != "" and label == label.strip() and "," not in label
+                    and "#" not in label and len(label.splitlines()) == 1)
+
+        if not all(map(holdable, labels)):
+            bad = next(label for label in labels if not holdable(label))
+            with pytest.raises(ConfigurationError, match=re.escape(f"actor label {bad!r}")):
+                ScenarioConfig(labels=labels, d=symmetric_matrix(n, 0.5),
+                               econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n))
+            return
         scenario = ScenarioConfig(
-            labels=tuple(f"a{i}" for i in range(n)),
+            labels=tuple(labels),
             d=symmetric_matrix(n, data.draw(unit)),
             econ=EconomyParams(endowments=(100.0,) * n, alpha=(1.0 / n,) * n),
             a_init=tuple(data.draw(unit) for _ in range(n)),

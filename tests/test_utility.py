@@ -35,16 +35,16 @@ class TestIndividualValue:
 
 class TestValueCreation:
     def test_synergy_vanishes_with_idle_actor(self):
-        assert synergy(5.0, 0.0, 2, LOG2) == 0.0
-        assert synergy(0.0, 5.0, 2, LOG2) == 0.0
+        assert synergy(5.0, (0.0,), LOG2) == 0.0
+        assert synergy(0.0, (5.0,), LOG2) == 0.0
 
     def test_worked_example(self):
-        v = individual_value(4.0, LOG2) * 2 + synergy(4.0, 4.0, 2, LOG2)
+        v = individual_value(4.0, LOG2) * 2 + synergy(4.0, (4.0,), LOG2)
         assert v == pytest.approx(66.97751649736401, abs=1e-9)
 
     def test_gamma_zero(self):
         econ = EconomyParams(endowments=(1.0, 1.0), alpha=(0.5, 0.5), gamma=0.0)
-        assert synergy(3.0, 7.0, 2, econ) == 0.0
+        assert synergy(3.0, (7.0,), econ) == 0.0
 
     @given(st.floats(0.1, 20), st.floats(0.1, 20), st.floats(0.01, 3.0))
     @settings(max_examples=200, deadline=None)
@@ -52,9 +52,33 @@ class TestValueCreation:
         # against the scalar oracle's exp-mean-log geometric mean
         econ = EconomyParams(endowments=(1.0, 1.0), alpha=(0.5, 0.5), gamma=gamma)
         parts = individual_value(a1, econ) + individual_value(a2, econ)
-        joint = parts + synergy(a1, a2, 2, econ)
+        joint = parts + synergy(a1, (a2,), econ)
         assert joint > parts
         assert joint == pytest.approx(value_creation([a1, a2], econ), rel=1e-12)
+
+    @pytest.mark.parametrize("n, action", [(200, 39.0), (330, 0.1), (64, 1e-5)],
+                             ids=["overflow", "underflow", "subnormal"])
+    def test_many_actor_synergy_matches_the_log_oracle(self, n, action):
+        # the product of the actions overflows, underflows to 0 or is
+        # subnormal; the geometric mean is still the action
+        econ = EconomyParams(endowments=(0.0,) * n, alpha=(1.0 / n,) * n, theta_v=0.0,
+                             gamma=2.0)
+        want = value_creation([action] * n, econ)
+        assert synergy(action, (action,) * (n - 1), econ) == pytest.approx(want, rel=1e-12)
+        grid = synergy(np.array([0.0, action, 2.0 * action]), (action,) * (n - 1), econ)
+        assert grid[0] == 0.0
+        for got, a_i in zip(grid[1:], (action, 2.0 * action)):
+            oracle = value_creation([a_i] + [action] * (n - 1), econ)
+            assert got == pytest.approx(oracle, rel=1e-12)
+        assert np.isfinite(private_payoffs([action] * n, econ)).all()
+
+    def test_a_normal_partner_product_keeps_the_power_where_the_product_is_normal(self):
+        # 1e-300 * 1e-10 is subnormal: that candidate alone takes the log form
+        econ = EconomyParams(endowments=(0.0, 0.0), alpha=(0.5, 0.5), theta_v=0.0, gamma=2.0)
+        grid = synergy(np.array([0.0, 1e-10, 1.0]), (1e-300,), econ)
+        assert grid[0] == 0.0
+        assert grid[1] == pytest.approx(value_creation([1e-10, 1e-300], econ), rel=1e-12)
+        assert grid[2] == (2.0 * (np.array([1.0]) * 1e-300) ** 0.5)[0]
 
 
 class TestPrivatePayoff:
@@ -85,7 +109,7 @@ class TestPrivatePayoff:
                                  value_form=rng.choice(("logarithmic", "power")))
             payoffs = private_payoffs(a, econ)
             shares = sum(payoffs[i] - standalone_payoff(10.0, a[i], econ) for i in range(3))
-            assert shares == pytest.approx(synergy(a[0], a[1] * a[2], 3, econ),
+            assert shares == pytest.approx(synergy(a[0], a[1:], econ),
                                            rel=1e-9, abs=1e-9)
             for i in range(3):
                 assert payoffs[i] == pytest.approx(private_payoff(i, a, econ), rel=1e-12)
@@ -112,7 +136,7 @@ class TestCandidateAxis:
         kernels = [
             lambda x: individual_value(x, econ),
             lambda x: standalone_payoff(100.0, x, econ),
-            lambda x: synergy(x, 7.5 * 11.0, 3, econ),
+            lambda x: synergy(x, (7.5, 11.0), econ),
             lambda x: team_member_utility(0, x, actions, TEAM),
         ]
         for kernel in kernels:
